@@ -1,8 +1,8 @@
 """Batch front door: flat-text configs, run orchestration, reports.
 
 Config format: one `key = value` per line, `#` comments, dotted keys.
-Unknown keys are fatal.  Every subcommand is deterministic given the config
-(plus seed), and MFLD1 outputs are byte-identical across reruns.
+Unknown keys are fatal.  Every subcommand is deterministic given the config,
+and MFLD1 outputs are byte-identical across reruns.
 
 Exit codes: 0 success, 2 validation error, 3 numerical-instability abort.
 
@@ -13,7 +13,9 @@ light and pulls the numerical modules in lazily.
 
 import argparse
 import hashlib
+import inspect
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -56,7 +58,6 @@ _SCALAR_KEYS = {
     "t_end": float,
     "save_every": int,
     "output_dir": str,
-    "seed": int,
 }
 _PREFIX_KEYS = ("spin.init.", "nls.init.")
 
@@ -74,7 +75,6 @@ _DEFAULTS = {
     "t_end": 0.1,
     "save_every": 10,
     "output_dir": "run",
-    "seed": 0,
 }
 
 
@@ -133,6 +133,17 @@ class RunConfig:
         canon = "\n".join(f"{k} = {values[k]!r}" for k in sorted(values))
         return cls(values=values, sha=hashlib.sha256(canon.encode()).hexdigest())
 
+    @classmethod
+    def from_meta(cls, meta: dict) -> "RunConfig":
+        """The configuration a run directory's meta.json records."""
+        values = meta.get("config")
+        if not isinstance(values, dict) or "config_hash" not in meta:
+            raise ConfigError("meta.json records no run configuration")
+        missing = sorted(set(_SCALAR_KEYS) - set(values))
+        if missing:
+            raise ConfigError(f"meta.json configuration lacks {missing}")
+        return cls(values=values, sha=meta["config_hash"])
+
     def __getitem__(self, key):
         return self.values[key]
 
@@ -170,33 +181,74 @@ def _initial_from_file(path: str, grid, comps: int):
     return data
 
 
-def _make_initial_spin(cfg: RunConfig):
-    from .spin import INITIAL_CONDITIONS
-    name = cfg["spin.init"]
+def _spin_from_file(grid, path):
+    return _initial_from_file(path, grid, 3)[..., 0:3]
+
+
+def _q_from_file(grid, path):
+    data = _initial_from_file(path, grid, 2)
+    return data[..., 0] + 1j * data[..., 1]
+
+
+def _make_initial(cfg: RunConfig, side: str):
+    """grid -> initial field of `side` ("spin" or "nls").
+
+    `<side>.init` names a built-in generator, called with the `<side>.init.*`
+    keys, or an MFLD1 file.  Every such key must name a parameter of the
+    generator; a file takes none.
+    """
+    from . import nls, spin
+    table, read = {"spin": (spin.INITIAL_CONDITIONS, _spin_from_file),
+                   "nls": (nls.INITIAL_CONDITIONS, _q_from_file)}[side]
+    name = cfg[f"{side}.init"]
+    args = cfg.init_args(f"{side}.init.")
     if name.endswith(".mfld1"):
-        def from_file(grid):
-            return _initial_from_file(name, grid, 3)[..., 0:3]
-        return from_file
-    if name not in INITIAL_CONDITIONS:
-        raise ConfigError(f"unknown spin.init {name!r}; have {sorted(INITIAL_CONDITIONS)}")
-    gen = INITIAL_CONDITIONS[name]
-    args = cfg.init_args("spin.init.")
-    try:
-        return lambda grid: gen(grid, **args)
-    except TypeError as exc:  # pragma: no cover - signature errors surface on call
-        raise ConfigError(str(exc)) from exc
+        gen, params = (lambda grid: read(grid, name)), []
+    elif name in table:
+        gen = table[name]
+        params = list(inspect.signature(gen).parameters)[1:]
+    else:
+        raise ConfigError(f"unknown {side}.init {name!r}; have {sorted(table)}")
+    unknown = sorted(set(args) - set(params))
+    if unknown:
+        raise ConfigError(f"{side}.init {name!r} has no parameter {', '.join(unknown)}; "
+                          f"it takes {params or 'none'}")
+    return lambda grid: gen(grid, **args)
 
 
-def _timestep(cfg: RunConfig, grid) -> float:
+def _run_length(cfg: RunConfig, grid):
+    """(dt, n_steps) of a simulate run; dt = 0 picks the default step."""
     from .spin import default_dt
-    dt = cfg["dt"]
-    return dt if dt > 0.0 else default_dt(grid)
+    dt, t_end, save_every = cfg["dt"], cfg["t_end"], cfg["save_every"]
+    if not 0.0 <= dt < math.inf:
+        raise ConfigError(f"dt must be finite and non-negative, got {dt!r}")
+    if not 0.0 < t_end < math.inf:
+        raise ConfigError(f"t_end must be finite and positive, got {t_end!r}")
+    if save_every < 1:
+        raise ConfigError(f"save_every must be at least 1, got {save_every}")
+    dt = dt if dt > 0.0 else default_dt(grid)
+    return dt, max(1, int(round(t_end / dt)))
 
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_charges(path: str, samples, scheme, beta: int) -> None:
+    """Charge table, one row per (t, grid, S) sample (invariants.csv, charges.csv)."""
+    from .frames import coeffs_from_frame, frame_from_spin
+    from .invariants import charges
+    rows = []
+    for t, grid, S in samples:
+        F = frame_from_spin(grid, S, scheme)
+        rows.append([t] + charges(grid, F, coeffs_from_frame(grid, F, scheme), scheme,
+                                  beta).as_row())
+    with open(path, "w") as fh:
+        fh.write("t,K1,K2,K3,Kc1,Kc2,Kc3,Q1,Q2,Q3\n")
+        for row in rows:
+            fh.write(",".join(repr(x) for x in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -206,36 +258,28 @@ def _write_json(path: str, payload: dict) -> None:
 def cmd_simulate_spin(args) -> int:
     import numpy as np
     from .fields import write_mfld1
-    from .frames import coeffs_from_frame, frame_from_spin
-    from .invariants import charges
     from .spin import make_state, run_spin
 
     cfg = RunConfig.load(args.config)
     grid = cfg.grid()
     par = cfg.spin_params()
     scheme = cfg["scheme"]
-    S0 = _make_initial_spin(cfg)(grid)
-    dt = _timestep(cfg, grid)
-    n_steps = max(1, int(round(cfg["t_end"] / dt)))
-    state = make_state(grid, S0, par, scheme=scheme)
+    make_initial = _make_initial(cfg, "spin")
+    dt, n_steps = _run_length(cfg, grid)
+    state = make_state(grid, make_initial(grid), par, scheme=scheme)
     state.validate()
     saved = run_spin(grid, state, par, dt, n_steps, cfg["save_every"], scheme)
 
     out = os.path.join(args.output_dir, cfg["output_dir"])
     os.makedirs(out, exist_ok=True)
-    slices, rows = [], []
+    slices = []
     for idx, st in enumerate(saved):
         name = f"spin_{idx:06d}.mfld1"
         data = np.concatenate([st.S, st.u[..., None], st.v[..., None]], axis=-1)
         write_mfld1(os.path.join(out, name), grid, data)
         slices.append(name)
-        F = frame_from_spin(grid, st.S, scheme)
-        rep = charges(grid, F, coeffs_from_frame(grid, F, scheme), scheme, par.beta)
-        rows.append([st.t] + rep.as_row())
-    with open(os.path.join(out, "invariants.csv"), "w") as fh:
-        fh.write("t,K1,K2,K3,Kc1,Kc2,Kc3,Q1,Q2,Q3\n")
-        for row in rows:
-            fh.write(",".join(repr(x) for x in row) + "\n")
+    _write_charges(os.path.join(out, "invariants.csv"),
+                   ((st.t, grid, st.S) for st in saved), scheme, par.beta)
     _write_json(os.path.join(out, "meta.json"), {
         "kind": "spin",
         "config_hash": cfg.sha,
@@ -252,23 +296,15 @@ def cmd_simulate_spin(args) -> int:
 def cmd_simulate_nls(args) -> int:
     import numpy as np
     from .fields import write_mfld1
-    from .nls import INITIAL_CONDITIONS, make_state, run_nls
+    from .nls import make_state, run_nls
 
     cfg = RunConfig.load(args.config)
     grid = cfg.grid()
     par = cfg.nls_params()
     scheme = cfg["scheme"]
-    name = cfg["nls.init"]
-    if name.endswith(".mfld1"):
-        data = _initial_from_file(name, grid, 2)
-        q0 = data[..., 0] + 1j * data[..., 1]
-    elif name not in INITIAL_CONDITIONS:
-        raise ConfigError(f"unknown nls.init {name!r}; have {sorted(INITIAL_CONDITIONS)}")
-    else:
-        q0 = INITIAL_CONDITIONS[name](grid, **cfg.init_args("nls.init."))
-    dt = _timestep(cfg, grid)
-    n_steps = max(1, int(round(cfg["t_end"] / dt)))
-    state = make_state(grid, q0, par, scheme=scheme)
+    make_initial = _make_initial(cfg, "nls")
+    dt, n_steps = _run_length(cfg, grid)
+    state = make_state(grid, make_initial(grid), par, scheme=scheme)
     saved = run_nls(grid, state, par, dt, n_steps, cfg["save_every"], scheme)
 
     out = os.path.join(args.output_dir, cfg["output_dir"])
@@ -295,55 +331,53 @@ def cmd_simulate_nls(args) -> int:
     return 0
 
 
-def _load_run(run_dir: str):
+def _open_run(args, kind: str):
+    """(run dir, meta, RunConfig) of the `kind` run named by args.run_dir."""
+    run_dir = os.path.join(args.output_dir, args.run_dir)
     meta_path = os.path.join(run_dir, "meta.json")
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {meta_path}: {exc}") from exc
-    return meta
+    if not isinstance(meta, dict) or meta.get("kind") != kind:
+        raise ConfigError(f"{args.command} needs a {kind} run directory")
+    return run_dir, meta, RunConfig.from_meta(meta)
 
 
 def _load_slice(run_dir: str, meta: dict, idx: int):
     from .fields import read_mfld1
-    grid, data = read_mfld1(os.path.join(run_dir, meta["slices"][idx]))
-    return grid, data
+    return read_mfld1(os.path.join(run_dir, meta["slices"][idx]))
 
 
 def cmd_frame(args) -> int:
     import numpy as np
     from .fields import write_mfld1
-    from .frames import coeffs_from_frame, frame_dt, frame_from_spin, mlxii_residual
+    from .frames import (coeffs_from_frame, frame_dt, frame_from_spin, mlxii_residual,
+                         with_time_entries)
 
-    run_dir = os.path.join(args.output_dir, args.run_dir)
-    meta = _load_run(run_dir)
-    if meta["kind"] != "spin":
-        raise ConfigError("frame extraction needs a spin run directory")
-    scheme = meta["config"].get("scheme", "spectral")
-    beta = meta["config"].get("params.beta", 1)
+    run_dir, meta, cfg = _open_run(args, "spin")
+    scheme, beta = cfg["scheme"], cfg["params.beta"]
     times = meta["times"]
-    frames = []
-    grid = None
+    report = {"config_hash": cfg.sha, "residuals": []}
+    window = []  # (frame, coefficients) of the last three slices
     for idx in range(len(times)):
         grid, data = _load_slice(run_dir, meta, idx)
-        frames.append(frame_from_spin(grid, data[..., 0:3], scheme))
-        fr = frames[-1]
+        F = frame_from_spin(grid, data[..., 0:3], scheme)
         write_mfld1(os.path.join(run_dir, f"frame_{idx:06d}.mfld1"), grid,
-                    np.concatenate([fr.e1, fr.e2, fr.e3], axis=-1))
-    report = {"config_hash": meta["config_hash"], "residuals": []}
-    for idx in range(1, len(times) - 1):
-        dt2 = times[idx + 1] - times[idx - 1]
-        dF = frame_dt(frames[idx - 1], frames[idx + 1], dt2)
-        co = coeffs_from_frame(grid, frames[idx], scheme, dF_dt=dF)
+                    np.concatenate([F.e1, F.e2, F.e3], axis=-1))
+        window = window[-2:] + [(F, coeffs_from_frame(grid, F, scheme))]
+        if len(window) < 3:
+            continue
+        (F0, before), (F1, mid), (F2, after) = window
+        dt2 = times[idx] - times[idx - 2]
+        co = with_time_entries(mid, F1, frame_dt(F0, F2, dt2))
         stack = np.stack([co.k, co.sigma, co.tau, co.m1, co.m2, co.m3,
                           co.w1, co.w2, co.w3], axis=-1)
-        write_mfld1(os.path.join(run_dir, f"coeffs_{idx:06d}.mfld1"), grid, stack)
-        res = mlxii_residual(grid, co, scheme, beta,
-                             coeffs_before=coeffs_from_frame(grid, frames[idx - 1], scheme),
-                             coeffs_after=coeffs_from_frame(grid, frames[idx + 1], scheme),
-                             dt2=dt2, frame=frames[idx])
-        report["residuals"].append({"t": times[idx], **res})
+        write_mfld1(os.path.join(run_dir, f"coeffs_{idx - 1:06d}.mfld1"), grid, stack)
+        res = mlxii_residual(grid, co, scheme, beta, coeffs_before=before,
+                             coeffs_after=after, dt2=dt2, frame=F1)
+        report["residuals"].append({"t": times[idx - 1], **res})
     _write_json(os.path.join(run_dir, "frame_report.json"), report)
     print(f"wrote {len(times)} frame dumps and {max(0, len(times) - 2)} coefficient dumps to {run_dir}")
     return 0
@@ -351,20 +385,12 @@ def cmd_frame(args) -> int:
 
 def cmd_equiv_check(args) -> int:
     from .equivalence import l_equiv_check
-    from .spin import SpinParams
 
-    run_dir = os.path.join(args.output_dir, args.run_dir)
-    meta = _load_run(run_dir)
-    cfgv = meta["config"]
-    par = SpinParams(c=cfgv["params.c"], d=cfgv["params.d"], l=cfgv["params.l"],
-                     beta=cfgv["params.beta"],
-                     model=cfgv.get("spin.model") or cfgv["model"] or "M3")
-    cfg = RunConfig(values=cfgv, sha=meta["config_hash"])
+    run_dir, meta, cfg = _open_run(args, "spin")
     sizes = tuple(int(s) for s in args.ladder.split(","))
-    report = l_equiv_check(par, _make_initial_spin(cfg), sizes=sizes,
-                           lx=cfgv["grid.lx"], ly=cfgv["grid.ly"],
-                           scheme=cfgv.get("scheme", "spectral"))
-    payload = {"config_hash": meta["config_hash"], **report.as_dict()}
+    report = l_equiv_check(cfg.spin_params(), _make_initial(cfg, "spin"), sizes=sizes,
+                           lx=cfg["grid.lx"], ly=cfg["grid.ly"], scheme=cfg["scheme"])
+    payload = {"config_hash": cfg.sha, **report.as_dict()}
     out_path = os.path.join(run_dir, "equiv_report.json")
     _write_json(out_path, payload)
     print(f"order estimate: {report.order:.3f}")
@@ -384,40 +410,28 @@ def _parse_lambda(text: str) -> complex:
 def cmd_lax_check(args) -> int:
     from .lax import build_lax_spin, trace_deviation, zero_curvature_q
 
-    run_dir = os.path.join(args.output_dir, args.run_dir)
-    meta = _load_run(run_dir)
+    run_dir, meta, cfg = _open_run(args, "spin" if args.spin_side else "nls")
     lams = [_parse_lambda(text) for text in args.lam]
-    cfgv = meta["config"]
+    scheme = cfg["scheme"]
     times = meta["times"]
     if len(times) < 3:
         raise ConfigError("lax-check needs at least three saved slices")
     mid = len(times) // 2 if len(times) // 2 + 1 < len(times) else len(times) - 2
-    payload = {"config_hash": meta["config_hash"], "t": times[mid], "results": []}
+    payload = {"config_hash": cfg.sha, "t": times[mid], "results": []}
 
     if args.spin_side:
-        if meta["kind"] != "spin":
-            raise ConfigError("--spin-side needs a spin run")
-        from .spin import SpinParams
-        par = SpinParams(c=cfgv["params.c"], d=cfgv["params.d"], l=cfgv["params.l"],
-                         beta=cfgv["params.beta"],
-                         model=cfgv.get("spin.model") or cfgv["model"] or "M3")
+        par = cfg.spin_params()
         grid, data = _load_slice(run_dir, meta, mid)
         S, u, v = data[..., 0:3], data[..., 3], data[..., 4]
         for lam in lams:
             entry = {"lam": [lam.real, lam.imag]}
             for grouping in ("factored", "split"):
-                U, V = build_lax_spin(grid, S, u, v, par, lam,
-                                      cfgv.get("scheme", "spectral"), grouping=grouping)
+                U, V = build_lax_spin(grid, S, u, v, par, lam, scheme, grouping=grouping)
                 entry[f"trace_U_{grouping}"] = trace_deviation(U)
                 entry[f"trace_V_{grouping}"] = trace_deviation(V)
             payload["results"].append(entry)
     else:
-        if meta["kind"] != "nls":
-            raise ConfigError("q-side lax-check needs an nls run (or pass --spin-side)")
-        from .nls import NlsParams
-        par = NlsParams(c=cfgv["params.c"], d=cfgv["params.d"],
-                        beta=cfgv["params.beta"],
-                        model=cfgv.get("nls.model") or cfgv["model"] or "M3q")
+        par = cfg.nls_params()
         triple = []
         grid = None
         for idx in (mid - 1, mid, mid + 1):
@@ -428,7 +442,7 @@ def cmd_lax_check(args) -> int:
         dt2 = times[mid + 1] - times[mid - 1]
         for lam in lams:
             rep = zero_curvature_q(grid, triple[0], triple[1], triple[2], par, lam,
-                                   dt2, cfgv.get("scheme", "spectral"))
+                                   dt2, scheme)
             payload["results"].append({"lam": [lam.real, lam.imag],
                                        "residual": rep["residual"],
                                        "trace_U": rep["trace_U"],
@@ -448,23 +462,15 @@ def cmd_lax_check(args) -> int:
 
 
 def cmd_charges(args) -> int:
-    from .frames import coeffs_from_frame, frame_from_spin
-    from .invariants import charges
-
-    run_dir = os.path.join(args.output_dir, args.run_dir)
-    meta = _load_run(run_dir)
-    if meta["kind"] != "spin":
-        raise ConfigError("charges needs a spin run directory")
-    scheme = meta["config"].get("scheme", "spectral")
-    beta = meta["config"].get("params.beta", 1)
+    run_dir, meta, cfg = _open_run(args, "spin")
     out_path = os.path.join(run_dir, "charges.csv")
-    with open(out_path, "w") as fh:
-        fh.write("t,K1,K2,K3,Kc1,Kc2,Kc3,Q1,Q2,Q3\n")
+
+    def samples():
         for idx, t in enumerate(meta["times"]):
             grid, data = _load_slice(run_dir, meta, idx)
-            F = frame_from_spin(grid, data[..., 0:3], scheme)
-            rep = charges(grid, F, coeffs_from_frame(grid, F, scheme), scheme, beta)
-            fh.write(",".join(repr(x) for x in [t] + rep.as_row()) + "\n")
+            yield t, grid, data[..., 0:3]
+
+    _write_charges(out_path, samples(), cfg["scheme"], cfg["params.beta"])
     print(f"charge series written to {out_path}")
     return 0
 

@@ -38,7 +38,7 @@ from .fields import (
 )
 from .frames import FrameCoeffs, FrameField, coeffs_from_frame, frame_from_spin
 from .nls import NlsParams, nls_rhs, solve_v_nls
-from .spin import DT_FACTOR, SpinParams, make_state, step_rk4_spin
+from .spin import DT_FACTOR, SpinParams, make_state, run_spin
 
 TWO_PI = 2.0 * np.pi
 FRAME_MASK_LIMIT = 0.10   # abort the equivalence check beyond this mask fraction
@@ -168,16 +168,12 @@ def l_equiv_check(par: SpinParams, make_initial, sizes=(32, 64, 128),
         grid = Grid2(n, n, lx, ly)
         delta = delta0 * n0 / n
         spd = max(1, int(np.ceil(delta / (DT_FACTOR * grid.hx * grid.hy))))
-        dt = delta / spd
         blocks = max(2, int(np.round(t_eval / delta)) + 1)
+        dt, lead = delta / spd, (blocks - 2) * spd
         state = make_state(grid, make_initial(grid), par, scheme=scheme)
-        keep = {blocks - 2: None, blocks - 1: None, blocks: None}
-        for b in range(1, blocks + 1):
-            for _ in range(spd):
-                state = step_rk4_spin(grid, state, par, dt, scheme)
-            if b in keep:
-                keep[b] = state
-        s0, s1, s2 = (keep[b] for b in sorted(keep))
+        # march to the first of the three slices without keeping those before it
+        state = run_spin(grid, state, par, dt, lead, max(lead, 1), scheme)[-1]
+        s0, s1, s2 = run_spin(grid, state, par, dt, 2 * spd, spd, scheme)
         last = equiv_residual(grid, s0.S, s1.S, s2.S, 2.0 * delta, par,
                               scheme, v_spin=s1.v)
         ladder.append((grid.hx, last["residual_q"]))

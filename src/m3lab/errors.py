@@ -26,7 +26,7 @@ class NumericalError(M3LabError):
 
 
 class UnstableStepError(NumericalError):
-    """Time step rejected: renormalization correction exceeded its bound."""
+    """Time step rejected: its renormalization or conjugate-pairing correction exceeded the bound."""
 
 
 class DegenerateFieldError(NumericalError):

@@ -13,6 +13,10 @@ Two derivative schemes are provided: "spectral" (FFT, exact below Nyquist)
 and "central4" (periodic 5-point 4th-order stencil).  The periodic
 antiderivative inv_dx is spectral and zero-mean by construction; the per-row
 mean it discards is returned as a solvability diagnostic.
+
+The stepping core shared by the spin and NLS solvers also lives here: one
+classical RK4 step (rk4, which owns the dt / stability check) and one save
+loop (march).
 """
 
 import csv
@@ -22,10 +26,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, FieldError
+from .errors import ConfigError, FieldError, NumericalError, ParameterError
 
 SPECTRAL = "spectral"
 CENTRAL4 = "central4"
+CFL_SAFETY = 0.3         # dt must not exceed CFL_SAFETY * hx * hy
 
 TWO_PI = 2.0 * np.pi
 
@@ -78,25 +83,6 @@ class Grid2:
         return np.zeros(shape, dtype=dtype)
 
 
-@dataclass(frozen=True)
-class DerivScheme:
-    """Derivative scheme selection, optionally per axis."""
-
-    x: str = SPECTRAL
-    y: str = SPECTRAL
-
-    def __post_init__(self):
-        for kind in (self.x, self.y):
-            if kind not in (SPECTRAL, CENTRAL4):
-                raise ConfigError(f"unknown derivative scheme {kind!r}")
-
-    @classmethod
-    def of(cls, spec) -> "DerivScheme":
-        if isinstance(spec, DerivScheme):
-            return spec
-        return cls(x=spec, y=spec)
-
-
 def check_finite(f: np.ndarray, name: str = "field") -> np.ndarray:
     f = np.asarray(f)
     if not np.all(np.isfinite(f)):
@@ -121,22 +107,22 @@ def _central4_deriv(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
 
 
+def _deriv(f: np.ndarray, scheme, k: np.ndarray, h: float, axis: int) -> np.ndarray:
+    if scheme == SPECTRAL:
+        return _spectral_deriv(f, k, axis)
+    if scheme == CENTRAL4:
+        return _central4_deriv(f, h, axis)
+    raise ConfigError(f"unknown derivative scheme {scheme!r}")
+
+
 def ddx(grid: Grid2, f: np.ndarray, scheme=SPECTRAL) -> np.ndarray:
     """d/dx along axis 1; works for any trailing component dimensions."""
-    f = check_finite(f, "ddx input")
-    kind = DerivScheme.of(scheme).x
-    if kind == SPECTRAL:
-        return _spectral_deriv(f, grid.kx, axis=1)
-    return _central4_deriv(f, grid.hx, axis=1)
+    return _deriv(check_finite(f, "ddx input"), scheme, grid.kx, grid.hx, axis=1)
 
 
 def ddy(grid: Grid2, f: np.ndarray, scheme=SPECTRAL) -> np.ndarray:
     """d/dy along axis 0; works for any trailing component dimensions."""
-    f = check_finite(f, "ddy input")
-    kind = DerivScheme.of(scheme).y
-    if kind == SPECTRAL:
-        return _spectral_deriv(f, grid.ky, axis=0)
-    return _central4_deriv(f, grid.hy, axis=0)
+    return _deriv(check_finite(f, "ddy input"), scheme, grid.ky, grid.hy, axis=0)
 
 
 def meanx(f: np.ndarray) -> np.ndarray:
@@ -212,8 +198,49 @@ def max_norm(M: np.ndarray) -> float:
     return float(np.max(np.abs(M)))
 
 
-def trace_field(M: np.ndarray) -> np.ndarray:
-    return np.einsum("...ii->...", M)
+# ---------------------------------------------------------------------------
+# Time stepping shared by the spin and NLS solvers
+# ---------------------------------------------------------------------------
+
+def rk4(grid: Grid2, rhs, y: tuple, dt: float) -> tuple:
+    """One classical RK4 step of y' = rhs(y), y and rhs(y) tuples of arrays.
+
+    The mixed-derivative dispersive terms of both models bound the step by
+    dt <= CFL_SAFETY * hx * hy; a dt outside (0, bound] is rejected.
+    """
+    bound = CFL_SAFETY * grid.hx * grid.hy
+    if not 0.0 < dt <= bound * (1.0 + 1e-9):
+        raise ParameterError(f"dt = {dt:.3e} outside the stable range (0, {bound:.3e}]")
+
+    def stage(c, k):
+        return tuple(a + c * b for a, b in zip(y, k))
+
+    k1 = rhs(y)
+    k2 = rhs(stage(0.5 * dt, k1))
+    k3 = rhs(stage(0.5 * dt, k2))
+    k4 = rhs(stage(dt, k3))
+    return tuple(a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+
+
+def march(step, y, t: float, dt: float, n_steps: int, save_every: int, keep) -> list:
+    """Take n_steps steps `y, diag = step(y)`, the clock t advancing by dt each.
+
+    Every save_every-th step is passed to keep(y, t, diag) and the results are
+    returned in order, so what keep derives (the constraint fields) is
+    computed for kept steps only.  A numerical abort is re-raised with the
+    time of the step that failed.
+    """
+    kept = []
+    for i in range(1, n_steps + 1):
+        try:
+            y, diag = step(y)
+        except NumericalError as exc:
+            raise type(exc)(f"step from t = {t:.6g}: {exc}") from exc
+        t = t + dt
+        if i % save_every == 0:
+            kept.append(keep(y, t, diag))
+    return kept
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ e1 = S, e2 = S_x/|S_x|, e3 = e1 ^ e2, with a deterministic left-scan fill
 where |S_x| degenerates.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -166,14 +166,14 @@ def coeffs_from_frame(grid: Grid2, F: FrameField, scheme=SPECTRAL,
     m1 = dot3(F.e3, e2y)
     m2 = -dot3(F.e3, e1y)
     m3 = dot3(F.e2, e1y)
-    w1 = w2 = w3 = None
-    if dF_dt is not None:
-        e1t, e2t, _ = dF_dt
-        w1 = dot3(F.e3, e2t)
-        w2 = -dot3(F.e3, e1t)
-        w3 = dot3(F.e2, e1t)
-    return FrameCoeffs(k=k, sigma=sigma, tau=tau, m1=m1, m2=m2, m3=m3,
-                       w1=w1, w2=w2, w3=w3)
+    coeffs = FrameCoeffs(k=k, sigma=sigma, tau=tau, m1=m1, m2=m2, m3=m3)
+    return coeffs if dF_dt is None else with_time_entries(coeffs, F, dF_dt)
+
+
+def with_time_entries(coeffs: FrameCoeffs, F: FrameField, dF_dt) -> FrameCoeffs:
+    """coeffs of frame F completed by w1 = e3.e2_t, w2 = -e3.e1_t, w3 = e2.e1_t."""
+    e1t, e2t, _ = dF_dt
+    return replace(coeffs, w1=dot3(F.e3, e2t), w2=-dot3(F.e3, e1t), w3=dot3(F.e2, e1t))
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +185,11 @@ def so3_from_vec(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray, beta: int = 1) 
 
     [[0, v3, -v2], [-beta v3, 0, v1], [beta v2, -v1, 0]]
     """
-    z = np.zeros_like(np.asarray(v1, dtype=float))
+    z = np.zeros_like(v1)
     return np.stack([
-        np.stack([z, v3 + z, -(v2 + z)], axis=-1),
-        np.stack([-beta * v3 + z, z, v1 + z], axis=-1),
-        np.stack([beta * v2 + z, -(v1 + z), z], axis=-1),
+        np.stack([z, v3, -v2], axis=-1),
+        np.stack([-beta * v3, z, v1], axis=-1),
+        np.stack([beta * v2, -v1, z], axis=-1),
     ], axis=-2)
 
 

@@ -8,7 +8,9 @@ system and whose d=0 limit is the Strachan system):
       v_x = (p q)_y
 
 For the physical reduction p = beta * conj(q), the pair equations are complex
-conjugates of each other and v stays real, since p q = beta |q|^2.
+conjugates of each other and v stays real, since p q = beta |q|^2.  States
+carry that reduction; the RK4 step still advances p next to q and reports
+how far the pair drifted from it (conj_dev) before resetting p.
 
 Plane waves q = A exp(i(k1 x + k2 y - w t)) with constant v = v0 satisfy the
 dispersion relation  w = -k1 k2 + 4 c v0 k1 + 2 d^2 v0  (and the constraint
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
-from .fields import SPECTRAL, Grid2, check_finite, ddx, ddy, inv_dx
-from .spin import CFL_SAFETY, RENORM_LIMIT
+from .errors import ParameterError, UnstableStepError
+from .fields import SPECTRAL, Grid2, check_finite, ddx, ddy, inv_dx, march, rk4
+from .spin import RENORM_LIMIT
 
 _MODELS = ("M3q", "Zakharov", "Strachan")
 
@@ -47,11 +49,10 @@ class NlsParams:
 @dataclass(frozen=True)
 class NlsState:
     q: np.ndarray            # (ny, nx) complex
-    p: np.ndarray            # (ny, nx) complex
+    p: np.ndarray            # (ny, nx) complex, beta * conj(q)
     v: np.ndarray            # (ny, nx) real, zero x-mean
     t: float = 0.0
-    conjugate: bool = True   # p = beta * conj(q) reduction in force
-    conj_dev: float = 0.0    # |p - beta conj q| removed by the last step
+    conj_dev: float = 0.0    # |p - beta conj q| removed by the step that made q
 
 
 def solve_v_nls(grid: Grid2, q: np.ndarray, p: np.ndarray, scheme=SPECTRAL):
@@ -82,63 +83,40 @@ def nls_rhs(grid: Grid2, q: np.ndarray, p: np.ndarray, v: np.ndarray,
 
 
 def make_state(grid: Grid2, q: np.ndarray, par: NlsParams, t: float = 0.0,
-               p: np.ndarray = None, scheme=SPECTRAL) -> NlsState:
-    """Assemble an NlsState; p defaults to the conjugate reduction beta*conj(q)."""
-    conjugate = p is None
-    if conjugate:
-        p = par.beta * np.conj(q)
+               scheme=SPECTRAL, conj_dev: float = 0.0) -> NlsState:
+    """Assemble an NlsState with p = beta*conj(q) and v solved from the pair."""
+    p = par.beta * np.conj(q)
     v, _, _ = solve_v_nls(grid, q, p, scheme)
     return NlsState(q=np.asarray(q, dtype=complex), p=np.asarray(p, dtype=complex),
-                    v=v, t=t, conjugate=conjugate)
+                    v=v, t=t, conj_dev=conj_dev)
 
 
-def step_rk4_nls(grid: Grid2, state: NlsState, par: NlsParams, dt: float,
-                 scheme=SPECTRAL) -> NlsState:
-    """One RK4 step with v re-solved at each stage.
+def step_rk4_nls(grid: Grid2, q: np.ndarray, par: NlsParams, dt: float,
+                 scheme=SPECTRAL):
+    """One RK4 step of the pair (q, p = beta*conj(q)), v re-solved at each stage.
 
-    Under the conjugate reduction, p is reset to beta*conj(q) after the step
-    and the removed deviation is recorded (the discrete flow preserves the
-    pairing only up to rounding).
+    The discrete flow keeps the pairing only up to rounding.  Returns (q,
+    max |p - beta*conj(q)| after the step); the stepped p is then dropped,
+    since states carry p = beta*conj(q).
     """
-    if dt <= 0.0:
-        raise ParameterError("dt must be positive")
-    if dt > CFL_SAFETY * grid.hx * grid.hy * (1.0 + 1e-9):
-        raise ParameterError(
-            f"dt = {dt:.3e} exceeds stability bound {CFL_SAFETY * grid.hx * grid.hy:.3e}")
+    def rhs(pair):
+        v, _, _ = solve_v_nls(grid, *pair, scheme)
+        return nls_rhs(grid, *pair, v, par, scheme)
 
-    def rhs(q, p):
-        v, _, _ = solve_v_nls(grid, q, p, scheme)
-        return nls_rhs(grid, q, p, v, par, scheme)
-
-    q, p = state.q, state.p
-    kq1, kp1 = rhs(q, p)
-    kq2, kp2 = rhs(q + 0.5 * dt * kq1, p + 0.5 * dt * kp1)
-    kq3, kp3 = rhs(q + 0.5 * dt * kq2, p + 0.5 * dt * kp2)
-    kq4, kp4 = rhs(q + dt * kq3, p + dt * kp3)
-    q_new = q + (dt / 6.0) * (kq1 + 2.0 * kq2 + 2.0 * kq3 + kq4)
-    p_new = p + (dt / 6.0) * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4)
-
-    conj_dev = 0.0
-    if state.conjugate:
-        target = par.beta * np.conj(q_new)
-        conj_dev = float(np.max(np.abs(p_new - target)))
-        if conj_dev > RENORM_LIMIT:
-            raise ParameterError(
-                f"conjugate pairing broke at t = {state.t:.6g}: deviation {conj_dev:.3e}")
-        p_new = target
-    v_new, _, _ = solve_v_nls(grid, q_new, p_new, scheme)
-    return NlsState(q=q_new, p=p_new, v=v_new, t=state.t + dt,
-                    conjugate=state.conjugate, conj_dev=conj_dev)
+    q_new, p_new = rk4(grid, rhs, (q, par.beta * np.conj(q)), dt)
+    conj_dev = float(np.max(np.abs(p_new - par.beta * np.conj(q_new))))
+    if conj_dev > RENORM_LIMIT:
+        raise UnstableStepError(f"conjugate pairing broke: deviation {conj_dev:.3e}")
+    return q_new, conj_dev
 
 
 def run_nls(grid: Grid2, state: NlsState, par: NlsParams, dt: float,
             n_steps: int, save_every: int = 1, scheme=SPECTRAL):
-    saved = [state]
-    for i in range(n_steps):
-        state = step_rk4_nls(grid, state, par, dt, scheme)
-        if (i + 1) % save_every == 0:
-            saved.append(state)
-    return saved
+    """March n_steps, returning the saved states (initial state included)."""
+    return [state] + march(
+        lambda q: step_rk4_nls(grid, q, par, dt, scheme), state.q, state.t, dt,
+        n_steps, save_every,
+        lambda q, t, conj_dev: make_state(grid, q, par, t, scheme, conj_dev))
 
 
 def init_plane_wave(grid: Grid2, amplitude: float = 0.5, k1: int = 1, k2: int = 1) -> np.ndarray:

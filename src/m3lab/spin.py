@@ -6,8 +6,9 @@ The evolution implemented here is
     u_x = -S . (S_x ^ S_y)
     v_x = (S_x . S_x)_y / (4 (2cl+d)^2)
 
-with u, v re-solved from S at every stage (they are constraints, not evolved
-fields).  Model selection only restricts the constants:
+with u, v solved from S at every RK stage and for every kept state (they are
+constraints, not evolved fields; the stepper advances S alone).  Model
+selection only restricts the constants:
 
     M1: c = 0, d = 1, l = 0      (the l-term is treated as the l = 0 slice)
     M2: d = 0, c != 0            (needs l != 0 so 2cl+d does not vanish)
@@ -33,11 +34,12 @@ from .fields import (
     ddy,
     dot3,
     inv_dx,
+    march,
     norm3,
+    rk4,
 )
 
 DENOM_TOL = 1e-12        # rejection threshold for |2cl+d|
-CFL_SAFETY = 0.3         # dt must not exceed CFL_SAFETY * hx * hy
 DT_FACTOR = 0.2          # default dt = DT_FACTOR * hx * hy
 RENORM_LIMIT = 1e-3      # step rejected beyond this renormalization correction
 
@@ -89,7 +91,7 @@ class SpinState:
     u: np.ndarray            # (ny, nx), zero x-mean
     v: np.ndarray            # (ny, nx), zero x-mean
     t: float = 0.0
-    renorm: float = 0.0      # max |1 - |S|| removed by the last step
+    renorm: float = 0.0      # max |1 - |S|| removed by the step that made S
 
     def validate(self, tol: float = 1e-9) -> None:
         dev = float(np.max(np.abs(norm3(self.S) - 1.0)))
@@ -143,11 +145,11 @@ def spin_rhs(grid: Grid2, S: np.ndarray, par: SpinParams, scheme=SPECTRAL) -> np
 
 
 def make_state(grid: Grid2, S: np.ndarray, par: SpinParams, t: float = 0.0,
-               scheme=SPECTRAL) -> SpinState:
+               scheme=SPECTRAL, renorm: float = 0.0) -> SpinState:
     """Assemble a SpinState with u, v solved from S."""
     u, _ = solve_u(grid, S, scheme)
     v, _ = solve_v(grid, S, par, scheme)
-    return SpinState(S=S, u=u, v=v, t=t)
+    return SpinState(S=S, u=u, v=v, t=t, renorm=renorm)
 
 
 def default_dt(grid: Grid2) -> float:
@@ -155,40 +157,28 @@ def default_dt(grid: Grid2) -> float:
     return DT_FACTOR * grid.hx * grid.hy
 
 
-def step_rk4_spin(grid: Grid2, state: SpinState, par: SpinParams, dt: float,
-                  scheme=SPECTRAL) -> SpinState:
-    """One classical RK4 step; S renormalized afterwards, correction recorded."""
-    if dt <= 0.0:
-        raise ParameterError("dt must be positive")
-    if dt > CFL_SAFETY * grid.hx * grid.hy * (1.0 + 1e-9):
-        raise ParameterError(
-            f"dt = {dt:.3e} exceeds stability bound {CFL_SAFETY * grid.hx * grid.hy:.3e}")
-    S = state.S
-    k1 = spin_rhs(grid, S, par, scheme)
-    k2 = spin_rhs(grid, S + 0.5 * dt * k1, par, scheme)
-    k3 = spin_rhs(grid, S + 0.5 * dt * k2, par, scheme)
-    k4 = spin_rhs(grid, S + dt * k3, par, scheme)
-    S_new = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def step_rk4_spin(grid: Grid2, S: np.ndarray, par: SpinParams, dt: float,
+                  scheme=SPECTRAL):
+    """One classical RK4 step of S.
+
+    Returns (S renormalized to unit length, the correction max |1 - |S||
+    that renormalization removed).
+    """
+    (S_new,) = rk4(grid, lambda y: (spin_rhs(grid, y[0], par, scheme),), (S,), dt)
     lengths = norm3(S_new)
     correction = float(np.max(np.abs(lengths - 1.0)))
     if correction > RENORM_LIMIT:
-        raise UnstableStepError(
-            f"unstable step at t = {state.t:.6g}: renormalization correction {correction:.3e}")
-    S_new = S_new / lengths[..., None]
-    u, _ = solve_u(grid, S_new, scheme)
-    v, _ = solve_v(grid, S_new, par, scheme)
-    return SpinState(S=S_new, u=u, v=v, t=state.t + dt, renorm=correction)
+        raise UnstableStepError(f"unstable step: renormalization correction {correction:.3e}")
+    return S_new / lengths[..., None], correction
 
 
 def run_spin(grid: Grid2, state: SpinState, par: SpinParams, dt: float,
              n_steps: int, save_every: int = 1, scheme=SPECTRAL):
     """March n_steps, returning the saved states (initial state included)."""
-    saved = [state]
-    for i in range(n_steps):
-        state = step_rk4_spin(grid, state, par, dt, scheme)
-        if (i + 1) % save_every == 0:
-            saved.append(state)
-    return saved
+    return [state] + march(
+        lambda S: step_rk4_spin(grid, S, par, dt, scheme), state.S, state.t, dt,
+        n_steps, save_every,
+        lambda S, t, renorm: make_state(grid, S, par, t, scheme, renorm))
 
 
 # ---------------------------------------------------------------------------

@@ -101,16 +101,29 @@ def test_simulate_spin_outputs(spin_run):
     assert header == "t,K1,K2,K3,Kc1,Kc2,Kc3,Q1,Q2,Q3"
 
 
-def test_simulate_spin_deterministic(tmp_path):
+def _rerun_files(tmp_path, cfg_text, command, run_name):
+    """MFLD1 bytes of two independent runs of the same config."""
+    out = []
     for sub in ("a", "b"):
         d = tmp_path / sub
         d.mkdir()
-        cfg = d / "spin.cfg"
-        cfg.write_text(SPIN_CFG)
-        assert main(["--output-dir", str(d), "simulate-spin", str(cfg)]) == 0
-    name = "spin_000001.mfld1"
-    assert (tmp_path / "a" / "spinrun" / name).read_bytes() == \
-        (tmp_path / "b" / "spinrun" / name).read_bytes()
+        cfg = d / "run.cfg"
+        cfg.write_text(cfg_text)
+        assert main(["--output-dir", str(d), command, str(cfg)]) == 0
+        out.append({f.name: f.read_bytes() for f in sorted((d / run_name).glob("*.mfld1"))})
+    return out
+
+
+def test_simulate_spin_deterministic(tmp_path):
+    a, b = _rerun_files(tmp_path, SPIN_CFG, "simulate-spin", "spinrun")
+    assert "spin_000001.mfld1" in a
+    assert a == b
+
+
+def test_simulate_nls_deterministic(tmp_path):
+    a, b = _rerun_files(tmp_path, NLS_CFG, "simulate-nls", "nlsrun")
+    assert len(a) >= 3
+    assert a == b
 
 
 def test_frame_and_charges(spin_run, tmp_path):
@@ -224,3 +237,70 @@ def test_numerical_abort_exits_3(tmp_path):
         "grid.nx = 32\ngrid.ny = 32\nmodel = M3\nparams.c = 0.25\n"
         "spin.init = uniform\nt_end = 0.02\noutput_dir = flatrun\n")
     assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 3
+
+
+def _with(cfg_text, **changes):
+    """cfg_text with `key = value` lines replaced or appended."""
+    lines = [ln for ln in cfg_text.splitlines()
+             if ln.partition("=")[0].strip() not in changes]
+    return "\n".join(lines + [f"{k} = {v}" for k, v in changes.items()]) + "\n"
+
+
+@pytest.mark.parametrize("command, cfg_text", [
+    ("simulate-spin", _with(SPIN_CFG, save_every=0)),
+    ("simulate-nls", _with(NLS_CFG, save_every=0)),
+    ("simulate-spin", _with(SPIN_CFG, t_end=0)),
+    ("simulate-nls", _with(NLS_CFG, t_end=0)),
+    ("simulate-spin", _with(SPIN_CFG, t_end=-0.1)),
+    ("simulate-nls", _with(NLS_CFG, t_end=-0.1)),
+    ("simulate-spin", _with(SPIN_CFG, dt=-0.001)),
+    ("simulate-spin", _with(SPIN_CFG, **{"spin.init.radius": 0.3})),
+    ("simulate-nls", _with(NLS_CFG, **{"nls.init.k3": 1})),
+    ("simulate-spin", _with(SPIN_CFG, scheme="foo")),
+    ("simulate-nls", _with(NLS_CFG, scheme="foo")),
+], ids=["spin-save_every-0", "nls-save_every-0", "spin-t_end-0", "nls-t_end-0",
+        "spin-t_end-negative", "nls-t_end-negative", "spin-dt-negative",
+        "spin-init-unknown-key", "nls-init-unknown-key",
+        "spin-scheme-foo", "nls-scheme-foo"])
+def test_bad_run_config_exits_2(tmp_path, capsys, command, cfg_text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(cfg_text)
+    assert main(["--output-dir", str(tmp_path), command, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_mfld1_initial_takes_no_init_keys(spin_run, tmp_path):
+    meta = json.loads((spin_run / "meta.json").read_text())
+    cfg = tmp_path / "restart.cfg"
+    cfg.write_text(
+        "grid.nx = 32\ngrid.ny = 32\nmodel = M3\nparams.c = 0.3\n"
+        f"spin.init = {spin_run / meta['slices'][0]}\nspin.init.eps = 0.1\n"
+        "t_end = 0.02\noutput_dir = restartrun\n")
+    assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 2
+
+
+def test_frame_projects_each_slice_once(spin_run, tmp_path, monkeypatch):
+    import m3lab.frames as frames
+    calls = []
+    real = frames.coeffs_from_frame
+    monkeypatch.setattr(frames, "coeffs_from_frame",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    assert main(["--output-dir", str(tmp_path), "frame", "spinrun"]) == 0
+    meta = json.loads((spin_run / "meta.json").read_text())
+    assert len(calls) == len(meta["slices"])
+
+
+@pytest.mark.parametrize("meta_text", [
+    "{not json",
+    "[]",
+    '{"kind": "spin", "config_hash": "x", "times": [0.0], "slices": []}',
+    '{"kind": "spin", "config_hash": "x", "config": {"scheme": "spectral"}}',
+], ids=["garbage", "not-an-object", "no-config", "partial-config"])
+def test_bad_run_dir_exits_2(tmp_path, capsys, meta_text):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "meta.json").write_text(meta_text)
+    assert main(["--output-dir", str(tmp_path), "charges", "run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -31,6 +31,13 @@ def test_ddx_zero_field(grid):
     assert np.all(ddx(grid, np.zeros((grid.ny, grid.nx))) == 0.0)
 
 
+def test_unknown_scheme_rejected(grid):
+    f = np.zeros((grid.ny, grid.nx))
+    for deriv in (ddx, ddy):
+        with pytest.raises(ConfigError):
+            deriv(grid, f, "foo")
+
+
 def test_ddx_spectral_analytic(grid):
     X, _ = grid.meshgrid()
     f = np.sin(2 * np.pi * X / grid.lx)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from m3lab.errors import ParameterError
+from m3lab import nls
+from m3lab.errors import NumericalError, ParameterError
 from m3lab.fields import ddx, ddy, meanx
 from m3lab.nls import (
     NlsParams,
@@ -116,8 +117,8 @@ def test_dispersion_relation_with_injected_background(grid):
 def test_step_preserves_zero(grid):
     z = np.zeros((grid.ny, grid.nx), dtype=complex)
     state = make_state(grid, z, ZAK)
-    out = step_rk4_nls(grid, state, ZAK, default_dt(grid))
-    assert np.max(np.abs(out.q)) == 0.0
+    q, _ = step_rk4_nls(grid, state.q, ZAK, default_dt(grid))
+    assert np.max(np.abs(q)) == 0.0
 
 
 def test_step_rk4_order(grid, rng):
@@ -125,10 +126,10 @@ def test_step_rk4_order(grid, rng):
     q0 = smooth_complex(grid, rng)
 
     def terminal(dt, n):
-        s = make_state(grid, q0, par)
+        q = make_state(grid, q0, par).q
         for _ in range(n):
-            s = step_rk4_nls(grid, s, par, dt)
-        return s.q
+            q, _ = step_rk4_nls(grid, q, par, dt)
+        return q
 
     dt0, n0 = 0.8 * default_dt(grid), 8
     Q1 = terminal(dt0, n0)
@@ -141,19 +142,33 @@ def test_step_rk4_order(grid, rng):
 @pytest.mark.parametrize("beta", [1, -1])
 def test_conjugate_pairing_held_over_run(grid, rng, beta):
     par = NlsParams(c=0.2, d=1.0, beta=beta, model="M3q")
-    state = make_state(grid, smooth_complex(grid, rng, scale=0.3), par)
+    q = make_state(grid, smooth_complex(grid, rng, scale=0.3), par).q
     worst = 0.0
     for _ in range(100):
-        state = step_rk4_nls(grid, state, par, default_dt(grid))
-        worst = max(worst, state.conj_dev)
+        q, conj_dev = step_rk4_nls(grid, q, par, default_dt(grid))
+        worst = max(worst, conj_dev)
     assert worst < 1e-9
 
 
+def test_broken_pairing_is_a_numerical_abort(grid, rng, monkeypatch):
+    """A p-equation that no longer mirrors the q-equation aborts the step."""
+    real_rhs = nls.nls_rhs
+
+    def skewed_rhs(*args, **kwargs):
+        q_t, p_t = real_rhs(*args, **kwargs)
+        return q_t, p_t + 10.0
+
+    monkeypatch.setattr(nls, "nls_rhs", skewed_rhs)
+    q = make_state(grid, smooth_complex(grid, rng, scale=0.3), GEN).q
+    with pytest.raises(NumericalError):
+        step_rk4_nls(grid, q, GEN, default_dt(grid))
+
+
 def test_plane_wave_modulus_conserved(grid):
-    state = make_state(grid, init_plane_wave(grid, 0.5, 1, 1), ZAK)
+    q = make_state(grid, init_plane_wave(grid, 0.5, 1, 1), ZAK).q
     for _ in range(100):
-        state = step_rk4_nls(grid, state, ZAK, default_dt(grid))
-        assert np.max(np.abs(np.abs(state.q) - 0.5)) < 1e-9
+        q, _ = step_rk4_nls(grid, q, ZAK, default_dt(grid))
+        assert np.max(np.abs(np.abs(q) - 0.5)) < 1e-9
 
 
 def test_run_nls_measured_frequency(grid):
