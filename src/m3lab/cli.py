@@ -96,15 +96,14 @@ def parse_config_text(text: str) -> dict:
         else:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         try:
-            if caster is None:
-                parsed = float(val)
-                parsed = int(parsed) if parsed == int(parsed) else parsed
-            elif caster is str:
-                parsed = val
-            else:
-                parsed = caster(val)
+            parsed = val if caster is str else (caster or float)(val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
+        if isinstance(parsed, float):
+            if not math.isfinite(parsed):
+                raise ConfigError(f"line {lineno}: {key} must be finite, got {val!r}")
+            if caster is None and parsed == int(parsed):
+                parsed = int(parsed)  # numeric init parameter: integers survive
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = parsed
@@ -220,10 +219,10 @@ def _run_length(cfg: RunConfig, grid):
     """(dt, n_steps) of a simulate run; dt = 0 picks the default step."""
     from .spin import default_dt
     dt, t_end, save_every = cfg["dt"], cfg["t_end"], cfg["save_every"]
-    if not 0.0 <= dt < math.inf:
-        raise ConfigError(f"dt must be finite and non-negative, got {dt!r}")
-    if not 0.0 < t_end < math.inf:
-        raise ConfigError(f"t_end must be finite and positive, got {t_end!r}")
+    if dt < 0.0:
+        raise ConfigError(f"dt must be non-negative, got {dt!r}")
+    if t_end <= 0.0:
+        raise ConfigError(f"t_end must be positive, got {t_end!r}")
     if save_every < 1:
         raise ConfigError(f"save_every must be at least 1, got {save_every}")
     dt = dt if dt > 0.0 else default_dt(grid)
@@ -342,7 +341,14 @@ def _open_run(args, kind: str):
         raise ConfigError(f"cannot read {meta_path}: {exc}") from exc
     if not isinstance(meta, dict) or meta.get("kind") != kind:
         raise ConfigError(f"{args.command} needs a {kind} run directory")
-    return run_dir, meta, RunConfig.from_meta(meta)
+    cfg = RunConfig.from_meta(meta)
+    times, slices = meta.get("times"), meta.get("slices")
+    if not (isinstance(times, list) and isinstance(slices, list)
+            and len(times) == len(slices)
+            and all(isinstance(t, (int, float)) for t in times)
+            and all(isinstance(name, str) for name in slices)):
+        raise ConfigError(f"{meta_path} needs `times` and `slices` lists of equal length")
+    return run_dir, meta, cfg
 
 
 def _load_slice(run_dir: str, meta: dict, idx: int):
@@ -601,10 +607,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_lambda(argv: list) -> list:
+    """`--lambda RE,IM` as `--lambda=RE,IM`, so a negative RE is not read as an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--lambda" and "," in tok:
+            out[-1] = f"--lambda={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     _apply_thread_cap()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_lambda(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except NumericalError as exc:

@@ -12,7 +12,10 @@ periodic rectangle [0, lx) x [0, ly) sampled at x_i = i*hx, y_j = j*hy.
 Two derivative schemes are provided: "spectral" (FFT, exact below Nyquist)
 and "central4" (periodic 5-point 4th-order stencil).  The periodic
 antiderivative inv_dx is spectral and zero-mean by construction; the per-row
-mean it discards is returned as a solvability diagnostic.
+mean it discards is returned as a solvability diagnostic.  A real field goes
+through half-spectrum transforms (rfft/irfft along the derivative axis, the
+n//2+1 non-negative wavenumbers); for even n the Nyquist mode, whose
+derivative is not real, is dropped.  A complex field goes through fft/ifft.
 
 The stepping core shared by the spin and NLS solvers also lives here: one
 classical RK4 step (rk4, which owns the dt / stability check) and one save
@@ -47,8 +50,8 @@ class Grid2:
     def __post_init__(self):
         if self.nx < 8 or self.ny < 8:
             raise ConfigError(f"grid needs nx, ny >= 8, got {self.nx} x {self.ny}")
-        if self.lx <= 0 or self.ly <= 0:
-            raise ConfigError("grid needs positive domain lengths")
+        if not (0.0 < self.lx < np.inf and 0.0 < self.ly < np.inf):
+            raise ConfigError(f"grid needs positive finite domain lengths, got {self.lx} x {self.ly}")
 
     @property
     def hx(self) -> float:
@@ -78,9 +81,32 @@ class Grid2:
     def ky(self) -> np.ndarray:
         return TWO_PI * np.fft.fftfreq(self.ny, d=self.hy)
 
+    @cached_property
+    def kx_half(self) -> np.ndarray:
+        return _half_wavenumbers(self.nx, self.hx)
+
+    @cached_property
+    def ky_half(self) -> np.ndarray:
+        return _half_wavenumbers(self.ny, self.hy)
+
     def zeros(self, comps: int = 0, dtype=float) -> np.ndarray:
         shape = (self.ny, self.nx) if comps == 0 else (self.ny, self.nx, comps)
         return np.zeros(shape, dtype=dtype)
+
+
+def _half_wavenumbers(n: int, h: float) -> np.ndarray:
+    """Wavenumbers of an rfft of length n, the even-n Nyquist entry set to 0."""
+    k = TWO_PI * np.fft.rfftfreq(n, d=h)
+    if n % 2 == 0:
+        k[-1] = 0.0
+    return k
+
+
+def _along(k: np.ndarray, ndim: int, axis: int) -> np.ndarray:
+    """k reshaped to broadcast along `axis` of an ndim-dimensional field."""
+    shape = [1] * ndim
+    shape[axis] = k.size
+    return k.reshape(shape)
 
 
 def check_finite(f: np.ndarray, name: str = "field") -> np.ndarray:
@@ -91,12 +117,13 @@ def check_finite(f: np.ndarray, name: str = "field") -> np.ndarray:
     return f
 
 
-def _spectral_deriv(f: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
-    fhat = np.fft.fft(f, axis=axis)
-    shape = [1] * f.ndim
-    shape[axis] = k.size
-    out = np.fft.ifft(1j * k.reshape(shape) * fhat, axis=axis)
-    return out if np.iscomplexobj(f) else out.real
+def _spectral_deriv(f: np.ndarray, k: np.ndarray, k_half: np.ndarray, axis: int) -> np.ndarray:
+    if np.iscomplexobj(f):
+        fhat = np.fft.fft(f, axis=axis)
+        return np.fft.ifft(1j * _along(k, f.ndim, axis) * fhat, axis=axis)
+    fhat = np.fft.rfft(f, axis=axis)
+    fhat *= 1j * _along(k_half, f.ndim, axis)
+    return np.fft.irfft(fhat, n=f.shape[axis], axis=axis)
 
 
 def _central4_deriv(f: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -107,9 +134,10 @@ def _central4_deriv(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
 
 
-def _deriv(f: np.ndarray, scheme, k: np.ndarray, h: float, axis: int) -> np.ndarray:
+def _deriv(f: np.ndarray, scheme, k: np.ndarray, k_half: np.ndarray, h: float,
+           axis: int) -> np.ndarray:
     if scheme == SPECTRAL:
-        return _spectral_deriv(f, k, axis)
+        return _spectral_deriv(f, k, k_half, axis)
     if scheme == CENTRAL4:
         return _central4_deriv(f, h, axis)
     raise ConfigError(f"unknown derivative scheme {scheme!r}")
@@ -117,12 +145,14 @@ def _deriv(f: np.ndarray, scheme, k: np.ndarray, h: float, axis: int) -> np.ndar
 
 def ddx(grid: Grid2, f: np.ndarray, scheme=SPECTRAL) -> np.ndarray:
     """d/dx along axis 1; works for any trailing component dimensions."""
-    return _deriv(check_finite(f, "ddx input"), scheme, grid.kx, grid.hx, axis=1)
+    return _deriv(check_finite(f, "ddx input"), scheme, grid.kx, grid.kx_half, grid.hx,
+                  axis=1)
 
 
 def ddy(grid: Grid2, f: np.ndarray, scheme=SPECTRAL) -> np.ndarray:
     """d/dy along axis 0; works for any trailing component dimensions."""
-    return _deriv(check_finite(f, "ddy input"), scheme, grid.ky, grid.hy, axis=0)
+    return _deriv(check_finite(f, "ddy input"), scheme, grid.ky, grid.ky_half, grid.hy,
+                  axis=0)
 
 
 def meanx(f: np.ndarray) -> np.ndarray:
@@ -143,16 +173,13 @@ def inv_dx(grid: Grid2, f: np.ndarray) -> Antideriv:
     it is removed and reported, not fatal.
     """
     f = check_finite(f, "inv_dx input")
-    fhat = np.fft.fft(f, axis=1)
-    shape = [1] * f.ndim
-    shape[1] = grid.nx
-    k = grid.kx.reshape(shape)
+    real = not np.iscomplexobj(f)
+    k = grid.kx_half if real else grid.kx
+    fhat = np.fft.rfft(f, axis=1) if real else np.fft.fft(f, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ghat = fhat / (1j * k)
-    ghat[:, 0, ...] = 0.0
-    g = np.fft.ifft(ghat, axis=1)
-    if not np.iscomplexobj(f):
-        g = g.real
+        ghat = fhat / (1j * _along(k, f.ndim, 1))
+    ghat[:, k == 0.0, ...] = 0.0
+    g = np.fft.irfft(ghat, n=grid.nx, axis=1) if real else np.fft.ifft(ghat, axis=1)
     return Antideriv(g, np.squeeze(meanx(f), axis=1))
 
 
@@ -171,7 +198,14 @@ def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.cross(a, b, axis=-1)
+    """a x b over the last axis; the same products and differences as np.cross."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
 
 
 def norm3(a: np.ndarray) -> np.ndarray:
@@ -265,18 +299,28 @@ def write_mfld1(path, grid: Grid2, data: np.ndarray) -> None:
 
 
 def read_mfld1(path):
-    """Returns (Grid2, data) with data shape (ny, nx, ncomp)."""
+    """Returns (Grid2, data) with data shape (ny, nx, ncomp).
+
+    A malformed header, or a payload that is short, followed by further bytes
+    or not finite, is rejected with an M3LabError.
+    """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if len(header) != 6 or header[0] != "MFLD1":
+        header = fh.readline().split()
+        if len(header) != 6 or header[0] != b"MFLD1":
             raise FieldError(f"{path}: not an MFLD1 file")
-        nx, ny, ncomp = int(header[1]), int(header[2]), int(header[3])
-        lx, ly = float(header[4]), float(header[5])
+        try:
+            nx, ny, ncomp = (int(h) for h in header[1:4])
+            lx, ly = float(header[4]), float(header[5])
+        except ValueError:
+            raise FieldError(f"{path}: bad MFLD1 header {b' '.join(header)!r}") from None
+        grid = Grid2(nx, ny, lx, ly)
         raw = fh.read(8 * nx * ny * ncomp)
         if len(raw) != 8 * nx * ny * ncomp:
             raise FieldError(f"{path}: truncated payload")
+        if fh.read(1):
+            raise FieldError(f"{path}: trailing bytes after the payload")
     data = np.frombuffer(raw, dtype="<f8").reshape(ny, nx, ncomp).copy()
-    return Grid2(nx, ny, lx, ly), data
+    return grid, check_finite(data, f"{path}: payload")
 
 
 def write_csv(path, grid: Grid2, data: np.ndarray) -> None:

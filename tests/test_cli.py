@@ -63,6 +63,14 @@ def test_parse_config_rejects_duplicates_and_garbage():
         parse_config_text("grid.nx = many\n")
 
 
+@pytest.mark.parametrize("line", ["params.c = nan", "params.d = inf", "spin.init.eps = -inf",
+                                  "nls.init.amplitude = nan", "grid.lx = inf"])
+def test_parse_config_rejects_non_finite(line):
+    key = line.partition("=")[0].strip()
+    with pytest.raises(ConfigError, match=key):
+        parse_config_text(line + "\n")
+
+
 def test_config_hash_stable():
     a = RunConfig.from_text(SPIN_CFG)
     b = RunConfig.from_text(SPIN_CFG)
@@ -190,6 +198,15 @@ def test_lax_check_scan(nls_run, tmp_path):
     assert len(rows) == 4
 
 
+def test_lax_check_negative_lambda_separated(nls_run, tmp_path):
+    assert main(["--output-dir", str(tmp_path), "lax-check", "nlsrun",
+                 "--lambda", "-0.2,0.4", "--lambda=-0.2,0.4"]) == 0
+    rep = json.loads((nls_run / "lax_report.json").read_text())
+    separated, attached = rep["results"]
+    assert separated == attached
+    assert separated["lam"] == [-0.2, 0.4]
+
+
 def test_lax_check_spin_side(spin_run, tmp_path):
     assert main(["--output-dir", str(tmp_path), "lax-check", "spinrun",
                  "--lambda", "0.4,0.2", "--spin-side"]) == 0
@@ -258,10 +275,14 @@ def _with(cfg_text, **changes):
     ("simulate-nls", _with(NLS_CFG, **{"nls.init.k3": 1})),
     ("simulate-spin", _with(SPIN_CFG, scheme="foo")),
     ("simulate-nls", _with(NLS_CFG, scheme="foo")),
+    ("simulate-spin", _with(SPIN_CFG, **{"params.c": "nan"})),
+    ("simulate-nls", _with(NLS_CFG, **{"params.d": "inf"})),
+    ("simulate-spin", _with(SPIN_CFG, **{"spin.init.eps": "inf"})),
 ], ids=["spin-save_every-0", "nls-save_every-0", "spin-t_end-0", "nls-t_end-0",
         "spin-t_end-negative", "nls-t_end-negative", "spin-dt-negative",
         "spin-init-unknown-key", "nls-init-unknown-key",
-        "spin-scheme-foo", "nls-scheme-foo"])
+        "spin-scheme-foo", "nls-scheme-foo",
+        "spin-params-c-nan", "nls-params-d-inf", "spin-init-inf"])
 def test_bad_run_config_exits_2(tmp_path, capsys, command, cfg_text):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(cfg_text)
@@ -291,12 +312,22 @@ def test_frame_projects_each_slice_once(spin_run, tmp_path, monkeypatch):
     assert len(calls) == len(meta["slices"])
 
 
+def _meta_text(**entries):
+    """meta.json text of a spin run with a complete configuration."""
+    return json.dumps({"kind": "spin", "config_hash": "x",
+                       "config": RunConfig.from_text(SPIN_CFG).values, **entries})
+
+
 @pytest.mark.parametrize("meta_text", [
     "{not json",
     "[]",
     '{"kind": "spin", "config_hash": "x", "times": [0.0], "slices": []}',
     '{"kind": "spin", "config_hash": "x", "config": {"scheme": "spectral"}}',
-], ids=["garbage", "not-an-object", "no-config", "partial-config"])
+    _meta_text(slices=["spin_000000.mfld1"]),
+    _meta_text(times=[0.0]),
+    _meta_text(times=[0.0, 0.1], slices=["spin_000000.mfld1"]),
+], ids=["garbage", "not-an-object", "no-config", "partial-config", "no-times", "no-slices",
+        "times-slices-mismatch"])
 def test_bad_run_dir_exits_2(tmp_path, capsys, meta_text):
     run = tmp_path / "run"
     run.mkdir()

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from m3lab.errors import ConfigError, FieldError
+from m3lab.errors import ConfigError, FieldError, M3LabError
 from m3lab.fields import (
     Grid2,
+    cross3,
     ddx,
     ddy,
     integrate2,
@@ -13,8 +14,11 @@ from m3lab.fields import (
     write_csv,
     write_mfld1,
 )
+from m3lab.spin import SpinParams, spin_rhs
 
-from conftest import band_limited
+from conftest import band_limited, smooth_spin
+
+TWO_PI = 2.0 * np.pi
 
 
 def test_grid_validation():
@@ -112,6 +116,60 @@ def test_operations_are_pure(grid, rng):
     assert np.array_equal(inv_dx(grid, f).field, inv_dx(grid, f).field)
 
 
+def _complex_deriv(f, k, axis):
+    """The full complex-FFT derivative of a real field, real part kept."""
+    shape = [1] * f.ndim
+    shape[axis] = k.size
+    return np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(f, axis=axis), axis=axis).real
+
+
+def _complex_inv_dx(f, k):
+    """The full complex-FFT zero-mean x-antiderivative of a real field."""
+    shape = [1] * f.ndim
+    shape[1] = k.size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ghat = np.fft.fft(f, axis=1) / (1j * k.reshape(shape))
+    ghat[:, 0, ...] = 0.0
+    return np.fft.ifft(ghat, axis=1).real
+
+
+@pytest.mark.parametrize("nx, ny", [(32, 32), (33, 33), (32, 33)])
+def test_real_path_matches_complex_fft(nx, ny):
+    # even n drops the Nyquist mode, whose complex-path contribution is imaginary
+    g = Grid2(nx, ny, lx=2.0, ly=3.0)
+    X, Y = g.meshgrid()
+    f = np.exp(np.sin(TWO_PI * X / g.lx) + 0.5 * np.cos(2 * TWO_PI * Y / g.ly))
+    vec = np.stack([f, f * np.cos(TWO_PI * Y / g.ly), np.sin(TWO_PI * (X / g.lx - Y / g.ly))],
+                   axis=-1)
+    for field in (f, vec):
+        assert np.max(np.abs(ddx(g, field) - _complex_deriv(field, g.kx, 1))) < 1e-12
+        assert np.max(np.abs(ddy(g, field) - _complex_deriv(field, g.ky, 0))) < 1e-12
+        assert np.max(np.abs(inv_dx(g, field).field - _complex_inv_dx(field, g.kx))) < 1e-12
+
+
+def test_cross3_equals_np_cross_bitwise(rng):
+    a, b = rng.standard_normal((2, 16, 16, 3))
+    assert np.array_equal(cross3(a, b), np.cross(a, b))
+
+
+def test_spin_rhs_makes_no_complex_transforms(grid, rng, monkeypatch):
+    calls = {"complex": 0, "real": 0}
+
+    def counted(fn, kind):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "complex"))
+    monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft, "real"))
+    S = smooth_spin(grid, rng)
+    spin_rhs(grid, S, SpinParams(c=0.3, d=1.0, l=0.2, model="M3"))
+    assert calls["complex"] == 0
+    assert calls["real"] > 0
+
+
 def test_integrate2_constant():
     g = Grid2(32, 32)  # lx = ly = 2 pi
     assert integrate2(g, np.ones((32, 32))) == pytest.approx(4 * np.pi**2, abs=1e-12)
@@ -140,6 +198,33 @@ def test_mfld1_round_trip(tmp_path, grid, rng):
     path2 = tmp_path / "field2.mfld1"
     write_mfld1(path2, grid, data)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_mfld1_non_finite_payload_rejected(tmp_path, grid):
+    data = np.zeros((grid.ny, grid.nx))
+    data[2, 5] = np.nan
+    path = tmp_path / "nan.mfld1"
+    write_mfld1(path, grid, data)
+    with pytest.raises(FieldError, match="non-finite"):
+        read_mfld1(path)
+
+
+def test_mfld1_trailing_bytes_rejected(tmp_path, grid):
+    path = tmp_path / "long.mfld1"
+    write_mfld1(path, grid, np.zeros((grid.ny, grid.nx)))
+    with open(path, "ab") as fh:
+        fh.write(b"junk")
+    with pytest.raises(FieldError, match="trailing"):
+        read_mfld1(path)
+
+
+@pytest.mark.parametrize("header", [b"MFLD1 8 x 1 1 1\n", b"\xff\xfe\n",
+                                    b"MFLD1 8 8 1 nan 1\n"], ids=["int", "non-ascii", "nan-length"])
+def test_mfld1_bad_header_rejected(tmp_path, header):
+    path = tmp_path / "bad.mfld1"
+    path.write_bytes(header + bytes(8 * 64))
+    with pytest.raises(M3LabError):
+        read_mfld1(path)
 
 
 def test_mfld1_header_format(tmp_path):
