@@ -287,6 +287,9 @@ def cmd_simulate_spin(args) -> int:
         "times": [st.t for st in saved],
         "slices": slices,
         "max_renorm": max(st.renorm for st in saved),
+        "renorm": [st.renorm for st in saved],
+        "u_row_mean": [st.u_row_mean for st in saved],
+        "v_row_mean": [st.v_row_mean for st in saved],
     })
     print(f"saved {len(saved)} slices to {out}")
     return 0

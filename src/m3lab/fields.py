@@ -16,6 +16,10 @@ mean it discards is returned as a solvability diagnostic.  A real field goes
 through half-spectrum transforms (rfft/irfft along the derivative axis, the
 n//2+1 non-negative wavenumbers); for even n the Nyquist mode, whose
 derivative is not real, is dropped.  A complex field goes through fft/ifft.
+The operators differentiate any trailing component dimensions in one call,
+but along x a (ny, nx, 3) field is transformed over lanes strided by 3;
+hot paths (the spin kernel) pass contiguous (ny, nx) component planes
+instead, combined with cross_planes / dot_planes.
 
 The stepping core shared by the spin and NLS solvers also lives here: one
 classical RK4 step (rk4, which owns the dt / stability check) and one save
@@ -197,14 +201,23 @@ def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...k,...k->...", a, b)
 
 
+def cross_planes(a, b) -> tuple:
+    """a x b for 3-vectors given as three component planes each (any sequence)."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def dot_planes(a, b) -> np.ndarray:
+    """a . b for 3-vectors given as three component planes each."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b over the last axis; the same products and differences as np.cross."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
+    out[..., 0], out[..., 1], out[..., 2] = cross_planes(np.moveaxis(a, -1, 0),
+                                                         np.moveaxis(b, -1, 0))
     return out
 
 

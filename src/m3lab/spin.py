@@ -16,23 +16,31 @@ selection only restricts the constants:
 
 All three share one code path, so the reduction identities hold exactly.
 
+S keeps the package's (ny, nx, 3) layout in and out.  The kernel (spin_rhs,
+and the constraint solve it shares with solve_u, solve_v and make_state)
+splits S once into its three contiguous (ny, nx) component planes and
+takes every derivative, cross and dot product plane by plane, so each
+transform runs over contiguous lanes.
+
 The kinematic decomposition S_t = d2 S_x + d3 S_y (with coefficients read off
 a moving frame) lives here as m0_reduce / m0_residual.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateFieldError, ParameterError, UnstableStepError
 from .fields import (
     SPECTRAL,
+    Antideriv,
     Grid2,
     check_finite,
-    cross3,
+    cross_planes,
     ddx,
     ddy,
-    dot3,
+    dot_planes,
     inv_dx,
     march,
     norm3,
@@ -92,6 +100,8 @@ class SpinState:
     v: np.ndarray            # (ny, nx), zero x-mean
     t: float = 0.0
     renorm: float = 0.0      # max |1 - |S|| removed by the step that made S
+    u_row_mean: float = 0.0  # max |row mean| of the u integrand (topological obstruction)
+    v_row_mean: float = 0.0  # max |row mean| of the v integrand
 
     def validate(self, tol: float = 1e-9) -> None:
         dev = float(np.max(np.abs(norm3(self.S) - 1.0)))
@@ -103,22 +113,42 @@ class SpinState:
                 raise ParameterError(f"{name} has nonzero x-mean {drift:.3e}")
 
 
+class _Constraints(NamedTuple):
+    Sx: tuple                # S_x, S_y as three (ny, nx) component planes each
+    Sy: tuple
+    u_x: np.ndarray          # -S.(S_x ^ S_y), the u integrand
+    u: Antideriv
+    v: Antideriv             # None unless par is given
+
+
+def _planes(S: np.ndarray) -> np.ndarray:
+    """The components of a (ny, nx, 3) field as contiguous (ny, nx) planes."""
+    return np.moveaxis(S, -1, 0).copy()
+
+
+def _constraints(grid: Grid2, S, scheme, par: SpinParams = None) -> _Constraints:
+    """S_x, S_y, the u integrand and u (and v, given par) from the planes of S."""
+    Sx = tuple(ddx(grid, s, scheme) for s in S)
+    Sy = tuple(ddy(grid, s, scheme) for s in S)
+    u_x = -dot_planes(S, cross_planes(Sx, Sy))
+    v = None
+    if par is not None:
+        v = inv_dx(grid, par.v_prefactor * ddy(grid, dot_planes(Sx, Sx), scheme))
+    return _Constraints(Sx, Sy, u_x, inv_dx(grid, u_x), v)
+
+
 def solve_u(grid: Grid2, S: np.ndarray, scheme=SPECTRAL):
     """u with u_x = -S.(S_x ^ S_y), zero x-mean.
 
     Returns (u, row_mean) where row_mean is the discarded x-mean of the
     integrand (solvability diagnostic; zero for topologically trivial rows).
     """
-    Sx = ddx(grid, S, scheme)
-    Sy = ddy(grid, S, scheme)
-    return inv_dx(grid, -dot3(S, cross3(Sx, Sy)))
+    return _constraints(grid, _planes(S), scheme).u
 
 
 def solve_v(grid: Grid2, S: np.ndarray, par: SpinParams, scheme=SPECTRAL):
-    """v with v_x = (S_x.S_x)_y / (4(2cl+d)^2), zero x-mean."""
-    pref = par.v_prefactor
-    Sx = ddx(grid, S, scheme)
-    return inv_dx(grid, pref * ddy(grid, dot3(Sx, Sx), scheme))
+    """v with v_x = (S_x.S_x)_y / (4(2cl+d)^2), zero x-mean; returns (v, row_mean)."""
+    return _constraints(grid, _planes(S), scheme, par).v
 
 
 def spin_rhs(grid: Grid2, S: np.ndarray, par: SpinParams, scheme=SPECTRAL) -> np.ndarray:
@@ -129,27 +159,33 @@ def spin_rhs(grid: Grid2, S: np.ndarray, par: SpinParams, scheme=SPECTRAL) -> np
     periodic box the zero-mean u drops the row mean of that integrand (the
     solvability defect); substituting the exact u_x keeps S_t orthogonal to
     S to rounding instead of to the size of that defect.
+
+    Computed on the three contiguous component planes of S, so every
+    transform runs over contiguous lanes; the (ny, nx, 3) result is written
+    once.
     """
-    check_finite(S, "spin field")
-    Sx = ddx(grid, S, scheme)
-    Sy = ddy(grid, S, scheme)
-    u_x_exact = -dot3(S, cross3(Sx, Sy))
-    u, _ = inv_dx(grid, u_x_exact)
-    v, _ = inv_dx(grid, par.v_prefactor * ddy(grid, dot3(Sx, Sx), scheme))
-    rhs = ddx(grid, cross3(S, Sy), scheme) + u_x_exact[..., None] * S + u[..., None] * Sx
-    if par.drift != 0.0:
-        rhs = rhs + par.drift * Sy
-    if par.c != 0.0:
-        rhs = rhs - (4.0 * par.c) * v[..., None] * Sx
+    P = _planes(check_finite(S, "spin field"))
+    Sx, Sy, u_x, (u, _), (v, _) = _constraints(grid, P, scheme, par)
+    rhs = np.empty_like(S)
+    for i, flux in enumerate(cross_planes(P, Sy)):
+        r = ddx(grid, flux, scheme)
+        r += u_x * P[i]
+        r += u * Sx[i]
+        if par.drift != 0.0:
+            r += par.drift * Sy[i]
+        if par.c != 0.0:
+            r -= (4.0 * par.c) * v * Sx[i]
+        rhs[..., i] = r
     return rhs
 
 
 def make_state(grid: Grid2, S: np.ndarray, par: SpinParams, t: float = 0.0,
                scheme=SPECTRAL, renorm: float = 0.0) -> SpinState:
-    """Assemble a SpinState with u, v solved from S."""
-    u, _ = solve_u(grid, S, scheme)
-    v, _ = solve_v(grid, S, par, scheme)
-    return SpinState(S=S, u=u, v=v, t=t, renorm=renorm)
+    """Assemble a SpinState with u, v solved from S (one differentiation of S)."""
+    _, _, _, u, v = _constraints(grid, _planes(S), scheme, par)
+    return SpinState(S=S, u=u.field, v=v.field, t=t, renorm=renorm,
+                     u_row_mean=float(np.max(np.abs(u.row_mean))),
+                     v_row_mean=float(np.max(np.abs(v.row_mean))))
 
 
 def default_dt(grid: Grid2) -> float:

@@ -1,7 +1,31 @@
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from m3lab.fields import Grid2, normalized3
+
+# Property tests draw the same examples on every run, keep no example
+# database and stay time-bounded.
+settings.register_profile("m3lab", derandomize=True, database=None, deadline=None,
+                          max_examples=12)
+settings.load_profile("m3lab")
+
+_HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants of the source it sees on disk even
+    # without a database; keep that cache out of the tree and drop it after
+    home = config.stash[_HYPOTHESIS_HOME] = tempfile.mkdtemp(prefix="m3lab-hypothesis-")
+    set_hypothesis_home_dir(home)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
 
 
 @pytest.fixture

@@ -128,6 +128,37 @@ def test_simulate_spin_deterministic(tmp_path):
     assert a == b
 
 
+LUMP_CFG = """
+grid.nx = 32
+grid.ny = 32
+model = M3
+params.c = 0.25
+params.d = 1.0
+params.l = 0.0
+spin.init = stereographic-lump
+spin.init.radius_frac = 0.45
+dt = 0.002
+t_end = 0.012
+save_every = 2
+output_dir = spinrun
+"""
+
+
+def test_simulate_spin_meta_diagnostics(tmp_path):
+    """Per-slice renorm and solvability row means; MFLD1 reruns stay identical."""
+    a, b = _rerun_files(tmp_path, LUMP_CFG, "simulate-spin", "spinrun")
+    assert a == b
+    meta = json.loads((tmp_path / "a" / "spinrun" / "meta.json").read_text())
+    n = len(meta["slices"])
+    assert n == 4
+    for key in ("renorm", "u_row_mean", "v_row_mean"):
+        assert len(meta[key]) == n
+    assert meta["renorm"][0] == 0.0 < min(meta["renorm"][1:])
+    assert meta["max_renorm"] == max(meta["renorm"])
+    assert min(meta["u_row_mean"]) > 1e-3
+    assert min(meta["v_row_mean"]) > 1e-3
+
+
 def test_simulate_nls_deterministic(tmp_path):
     a, b = _rerun_files(tmp_path, NLS_CFG, "simulate-nls", "nlsrun")
     assert len(a) >= 3

@@ -14,7 +14,7 @@ from m3lab.fields import (
     write_csv,
     write_mfld1,
 )
-from m3lab.spin import SpinParams, spin_rhs
+from m3lab.spin import SpinParams, make_state, spin_rhs
 
 from conftest import band_limited, smooth_spin
 
@@ -168,6 +168,28 @@ def test_spin_rhs_makes_no_complex_transforms(grid, rng, monkeypatch):
     spin_rhs(grid, S, SpinParams(c=0.3, d=1.0, l=0.2, model="M3"))
     assert calls["complex"] == 0
     assert calls["real"] > 0
+
+
+def test_spin_kernel_transforms_contiguous_planes(rng, monkeypatch):
+    """spin_rhs and make_state transform 2-D planes only, never (ny, nx, 3) lanes."""
+    seen = []
+
+    def recorded(fn, kind):
+        def wrapper(a, *args, **kwargs):
+            seen.append((kind, a.ndim, a.flags.c_contiguous))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, recorded(getattr(np.fft, name), name))
+    g = Grid2(32, 40)
+    S = smooth_spin(g, rng)
+    par = SpinParams(c=0.3, d=1.0, l=0.2, model="M3")
+    spin_rhs(g, S, par)
+    make_state(g, S, par)
+    assert {kind for kind, _, _ in seen} == {"rfft", "irfft"}
+    assert all(ndim == 2 for _, ndim, _ in seen)
+    assert all(contiguous for kind, _, contiguous in seen if kind == "rfft")
 
 
 def test_integrate2_constant():

@@ -1,0 +1,57 @@
+"""Property tests over random admissible parameters and random smooth fields."""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from m3lab.fields import Grid2, ddx, inv_dx, meanx
+from m3lab.nls import NlsParams, nls_rhs, solve_v_nls, step_rk4_nls
+from m3lab.spin import SpinParams, default_dt, spin_rhs, step_rk4_spin
+
+from conftest import band_limited, smooth_complex, smooth_spin
+
+seeds = st.integers(0, 2**32 - 1)
+betas = st.sampled_from([1, -1])
+schemes = st.sampled_from(["spectral", "central4"])
+# |c|, |l| kept off zero: at d = 0 the v prefactor is 1/(4 (2cl)^2), and a
+# small 2cl makes the step stiff enough to fail the renormalisation check
+away_from_zero = st.floats(0.3, 1.0).flatmap(lambda a: st.sampled_from([a, -a]))
+
+
+@given(seed=seeds, c=away_from_zero, l=away_from_zero, beta=betas, scheme=schemes)
+def test_spin_m3_at_d0_is_m2_bitwise(seed, c, l, beta, scheme):
+    g = Grid2(16, 20)
+    S = smooth_spin(g, np.random.default_rng(seed))
+    m2 = SpinParams(c=c, d=0.0, l=l, beta=beta, model="M2")
+    m3 = SpinParams(c=c, d=0.0, l=l, beta=beta, model="M3")
+    assert np.array_equal(spin_rhs(g, S, m3, scheme), spin_rhs(g, S, m2, scheme))
+    dt = 0.5 * default_dt(g)
+    S3, renorm3 = step_rk4_spin(g, S, m3, dt, scheme)
+    S2, renorm2 = step_rk4_spin(g, S, m2, dt, scheme)
+    assert np.array_equal(S3, S2)
+    assert renorm3 == renorm2
+
+
+@given(seed=seeds, scale=st.floats(0.05, 0.5), beta=betas, scheme=schemes)
+def test_nls_m3q_at_0_1_is_zakharov_bitwise(seed, scale, beta, scheme):
+    g = Grid2(16, 20)
+    q = smooth_complex(g, np.random.default_rng(seed), scale=scale)
+    p = beta * np.conj(q)
+    m3q = NlsParams(c=0.0, d=1.0, beta=beta, model="M3q")
+    zak = NlsParams(c=0.0, d=1.0, beta=beta, model="Zakharov")
+    v, _, _ = solve_v_nls(g, q, p, scheme)
+    for a, b in zip(nls_rhs(g, q, p, v, m3q, scheme), nls_rhs(g, q, p, v, zak, scheme)):
+        assert np.array_equal(a, b)
+    dt = 0.5 * default_dt(g)
+    q3, dev3 = step_rk4_nls(g, q, m3q, dt, scheme)
+    qz, devz = step_rk4_nls(g, q, zak, dt, scheme)
+    assert np.array_equal(q3, qz)
+    assert dev3 == devz
+
+
+@given(seed=seeds, nx=st.integers(8, 40), ny=st.integers(8, 40),
+       lx=st.floats(0.5, 20.0), kmax=st.integers(1, 3), scale=st.floats(0.1, 10.0))
+def test_ddx_inverts_inv_dx_up_to_row_mean(seed, nx, ny, lx, kmax, scale):
+    g = Grid2(nx, ny, lx=lx)
+    f = band_limited(g, np.random.default_rng(seed), kmax=kmax, scale=scale)
+    assert np.max(np.abs(ddx(g, inv_dx(g, f).field) - (f - meanx(f)))) < 1e-10

@@ -3,12 +3,13 @@ import pytest
 
 from m3lab.convergence import fit_order
 from m3lab.errors import DegenerateFieldError, ParameterError, UnstableStepError
-from m3lab.fields import Grid2, cross3, ddx, ddy, dot3, meanx, norm3
+from m3lab.fields import Grid2, cross3, ddx, ddy, dot3, inv_dx, meanx, norm3
 from m3lab.frames import FrameCoeffs, coeffs_from_frame, frame_dt, frame_from_spin
 from m3lab.spin import (
     SpinParams,
     default_dt,
     init_modulated_helix,
+    init_stereographic_lump,
     init_uniform,
     m0_reduce,
     m0_residual,
@@ -130,6 +131,53 @@ def test_reduction_identity_m2(grid, rng):
     r2 = spin_rhs(grid, S, SpinParams(c=0.4, d=0.0, l=0.3, model="M2"))
     r3 = spin_rhs(grid, S, SpinParams(c=0.4, d=0.0, l=0.3, model="M3"))
     assert np.array_equal(r2, r3)
+
+
+def _vector_layout_rhs(grid, S, par, scheme):
+    """The M-III rhs written on the interleaved (ny, nx, 3) layout."""
+    Sx = ddx(grid, S, scheme)
+    Sy = ddy(grid, S, scheme)
+    u_x = -dot3(S, cross3(Sx, Sy))
+    u = inv_dx(grid, u_x).field
+    v = inv_dx(grid, par.v_prefactor * ddy(grid, dot3(Sx, Sx), scheme)).field
+    return (ddx(grid, cross3(S, Sy), scheme) + u_x[..., None] * S + u[..., None] * Sx
+            + par.drift * Sy - 4.0 * par.c * v[..., None] * Sx)
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (33, 33), (32, 40)])
+@pytest.mark.parametrize("scheme", ["spectral", "central4"])
+@pytest.mark.parametrize("par", [SpinParams(c=0.0, d=1.0, l=0.0, model="M1"),
+                                 SpinParams(c=0.4, d=0.0, l=0.3, model="M2"),
+                                 SpinParams(c=0.3, d=1.0, l=0.2, model="M3")],
+                         ids=["M1", "M2", "M3"])
+def test_planar_kernel_matches_vector_layout(rng, shape, scheme, par):
+    g = Grid2(*shape)
+    S = smooth_spin(g, rng)
+    want = _vector_layout_rhs(g, S, par, scheme)
+    got = spin_rhs(g, S, par, scheme)
+    assert got.shape == S.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "central4"])
+def test_make_state_constraints_equal_solvers(rng, scheme):
+    g = Grid2(32, 40)
+    S = smooth_spin(g, rng)
+    state = make_state(g, S, PAR, scheme=scheme)
+    u, u_mean = solve_u(g, S, scheme)
+    v, v_mean = solve_v(g, S, PAR, scheme)
+    assert np.array_equal(state.u, u)
+    assert np.array_equal(state.v, v)
+    assert state.u_row_mean == np.max(np.abs(u_mean))
+    assert state.v_row_mean == np.max(np.abs(v_mean))
+
+
+def test_state_row_means(grid):
+    flat = make_state(grid, init_uniform(grid), PAR)
+    assert flat.u_row_mean == flat.v_row_mean == 0.0
+    lump = make_state(grid, init_stereographic_lump(grid), PAR)
+    assert lump.u_row_mean > 1e-3
+    assert lump.v_row_mean > 1e-3
 
 
 def test_rhs_beta_minus_one_accepted(grid, rng):
