@@ -26,7 +26,6 @@ classical RK4 step (rk4, which owns the dt / stability check) and one save
 loop (march).
 """
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -291,7 +290,7 @@ def march(step, y, t: float, dt: float, n_steps: int, save_every: int, keep) -> 
 
 
 # ---------------------------------------------------------------------------
-# MFLD1 file format and CSV export
+# MFLD1 file format
 # ---------------------------------------------------------------------------
 #
 # One ASCII header line  "MFLD1 <nx> <ny> <ncomp> <lx> <ly>\n"
@@ -335,18 +334,3 @@ def read_mfld1(path):
     data = np.frombuffer(raw, dtype="<f8").reshape(ny, nx, ncomp).copy()
     return grid, check_finite(data, f"{path}: payload")
 
-
-def write_csv(path, grid: Grid2, data: np.ndarray) -> None:
-    """CSV export (x, y, c0, ...); available for ncomp <= 4."""
-    data = np.asarray(data, dtype=float)
-    if data.ndim == 2:
-        data = data[:, :, None]
-    ncomp = data.shape[2]
-    if ncomp > 4:
-        raise FieldError(f"CSV export limited to ncomp <= 4, got {ncomp}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"] + [f"c{i}" for i in range(ncomp)])
-        for j in range(grid.ny):
-            for i in range(grid.nx):
-                writer.writerow([repr(grid.x[i]), repr(grid.y[j])] + [repr(v) for v in data[j, i]])

@@ -4,9 +4,9 @@ A frame (e1, e2, e3) attached to a spin field S carries the transport system
 
     E_x = A E,   E_y = B E,   E_t = C E,       E = (e1; e2; e3)
 
-with antisymmetric-patterned coefficient matrices built from
+with antisymmetric-patterned matrices so3_from_vec of the coefficient triples
 
-    A ~ (tau, sigma, k),  B ~ (m1, m2, m3),  C ~ (w1, w2, w3).
+    a = (tau, sigma, k),  b = (m1, m2, m3),  w = (w1, w2, w3).
 
 Cross-derivative compatibility of the transport system,
 
@@ -14,9 +14,12 @@ Cross-derivative compatibility of the transport system,
     A_t - C_x + [A, C] = 0,
     B_t - C_y + [B, C] = 0,
 
-is the executable statement checked by mlxii_residual.  Component identities
-(e.g. tau_y - m1_x = e1.(e1x ^ e1y)) are derived from the matrix form rather
-than transcribed, since transcription is where sign mistakes live.
+is the executable statement checked by mlxii_residual.  Each matrix entry is
+0 or +-(beta) one triple component, and [so3_from_vec(*a), so3_from_vec(*b)]
+= so3_from_vec(*bracket(a, b, beta)), so the residuals are evaluated on the
+triples (scalar derivatives and the bracket, no (..., 3, 3) array) and have
+exactly the max-norms of the matrix forms.  The identities such as
+tau_y - m1_x = e1.(e1x ^ e1y) read their left-hand side off the same a_y - b_x.
 
 The Frenet gauge (sigma = 0, k >= 0) is the default frame construction:
 e1 = S, e2 = S_x/|S_x|, e3 = e1 ^ e2, with a deterministic left-scan fill
@@ -31,8 +34,8 @@ from .errors import DegenerateFieldError, IdentificationError
 from .fields import (
     SPECTRAL,
     Grid2,
-    commutator,
     cross3,
+    cross_planes,
     ddx,
     ddy,
     dot3,
@@ -80,6 +83,12 @@ class FrameCoeffs:
 
     def has_time_entries(self) -> bool:
         return self.w1 is not None
+
+    @property
+    def triples(self) -> tuple:
+        """(a, b, w) = ((tau, sigma, k), (m1, m2, m3), (w1, w2, w3))."""
+        return ((self.tau, self.sigma, self.k), (self.m1, self.m2, self.m3),
+                (self.w1, self.w2, self.w3))
 
 
 def _fallback_normal(e1: np.ndarray) -> np.ndarray:
@@ -195,12 +204,25 @@ def so3_from_vec(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray, beta: int = 1) 
 
 def so3_matrices(coeffs: FrameCoeffs, beta: int = 1):
     """(A, B, C) transport matrices; C is None without time entries."""
-    A = so3_from_vec(coeffs.tau, coeffs.sigma, coeffs.k, beta)
-    B = so3_from_vec(coeffs.m1, coeffs.m2, coeffs.m3, beta)
-    C = None
-    if coeffs.has_time_entries():
-        C = so3_from_vec(coeffs.w1, coeffs.w2, coeffs.w3, beta)
-    return A, B, C
+    a, b, w = coeffs.triples
+    C = so3_from_vec(*w, beta) if coeffs.has_time_entries() else None
+    return so3_from_vec(*a, beta), so3_from_vec(*b, beta), C
+
+
+def bracket(a, b, beta: int = 1) -> tuple:
+    """Triple c = (beta (a3 b2 - a2 b3), a1 b3 - a3 b1, a2 b1 - a1 b2).
+
+    so3_from_vec(*c, beta) is the commutator of so3_from_vec(*a, beta) and
+    so3_from_vec(*b, beta); c is the cross product b ^ a, its first
+    component scaled by beta.
+    """
+    c1, c2, c3 = cross_planes(b, a)
+    return beta * c1, c2, c3
+
+
+def charge_density(grid: Grid2, e: np.ndarray, scheme=SPECTRAL) -> np.ndarray:
+    """e . (e_x ^ e_y) for a unit vector field e."""
+    return dot3(e, cross3(ddx(grid, e, scheme), ddy(grid, e, scheme)))
 
 
 def mlxii_residual(grid: Grid2, coeffs: FrameCoeffs, scheme=SPECTRAL, beta: int = 1,
@@ -213,36 +235,30 @@ def mlxii_residual(grid: Grid2, coeffs: FrameCoeffs, scheme=SPECTRAL, beta: int 
     B_t - C_y + [B,C] (time derivatives by central difference).  With the
     frame supplied, adds the pointwise cross-checks of the coefficient
     combinations against the triple products e_j.(e_jx ^ e_jy).
+
+    Evaluated on the coefficient triples, e.g. a_y - b_x + bracket(a, b);
+    each max-norm equals that of the matrix form.
     """
-    A, B, C = so3_matrices(coeffs, beta)
-    out = {"xy": max_norm(ddy(grid, A, scheme) - ddx(grid, B, scheme) + commutator(A, B))}
+    a, b, w = coeffs.triples
+    D = [ddy(grid, ai, scheme) - ddx(grid, bi, scheme) for ai, bi in zip(a, b)]
+    out = {"xy": max_norm([d + c for d, c in zip(D, bracket(a, b, beta))])}
 
     if coeffs_before is not None and coeffs_after is not None:
-        if C is None:
+        if not coeffs.has_time_entries():
             raise IdentificationError("time residuals need w1..w3 in the mid coefficients")
-        A0, B0, _ = so3_matrices(coeffs_before, beta)
-        A1, B1, _ = so3_matrices(coeffs_after, beta)
-        At = (A1 - A0) / dt2
-        Bt = (B1 - B0) / dt2
-        out["xt"] = max_norm(At - ddx(grid, C, scheme) + commutator(A, C))
-        out["yt"] = max_norm(Bt - ddy(grid, C, scheme) + commutator(B, C))
+        (a0, b0, _), (a1, b1, _) = coeffs_before.triples, coeffs_after.triples
+        for key, deriv, x, x0, x1 in (("xt", ddx, a, a0, a1), ("yt", ddy, b, b0, b1)):
+            out[key] = max_norm([(s1 - s0) / dt2 - deriv(grid, wi, scheme) + c
+                                 for s0, s1, wi, c in zip(x0, x1, w, bracket(x, w, beta))])
 
     if frame is not None:
-        # coefficient side of the pointwise identities, read off the matrix
-        # combination A_y - B_x (vector components), against frame triple
-        # products; at beta=1 these are
+        # D against the frame triple products; at beta=1 these are
         #   tau_y - m1_x   = e1.(e1x ^ e1y)
         #   sigma_y - m2_x = e2.(e2x ^ e2y)
         #   k_y - m3_x     = e3.(e3x ^ e3y)
-        D = ddy(grid, A, scheme) - ddx(grid, B, scheme)
-        lhs = (D[..., 1, 2], D[..., 2, 0] / beta, D[..., 0, 1])
-        for j, (name, e) in enumerate([("e1", frame.e1), ("e2", frame.e2), ("e3", frame.e3)]):
-            ex = ddx(grid, e, scheme)
-            ey = ddy(grid, e, scheme)
-            rhs = dot3(e, cross3(ex, ey))
-            if j > 0:
-                rhs = beta * rhs
-            out[f"identity_{name}"] = float(np.max(np.abs(lhs[j] - rhs)))
+        for name, d, e, sign in zip(("e1", "e2", "e3"), D, (frame.e1, frame.e2, frame.e3),
+                                    (1, beta, beta)):
+            out[f"identity_{name}"] = max_norm(d - sign * charge_density(grid, e, scheme))
     return out
 
 

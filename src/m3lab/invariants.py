@@ -4,24 +4,30 @@ Vector form (ground truth):
 
     K_j = integral of e_j . (e_jx ^ e_jy),   Q_j = K_j / (4 pi)
 
-Coefficient form: the same densities expressed through the transport
-matrices A ~ (tau, sigma, k) and B ~ (m1, m2, m3),
+with the density e.(e_x ^ e_y) from frames.charge_density, the same
+function that the frame identity check in mlxii_residual uses.
 
-    density_j = A[j,j+1] B[j,j+2] - A[j,j+2] B[j,j+1]   (cyclic indices)
+Coefficient form: the same densities expressed through the coefficient
+triples a = (tau, sigma, k) and b = (m1, m2, m3) as
 
-which reduces to (sigma m3 - k m2, k m1 - tau m3, tau m2 - sigma m1) at
-beta = +1.  The two forms agree pointwise at discretization order for
-smooth frames; the comparison is made at the density level because for
-topologically nontrivial fields the coefficients are not globally smooth
-periodic functions and the integral identity via exact forms is void.
+    density = -beta * bracket(a, b, beta)
+
+(frames.bracket, the so(3) commutator on triples), which reduces to
+(sigma m3 - k m2, k m1 - tau m3, tau m2 - sigma m1) at beta = +1.  Value
+for value it equals the matrix-entry form A[j,j+1] B[j,j+2] - A[j,j+2]
+B[j,j+1] (cyclic indices) of A = so3_from_vec(*a), B = so3_from_vec(*b).
+The two forms agree pointwise at discretization order for smooth frames;
+the comparison is made at the density level because for topologically
+nontrivial fields the coefficients are not globally smooth periodic
+functions and the integral identity via exact forms is void.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SPECTRAL, Grid2, cross3, ddx, ddy, dot3, integrate2
-from .frames import FrameCoeffs, FrameField, so3_matrices
+from .fields import SPECTRAL, Grid2, integrate2
+from .frames import FrameCoeffs, FrameField, bracket, charge_density
 
 FOUR_PI = 4.0 * np.pi
 
@@ -37,19 +43,10 @@ class ChargeReport:
         return list(self.k_vector) + list(self.k_coeff) + list(self.q)
 
 
-def charge_density(grid: Grid2, e: np.ndarray, scheme=SPECTRAL) -> np.ndarray:
-    """e . (e_x ^ e_y) for a unit vector field e."""
-    return dot3(e, cross3(ddx(grid, e, scheme), ddy(grid, e, scheme)))
-
-
 def coeff_densities(coeffs: FrameCoeffs, beta: int = 1):
-    """Coefficient-form charge densities read off the transport matrices."""
-    A, B, _ = so3_matrices(coeffs, beta)
-    out = []
-    for j in range(3):
-        a, b = (j + 1) % 3, (j + 2) % 3
-        out.append(A[..., j, a] * B[..., j, b] - A[..., j, b] * B[..., j, a])
-    return out
+    """Coefficient-form charge densities, -beta * bracket(a, b, beta)."""
+    a, b, _ = coeffs.triples
+    return [-beta * c for c in bracket(a, b, beta)]
 
 
 def charges(grid: Grid2, F: FrameField, coeffs: FrameCoeffs, scheme=SPECTRAL,

@@ -36,7 +36,6 @@ from .fields import (
     SPECTRAL,
     Antideriv,
     Grid2,
-    check_finite,
     cross_planes,
     ddx,
     ddy,
@@ -162,9 +161,10 @@ def spin_rhs(grid: Grid2, S: np.ndarray, par: SpinParams, scheme=SPECTRAL) -> np
 
     Computed on the three contiguous component planes of S, so every
     transform runs over contiguous lanes; the (ny, nx, 3) result is written
-    once.
+    once.  A non-finite S is rejected (FieldError) by the derivatives of
+    its planes, which check their input.
     """
-    P = _planes(check_finite(S, "spin field"))
+    P = _planes(S)
     Sx, Sy, u_x, (u, _), (v, _) = _constraints(grid, P, scheme, par)
     rhs = np.empty_like(S)
     for i, flux in enumerate(cross_planes(P, Sy)):

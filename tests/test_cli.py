@@ -179,6 +179,19 @@ def test_frame_and_charges(spin_run, tmp_path):
     assert abs(q1) < 1e-6        # helix is topologically trivial
 
 
+def test_charges_reproduce_invariants_and_frame_reruns_agree(spin_run, tmp_path):
+    """`charges` rewrites the table `simulate-spin` wrote, byte for byte, and two
+    `frame` runs write the same report."""
+    assert main(["--output-dir", str(tmp_path), "charges", "spinrun"]) == 0
+    assert (spin_run / "charges.csv").read_bytes() == (spin_run / "invariants.csv").read_bytes()
+    reports = []
+    for _ in range(2):
+        assert main(["--output-dir", str(tmp_path), "frame", "spinrun"]) == 0
+        reports.append((spin_run / "frame_report.json").read_bytes())
+    assert json.loads(reports[0])["residuals"]
+    assert reports[0] == reports[1]
+
+
 def test_initial_condition_from_mfld1(spin_run, tmp_path):
     """A saved slice restarts a run; missing files and grid mismatches fail."""
     meta = json.loads((spin_run / "meta.json").read_text())

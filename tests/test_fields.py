@@ -11,7 +11,6 @@ from m3lab.fields import (
     inv_dx,
     meanx,
     read_mfld1,
-    write_csv,
     write_mfld1,
 )
 from m3lab.spin import SpinParams, make_state, spin_rhs
@@ -256,13 +255,3 @@ def test_mfld1_header_format(tmp_path):
     header = path.read_bytes().split(b"\n", 1)[0].split()
     assert header[0] == b"MFLD1"
     assert [int(header[1]), int(header[2]), int(header[3])] == [8, 16, 1]
-
-
-def test_csv_export(tmp_path, grid, rng):
-    f = band_limited(grid, rng)
-    write_csv(tmp_path / "f.csv", grid, f)
-    lines = (tmp_path / "f.csv").read_text().splitlines()
-    assert lines[0] == "x,y,c0"
-    assert len(lines) == 1 + grid.nx * grid.ny
-    with pytest.raises(FieldError):
-        write_csv(tmp_path / "g.csv", grid, np.zeros((grid.ny, grid.nx, 5)))

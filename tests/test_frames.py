@@ -3,7 +3,7 @@ import pytest
 
 from m3lab.convergence import fit_order
 from m3lab.errors import DegenerateFieldError, IdentificationError
-from m3lab.fields import Grid2, commutator, cross3, ddx, ddy, matmul, max_norm
+from m3lab.fields import Grid2, commutator, cross3, ddx, ddy, dot3, matmul, max_norm
 from m3lab.frames import (
     FrameCoeffs,
     FrameField,
@@ -13,7 +13,9 @@ from m3lab.frames import (
     m_coeffs_from_spin,
     mlxii_residual,
     so3_matrices,
+    with_time_entries,
 )
+from m3lab.invariants import charges
 from m3lab.spin import (
     SpinParams,
     default_dt,
@@ -176,6 +178,65 @@ def test_mlxii_sensitivity_to_corruption(grid):
     bumped = mlxii_residual(grid, corrupted)["xy"]
     assert base < 1e-9
     assert 0.03 < bumped < 1.0
+
+
+def matrix_residual(grid, co, scheme, beta, coeffs_before=None, coeffs_after=None,
+                    dt2=None, frame=None):
+    """The residuals of mlxii_residual on so(3) matrix fields: (ny, nx, 3, 3)
+    derivatives and einsum commutators, the identities read off by matrix index."""
+    A, B, C = so3_matrices(co, beta)
+    D = ddy(grid, A, scheme) - ddx(grid, B, scheme)
+    out = {"xy": max_norm(D + commutator(A, B))}
+    if coeffs_before is not None:
+        A0, B0, _ = so3_matrices(coeffs_before, beta)
+        A1, B1, _ = so3_matrices(coeffs_after, beta)
+        out["xt"] = max_norm((A1 - A0) / dt2 - ddx(grid, C, scheme) + commutator(A, C))
+        out["yt"] = max_norm((B1 - B0) / dt2 - ddy(grid, C, scheme) + commutator(B, C))
+    if frame is not None:
+        lhs = (D[..., 1, 2], D[..., 2, 0] / beta, D[..., 0, 1])
+        for j, name in enumerate(("e1", "e2", "e3")):
+            e = getattr(frame, name)
+            rhs = dot3(e, cross3(ddx(grid, e, scheme), ddy(grid, e, scheme)))
+            if j > 0:
+                rhs = beta * rhs
+            out[f"identity_{name}"] = float(np.max(np.abs(lhs[j] - rhs)))
+    return out
+
+
+def slice_window(grid, S0, scheme):
+    """Coefficients before, at (with time entries) and after the middle of three
+    saved slices, the middle frame and the central-difference window 2 dt."""
+    dt = 0.25 * default_dt(grid)
+    saved = run_spin(grid, make_state(grid, S0, PAR, scheme=scheme), PAR, dt, 2, scheme=scheme)
+    frames = [frame_from_spin(grid, s.S, scheme) for s in saved]
+    before, mid, after = (coeffs_from_frame(grid, F, scheme) for F in frames)
+    mid = with_time_entries(mid, frames[1], frame_dt(frames[0], frames[2], 2 * dt))
+    return before, mid, after, frames[1], 2 * dt
+
+
+@pytest.mark.parametrize("beta", [1, -1])
+@pytest.mark.parametrize("scheme", ["spectral", "central4"])
+@pytest.mark.parametrize("init", [init_stereographic_lump, init_modulated_helix])
+def test_mlxii_residual_equals_matrix_form(init, scheme, beta):
+    g = Grid2(32, 32)
+    before, mid, after, F, dt2 = slice_window(g, init(g), scheme)
+    for time in ({}, dict(coeffs_before=before, coeffs_after=after, dt2=dt2)):
+        for frame in (None, F):
+            got = mlxii_residual(g, mid, scheme, beta, frame=frame, **time)
+            assert got == matrix_residual(g, mid, scheme, beta, frame=frame, **time)
+
+
+def test_residuals_and_charges_differentiate_no_matrix_field(monkeypatch):
+    import m3lab.fields as fields
+    g = Grid2(32, 32)
+    before, mid, after, F, dt2 = slice_window(g, init_stereographic_lump(g), "spectral")
+    ndims = []
+    real = fields._deriv
+    monkeypatch.setattr(fields, "_deriv",
+                        lambda f, *a, **k: ndims.append(f.ndim) or real(f, *a, **k))
+    mlxii_residual(g, mid, coeffs_before=before, coeffs_after=after, dt2=dt2, frame=F)
+    charges(g, F, mid)
+    assert ndims and max(ndims) <= 3
 
 
 # ---------------------------------------------------------------------------

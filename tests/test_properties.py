@@ -4,7 +4,9 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from m3lab.fields import Grid2, ddx, inv_dx, meanx
+from m3lab.fields import Grid2, commutator, ddx, inv_dx, meanx
+from m3lab.frames import FrameCoeffs, bracket, so3_from_vec
+from m3lab.invariants import coeff_densities
 from m3lab.nls import NlsParams, nls_rhs, solve_v_nls, step_rk4_nls
 from m3lab.spin import SpinParams, default_dt, spin_rhs, step_rk4_spin
 
@@ -55,3 +57,30 @@ def test_ddx_inverts_inv_dx_up_to_row_mean(seed, nx, ny, lx, kmax, scale):
     g = Grid2(nx, ny, lx=lx)
     f = band_limited(g, np.random.default_rng(seed), kmax=kmax, scale=scale)
     assert np.max(np.abs(ddx(g, inv_dx(g, f).field) - (f - meanx(f)))) < 1e-10
+
+
+def random_triple(rng, decades):
+    """Three (5, 6) planes of signed values spread log-uniformly over `decades` decades."""
+    mags = 10.0 ** rng.uniform(-decades / 2, decades / 2, size=(3, 5, 6))
+    return tuple(rng.choice([-1.0, 1.0], size=(3, 5, 6)) * mags)
+
+
+# Equality below is np.array_equal, which is bit for bit except that an exact
+# zero may carry either sign.
+@given(seed=seeds, decades=st.floats(0.0, 16.0), beta=betas)
+def test_bracket_is_the_so3_commutator(seed, decades, beta):
+    rng = np.random.default_rng(seed)
+    a, b = random_triple(rng, decades), random_triple(rng, decades)
+    expect = commutator(so3_from_vec(*a, beta), so3_from_vec(*b, beta))
+    assert np.array_equal(so3_from_vec(*bracket(a, b, beta), beta), expect)
+
+
+@given(seed=seeds, decades=st.floats(0.0, 16.0), beta=betas)
+def test_coeff_densities_equal_matrix_entry_formula(seed, decades, beta):
+    rng = np.random.default_rng(seed)
+    (tau, sigma, k), (m1, m2, m3) = random_triple(rng, decades), random_triple(rng, decades)
+    co = FrameCoeffs(k=k, sigma=sigma, tau=tau, m1=m1, m2=m2, m3=m3)
+    A, B = so3_from_vec(tau, sigma, k, beta), so3_from_vec(m1, m2, m3, beta)
+    for j, d in enumerate(coeff_densities(co, beta)):
+        i, l = (j + 1) % 3, (j + 2) % 3
+        assert np.array_equal(d, A[..., j, i] * B[..., j, l] - A[..., j, l] * B[..., j, i])

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from m3lab.convergence import fit_order
-from m3lab.errors import DegenerateFieldError, ParameterError, UnstableStepError
+from m3lab.errors import DegenerateFieldError, FieldError, ParameterError, UnstableStepError
 from m3lab.fields import Grid2, cross3, ddx, ddy, dot3, inv_dx, meanx, norm3
 from m3lab.frames import FrameCoeffs, coeffs_from_frame, frame_dt, frame_from_spin
 from m3lab.spin import (
@@ -204,6 +206,20 @@ def test_step_dt_validation(grid):
     with pytest.raises(ParameterError):
         step_rk4_spin(grid, state.S, PAR, 10.0 * grid.hx * grid.hy)
 
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("comp", [0, 2])
+def test_non_finite_spin_rejected(grid, rng, bad, comp):
+    """A non-finite entry in any plane of S is a FieldError, raised before any warning."""
+    S = smooth_spin(grid, rng)
+    S[5, 7, comp] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FieldError):
+            spin_rhs(grid, S, PAR)
+        with pytest.raises(FieldError):
+            step_rk4_spin(grid, S, PAR, default_dt(grid))
 
 def test_step_rk4_order():
     g = Grid2(48, 48)
