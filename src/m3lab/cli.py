@@ -328,6 +328,8 @@ def cmd_simulate_nls(args) -> int:
         "dt": dt,
         "times": [st.t for st in saved],
         "slices": slices,
+        "conj_dev": [st.conj_dev for st in saved],
+        "v_row_mean": [st.v_row_mean for st in saved],
     })
     print(f"saved {len(saved)} slices to {out}")
     return 0
@@ -396,7 +398,10 @@ def cmd_equiv_check(args) -> int:
     from .equivalence import l_equiv_check
 
     run_dir, meta, cfg = _open_run(args, "spin")
-    sizes = tuple(int(s) for s in args.ladder.split(","))
+    try:
+        sizes = tuple(int(s) for s in args.ladder.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--ladder expects comma-separated grid sizes, got {args.ladder!r}") from exc
     report = l_equiv_check(cfg.spin_params(), _make_initial(cfg, "spin"), sizes=sizes,
                            lx=cfg["grid.lx"], ly=cfg["grid.ly"], scheme=cfg["scheme"])
     payload = {"config_hash": cfg.sha, **report.as_dict()}
@@ -488,6 +493,13 @@ def cmd_lambda_check(args) -> int:
     import numpy as np
     from .lax import lambda_residual
 
+    if args.n == 0:
+        raise ConfigError("--n must be a nonzero integer")
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    for name in ("k", "a", "c"):
+        if not math.isfinite(getattr(args, name)):
+            raise ConfigError(f"--{name} must be finite, got {getattr(args, name)!r}")
     ys = np.linspace(0.1, 2.0, args.samples)
     ts = np.linspace(0.0, 0.3, args.samples)
     print("y,t,residual_analytic,residual_fd")

@@ -26,6 +26,7 @@ classical RK4 step (rk4, which owns the dt / stability check) and one save
 loop (march).
 """
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -313,8 +314,9 @@ def write_mfld1(path, grid: Grid2, data: np.ndarray) -> None:
 def read_mfld1(path):
     """Returns (Grid2, data) with data shape (ny, nx, ncomp).
 
-    A malformed header, or a payload that is short, followed by further bytes
-    or not finite, is rejected with an M3LabError.
+    A malformed header (ncomp < 1 included), or a payload that is short,
+    followed by further bytes or not finite, is rejected with an M3LabError.
+    The payload size is checked against the file before it is read.
     """
     with open(path, "rb") as fh:
         header = fh.readline().split()
@@ -325,12 +327,16 @@ def read_mfld1(path):
             lx, ly = float(header[4]), float(header[5])
         except ValueError:
             raise FieldError(f"{path}: bad MFLD1 header {b' '.join(header)!r}") from None
+        if ncomp < 1:
+            raise FieldError(f"{path}: MFLD1 header gives {ncomp} components")
         grid = Grid2(nx, ny, lx, ly)
-        raw = fh.read(8 * nx * ny * ncomp)
-        if len(raw) != 8 * nx * ny * ncomp:
+        size = 8 * nx * ny * ncomp
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < size:
             raise FieldError(f"{path}: truncated payload")
-        if fh.read(1):
+        if left > size:
             raise FieldError(f"{path}: trailing bytes after the payload")
+        raw = fh.read(size)
     data = np.frombuffer(raw, dtype="<f8").reshape(ny, nx, ncomp).copy()
     return grid, check_finite(data, f"{path}: payload")
 

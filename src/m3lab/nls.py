@@ -9,8 +9,16 @@ system and whose d=0 limit is the Strachan system):
 
 For the physical reduction p = beta * conj(q), the pair equations are complex
 conjugates of each other and v stays real, since p q = beta |q|^2.  States
-carry that reduction; the RK4 step still advances p next to q and reports
-how far the pair drifted from it (conj_dev) before resetting p.
+carry that reduction, and the solver steps it in reduced form: only q is
+differentiated, p_t = beta * conj(q_t) is formed without a transform, and v
+is solved from the real density beta |q|^2 on the half-spectrum path.  The
+RK4 step still advances p next to q and reports how far the pair drifted
+from p = beta conj(q) (conj_dev): with a correct rhs the conjugation is
+exact and conj_dev is 0, so it guards the rhs's pairing.  (Stepped as a
+general pair, (q, p) would drift off the reduction on an even-length axis,
+where the complex transform gives the Nyquist mode of q and of p the same
+one-signed wavenumber.)  nls_rhs and solve_v_nls also take a general pair
+(an explicit p), which the equivalence check and the reduction tests use.
 
 Plane waves q = A exp(i(k1 x + k2 y - w t)) with constant v = v0 satisfy the
 dispersion relation  w = -k1 k2 + 4 c v0 k1 + 2 d^2 v0  (and the constraint
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, UnstableStepError
+from .errors import FieldError, ParameterError, UnstableStepError
 from .fields import SPECTRAL, Grid2, check_finite, ddx, ddy, inv_dx, march, rk4
 from .spin import RENORM_LIMIT
 
@@ -52,60 +60,93 @@ class NlsState:
     p: np.ndarray            # (ny, nx) complex, beta * conj(q)
     v: np.ndarray            # (ny, nx) real, zero x-mean
     t: float = 0.0
-    conj_dev: float = 0.0    # |p - beta conj q| removed by the step that made q
+    conj_dev: float = 0.0    # |p - beta conj q| after the step that made q
+    v_row_mean: float = 0.0  # max |row mean| of (p q)_y that inv_dx discarded
 
 
-def solve_v_nls(grid: Grid2, q: np.ndarray, p: np.ndarray, scheme=SPECTRAL):
+def _paired(q: np.ndarray, beta: int) -> np.ndarray:
+    """p = beta*conj(q) by a sign flip: exact, and silent on non-finite q."""
+    p = np.conj(q)
+    return p if beta == 1 else np.negative(p, out=p)
+
+
+def solve_v_nls(grid: Grid2, q: np.ndarray, p, scheme=SPECTRAL, beta: int = 1):
     """v with v_x = (p q)_y, zero x-mean.
 
-    Returns (v, row_mean, imag_residue); the imaginary part is discarded and
-    its magnitude reported (it vanishes identically when p = beta conj q).
+    Returns (v, row_mean, imag_residue).  For a general pair the imaginary
+    part is discarded and its magnitude reported (it vanishes identically
+    when p = beta conj q).  p=None stands for p = beta*conj(q): v then comes
+    from the real density beta |q|^2 on the half-spectrum path and
+    imag_residue is 0.  That density equals Re(p q) to one rounding (numpy's
+    complex product may fuse its multiply-add, the plain sum does not).
     """
     check_finite(q, "q")
+    if p is None:
+        w, row_mean = inv_dx(grid, ddy(grid, beta * (q.real * q.real + q.imag * q.imag),
+                                       scheme))
+        return w, row_mean, 0.0
     check_finite(p, "p")
     w, row_mean = inv_dx(grid, ddy(grid, p * q, scheme))
     imag_residue = float(np.max(np.abs(w.imag))) if np.iscomplexobj(w) else 0.0
     return np.real(w), np.real(row_mean), imag_residue
 
 
-def nls_rhs(grid: Grid2, q: np.ndarray, p: np.ndarray, v: np.ndarray,
-            par: NlsParams, scheme=SPECTRAL):
-    """(q_t, p_t) for frozen constraint field v."""
+def nls_rhs(grid: Grid2, q: np.ndarray, p, v: np.ndarray, par: NlsParams,
+            scheme=SPECTRAL):
+    """(q_t, p_t) for frozen constraint field v.
+
+    p=None stands for p = beta*conj(q): only q is differentiated and p_t is
+    beta*conj(q_t), formed without a transform.
+    """
     c, d = par.c, par.d
     q_xy = ddy(grid, ddx(grid, q, scheme), scheme)
-    p_xy = ddy(grid, ddx(grid, p, scheme), scheme)
     q_t = -1j * (q_xy + 2.0 * d * d * v * q)
-    p_t = 1j * (p_xy + 2.0 * d * d * v * p)
     if c != 0.0:
         q_t = q_t - 4.0 * c * ddx(grid, v * q, scheme)
+    if p is None:
+        return q_t, _paired(q_t, par.beta)
+    p_xy = ddy(grid, ddx(grid, p, scheme), scheme)
+    p_t = 1j * (p_xy + 2.0 * d * d * v * p)
+    if c != 0.0:
         p_t = p_t - 4.0 * c * ddx(grid, v * p, scheme)
     return q_t, p_t
 
 
 def make_state(grid: Grid2, q: np.ndarray, par: NlsParams, t: float = 0.0,
                scheme=SPECTRAL, conj_dev: float = 0.0) -> NlsState:
-    """Assemble an NlsState with p = beta*conj(q) and v solved from the pair."""
-    p = par.beta * np.conj(q)
-    v, _, _ = solve_v_nls(grid, q, p, scheme)
-    return NlsState(q=np.asarray(q, dtype=complex), p=np.asarray(p, dtype=complex),
-                    v=v, t=t, conj_dev=conj_dev)
+    """Assemble an NlsState with p = beta*conj(q) and v solved from beta |q|^2."""
+    q = np.asarray(q, dtype=complex)
+    v, row_mean, _ = solve_v_nls(grid, q, None, scheme, par.beta)
+    return NlsState(q=q, p=_paired(q, par.beta), v=v, t=t, conj_dev=conj_dev,
+                    v_row_mean=float(np.max(np.abs(row_mean))))
 
 
 def step_rk4_nls(grid: Grid2, q: np.ndarray, par: NlsParams, dt: float,
                  scheme=SPECTRAL):
     """One RK4 step of the pair (q, p = beta*conj(q)), v re-solved at each stage.
 
-    The discrete flow keeps the pairing only up to rounding.  Returns (q,
-    max |p - beta*conj(q)| after the step); the stepped p is then dropped,
-    since states carry p = beta*conj(q).
+    Each stage differentiates q only and takes v from beta |q|^2; p rides in
+    the RK4 tuple with p_t = beta*conj(q_t) from nls_rhs.  Returns (q, max |p -
+    beta*conj(q)| after the step), which is exactly 0 unless the rhs broke the
+    pairing (then the step aborts); the stepped p is dropped, since states
+    carry p = beta*conj(q).  A non-finite q is rejected (FieldError); a step
+    that overflows from a finite q is a numerical abort.
     """
     def rhs(pair):
-        v, _, _ = solve_v_nls(grid, *pair, scheme)
-        return nls_rhs(grid, *pair, v, par, scheme)
+        q = pair[0]
+        v, _, _ = solve_v_nls(grid, q, None, scheme, par.beta)
+        return nls_rhs(grid, q, None, v, par, scheme)
 
-    q_new, p_new = rk4(grid, rhs, (q, par.beta * np.conj(q)), dt)
-    conj_dev = float(np.max(np.abs(p_new - par.beta * np.conj(q_new))))
-    if conj_dev > RENORM_LIMIT:
+    check_finite(q, "q")
+    try:
+        # an overflow anywhere in the step ends as a non-finite stage or
+        # result, which aborts below; it needs no warning of its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            q_new, p_new = rk4(grid, rhs, (q, _paired(q, par.beta)), dt)
+            conj_dev = float(np.max(np.abs(p_new - _paired(q_new, par.beta))))
+    except FieldError as exc:
+        raise UnstableStepError(f"step went non-finite: {exc}") from exc
+    if not conj_dev <= RENORM_LIMIT:
         raise UnstableStepError(f"conjugate pairing broke: deviation {conj_dev:.3e}")
     return q_new, conj_dev
 

@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
-from m3lab.cli import RunConfig, main, parse_config_text
+from m3lab.cli import RunConfig, build_parser, main, parse_config_text
 from m3lab.errors import ConfigError
+from m3lab.fields import Grid2, read_mfld1, write_mfld1
+
+from conftest import smooth_complex
 
 SPIN_CFG = """
 # spin run at desk scale
@@ -165,6 +169,27 @@ def test_simulate_nls_deterministic(tmp_path):
     assert a == b
 
 
+def test_simulate_nls_meta_diagnostics(tmp_path):
+    """Per-slice conj_dev and v row means in meta.json; two reruns write the same meta.json."""
+    cfg_text = _with(NLS_CFG, model="M3q", **{"params.c": 0.3})
+    metas = []
+    for sub in ("a", "b"):
+        d = tmp_path / sub
+        d.mkdir()
+        (d / "run.cfg").write_text(cfg_text)
+        assert main(["--output-dir", str(d), "simulate-nls", str(d / "run.cfg")]) == 0
+        metas.append((d / "nlsrun" / "meta.json").read_bytes())
+    assert metas[0] == metas[1]
+    meta = json.loads(metas[0])
+    n = len(meta["slices"])
+    assert n == 4
+    assert meta["conj_dev"] == [0.0] * n
+    assert len(meta["v_row_mean"]) == n
+    assert all(m >= 0.0 for m in meta["v_row_mean"])
+    norms = (tmp_path / "a" / "nlsrun" / "norms.csv").read_text().splitlines()
+    assert norms[0] == "t,max_abs_q,conj_dev" and len(norms) == n + 1
+
+
 def test_frame_and_charges(spin_run, tmp_path):
     assert main(["--output-dir", str(tmp_path), "frame", "spinrun"]) == 0
     assert (spin_run / "frame_000000.mfld1").exists()
@@ -301,10 +326,10 @@ def test_numerical_abort_exits_3(tmp_path):
 
 
 def _with(cfg_text, **changes):
-    """cfg_text with `key = value` lines replaced or appended."""
+    """cfg_text with `key = value` lines replaced or appended; a None value drops the key."""
     lines = [ln for ln in cfg_text.splitlines()
              if ln.partition("=")[0].strip() not in changes]
-    return "\n".join(lines + [f"{k} = {v}" for k, v in changes.items()]) + "\n"
+    return "\n".join(lines + [f"{k} = {v}" for k, v in changes.items() if v is not None]) + "\n"
 
 
 @pytest.mark.parametrize("command, cfg_text", [
@@ -379,3 +404,98 @@ def test_bad_run_dir_exits_2(tmp_path, capsys, meta_text):
     assert main(["--output-dir", str(tmp_path), "charges", "run"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# exit codes of every subcommand
+# ---------------------------------------------------------------------------
+
+def _config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def _run(tmp_path, command, text, name):
+    assert main(["--output-dir", str(tmp_path), command, _config(tmp_path, text)]) == 0
+    return name
+
+
+def _flat_spin_run(tmp_path):
+    """A spin run whose slices hold the uniform field, which has no frame."""
+    run = _run(tmp_path, "simulate-spin", SPIN_CFG, "spinrun")
+    for path in (tmp_path / run).glob("spin_*.mfld1"):
+        grid, data = read_mfld1(path)
+        data[..., 0:3] = (0.0, 0.0, 1.0)
+        write_mfld1(path, grid, data)
+    return run
+
+
+def _uniform_config_run(tmp_path):
+    """A spin run whose recorded configuration starts from the uniform field."""
+    run = _run(tmp_path, "simulate-spin", SPIN_CFG, "spinrun")
+    meta_path = tmp_path / run / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    config = {k: v for k, v in meta["config"].items() if not k.startswith("spin.init.")}
+    meta["config"] = {**config, "spin.init": "uniform"}
+    meta_path.write_text(json.dumps(meta))
+    return run
+
+
+def _blow_up_config(tmp_path):
+    """An M3q run from a large smooth q, which overflows within a few steps."""
+    grid = Grid2(32, 32)
+    q = smooth_complex(grid, np.random.default_rng(3), scale=6.0)
+    write_mfld1(tmp_path / "q0.mfld1", grid, np.stack([q.real, q.imag], axis=-1))
+    return _config(tmp_path, _with(NLS_CFG, model="M3q", **{
+        "params.c": 0.3, "nls.init": tmp_path / "q0.mfld1",
+        "nls.init.amplitude": None, "nls.init.k1": None, "nls.init.k2": None}))
+
+
+EXIT_CASES = {
+    ("simulate-spin", 0): lambda t: ["simulate-spin", _config(t, SPIN_CFG)],
+    ("simulate-spin", 2): lambda t: ["simulate-spin", _config(t, _with(SPIN_CFG, save_every=0))],
+    ("simulate-spin", 3): lambda t: ["simulate-spin", _config(t, _with(
+        SPIN_CFG, **{"spin.init": "uniform", "spin.init.eps": None, "spin.init.kappa": None}))],
+    ("simulate-nls", 0): lambda t: ["simulate-nls", _config(t, NLS_CFG)],
+    ("simulate-nls", 2): lambda t: ["simulate-nls", _config(t, _with(NLS_CFG, scheme="foo"))],
+    ("simulate-nls", 3): lambda t: ["simulate-nls", _blow_up_config(t)],
+    ("frame", 0): lambda t: ["frame", _run(t, "simulate-spin", SPIN_CFG, "spinrun")],
+    ("frame", 2): lambda t: ["frame", _run(t, "simulate-nls", NLS_CFG, "nlsrun")],
+    ("frame", 3): lambda t: ["frame", _flat_spin_run(t)],
+    ("equiv-check", 0): lambda t: ["equiv-check", _run(t, "simulate-spin", SPIN_CFG, "spinrun"),
+                                   "--ladder", "16,24"],
+    ("equiv-check", 2): lambda t: ["equiv-check", _run(t, "simulate-spin", SPIN_CFG, "spinrun"),
+                                   "--ladder", "16,x"],
+    ("equiv-check", 3): lambda t: ["equiv-check", _uniform_config_run(t), "--ladder", "16,24"],
+    ("lax-check", 0): lambda t: ["lax-check", _run(t, "simulate-nls", NLS_CFG, "nlsrun"),
+                                 "--lambda", "0.3,0.1"],
+    ("lax-check", 2): lambda t: ["lax-check", _run(t, "simulate-nls", NLS_CFG, "nlsrun"),
+                                 "--lambda", "0.3"],
+    ("charges", 0): lambda t: ["charges", _run(t, "simulate-spin", SPIN_CFG, "spinrun")],
+    ("charges", 2): lambda t: ["charges", "no-such-run"],
+    ("charges", 3): lambda t: ["charges", _flat_spin_run(t)],
+    ("lambda-check", 0): lambda t: ["lambda-check", "--n", "1", "--k", "2", "--a", "1",
+                                    "--samples", "2"],
+    ("lambda-check", 2): lambda t: ["lambda-check", "--n", "0", "--k", "2", "--a", "1"],
+    ("selftest", 0): lambda t: ["selftest"],
+}
+
+
+def test_exit_table_covers_every_subcommand():
+    commands = set(build_parser()._subparsers._group_actions[0].choices)
+    assert {command for command, _ in EXIT_CASES} == commands
+
+
+@pytest.mark.parametrize("command, code", sorted(EXIT_CASES),
+                         ids=[f"{c}-{k}" for c, k in sorted(EXIT_CASES)])
+def test_exit_code_table(tmp_path, capsys, command, code):
+    """Exit 0 on a valid call, 2 on a validation error, 3 on a numerical abort."""
+    argv = EXIT_CASES[command, code](tmp_path)
+    capsys.readouterr()
+    assert main(["--output-dir", str(tmp_path), *argv]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith({0: "", 2: "error: ", 3: "numerical abort: "}[code])
+    if code == 0:
+        assert err == ""

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from m3lab import nls
-from m3lab.errors import NumericalError, ParameterError
-from m3lab.fields import ddx, ddy, meanx
+from m3lab.errors import FieldError, NumericalError, ParameterError, UnstableStepError
+from m3lab.fields import Grid2, ddx, ddy, inv_dx, meanx, rk4
 from m3lab.nls import (
     NlsParams,
     init_plane_wave,
@@ -180,3 +182,127 @@ def test_run_nls_measured_frequency(grid):
     measured = -np.polyfit(times, phases, 1)[0]
     expected = plane_wave_omega(grid, ZAK, 1, 1)
     assert abs(measured - expected) < 1e-3 * abs(expected)
+
+
+# ---------------------------------------------------------------------------
+# the reduced kernel against the general pair
+# ---------------------------------------------------------------------------
+
+def general_pair_rhs(grid, q, p, par, scheme):
+    """(q_t, p_t) of the general pair: q and p each differentiated, v from complex p q."""
+    c, d = par.c, par.d
+    v = np.real(inv_dx(grid, ddy(grid, p * q, scheme)).field)
+    q_t = -1j * (ddy(grid, ddx(grid, q, scheme), scheme) + 2.0 * d * d * v * q)
+    p_t = 1j * (ddy(grid, ddx(grid, p, scheme), scheme) + 2.0 * d * d * v * p)
+    if c != 0.0:
+        q_t = q_t - 4.0 * c * ddx(grid, v * q, scheme)
+        p_t = p_t - 4.0 * c * ddx(grid, v * p, scheme)
+    return q_t, p_t
+
+
+def general_pair_step(grid, q, par, dt, scheme):
+    return rk4(grid, lambda pair: general_pair_rhs(grid, *pair, par, scheme),
+               (q, par.beta * np.conj(q)), dt)
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (33, 33), (32, 40)])
+@pytest.mark.parametrize("scheme", ["spectral", "central4"])
+@pytest.mark.parametrize("beta", [1, -1])
+@pytest.mark.parametrize("c", [0.0, 0.3])
+@pytest.mark.parametrize("d", [0.0, 1.0])
+def test_reduced_step_matches_general_pair(shape, scheme, beta, c, d):
+    """The reduced step is the general-pair step up to the general pair's own pairing drift.
+
+    With spectral derivatives on an even-length axis the complex transform gives
+    the Nyquist mode of q and of p = beta conj(q) the same one-signed wavenumber,
+    so the general pair drifts off p = beta conj(q) wherever the stage products
+    reach that mode (at n = 32 they do, up to 2e-9 on this field); the reduced
+    step has no such drift.  Everywhere else the two agree to rounding.
+    """
+    g = Grid2(*shape)
+    par = NlsParams(c=c, d=d, beta=beta, model="M3q")
+    q = smooth_complex(g, np.random.default_rng(7), scale=0.4)
+    tol = 1e-13 * np.max(np.abs(q))
+    q_ref, p_ref = general_pair_step(g, q, par, default_dt(g), scheme)
+    drift = np.max(np.abs(p_ref - beta * np.conj(q_ref)))
+    if scheme == "central4" or g.nx % 2 == g.ny % 2 == 1:
+        assert drift <= tol
+    q_new, conj_dev = step_rk4_nls(g, q, par, default_dt(g), scheme)
+    assert np.max(np.abs(q_new - q_ref)) <= tol + drift
+    assert conj_dev == 0.0
+
+
+def test_general_pair_path_unchanged(grid, rng):
+    """With an explicit p (not beta conj q) nls_rhs and solve_v_nls keep the general form bitwise."""
+    q = smooth_complex(grid, rng)
+    p = smooth_complex(grid, rng)
+    v, row_mean, imag = solve_v_nls(grid, q, p)
+    w, mean = inv_dx(grid, ddy(grid, p * q))
+    assert np.array_equal(v, np.real(w))
+    assert np.array_equal(row_mean, np.real(mean))
+    assert imag == float(np.max(np.abs(w.imag))) > 1e-3
+    for got, ref in zip(nls_rhs(grid, q, p, v, GEN), general_pair_rhs(grid, q, p, GEN, "spectral")):
+        assert np.array_equal(got, ref)
+
+
+def test_paired_v_is_real_density_solve(grid, rng):
+    q = smooth_complex(grid, rng)
+    for beta in (1, -1):
+        v, row_mean, imag = solve_v_nls(grid, q, None, beta=beta)
+        w, mean = inv_dx(grid, ddy(grid, beta * (q.real ** 2 + q.imag ** 2)))
+        assert np.array_equal(v, w) and np.array_equal(row_mean, mean)
+        assert imag == 0.0
+        v_gen, _, _ = solve_v_nls(grid, q, beta * np.conj(q))
+        assert np.max(np.abs(v - v_gen)) < 1e-13
+    state = make_state(grid, q, NlsParams(c=0.3, beta=-1))
+    assert np.array_equal(state.v, solve_v_nls(grid, q, None, beta=-1)[0])
+    assert state.v_row_mean == float(np.max(np.abs(solve_v_nls(grid, q, None, beta=-1)[1])))
+    assert state.v_row_mean > 1e-3
+
+
+@pytest.mark.parametrize("c, n_complex", [(0.3, 12), (0.0, 8)])
+def test_step_transform_counts(grid, rng, monkeypatch, c, n_complex):
+    """One step: 2 fft + 2 ifft for q_xy and 1 + 1 for (v q)_x per stage; v on rfft/irfft."""
+    calls = dict.fromkeys(("fft", "ifft", "rfft", "irfft"), 0)
+
+    def counted(name):
+        fn = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counted(name))
+    q = smooth_complex(grid, rng)
+    step_rk4_nls(grid, q, NlsParams(c=c, d=1.0), default_dt(grid))
+    assert calls == {"fft": n_complex, "ifft": n_complex, "rfft": 8, "irfft": 8}
+    calls.update(dict.fromkeys(calls, 0))
+    solve_v_nls(grid, q, None)
+    assert calls == {"fft": 0, "ifft": 0, "rfft": 2, "irfft": 2}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_non_finite_q_rejected(grid, rng, bad, part):
+    """A non-finite entry of q is a FieldError, raised before any warning."""
+    q = smooth_complex(grid, rng)
+    q[5, 7] = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FieldError):
+            step_rk4_nls(grid, q, GEN, default_dt(grid))
+        with pytest.raises(FieldError):
+            make_state(grid, q, GEN)
+
+
+def test_overflowing_step_is_a_numerical_abort():
+    """A finite q whose step overflows aborts as unstable, with no warning on the way."""
+    g = Grid2(32, 32)
+    q = smooth_complex(g, np.random.default_rng(3), scale=6.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnstableStepError):
+            for _ in range(10):
+                q, _ = step_rk4_nls(g, q, GEN, default_dt(g))

@@ -1,10 +1,17 @@
-"""Property tests over random admissible parameters and random smooth fields."""
+"""Property tests over random admissible parameters and random smooth fields,
+and over arbitrary config text and MFLD1 bytes."""
+
+import os
+import tempfile
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from m3lab.fields import Grid2, commutator, ddx, inv_dx, meanx
+from m3lab.cli import RunConfig, parse_config_text
+from m3lab.errors import M3LabError
+from m3lab.fields import Grid2, commutator, ddx, inv_dx, meanx, read_mfld1, write_mfld1
 from m3lab.frames import FrameCoeffs, bracket, so3_from_vec
 from m3lab.invariants import coeff_densities
 from m3lab.nls import NlsParams, nls_rhs, solve_v_nls, step_rk4_nls
@@ -84,3 +91,63 @@ def test_coeff_densities_equal_matrix_entry_formula(seed, decades, beta):
     for j, d in enumerate(coeff_densities(co, beta)):
         i, l = (j + 1) % 3, (j + 2) % 3
         assert np.array_equal(d, A[..., j, i] * B[..., j, l] - A[..., j, l] * B[..., j, i])
+
+
+# ---------------------------------------------------------------------------
+# robustness of the two readers
+# ---------------------------------------------------------------------------
+
+config_keys = st.sampled_from(sorted(RunConfig.from_text("").values)
+                              + ["spin.init.eps", "nls.init.k1", "spin.init."])
+config_values = st.one_of(st.text(max_size=12), st.integers().map(str),
+                          st.floats().map(repr), st.sampled_from(["1e999", "-0", "0x10", "1_0"]))
+config_lines = st.one_of(
+    st.text(max_size=40),
+    st.builds(lambda key, sep, value: key + sep + value, config_keys,
+              st.sampled_from([" = ", "=", " == ", " =# "]), config_values))
+
+
+# the readers are cheap, so they get more examples than the profile's default
+@settings(max_examples=100)
+@given(lines=st.lists(config_lines, max_size=6))
+def test_parse_config_raises_only_package_errors(lines):
+    try:
+        parse_config_text("\n".join(lines))
+    except M3LabError:
+        pass
+
+
+header_numbers = st.one_of(st.integers(-3, 40), st.integers(), st.floats().map(repr),
+                           st.text(max_size=4))
+mfld1_headers = st.builds(
+    lambda nums, end: ("MFLD1 " + " ".join(str(n) for n in nums) + end).encode(),
+    st.lists(header_numbers, min_size=4, max_size=6), st.sampled_from(["\n", "", " \n"]))
+
+
+@settings(max_examples=100)
+@given(head=st.one_of(st.binary(max_size=40), mfld1_headers), body=st.binary(max_size=600))
+def test_read_mfld1_raises_only_package_errors(head, body):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.mfld1")
+        with open(path, "wb") as fh:
+            fh.write(head + body)
+        try:
+            read_mfld1(path)
+        except M3LabError:
+            pass
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(nx=st.integers(8, 12), ny=st.integers(8, 12), ncomp=st.integers(1, 5),
+       lx=st.floats(1e-300, 1e300), ly=st.floats(1e-300, 1e300), data=st.data())
+def test_mfld1_round_trip_is_bit_exact(nx, ny, ncomp, lx, ly, data):
+    grid = Grid2(nx, ny, lx, ly)
+    field = data.draw(hnp.arrays(np.float64, (ny, nx, ncomp), elements=finite))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.mfld1")
+        write_mfld1(path, grid, field)
+        grid2, back = read_mfld1(path)
+    assert grid2 == grid
+    assert back.tobytes() == field.astype("<f8").tobytes()
