@@ -235,19 +235,19 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_charges(path: str, samples, scheme, beta: int) -> None:
-    """Charge table, one row per (t, grid, S) sample (invariants.csv, charges.csv)."""
+def _write_charges(path: str, samples, scheme, beta: int) -> list:
+    """Charge table, one row per (t, grid, S) sample; returns their density_dev triples."""
     from .frames import coeffs_from_frame, frame_from_spin
     from .invariants import charges
-    rows = []
+    reports = []
     for t, grid, S in samples:
         F = frame_from_spin(grid, S, scheme)
-        rows.append([t] + charges(grid, F, coeffs_from_frame(grid, F, scheme), scheme,
-                                  beta).as_row())
+        reports.append((t, charges(grid, coeffs_from_frame(grid, F, scheme), beta)))
     with open(path, "w") as fh:
         fh.write("t,K1,K2,K3,Kc1,Kc2,Kc3,Q1,Q2,Q3\n")
-        for row in rows:
-            fh.write(",".join(repr(x) for x in row) + "\n")
+        for t, rep in reports:
+            fh.write(",".join(repr(x) for x in [t] + rep.as_row()) + "\n")
+    return [list(rep.density_dev) for _, rep in reports]
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +277,8 @@ def cmd_simulate_spin(args) -> int:
         data = np.concatenate([st.S, st.u[..., None], st.v[..., None]], axis=-1)
         write_mfld1(os.path.join(out, name), grid, data)
         slices.append(name)
-    _write_charges(os.path.join(out, "invariants.csv"),
-                   ((st.t, grid, st.S) for st in saved), scheme, par.beta)
+    density_dev = _write_charges(os.path.join(out, "invariants.csv"),
+                                 ((st.t, grid, st.S) for st in saved), scheme, par.beta)
     _write_json(os.path.join(out, "meta.json"), {
         "kind": "spin",
         "config_hash": cfg.sha,
@@ -290,6 +290,7 @@ def cmd_simulate_spin(args) -> int:
         "renorm": [st.renorm for st in saved],
         "u_row_mean": [st.u_row_mean for st in saved],
         "v_row_mean": [st.v_row_mean for st in saved],
+        "density_dev": density_dev,
     })
     print(f"saved {len(saved)} slices to {out}")
     return 0
@@ -383,12 +384,13 @@ def cmd_frame(args) -> int:
         (F0, before), (F1, mid), (F2, after) = window
         dt2 = times[idx] - times[idx - 2]
         co = with_time_entries(mid, F1, frame_dt(F0, F2, dt2))
-        stack = np.stack([co.k, co.sigma, co.tau, co.m1, co.m2, co.m3,
-                          co.w1, co.w2, co.w3], axis=-1)
-        write_mfld1(os.path.join(run_dir, f"coeffs_{idx - 1:06d}.mfld1"), grid, stack)
+        write_mfld1(os.path.join(run_dir, f"coeffs_{idx - 1:06d}.mfld1"), grid,
+                    np.stack([co.k, co.sigma, co.tau, co.m1, co.m2, co.m3,
+                              co.w1, co.w2, co.w3], axis=-1))
         res = mlxii_residual(grid, co, scheme, beta, coeffs_before=before,
                              coeffs_after=after, dt2=dt2, frame=F1)
         report["residuals"].append({"t": times[idx - 1], **res})
+        del window[0], F0, before, co  # freed before the next slice is projected
     _write_json(os.path.join(run_dir, "frame_report.json"), report)
     print(f"wrote {len(times)} frame dumps and {max(0, len(times) - 2)} coefficient dumps to {run_dir}")
     return 0

@@ -51,7 +51,7 @@ class EquivReport:
     residual_v: float                    # constraint v_x = (pq)_y
     v_cross: float                       # spin-side v versus q-side v
     ladder: list = field(default_factory=list)   # (h, residual_q) pairs
-    order: float = float("nan")
+    order: float = float("nan")          # NaN below two ladder sizes; null in as_dict
     obstruction: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -61,7 +61,7 @@ class EquivReport:
             "residual_v": self.residual_v,
             "v_cross": self.v_cross,
             "ladder": [[h, r] for h, r in self.ladder],
-            "order": self.order,
+            "order": self.order if np.isfinite(self.order) else None,  # JSON has no NaN
             "obstruction": self.obstruction,
         }
 

@@ -19,7 +19,8 @@ is the executable statement checked by mlxii_residual.  Each matrix entry is
 = so3_from_vec(*bracket(a, b, beta)), so the residuals are evaluated on the
 triples (scalar derivatives and the bracket, no (..., 3, 3) array) and have
 exactly the max-norms of the matrix forms.  The identities such as
-tau_y - m1_x = e1.(e1x ^ e1y) read their left-hand side off the same a_y - b_x.
+tau_y - m1_x = e1.(e1x ^ e1y) read their left-hand side off the same a_y - b_x
+and their right-hand side off the densities that coeffs_from_frame keeps.
 
 The Frenet gauge (sigma = 0, k >= 0) is the default frame construction:
 e1 = S, e2 = S_x/|S_x|, e3 = e1 ^ e2, with a deterministic left-scan fill
@@ -80,6 +81,7 @@ class FrameCoeffs:
     w1: np.ndarray = None
     w2: np.ndarray = None
     w3: np.ndarray = None
+    densities: tuple = None  # (e_j.(e_jx ^ e_jy) for j = 1, 2, 3), from coeffs_from_frame
 
     def has_time_entries(self) -> bool:
         return self.w1 is not None
@@ -101,6 +103,12 @@ def _fallback_normal(e1: np.ndarray) -> np.ndarray:
     return normalized3(perp)
 
 
+def _fill_columns(mask: np.ndarray) -> np.ndarray:
+    """Nearest unmasked column at or left of each point, wrapping (-1 on dead rows)."""
+    cols = np.maximum.accumulate(np.where(mask, -1, np.arange(mask.shape[1])), axis=1)
+    return np.where(cols < 0, cols[:, -1:], cols)
+
+
 def frame_from_spin(grid: Grid2, S: np.ndarray, scheme=SPECTRAL,
                     tol: float = DEGENERACY_TOL) -> FrameField:
     """Frenet-gauge frame: e1 = S, e2 = S_x/|S_x|, e3 = e1 ^ e2.
@@ -120,23 +128,10 @@ def frame_from_spin(grid: Grid2, S: np.ndarray, scheme=SPECTRAL,
             f"degenerate spin field: |S_x| < {tol} at {n_bad} of {mask.size} points")
 
     e2 = Sx / np.where(mask, 1.0, k)[..., None]
-
     if n_bad:
-        fill = mask.copy()
+        e2 = e2[np.arange(grid.ny)[:, None], _fill_columns(mask)]
         row_dead = mask.all(axis=1)
-        if np.any(row_dead):
-            e2[row_dead] = _fallback_normal(e1[row_dead])
-            fill[row_dead] = False
-        rows_alive = np.where(~row_dead & fill.any(axis=1))[0]
-        if rows_alive.size:
-            alive = ~fill[rows_alive]  # (n_alive, nx), True where e2 valid
-            last = grid.nx - 1 - np.argmax(alive[:, ::-1], axis=1)
-            carry = e2[rows_alive, last].copy()
-            for i in range(grid.nx):
-                need = fill[rows_alive, i]
-                if np.any(need):
-                    e2[rows_alive[need], i] = carry[need]
-                carry[~need] = e2[rows_alive[~need], i]
+        e2[row_dead] = _fallback_normal(e1[row_dead])
 
     # orthogonalize against e1 (removes both fill misalignment and the tiny
     # discrete S.S_x residue), then complete the right-handed triad
@@ -158,24 +153,25 @@ def frame_dt(before: FrameField, after: FrameField, dt2: float):
 
 def coeffs_from_frame(grid: Grid2, F: FrameField, scheme=SPECTRAL,
                       dF_dt=None) -> FrameCoeffs:
-    """Transport coefficients by projection.
+    """Transport coefficients by projection, and the densities e_j.(e_jx ^ e_jy).
 
     k = e2.e1_x, sigma = -e3.e1_x, tau = e3.e2_x,
     m1 = e3.e2_y, m2 = -e3.e1_y, m3 = e2.e1_y,
     and, when frame velocities are supplied,
     w1 = e3.e2_t, w2 = -e3.e1_t, w3 = e2.e1_t.
+    Each e_j is differentiated once along x and y, and released before the next.
     """
-    e1x = ddx(grid, F.e1, scheme)
-    e2x = ddx(grid, F.e2, scheme)
-    e1y = ddy(grid, F.e1, scheme)
-    e2y = ddy(grid, F.e2, scheme)
-    k = dot3(F.e2, e1x)
-    sigma = -dot3(F.e3, e1x)
-    tau = dot3(F.e3, e2x)
-    m1 = dot3(F.e3, e2y)
-    m2 = -dot3(F.e3, e1y)
-    m3 = dot3(F.e2, e1y)
-    coeffs = FrameCoeffs(k=k, sigma=sigma, tau=tau, m1=m1, m2=m2, m3=m3)
+    e1x, e1y = ddx(grid, F.e1, scheme), ddy(grid, F.e1, scheme)
+    k, sigma = dot3(F.e2, e1x), -dot3(F.e3, e1x)
+    m2, m3 = -dot3(F.e3, e1y), dot3(F.e2, e1y)
+    d1 = _density(F.e1, e1x, e1y)
+    del e1x, e1y
+    e2x, e2y = ddx(grid, F.e2, scheme), ddy(grid, F.e2, scheme)
+    tau, m1 = dot3(F.e3, e2x), dot3(F.e3, e2y)
+    d2 = _density(F.e2, e2x, e2y)
+    del e2x, e2y
+    coeffs = FrameCoeffs(k=k, sigma=sigma, tau=tau, m1=m1, m2=m2, m3=m3,
+                         densities=(d1, d2, charge_density(grid, F.e3, scheme)))
     return coeffs if dF_dt is None else with_time_entries(coeffs, F, dF_dt)
 
 
@@ -220,9 +216,13 @@ def bracket(a, b, beta: int = 1) -> tuple:
     return beta * c1, c2, c3
 
 
+def _density(e: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+    return dot3(e, cross3(ex, ey))
+
+
 def charge_density(grid: Grid2, e: np.ndarray, scheme=SPECTRAL) -> np.ndarray:
     """e . (e_x ^ e_y) for a unit vector field e."""
-    return dot3(e, cross3(ddx(grid, e, scheme), ddy(grid, e, scheme)))
+    return _density(e, ddx(grid, e, scheme), ddy(grid, e, scheme))
 
 
 def mlxii_residual(grid: Grid2, coeffs: FrameCoeffs, scheme=SPECTRAL, beta: int = 1,
@@ -232,9 +232,10 @@ def mlxii_residual(grid: Grid2, coeffs: FrameCoeffs, scheme=SPECTRAL, beta: int 
 
     Always reports the max-norm of A_y - B_x + [A,B].  With coefficient
     snapshots at t -/+ dt supplied, also reports A_t - C_x + [A,C] and
-    B_t - C_y + [B,C] (time derivatives by central difference).  With the
-    frame supplied, adds the pointwise cross-checks of the coefficient
-    combinations against the triple products e_j.(e_jx ^ e_jy).
+    B_t - C_y + [B,C] (time derivatives by central difference).  With
+    `frame`, the frame these coefficients were projected from, adds the
+    pointwise cross-checks against the triple products e_j.(e_jx ^ e_jy),
+    read from coeffs.densities.
 
     Evaluated on the coefficient triples, e.g. a_y - b_x + bracket(a, b);
     each max-norm equals that of the matrix form.
@@ -256,9 +257,9 @@ def mlxii_residual(grid: Grid2, coeffs: FrameCoeffs, scheme=SPECTRAL, beta: int 
         #   tau_y - m1_x   = e1.(e1x ^ e1y)
         #   sigma_y - m2_x = e2.(e2x ^ e2y)
         #   k_y - m3_x     = e3.(e3x ^ e3y)
-        for name, d, e, sign in zip(("e1", "e2", "e3"), D, (frame.e1, frame.e2, frame.e3),
-                                    (1, beta, beta)):
-            out[f"identity_{name}"] = max_norm(d - sign * charge_density(grid, e, scheme))
+        for name, d, dens, sign in zip(("e1", "e2", "e3"), D, coeffs.densities,
+                                       (1, beta, beta)):
+            out[f"identity_{name}"] = max_norm(d - sign * dens)
     return out
 
 
@@ -278,9 +279,9 @@ def m_coeffs_from_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
         m3 = inv_dx(k_y + sigma m1 - tau m2),
 
     with the per-row antiderivative constants (lost to the periodic zero-mean
-    inv_dx) restored from frame projections.  The m2/m3 circularity at
-    sigma != 0 is resolved by a damped fixed point; sigma = 0 short-circuits
-    to the direct formulas.  The time entries then follow from the dynamics:
+    inv_dx) restored from frame projections.  From m2 = u_x / k, the m2/m3
+    circularity at sigma != 0 is resolved by a damped fixed point, skipped
+    when max|sigma| < 1e-12.  The time entries then follow from the dynamics:
 
         w2 = -m3_x - tau m2 + u sigma + 2l(cl+d) m2 - 4 c v sigma
         w3 =  m2_x - tau m3 + u k     + 2l(cl+d) m3 - 4 c v k
@@ -304,13 +305,10 @@ def m_coeffs_from_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
     m1 = u + inv_dx(grid, tau_y).field + meanx(proj.m1)
     m3_mean = meanx(proj.m3)
 
-    if float(np.max(np.abs(sigma))) < 1e-12:
-        m2 = u_x / k_safe
-        m3 = inv_dx(grid, ddy(grid, k, scheme) - tau * m2).field + m3_mean
-    else:
-        k_y = ddy(grid, k, scheme)
-        m2 = u_x / k_safe
-        m3 = inv_dx(grid, k_y + sigma * m1 - tau * m2).field + m3_mean
+    k_y = ddy(grid, k, scheme)
+    m2 = u_x / k_safe
+    m3 = inv_dx(grid, k_y + sigma * m1 - tau * m2).field + m3_mean
+    if float(np.max(np.abs(sigma))) >= 1e-12:
         for _ in range(FIXED_POINT_MAX_ITER):
             m2_new = (u_x + sigma * m3) / k_safe
             m3_new = inv_dx(grid, k_y + sigma * m1 - tau * m2_new).field + m3_mean

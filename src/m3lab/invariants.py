@@ -4,8 +4,8 @@ Vector form (ground truth):
 
     K_j = integral of e_j . (e_jx ^ e_jy),   Q_j = K_j / (4 pi)
 
-with the density e.(e_x ^ e_y) from frames.charge_density, the same
-function that the frame identity check in mlxii_residual uses.
+with the density e.(e_x ^ e_y) of frames.charge_density; charges reads it
+from FrameCoeffs.densities, as the identity check in mlxii_residual does.
 
 Coefficient form: the same densities expressed through the coefficient
 triples a = (tau, sigma, k) and b = (m1, m2, m3) as
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SPECTRAL, Grid2, integrate2
-from .frames import FrameCoeffs, FrameField, bracket, charge_density
+from .fields import Grid2, integrate2
+from .frames import FrameCoeffs, bracket, charge_density  # noqa: F401 - re-exported
 
 FOUR_PI = 4.0 * np.pi
 
@@ -49,13 +49,12 @@ def coeff_densities(coeffs: FrameCoeffs, beta: int = 1):
     return [-beta * c for c in bracket(a, b, beta)]
 
 
-def charges(grid: Grid2, F: FrameField, coeffs: FrameCoeffs, scheme=SPECTRAL,
-            beta: int = 1) -> ChargeReport:
-    """All six integrals plus the pointwise density agreement check."""
-    dens_v = [charge_density(grid, e, scheme) for e in (F.e1, F.e2, F.e3)]
+def charges(grid: Grid2, coeffs: FrameCoeffs, beta: int = 1) -> ChargeReport:
+    """All six integrals plus the pointwise density agreement check, for
+    coefficients from coeffs_from_frame (their `densities` are the vector form)."""
     dens_c = coeff_densities(coeffs, beta)
-    k_vec = tuple(integrate2(grid, d) for d in dens_v)
+    k_vec = tuple(integrate2(grid, d) for d in coeffs.densities)
     k_coe = tuple(integrate2(grid, d) for d in dens_c)
-    dev = tuple(float(np.max(np.abs(dv - dc))) for dv, dc in zip(dens_v, dens_c))
+    dev = tuple(float(np.max(np.abs(dv - dc))) for dv, dc in zip(coeffs.densities, dens_c))
     q = tuple(kj / FOUR_PI for kj in k_vec)
     return ChargeReport(k_vector=k_vec, k_coeff=k_coe, q=q, density_dev=dev)

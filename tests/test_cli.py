@@ -149,7 +149,8 @@ output_dir = spinrun
 
 
 def test_simulate_spin_meta_diagnostics(tmp_path):
-    """Per-slice renorm and solvability row means; MFLD1 reruns stay identical."""
+    """Per-slice renorm, solvability row means and charge density gaps; MFLD1,
+    meta.json and invariants.csv reruns stay identical."""
     a, b = _rerun_files(tmp_path, LUMP_CFG, "simulate-spin", "spinrun")
     assert a == b
     meta = json.loads((tmp_path / "a" / "spinrun" / "meta.json").read_text())
@@ -161,6 +162,11 @@ def test_simulate_spin_meta_diagnostics(tmp_path):
     assert meta["max_renorm"] == max(meta["renorm"])
     assert min(meta["u_row_mean"]) > 1e-3
     assert min(meta["v_row_mean"]) > 1e-3
+    assert len(meta["density_dev"]) == n
+    assert all(len(dev) == 3 and min(dev) >= 0.0 for dev in meta["density_dev"])
+    for name in ("meta.json", "invariants.csv"):
+        assert ((tmp_path / "a" / "spinrun" / name).read_bytes()
+                == (tmp_path / "b" / "spinrun" / name).read_bytes())
 
 
 def test_simulate_nls_deterministic(tmp_path):
@@ -291,6 +297,18 @@ def test_equiv_check_small_ladder(spin_run, tmp_path):
     rep = json.loads((spin_run / "equiv_report.json").read_text())
     assert rep["order"] > 1.5
     assert len(rep["ladder"]) == 3
+
+
+def test_equiv_check_one_size_ladder_writes_strict_json(spin_run, tmp_path):
+    """No order can be fitted to one grid size: the report says null, not NaN."""
+    assert main(["--output-dir", str(tmp_path), "equiv-check", "spinrun", "--ladder", "16"]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    rep = json.loads((spin_run / "equiv_report.json").read_text(), parse_constant=reject)
+    assert rep["order"] is None
+    assert len(rep["ladder"]) == 1
 
 
 def test_lambda_check(capsys):

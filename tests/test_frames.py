@@ -3,10 +3,22 @@ import pytest
 
 from m3lab.convergence import fit_order
 from m3lab.errors import DegenerateFieldError, IdentificationError
-from m3lab.fields import Grid2, commutator, cross3, ddx, ddy, dot3, matmul, max_norm
+from m3lab.fields import (
+    Grid2,
+    commutator,
+    cross3,
+    ddx,
+    ddy,
+    dot3,
+    matmul,
+    max_norm,
+    norm3,
+    normalized3,
+)
 from m3lab.frames import (
     FrameCoeffs,
     FrameField,
+    _fill_columns,
     coeffs_from_frame,
     frame_dt,
     frame_from_spin,
@@ -78,6 +90,59 @@ def test_frame_mask_fill_is_deterministic(grid):
     assert np.array_equal(F1.e2, F2.e2)
     assert 0.0 < F1.mask.mean() < 0.5
     assert F1.gram_deviation() < 1e-9  # fill is re-orthogonalized
+
+
+def left_scan_loop(e2, mask):
+    """The degenerate fill as a column-by-column loop: each masked point takes
+    the value carried from the nearest unmasked column to its left, a row's
+    leading masked columns the value of its last unmasked column; rows masked
+    end to end are left as they are."""
+    e2 = e2.copy()
+    for row in np.where(mask.any(axis=1) & ~mask.all(axis=1))[0]:
+        carry = e2[row, np.where(~mask[row])[0][-1]].copy()
+        for i in range(mask.shape[1]):
+            if mask[row, i]:
+                e2[row, i] = carry
+            else:
+                carry = e2[row, i]
+    return e2
+
+
+def test_fill_columns_match_left_scan_loop(rng):
+    """Random masks with dead rows and masked first columns: the vectorised
+    source columns reproduce the loop, bit for bit."""
+    for _ in range(50):
+        ny, nx = rng.integers(1, 9), rng.integers(1, 12)
+        mask = rng.random((ny, nx)) < rng.uniform(0.1, 0.9)
+        mask[rng.random(ny) < 0.2] = True           # dead rows
+        mask[rng.random(ny) < 0.5, 0] = True        # masked first column
+        values = rng.normal(size=(ny, nx, 3))
+        cols = _fill_columns(mask)
+        alive = ~mask.all(axis=1)
+        assert np.all(cols[~alive] == -1)
+        got = np.take_along_axis(values, cols[..., None], axis=1)
+        assert np.array_equal(got[alive], left_scan_loop(values, mask)[alive])
+
+
+def test_frame_fill_matches_left_scan_loop():
+    """frame_from_spin on a field with masked rows end to end and a masked
+    band through column 0 (so the fill wraps): off the dead rows, e2 is the
+    loop's fill orthonormalized against e1, bit for bit."""
+    g = Grid2(32, 32)
+    X, Y = g.meshgrid()
+    theta = np.sin(Y) * np.cos(X)
+    S = np.stack([np.sin(theta), np.zeros_like(X), np.cos(theta)], axis=-1)
+    tol = 0.3
+    F = frame_from_spin(g, S, tol=tol)
+    Sx = ddx(g, S)
+    mask = norm3(Sx) < tol
+    dead = mask.all(axis=1)
+    assert np.array_equal(F.mask, mask)
+    assert 0 < dead.sum() and mask[~dead, 0].all() and 0.2 < mask.mean() < 0.5
+    e1 = F.e1[~dead]
+    e2 = left_scan_loop(Sx / np.where(mask, 1.0, norm3(Sx))[..., None], mask)[~dead]
+    assert np.array_equal(F.e2[~dead], normalized3(e2 - dot3(e2, e1)[..., None] * e1))
+    assert F.gram_deviation() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +291,30 @@ def test_mlxii_residual_equals_matrix_form(init, scheme, beta):
             assert got == matrix_residual(g, mid, scheme, beta, frame=frame, **time)
 
 
+def test_frame_vectors_differentiated_once(monkeypatch):
+    """coeffs_from_frame takes e1, e2, e3 along x and y once each; charges and
+    the identity checks of mlxii_residual read those densities and
+    differentiate no vector field."""
+    import m3lab.fields as fields
+    g = Grid2(32, 32)
+    before, mid, after, F, dt2 = slice_window(g, init_stereographic_lump(g), "spectral")
+    vector_axes = []
+    real = fields._deriv
+
+    def counting(f, *args, axis, **kw):
+        if f.shape == (g.ny, g.nx, 3):
+            vector_axes.append(axis)
+        return real(f, *args, axis=axis, **kw)
+
+    monkeypatch.setattr(fields, "_deriv", counting)
+    coeffs_from_frame(g, F)
+    assert sorted(vector_axes) == [0, 0, 0, 1, 1, 1]    # 3 ddy, 3 ddx
+    vector_axes.clear()
+    charges(g, mid)
+    mlxii_residual(g, mid, coeffs_before=before, coeffs_after=after, dt2=dt2, frame=F)
+    assert vector_axes == []
+
+
 def test_residuals_and_charges_differentiate_no_matrix_field(monkeypatch):
     import m3lab.fields as fields
     g = Grid2(32, 32)
@@ -235,7 +324,7 @@ def test_residuals_and_charges_differentiate_no_matrix_field(monkeypatch):
     monkeypatch.setattr(fields, "_deriv",
                         lambda f, *a, **k: ndims.append(f.ndim) or real(f, *a, **k))
     mlxii_residual(g, mid, coeffs_before=before, coeffs_after=after, dt2=dt2, frame=F)
-    charges(g, F, mid)
+    charges(g, mid)
     assert ndims and max(ndims) <= 3
 
 

@@ -41,7 +41,7 @@ def test_charges_constant_frame(grid):
                    e2=ones * np.array([0, 1.0, 0]),
                    e3=ones * np.array([0, 0, 1.0]))
     co = coeffs_from_frame(grid, F)
-    rep = charges(grid, F, co)
+    rep = charges(grid, co)
     assert rep.k_vector == (0.0, 0.0, 0.0)
     assert rep.k_coeff == (0.0, 0.0, 0.0)
     assert rep.q == (0.0, 0.0, 0.0)
@@ -52,7 +52,7 @@ def test_density_forms_agree_pointwise(grid):
     S = init_modulated_helix(grid, kappa=1, eps=0.1)
     F = frame_from_spin(grid, S)
     co = coeffs_from_frame(grid, F)
-    rep = charges(grid, F, co)
+    rep = charges(grid, co)
     for dev in rep.density_dev:
         assert dev < 1e-9
     for kv, kc in zip(rep.k_vector, rep.k_coeff):
@@ -72,6 +72,6 @@ def test_coeff_density_closed_form(grid):
 def test_charge_report_row(grid):
     S = init_modulated_helix(grid)
     F = frame_from_spin(grid, S)
-    rep = charges(grid, F, coeffs_from_frame(grid, F))
+    rep = charges(grid, coeffs_from_frame(grid, F))
     assert isinstance(rep, ChargeReport)
     assert len(rep.as_row()) == 9
