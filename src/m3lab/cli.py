@@ -357,9 +357,18 @@ def _open_run(args, kind: str):
     return run_dir, meta, cfg
 
 
-def _load_slice(run_dir: str, meta: dict, idx: int):
+def _load_slice(run_dir: str, meta: dict, cfg: RunConfig, idx: int):
+    """(grid, data) of slice idx, checked against the run's grid and slice layout."""
     from .fields import read_mfld1
-    return read_mfld1(os.path.join(run_dir, meta["slices"][idx]))
+    path = os.path.join(run_dir, meta["slices"][idx])
+    if not os.path.exists(path):
+        raise ConfigError(f"slice {path} does not exist")
+    grid, data = read_mfld1(path)
+    comps = SPIN_SLICE_COMPS if meta["kind"] == "spin" else NLS_SLICE_COMPS
+    if grid != cfg.grid() or data.shape[2] != len(comps):
+        raise ConfigError(f"{path}: {data.shape[2]} components on {grid}; the run's slices "
+                          f"have {len(comps)} ({', '.join(comps)}) on {cfg.grid()}")
+    return grid, data
 
 
 def cmd_frame(args) -> int:
@@ -374,7 +383,7 @@ def cmd_frame(args) -> int:
     report = {"config_hash": cfg.sha, "residuals": []}
     window = []  # (frame, coefficients) of the last three slices
     for idx in range(len(times)):
-        grid, data = _load_slice(run_dir, meta, idx)
+        grid, data = _load_slice(run_dir, meta, cfg, idx)
         F = frame_from_spin(grid, data[..., 0:3], scheme)
         write_mfld1(os.path.join(run_dir, f"frame_{idx:06d}.mfld1"), grid,
                     np.concatenate([F.e1, F.e2, F.e3], axis=-1))
@@ -437,7 +446,7 @@ def cmd_lax_check(args) -> int:
 
     if args.spin_side:
         par = cfg.spin_params()
-        grid, data = _load_slice(run_dir, meta, mid)
+        grid, data = _load_slice(run_dir, meta, cfg, mid)
         S, u, v = data[..., 0:3], data[..., 3], data[..., 4]
         for lam in lams:
             entry = {"lam": [lam.real, lam.imag]}
@@ -449,20 +458,15 @@ def cmd_lax_check(args) -> int:
     else:
         par = cfg.nls_params()
         triple = []
-        grid = None
         for idx in (mid - 1, mid, mid + 1):
-            grid, data = _load_slice(run_dir, meta, idx)
+            grid, data = _load_slice(run_dir, meta, cfg, idx)
             q = data[..., 0] + 1j * data[..., 1]
             p = data[..., 2] + 1j * data[..., 3]
             triple.append((q, p, data[..., 4]))
         dt2 = times[mid + 1] - times[mid - 1]
         for lam in lams:
-            rep = zero_curvature_q(grid, triple[0], triple[1], triple[2], par, lam,
-                                   dt2, scheme)
-            payload["results"].append({"lam": [lam.real, lam.imag],
-                                       "residual": rep["residual"],
-                                       "trace_U": rep["trace_U"],
-                                       "trace_V": rep["trace_V"]})
+            rep = zero_curvature_q(grid, *triple, par, lam, dt2, scheme)
+            payload["results"].append({**rep, "lam": [lam.real, lam.imag]})
 
     out_path = os.path.join(run_dir, "lax_report.json")
     _write_json(out_path, payload)
@@ -483,7 +487,7 @@ def cmd_charges(args) -> int:
 
     def samples():
         for idx, t in enumerate(meta["times"]):
-            grid, data = _load_slice(run_dir, meta, idx)
+            grid, data = _load_slice(run_dir, meta, cfg, idx)
             yield t, grid, data[..., 0:3]
 
     _write_charges(out_path, samples(), cfg["scheme"], cfg["params.beta"])

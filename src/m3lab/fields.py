@@ -93,10 +93,6 @@ class Grid2:
     def ky_half(self) -> np.ndarray:
         return _half_wavenumbers(self.ny, self.hy)
 
-    def zeros(self, comps: int = 0, dtype=float) -> np.ndarray:
-        shape = (self.ny, self.nx) if comps == 0 else (self.ny, self.nx, comps)
-        return np.zeros(shape, dtype=dtype)
-
 
 def _half_wavenumbers(n: int, h: float) -> np.ndarray:
     """Wavenumbers of an rfft of length n, the even-n Nyquist entry set to 0."""

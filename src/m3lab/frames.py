@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateFieldError, IdentificationError
+from .errors import DegenerateFieldError, FieldError, IdentificationError
 from .fields import (
     SPECTRAL,
     Grid2,
@@ -91,6 +91,13 @@ class FrameCoeffs:
         """(a, b, w) = ((tau, sigma, k), (m1, m2, m3), (w1, w2, w3))."""
         return ((self.tau, self.sigma, self.k), (self.m1, self.m2, self.m3),
                 (self.w1, self.w2, self.w3))
+
+
+def _densities(coeffs: FrameCoeffs) -> tuple:
+    if coeffs.densities is None:
+        raise FieldError("these coefficients carry no densities e_j.(e_jx ^ e_jy); "
+                         "coeffs_from_frame supplies them")
+    return coeffs.densities
 
 
 def _fallback_normal(e1: np.ndarray) -> np.ndarray:
@@ -257,7 +264,7 @@ def mlxii_residual(grid: Grid2, coeffs: FrameCoeffs, scheme=SPECTRAL, beta: int 
         #   tau_y - m1_x   = e1.(e1x ^ e1y)
         #   sigma_y - m2_x = e2.(e2x ^ e2y)
         #   k_y - m3_x     = e3.(e3x ^ e3y)
-        for name, d, dens, sign in zip(("e1", "e2", "e3"), D, coeffs.densities,
+        for name, d, dens, sign in zip(("e1", "e2", "e3"), D, _densities(coeffs),
                                        (1, beta, beta)):
             out[f"identity_{name}"] = max_norm(d - sign * dens)
     return out

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Grid2, integrate2
-from .frames import FrameCoeffs, bracket, charge_density  # noqa: F401 - re-exported
+from .frames import FrameCoeffs, _densities, bracket, charge_density  # noqa: F401 - re-exported
 
 FOUR_PI = 4.0 * np.pi
 
@@ -52,9 +52,9 @@ def coeff_densities(coeffs: FrameCoeffs, beta: int = 1):
 def charges(grid: Grid2, coeffs: FrameCoeffs, beta: int = 1) -> ChargeReport:
     """All six integrals plus the pointwise density agreement check, for
     coefficients from coeffs_from_frame (their `densities` are the vector form)."""
-    dens_c = coeff_densities(coeffs, beta)
-    k_vec = tuple(integrate2(grid, d) for d in coeffs.densities)
+    dens_v, dens_c = _densities(coeffs), coeff_densities(coeffs, beta)
+    k_vec = tuple(integrate2(grid, d) for d in dens_v)
     k_coe = tuple(integrate2(grid, d) for d in dens_c)
-    dev = tuple(float(np.max(np.abs(dv - dc))) for dv, dc in zip(coeffs.densities, dens_c))
+    dev = tuple(float(np.max(np.abs(dv - dc))) for dv, dc in zip(dens_v, dens_c))
     q = tuple(kj / FOUR_PI for kj in k_vec)
     return ChargeReport(k_vector=k_vec, k_coeff=k_coe, q=q, density_dev=dev)

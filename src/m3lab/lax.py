@@ -1,25 +1,20 @@
 """2x2 matrix connections, their flatness residuals, and the spectral flow.
 
-The q-side linear problem is
+The q-side linear problem g_x = U g, g_t = 2 Lam g_y + V g, with
+Lam = c lam^2 + d lam, has the cross-derivative compatibility condition
 
-    g_x = U g,    g_t = 2(c lam^2 + d lam) g_y + V g
+    U_t - 2 Lam U_y - V_x + [U, V] = 0.
 
-whose cross-derivative compatibility is
+U and V are traceless, [[a, b], [c, -a]], and are carried as their sl(2)
+entries (a, b, c).  With mu = 2c lam + d,
 
-    U_t - 2(c lam^2 + d lam) U_y - V_x + [U, V] = 0.
+    U = (i Lam,  i mu q,  i mu p)
+    V = mu (-i mu v,  q_y - 4i c v q,  -(p_y + 4i c v p))
 
-With U = i[(c lam^2 + d lam) s3 + (2c lam + d) Q], Q = [[0,q],[p,0]], the
-unique polynomial V for which that residual vanishes identically on
-solutions of the q/p/v system is
-
-    V  = lam^2 B2 + lam B1 + B0
-    B2 = -4i c^2 v s3
-    B1 = -4i c d v s3 - 2 c Q_y s3 - 8i c^2 v Q
-    B0 = -i d^2 v s3 -   d Q_y s3 - 4i c d v Q
-
-(verified symbolically, all powers of lam; B0 is the closed form of
-(d/2c) B1 - (d^2/4c^2) B2 and stays finite at c = 0, where it reproduces the
-Zakharov-limit connection.)
+is the unique polynomial V for which the residual vanishes identically on
+solutions of the q/p/v system (verified symbolically, all powers of lam):
+its lam-expansion lam^2 B2 + lam B1 + B0 summed in closed form.  At c = 0
+it is the Zakharov-limit connection.
 
 The spin-side connection builder is provided verbatim for structural
 diagnostics (tracelessness, algebraic identities); one grouping ambiguity in
@@ -75,16 +70,16 @@ def pauli_identities() -> dict:
     return report
 
 
-def _diag_field(scalar: np.ndarray) -> np.ndarray:
-    """scalar * sigma3 as a matrix field."""
-    return scalar[..., None, None] * SIGMA3
+def _sl2(a, b, c) -> np.ndarray:
+    """[[a, b], [c, -a]] as a complex matrix field; entries broadcast."""
+    a, b, c = np.broadcast_arrays(a, b, c)
+    return np.stack([a, b, c, -a], axis=-1).reshape(a.shape + (2, 2)).astype(complex, copy=False)
 
 
-def _q_matrix(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    Q = np.zeros(q.shape + (2, 2), dtype=complex)
-    Q[..., 0, 1] = q
-    Q[..., 1, 0] = p
-    return Q
+def _sl2_bracket(x, y) -> tuple:
+    """Entries of [_sl2(*x), _sl2(*y)]."""
+    (a, b, c), (e, f, g) = x, y
+    return b * g - c * f, 2.0 * (a * f - b * e), 2.0 * (c * e - a * g)
 
 
 def trace_deviation(M: np.ndarray) -> float:
@@ -92,22 +87,21 @@ def trace_deviation(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.einsum("...ii->...", M))))
 
 
+def _lax_q_entries(grid: Grid2, q, p, v, par, lam: complex, scheme):
+    """sl(2) entries of U and V, and the (q_y, p_y) that V is built from."""
+    c, d = par.c, par.d
+    mu = 2.0 * c * lam + d
+    q_y, p_y = ddy(grid, q, scheme), ddy(grid, p, scheme)
+    U = (1j * (c * lam**2 + d * lam), 1j * mu * q, 1j * mu * p)
+    V = (-1j * mu * mu * v, mu * (q_y - 4j * c * v * q), -mu * (p_y + 4j * c * v * p))
+    return U, V, (q_y, p_y)
+
+
 def build_lax_q(grid: Grid2, q: np.ndarray, p: np.ndarray, v: np.ndarray,
                 par, lam: complex, scheme=SPECTRAL):
     """(U, V) connection for the q-side system at spectral parameter lam."""
-    c, d = par.c, par.d
-    Q = _q_matrix(q, p)
-    Q_y = ddy(grid, Q, scheme)
-    Lam = c * lam**2 + d * lam
-    U = 1j * (Lam * SIGMA3 + (2.0 * c * lam + d) * Q)
-
-    B2 = -4j * c * c * _diag_field(v)
-    B1 = -4j * c * d * _diag_field(v) - 2.0 * c * matmul(Q_y, SIGMA3[None, None]) \
-        - 8j * c * c * v[..., None, None] * Q
-    B0 = -1j * d * d * _diag_field(v) - d * matmul(Q_y, SIGMA3[None, None]) \
-        - 4j * c * d * v[..., None, None] * Q
-    V = lam**2 * B2 + lam * B1 + B0
-    return U, V
+    U, V, _ = _lax_q_entries(grid, q, p, v, par, lam, scheme)
+    return _sl2(*U), _sl2(*V)
 
 
 def zero_curvature_q(grid: Grid2, qpv_before, qpv_mid, qpv_after, par,
@@ -116,16 +110,18 @@ def zero_curvature_q(grid: Grid2, qpv_before, qpv_mid, qpv_after, par,
 
     Each qpv_* is a (q, p, v) triple sampled at t - dt, t, t + dt; U_t is the
     central difference over the 2*dt window.  Vanishes at discretization
-    order on solutions of the q/p/v system.
+    order on solutions of the q/p/v system.  Evaluated on the sl(2) entries,
+    whose max-norm is that of the matrix.
     """
-    U0, _ = build_lax_q(grid, *qpv_before, par, lam, scheme)
-    U, V = build_lax_q(grid, *qpv_mid, par, lam, scheme)
-    U1, _ = build_lax_q(grid, *qpv_after, par, lam, scheme)
-    Lam = par.c * lam**2 + par.d * lam
-    R = (U1 - U0) / dt2 - 2.0 * Lam * ddy(grid, U, scheme) - ddx(grid, V, scheme) \
-        + commutator(U, V)
+    Lam, imu = par.c * lam**2 + par.d * lam, 1j * (2.0 * par.c * lam + par.d)
+    U, V, (q_y, p_y) = _lax_q_entries(grid, *qpv_mid, par, lam, scheme)
+    (q0, p0, _), (q1, p1, _) = qpv_before, qpv_after
+    # U_t - 2 Lam U_y; the diagonal i Lam of U is constant
+    U_flow = (0.0, imu * ((q1 - q0) / dt2 - 2.0 * Lam * q_y),
+              imu * ((p1 - p0) / dt2 - 2.0 * Lam * p_y))
+    R = [uf - ddx(grid, e, scheme) + k for uf, e, k in zip(U_flow, V, _sl2_bracket(U, V))]
     return {"lam": lam, "residual": max_norm(R),
-            "trace_U": trace_deviation(U), "trace_V": trace_deviation(V)}
+            "trace_U": trace_deviation(_sl2(*U)), "trace_V": trace_deviation(_sl2(*V))}
 
 
 def _traceless(M: np.ndarray) -> np.ndarray:
@@ -141,7 +137,7 @@ def build_lax_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
                    par, lam: complex, scheme=SPECTRAL, grouping: str = "factored"):
     """Spin-side connection (U', V') built verbatim; structural use only.
 
-    S enters as the matrix field S.sigma.  The lam^1 coefficient contains an
+    S enters as the matrix field S.sigma = [[S3, S1 - i S2], [S1 + i S2, -S3]].  The lam^1 coefficient contains an
     ambiguously grouped term; grouping="factored" multiplies the whole brace
     by the S matrix (the traceless reading), grouping="split" applies it to
     the derivative term only.
@@ -154,8 +150,7 @@ def build_lax_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
     denom = 2.0 * c * lam + d
     if abs(denom) < 1e-12:
         raise ParameterError(f"|2 c lam + d| = {abs(denom):.3e} too small")
-    Sm = (S[..., 0, None, None] * SIGMA1 + S[..., 1, None, None] * SIGMA2
-          + S[..., 2, None, None] * SIGMA3)
+    Sm = _sl2(S[..., 2], S[..., 0] - 1j * S[..., 1], S[..., 0] + 1j * S[..., 1])
     Sx = ddx(grid, Sm, scheme)
     Sy = ddy(grid, Sm, scheme)
     SSx = _traceless(matmul(Sm, Sx))
@@ -190,12 +185,8 @@ def build_lax_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
 
 def su2_from_vec(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray, beta: int = 1) -> np.ndarray:
     """(1/2i) [[v1, v3 - i v2], [beta(v3 + i v2), -v1]]."""
-    M = np.zeros(np.shape(v1) + (2, 2), dtype=complex)
-    M[..., 0, 0] = v1
-    M[..., 0, 1] = v3 - 1j * np.asarray(v2)
-    M[..., 1, 0] = beta * (v3 + 1j * np.asarray(v2))
-    M[..., 1, 1] = -np.asarray(v1)
-    return M / 2j
+    v2 = np.asarray(v2)
+    return _sl2(v1, v3 - 1j * v2, beta * (v3 + 1j * v2)) / 2j
 
 
 def su2_connection(coeffs, beta: int = 1):

@@ -424,6 +424,46 @@ def test_bad_run_dir_exits_2(tmp_path, capsys, meta_text):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _damage_slice(run, damage):
+    """Rewrite the middle slice of a run: "comps" drops its last component,
+    "grid" writes the same values on a domain of another length."""
+    meta = json.loads((run / "meta.json").read_text())
+    path = run / meta["slices"][len(meta["slices"]) // 2]
+    grid, data = read_mfld1(path)
+    if damage == "comps":
+        write_mfld1(path, grid, data[..., :-1])
+    else:
+        write_mfld1(path, Grid2(grid.nx, grid.ny, 2.0 * grid.lx, grid.ly), data)
+    return path.name
+
+
+@pytest.mark.parametrize("damage", ["comps", "grid"])
+@pytest.mark.parametrize("side, extra", [
+    ("spin", ["frame"]), ("spin", ["charges"]),
+    ("spin", ["lax-check", "--lambda", "0.4,0.2", "--spin-side"]),
+    ("nls", ["lax-check", "--lambda", "0.3,0.1"]),
+], ids=["frame", "charges", "lax-check-spin", "lax-check-q"])
+def test_bad_slice_exits_2_naming_the_file(tmp_path, capsys, side, extra, damage):
+    """Every slice a command reads is checked against the run's grid and layout."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SPIN_CFG if side == "spin" else NLS_CFG)
+    assert main(["--output-dir", str(tmp_path), f"simulate-{side}", str(cfg)]) == 0
+    run = tmp_path / f"{side}run"
+    name = _damage_slice(run, damage)
+    capsys.readouterr()
+    assert main(["--output-dir", str(tmp_path), extra[0], str(run.name), *extra[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert name in err and "components on Grid2" in err
+
+
+def test_missing_slice_exits_2(spin_run, tmp_path, capsys):
+    meta = json.loads((spin_run / "meta.json").read_text())
+    (spin_run / meta["slices"][0]).unlink()
+    assert main(["--output-dir", str(tmp_path), "charges", "spinrun"]) == 2
+    assert meta["slices"][0] in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit codes of every subcommand
 # ---------------------------------------------------------------------------

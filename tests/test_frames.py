@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from m3lab.convergence import fit_order
-from m3lab.errors import DegenerateFieldError, IdentificationError
+from m3lab.errors import DegenerateFieldError, FieldError, IdentificationError
 from m3lab.fields import (
     Grid2,
     commutator,
@@ -363,6 +363,21 @@ def test_identified_shift_family_closed_form(grid):
     assert max_norm(co.m1 - sprime * co.tau) < 1e-10
     assert max_norm(co.m3 - sprime * co.k) < 1e-10
     assert max_norm(co.m2) < 1e-12
+
+
+def test_densities_required_where_read():
+    """Identified coefficients carry no vector densities: charges and the
+    identity checks name what is missing and where it comes from."""
+    g = Grid2(32, 32)
+    S = init_modulated_helix(g, kappa=1, eps=0.1)
+    state = make_state(g, S, PAR)
+    F = frame_from_spin(g, S)
+    co = m_coeffs_from_spin(g, S, state.u, state.v, PAR, frame=F)
+    assert co.densities is None
+    for call in (lambda: charges(g, co), lambda: mlxii_residual(g, co, frame=F)):
+        with pytest.raises(FieldError, match="no densities.*coeffs_from_frame"):
+            call()
+    assert "identity_e1" not in mlxii_residual(g, co)
 
 
 def rotated_frame(grid, S, amplitude):

@@ -114,6 +114,31 @@ def test_lax_q_zakharov_limit(grid, rng):
     assert max_norm(V - V_ref) < 1e-14
 
 
+@pytest.mark.parametrize("beta", [1, -1])
+def test_lax_q_v_is_the_expanded_polynomial(grid, rng, beta):
+    """The factored V equals lam^2 B2 + lam B1 + B0 with the coefficients
+    written out as matrices, at general (c, d, lam)."""
+    par = NlsParams(c=0.37, d=-0.8, beta=beta, model="M3q")
+    q = smooth_complex(grid, rng)
+    p = beta * np.conj(q)
+    v, _, _ = solve_v_nls(grid, q, p)
+    lam = 0.45 - 0.7j
+    c, d = par.c, par.d
+    Q = np.zeros(q.shape + (2, 2), dtype=complex)
+    Q[..., 0, 1] = q
+    Q[..., 1, 0] = p
+    Qy_s3 = matmul(ddy(grid, Q), SIGMA3[None, None])
+    vs3, vQ = v[..., None, None] * SIGMA3, v[..., None, None] * Q
+    B2 = -4j * c * c * vs3
+    B1 = -4j * c * d * vs3 - 2.0 * c * Qy_s3 - 8j * c * c * vQ
+    B0 = -1j * d * d * vs3 - d * Qy_s3 - 4j * c * d * vQ
+    V_ref = lam**2 * B2 + lam * B1 + B0
+    U_ref = 1j * ((c * lam**2 + d * lam) * SIGMA3 + (2.0 * c * lam + d) * Q)
+    U, V = build_lax_q(grid, q, p, v, par, lam)
+    assert max_norm(U - U_ref) < 1e-14 * max_norm(U_ref)
+    assert max_norm(V - V_ref) < 1e-14 * max_norm(V_ref)
+
+
 def test_zero_curvature_constant_diagonal(grid):
     z = np.zeros((grid.ny, grid.nx), dtype=complex)
     v = np.zeros((grid.ny, grid.nx))

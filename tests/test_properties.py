@@ -14,6 +14,7 @@ from m3lab.errors import M3LabError
 from m3lab.fields import Grid2, commutator, ddx, inv_dx, meanx, read_mfld1, write_mfld1
 from m3lab.frames import FrameCoeffs, bracket, so3_from_vec
 from m3lab.invariants import coeff_densities
+from m3lab.lax import _sl2, _sl2_bracket
 from m3lab.nls import NlsParams, nls_rhs, solve_v_nls, step_rk4_nls
 from m3lab.spin import SpinParams, default_dt, spin_rhs, step_rk4_spin
 
@@ -80,6 +81,20 @@ def test_bracket_is_the_so3_commutator(seed, decades, beta):
     a, b = random_triple(rng, decades), random_triple(rng, decades)
     expect = commutator(so3_from_vec(*a, beta), so3_from_vec(*b, beta))
     assert np.array_equal(so3_from_vec(*bracket(a, b, beta), beta), expect)
+
+
+@given(seed=seeds, decades=st.floats(0.0, 16.0))
+def test_sl2_bracket_is_the_commutator(seed, decades):
+    """The entry bracket against the einsum commutator of the assembled
+    traceless matrices, to rounding of the largest product at each point."""
+    rng = np.random.default_rng(seed)
+    x, y = (tuple(r + 1j * i for r, i in zip(random_triple(rng, decades),
+                                             random_triple(rng, decades)))
+            for _ in range(2))
+    got = _sl2(*_sl2_bracket(x, y))
+    expect = commutator(_sl2(*x), _sl2(*y))
+    scale = sum(np.abs(e) for e in x) * sum(np.abs(e) for e in y)
+    assert np.all(np.abs(got - expect) <= 1e-14 * scale[..., None, None])
 
 
 @given(seed=seeds, decades=st.floats(0.0, 16.0), beta=betas)
