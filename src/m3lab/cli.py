@@ -172,9 +172,8 @@ def _initial_from_file(path: str, grid, comps: int):
     if not os.path.exists(path):
         raise ConfigError(f"initial-condition file {path!r} does not exist")
     fgrid, data = read_mfld1(path)
-    if (fgrid.nx, fgrid.ny) != (grid.nx, grid.ny):
-        raise ConfigError(f"{path}: grid {fgrid.nx}x{fgrid.ny} does not match "
-                          f"configured {grid.nx}x{grid.ny}")
+    if fgrid != grid:
+        raise ConfigError(f"{path}: sampled on {fgrid}, the config sets {grid}")
     if data.shape[2] < comps:
         raise ConfigError(f"{path}: {data.shape[2]} components, need at least {comps}")
     return data
@@ -227,6 +226,18 @@ def _run_length(cfg: RunConfig, grid):
         raise ConfigError(f"save_every must be at least 1, got {save_every}")
     dt = dt if dt > 0.0 else default_dt(grid)
     return dt, max(1, int(round(t_end / dt)))
+
+
+def _env() -> dict:
+    """Versions and thread cap a run was made with, recorded in its meta.json."""
+    import platform
+
+    import numpy as np
+
+    from . import __version__
+    return {"m3lab": __version__, "numpy": np.__version__,
+            "python": platform.python_version(),
+            "M3LAB_THREADS": os.environ.get("M3LAB_THREADS") or None}
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -283,6 +294,7 @@ def cmd_simulate_spin(args) -> int:
         "kind": "spin",
         "config_hash": cfg.sha,
         "config": cfg.values,
+        "env": _env(),
         "dt": dt,
         "times": [st.t for st in saved],
         "slices": slices,
@@ -326,6 +338,7 @@ def cmd_simulate_nls(args) -> int:
         "kind": "nls",
         "config_hash": cfg.sha,
         "config": cfg.values,
+        "env": _env(),
         "dt": dt,
         "times": [st.t for st in saved],
         "slices": slices,

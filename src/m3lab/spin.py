@@ -18,9 +18,11 @@ All three share one code path, so the reduction identities hold exactly.
 
 S keeps the package's (ny, nx, 3) layout in and out.  The kernel (spin_rhs,
 and the constraint solve it shares with solve_u, solve_v and make_state)
-splits S once into its three contiguous (ny, nx) component planes and
-takes every derivative, cross and dot product plane by plane, so each
-transform runs over contiguous lanes.
+works on S as one contiguous (3, ny, nx) component stack: S_x, S_y and
+(S ^ S_y)_x are each one derivative of a stack, and the derivatives, cross
+and dot products and u, v are written into the arrays of one workspace,
+which run_spin reuses for every stage of every step; step_rk4_spin copies
+S into its stack once per step and writes the new S once.
 
 The kinematic decomposition S_t = d2 S_x + d3 S_y (with coefficients read off
 a moving frame) lives here as m0_reduce / m0_residual.
@@ -38,7 +40,9 @@ from .fields import (
     Grid2,
     cross_planes,
     ddx,
+    ddx_stack,
     ddy,
+    ddy_stack,
     dot_planes,
     inv_dx,
     march,
@@ -113,27 +117,55 @@ class SpinState:
 
 
 class _Constraints(NamedTuple):
-    Sx: tuple                # S_x, S_y as three (ny, nx) component planes each
-    Sy: tuple
+    Sx: np.ndarray           # S_x, S_y as (3, ny, nx) component stacks
+    Sy: np.ndarray
     u_x: np.ndarray          # -S.(S_x ^ S_y), the u integrand
     u: Antideriv
     v: Antideriv             # None unless par is given
 
 
-def _planes(S: np.ndarray) -> np.ndarray:
-    """The components of a (ny, nx, 3) field as contiguous (ny, nx) planes."""
-    return np.moveaxis(S, -1, 0).copy()
+def _unstack(P: np.ndarray) -> np.ndarray:
+    """A (3, ny, nx) stack as a new (ny, nx, 3) field."""
+    return np.ascontiguousarray(np.moveaxis(P, 0, -1))
 
 
-def _constraints(grid: Grid2, S, scheme, par: SpinParams = None) -> _Constraints:
-    """S_x, S_y, the u integrand and u (and v, given par) from the planes of S."""
-    Sx = tuple(ddx(grid, s, scheme) for s in S)
-    Sy = tuple(ddy(grid, s, scheme) for s in S)
-    u_x = -dot_planes(S, cross_planes(Sx, Sy))
+class _Workspace:
+    """The stack of S and every array _constraints writes, for (3, ny, nx)
+    stacks of one shape.
+
+    run_spin makes one and reuses it in every stage of every step;
+    _constraints returns views of it.
+    """
+
+    def __init__(self, shape):
+        self.P, self.Sx, self.Sy, self.buf = (np.empty(shape) for _ in range(4))
+        self.u_x, self.u, self.v, self.tmp = (np.empty(shape[1:]) for _ in range(4))
+
+
+def _loaded(S: np.ndarray, work=None) -> _Workspace:
+    """work, or a new workspace, with the components of S copied into its stack P."""
+    ws = work or _Workspace((3,) + S.shape[:2])
+    ws.P[...] = np.moveaxis(S, -1, 0)
+    return ws
+
+
+def _constraints(grid: Grid2, P, scheme, par: SpinParams, ws) -> _Constraints:
+    """S_x, S_y, the u integrand and u (and v, given par) from the stack P of S.
+
+    The results live in ws.
+    """
+    Sx = ddx_stack(grid, P, scheme, out=ws.Sx, work=ws.buf)
+    Sy = ddy_stack(grid, P, scheme, out=ws.Sy, work=ws.buf)
+    u_x = dot_planes(P, cross_planes(Sx, Sy, ws.buf, ws.tmp), ws.u_x, ws.tmp)
+    np.negative(u_x, out=u_x)
+    # buf is free again: its planes hold the v integrand, each shifted in place
+    dens, dens_y, work = ws.buf
     v = None
     if par is not None:
-        v = inv_dx(grid, par.v_prefactor * ddy(grid, dot_planes(Sx, Sx), scheme))
-    return _Constraints(Sx, Sy, u_x, inv_dx(grid, u_x), v)
+        ddy_stack(grid, dot_planes(Sx, Sx, dens, ws.tmp), scheme, out=dens_y, work=dens)
+        dens_y *= par.v_prefactor
+        v = inv_dx(grid, dens_y, out=ws.v, work=dens_y)
+    return _Constraints(Sx, Sy, u_x, inv_dx(grid, u_x, out=ws.u, work=work), v)
 
 
 def solve_u(grid: Grid2, S: np.ndarray, scheme=SPECTRAL):
@@ -142,12 +174,28 @@ def solve_u(grid: Grid2, S: np.ndarray, scheme=SPECTRAL):
     Returns (u, row_mean) where row_mean is the discarded x-mean of the
     integrand (solvability diagnostic; zero for topologically trivial rows).
     """
-    return _constraints(grid, _planes(S), scheme).u
+    ws = _loaded(S)
+    return _constraints(grid, ws.P, scheme, None, ws).u
 
 
 def solve_v(grid: Grid2, S: np.ndarray, par: SpinParams, scheme=SPECTRAL):
     """v with v_x = (S_x.S_x)_y / (4(2cl+d)^2), zero x-mean; returns (v, row_mean)."""
-    return _constraints(grid, _planes(S), scheme, par).v
+    ws = _loaded(S)
+    return _constraints(grid, ws.P, scheme, par, ws).v
+
+
+def _rhs(grid: Grid2, P: np.ndarray, par: SpinParams, scheme, ws) -> np.ndarray:
+    """S_t of the stack P of S, as a new (3, ny, nx) stack."""
+    Sx, Sy, u_x, (u, _), (v, _) = _constraints(grid, P, scheme, par, ws)
+    flux = cross_planes(P, Sy, ws.buf, ws.tmp)
+    out = ddx_stack(grid, flux, scheme, work=flux)
+    out += np.multiply(u_x, P, out=ws.buf)
+    out += np.multiply(u, Sx, out=ws.buf)
+    if par.drift != 0.0:
+        out += np.multiply(par.drift, Sy, out=ws.buf)
+    if par.c != 0.0:
+        out -= np.multiply(np.multiply(4.0 * par.c, v, out=ws.tmp), Sx, out=ws.buf)
+    return out
 
 
 def spin_rhs(grid: Grid2, S: np.ndarray, par: SpinParams, scheme=SPECTRAL) -> np.ndarray:
@@ -159,31 +207,23 @@ def spin_rhs(grid: Grid2, S: np.ndarray, par: SpinParams, scheme=SPECTRAL) -> np
     solvability defect); substituting the exact u_x keeps S_t orthogonal to
     S to rounding instead of to the size of that defect.
 
-    Computed on the three contiguous component planes of S, so every
-    transform runs over contiguous lanes; the (ny, nx, 3) result is written
-    once.  A non-finite S is rejected (FieldError) by the derivatives of
-    its planes, which check their input.
+    Computed on the (3, ny, nx) component stack of S; the (ny, nx, 3)
+    result is written once.  A non-finite S is rejected (FieldError) by the
+    derivatives of the stack, which check their input.
     """
-    P = _planes(S)
-    Sx, Sy, u_x, (u, _), (v, _) = _constraints(grid, P, scheme, par)
-    rhs = np.empty_like(S)
-    for i, flux in enumerate(cross_planes(P, Sy)):
-        r = ddx(grid, flux, scheme)
-        r += u_x * P[i]
-        r += u * Sx[i]
-        if par.drift != 0.0:
-            r += par.drift * Sy[i]
-        if par.c != 0.0:
-            r -= (4.0 * par.c) * v * Sx[i]
-        rhs[..., i] = r
-    return rhs
+    ws = _loaded(S)
+    return _unstack(_rhs(grid, ws.P, par, scheme, ws))
 
 
 def make_state(grid: Grid2, S: np.ndarray, par: SpinParams, t: float = 0.0,
-               scheme=SPECTRAL, renorm: float = 0.0) -> SpinState:
-    """Assemble a SpinState with u, v solved from S (one differentiation of S)."""
-    _, _, _, u, v = _constraints(grid, _planes(S), scheme, par)
-    return SpinState(S=S, u=u.field, v=v.field, t=t, renorm=renorm,
+               scheme=SPECTRAL, renorm: float = 0.0, work=None) -> SpinState:
+    """Assemble a SpinState with u, v solved from S (one differentiation of S).
+
+    work as for step_rk4_spin; u and v are copied out of it.
+    """
+    ws = _loaded(S, work)
+    _, _, _, u, v = _constraints(grid, ws.P, scheme, par, ws)
+    return SpinState(S=S, u=u.field.copy(), v=v.field.copy(), t=t, renorm=renorm,
                      u_row_mean=float(np.max(np.abs(u.row_mean))),
                      v_row_mean=float(np.max(np.abs(v.row_mean))))
 
@@ -194,27 +234,34 @@ def default_dt(grid: Grid2) -> float:
 
 
 def step_rk4_spin(grid: Grid2, S: np.ndarray, par: SpinParams, dt: float,
-                  scheme=SPECTRAL):
+                  scheme=SPECTRAL, work=None):
     """One classical RK4 step of S.
 
     Returns (S renormalized to unit length, the correction max |1 - |S||
-    that renormalization removed).
+    that renormalization removed).  A correction beyond RENORM_LIMIT, or a
+    non-finite one, aborts the step (UnstableStepError).  The stages run
+    on the (3, ny, nx) stack of S with the kernel's arrays in `work`, which
+    run_spin makes once for all its steps; a step without one makes its own.
     """
-    (S_new,) = rk4(grid, lambda y: (spin_rhs(grid, y[0], par, scheme),), (S,), dt)
+    ws = _loaded(S, work)
+    (P_new,) = rk4(grid, lambda y: (_rhs(grid, y[0], par, scheme, ws),), (ws.P,), dt)
+    S_new = _unstack(P_new)
     lengths = norm3(S_new)
     correction = float(np.max(np.abs(lengths - 1.0)))
-    if correction > RENORM_LIMIT:
+    if not correction <= RENORM_LIMIT:
         raise UnstableStepError(f"unstable step: renormalization correction {correction:.3e}")
-    return S_new / lengths[..., None], correction
+    S_new /= lengths[..., None]
+    return S_new, correction
 
 
 def run_spin(grid: Grid2, state: SpinState, par: SpinParams, dt: float,
              n_steps: int, save_every: int = 1, scheme=SPECTRAL):
     """March n_steps, returning the saved states (initial state included)."""
+    work = _Workspace((3,) + state.S.shape[:2])
     return [state] + march(
-        lambda S: step_rk4_spin(grid, S, par, dt, scheme), state.S, state.t, dt,
+        lambda S: step_rk4_spin(grid, S, par, dt, scheme, work), state.S, state.t, dt,
         n_steps, save_every,
-        lambda S, t, renorm: make_state(grid, S, par, t, scheme, renorm))
+        lambda S, t, renorm: make_state(grid, S, par, t, scheme, renorm, work))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 import json
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import m3lab
 from m3lab.cli import RunConfig, build_parser, main, parse_config_text
 from m3lab.errors import ConfigError
 from m3lab.fields import Grid2, read_mfld1, write_mfld1
@@ -245,6 +250,80 @@ def test_initial_condition_from_mfld1(spin_run, tmp_path):
         "grid.nx = 32\ngrid.ny = 32\nmodel = M3\nparams.c = 0.3\n"
         "spin.init = nowhere.mfld1\nt_end = 0.02\noutput_dir = gonerun\n")
     assert main(["--output-dir", str(tmp_path), "simulate-spin", str(gone)]) == 2
+
+
+@pytest.mark.parametrize("side", ["spin", "nls"])
+def test_initial_condition_from_another_domain_exits_2(tmp_path, capsys, side):
+    """An init MFLD1 sampled on [0, 2pi)^2 is not read onto a domain of length 20."""
+    from m3lab.spin import init_modulated_helix
+    g = Grid2(16, 16)
+    path = tmp_path / "helix.mfld1"
+    write_mfld1(path, g, init_modulated_helix(g))
+    base = SPIN_CFG if side == "spin" else NLS_CFG
+    drop = {k.strip(): None for k, _, _ in (ln.partition("=") for ln in base.splitlines())
+            if k.strip().startswith(f"{side}.init.")}
+    cfg = tmp_path / "stretched.cfg"
+    cfg.write_text(_with(base, **drop, **{"grid.nx": 16, "grid.ny": 16, "grid.lx": 20.0,
+                                          f"{side}.init": path}))
+    command = f"simulate-{side}"
+    assert main(["--output-dir", str(tmp_path), command, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "lx=20.0" in err
+    assert not any(tmp_path.glob("*run"))
+    cfg.write_text(_with(base, **drop, **{"grid.nx": 16, "grid.ny": 16, f"{side}.init": path}))
+    assert main(["--output-dir", str(tmp_path), command, str(cfg)]) == 0
+
+
+def test_non_finite_step_exits_3(tmp_path, capsys, monkeypatch):
+    import m3lab.spin as spin
+    monkeypatch.setattr(spin, "_rhs", lambda grid, P, *args: np.full_like(P, np.nan))
+    cfg = tmp_path / "spin.cfg"
+    cfg.write_text(SPIN_CFG)
+    assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 3
+    assert "renormalization correction nan" in capsys.readouterr().err
+
+
+def test_meta_records_env(tmp_path, monkeypatch):
+    monkeypatch.delenv("M3LAB_THREADS", raising=False)
+    want = {"m3lab": m3lab.__version__, "numpy": np.__version__,
+            "python": platform.python_version(), "M3LAB_THREADS": None}
+    for command, text, run in (("simulate-spin", SPIN_CFG, "spinrun"),
+                               ("simulate-nls", NLS_CFG, "nlsrun")):
+        cfg = tmp_path / f"{run}.cfg"
+        cfg.write_text(text)
+        assert main(["--output-dir", str(tmp_path), command, str(cfg)]) == 0
+        assert json.loads((tmp_path / run / "meta.json").read_text())["env"] == want
+
+
+_POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+              "NUMEXPR_NUM_THREADS")
+
+
+@pytest.mark.parametrize("command, run", [("simulate-spin", "spinrun"),
+                                          ("simulate-nls", "nlsrun")])
+def test_simulate_bytes_independent_of_thread_cap(tmp_path, command, run):
+    """BLAS products carry the derivatives: one and two threads write the same
+    MFLD1 bytes.  At n = 128 each product is a 128 x 128 x 128 gemm, large
+    enough for OpenBLAS to split it over two threads (at n = 32 it would run
+    on one thread either way)."""
+    src = os.path.dirname(os.path.dirname(m3lab.__file__))
+    cfg = tmp_path / "run.cfg"
+    base = SPIN_CFG if run == "spinrun" else _with(NLS_CFG, model="M3q", **{"params.c": 0.3})
+    cfg.write_text(_with(base, save_every=1, dt=5e-4, t_end=1e-3,
+                         **{"grid.nx": 128, "grid.ny": 128}))
+    runs = {}
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in _POOL_VARS}
+        env["M3LAB_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "m3lab.cli", "--output-dir", str(out),
+                        command, str(cfg)], env=env, check=True, capture_output=True)
+        meta = json.loads((out / run / "meta.json").read_text())
+        assert meta["env"]["M3LAB_THREADS"] == threads
+        runs[threads] = {f.name: f.read_bytes() for f in sorted((out / run).glob("*.mfld1"))}
+    assert len(runs["1"]) == 3
+    assert runs["1"] == runs["2"]
 
 
 def test_model_key_aliases():

@@ -3,10 +3,17 @@ import pytest
 
 from m3lab.errors import ConfigError, FieldError, M3LabError
 from m3lab.fields import (
+    DENSE_MAX_N,
     Grid2,
+    _spectral_antideriv,
+    _spectral_deriv,
     cross3,
+    cross_planes,
     ddx,
+    ddx_stack,
     ddy,
+    ddy_stack,
+    dot_planes,
     integrate2,
     inv_dx,
     meanx,
@@ -18,6 +25,7 @@ from m3lab.spin import SpinParams, make_state, spin_rhs
 from conftest import band_limited, smooth_spin
 
 TWO_PI = 2.0 * np.pi
+ABOVE = 2 * DENSE_MAX_N      # an axis length on the rfft branch
 
 
 def test_grid_validation():
@@ -151,44 +159,154 @@ def test_cross3_equals_np_cross_bitwise(rng):
     assert np.array_equal(cross3(a, b), np.cross(a, b))
 
 
-def test_spin_rhs_makes_no_complex_transforms(grid, rng, monkeypatch):
-    calls = {"complex": 0, "real": 0}
+def test_plane_products_into_given_arrays_bitwise(rng):
+    """cross_planes and dot_planes give the same bits into given output and
+    scratch arrays as into new ones, and the textbook expressions."""
+    a, b = rng.standard_normal((2, 3, 16, 12))
+    out, tmp = np.empty((3, 16, 12)), np.empty((16, 12))
+    want = np.cross(np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1))
+    assert np.array_equal(np.moveaxis(cross_planes(a, b), 0, -1), want)
+    assert cross_planes(a, b, out, tmp) is out
+    assert np.array_equal(np.moveaxis(out, 0, -1), want)
+    dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    assert np.array_equal(dot_planes(a, b), dot)
+    assert dot_planes(a, b, tmp, out[0]) is tmp
+    assert np.array_equal(tmp, dot)
 
-    def counted(fn, kind):
+
+def _counting(monkeypatch, names):
+    """Count calls of the numpy.fft functions `names`; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        fn = getattr(np.fft, name)
+
         def wrapper(*args, **kwargs):
-            calls[kind] += 1
+            calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("fft", "ifft"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "complex"))
-    monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft, "real"))
-    S = smooth_spin(grid, rng)
-    spin_rhs(grid, S, SpinParams(c=0.3, d=1.0, l=0.2, model="M3"))
-    assert calls["complex"] == 0
-    assert calls["real"] > 0
+    for name in names:
+        monkeypatch.setattr(np.fft, name, counted(name))
+    return calls
+
+
+def test_spin_rhs_makes_no_complex_transforms(rng, monkeypatch):
+    """No complex transform on either branch; real transforms only above DENSE_MAX_N."""
+    par = SpinParams(c=0.3, d=1.0, l=0.2, model="M3")
+    for n, real in ((64, False), (ABOVE, True)):
+        g = Grid2(n, n)
+        S = smooth_spin(g, rng)
+        spin_rhs(g, S, par)  # the operator matrices are built before counting
+        with monkeypatch.context() as m:
+            calls = _counting(m, ("fft", "ifft", "rfft"))
+            spin_rhs(g, S, par)
+        assert calls["fft"] == calls["ifft"] == 0
+        assert (calls["rfft"] > 0) == real
 
 
 def test_spin_kernel_transforms_contiguous_planes(rng, monkeypatch):
-    """spin_rhs and make_state transform 2-D planes only, never (ny, nx, 3) lanes."""
-    seen = []
-
-    def recorded(fn, kind):
-        def wrapper(a, *args, **kwargs):
-            seen.append((kind, a.ndim, a.flags.c_contiguous))
-            return fn(a, *args, **kwargs)
-        return wrapper
-
-    for name in ("rfft", "irfft"):
-        monkeypatch.setattr(np.fft, name, recorded(getattr(np.fft, name), name))
-    g = Grid2(32, 40)
-    S = smooth_spin(g, rng)
+    """spin_rhs and make_state transform 2-D planes only, never (ny, nx, 3)
+    lanes or (3, ny, nx) stacks; a grid whose axes are all on the dense
+    branch makes no transform at all."""
     par = SpinParams(c=0.3, d=1.0, l=0.2, model="M3")
-    spin_rhs(g, S, par)
-    make_state(g, S, par)
-    assert {kind for kind, _, _ in seen} == {"rfft", "irfft"}
-    assert all(ndim == 2 for _, ndim, _ in seen)
-    assert all(contiguous for kind, _, contiguous in seen if kind == "rfft")
+    for g, transforms in ((Grid2(32, 40), False), (Grid2(ABOVE, ABOVE + 8), True)):
+        S = smooth_spin(g, rng)
+        make_state(g, S, par)  # the operator matrices are built before recording
+        seen = []
+
+        def recorded(fn, kind):
+            def wrapper(a, *args, **kwargs):
+                seen.append((kind, a.shape, a.flags.c_contiguous))
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            for name in ("rfft", "irfft"):
+                m.setattr(np.fft, name, recorded(getattr(np.fft, name), name))
+            spin_rhs(g, S, par)
+            make_state(g, S, par)
+        if not transforms:
+            assert seen == []
+            continue
+        assert {kind for kind, _, _ in seen} == {"rfft", "irfft"}
+        assert all(len(shape) == 2 for _, shape, _ in seen)
+        assert all(contiguous for kind, _, contiguous in seen if kind == "rfft")
+
+
+def _reference(op, g, f):
+    """The rfft definition of ddx / ddy / inv_dx on a real field."""
+    if op is inv_dx:
+        return _spectral_antideriv(f, g.kx, g.kx_half)
+    if op is ddx:
+        return _spectral_deriv(f, g.kx, g.kx_half, axis=1)
+    return _spectral_deriv(f, g.ky, g.ky_half, axis=0)
+
+
+def _smooth(g, comps=()):
+    """exp of a few low modes, times a different mode per component."""
+    X, Y = g.meshgrid()
+    x, y = TWO_PI * X / g.lx, TWO_PI * Y / g.ly
+    f = np.exp(np.sin(x) + 0.5 * np.cos(2 * y) + 0.3 * np.sin(x - y))
+    out = np.empty(f.shape + comps)
+    for i, idx in enumerate(np.ndindex(comps)):
+        out[(...,) + idx] = f * np.cos((i + 1) * x + i * y)
+    return out if comps else f
+
+
+@pytest.mark.parametrize("nx, ny", [(32, 32), (33, 33), (32, 40), (128, 128), (ABOVE, ABOVE)])
+@pytest.mark.parametrize("comps", [(), (3,), (3, 3)], ids=["scalar", "vector", "matrix"])
+def test_dense_path_matches_rfft(nx, ny, comps):
+    g = Grid2(nx, ny, lx=2.0, ly=3.0)
+    f = _smooth(g, comps)
+    for op in (ddx, ddy, inv_dx):
+        got = op(g, f)
+        got = got.field if op is inv_dx else got
+        ref = _reference(op, g, f)
+        scale = np.max(np.abs(f if op is inv_dx else ref))
+        assert got.shape == f.shape and got.flags.c_contiguous
+        assert np.max(np.abs(got - ref)) < 1e-13 * scale
+
+
+@pytest.mark.parametrize("nx, ny", [(32, 64), (33, 40), (ABOVE, ABOVE)])
+def test_constant_along_axis_maps_to_zero(nx, ny):
+    g = Grid2(nx, ny)
+    X, Y = g.meshgrid()
+    along_x = np.stack([np.cos(TWO_PI * Y / g.ly) + 3.0, np.exp(Y)], axis=-1)
+    along_y = np.sin(TWO_PI * X / g.lx) - 0.7
+    assert np.all(ddx(g, along_x) == 0.0)
+    assert np.all(inv_dx(g, along_x).field == 0.0)
+    assert np.all(ddy(g, along_y) == 0.0)
+    # the discarded row mean is that of the unshifted integrand, also when
+    # the integrand is its own work array
+    mean = np.squeeze(meanx(along_x), axis=1)
+    assert np.array_equal(inv_dx(g, along_x).row_mean, mean)
+    plane = np.exp(np.cos(TWO_PI * Y / g.ly)) + np.sin(TWO_PI * X / g.lx)
+    want = inv_dx(g, plane)
+    scratch = plane.copy()
+    got = inv_dx(g, scratch, work=scratch)
+    assert np.array_equal(got.field, want.field)
+    assert np.array_equal(got.row_mean, want.row_mean)
+
+
+@pytest.mark.parametrize("nx, ny", [(32, 32), (33, 40), (ABOVE, 64)])
+def test_plane_derivative_is_its_vector_slice(nx, ny):
+    """Bit for bit: a component plane, the (ny, nx, *comps) field it came
+    from and the (comps, ny, nx) stack it sits in give the same numbers."""
+    g = Grid2(nx, ny)
+    for comps in ((3,), (3, 3)):
+        f = _smooth(g, comps)
+        P = np.moveaxis(f.reshape(ny, nx, -1), -1, 0).copy()
+        for op, stack in ((ddx, ddx_stack), (ddy, ddy_stack), (inv_dx, None)):
+            whole = op(g, f)
+            whole = whole.field if op is inv_dx else whole
+            stacked = stack(g, P) if stack else None
+            for i, idx in enumerate(np.ndindex(comps)):
+                plane = op(g, f[(...,) + idx])
+                plane = plane.field if op is inv_dx else plane
+                assert np.array_equal(plane, whole[(...,) + idx])
+                if stack:
+                    assert np.array_equal(plane, stacked[i])
 
 
 def test_integrate2_constant():

@@ -5,7 +5,7 @@ import pytest
 
 from m3lab import nls
 from m3lab.errors import FieldError, NumericalError, ParameterError, UnstableStepError
-from m3lab.fields import Grid2, ddx, ddy, inv_dx, meanx, rk4
+from m3lab.fields import DENSE_MAX_N, Grid2, ddx, ddy, inv_dx, meanx, rk4
 from m3lab.nls import (
     NlsParams,
     init_plane_wave,
@@ -261,26 +261,33 @@ def test_paired_v_is_real_density_solve(grid, rng):
 
 
 @pytest.mark.parametrize("c, n_complex", [(0.3, 12), (0.0, 8)])
-def test_step_transform_counts(grid, rng, monkeypatch, c, n_complex):
-    """One step: 2 fft + 2 ifft for q_xy and 1 + 1 for (v q)_x per stage; v on rfft/irfft."""
-    calls = dict.fromkeys(("fft", "ifft", "rfft", "irfft"), 0)
+def test_step_transform_counts(rng, monkeypatch, c, n_complex):
+    """One step: 2 fft + 2 ifft for q_xy and 1 + 1 for (v q)_x per stage.  v
+    is a real solve: 2 rfft + 2 irfft per solve above DENSE_MAX_N, none
+    (matrix products) at or below it."""
+    for n, n_real in ((64, 0), (2 * DENSE_MAX_N, 2)):
+        grid = Grid2(n, n)
+        q = smooth_complex(grid, rng)
+        solve_v_nls(grid, q, None)  # the operator matrices are built before counting
+        calls = dict.fromkeys(("fft", "ifft", "rfft", "irfft"), 0)
 
-    def counted(name):
-        fn = getattr(np.fft, name)
+        def counted(name):
+            fn = getattr(np.fft, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(np.fft, name, counted(name))
-    q = smooth_complex(grid, rng)
-    step_rk4_nls(grid, q, NlsParams(c=c, d=1.0), default_dt(grid))
-    assert calls == {"fft": n_complex, "ifft": n_complex, "rfft": 8, "irfft": 8}
-    calls.update(dict.fromkeys(calls, 0))
-    solve_v_nls(grid, q, None)
-    assert calls == {"fft": 0, "ifft": 0, "rfft": 2, "irfft": 2}
+        with monkeypatch.context() as m:
+            for name in calls:
+                m.setattr(np.fft, name, counted(name))
+            step_rk4_nls(grid, q, NlsParams(c=c, d=1.0), default_dt(grid))
+            assert calls == {"fft": n_complex, "ifft": n_complex,
+                             "rfft": 4 * n_real, "irfft": 4 * n_real}
+            calls.update(dict.fromkeys(calls, 0))
+            solve_v_nls(grid, q, None)
+            assert calls == {"fft": 0, "ifft": 0, "rfft": n_real, "irfft": n_real}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

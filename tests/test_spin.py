@@ -174,6 +174,22 @@ def test_make_state_constraints_equal_solvers(rng, scheme):
     assert state.v_row_mean == np.max(np.abs(v_mean))
 
 
+@pytest.mark.parametrize("shape", [(32, 40), (136, 8)])
+def test_state_row_means_are_those_of_the_integrands(rng, shape):
+    """The reported row means are the x-means of the u and v integrands,
+    formed here on the (ny, nx, 3) layout."""
+    g = Grid2(*shape)
+    S = smooth_spin(g, rng, amplitude=0.6)
+    Sx, Sy = ddx(g, S), ddy(g, S)
+    u_int = -dot3(S, cross3(Sx, Sy))
+    v_int = PAR.v_prefactor * ddy(g, dot3(Sx, Sx))
+    state = make_state(g, S, PAR)
+    for got, integrand in ((state.u_row_mean, u_int), (state.v_row_mean, v_int)):
+        want = np.max(np.abs(meanx(integrand)))
+        assert want > 1e-6
+        assert abs(got - want) <= 1e-12 * np.max(np.abs(integrand))
+
+
 def test_state_row_means(grid):
     flat = make_state(grid, init_uniform(grid), PAR)
     assert flat.u_row_mean == flat.v_row_mean == 0.0
@@ -266,12 +282,58 @@ def test_unstable_step_rejected():
             S, _ = step_rk4_spin(g, S, par, default_dt(g))
 
 
+def test_non_finite_correction_aborts_the_step(grid, rng, monkeypatch):
+    """A rhs gone non-finite gives a NaN renormalization correction; the step
+    aborts instead of returning a non-finite S."""
+    import m3lab.spin as spin
+    monkeypatch.setattr(spin, "_rhs", lambda grid, P, *args: np.full_like(P, np.nan))
+    with pytest.raises(UnstableStepError, match="correction nan"):
+        step_rk4_spin(grid, smooth_spin(grid, rng), PAR, default_dt(grid))
+
+
 def test_run_spin_save_cadence(grid):
     par = SpinParams(c=0.3, d=1.0, l=0.0, model="M3")
     state = make_state(grid, init_modulated_helix(grid), par)
     saved = run_spin(grid, state, par, default_dt(grid), 6, save_every=3)
     assert len(saved) == 3
     assert saved[1].t == pytest.approx(3 * default_dt(grid))
+
+
+@pytest.mark.parametrize("shape", [(32, 40), (136, 8)])
+def test_step_is_textbook_rk4_on_spin_rhs(rng, shape):
+    """The step's shared buffers give the bits of RK4 written out on spin_rhs
+    and renormalised by norm3."""
+    g = Grid2(*shape)
+    S = smooth_spin(g, rng)
+    dt = default_dt(g)
+    k1 = spin_rhs(g, S, PAR)
+    k2 = spin_rhs(g, S + 0.5 * dt * k1, PAR)
+    k3 = spin_rhs(g, S + 0.5 * dt * k2, PAR)
+    k4 = spin_rhs(g, S + dt * k3, PAR)
+    T = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    length = norm3(T)
+    got, correction = step_rk4_spin(g, S, PAR, dt)
+    assert np.array_equal(got, T / length[..., None])
+    assert correction == np.max(np.abs(length - 1.0))
+
+
+@pytest.mark.parametrize("shape", [(32, 40), (136, 8)])
+def test_run_spin_reuses_its_workspace_exactly(rng, shape):
+    """One workspace serves every stage of every step: the march gives the
+    bits of fresh single steps, and its kept states own their arrays."""
+    g = Grid2(*shape)
+    par = SpinParams(c=0.3, d=1.0, l=0.2, model="M3")
+    state = make_state(g, smooth_spin(g, rng), par)
+    saved = run_spin(g, state, par, default_dt(g), 4, save_every=2)
+    S = state.S
+    for kept in saved[1:]:
+        for _ in range(2):
+            S, renorm = step_rk4_spin(g, S, par, default_dt(g))
+        ref = make_state(g, S, par, kept.t, renorm=renorm)
+        for name in ("S", "u", "v", "renorm", "u_row_mean", "v_row_mean"):
+            assert np.array_equal(getattr(kept, name), getattr(ref, name)), name
+    assert not np.shares_memory(saved[1].u, saved[2].u)
+    assert not np.shares_memory(saved[1].v, saved[2].v)
 
 
 # ---------------------------------------------------------------------------
