@@ -39,43 +39,28 @@ def _apply_thread_cap():
 # Configuration
 # ---------------------------------------------------------------------------
 
-_SCALAR_KEYS = {
-    "grid.nx": int,
-    "grid.ny": int,
-    "grid.lx": float,
-    "grid.ly": float,
-    "scheme": str,
-    "model": str,
-    "spin.model": str,
-    "nls.model": str,
-    "params.c": float,
-    "params.d": float,
-    "params.l": float,
-    "params.beta": int,
-    "spin.init": str,
-    "nls.init": str,
-    "dt": float,
-    "t_end": float,
-    "save_every": int,
-    "output_dir": str,
+# key: (type, default) of every scalar key
+_SCHEMA = {
+    "grid.nx": (int, 64),
+    "grid.ny": (int, 64),
+    "grid.lx": (float, math.tau),
+    "grid.ly": (float, math.tau),
+    "scheme": (str, "spectral"),
+    "model": (str, ""),
+    "spin.model": (str, ""),
+    "nls.model": (str, ""),
+    "params.c": (float, 0.0),
+    "params.d": (float, 1.0),
+    "params.l": (float, 0.0),
+    "params.beta": (int, 1),
+    "spin.init": (str, "modulated-helix"),
+    "nls.init": (str, "plane-wave"),
+    "dt": (float, 0.0),
+    "t_end": (float, 0.1),
+    "save_every": (int, 10),
+    "output_dir": (str, "run"),
 }
 _PREFIX_KEYS = ("spin.init.", "nls.init.")
-
-_DEFAULTS = {
-    "grid.nx": 64, "grid.ny": 64,
-    "grid.lx": 6.283185307179586, "grid.ly": 6.283185307179586,
-    "scheme": "spectral",
-    "model": "",
-    "spin.model": "",
-    "nls.model": "",
-    "params.c": 0.0, "params.d": 1.0, "params.l": 0.0, "params.beta": 1,
-    "spin.init": "modulated-helix",
-    "nls.init": "plane-wave",
-    "dt": 0.0,
-    "t_end": 0.1,
-    "save_every": 10,
-    "output_dir": "run",
-}
 
 
 def parse_config_text(text: str) -> dict:
@@ -89,8 +74,8 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected `key = value`, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key in _SCALAR_KEYS:
-            caster = _SCALAR_KEYS[key]
+        if key in _SCHEMA:
+            caster = _SCHEMA[key][0]
         elif any(key.startswith(p) for p in _PREFIX_KEYS):
             caster = None  # numeric init parameter
         else:
@@ -127,7 +112,7 @@ class RunConfig:
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
         parsed = parse_config_text(text)
-        values = dict(_DEFAULTS)
+        values = {key: default for key, (_, default) in _SCHEMA.items()}
         values.update(parsed)
         canon = "\n".join(f"{k} = {values[k]!r}" for k in sorted(values))
         return cls(values=values, sha=hashlib.sha256(canon.encode()).hexdigest())
@@ -138,7 +123,7 @@ class RunConfig:
         values = meta.get("config")
         if not isinstance(values, dict) or "config_hash" not in meta:
             raise ConfigError("meta.json records no run configuration")
-        missing = sorted(set(_SCALAR_KEYS) - set(values))
+        missing = sorted(set(_SCHEMA) - set(values))
         if missing:
             raise ConfigError(f"meta.json configuration lacks {missing}")
         return cls(values=values, sha=meta["config_hash"])
@@ -440,16 +425,35 @@ def cmd_equiv_check(args) -> int:
 def _parse_lambda(text: str) -> complex:
     try:
         re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
+        lam = complex(float(re_s), float(im_s))
     except ValueError as exc:
         raise ConfigError(f"--lambda expects `re,im`, got {text!r}") from exc
+    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+        raise ConfigError(f"--lambda must be finite, got {text!r}")
+    return lam
+
+
+def _check_lambda(lam: complex, par) -> None:
+    """Reject a lam whose c lam^2 + d lam or (2 c lam + d)^2 overflows."""
+    import numpy as np
+
+    z = np.complex128(lam)
+    with np.errstate(all="ignore"):
+        mu = 2.0 * par.c * z + par.d
+        finite = np.isfinite(par.c * (z * z) + par.d * z) and np.isfinite(mu * mu)
+    if not finite:
+        raise ConfigError(f"--lambda {lam.real!r},{lam.imag!r} overflows c lam^2 + d lam "
+                          f"or (2 c lam + d)^2 at c = {par.c!r}, d = {par.d!r}")
 
 
 def cmd_lax_check(args) -> int:
     from .lax import build_lax_spin, trace_deviation, zero_curvature_q
 
     run_dir, meta, cfg = _open_run(args, "spin" if args.spin_side else "nls")
+    par = cfg.spin_params() if args.spin_side else cfg.nls_params()
     lams = [_parse_lambda(text) for text in args.lam]
+    for lam in lams:
+        _check_lambda(lam, par)
     scheme = cfg["scheme"]
     times = meta["times"]
     if len(times) < 3:
@@ -458,7 +462,6 @@ def cmd_lax_check(args) -> int:
     payload = {"config_hash": cfg.sha, "t": times[mid], "results": []}
 
     if args.spin_side:
-        par = cfg.spin_params()
         grid, data = _load_slice(run_dir, meta, cfg, mid)
         S, u, v = data[..., 0:3], data[..., 3], data[..., 4]
         for lam in lams:
@@ -469,7 +472,6 @@ def cmd_lax_check(args) -> int:
                 entry[f"trace_V_{grouping}"] = trace_deviation(V)
             payload["results"].append(entry)
     else:
-        par = cfg.nls_params()
         triple = []
         for idx in (mid - 1, mid, mid + 1):
             grid, data = _load_slice(run_dir, meta, cfg, idx)
@@ -537,8 +539,8 @@ def cmd_lambda_check(args) -> int:
 def cmd_selftest(args) -> int:
     import numpy as np
     from .fields import Grid2, ddx, inv_dx, meanx
-    from .lax import build_lax_q, pauli_identities, trace_deviation
-    from .nls import NlsParams, nls_rhs, solve_v_nls
+    from .lax import pauli_identities, zero_curvature_q
+    from .nls import NlsParams, init_plane_wave, nls_rhs, plane_wave_omega, solve_v_nls
     from .spin import SpinParams, init_modulated_helix, spin_rhs
     from .fields import dot3
 
@@ -583,9 +585,14 @@ def cmd_selftest(args) -> int:
     tang = float(np.max(np.abs(dot3(S, r3))))
     check(f"spin rhs tangency ({tang:.2e} < 1e-9)", tang < 1e-9)
 
-    U, V = build_lax_q(grid, q, p, v, par, 0.3 + 0.1j)
-    tr = max(trace_deviation(U), trace_deviation(V))
-    check(f"lax builders traceless ({tr:.2e} < 1e-12)", tr < 1e-12)
+    def plane_wave(t):
+        qw = init_plane_wave(grid, 0.5, 1, 2) * np.exp(-1j * plane_wave_omega(grid, par, 1, 2) * t)
+        return qw, np.conj(qw), solve_v_nls(grid, qw, np.conj(qw))[0]
+
+    delta = 1e-3
+    flat = zero_curvature_q(grid, plane_wave(-delta), plane_wave(0.0), plane_wave(delta),
+                            par, 0.3 + 0.1j, 2 * delta)["residual"]
+    check(f"q-side Lax pair flat on the plane wave ({flat:.2e} < 1e-5)", flat < 1e-5)
 
     print("selftest:", "all passed" if not failures else f"{len(failures)} failure(s)")
     return 0 if not failures else 1

@@ -4,7 +4,8 @@ Layout conventions used across the package:
 
   scalar / complex field   ndarray, shape (ny, nx)
   3-vector field           ndarray, shape (ny, nx, 3)
-  2x2 matrix field         ndarray, shape (ny, nx, 2, 2), complex
+  2x2 matrix field         ndarray, shape (ny, nx, 2, 2), complex; only as
+                           the Lax builders' return value, never differentiated
 
 x runs along axis 1 (fastest in memory), y along axis 0.  The domain is the
 periodic rectangle [0, lx) x [0, ly) sampled at x_i = i*hx, y_j = j*hy.
@@ -341,7 +342,10 @@ def normalized3(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Pointwise matrix-field algebra (works for (..., 2, 2) and (..., 3, 3))
+# Pointwise matrix-field algebra (works for (..., 2, 2) and (..., 3, 3)).
+# The package carries connections by their Lie-algebra coordinates
+# (frames.bracket, lax._sl2_bracket); these products are the reference
+# those coordinate forms are tested against.
 # ---------------------------------------------------------------------------
 
 def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:

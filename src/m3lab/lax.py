@@ -17,25 +17,16 @@ its lam-expansion lam^2 B2 + lam B1 + B0 summed in closed form.  At c = 0
 it is the Zakharov-limit connection.
 
 The spin-side connection builder is provided verbatim for structural
-diagnostics (tracelessness, algebraic identities); one grouping ambiguity in
-its lam^1 coefficient is kept behind a flag.
-
-The frame-side su(2) connection mirrors the 3x3 transport system at half
-scale: residual max-norms agree with the so(3) ones after multiplying by 2.
+diagnostics (algebraic identities, the trace of the split reading); one
+grouping ambiguity in its lam^1 coefficient is kept behind a flag.  It too
+works on sl(2) entries, S.sigma and the entries of the real derivatives of
+S, so no connection here is a product or derivative of a matrix field.
 """
 
 import numpy as np
 
 from .errors import ParameterError
-from .fields import (
-    SPECTRAL,
-    Grid2,
-    commutator,
-    ddx,
-    ddy,
-    matmul,
-    max_norm,
-)
+from .fields import SPECTRAL, Grid2, ddx, ddy, max_norm
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -124,99 +115,82 @@ def zero_curvature_q(grid: Grid2, qpv_before, qpv_mid, qpv_after, par,
             "trace_U": trace_deviation(_sl2(*U)), "trace_V": trace_deviation(_sl2(*V))}
 
 
-def _traceless(M: np.ndarray) -> np.ndarray:
-    """Remove the (analytically zero) trace residue left by aliasing."""
-    tr = np.einsum("...ii->...", M)
-    out = M.copy()
-    out[..., 0, 0] -= 0.5 * tr
-    out[..., 1, 1] -= 0.5 * tr
-    return out
+def _spin_entries(w: np.ndarray) -> tuple:
+    """sl(2) entries of w.sigma = [[w3, w1 - i w2], [w1 + i w2, -w3]], w a real 3-vector field."""
+    return w[..., 2], w[..., 0] - 1j * w[..., 1], w[..., 0] + 1j * w[..., 1]
+
+
+def _lin(*terms) -> tuple:
+    """Entries of the sum of k X over (k, X) pairs; k a scalar or a field."""
+    return tuple(sum(k * X[i] for k, X in terms) for i in range(3))
 
 
 def build_lax_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
                    par, lam: complex, scheme=SPECTRAL, grouping: str = "factored"):
     """Spin-side connection (U', V') built verbatim; structural use only.
 
-    S enters as the matrix field S.sigma = [[S3, S1 - i S2], [S1 + i S2, -S3]].  The lam^1 coefficient contains an
-    ambiguously grouped term; grouping="factored" multiplies the whole brace
-    by the S matrix (the traceless reading), grouping="split" applies it to
-    the derivative term only.
+    S enters as S.sigma = [[S3, S1 - i S2], [S1 + i S2, -S3]], carried as its
+    sl(2) entries; S_x and S_y are the entries of the real derivatives of S.
+    The lam^1 coefficient contains an ambiguously grouped term;
+    grouping="factored" multiplies the whole brace by the S matrix (the
+    traceless reading), grouping="split" applies it to the derivative term
+    only.
 
-    The products S S_x and S {...} carry traces proportional to the discrete
-    residue of S.S_x (zero for the continuum unit field); those are projected
-    out so the builder is traceless at rounding for any unit input.
+    For traceless 2x2 A, B the product is AB = [A, B]/2 + tr(AB)/2 I, and
+    tr(S S_x) = 2 S.S_x vanishes for a unit field.  So S S_x and the
+    factored brace are taken as half brackets, traceless by construction
+    (the discrete residue of S.S_x is dropped); the split brace keeps
+    tr(S (S S_x)_y)/2 as the identity part of V.
     """
     c, d, l = par.c, par.d, par.l
     denom = 2.0 * c * lam + d
     if abs(denom) < 1e-12:
         raise ParameterError(f"|2 c lam + d| = {abs(denom):.3e} too small")
-    Sm = _sl2(S[..., 2], S[..., 0] - 1j * S[..., 1], S[..., 0] + 1j * S[..., 1])
-    Sx = ddx(grid, Sm, scheme)
-    Sy = ddy(grid, Sm, scheme)
-    SSx = _traceless(matmul(Sm, Sx))
-
-    U = (1j * c * (lam**2 - l**2) + 1j * d * (lam - l)) * Sm \
-        + (c * (lam - l) / denom) * SSx
-
     denom_l = 2.0 * c * l + d
     if abs(denom_l) < 1e-12:
         raise ParameterError(f"|2 c l + d| = {abs(denom_l):.3e} too small")
-    B = 0.25 * (commutator(Sm, Sy) + 2j * u[..., None, None] * Sm)
-    F2 = -4j * c * c * v[..., None, None] * Sm
-    SSx_y = ddy(grid, SSx, scheme)
-    if grouping == "factored":
-        brace = _traceless(matmul(Sm, SSx_y - commutator(SSx, B)))
-    elif grouping == "split":
-        brace = matmul(Sm, SSx_y) - commutator(SSx, B)
-    else:
+    if grouping not in ("factored", "split"):
         raise ParameterError(f"unknown grouping {grouping!r}")
-    F1 = -4j * c * d * v[..., None, None] * Sm \
-        - (4.0 * c * c / denom_l) * (v * v)[..., None, None] * SSx \
-        - (1j * c / denom_l) * brace
-    F0 = -l * F1 - l * l * F2
-    V = (2.0 * c * (lam**2 - l**2) + 2.0 * d * (lam - l)) * B \
-        + lam**2 * F2 + lam * F1 + F0
-    return U, V
+    Sm = _spin_entries(S)
+    Sx = _spin_entries(ddx(grid, S, scheme))
+    Sy = _spin_entries(ddy(grid, S, scheme))
+    SSx = _lin((0.5, _sl2_bracket(Sm, Sx)))
+    U = _lin((1j * c * (lam**2 - l**2) + 1j * d * (lam - l), Sm), (c * (lam - l) / denom, SSx))
+
+    B = _lin((0.25, _sl2_bracket(Sm, Sy)), (0.5j * u, Sm))
+    F2 = _lin((-4j * c * c * v, Sm))
+    SSx_y = tuple(ddy(grid, e, scheme) for e in SSx)
+    SSx_B = _sl2_bracket(SSx, B)
+    if grouping == "factored":
+        brace = _lin((0.5, _sl2_bracket(Sm, _lin((1.0, SSx_y), (-1.0, SSx_B)))))
+    else:
+        brace = _lin((0.5, _sl2_bracket(Sm, SSx_y)), (-1.0, SSx_B))
+    F1 = _lin((-4j * c * d * v, Sm), (-(4.0 * c * c / denom_l) * v * v, SSx),
+              (-1j * c / denom_l, brace))
+    # lam^2 F2 + lam F1 + F0 with F0 = -l F1 - l^2 F2
+    V = _sl2(*_lin((2.0 * c * (lam**2 - l**2) + 2.0 * d * (lam - l), B),
+                   (lam**2 - l**2, F2), (lam - l, F1)))
+    if grouping == "split":
+        (s0, s1, s2), (e0, e1, e2) = Sm, SSx_y
+        half_tr = 0.5 * (2.0 * s0 * e0 + s1 * e2 + s2 * e1)  # of S (S S_x)_y
+        V += (-(lam - l) * 1j * c / denom_l * half_tr)[..., None, None] * IDENT2
+    return _sl2(*U), V
 
 
 # ---------------------------------------------------------------------------
-# Frame-side su(2) connection
+# Frame-side su(2) generator
 # ---------------------------------------------------------------------------
 
 def su2_from_vec(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray, beta: int = 1) -> np.ndarray:
-    """(1/2i) [[v1, v3 - i v2], [beta(v3 + i v2), -v1]]."""
+    """(1/2i) [[v1, v3 - i v2], [beta(v3 + i v2), -v1]].
+
+    A Lie-algebra homomorphism from the so(3) triples: the commutator of
+    su2_from_vec(*a, beta) and su2_from_vec(*b, beta) is
+    su2_from_vec(*frames.bracket(a, b, beta), beta).  So the su(2) form of
+    the frame transport's flatness is the image of frames.mlxii_residual's.
+    """
     v2 = np.asarray(v2)
     return _sl2(v1, v3 - 1j * v2, beta * (v3 + 1j * v2)) / 2j
-
-
-def su2_connection(coeffs, beta: int = 1):
-    """(U, V, W) from frame coefficients; W is None without time entries."""
-    U = su2_from_vec(coeffs.tau, coeffs.sigma, coeffs.k, beta)
-    V = su2_from_vec(coeffs.m1, coeffs.m2, coeffs.m3, beta)
-    W = None
-    if coeffs.has_time_entries():
-        W = su2_from_vec(coeffs.w1, coeffs.w2, coeffs.w3, beta)
-    return U, V, W
-
-
-def frame_zero_curvature(grid: Grid2, conn_mid, scheme=SPECTRAL,
-                         conn_before=None, conn_after=None, dt2: float = None) -> dict:
-    """Flatness residuals of the su(2) frame connection.
-
-    conn_* are (U, V, W) triples from su2_connection.  Reports the xy
-    residual U_y - V_x + [U,V]; with before/after snapshots also the xt and
-    yt residuals (time derivatives by central difference).
-    """
-    U, V, W = conn_mid
-    out = {"xy": max_norm(ddy(grid, U, scheme) - ddx(grid, V, scheme) + commutator(U, V))}
-    if conn_before is not None and conn_after is not None:
-        if W is None:
-            raise ParameterError("time residuals need w1..w3 in the mid connection")
-        U0, V0, _ = conn_before
-        U1, V1, _ = conn_after
-        out["xt"] = max_norm((U1 - U0) / dt2 - ddx(grid, W, scheme) + commutator(U, W))
-        out["yt"] = max_norm((V1 - V0) / dt2 - ddy(grid, W, scheme) + commutator(V, W))
-    return out
 
 
 # ---------------------------------------------------------------------------

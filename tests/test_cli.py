@@ -88,6 +88,20 @@ def test_config_hash_stable():
     assert a.sha != c.sha
 
 
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
+@pytest.mark.parametrize("name, sha", [
+    ("spin-reference.cfg", "34b82279ff8fec42fca7ae2e0664ddc5930dba9ef1a3b65ab1bf016995a56d16"),
+    ("lump.cfg", "98654baee9533014985ce02bf484a395509259fe164d5bd2daa85b9a6d14e77e"),
+    ("nls-reference.cfg", "1bbaef6ce48dfc7349c876b8f85073949cb15f19901591e645586a985cbd16b8"),
+])
+def test_config_hash_pinned(name, sha):
+    """The hash covers every key with its default filled in: a change to
+    the key set, a type or a default shows here."""
+    assert RunConfig.load(os.path.join(CONFIGS, name)).sha == sha
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -370,6 +384,25 @@ def test_lax_check_spin_side(spin_run, tmp_path):
     assert entry["trace_V_factored"] < 1e-12
 
 
+@pytest.mark.parametrize("side, lam", [
+    ("nls", "1e200,0"), ("nls", "0,1e200"), ("nls", "inf,0"), ("nls", "nan,0"),
+    ("spin", "1e308,0"), ("spin", "nan,0"), ("spin", "0,-inf"),
+])
+def test_lax_check_bad_lambda_exits_2(tmp_path, capsys, side, lam):
+    """A non-finite lambda, or one whose c lam^2 + d lam overflows, is a
+    validation error naming the flag."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SPIN_CFG if side == "spin" else NLS_CFG)
+    assert main(["--output-dir", str(tmp_path), f"simulate-{side}", str(cfg)]) == 0
+    extra = ["--spin-side"] if side == "spin" else []
+    capsys.readouterr()
+    assert main(["--output-dir", str(tmp_path), "lax-check", f"{side}run",
+                 "--lambda", lam, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --lambda") and "Traceback" not in err
+    assert not (tmp_path / f"{side}run" / "lax_report.json").exists()
+
+
 def test_equiv_check_small_ladder(spin_run, tmp_path):
     assert main(["--output-dir", str(tmp_path), "equiv-check", "spinrun",
                  "--ladder", "16,24,32"]) == 0
@@ -403,6 +436,17 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+def test_selftest_fails_on_a_time_reversed_plane_wave(monkeypatch, capsys):
+    """The flatness check can fail: a wave run backwards in time is not a
+    solution, and its residual is O(1)."""
+    import m3lab.nls as nls
+    real = nls.plane_wave_omega
+    monkeypatch.setattr(nls, "plane_wave_omega", lambda *a, **k: -real(*a, **k))
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  q-side Lax pair flat on the plane wave" in out
 
 
 def test_bad_config_exits_2(tmp_path):

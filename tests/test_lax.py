@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from m3lab.errors import ParameterError
-from m3lab.fields import Grid2, commutator, ddy, matmul, max_norm
-from m3lab.frames import coeffs_from_frame, frame_dt, frame_from_spin, mlxii_residual
+from m3lab.fields import Grid2, commutator, ddx, ddy, matmul, max_norm
 from m3lab.lax import (
     IDENT2,
     SIGMA1,
@@ -11,22 +10,26 @@ from m3lab.lax import (
     SIGMA3,
     build_lax_q,
     build_lax_spin,
-    frame_zero_curvature,
     lambda_residual,
     lambda_rhs,
     lambda_solution,
     pauli,
     pauli_identities,
-    su2_connection,
     trace_deviation,
     zero_curvature_q,
 )
 from m3lab.nls import NlsParams, init_plane_wave, plane_wave_omega, solve_v_nls
-from m3lab.spin import SpinParams, default_dt, init_modulated_helix, init_uniform, make_state, run_spin
+from m3lab.spin import SpinParams, init_uniform, make_state
 
 from conftest import smooth_complex, smooth_spin
 
 GEN = NlsParams(c=0.3, d=1.0, model="M3q")
+
+
+def _spin_matrix(w):
+    """w.sigma for a 3-vector field w."""
+    return (w[..., 0, None, None] * SIGMA1 + w[..., 1, None, None] * SIGMA2
+            + w[..., 2, None, None] * SIGMA3)
 
 
 # ---------------------------------------------------------------------------
@@ -45,9 +48,7 @@ def test_pauli_product_table_exact():
 
 
 def test_spin_matrix_squares_to_identity(grid, rng):
-    S = smooth_spin(grid, rng)
-    Sm = (S[..., 0, None, None] * SIGMA1 + S[..., 1, None, None] * SIGMA2
-          + S[..., 2, None, None] * SIGMA3)
+    Sm = _spin_matrix(smooth_spin(grid, rng))
     assert max_norm(matmul(Sm, Sm) - IDENT2) < 1e-12
 
 
@@ -216,9 +217,8 @@ def test_lax_spin_f0_identity(grid, rng):
     S = smooth_spin(grid, rng)
     state = make_state(grid, S, SPAR)
     l = SPAR.l
-    Sm = (S[..., 0, None, None] * SIGMA1 + S[..., 1, None, None] * SIGMA2
-          + S[..., 2, None, None] * SIGMA3)
-    B = 0.25 * (commutator(Sm, ddy(grid, Sm)) + 2j * state.u[..., None, None] * Sm)
+    Sm = _spin_matrix(S)
+    B = 0.25 * (commutator(Sm, _spin_matrix(ddy(grid, S))) + 2j * state.u[..., None, None] * Sm)
 
     def poly_part(lam):
         _, V = build_lax_spin(grid, S, state.u, state.v, SPAR, lam)
@@ -230,42 +230,56 @@ def test_lax_spin_f0_identity(grid, rng):
     assert max_norm(P0 - (-l * F1 - l * l * F2)) < 1e-12
 
 
-# ---------------------------------------------------------------------------
-# frame-side connection
-# ---------------------------------------------------------------------------
-
-def test_frame_zero_curvature_trivial(grid):
-    zero = np.zeros((grid.ny, grid.nx))
-    from m3lab.frames import FrameCoeffs
-    co = FrameCoeffs(k=zero, sigma=zero, tau=zero, m1=zero, m2=zero, m3=zero,
-                     w1=zero, w2=zero, w3=zero)
-    conn = su2_connection(co)
-    rep = frame_zero_curvature(grid, conn, conn_before=conn, conn_after=conn, dt2=0.1)
-    assert rep["xy"] == 0.0 and rep["xt"] == 0.0 and rep["yt"] == 0.0
+def _traceless(M):
+    tr = np.einsum("...ii->...", M)
+    return M - 0.5 * tr[..., None, None] * IDENT2
 
 
-def test_su2_matches_so3_with_factor_two(grid):
-    """Same data, both representations: residual norms differ by exactly 2."""
-    par = SpinParams(c=0.3, d=1.0, l=0.0, model="M3")
-    state = make_state(grid, init_modulated_helix(grid, eps=0.1), par)
-    dt = default_dt(grid)
-    saved = run_spin(grid, state, par, dt, 8, save_every=4)
-    frames = [frame_from_spin(grid, s.S) for s in saved]
-    dt2 = 2 * 4 * dt
-    dF = frame_dt(frames[0], frames[2], dt2)
-    cs = [coeffs_from_frame(grid, f) for f in frames]
-    cmid = coeffs_from_frame(grid, frames[1], dF_dt=dF)
-    r3 = mlxii_residual(grid, cmid, coeffs_before=cs[0], coeffs_after=cs[2], dt2=dt2)
+def _lax_spin_by_matrices(grid, S, u, v, par, lam, grouping):
+    """The spin-side pair by 2x2 matrix-field products, S_x and S_y taken as
+    S.sigma of the real derivatives of S."""
+    c, d, l = par.c, par.d, par.l
+    denom, denom_l = 2 * c * lam + d, 2 * c * l + d
+    Sm, Sx, Sy = _spin_matrix(S), _spin_matrix(ddx(grid, S)), _spin_matrix(ddy(grid, S))
+    SSx = _traceless(matmul(Sm, Sx))
+    U = (1j * c * (lam**2 - l**2) + 1j * d * (lam - l)) * Sm + (c * (lam - l) / denom) * SSx
+    B = 0.25 * (commutator(Sm, Sy) + 2j * u[..., None, None] * Sm)
+    F2 = -4j * c * c * v[..., None, None] * Sm
+    SSx_y = ddy(grid, SSx)
+    if grouping == "factored":
+        brace = _traceless(matmul(Sm, SSx_y - commutator(SSx, B)))
+    else:
+        brace = matmul(Sm, SSx_y) - commutator(SSx, B)
+    F1 = (-4j * c * d * v[..., None, None] * Sm
+          - (4 * c * c / denom_l) * (v * v)[..., None, None] * SSx - (1j * c / denom_l) * brace)
+    F0 = -l * F1 - l * l * F2
+    V = (2 * c * (lam**2 - l**2) + 2 * d * (lam - l)) * B + lam**2 * F2 + lam * F1 + F0
+    return U, V
 
-    def with_w(co):
-        from m3lab.frames import FrameCoeffs
-        return FrameCoeffs(k=co.k, sigma=co.sigma, tau=co.tau, m1=co.m1, m2=co.m2,
-                           m3=co.m3, w1=cmid.w1, w2=cmid.w2, w3=cmid.w3)
 
-    conns = [su2_connection(with_w(cs[0])), su2_connection(cmid), su2_connection(with_w(cs[2]))]
-    r2 = frame_zero_curvature(grid, conns[1], conn_before=conns[0], conn_after=conns[2], dt2=dt2)
-    for key in ("xt", "yt"):
-        assert r3[key] / r2[key] == pytest.approx(2.0, abs=0.1)
+@pytest.mark.parametrize("grouping", ["factored", "split"])
+@pytest.mark.parametrize("lam", [0.4 + 0.2j, -0.7 + 0.05j, 1.3])
+def test_lax_spin_entries_match_matrix_algebra(rng, grouping, lam):
+    grid = Grid2(40, 48, lx=5.0, ly=7.0)
+    S = smooth_spin(grid, rng)
+    state = make_state(grid, S, SPAR)
+    U, V = build_lax_spin(grid, S, state.u, state.v, SPAR, lam, grouping=grouping)
+    U_ref, V_ref = _lax_spin_by_matrices(grid, S, state.u, state.v, SPAR, lam, grouping)
+    assert max_norm(U - U_ref) < 1e-13 * max_norm(U_ref)
+    assert max_norm(V - V_ref) < 1e-13 * max_norm(V_ref)
+
+
+def test_lax_spin_differentiates_no_matrix_field(grid, rng, monkeypatch):
+    import m3lab.fields as fields
+    S = smooth_spin(grid, rng)
+    state = make_state(grid, S, SPAR)
+    ndims = []
+    real = fields._deriv
+    monkeypatch.setattr(fields, "_deriv",
+                        lambda f, *a, **k: ndims.append(f.ndim) or real(f, *a, **k))
+    for grouping in ("factored", "split"):
+        build_lax_spin(grid, S, state.u, state.v, SPAR, 0.4 + 0.2j, grouping=grouping)
+    assert ndims and max(ndims) <= 3
 
 
 # ---------------------------------------------------------------------------

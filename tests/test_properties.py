@@ -14,7 +14,7 @@ from m3lab.errors import M3LabError
 from m3lab.fields import Grid2, commutator, ddx, inv_dx, meanx, read_mfld1, write_mfld1
 from m3lab.frames import FrameCoeffs, bracket, so3_from_vec
 from m3lab.invariants import coeff_densities
-from m3lab.lax import _sl2, _sl2_bracket
+from m3lab.lax import _sl2, _sl2_bracket, su2_from_vec
 from m3lab.nls import NlsParams, nls_rhs, solve_v_nls, step_rk4_nls
 from m3lab.spin import SpinParams, default_dt, spin_rhs, step_rk4_spin
 
@@ -95,6 +95,18 @@ def test_sl2_bracket_is_the_commutator(seed, decades):
     expect = commutator(_sl2(*x), _sl2(*y))
     scale = sum(np.abs(e) for e in x) * sum(np.abs(e) for e in y)
     assert np.all(np.abs(got - expect) <= 1e-14 * scale[..., None, None])
+
+
+@given(seed=seeds, decades=st.floats(0.0, 16.0), beta=betas)
+def test_su2_from_vec_is_a_lie_algebra_homomorphism(seed, decades, beta):
+    """[su2(a), su2(b)] = su2(bracket(a, b)): the su(2) form of the frame
+    transport's flatness is the image of the so(3) triple residual."""
+    rng = np.random.default_rng(seed)
+    a, b = random_triple(rng, decades), random_triple(rng, decades)
+    got = su2_from_vec(*bracket(a, b, beta), beta)
+    expect = commutator(su2_from_vec(*a, beta), su2_from_vec(*b, beta))
+    scale = sum(np.abs(e) for e in a) * sum(np.abs(e) for e in b)
+    assert np.all(np.abs(got - expect) <= 1e-15 * scale[..., None, None])
 
 
 @given(seed=seeds, decades=st.floats(0.0, 16.0), beta=betas)
