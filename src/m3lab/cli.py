@@ -447,6 +447,7 @@ def _check_lambda(lam: complex, par) -> None:
 
 
 def cmd_lax_check(args) -> int:
+    import numpy as np
     from .lax import build_lax_spin, trace_deviation, zero_curvature_q
 
     run_dir, meta, cfg = _open_run(args, "spin" if args.spin_side else "nls")
@@ -480,7 +481,11 @@ def cmd_lax_check(args) -> int:
             triple.append((q, p, data[..., 4]))
         dt2 = times[mid + 1] - times[mid - 1]
         for lam in lams:
-            rep = zero_curvature_q(grid, *triple, par, lam, dt2, scheme)
+            with np.errstate(over="ignore", invalid="ignore"):
+                rep = zero_curvature_q(grid, *triple, par, lam, dt2, scheme)
+            if not math.isfinite(rep["residual"]):
+                raise ConfigError(f"--lambda {lam.real!r},{lam.imag!r} overflows the q-side "
+                                  f"flatness residual at c = {par.c!r}, d = {par.d!r}")
             payload["results"].append({**rep, "lam": [lam.real, lam.imag]})
 
     out_path = os.path.join(run_dir, "lax_report.json")

@@ -15,12 +15,16 @@ and "central4" (periodic 5-point 4th-order stencil).  The periodic
 antiderivative inv_dx is spectral and zero-mean by construction; the per-row
 mean it discards is returned as a solvability diagnostic.
 
-A real field's spectral operators are defined by half-spectrum transforms
-(rfft/irfft along the axis, the n//2+1 non-negative wavenumbers); for even
-n the Nyquist mode, whose derivative is not real, is dropped.  Along an
-axis of n <= DENSE_MAX_N points they run as one dense n x n matrix product
-per (ny, nx) plane instead.  The matrix is that same rfft operator applied
-to the identity, cached per (n, h), so the two paths agree to rounding.
+Every spectral operator reads one wavenumber table per (n, h), cached:
+the fft wavenumbers with the even-n Nyquist entry set to 0, so the Nyquist
+mode, whose derivative is not real, is dropped for real and complex fields
+alike.  A complex field goes through fft/ifft and its derivative is that
+of its real and imaginary parts, so it commutes with conjugation.  A real
+field goes through half-spectrum transforms (rfft/irfft along the axis,
+the first n//2+1 entries of the table).  Along an axis of n <= DENSE_MAX_N
+points its operators run as one dense n x n matrix product per (ny, nx)
+plane instead.  The matrix is that same rfft operator applied to the
+identity, cached per (n, h), so the two paths agree to rounding.
 Each lane is shifted by its first sample before the product: a field
 constant along the axis then maps to exact zeros, as it does through rfft.
 A (ny, nx, *comps) field is taken apart into contiguous component planes
@@ -34,11 +38,11 @@ on a 2-core VM with one OpenBLAS thread (ms, along x / along y):
   128    0.089 / 0.086    0.086 / 0.119
   256    0.91  / 0.91     0.60  / 0.77
 
-so longer axes keep the transforms.  Complex fields always go through
-fft/ifft.  ddx_stack / ddy_stack differentiate a (..., ny, nx) stack of
-planes (the spin kernel carries S as one (3, ny, nx) stack): one product
-over the stack, or on the rfft branch one transform per plane, which
-pocketfft runs faster than one transform over the stack.
+so longer axes keep the transforms.  ddx_stack / ddy_stack differentiate
+a (..., ny, nx) stack of planes (the spin kernel carries S as one
+(3, ny, nx) stack): one product over the stack, or on the rfft branch one
+transform per plane, which pocketfft runs faster than one transform over
+the stack.
 
 The stepping core shared by the spin and NLS solvers also lives here: one
 classical RK4 step (rk4, which owns the dt / stability check) and one save
@@ -99,30 +103,6 @@ class Grid2:
         """X, Y arrays of shape (ny, nx)."""
         return np.meshgrid(self.x, self.y)
 
-    @cached_property
-    def kx(self) -> np.ndarray:
-        return TWO_PI * np.fft.fftfreq(self.nx, d=self.hx)
-
-    @cached_property
-    def ky(self) -> np.ndarray:
-        return TWO_PI * np.fft.fftfreq(self.ny, d=self.hy)
-
-    @cached_property
-    def kx_half(self) -> np.ndarray:
-        return _half_wavenumbers(self.nx, self.hx)
-
-    @cached_property
-    def ky_half(self) -> np.ndarray:
-        return _half_wavenumbers(self.ny, self.hy)
-
-
-def _half_wavenumbers(n: int, h: float) -> np.ndarray:
-    """Wavenumbers of an rfft of length n, the even-n Nyquist entry set to 0."""
-    k = TWO_PI * np.fft.rfftfreq(n, d=h)
-    if n % 2 == 0:
-        k[-1] = 0.0
-    return k
-
 
 def _along(k: np.ndarray, ndim: int, axis: int) -> np.ndarray:
     """k reshaped to broadcast along `axis` of an ndim-dimensional field."""
@@ -139,26 +119,6 @@ def check_finite(f: np.ndarray, name: str = "field") -> np.ndarray:
     return f
 
 
-def _spectral_deriv(f: np.ndarray, k: np.ndarray, k_half: np.ndarray, axis: int) -> np.ndarray:
-    if np.iscomplexobj(f):
-        fhat = np.fft.fft(f, axis=axis)
-        return np.fft.ifft(1j * _along(k, f.ndim, axis) * fhat, axis=axis)
-    fhat = np.fft.rfft(f, axis=axis)
-    fhat *= 1j * _along(k_half, f.ndim, axis)
-    return np.fft.irfft(fhat, n=f.shape[axis], axis=axis)
-
-
-def _spectral_antideriv(f: np.ndarray, k: np.ndarray, k_half: np.ndarray) -> np.ndarray:
-    """Zero-mean periodic antiderivative along axis 1 by FFT (rfft for a real f)."""
-    real = not np.iscomplexobj(f)
-    k = k_half if real else k
-    fhat = np.fft.rfft(f, axis=1) if real else np.fft.fft(f, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ghat = fhat / (1j * _along(k, f.ndim, 1))
-    ghat[:, k == 0.0, ...] = 0.0
-    return np.fft.irfft(ghat, n=f.shape[1], axis=1) if real else np.fft.ifft(ghat, axis=1)
-
-
 def _frozen(M: np.ndarray) -> np.ndarray:
     M = np.ascontiguousarray(M)
     M.flags.writeable = False
@@ -166,15 +126,50 @@ def _frozen(M: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
+def _wavenumbers(n: int, h: float) -> np.ndarray:
+    """fft wavenumbers of an n-point axis of spacing h, the even-n Nyquist entry set to 0.
+
+    A half-spectrum (rfft) transform reads the first n//2 + 1 entries.
+    """
+    k = TWO_PI * np.fft.fftfreq(n, d=h)
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    return _frozen(k)
+
+
+def _spectral_deriv(f: np.ndarray, h: float, axis: int) -> np.ndarray:
+    n = f.shape[axis]
+    k = _wavenumbers(n, h)
+    if np.iscomplexobj(f):
+        fhat = np.fft.fft(f, axis=axis)
+        return np.fft.ifft(1j * _along(k, f.ndim, axis) * fhat, axis=axis)
+    fhat = np.fft.rfft(f, axis=axis)
+    fhat *= 1j * _along(k[:n // 2 + 1], f.ndim, axis)
+    return np.fft.irfft(fhat, n=n, axis=axis)
+
+
+def _spectral_antideriv(f: np.ndarray, h: float) -> np.ndarray:
+    """Zero-mean periodic antiderivative along axis 1 by FFT (rfft for a real f)."""
+    n = f.shape[1]
+    real = not np.iscomplexobj(f)
+    k = _wavenumbers(n, h)[:n // 2 + 1 if real else n]
+    fhat = np.fft.rfft(f, axis=1) if real else np.fft.fft(f, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ghat = fhat / (1j * _along(k, f.ndim, 1))
+    ghat[:, k == 0.0, ...] = 0.0
+    return np.fft.irfft(ghat, n=n, axis=1) if real else np.fft.ifft(ghat, axis=1)
+
+
+@lru_cache(maxsize=32)
 def _deriv_matrix(n: int, h: float) -> np.ndarray:
     """D with D @ f = the half-spectrum derivative of f along an n-point axis."""
-    return _frozen(_spectral_deriv(np.eye(n), None, _half_wavenumbers(n, h), axis=0))
+    return _frozen(_spectral_deriv(np.eye(n), h, axis=0))
 
 
 @lru_cache(maxsize=32)
 def _antideriv_matrix(n: int, h: float) -> np.ndarray:
     """A with A @ f = the half-spectrum zero-mean antiderivative along an n-point axis."""
-    return _frozen(_spectral_antideriv(np.eye(n), None, _half_wavenumbers(n, h)).T)
+    return _frozen(_spectral_antideriv(np.eye(n), h).T)
 
 
 def _dense(f: np.ndarray, n: int) -> bool:
@@ -214,14 +209,13 @@ def _central4_deriv(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
 
 
-def _deriv(f: np.ndarray, scheme, k: np.ndarray, k_half: np.ndarray, h: float,
-           axis: int, out=None, work=None) -> np.ndarray:
+def _deriv(f: np.ndarray, scheme, h: float, axis: int, out=None, work=None) -> np.ndarray:
     if scheme == SPECTRAL:
         if _dense(f, f.shape[axis]):
             return _apply(_deriv_matrix(f.shape[axis], h), f, axis, out, work)
         if axis < 0 and f.ndim > 2:  # a stack: pocketfft is faster plane by plane
-            return np.stack([_spectral_deriv(p, k, k_half, axis) for p in f], out=out)
-        return _into(out, _spectral_deriv(f, k, k_half, axis))
+            return np.stack([_spectral_deriv(p, h, axis) for p in f], out=out)
+        return _into(out, _spectral_deriv(f, h, axis))
     if scheme == CENTRAL4:
         return _into(out, _central4_deriv(f, h, axis))
     raise ConfigError(f"unknown derivative scheme {scheme!r}")
@@ -229,14 +223,12 @@ def _deriv(f: np.ndarray, scheme, k: np.ndarray, k_half: np.ndarray, h: float,
 
 def ddx(grid: Grid2, f: np.ndarray, scheme=SPECTRAL) -> np.ndarray:
     """d/dx along axis 1; works for any trailing component dimensions."""
-    return _deriv(check_finite(f, "ddx input"), scheme, grid.kx, grid.kx_half, grid.hx,
-                  axis=1)
+    return _deriv(check_finite(f, "ddx input"), scheme, grid.hx, axis=1)
 
 
 def ddy(grid: Grid2, f: np.ndarray, scheme=SPECTRAL) -> np.ndarray:
     """d/dy along axis 0; works for any trailing component dimensions."""
-    return _deriv(check_finite(f, "ddy input"), scheme, grid.ky, grid.ky_half, grid.hy,
-                  axis=0)
+    return _deriv(check_finite(f, "ddy input"), scheme, grid.hy, axis=0)
 
 
 def ddx_stack(grid: Grid2, P: np.ndarray, scheme=SPECTRAL, out=None, work=None) -> np.ndarray:
@@ -245,8 +237,7 @@ def ddx_stack(grid: Grid2, P: np.ndarray, scheme=SPECTRAL, out=None, work=None) 
     The result goes into out when it is given; on the matrix path the
     shifted input goes into work, which may be P itself when P is scratch.
     """
-    return _deriv(check_finite(P, "ddx input"), scheme, grid.kx, grid.kx_half, grid.hx,
-                  axis=-1, out=out, work=work)
+    return _deriv(check_finite(P, "ddx input"), scheme, grid.hx, axis=-1, out=out, work=work)
 
 
 def ddy_stack(grid: Grid2, P: np.ndarray, scheme=SPECTRAL, out=None, work=None) -> np.ndarray:
@@ -254,8 +245,7 @@ def ddy_stack(grid: Grid2, P: np.ndarray, scheme=SPECTRAL, out=None, work=None) 
 
     out and work as for ddx_stack.
     """
-    return _deriv(check_finite(P, "ddy input"), scheme, grid.ky, grid.ky_half, grid.hy,
-                  axis=-2, out=out, work=work)
+    return _deriv(check_finite(P, "ddy input"), scheme, grid.hy, axis=-2, out=out, work=work)
 
 
 def meanx(f: np.ndarray) -> np.ndarray:
@@ -280,7 +270,7 @@ def inv_dx(grid: Grid2, f: np.ndarray, out=None, work=None) -> Antideriv:
     if _dense(f, grid.nx):
         g = _apply(_antideriv_matrix(grid.nx, grid.hx), f, 1, out, work)
     else:
-        g = _into(out, _spectral_antideriv(f, grid.kx, grid.kx_half))
+        g = _into(out, _spectral_antideriv(f, grid.hx))
     return Antideriv(g, row_mean)
 
 

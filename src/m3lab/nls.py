@@ -15,10 +15,11 @@ is solved from the real density beta |q|^2 on the half-spectrum path.  The
 RK4 step still advances p next to q and reports how far the pair drifted
 from p = beta conj(q) (conj_dev): with a correct rhs the conjugation is
 exact and conj_dev is 0, so it guards the rhs's pairing.  (Stepped as a
-general pair, (q, p) would drift off the reduction on an even-length axis,
-where the complex transform gives the Nyquist mode of q and of p the same
-one-signed wavenumber.)  nls_rhs and solve_v_nls also take a general pair
-(an explicit p), which the equivalence check and the reduction tests use.
+general pair, (q, p) stays on the reduction to rounding too: the complex
+derivative drops the even-n Nyquist mode, as the real one does, so it
+commutes with conjugation.)  nls_rhs and solve_v_nls also take a general
+pair (an explicit p), which the equivalence check and the reduction tests
+use.
 
 Plane waves q = A exp(i(k1 x + k2 y - w t)) with constant v = v0 satisfy the
 dispersion relation  w = -k1 k2 + 4 c v0 k1 + 2 d^2 v0  (and the constraint

@@ -371,7 +371,7 @@ def m0_reduce(coeffs, mask_tol: float = M0_MASK_TOL) -> M0Coeffs:
     mask = np.abs(delta) < mask_tol
     if np.count_nonzero(mask) > 0.5 * mask.size:
         raise DegenerateFieldError(
-            f"degenerate frame: {np.count_nonzero(mask)} of {mask.size} points have |det| < {M0_MASK_TOL}")
+            f"degenerate frame: {np.count_nonzero(mask)} of {mask.size} points have |det| < {mask_tol}")
     safe = np.where(mask, 1.0, delta)
     d2 = np.where(mask, 0.0, (a12 * c13 - a13 * c12) / safe)
     d3 = np.where(mask, 0.0, (b12 * a13 - a12 * b13) / safe)

@@ -46,6 +46,13 @@ output_dir = nlsrun
 """
 
 
+def _with(cfg_text, **changes):
+    """cfg_text with `key = value` lines replaced or appended; a None value drops the key."""
+    lines = [ln for ln in cfg_text.splitlines()
+             if ln.partition("=")[0].strip() not in changes]
+    return "\n".join(lines + [f"{k} = {v}" for k, v in changes.items() if v is not None]) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
@@ -384,15 +391,21 @@ def test_lax_check_spin_side(spin_run, tmp_path):
     assert entry["trace_V_factored"] < 1e-12
 
 
-@pytest.mark.parametrize("side, lam", [
+LAX_CFGS = {"spin": SPIN_CFG, "nls": NLS_CFG,
+            "m3q": _with(NLS_CFG, model="M3q", **{"params.c": 0.3})}
+
+
+@pytest.mark.parametrize("cfg_name, lam", [
     ("nls", "1e200,0"), ("nls", "0,1e200"), ("nls", "inf,0"), ("nls", "nan,0"),
+    ("m3q", "1e150,0"), ("m3q", "0,1e150"),
     ("spin", "1e308,0"), ("spin", "nan,0"), ("spin", "0,-inf"),
 ])
-def test_lax_check_bad_lambda_exits_2(tmp_path, capsys, side, lam):
-    """A non-finite lambda, or one whose c lam^2 + d lam overflows, is a
-    validation error naming the flag."""
+def test_lax_check_bad_lambda_exits_2(tmp_path, capsys, cfg_name, lam):
+    """A non-finite lambda, or one whose c lam^2 + d lam or q-side flatness
+    residual overflows, is a validation error naming the flag."""
+    side = "spin" if cfg_name == "spin" else "nls"
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(SPIN_CFG if side == "spin" else NLS_CFG)
+    cfg.write_text(LAX_CFGS[cfg_name])
     assert main(["--output-dir", str(tmp_path), f"simulate-{side}", str(cfg)]) == 0
     extra = ["--spin-side"] if side == "spin" else []
     capsys.readouterr()
@@ -464,13 +477,6 @@ def test_numerical_abort_exits_3(tmp_path):
         "grid.nx = 32\ngrid.ny = 32\nmodel = M3\nparams.c = 0.25\n"
         "spin.init = uniform\nt_end = 0.02\noutput_dir = flatrun\n")
     assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 3
-
-
-def _with(cfg_text, **changes):
-    """cfg_text with `key = value` lines replaced or appended; a None value drops the key."""
-    lines = [ln for ln in cfg_text.splitlines()
-             if ln.partition("=")[0].strip() not in changes]
-    return "\n".join(lines + [f"{k} = {v}" for k, v in changes.items() if v is not None]) + "\n"
 
 
 @pytest.mark.parametrize("command, cfg_text", [

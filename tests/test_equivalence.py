@@ -8,6 +8,7 @@ from m3lab.equivalence import (
     frame_from_fg,
     gauge_check,
     hirota_d,
+    l_equiv_check,
     q_from_spin,
     spin_from_fg,
     u_from_fg,
@@ -18,6 +19,7 @@ from m3lab.frames import FrameCoeffs, coeffs_from_frame, frame_from_spin
 from m3lab.spin import (
     SpinParams,
     default_dt,
+    init_modulated_helix,
     init_uniform,
     make_state,
     run_spin,
@@ -122,6 +124,15 @@ def test_equiv_residual_y_independent_statics(grid):
     assert res["residual_q"] < 1e-8
     assert res["residual_p"] < 1e-8
     assert res["residual_v"] < 1e-9
+
+
+def test_equiv_residual_p_equals_q():
+    """p = beta conj(q) and every derivative commutes with conjugation, so the
+    p-residual is the q-residual to rounding; here on the 48^2 slice of the
+    criterion 06 helix ladder (delta = 0.1 * 32 / 48)."""
+    report = l_equiv_check(PAR, lambda g: init_modulated_helix(g, kappa=1, eps=0.05),
+                           sizes=(32, 48), t_eval=0.2, delta0=0.1)
+    assert abs(report.residual_p - report.residual_q) <= 1e-12 * report.residual_q
 
 
 def test_equiv_residual_aborts_on_equilibrium(grid):

@@ -144,14 +144,16 @@ def _complex_inv_dx(f, k):
 def test_real_path_matches_complex_fft(nx, ny):
     # even n drops the Nyquist mode, whose complex-path contribution is imaginary
     g = Grid2(nx, ny, lx=2.0, ly=3.0)
+    kx = TWO_PI * np.fft.fftfreq(nx, d=g.hx)
+    ky = TWO_PI * np.fft.fftfreq(ny, d=g.hy)
     X, Y = g.meshgrid()
     f = np.exp(np.sin(TWO_PI * X / g.lx) + 0.5 * np.cos(2 * TWO_PI * Y / g.ly))
     vec = np.stack([f, f * np.cos(TWO_PI * Y / g.ly), np.sin(TWO_PI * (X / g.lx - Y / g.ly))],
                    axis=-1)
     for field in (f, vec):
-        assert np.max(np.abs(ddx(g, field) - _complex_deriv(field, g.kx, 1))) < 1e-12
-        assert np.max(np.abs(ddy(g, field) - _complex_deriv(field, g.ky, 0))) < 1e-12
-        assert np.max(np.abs(inv_dx(g, field).field - _complex_inv_dx(field, g.kx))) < 1e-12
+        assert np.max(np.abs(ddx(g, field) - _complex_deriv(field, kx, 1))) < 1e-12
+        assert np.max(np.abs(ddy(g, field) - _complex_deriv(field, ky, 0))) < 1e-12
+        assert np.max(np.abs(inv_dx(g, field).field - _complex_inv_dx(field, kx))) < 1e-12
 
 
 def test_cross3_equals_np_cross_bitwise(rng):
@@ -237,10 +239,10 @@ def test_spin_kernel_transforms_contiguous_planes(rng, monkeypatch):
 def _reference(op, g, f):
     """The rfft definition of ddx / ddy / inv_dx on a real field."""
     if op is inv_dx:
-        return _spectral_antideriv(f, g.kx, g.kx_half)
+        return _spectral_antideriv(f, g.hx)
     if op is ddx:
-        return _spectral_deriv(f, g.kx, g.kx_half, axis=1)
-    return _spectral_deriv(f, g.ky, g.ky_half, axis=0)
+        return _spectral_deriv(f, g.hx, axis=1)
+    return _spectral_deriv(f, g.hy, axis=0)
 
 
 def _smooth(g, comps=()):
@@ -266,6 +268,24 @@ def test_dense_path_matches_rfft(nx, ny, comps):
         scale = np.max(np.abs(f if op is inv_dx else ref))
         assert got.shape == f.shape and got.flags.c_contiguous
         assert np.max(np.abs(got - ref)) < 1e-13 * scale
+
+
+@pytest.mark.parametrize("nx, ny", [(32, 32), (33, 33), (32, 40), (ABOVE, ABOVE + 8)])
+def test_complex_field_is_differentiated_by_parts(nx, ny):
+    """A complex field's ddx / ddy / inv_dx is the real operator on its real and
+    imaginary parts, and commutes with conjugation, also on the Nyquist mode of
+    an even axis (the field carries one along each axis)."""
+    g = Grid2(nx, ny, lx=2.0, ly=3.0)
+    X, Y = g.meshgrid()
+    alternating = (-1.0) ** np.arange(nx) + (-1.0) ** np.arange(ny)[:, None]
+    f = _smooth(g) * np.exp(1j * TWO_PI * (X / g.lx - 2 * Y / g.ly)) + 0.1 * (1 + 1j) * alternating
+    for op in (ddx, ddy, inv_dx):
+        def apply(a):
+            return op(g, a).field if op is inv_dx else op(g, a)
+        got = apply(f)
+        scale = np.max(np.abs(f if op is inv_dx else got))
+        assert np.max(np.abs(got - (apply(f.real) + 1j * apply(f.imag)))) < 1e-13 * scale
+        assert np.max(np.abs(apply(np.conj(f)) - np.conj(got))) < 1e-13 * scale
 
 
 @pytest.mark.parametrize("nx, ny", [(32, 64), (33, 40), (ABOVE, ABOVE)])

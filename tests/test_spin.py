@@ -344,8 +344,10 @@ def test_m0_constant_field_degenerate(grid):
     zero = np.zeros((grid.ny, grid.nx))
     coeffs = FrameCoeffs(k=zero, sigma=zero, tau=zero, m1=zero, m2=zero, m3=zero,
                          w1=zero, w2=zero, w3=zero)
-    with pytest.raises(DegenerateFieldError):
+    with pytest.raises(DegenerateFieldError, match=r"\|det\| < 1e-08"):
         m0_reduce(coeffs)
+    with pytest.raises(DegenerateFieldError, match=r"\|det\| < 0\.5"):
+        m0_reduce(coeffs, mask_tol=0.5)
 
 
 def test_m0_matches_pointwise_solve(grid, rng):
