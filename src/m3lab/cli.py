@@ -210,6 +210,8 @@ def _run_length(cfg: RunConfig, grid):
     if save_every < 1:
         raise ConfigError(f"save_every must be at least 1, got {save_every}")
     dt = dt if dt > 0.0 else default_dt(grid)
+    if not math.isfinite(t_end / dt):
+        raise ConfigError(f"t_end / dt is not finite (t_end = {t_end!r}, dt = {dt!r})")
     return dt, max(1, int(round(t_end / dt)))
 
 

@@ -265,7 +265,11 @@ def inv_dx(grid: Grid2, f: np.ndarray, out=None, work=None) -> Antideriv:
     row mean is a solvability violation of d/dx g = f on the periodic row;
     it is removed and reported, not fatal.  out and work as for ddx_stack.
     """
-    f = check_finite(f, "inv_dx input")
+    return _inv_dx(grid, check_finite(f, "inv_dx input"), out, work)
+
+
+def _inv_dx(grid: Grid2, f: np.ndarray, out=None, work=None) -> Antideriv:
+    """inv_dx without the input check, for kernels whose input was checked where it entered."""
     row_mean = np.squeeze(meanx(f), axis=1)  # taken before work (which may be f) is written
     if _dense(f, grid.nx):
         g = _apply(_antideriv_matrix(grid.nx, grid.hx), f, 1, out, work)

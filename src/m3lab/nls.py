@@ -9,17 +9,20 @@ system and whose d=0 limit is the Strachan system):
 
 For the physical reduction p = beta * conj(q), the pair equations are complex
 conjugates of each other and v stays real, since p q = beta |q|^2.  States
-carry that reduction, and the solver steps it in reduced form: only q is
-differentiated, p_t = beta * conj(q_t) is formed without a transform, and v
-is solved from the real density beta |q|^2 on the half-spectrum path.  The
-RK4 step still advances p next to q and reports how far the pair drifted
-from p = beta conj(q) (conj_dev): with a correct rhs the conjugation is
-exact and conj_dev is 0, so it guards the rhs's pairing.  (Stepped as a
-general pair, (q, p) stays on the reduction to rounding too: the complex
-derivative drops the even-n Nyquist mode, as the real one does, so it
-commutes with conjugation.)  nls_rhs and solve_v_nls also take a general
-pair (an explicit p), which the equivalence check and the reduction tests
-use.
+carry that reduction, and the RK4 step advances q alone; each state's p is
+beta * conj(q), so its conj_dev is 0 by construction.  A stage solves v from
+the real density beta |q|^2 on the half-spectrum path and takes q_t as
+
+    q_t = (-i q_y - 4c v q)_x - 2i d^2 v q,
+
+two complex derivatives where q_xy and (v q)_x take three.  Both derivative
+schemes are diagonal in Fourier space (spectral multipliers, periodic
+central4 stencils), so d_x d_y = d_y d_x and the regrouped rate is the q_t
+of nls_rhs up to rounding.  (Stepped as a general pair, (q, p) stays on the
+reduction to rounding too: the complex derivative drops the even-n Nyquist
+mode, as the real one does, so it commutes with conjugation.)  nls_rhs and
+solve_v_nls take a general pair (an explicit p), which the equivalence
+check and the reduction tests use.
 
 Plane waves q = A exp(i(k1 x + k2 y - w t)) with constant v = v0 satisfy the
 dispersion relation  w = -k1 k2 + 4 c v0 k1 + 2 d^2 v0  (and the constraint
@@ -31,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError, ParameterError, UnstableStepError
-from .fields import SPECTRAL, Grid2, check_finite, ddx, ddy, inv_dx, march, rk4
-from .spin import RENORM_LIMIT
+from .fields import (SPECTRAL, Antideriv, Grid2, _deriv, _inv_dx, check_finite, ddx, ddy,
+                     inv_dx, march, rk4)
 
 _MODELS = ("M3q", "Zakharov", "Strachan")
 
@@ -61,7 +64,7 @@ class NlsState:
     p: np.ndarray            # (ny, nx) complex, beta * conj(q)
     v: np.ndarray            # (ny, nx) real, zero x-mean
     t: float = 0.0
-    conj_dev: float = 0.0    # |p - beta conj q| after the step that made q
+    conj_dev: float = 0.0    # |p - beta conj q|: 0, as p is formed from q
     v_row_mean: float = 0.0  # max |row mean| of (p q)_y that inv_dx discarded
 
 
@@ -83,8 +86,7 @@ def solve_v_nls(grid: Grid2, q: np.ndarray, p, scheme=SPECTRAL, beta: int = 1):
     """
     check_finite(q, "q")
     if p is None:
-        w, row_mean = inv_dx(grid, ddy(grid, beta * (q.real * q.real + q.imag * q.imag),
-                                       scheme))
+        w, row_mean = _paired_v(grid, q, scheme, beta)
         return w, row_mean, 0.0
     check_finite(p, "p")
     w, row_mean = inv_dx(grid, ddy(grid, p * q, scheme))
@@ -92,20 +94,20 @@ def solve_v_nls(grid: Grid2, q: np.ndarray, p, scheme=SPECTRAL, beta: int = 1):
     return np.real(w), np.real(row_mean), imag_residue
 
 
-def nls_rhs(grid: Grid2, q: np.ndarray, p, v: np.ndarray, par: NlsParams,
-            scheme=SPECTRAL):
-    """(q_t, p_t) for frozen constraint field v.
+def _paired_v(grid: Grid2, q: np.ndarray, scheme, beta: int) -> Antideriv:
+    """The x-antiderivative of (beta |q|^2)_y, q unchecked: v and its discarded row means."""
+    return _inv_dx(grid, _deriv(beta * (q.real * q.real + q.imag * q.imag), scheme,
+                                grid.hy, axis=0))
 
-    p=None stands for p = beta*conj(q): only q is differentiated and p_t is
-    beta*conj(q_t), formed without a transform.
-    """
+
+def nls_rhs(grid: Grid2, q: np.ndarray, p: np.ndarray, v: np.ndarray, par: NlsParams,
+            scheme=SPECTRAL):
+    """(q_t, p_t) of the general pair for frozen constraint field v."""
     c, d = par.c, par.d
     q_xy = ddy(grid, ddx(grid, q, scheme), scheme)
     q_t = -1j * (q_xy + 2.0 * d * d * v * q)
     if c != 0.0:
         q_t = q_t - 4.0 * c * ddx(grid, v * q, scheme)
-    if p is None:
-        return q_t, _paired(q_t, par.beta)
     p_xy = ddy(grid, ddx(grid, p, scheme), scheme)
     p_t = 1j * (p_xy + 2.0 * d * d * v * p)
     if c != 0.0:
@@ -114,42 +116,44 @@ def nls_rhs(grid: Grid2, q: np.ndarray, p, v: np.ndarray, par: NlsParams,
 
 
 def make_state(grid: Grid2, q: np.ndarray, par: NlsParams, t: float = 0.0,
-               scheme=SPECTRAL, conj_dev: float = 0.0) -> NlsState:
+               scheme=SPECTRAL) -> NlsState:
     """Assemble an NlsState with p = beta*conj(q) and v solved from beta |q|^2."""
     q = np.asarray(q, dtype=complex)
     v, row_mean, _ = solve_v_nls(grid, q, None, scheme, par.beta)
-    return NlsState(q=q, p=_paired(q, par.beta), v=v, t=t, conj_dev=conj_dev,
+    return NlsState(q=q, p=_paired(q, par.beta), v=v, t=t,
                     v_row_mean=float(np.max(np.abs(row_mean))))
+
+
+def _q_rate(grid: Grid2, q: np.ndarray, par: NlsParams, scheme) -> np.ndarray:
+    """q_t = (-i q_y - 4c v q)_x - 2i d^2 v q with v from beta |q|^2; q unchecked."""
+    vq = _paired_v(grid, q, scheme, par.beta).field * q
+    w = _deriv(q, scheme, grid.hy, axis=0)
+    w *= -1j
+    if par.c != 0.0:
+        w -= 4.0 * par.c * vq
+    q_t = _deriv(w, scheme, grid.hx, axis=1)
+    q_t -= 2j * par.d * par.d * vq
+    return q_t
 
 
 def step_rk4_nls(grid: Grid2, q: np.ndarray, par: NlsParams, dt: float,
                  scheme=SPECTRAL):
-    """One RK4 step of the pair (q, p = beta*conj(q)), v re-solved at each stage.
+    """One RK4 step of q (p = beta*conj(q)), v re-solved at each stage.
 
-    Each stage differentiates q only and takes v from beta |q|^2; p rides in
-    the RK4 tuple with p_t = beta*conj(q_t) from nls_rhs.  Returns (q, max |p -
-    beta*conj(q)| after the step), which is exactly 0 unless the rhs broke the
-    pairing (then the step aborts); the stepped p is dropped, since states
-    carry p = beta*conj(q).  A non-finite q is rejected (FieldError); a step
-    that overflows from a finite q is a numerical abort.
+    q is checked once, on entry: a non-finite q is rejected (FieldError).
+    The stages run _q_rate unchecked; a step that overflows from a finite q
+    ends non-finite and is a numerical abort (UnstableStepError).  Returns
+    (q, conj_dev), conj_dev 0.0 by construction.
     """
-    def rhs(pair):
-        q = pair[0]
-        v, _, _ = solve_v_nls(grid, q, None, scheme, par.beta)
-        return nls_rhs(grid, q, None, v, par, scheme)
-
     check_finite(q, "q")
+    # an overflow anywhere in the step ends as a non-finite result, which
+    # aborts below; it needs no warning of its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_new, = rk4(grid, lambda y: (_q_rate(grid, y[0], par, scheme),), (q,), dt)
     try:
-        # an overflow anywhere in the step ends as a non-finite stage or
-        # result, which aborts below; it needs no warning of its own
-        with np.errstate(over="ignore", invalid="ignore"):
-            q_new, p_new = rk4(grid, rhs, (q, _paired(q, par.beta)), dt)
-            conj_dev = float(np.max(np.abs(p_new - _paired(q_new, par.beta))))
+        return check_finite(q_new, "q"), 0.0
     except FieldError as exc:
         raise UnstableStepError(f"step went non-finite: {exc}") from exc
-    if not conj_dev <= RENORM_LIMIT:
-        raise UnstableStepError(f"conjugate pairing broke: deviation {conj_dev:.3e}")
-    return q_new, conj_dev
 
 
 def run_nls(grid: Grid2, state: NlsState, par: NlsParams, dt: float,
@@ -158,7 +162,7 @@ def run_nls(grid: Grid2, state: NlsState, par: NlsParams, dt: float,
     return [state] + march(
         lambda q: step_rk4_nls(grid, q, par, dt, scheme), state.q, state.t, dt,
         n_steps, save_every,
-        lambda q, t, conj_dev: make_state(grid, q, par, t, scheme, conj_dev))
+        lambda q, t, _: make_state(grid, q, par, t, scheme))
 
 
 def init_plane_wave(grid: Grid2, amplitude: float = 0.5, k1: int = 1, k2: int = 1) -> np.ndarray:

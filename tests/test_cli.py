@@ -304,6 +304,16 @@ def test_non_finite_step_exits_3(tmp_path, capsys, monkeypatch):
     assert "renormalization correction nan" in capsys.readouterr().err
 
 
+def test_non_finite_nls_step_exits_3(tmp_path, capsys, monkeypatch):
+    import m3lab.nls as nls
+    monkeypatch.setattr(nls, "_q_rate", lambda grid, q, *args: np.full_like(q, np.nan))
+    cfg = tmp_path / "nls.cfg"
+    cfg.write_text(NLS_CFG)
+    assert main(["--output-dir", str(tmp_path), "simulate-nls", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "step went non-finite" in err and "Traceback" not in err
+
+
 def test_meta_records_env(tmp_path, monkeypatch):
     monkeypatch.delenv("M3LAB_THREADS", raising=False)
     want = {"m3lab": m3lab.__version__, "numpy": np.__version__,
@@ -494,11 +504,14 @@ def test_numerical_abort_exits_3(tmp_path):
     ("simulate-spin", _with(SPIN_CFG, **{"params.c": "nan"})),
     ("simulate-nls", _with(NLS_CFG, **{"params.d": "inf"})),
     ("simulate-spin", _with(SPIN_CFG, **{"spin.init.eps": "inf"})),
+    ("simulate-spin", _with(SPIN_CFG, dt=5e-324)),
+    ("simulate-nls", _with(NLS_CFG, dt=5e-324)),
 ], ids=["spin-save_every-0", "nls-save_every-0", "spin-t_end-0", "nls-t_end-0",
         "spin-t_end-negative", "nls-t_end-negative", "spin-dt-negative",
         "spin-init-unknown-key", "nls-init-unknown-key",
         "spin-scheme-foo", "nls-scheme-foo",
-        "spin-params-c-nan", "nls-params-d-inf", "spin-init-inf"])
+        "spin-params-c-nan", "nls-params-d-inf", "spin-init-inf",
+        "spin-dt-tiny", "nls-dt-tiny"])
 def test_bad_run_config_exits_2(tmp_path, capsys, command, cfg_text):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(cfg_text)
