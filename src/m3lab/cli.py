@@ -413,6 +413,8 @@ def cmd_equiv_check(args) -> int:
         sizes = tuple(int(s) for s in args.ladder.split(","))
     except ValueError as exc:
         raise ConfigError(f"--ladder expects comma-separated grid sizes, got {args.ladder!r}") from exc
+    if len(set(sizes)) < len(sizes):
+        raise ConfigError(f"--ladder repeats a grid size: {args.ladder!r}")
     report = l_equiv_check(cfg.spin_params(), _make_initial(cfg, "spin"), sizes=sizes,
                            lx=cfg["grid.lx"], ly=cfg["grid.ly"], scheme=cfg["scheme"])
     payload = {"config_hash": cfg.sha, **report.as_dict()}
@@ -450,7 +452,7 @@ def _check_lambda(lam: complex, par) -> None:
 
 def cmd_lax_check(args) -> int:
     import numpy as np
-    from .lax import build_lax_spin, trace_deviation, zero_curvature_q
+    from .lax import flatness_at, flatness_pass_q, lax_spin_at, lax_spin_pass, sl2_trace
 
     run_dir, meta, cfg = _open_run(args, "spin" if args.spin_side else "nls")
     par = cfg.spin_params() if args.spin_side else cfg.nls_params()
@@ -466,13 +468,13 @@ def cmd_lax_check(args) -> int:
 
     if args.spin_side:
         grid, data = _load_slice(run_dir, meta, cfg, mid)
-        S, u, v = data[..., 0:3], data[..., 3], data[..., 4]
+        spin = lax_spin_pass(grid, data[..., 0:3], data[..., 3], data[..., 4], par, scheme)
         for lam in lams:
             entry = {"lam": [lam.real, lam.imag]}
             for grouping in ("factored", "split"):
-                U, V = build_lax_spin(grid, S, u, v, par, lam, scheme, grouping=grouping)
-                entry[f"trace_U_{grouping}"] = trace_deviation(U)
-                entry[f"trace_V_{grouping}"] = trace_deviation(V)
+                U, V, iden = lax_spin_at(spin, lam, grouping)
+                entry[f"trace_U_{grouping}"] = sl2_trace(U[0])
+                entry[f"trace_V_{grouping}"] = sl2_trace(V[0], iden)
             payload["results"].append(entry)
     else:
         triple = []
@@ -482,13 +484,14 @@ def cmd_lax_check(args) -> int:
             p = data[..., 2] + 1j * data[..., 3]
             triple.append((q, p, data[..., 4]))
         dt2 = times[mid + 1] - times[mid - 1]
-        for lam in lams:
-            with np.errstate(over="ignore", invalid="ignore"):
-                rep = zero_curvature_q(grid, *triple, par, lam, dt2, scheme)
-            if not math.isfinite(rep["residual"]):
-                raise ConfigError(f"--lambda {lam.real!r},{lam.imag!r} overflows the q-side "
-                                  f"flatness residual at c = {par.c!r}, d = {par.d!r}")
-            payload["results"].append({**rep, "lam": [lam.real, lam.imag]})
+        with np.errstate(over="ignore", invalid="ignore"):
+            flat = flatness_pass_q(grid, *triple, par, dt2, scheme)
+            for lam in lams:
+                rep = flatness_at(flat, lam)
+                if not math.isfinite(rep["residual"]):
+                    raise ConfigError(f"--lambda {lam.real!r},{lam.imag!r} overflows the q-side "
+                                      f"flatness residual at c = {par.c!r}, d = {par.d!r}")
+                payload["results"].append({**rep, "lam": [lam.real, lam.imag]})
 
     out_path = os.path.join(run_dir, "lax_report.json")
     _write_json(out_path, payload)

@@ -9,19 +9,33 @@ U and V are traceless, [[a, b], [c, -a]], and are carried as their sl(2)
 entries (a, b, c).  With mu = 2c lam + d,
 
     U = (i Lam,  i mu q,  i mu p)
-    V = mu (-i mu v,  q_y - 4i c v q,  -(p_y + 4i c v p))
+    V = mu (-i mu v,  Q,  -P),   Q = q_y - 4i c v q,  P = p_y + 4i c v p
 
 is the unique polynomial V for which the residual vanishes identically on
 solutions of the q/p/v system (verified symbolically, all powers of lam):
 its lam-expansion lam^2 B2 + lam B1 + B0 summed in closed form.  At c = 0
 it is the Zakharov-limit connection.
 
+lam enters only through the scalars Lam and mu.  So a lam scan costs one
+derivative pass per slice triple, flatness_pass_q (q_y, p_y and the
+x-derivatives of v, Q, P, plus the central differences q_t, p_t), and
+pointwise work per lam, flatness_at: the entries of U and V, V_x =
+mu (-i mu v_x, Q_x, -P_x) by linearity, the sl(2) bracket and the
+max-norm, with the traces read off the diagonal entries.  That work runs
+on blocks of rows, so its temporaries stay in cache rather than being
+faulted in afresh at every lam.  zero_curvature_q is the pass and one
+flatness_at; build_lax_q forms the same entries at one lam.
+
 The spin-side connection builder is provided verbatim for structural
 diagnostics (algebraic identities, the trace of the split reading); one
 grouping ambiguity in its lam^1 coefficient is kept behind a flag.  It too
 works on sl(2) entries, S.sigma and the entries of the real derivatives of
 S, so no connection here is a product or derivative of a matrix field.
+It has the same split: lax_spin_pass differentiates once per slice and
+lax_spin_at is pointwise per lam.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,42 +92,106 @@ def trace_deviation(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.einsum("...ii->...", M))))
 
 
-def _lax_q_entries(grid: Grid2, q, p, v, par, lam: complex, scheme):
-    """sl(2) entries of U and V, and the (q_y, p_y) that V is built from."""
-    c, d = par.c, par.d
-    mu = 2.0 * c * lam + d
+def sl2_trace(a, iden=0.0) -> float:
+    """trace_deviation of _sl2(a, b, c) + iden I, read off the diagonal entries."""
+    return float(np.max(np.abs((a + iden) + (iden - a))))
+
+
+# ---------------------------------------------------------------------------
+# q-side connection: lam-independent fields, then pointwise work per lam
+# ---------------------------------------------------------------------------
+
+BLOCK_POINTS = 2048  # the per-lam flatness work runs on row blocks of about this many points
+
+
+def _q_fields(grid: Grid2, q, p, v, par, scheme) -> tuple:
+    """(q, p), (v, Q, P) with Q = q_y - 4ic v q, P = p_y + 4ic v p, and (q_y, p_y)."""
     q_y, p_y = ddy(grid, q, scheme), ddy(grid, p, scheme)
-    U = (1j * (c * lam**2 + d * lam), 1j * mu * q, 1j * mu * p)
-    V = (-1j * mu * mu * v, mu * (q_y - 4j * c * v * q), -mu * (p_y + 4j * c * v * p))
-    return U, V, (q_y, p_y)
+    return (q, p), (v, q_y - 4j * par.c * (v * q), p_y + 4j * par.c * (v * p)), (q_y, p_y)
+
+
+def _q_entries(par, lam: complex, qp: tuple, vf: tuple) -> tuple:
+    """sl(2) entries of U and V = mu (-i mu v, Q, -P) at lam, pointwise in the fields."""
+    mu = 2.0 * par.c * lam + par.d
+    U = (1j * (par.c * lam**2 + par.d * lam), 1j * mu * qp[0], 1j * mu * qp[1])
+    return U, _v_entries(mu, *vf)
+
+
+def _v_entries(mu, v, Q, P) -> tuple:
+    """sl(2) entries of mu (-i mu v, Q, -P); applied to (v_x, Q_x, P_x) it gives V_x."""
+    return -1j * mu * mu * v, mu * Q, -mu * P
 
 
 def build_lax_q(grid: Grid2, q: np.ndarray, p: np.ndarray, v: np.ndarray,
                 par, lam: complex, scheme=SPECTRAL):
     """(U, V) connection for the q-side system at spectral parameter lam."""
-    U, V, _ = _lax_q_entries(grid, q, p, v, par, lam, scheme)
+    qp, vf, _ = _q_fields(grid, q, p, v, par, scheme)
+    U, V = _q_entries(par, lam, qp, vf)
     return _sl2(*U), _sl2(*V)
+
+
+class FlatnessQ(NamedTuple):
+    """The lam-independent fields of the q-side flatness residual at one slice triple."""
+    par: object
+    qp: tuple       # q, p at the middle slice
+    vf: tuple       # v, Q, P there: V = mu (-i mu v, Q, -P)
+    vf_x: tuple     # their x-derivatives: V_x = mu (-i mu v_x, Q_x, -P_x)
+    qp_y: tuple     # q_y, p_y
+    qp_t: tuple     # central differences of q and p over the triple
+
+
+def flatness_pass_q(grid: Grid2, qpv_before, qpv_mid, qpv_after, par, dt2: float,
+                    scheme=SPECTRAL) -> FlatnessQ:
+    """Every derivative the flatness residual needs at any lam: five per triple.
+
+    Each qpv_* is a (q, p, v) triple sampled at t - dt, t, t + dt; U_t is
+    the central difference over the 2*dt window.
+    """
+    qp, vf, qp_y = _q_fields(grid, *qpv_mid, par, scheme)
+    (q0, p0, _), (q1, p1, _) = qpv_before, qpv_after
+    return FlatnessQ(par, qp, vf, tuple(ddx(grid, f, scheme) for f in vf), qp_y,
+                     ((q1 - q0) / dt2, (p1 - p0) / dt2))
+
+
+def _flatness_rows(F: FlatnessQ, lam: complex, rows: slice) -> tuple:
+    """(max-norm of the residual entries, trace_V) over a block of rows."""
+    par = F.par
+    qp, vf, vf_x, (q_y, p_y), (q_t, p_t) = (tuple(f[rows] for f in group) for group in F[1:])
+    Lam, imu = par.c * lam**2 + par.d * lam, 1j * (2.0 * par.c * lam + par.d)
+    U, V = _q_entries(par, lam, qp, vf)
+    # U_t - 2 Lam U_y; the diagonal i Lam of U is constant
+    U_flow = (0.0, imu * (q_t - 2.0 * Lam * q_y), imu * (p_t - 2.0 * Lam * p_y))
+    V_x = _v_entries(2.0 * par.c * lam + par.d, *vf_x)
+    R = [uf - e_x + k for uf, e_x, k in zip(U_flow, V_x, _sl2_bracket(U, V))]
+    return float(np.max([max_norm(e) for e in R])), sl2_trace(V[0])
+
+
+def flatness_at(F: FlatnessQ, lam: complex) -> dict:
+    """Flatness residual U_t - 2(c lam^2 + d lam) U_y - V_x + [U,V] at lam.
+
+    Vanishes at discretization order on solutions of the q/p/v system.
+    Pointwise in the fields of F, one block of rows at a time; evaluated on
+    the sl(2) entries, whose max-norm is that of the matrix.
+    """
+    ny, nx = F.qp[0].shape
+    step = max(1, BLOCK_POINTS // nx)
+    blocks = [_flatness_rows(F, lam, slice(i, i + step)) for i in range(0, ny, step)]
+    residual, trace_V = np.max(blocks, axis=0)  # NaN-propagating
+    Lam = F.par.c * lam**2 + F.par.d * lam
+    return {"lam": lam, "residual": float(residual),
+            "trace_U": sl2_trace(1j * Lam), "trace_V": float(trace_V)}
 
 
 def zero_curvature_q(grid: Grid2, qpv_before, qpv_mid, qpv_after, par,
                      lam: complex, dt2: float, scheme=SPECTRAL) -> dict:
-    """Flatness residual U_t - 2(c lam^2 + d lam) U_y - V_x + [U,V].
+    """flatness_at(lam) of the pass over (qpv_before, qpv_mid, qpv_after)."""
+    F = flatness_pass_q(grid, qpv_before, qpv_mid, qpv_after, par, dt2, scheme)
+    return flatness_at(F, lam)
 
-    Each qpv_* is a (q, p, v) triple sampled at t - dt, t, t + dt; U_t is the
-    central difference over the 2*dt window.  Vanishes at discretization
-    order on solutions of the q/p/v system.  Evaluated on the sl(2) entries,
-    whose max-norm is that of the matrix.
-    """
-    Lam, imu = par.c * lam**2 + par.d * lam, 1j * (2.0 * par.c * lam + par.d)
-    U, V, (q_y, p_y) = _lax_q_entries(grid, *qpv_mid, par, lam, scheme)
-    (q0, p0, _), (q1, p1, _) = qpv_before, qpv_after
-    # U_t - 2 Lam U_y; the diagonal i Lam of U is constant
-    U_flow = (0.0, imu * ((q1 - q0) / dt2 - 2.0 * Lam * q_y),
-              imu * ((p1 - p0) / dt2 - 2.0 * Lam * p_y))
-    R = [uf - ddx(grid, e, scheme) + k for uf, e, k in zip(U_flow, V, _sl2_bracket(U, V))]
-    return {"lam": lam, "residual": max_norm(R),
-            "trace_U": trace_deviation(_sl2(*U)), "trace_V": trace_deviation(_sl2(*V))}
 
+# ---------------------------------------------------------------------------
+# spin-side connection: lam-independent fields, then pointwise work per lam
+# ---------------------------------------------------------------------------
 
 def _spin_entries(w: np.ndarray) -> tuple:
     """sl(2) entries of w.sigma = [[w3, w1 - i w2], [w1 + i w2, -w3]], w a real 3-vector field."""
@@ -123,6 +201,60 @@ def _spin_entries(w: np.ndarray) -> tuple:
 def _lin(*terms) -> tuple:
     """Entries of the sum of k X over (k, X) pairs; k a scalar or a field."""
     return tuple(sum(k * X[i] for k, X in terms) for i in range(3))
+
+
+class LaxSpin(NamedTuple):
+    """The lam-independent entries of the spin-side connection at one slice."""
+    par: object
+    Sm: tuple       # S.sigma
+    SSx: tuple      # S S_x, a half bracket
+    B: tuple
+    F2: tuple
+    F1: dict        # per grouping
+    half_tr: np.ndarray  # tr(S (S S_x)_y)/2, the split reading's identity part
+
+
+def lax_spin_pass(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
+                  par, scheme=SPECTRAL) -> LaxSpin:
+    """Every derivative the spin-side connection needs, at any lam: 5 per slice."""
+    c, d, l = par.c, par.d, par.l
+    denom_l = 2.0 * c * l + d
+    if abs(denom_l) < 1e-12:
+        raise ParameterError(f"|2 c l + d| = {abs(denom_l):.3e} too small")
+    Sm = _spin_entries(S)
+    Sx = _spin_entries(ddx(grid, S, scheme))
+    Sy = _spin_entries(ddy(grid, S, scheme))
+    SSx = _lin((0.5, _sl2_bracket(Sm, Sx)))
+    B = _lin((0.25, _sl2_bracket(Sm, Sy)), (0.5j * u, Sm))
+    SSx_y = tuple(ddy(grid, e, scheme) for e in SSx)
+    SSx_B = _sl2_bracket(SSx, B)
+    braces = {"factored": _lin((0.5, _sl2_bracket(Sm, _lin((1.0, SSx_y), (-1.0, SSx_B))))),
+              "split": _lin((0.5, _sl2_bracket(Sm, SSx_y)), (-1.0, SSx_B))}
+    F1 = {g: _lin((-4j * c * d * v, Sm), (-(4.0 * c * c / denom_l) * v * v, SSx),
+                  (-1j * c / denom_l, brace)) for g, brace in braces.items()}
+    (s0, s1, s2), (e0, e1, e2) = Sm, SSx_y
+    half_tr = 0.5 * (2.0 * s0 * e0 + s1 * e2 + s2 * e1)
+    return LaxSpin(par, Sm, SSx, B, _lin((-4j * c * c * v, Sm)), F1, half_tr)
+
+
+def lax_spin_at(F: LaxSpin, lam: complex, grouping: str = "factored") -> tuple:
+    """sl(2) entries of (U', V') at lam, and V's identity part (0.0 if factored).
+
+    Pointwise in the entries of F.
+    """
+    c, d, l = F.par.c, F.par.d, F.par.l
+    denom = 2.0 * c * lam + d
+    if abs(denom) < 1e-12:
+        raise ParameterError(f"|2 c lam + d| = {abs(denom):.3e} too small")
+    if grouping not in ("factored", "split"):
+        raise ParameterError(f"unknown grouping {grouping!r}")
+    U = _lin((1j * c * (lam**2 - l**2) + 1j * d * (lam - l), F.Sm), (c * (lam - l) / denom, F.SSx))
+    # lam^2 F2 + lam F1 + F0 with F0 = -l F1 - l^2 F2
+    V = _lin((2.0 * c * (lam**2 - l**2) + 2.0 * d * (lam - l), F.B),
+             (lam**2 - l**2, F.F2), (lam - l, F.F1[grouping]))
+    if grouping == "factored":
+        return U, V, 0.0
+    return U, V, -(lam - l) * 1j * c / (2.0 * c * l + d) * F.half_tr
 
 
 def build_lax_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -142,38 +274,10 @@ def build_lax_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
     (the discrete residue of S.S_x is dropped); the split brace keeps
     tr(S (S S_x)_y)/2 as the identity part of V.
     """
-    c, d, l = par.c, par.d, par.l
-    denom = 2.0 * c * lam + d
-    if abs(denom) < 1e-12:
-        raise ParameterError(f"|2 c lam + d| = {abs(denom):.3e} too small")
-    denom_l = 2.0 * c * l + d
-    if abs(denom_l) < 1e-12:
-        raise ParameterError(f"|2 c l + d| = {abs(denom_l):.3e} too small")
-    if grouping not in ("factored", "split"):
-        raise ParameterError(f"unknown grouping {grouping!r}")
-    Sm = _spin_entries(S)
-    Sx = _spin_entries(ddx(grid, S, scheme))
-    Sy = _spin_entries(ddy(grid, S, scheme))
-    SSx = _lin((0.5, _sl2_bracket(Sm, Sx)))
-    U = _lin((1j * c * (lam**2 - l**2) + 1j * d * (lam - l), Sm), (c * (lam - l) / denom, SSx))
-
-    B = _lin((0.25, _sl2_bracket(Sm, Sy)), (0.5j * u, Sm))
-    F2 = _lin((-4j * c * c * v, Sm))
-    SSx_y = tuple(ddy(grid, e, scheme) for e in SSx)
-    SSx_B = _sl2_bracket(SSx, B)
-    if grouping == "factored":
-        brace = _lin((0.5, _sl2_bracket(Sm, _lin((1.0, SSx_y), (-1.0, SSx_B)))))
-    else:
-        brace = _lin((0.5, _sl2_bracket(Sm, SSx_y)), (-1.0, SSx_B))
-    F1 = _lin((-4j * c * d * v, Sm), (-(4.0 * c * c / denom_l) * v * v, SSx),
-              (-1j * c / denom_l, brace))
-    # lam^2 F2 + lam F1 + F0 with F0 = -l F1 - l^2 F2
-    V = _sl2(*_lin((2.0 * c * (lam**2 - l**2) + 2.0 * d * (lam - l), B),
-                   (lam**2 - l**2, F2), (lam - l, F1)))
+    U, V, iden = lax_spin_at(lax_spin_pass(grid, S, u, v, par, scheme), lam, grouping)
+    V = _sl2(*V)
     if grouping == "split":
-        (s0, s1, s2), (e0, e1, e2) = Sm, SSx_y
-        half_tr = 0.5 * (2.0 * s0 * e0 + s1 * e2 + s2 * e1)  # of S (S S_x)_y
-        V += (-(lam - l) * 1j * c / denom_l * half_tr)[..., None, None] * IDENT2
+        V += iden[..., None, None] * IDENT2
     return _sl2(*U), V
 
 

@@ -446,6 +446,20 @@ def test_equiv_check_one_size_ladder_writes_strict_json(spin_run, tmp_path):
     assert len(rep["ladder"]) == 1
 
 
+def test_equiv_check_repeated_size_exits_2(spin_run, tmp_path, capsys):
+    """A repeated size would be run again and weigh twice in the order fit."""
+    assert main(["--output-dir", str(tmp_path), "equiv-check", "spinrun", "--ladder", "16,16"]) == 2
+    assert capsys.readouterr().err.startswith("error: --ladder")
+    assert not (spin_run / "equiv_report.json").exists()
+
+
+def test_equiv_check_descending_ladder(spin_run, tmp_path):
+    assert main(["--output-dir", str(tmp_path), "equiv-check", "spinrun", "--ladder", "24,16"]) == 0
+    rep = json.loads((spin_run / "equiv_report.json").read_text())
+    assert [round(h * 24 / (2 * np.pi), 12) for h, _ in rep["ladder"]] == [1.0, 1.5]
+    assert rep["order"] is not None
+
+
 def test_lambda_check(capsys):
     assert main(["lambda-check", "--n", "1", "--k", "2", "--a", "1",
                  "--c", "0.5", "--samples", "3"]) == 0
@@ -667,6 +681,8 @@ EXIT_CASES = {
                                    "--ladder", "16,24"],
     ("equiv-check", 2): lambda t: ["equiv-check", _run(t, "simulate-spin", SPIN_CFG, "spinrun"),
                                    "--ladder", "16,x"],
+    ("equiv-check", 2, "repeated-size"): lambda t: [
+        "equiv-check", _run(t, "simulate-spin", SPIN_CFG, "spinrun"), "--ladder", "16,24,16"],
     ("equiv-check", 3): lambda t: ["equiv-check", _uniform_config_run(t), "--ladder", "16,24"],
     ("lax-check", 0): lambda t: ["lax-check", _run(t, "simulate-nls", NLS_CFG, "nlsrun"),
                                  "--lambda", "0.3,0.1"],
@@ -684,14 +700,14 @@ EXIT_CASES = {
 
 def test_exit_table_covers_every_subcommand():
     commands = set(build_parser()._subparsers._group_actions[0].choices)
-    assert {command for command, _ in EXIT_CASES} == commands
+    assert {command for command, *_ in EXIT_CASES} == commands
 
 
-@pytest.mark.parametrize("command, code", sorted(EXIT_CASES),
-                         ids=[f"{c}-{k}" for c, k in sorted(EXIT_CASES)])
-def test_exit_code_table(tmp_path, capsys, command, code):
+@pytest.mark.parametrize("case", sorted(EXIT_CASES), ids=lambda case: "-".join(map(str, case)))
+def test_exit_code_table(tmp_path, capsys, case):
     """Exit 0 on a valid call, 2 on a validation error, 3 on a numerical abort."""
-    argv = EXIT_CASES[command, code](tmp_path)
+    code = case[1]
+    argv = EXIT_CASES[case](tmp_path)
     capsys.readouterr()
     assert main(["--output-dir", str(tmp_path), *argv]) == code
     err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from m3lab.cli import main
 from m3lab.errors import ParameterError
 from m3lab.fields import Grid2, commutator, ddx, ddy, matmul, max_norm
 from m3lab.lax import (
@@ -10,6 +11,8 @@ from m3lab.lax import (
     SIGMA3,
     build_lax_q,
     build_lax_spin,
+    flatness_at,
+    flatness_pass_q,
     lambda_residual,
     lambda_rhs,
     lambda_solution,
@@ -170,6 +173,58 @@ def test_zero_curvature_plane_wave_converges():
     assert 3.0 < errs[0] / errs[1] < 5.0
 
 
+def _zero_curvature_by_ddx(grid, before, mid, after, par, lam, dt2, scheme):
+    """The flatness residual with V_x taken as ddx of the V entries built at lam."""
+    (q0, p0, _), (q, p, v), (q1, p1, _) = before, mid, after
+    c, d = par.c, par.d
+    Lam, mu = c * lam**2 + d * lam, 2.0 * c * lam + d
+    q_y, p_y = ddy(grid, q, scheme), ddy(grid, p, scheme)
+    a, b, cc = 1j * Lam, 1j * mu * q, 1j * mu * p
+    e, f, g = -1j * mu * mu * v, mu * (q_y - 4j * c * v * q), -mu * (p_y + 4j * c * v * p)
+    U_flow = (0.0, 1j * mu * ((q1 - q0) / dt2 - 2.0 * Lam * q_y),
+              1j * mu * ((p1 - p0) / dt2 - 2.0 * Lam * p_y))
+    bracket = (b * g - cc * f, 2.0 * (a * f - b * e), 2.0 * (cc * e - a * g))
+    return max_norm([uf - ddx(grid, x, scheme) + k for uf, x, k in zip(U_flow, (e, f, g), bracket)])
+
+
+def _general_pair_qpv(grid, rng):
+    """Three (q, p, v) samples of an M3q pair with p != beta conj(q); not a solution."""
+    out = []
+    for _ in range(3):
+        q, p = smooth_complex(grid, rng), smooth_complex(grid, rng)
+        out.append((q, p, solve_v_nls(grid, q, p)[0]))
+    return out
+
+
+SCAN_LAMBDAS = [0.3 + 0.1j, -0.7 + 0.05j, 1.3, 0.0, -0.2 - 0.8j]
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "central4"])
+@pytest.mark.parametrize("case", ["zakharov-plane-wave", "m3q-general-pair"])
+def test_flatness_scan_matches_single_lambda(rng, case, scheme):
+    """A scan entry is zero_curvature_q at that lam alone, bit for bit, and
+    the per-lam formula with V_x = ddx(V) to rounding."""
+    grid = Grid2(48, 40, lx=5.0, ly=7.0)
+    if case == "zakharov-plane-wave":
+        par, dt2 = NlsParams(c=0.0, d=1.0, model="Zakharov"), 0.02
+        triple = [_plane_wave_qpv(grid, par, 0.5, 1, 2, t) for t in (-0.01, 0.0, 0.01)]
+    else:
+        par, dt2 = NlsParams(c=0.37, d=-0.8, model="M3q"), 0.05
+        triple = _general_pair_qpv(grid, rng)
+    F = flatness_pass_q(grid, *triple, par, dt2, scheme)
+    scan = [flatness_at(F, lam) for lam in SCAN_LAMBDAS]
+    for lam, entry in zip(SCAN_LAMBDAS, scan):
+        alone = zero_curvature_q(grid, *triple, par, lam, dt2, scheme)
+        assert repr(entry) == repr(alone)
+        ref = _zero_curvature_by_ddx(grid, *triple, par, lam, dt2, scheme)
+        assert abs(entry["residual"] - ref) <= 1e-12 * ref
+        assert entry["trace_U"] == entry["trace_V"] == 0.0
+    # an entry does not depend on which other lambdas share the scan
+    other = flatness_pass_q(grid, *triple, par, dt2, scheme)
+    for lam, entry in zip(SCAN_LAMBDAS[::-1], [flatness_at(other, lam) for lam in SCAN_LAMBDAS[::-1]]):
+        assert repr(entry) == repr(scan[SCAN_LAMBDAS.index(lam)])
+
+
 # ---------------------------------------------------------------------------
 # spin-side connection (structural)
 # ---------------------------------------------------------------------------
@@ -280,6 +335,41 @@ def test_lax_spin_differentiates_no_matrix_field(grid, rng, monkeypatch):
     for grouping in ("factored", "split"):
         build_lax_spin(grid, S, state.u, state.v, SPAR, 0.4 + 0.2j, grouping=grouping)
     assert ndims and max(ndims) <= 3
+
+
+RUN_CFG = """
+grid.nx = 32
+grid.ny = 32
+params.c = 0.3
+params.d = 1.0
+params.l = 0.0
+t_end = 0.05
+save_every = 2
+output_dir = run
+"""
+
+
+@pytest.mark.parametrize("side, extra, many", [
+    ("nls", "model = M3q\nnls.init = plane-wave\nnls.init.amplitude = 0.5\n", 16),
+    ("spin", "model = M3\nspin.init = modulated-helix\nspin.init.eps = 0.05\n", 8),
+], ids=["q-side", "spin-side"])
+def test_lax_check_derivatives_do_not_grow_with_the_scan(tmp_path, monkeypatch, side, extra, many):
+    """lax-check differentiates once per slice, whatever the number of lambdas."""
+    import m3lab.fields as fields
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG + extra)
+    assert main(["--output-dir", str(tmp_path), f"simulate-{side}", str(cfg)]) == 0
+    calls = []
+    real = fields._deriv
+    monkeypatch.setattr(fields, "_deriv", lambda f, *a, **k: calls.append(1) or real(f, *a, **k))
+    counts = []
+    for n in (1, many):
+        lams = [f"--lambda={0.1 * k:.1f},0.2" for k in range(n)]
+        side_flag = ["--spin-side"] if side == "spin" else []
+        calls.clear()
+        assert main(["--output-dir", str(tmp_path), "lax-check", "run", *lams, *side_flag]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 # ---------------------------------------------------------------------------
