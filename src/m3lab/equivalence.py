@@ -36,7 +36,7 @@ from .fields import (
     inv_dx,
     meanx,
 )
-from .frames import FrameCoeffs, FrameField, coeffs_from_frame, frame_from_spin
+from .frames import FrameCoeffs, FrameField, _k_tau, frame_from_spin
 from .nls import NlsParams, nls_rhs, solve_v_nls
 from .spin import DT_FACTOR, SpinParams, make_state, run_spin
 
@@ -114,9 +114,10 @@ def _slice_to_q(grid: Grid2, S: np.ndarray, par: SpinParams, scheme,
     if frac > FRAME_MASK_LIMIT:
         raise DegenerateFieldError(
             f"equivalence check aborted: frame degenerate on {100*frac:.1f}% of the grid")
-    coeffs = coeffs_from_frame(grid, F, scheme)
-    q, info = q_from_spin(grid, coeffs, par, fold_mode=fold_mode)
-    return q, info
+    # q reads k and tau alone
+    k, tau = _k_tau(F, ddx(grid, F.e1, scheme), ddx(grid, F.e2, scheme))
+    kt = FrameCoeffs(k=k, sigma=None, tau=tau, m1=None, m2=None, m3=None)
+    return q_from_spin(grid, kt, par, fold_mode=fold_mode)
 
 
 def equiv_residual(grid: Grid2, S_before: np.ndarray, S_mid: np.ndarray,

@@ -38,17 +38,22 @@ on a 2-core VM with one OpenBLAS thread (ms, along x / along y):
   128    0.089 / 0.086    0.086 / 0.119
   256    0.91  / 0.91     0.60  / 0.77
 
-so longer axes keep the transforms.  ddx_stack / ddy_stack differentiate
-a (..., ny, nx) stack of planes (the spin kernel carries S as one
-(3, ny, nx) stack): one product over the stack, or on the rfft branch one
-transform per plane, which pocketfft runs faster than one transform over
-the stack.
+so longer axes keep the transforms.  A (..., ny, nx) stack of planes (the
+spin kernel carries S as one (3, ny, nx) stack) is differentiated by one
+product over the stack, or on the rfft branch one transform per plane,
+which pocketfft runs faster than one transform over the stack.
 
 The stepping core shared by the spin and NLS solvers also lives here: one
 classical RK4 step (rk4, which owns the dt / stability check) and one save
-loop (march).  ddx_stack, ddy_stack, inv_dx, cross_planes and dot_planes
-take optional output and scratch arrays, so a kernel called at every stage
-can run on arrays it allocated once.
+loop (march).  rk4 forms its stage states and weighted sum in place, in
+arrays a march allocates once and passes as `work`.
+
+Every public operator rejects a non-finite input (FieldError).  The private
+_deriv and _inv_dx check nothing: a stepper checks its state once per step,
+on entry, and runs its stages on them, with cross_planes, dot_planes and
+norm3, all into output and scratch arrays it allocated once; it aborts a
+step that ends non-finite.  ddx_stack, ddy_stack and the out / work of
+inv_dx are the checked forms of the same stack calls; no kernel uses them.
 """
 
 import os
@@ -137,15 +142,17 @@ def _wavenumbers(n: int, h: float) -> np.ndarray:
     return _frozen(k)
 
 
-def _spectral_deriv(f: np.ndarray, h: float, axis: int) -> np.ndarray:
+def _spectral_deriv(f: np.ndarray, h: float, axis: int, out=None) -> np.ndarray:
+    """The derivative along axis, into out when given (a complex f is transformed in it)."""
     n = f.shape[axis]
     k = _wavenumbers(n, h)
     if np.iscomplexobj(f):
-        fhat = np.fft.fft(f, axis=axis)
-        return np.fft.ifft(1j * _along(k, f.ndim, axis) * fhat, axis=axis)
+        fhat = np.fft.fft(f, axis=axis, out=out)
+        np.multiply(1j * _along(k, f.ndim, axis), fhat, out=fhat)
+        return np.fft.ifft(fhat, axis=axis, out=fhat)
     fhat = np.fft.rfft(f, axis=axis)
     fhat *= 1j * _along(k[:n // 2 + 1], f.ndim, axis)
-    return np.fft.irfft(fhat, n=n, axis=axis)
+    return np.fft.irfft(fhat, n=n, axis=axis, out=out)
 
 
 def _spectral_antideriv(f: np.ndarray, h: float) -> np.ndarray:
@@ -190,15 +197,16 @@ def _apply(M: np.ndarray, f: np.ndarray, axis: int, out=None, work=None) -> np.n
 
     axis 0 or 1 indexes a (ny, nx, *comps) field, -2 or -1 a (..., ny, nx)
     stack of planes.  The shifted lanes go into work, the result into out,
-    when these are given.
+    when these are given.  The first samples are copied out before the
+    shift, so that a work which is f itself is not copied whole.
     """
     if axis >= 0 and f.ndim > 2:
         planes = np.moveaxis(f.reshape(f.shape[:2] + (-1,)), -1, 0)
         res = np.moveaxis(_apply(M, planes, axis - 2), 0, -1)
         return _into(out, np.ascontiguousarray(res).reshape(f.shape))
     if axis % f.ndim == f.ndim - 1:
-        return np.matmul(np.subtract(f, f[..., :1], out=work, order="C"), M.T, out=out)
-    return np.matmul(M, np.subtract(f, f[..., :1, :], out=work, order="C"), out=out)
+        return np.matmul(np.subtract(f, f[..., :1].copy(), out=work, order="C"), M.T, out=out)
+    return np.matmul(M, np.subtract(f, f[..., :1, :].copy(), out=work, order="C"), out=out)
 
 
 def _central4_deriv(f: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -215,7 +223,7 @@ def _deriv(f: np.ndarray, scheme, h: float, axis: int, out=None, work=None) -> n
             return _apply(_deriv_matrix(f.shape[axis], h), f, axis, out, work)
         if axis < 0 and f.ndim > 2:  # a stack: pocketfft is faster plane by plane
             return np.stack([_spectral_deriv(p, h, axis) for p in f], out=out)
-        return _into(out, _spectral_deriv(f, h, axis))
+        return _spectral_deriv(f, h, axis, out)
     if scheme == CENTRAL4:
         return _into(out, _central4_deriv(f, h, axis))
     raise ConfigError(f"unknown derivative scheme {scheme!r}")
@@ -265,17 +273,17 @@ def inv_dx(grid: Grid2, f: np.ndarray, out=None, work=None) -> Antideriv:
     row mean is a solvability violation of d/dx g = f on the periodic row;
     it is removed and reported, not fatal.  out and work as for ddx_stack.
     """
-    return _inv_dx(grid, check_finite(f, "inv_dx input"), out, work)
-
-
-def _inv_dx(grid: Grid2, f: np.ndarray, out=None, work=None) -> Antideriv:
-    """inv_dx without the input check, for kernels whose input was checked where it entered."""
+    f = check_finite(f, "inv_dx input")
     row_mean = np.squeeze(meanx(f), axis=1)  # taken before work (which may be f) is written
+    return Antideriv(_inv_dx(grid, f, out, work), row_mean)
+
+
+def _inv_dx(grid: Grid2, f: np.ndarray, out=None, work=None) -> np.ndarray:
+    """The field of inv_dx alone, f unchecked: for kernels whose input was
+    checked where it entered, and which take any row means from the integrand."""
     if _dense(f, grid.nx):
-        g = _apply(_antideriv_matrix(grid.nx, grid.hx), f, 1, out, work)
-    else:
-        g = _into(out, _spectral_antideriv(f, grid.hx))
-    return Antideriv(g, row_mean)
+        return _apply(_antideriv_matrix(grid.nx, grid.hx), f, 1, out, work)
+    return _into(out, _spectral_antideriv(f, grid.hx))
 
 
 def integrate2(grid: Grid2, f: np.ndarray) -> float:
@@ -288,8 +296,8 @@ def integrate2(grid: Grid2, f: np.ndarray) -> float:
 # 3-vector field algebra
 # ---------------------------------------------------------------------------
 
-def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("...k,...k->...", a, b)
+def dot3(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    return np.einsum("...k,...k->...", a, b, out=out)
 
 
 def cross_planes(a, b, out=None, tmp=None):
@@ -327,8 +335,10 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def norm3(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(dot3(a, a))
+def norm3(a: np.ndarray, out=None) -> np.ndarray:
+    """|a| over the last axis, into out when given; einsum's order of
+    summation, so its bits, follow a's memory layout."""
+    return np.sqrt(dot3(a, a, out), out=out)
 
 
 def normalized3(a: np.ndarray) -> np.ndarray:
@@ -358,25 +368,38 @@ def max_norm(M: np.ndarray) -> float:
 # Time stepping shared by the spin and NLS solvers
 # ---------------------------------------------------------------------------
 
-def rk4(grid: Grid2, rhs, y: tuple, dt: float) -> tuple:
+def rk4(grid: Grid2, rhs, y: tuple, dt: float, work=None) -> tuple:
     """One classical RK4 step of y' = rhs(y), y and rhs(y) tuples of arrays.
 
     The mixed-derivative dispersive terms of both models bound the step by
     dt <= CFL_SAFETY * hx * hy; a dt outside (0, bound] is rejected.
+
+    The stages y + c k and the sum y + dt/6 (k1 + 2 k2 + 2 k3 + k4) are
+    formed in place, in that operand order, in work: a (stage, sum, scratch)
+    triple of arrays per component of y, allocated here when not given.  The
+    new y is returned in the sum arrays.  y is never written, and rhs may
+    return one buffer at every stage.
     """
     bound = CFL_SAFETY * grid.hx * grid.hy
     if not 0.0 < dt <= bound * (1.0 + 1e-9):
         raise ParameterError(f"dt = {dt:.3e} outside the stable range (0, {bound:.3e}]")
 
-    def stage(c, k):
-        return tuple(a + c * b for a, b in zip(y, k))
-
-    k1 = rhs(y)
-    k2 = rhs(stage(0.5 * dt, k1))
-    k3 = rhs(stage(0.5 * dt, k2))
-    k4 = rhs(stage(dt, k3))
-    return tuple(a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+    k = rhs(y)
+    if work is None:
+        work = [tuple(np.empty(b.shape, np.result_type(a, b)) for _ in range(3))
+                for a, b in zip(y, k)]
+    stages = tuple(s for s, _, _ in work)
+    for a, b, (s, total, _) in zip(y, k, work):
+        total[...] = b
+        np.add(a, np.multiply(0.5 * dt, b, out=s), out=s)
+    for c in (0.5 * dt, dt):
+        for a, b, (s, total, tmp) in zip(y, rhs(stages), work):
+            total += np.multiply(2.0, b, out=tmp)
+            np.add(a, np.multiply(c, b, out=s), out=s)
+    for a, b, (_, total, _) in zip(y, rhs(stages), work):
+        total += b
+        np.add(a, np.multiply(dt / 6.0, total, out=total), out=total)
+    return tuple(total for _, total, _ in work)
 
 
 def march(step, y, t: float, dt: float, n_steps: int, save_every: int, keep) -> list:
@@ -417,7 +440,7 @@ def write_mfld1(path, grid: Grid2, data: np.ndarray) -> None:
     header = f"MFLD1 {grid.nx} {grid.ny} {ncomp} {grid.lx:.17g} {grid.ly:.17g}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(data, dtype="<f8"))  # the buffer itself, not a copy
 
 
 def read_mfld1(path):

@@ -158,6 +158,11 @@ def frame_dt(before: FrameField, after: FrameField, dt2: float):
             (after.e3 - before.e3) / dt2)
 
 
+def _k_tau(F: FrameField, e1x: np.ndarray, e2x: np.ndarray) -> tuple:
+    """The curvature k = e2.e1_x and the torsion tau = e3.e2_x."""
+    return dot3(F.e2, e1x), dot3(F.e3, e2x)
+
+
 def coeffs_from_frame(grid: Grid2, F: FrameField, scheme=SPECTRAL,
                       dF_dt=None) -> FrameCoeffs:
     """Transport coefficients by projection, and the densities e_j.(e_jx ^ e_jy).
@@ -166,15 +171,17 @@ def coeffs_from_frame(grid: Grid2, F: FrameField, scheme=SPECTRAL,
     m1 = e3.e2_y, m2 = -e3.e1_y, m3 = e2.e1_y,
     and, when frame velocities are supplied,
     w1 = e3.e2_t, w2 = -e3.e1_t, w3 = e2.e1_t.
-    Each e_j is differentiated once along x and y, and released before the next.
+    Each e_j is differentiated once along x and y; two derivatives are held at most.
     """
     e1x, e1y = ddx(grid, F.e1, scheme), ddy(grid, F.e1, scheme)
-    k, sigma = dot3(F.e2, e1x), -dot3(F.e3, e1x)
-    m2, m3 = -dot3(F.e3, e1y), dot3(F.e2, e1y)
+    sigma, m2, m3 = -dot3(F.e3, e1x), -dot3(F.e3, e1y), dot3(F.e2, e1y)
     d1 = _density(F.e1, e1x, e1y)
-    del e1x, e1y
-    e2x, e2y = ddx(grid, F.e2, scheme), ddy(grid, F.e2, scheme)
-    tau, m1 = dot3(F.e3, e2x), dot3(F.e3, e2y)
+    del e1y
+    e2x = ddx(grid, F.e2, scheme)
+    k, tau = _k_tau(F, e1x, e2x)
+    del e1x
+    e2y = ddy(grid, F.e2, scheme)
+    m1 = dot3(F.e3, e2y)
     d2 = _density(F.e2, e2x, e2y)
     del e2x, e2y
     coeffs = FrameCoeffs(k=k, sigma=sigma, tau=tau, m1=m1, m2=m2, m3=m3,

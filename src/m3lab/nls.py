@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError, ParameterError, UnstableStepError
-from .fields import (SPECTRAL, Antideriv, Grid2, _deriv, _inv_dx, check_finite, ddx, ddy,
-                     inv_dx, march, rk4)
+from .fields import (SPECTRAL, Grid2, _deriv, _inv_dx, check_finite, ddx, ddy, inv_dx, march,
+                     meanx, rk4)
 
 _MODELS = ("M3q", "Zakharov", "Strachan")
 
@@ -86,18 +86,23 @@ def solve_v_nls(grid: Grid2, q: np.ndarray, p, scheme=SPECTRAL, beta: int = 1):
     """
     check_finite(q, "q")
     if p is None:
-        w, row_mean = _paired_v(grid, q, scheme, beta)
-        return w, row_mean, 0.0
+        v, v_x = _paired_v(grid, q, scheme, beta, tuple(np.empty(q.shape) for _ in range(3)))
+        return v, meanx(v_x)[:, 0], 0.0
     check_finite(p, "p")
     w, row_mean = inv_dx(grid, ddy(grid, p * q, scheme))
     imag_residue = float(np.max(np.abs(w.imag))) if np.iscomplexobj(w) else 0.0
     return np.real(w), np.real(row_mean), imag_residue
 
 
-def _paired_v(grid: Grid2, q: np.ndarray, scheme, beta: int) -> Antideriv:
-    """The x-antiderivative of (beta |q|^2)_y, q unchecked: v and its discarded row means."""
-    return _inv_dx(grid, _deriv(beta * (q.real * q.real + q.imag * q.imag), scheme,
-                                grid.hy, axis=0))
+def _paired_v(grid: Grid2, q: np.ndarray, scheme, beta: int, planes) -> tuple:
+    """v of the paired q and its integrand (beta |q|^2)_y, q unchecked,
+    written into planes, three real arrays of q's shape."""
+    dens, v_x, v = planes
+    np.multiply(q.real, q.real, out=dens)
+    dens += np.multiply(q.imag, q.imag, out=v)
+    np.multiply(beta, dens, out=dens)
+    _deriv(dens, scheme, grid.hy, 0, out=v_x, work=dens)
+    return _inv_dx(grid, v_x, out=v, work=dens), v_x
 
 
 def nls_rhs(grid: Grid2, q: np.ndarray, p: np.ndarray, v: np.ndarray, par: NlsParams,
@@ -117,50 +122,72 @@ def nls_rhs(grid: Grid2, q: np.ndarray, p: np.ndarray, v: np.ndarray, par: NlsPa
 
 def make_state(grid: Grid2, q: np.ndarray, par: NlsParams, t: float = 0.0,
                scheme=SPECTRAL) -> NlsState:
-    """Assemble an NlsState with p = beta*conj(q) and v solved from beta |q|^2."""
-    q = np.asarray(q, dtype=complex)
+    """Assemble an NlsState with p = beta*conj(q) and v solved from beta |q|^2.
+
+    The state owns a copy of q (which may be a stepper's workspace array).
+    """
+    q = np.array(q, dtype=complex)
     v, row_mean, _ = solve_v_nls(grid, q, None, scheme, par.beta)
     return NlsState(q=q, p=_paired(q, par.beta), v=v, t=t,
                     v_row_mean=float(np.max(np.abs(row_mean))))
 
 
-def _q_rate(grid: Grid2, q: np.ndarray, par: NlsParams, scheme) -> np.ndarray:
-    """q_t = (-i q_y - 4c v q)_x - 2i d^2 v q with v from beta |q|^2; q unchecked."""
-    vq = _paired_v(grid, q, scheme, par.beta).field * q
-    w = _deriv(q, scheme, grid.hy, axis=0)
+class _Workspace:
+    """Every array an NLS step writes, for fields of one shape; run_nls makes
+    one for all its steps."""
+
+    def __init__(self, shape):
+        self.planes = tuple(np.empty(shape) for _ in range(3))
+        self.q, self.vq, self.w, self.tmp, self.rate = (np.empty(shape, complex) for _ in range(5))
+        self.rk4 = [tuple(np.empty(shape, complex) for _ in range(3))]
+
+
+def _q_rate(grid: Grid2, q: np.ndarray, par: NlsParams, scheme, ws) -> np.ndarray:
+    """q_t = (-i q_y - 4c v q)_x - 2i d^2 v q with v from beta |q|^2, into
+    ws.rate; q unchecked."""
+    v, _ = _paired_v(grid, q, scheme, par.beta, ws.planes)
+    vq = np.multiply(v, q, out=ws.vq)
+    w = _deriv(q, scheme, grid.hy, 0, out=ws.w)
     w *= -1j
     if par.c != 0.0:
-        w -= 4.0 * par.c * vq
-    q_t = _deriv(w, scheme, grid.hx, axis=1)
-    q_t -= 2j * par.d * par.d * vq
+        w -= np.multiply(4.0 * par.c, vq, out=ws.tmp)
+    q_t = _deriv(w, scheme, grid.hx, 1, out=ws.rate)
+    q_t -= np.multiply(2j * par.d * par.d, vq, out=ws.tmp)
     return q_t
 
 
 def step_rk4_nls(grid: Grid2, q: np.ndarray, par: NlsParams, dt: float,
-                 scheme=SPECTRAL):
+                 scheme=SPECTRAL, work=None):
     """One RK4 step of q (p = beta*conj(q)), v re-solved at each stage.
 
     q is checked once, on entry: a non-finite q is rejected (FieldError).
-    The stages run _q_rate unchecked; a step that overflows from a finite q
-    ends non-finite and is a numerical abort (UnstableStepError).  Returns
-    (q, conj_dev), conj_dev 0.0 by construction.
+    The stages run _q_rate unchecked, every array in `work`; a step that
+    overflows from a finite q ends non-finite and is a numerical abort
+    (UnstableStepError).  Returns (q, conj_dev), conj_dev 0.0 by
+    construction.  Given a workspace (run_nls makes one for all its steps),
+    the new q is work.q, which the next step overwrites; a step without one
+    makes its own.
     """
     check_finite(q, "q")
+    ws = work or _Workspace(np.shape(q))
     # an overflow anywhere in the step ends as a non-finite result, which
     # aborts below; it needs no warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
-        q_new, = rk4(grid, lambda y: (_q_rate(grid, y[0], par, scheme),), (q,), dt)
+        q_new, = rk4(grid, lambda y: (_q_rate(grid, y[0], par, scheme, ws),), (q,), dt, ws.rk4)
     try:
-        return check_finite(q_new, "q"), 0.0
+        check_finite(q_new, "q")
     except FieldError as exc:
         raise UnstableStepError(f"step went non-finite: {exc}") from exc
+    np.copyto(ws.q, q_new)  # out of the sum arrays, which the next step writes
+    return ws.q, 0.0
 
 
 def run_nls(grid: Grid2, state: NlsState, par: NlsParams, dt: float,
             n_steps: int, save_every: int = 1, scheme=SPECTRAL):
     """March n_steps, returning the saved states (initial state included)."""
+    work = _Workspace(state.q.shape)
     return [state] + march(
-        lambda q: step_rk4_nls(grid, q, par, dt, scheme), state.q, state.t, dt,
+        lambda q: step_rk4_nls(grid, q, par, dt, scheme, work), state.q, state.t, dt,
         n_steps, save_every,
         lambda q, t, _: make_state(grid, q, par, t, scheme))
 

@@ -20,16 +20,20 @@ S keeps the package's (ny, nx, 3) layout in and out.  The kernel (spin_rhs,
 and the constraint solve it shares with solve_u, solve_v and make_state)
 works on S as one contiguous (3, ny, nx) component stack: S_x, S_y and
 (S ^ S_y)_x are each one derivative of a stack, and the derivatives, cross
-and dot products and u, v are written into the arrays of one workspace,
-which run_spin reuses for every stage of every step; step_rk4_spin copies
-S into its stack once per step and writes the new S once.
+and dot products, u, v, the rate and the in-place RK4 stages (fields.rk4)
+are written into the arrays of one workspace.  run_spin marches that
+workspace's stack itself: each step renormalises the new S back into the
+stack and hands it on as an (ny, nx, 3) view, and only kept states are
+copied out into (ny, nx, 3) arrays, by make_state.  S is checked for
+finite values once, where it enters (each public function, each step);
+the stages run the unchecked operators, and a step that ends non-finite
+aborts through its renormalisation check.
 
 The kinematic decomposition S_t = d2 S_x + d3 S_y (with coefficients read off
 a moving frame) lives here as m0_reduce / m0_residual.
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,14 +42,15 @@ from .fields import (
     SPECTRAL,
     Antideriv,
     Grid2,
+    _deriv,
+    _inv_dx,
+    check_finite,
     cross_planes,
     ddx,
-    ddx_stack,
     ddy,
-    ddy_stack,
     dot_planes,
-    inv_dx,
     march,
+    meanx,
     norm3,
     rk4,
 )
@@ -116,56 +121,60 @@ class SpinState:
                 raise ParameterError(f"{name} has nonzero x-mean {drift:.3e}")
 
 
-class _Constraints(NamedTuple):
-    Sx: np.ndarray           # S_x, S_y as (3, ny, nx) component stacks
-    Sy: np.ndarray
-    u_x: np.ndarray          # -S.(S_x ^ S_y), the u integrand
-    u: Antideriv
-    v: Antideriv             # None unless par is given
-
-
 def _unstack(P: np.ndarray) -> np.ndarray:
     """A (3, ny, nx) stack as a new (ny, nx, 3) field."""
     return np.ascontiguousarray(np.moveaxis(P, 0, -1))
 
 
 class _Workspace:
-    """The stack of S and every array _constraints writes, for (3, ny, nx)
+    """The stack P of S and every array a step writes, for (3, ny, nx)
     stacks of one shape.
 
-    run_spin makes one and reuses it in every stage of every step;
-    _constraints returns views of it.
+    run_spin makes one and reuses it in every stage of every step and for
+    every kept state.  S is P seen as an (ny, nx, 3) field; S3 holds a
+    step's result contiguous in that layout, where norm3 gives the bits the
+    renormalisation is pinned to.
     """
 
     def __init__(self, shape):
-        self.P, self.Sx, self.Sy, self.buf = (np.empty(shape) for _ in range(4))
-        self.u_x, self.u, self.v, self.tmp = (np.empty(shape[1:]) for _ in range(4))
+        self.P, self.Sx, self.Sy, self.buf, self.rate = (np.empty(shape) for _ in range(5))
+        self.u_x, self.u, self.v_x, self.v, self.tmp, self.length = (
+            np.empty(shape[1:]) for _ in range(6))
+        self.rk4 = [tuple(np.empty(shape) for _ in range(3))]
+        self.S3 = np.empty(shape[1:] + shape[:1])
+        self.S = np.moveaxis(self.P, 0, -1)
 
 
 def _loaded(S: np.ndarray, work=None) -> _Workspace:
-    """work, or a new workspace, with the components of S copied into its stack P."""
-    ws = work or _Workspace((3,) + S.shape[:2])
-    ws.P[...] = np.moveaxis(S, -1, 0)
+    """work, or a new workspace, with S in its stack P, checked finite.
+
+    S is copied in unless it is work.S, which already shows P.
+    """
+    ws = work or _Workspace((3,) + np.shape(S)[:2])
+    if S is not ws.S:
+        ws.P[...] = np.moveaxis(S, -1, 0)
+    check_finite(ws.P, "S")
     return ws
 
 
-def _constraints(grid: Grid2, P, scheme, par: SpinParams, ws) -> _Constraints:
-    """S_x, S_y, the u integrand and u (and v, given par) from the stack P of S.
+def _constraints(grid: Grid2, P, scheme, par: SpinParams, ws) -> None:
+    """S_x, S_y, u and its integrand u_x (and v and v_x, given par) from the
+    stack P of S, unchecked, into the arrays of ws of those names.
 
-    The results live in ws.
+    The integrands are kept, so the row means that inv_dx discards are
+    taken only where they are read.
     """
-    Sx = ddx_stack(grid, P, scheme, out=ws.Sx, work=ws.buf)
-    Sy = ddy_stack(grid, P, scheme, out=ws.Sy, work=ws.buf)
-    u_x = dot_planes(P, cross_planes(Sx, Sy, ws.buf, ws.tmp), ws.u_x, ws.tmp)
-    np.negative(u_x, out=u_x)
-    # buf is free again: its planes hold the v integrand, each shifted in place
-    dens, dens_y, work = ws.buf
-    v = None
+    _deriv(P, scheme, grid.hx, -1, out=ws.Sx, work=ws.buf)
+    _deriv(P, scheme, grid.hy, -2, out=ws.Sy, work=ws.buf)
+    dot_planes(P, cross_planes(ws.Sx, ws.Sy, ws.buf, ws.tmp), ws.u_x, ws.tmp)
+    np.negative(ws.u_x, out=ws.u_x)
+    # buf is free again: its planes take the shifted lanes
     if par is not None:
-        ddy_stack(grid, dot_planes(Sx, Sx, dens, ws.tmp), scheme, out=dens_y, work=dens)
-        dens_y *= par.v_prefactor
-        v = inv_dx(grid, dens_y, out=ws.v, work=dens_y)
-    return _Constraints(Sx, Sy, u_x, inv_dx(grid, u_x, out=ws.u, work=work), v)
+        dens = dot_planes(ws.Sx, ws.Sx, ws.buf[0], ws.tmp)
+        _deriv(dens, scheme, grid.hy, -2, out=ws.v_x, work=dens)
+        ws.v_x *= par.v_prefactor
+        _inv_dx(grid, ws.v_x, out=ws.v, work=dens)
+    _inv_dx(grid, ws.u_x, out=ws.u, work=ws.buf[1])
 
 
 def solve_u(grid: Grid2, S: np.ndarray, scheme=SPECTRAL):
@@ -175,26 +184,28 @@ def solve_u(grid: Grid2, S: np.ndarray, scheme=SPECTRAL):
     integrand (solvability diagnostic; zero for topologically trivial rows).
     """
     ws = _loaded(S)
-    return _constraints(grid, ws.P, scheme, None, ws).u
+    _constraints(grid, ws.P, scheme, None, ws)
+    return Antideriv(ws.u, meanx(ws.u_x)[:, 0])
 
 
 def solve_v(grid: Grid2, S: np.ndarray, par: SpinParams, scheme=SPECTRAL):
     """v with v_x = (S_x.S_x)_y / (4(2cl+d)^2), zero x-mean; returns (v, row_mean)."""
     ws = _loaded(S)
-    return _constraints(grid, ws.P, scheme, par, ws).v
+    _constraints(grid, ws.P, scheme, par, ws)
+    return Antideriv(ws.v, meanx(ws.v_x)[:, 0])
 
 
 def _rhs(grid: Grid2, P: np.ndarray, par: SpinParams, scheme, ws) -> np.ndarray:
-    """S_t of the stack P of S, as a new (3, ny, nx) stack."""
-    Sx, Sy, u_x, (u, _), (v, _) = _constraints(grid, P, scheme, par, ws)
-    flux = cross_planes(P, Sy, ws.buf, ws.tmp)
-    out = ddx_stack(grid, flux, scheme, work=flux)
-    out += np.multiply(u_x, P, out=ws.buf)
-    out += np.multiply(u, Sx, out=ws.buf)
+    """S_t of the stack P of S, P unchecked, written into ws.rate."""
+    _constraints(grid, P, scheme, par, ws)
+    flux = cross_planes(P, ws.Sy, ws.buf, ws.tmp)
+    out = _deriv(flux, scheme, grid.hx, -1, out=ws.rate, work=flux)
+    out += np.multiply(ws.u_x, P, out=ws.buf)
+    out += np.multiply(ws.u, ws.Sx, out=ws.buf)
     if par.drift != 0.0:
-        out += np.multiply(par.drift, Sy, out=ws.buf)
+        out += np.multiply(par.drift, ws.Sy, out=ws.buf)
     if par.c != 0.0:
-        out -= np.multiply(np.multiply(4.0 * par.c, v, out=ws.tmp), Sx, out=ws.buf)
+        out -= np.multiply(np.multiply(4.0 * par.c, ws.v, out=ws.tmp), ws.Sx, out=ws.buf)
     return out
 
 
@@ -208,8 +219,7 @@ def spin_rhs(grid: Grid2, S: np.ndarray, par: SpinParams, scheme=SPECTRAL) -> np
     S to rounding instead of to the size of that defect.
 
     Computed on the (3, ny, nx) component stack of S; the (ny, nx, 3)
-    result is written once.  A non-finite S is rejected (FieldError) by the
-    derivatives of the stack, which check their input.
+    result is written once.  A non-finite S is rejected (FieldError).
     """
     ws = _loaded(S)
     return _unstack(_rhs(grid, ws.P, par, scheme, ws))
@@ -219,13 +229,14 @@ def make_state(grid: Grid2, S: np.ndarray, par: SpinParams, t: float = 0.0,
                scheme=SPECTRAL, renorm: float = 0.0, work=None) -> SpinState:
     """Assemble a SpinState with u, v solved from S (one differentiation of S).
 
-    work as for step_rk4_spin; u and v are copied out of it.
+    work as for step_rk4_spin.  S, u and v are copied out of it, S as a new
+    (ny, nx, 3) array, so the state owns its arrays.
     """
     ws = _loaded(S, work)
-    _, _, _, u, v = _constraints(grid, ws.P, scheme, par, ws)
-    return SpinState(S=S, u=u.field.copy(), v=v.field.copy(), t=t, renorm=renorm,
-                     u_row_mean=float(np.max(np.abs(u.row_mean))),
-                     v_row_mean=float(np.max(np.abs(v.row_mean))))
+    _constraints(grid, ws.P, scheme, par, ws)
+    return SpinState(S=_unstack(ws.P), u=ws.u.copy(), v=ws.v.copy(), t=t, renorm=renorm,
+                     u_row_mean=float(np.max(np.abs(meanx(ws.u_x)))),
+                     v_row_mean=float(np.max(np.abs(meanx(ws.v_x)))))
 
 
 def default_dt(grid: Grid2) -> float:
@@ -238,25 +249,38 @@ def step_rk4_spin(grid: Grid2, S: np.ndarray, par: SpinParams, dt: float,
     """One classical RK4 step of S.
 
     Returns (S renormalized to unit length, the correction max |1 - |S||
-    that renormalization removed).  A correction beyond RENORM_LIMIT, or a
-    non-finite one, aborts the step (UnstableStepError).  The stages run
-    on the (3, ny, nx) stack of S with the kernel's arrays in `work`, which
-    run_spin makes once for all its steps; a step without one makes its own.
+    that renormalization removed).  S is checked once, on entry: a
+    non-finite S is rejected (FieldError).  The stages run unchecked on the
+    (3, ny, nx) stack of S, every array in `work`; a step that ends
+    non-finite gives a NaN correction, which aborts it (UnstableStepError)
+    as a correction beyond RENORM_LIMIT does.
+
+    run_spin makes one workspace for all its steps.  Given one, the step
+    writes the new S into its stack and returns work.S, the (ny, nx, 3)
+    view of that stack, which the next step takes without a copy; a step
+    without one makes its own and returns a new array.
     """
     ws = _loaded(S, work)
-    (P_new,) = rk4(grid, lambda y: (_rhs(grid, y[0], par, scheme, ws),), (ws.P,), dt)
-    S_new = _unstack(P_new)
-    lengths = norm3(S_new)
-    correction = float(np.max(np.abs(lengths - 1.0)))
+    # an overflow in a stage ends as a non-finite correction, which aborts
+    # below; it needs no warning of its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        (T,) = rk4(grid, lambda y: (_rhs(grid, y[0], par, scheme, ws),), (ws.P,), dt, ws.rk4)
+        np.copyto(ws.S3, np.moveaxis(T, 0, -1))
+        lengths = norm3(ws.S3, out=ws.length)
+        correction = float(np.max(np.abs(np.subtract(lengths, 1.0, out=ws.tmp), out=ws.tmp)))
     if not correction <= RENORM_LIMIT:
         raise UnstableStepError(f"unstable step: renormalization correction {correction:.3e}")
-    S_new /= lengths[..., None]
-    return S_new, correction
+    np.divide(T, lengths, out=ws.P)
+    return (ws.S if work is not None else _unstack(ws.P)), correction
 
 
 def run_spin(grid: Grid2, state: SpinState, par: SpinParams, dt: float,
              n_steps: int, save_every: int = 1, scheme=SPECTRAL):
-    """March n_steps, returning the saved states (initial state included)."""
+    """March n_steps, returning the saved states (initial state included).
+
+    Every step and kept state runs in one workspace, whose stack the march
+    carries from step to step.
+    """
     work = _Workspace((3,) + state.S.shape[:2])
     return [state] + march(
         lambda S: step_rk4_spin(grid, S, par, dt, scheme, work), state.S, state.t, dt,

@@ -84,6 +84,19 @@ def test_q_quantized_linear_phase_folds_exactly(grid):
     assert max_norm(q - expect) < 1e-10
 
 
+def test_slice_map_is_q_from_the_projected_coefficients(grid):
+    """The slice map, which forms k and tau alone, gives the bits of
+    q_from_spin on coeffs_from_frame, with and without a forced fold mode."""
+    from m3lab.equivalence import _slice_to_q
+    S = init_modulated_helix(grid, kappa=1, eps=0.1)
+    F = frame_from_spin(grid, S)
+    for fold in (None, 3):
+        want_q, want_info = q_from_spin(grid, coeffs_from_frame(grid, F), PAR, fold_mode=fold)
+        q, info = _slice_to_q(grid, S, PAR, "spectral", fold_mode=fold)
+        assert np.array_equal(q, want_q)
+        assert info == want_info
+
+
 def test_q_rejects_vanishing_denominator(grid):
     shape = (grid.ny, grid.nx)
     zeros = np.zeros(shape)

@@ -18,6 +18,7 @@ from m3lab.fields import (
     inv_dx,
     meanx,
     read_mfld1,
+    rk4,
     write_mfld1,
 )
 from m3lab.spin import SpinParams, make_state, spin_rhs
@@ -357,6 +358,53 @@ def test_mfld1_round_trip(tmp_path, grid, rng):
     path2 = tmp_path / "field2.mfld1"
     write_mfld1(path2, grid, data)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("layout", ["plane", "strided view"])
+def test_mfld1_payload_is_the_little_endian_buffer(tmp_path, layout):
+    """The file is the header and the data's <f8 bytes, also for a
+    non-contiguous (ny, nx, 3) view written without a copy of its own."""
+    g = Grid2(8, 12, lx=1.5, ly=2.5)
+    base = np.arange(3 * g.ny * g.nx, dtype=float)
+    data = (base[:g.ny * g.nx].reshape(g.ny, g.nx) if layout == "plane"
+            else np.moveaxis(base.reshape(3, g.ny, g.nx), 0, -1))
+    assert data.flags.c_contiguous == (layout == "plane")
+    path = tmp_path / "p.mfld1"
+    write_mfld1(path, g, data)
+    ncomp = 1 if data.ndim == 2 else 3
+    header = f"MFLD1 8 12 {ncomp} {g.lx:.17g} {g.ly:.17g}\n".encode("ascii")
+    assert path.read_bytes() == header + data.astype("<f8").tobytes()
+
+
+def _textbook_rk4(rhs, y, dt):
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * dt * k1)
+    k3 = rhs(y + 0.5 * dt * k2)
+    k4 = rhs(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_rk4_in_place_is_the_textbook_step(rng, dtype):
+    """rk4 in its work arrays gives the bits of RK4 written out, leaves y
+    alone, and takes a rate that reuses one buffer or returns its input."""
+    g = Grid2(16, 16)
+    dt = 0.25 * g.hx * g.hy
+    y = rng.normal(size=(g.ny, g.nx)).astype(dtype)
+    y0 = y.copy()
+    shared = np.empty_like(y)
+
+    def reused(f):
+        return np.multiply(np.sin(f), -3.0, out=shared)
+
+    for rate in (reused, lambda f: f):
+        want = _textbook_rk4(lambda f: rate(f).copy(), y, dt)
+        work = [tuple(np.empty_like(y) for _ in range(3))]
+        (got,) = rk4(g, lambda z: (rate(z[0]),), (y,), dt, work)
+        assert got is work[0][1]
+        assert np.array_equal(got, want)
+        assert np.array_equal(rk4(g, lambda z: (rate(z[0]),), (y,), dt)[0], want)
+        assert np.array_equal(y, y0)
 
 
 def test_mfld1_non_finite_payload_rejected(tmp_path, grid):

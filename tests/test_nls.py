@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -170,6 +171,24 @@ def test_non_finite_stage_is_a_numerical_abort(grid, rng, monkeypatch):
         with pytest.raises(NumericalError, match="non-finite"):
             step_rk4_nls(grid, q, GEN, default_dt(grid))
     assert len(stages) == 4
+
+
+def test_step_given_its_workspace_allocates_less_than_a_field(rng):
+    """Given its workspace, a step writes every stage, the v solve and the
+    new q into that workspace's arrays: after warm-up, what it allocates at
+    its peak stays below one complex (ny, nx) field."""
+    g = Grid2(128, 128)
+    ws = nls._Workspace((g.ny, g.nx))
+    q, _ = step_rk4_nls(g, smooth_complex(g, rng, scale=0.3), GEN, default_dt(g), work=ws)
+    assert q is ws.q
+    tracemalloc.start()
+    try:
+        q, _ = step_rk4_nls(g, q, GEN, default_dt(g), work=ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert q is ws.q
+    assert peak < q.nbytes
 
 
 def test_plane_wave_modulus_conserved(grid):

@@ -1,10 +1,17 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from m3lab.convergence import fit_order
-from m3lab.errors import DegenerateFieldError, FieldError, ParameterError, UnstableStepError
+from m3lab.errors import (
+    DegenerateFieldError,
+    FieldError,
+    NumericalError,
+    ParameterError,
+    UnstableStepError,
+)
 from m3lab.fields import Grid2, cross3, ddx, ddy, dot3, inv_dx, meanx, norm3
 from m3lab.frames import FrameCoeffs, coeffs_from_frame, frame_dt, frame_from_spin
 from m3lab.spin import (
@@ -289,6 +296,47 @@ def test_non_finite_correction_aborts_the_step(grid, rng, monkeypatch):
     monkeypatch.setattr(spin, "_rhs", lambda grid, P, *args: np.full_like(P, np.nan))
     with pytest.raises(UnstableStepError, match="correction nan"):
         step_rk4_spin(grid, smooth_spin(grid, rng), PAR, default_dt(grid))
+
+
+def test_non_finite_stage_is_a_numerical_abort(grid, rng, monkeypatch):
+    """A stage rate gone non-finite is not checked in the stage; the
+    renormalisation is, and the step aborts with no warning on the way."""
+    import m3lab.spin as spin
+    real_rhs = spin._rhs
+    stages = []
+
+    def rhs(*args):
+        stages.append(1)
+        rate = real_rhs(*args)
+        return np.full_like(rate, np.nan) if len(stages) == 2 else rate
+
+    monkeypatch.setattr(spin, "_rhs", rhs)
+    S = smooth_spin(grid, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="correction nan"):
+            step_rk4_spin(grid, S, PAR, default_dt(grid))
+    assert len(stages) == 4
+
+
+def test_step_given_its_workspace_allocates_less_than_a_stack(rng):
+    """Given its workspace, a step writes every stage, the weighted sum and
+    the renormalised S into that workspace's arrays: after warm-up, what it
+    allocates at its peak (the finite check's mask, numpy's iterator buffers
+    of at most 8192 elements) stays below one (3, ny, nx) stack."""
+    import m3lab.spin as spin
+    g = Grid2(128, 128)
+    ws = spin._Workspace((3, g.ny, g.nx))
+    S, _ = step_rk4_spin(g, smooth_spin(g, rng), PAR, default_dt(g), work=ws)
+    assert S is ws.S
+    tracemalloc.start()
+    try:
+        S, _ = step_rk4_spin(g, S, PAR, default_dt(g), work=ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert S is ws.S
+    assert peak < ws.P.nbytes
 
 
 def test_run_spin_save_cadence(grid):
