@@ -234,13 +234,18 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _write_charges(path: str, samples, scheme, beta: int) -> list:
-    """Charge table, one row per (t, grid, S) sample; returns their density_dev triples."""
-    from .frames import coeffs_from_frame, frame_from_spin
+    """Charge table, one row per (t, grid, S) sample; returns their density_dev triples.
+
+    Every sample's frame and coefficients are built in one workspace.
+    """
+    from .frames import _Workspace, coeffs_from_frame, frame_from_spin
     from .invariants import charges
-    reports = []
+    reports, work = [], None
     for t, grid, S in samples:
-        F = frame_from_spin(grid, S, scheme)
-        reports.append((t, charges(grid, coeffs_from_frame(grid, F, scheme), beta)))
+        work = work or _Workspace((grid.ny, grid.nx))
+        F = frame_from_spin(grid, S, scheme, work=work)
+        reports.append((t, charges(grid, coeffs_from_frame(grid, F, scheme, work=work), beta,
+                                   work)))
     with open(path, "w") as fh:
         fh.write("t,K1,K2,K3,Kc1,Kc2,Kc3,Q1,Q2,Q3\n")
         for t, rep in reports:
@@ -253,7 +258,6 @@ def _write_charges(path: str, samples, scheme, beta: int) -> list:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate_spin(args) -> int:
-    import numpy as np
     from .fields import write_mfld1
     from .spin import make_state, run_spin
 
@@ -272,8 +276,7 @@ def cmd_simulate_spin(args) -> int:
     slices = []
     for idx, st in enumerate(saved):
         name = f"spin_{idx:06d}.mfld1"
-        data = np.concatenate([st.S, st.u[..., None], st.v[..., None]], axis=-1)
-        write_mfld1(os.path.join(out, name), grid, data)
+        write_mfld1(os.path.join(out, name), grid, (st.S, st.u, st.v))
         slices.append(name)
     density_dev = _write_charges(os.path.join(out, "invariants.csv"),
                                  ((st.t, grid, st.S) for st in saved), scheme, par.beta)
@@ -314,8 +317,8 @@ def cmd_simulate_nls(args) -> int:
     slices = []
     for idx, st in enumerate(saved):
         name = f"nls_{idx:06d}.mfld1"
-        data = np.stack([st.q.real, st.q.imag, st.p.real, st.p.imag, st.v], axis=-1)
-        write_mfld1(os.path.join(out, name), grid, data)
+        write_mfld1(os.path.join(out, name), grid,
+                    (st.q.real, st.q.imag, st.p.real, st.p.imag, st.v))
         slices.append(name)
     with open(os.path.join(out, "norms.csv"), "w") as fh:
         fh.write("t,max_abs_q,conj_dev\n")
@@ -372,34 +375,34 @@ def _load_slice(run_dir: str, meta: dict, cfg: RunConfig, idx: int):
 
 
 def cmd_frame(args) -> int:
-    import numpy as np
     from .fields import write_mfld1
-    from .frames import (coeffs_from_frame, frame_dt, frame_from_spin, mlxii_residual,
-                         with_time_entries)
+    from .frames import (_Workspace, coeffs_from_frame, frame_dt, frame_from_spin,
+                         mlxii_residual, with_time_entries)
 
     run_dir, meta, cfg = _open_run(args, "spin")
     scheme, beta = cfg["scheme"], cfg["params.beta"]
     times = meta["times"]
     report = {"config_hash": cfg.sha, "residuals": []}
-    window = []  # (frame, coefficients) of the last three slices
+    grid = cfg.grid()
+    ring = _Workspace((grid.ny, grid.nx)).ring(3)
+    window = []  # (frame, coefficients) of the last three slices, each in its workspace
     for idx in range(len(times)):
         grid, data = _load_slice(run_dir, meta, cfg, idx)
-        F = frame_from_spin(grid, data[..., 0:3], scheme)
-        write_mfld1(os.path.join(run_dir, f"frame_{idx:06d}.mfld1"), grid,
-                    np.concatenate([F.e1, F.e2, F.e3], axis=-1))
-        window = window[-2:] + [(F, coeffs_from_frame(grid, F, scheme))]
+        work = ring[idx % 3]
+        F = frame_from_spin(grid, data[..., 0:3], scheme, work=work)
+        write_mfld1(os.path.join(run_dir, f"frame_{idx:06d}.mfld1"), grid, (F.e1, F.e2, F.e3))
+        window = window[-2:] + [(F, coeffs_from_frame(grid, F, scheme, work=work))]
         if len(window) < 3:
             continue
         (F0, before), (F1, mid), (F2, after) = window
         dt2 = times[idx] - times[idx - 2]
-        co = with_time_entries(mid, F1, frame_dt(F0, F2, dt2))
+        work = ring[(idx - 1) % 3]
+        co = with_time_entries(mid, F1, frame_dt(F0, F2, dt2, work), work)
         write_mfld1(os.path.join(run_dir, f"coeffs_{idx - 1:06d}.mfld1"), grid,
-                    np.stack([co.k, co.sigma, co.tau, co.m1, co.m2, co.m3,
-                              co.w1, co.w2, co.w3], axis=-1))
+                    (co.k, co.sigma, co.tau, co.m1, co.m2, co.m3, co.w1, co.w2, co.w3))
         res = mlxii_residual(grid, co, scheme, beta, coeffs_before=before,
-                             coeffs_after=after, dt2=dt2, frame=F1)
+                             coeffs_after=after, dt2=dt2, frame=F1, work=work)
         report["residuals"].append({"t": times[idx - 1], **res})
-        del window[0], F0, before, co  # freed before the next slice is projected
     _write_json(os.path.join(run_dir, "frame_report.json"), report)
     print(f"wrote {len(times)} frame dumps and {max(0, len(times) - 2)} coefficient dumps to {run_dir}")
     return 0

@@ -36,7 +36,8 @@ from .fields import (
     inv_dx,
     meanx,
 )
-from .frames import FrameCoeffs, FrameField, _k_tau, frame_from_spin
+from .frames import (FrameCoeffs, FrameField, _frame_stack, _project, _Workspace,
+                     frame_from_spin)
 from .nls import NlsParams, nls_rhs, solve_v_nls
 from .spin import DT_FACTOR, SpinParams, make_state, run_spin
 
@@ -108,15 +109,17 @@ def q_from_spin(grid: Grid2, coeffs: FrameCoeffs, par: SpinParams,
 
 
 def _slice_to_q(grid: Grid2, S: np.ndarray, par: SpinParams, scheme,
-                fold_mode=None):
-    F = frame_from_spin(grid, S, scheme)
+                fold_mode=None, work=None):
+    """q of one slice; its frame and k, tau are built in work, a frames
+    workspace, when it is given."""
+    work = work or _Workspace((grid.ny, grid.nx))
+    F = frame_from_spin(grid, S, scheme, work=work)
     frac = float(np.count_nonzero(F.mask)) / F.mask.size
     if frac > FRAME_MASK_LIMIT:
         raise DegenerateFieldError(
             f"equivalence check aborted: frame degenerate on {100*frac:.1f}% of the grid")
     # q reads k and tau alone
-    k, tau = _k_tau(F, ddx(grid, F.e1, scheme), ddx(grid, F.e2, scheme))
-    kt = FrameCoeffs(k=k, sigma=None, tau=tau, m1=None, m2=None, m3=None)
+    kt = _project(grid, _frame_stack(F, work), scheme, work, along_y=False)
     return q_from_spin(grid, kt, par, fold_mode=fold_mode)
 
 
@@ -124,10 +127,11 @@ def equiv_residual(grid: Grid2, S_before: np.ndarray, S_mid: np.ndarray,
                    S_after: np.ndarray, dt2: float, par: SpinParams,
                    scheme=SPECTRAL, v_spin: np.ndarray = None) -> dict:
     """Evolution residuals of the mapped (q, p, v) on one slice triple."""
-    q_mid, info = _slice_to_q(grid, S_mid, par, scheme)
+    work = _Workspace((grid.ny, grid.nx))
+    q_mid, info = _slice_to_q(grid, S_mid, par, scheme, work=work)
     mode = info["fold_mode"]
-    q_before, _ = _slice_to_q(grid, S_before, par, scheme, fold_mode=mode)
-    q_after, _ = _slice_to_q(grid, S_after, par, scheme, fold_mode=mode)
+    q_before, _ = _slice_to_q(grid, S_before, par, scheme, mode, work)
+    q_after, _ = _slice_to_q(grid, S_after, par, scheme, mode, work)
 
     npar = NlsParams(c=par.c, d=par.d, beta=par.beta, model="M3q")
     p_mid = par.beta * np.conj(q_mid)

@@ -3,12 +3,15 @@
 Layout conventions used across the package:
 
   scalar / complex field   ndarray, shape (ny, nx)
-  3-vector field           ndarray, shape (ny, nx, 3)
+  3-vector field           ndarray, shape (ny, nx, 3); the spin kernel and
+                           the frame layer compute on its (3, ny, nx)
+                           stack of component planes
   2x2 matrix field         ndarray, shape (ny, nx, 2, 2), complex; only as
                            the Lax builders' return value, never differentiated
 
-x runs along axis 1 (fastest in memory), y along axis 0.  The domain is the
-periodic rectangle [0, lx) x [0, ly) sampled at x_i = i*hx, y_j = j*hy.
+x runs along axis 1 of a field (fastest in memory), y along axis 0; on a
+stack they are the last two axes.  The domain is the periodic rectangle
+[0, lx) x [0, ly) sampled at x_i = i*hx, y_j = j*hy.
 
 Two derivative schemes are provided: "spectral" (FFT, exact below Nyquist)
 and "central4" (periodic 5-point 4th-order stencil).  The periodic
@@ -29,8 +32,9 @@ Each lane is shifted by its first sample before the product: a field
 constant along the axis then maps to exact zeros, as it does through rfft.
 A (ny, nx, *comps) field is taken apart into contiguous component planes
 for the product, so a plane's result is bit for bit the slice of its
-field's.  One derivative of an (n, n) plane, shift included, best of 15
-on a 2-core VM with one OpenBLAS thread (ms, along x / along y):
+field's, and so is the plane of a stack.  One derivative of an (n, n)
+plane, shift included, best of 15 on a 2-core VM with one OpenBLAS thread
+(ms, along x / along y):
 
   n      matrix product   rfft/irfft
   32     0.005 / 0.004    0.020 / 0.020
@@ -38,10 +42,17 @@ on a 2-core VM with one OpenBLAS thread (ms, along x / along y):
   128    0.089 / 0.086    0.086 / 0.119
   256    0.91  / 0.91     0.60  / 0.77
 
-so longer axes keep the transforms.  A (..., ny, nx) stack of planes (the
-spin kernel carries S as one (3, ny, nx) stack) is differentiated by one
-product over the stack, or on the rfft branch one transform per plane,
-which pocketfft runs faster than one transform over the stack.
+so longer axes keep the transforms.  A (..., ny, nx) stack of planes is
+differentiated by one product over the stack, or on the rfft branch one
+transform per plane, which pocketfft runs faster than one transform over
+the stack.
+
+On stacks, cross_planes forms each component as np.cross does, and
+dot_planes sums the three products in a given order.  einsum (dot3,
+norm3) sums a field with contiguous components as (a0 b0 + a2 b2) + a1 b1,
+EINSUM_ORDER, and one with strided components in component order; stack
+code dots in EINSUM_ORDER where its results were pinned to dot3 of
+(ny, nx, 3) fields, so moving onto stacks did not move their bits.
 
 The stepping core shared by the spin and NLS solvers also lives here: one
 classical RK4 step (rk4, which owns the dt / stability check) and one save
@@ -49,11 +60,9 @@ loop (march).  rk4 forms its stage states and weighted sum in place, in
 arrays a march allocates once and passes as `work`.
 
 Every public operator rejects a non-finite input (FieldError).  The private
-_deriv and _inv_dx check nothing: a stepper checks its state once per step,
-on entry, and runs its stages on them, with cross_planes, dot_planes and
-norm3, all into output and scratch arrays it allocated once; it aborts a
-step that ends non-finite.  ddx_stack, ddy_stack and the out / work of
-inv_dx are the checked forms of the same stack calls; no kernel uses them.
+_deriv and _inv_dx check nothing: a kernel checks its input once, where it
+enters (a stepper once per step), and runs on them, with cross_planes and
+dot_planes, into output and scratch arrays it allocated once.
 """
 
 import os
@@ -69,6 +78,8 @@ SPECTRAL = "spectral"
 CENTRAL4 = "central4"
 CFL_SAFETY = 0.3         # dt must not exceed CFL_SAFETY * hx * hy
 DENSE_MAX_N = 128        # real spectral operators along axes this short: matrix product
+EINSUM_ORDER = (0, 2, 1)  # einsum's order of summation over contiguous 3-vector components
+MFLD1_BLOCK_BYTES = 1 << 16  # payload written through a buffer of about this size
 
 TWO_PI = 2.0 * np.pi
 
@@ -222,7 +233,10 @@ def _deriv(f: np.ndarray, scheme, h: float, axis: int, out=None, work=None) -> n
         if _dense(f, f.shape[axis]):
             return _apply(_deriv_matrix(f.shape[axis], h), f, axis, out, work)
         if axis < 0 and f.ndim > 2:  # a stack: pocketfft is faster plane by plane
-            return np.stack([_spectral_deriv(p, h, axis) for p in f], out=out)
+            out = np.empty(f.shape) if out is None else out
+            for p, o in zip(f, out):
+                _spectral_deriv(p, h, axis, o)
+            return out
         return _spectral_deriv(f, h, axis, out)
     if scheme == CENTRAL4:
         return _into(out, _central4_deriv(f, h, axis))
@@ -239,23 +253,6 @@ def ddy(grid: Grid2, f: np.ndarray, scheme=SPECTRAL) -> np.ndarray:
     return _deriv(check_finite(f, "ddy input"), scheme, grid.hy, axis=0)
 
 
-def ddx_stack(grid: Grid2, P: np.ndarray, scheme=SPECTRAL, out=None, work=None) -> np.ndarray:
-    """d/dx of a stack of planes, shape (..., ny, nx): x is the last axis.
-
-    The result goes into out when it is given; on the matrix path the
-    shifted input goes into work, which may be P itself when P is scratch.
-    """
-    return _deriv(check_finite(P, "ddx input"), scheme, grid.hx, axis=-1, out=out, work=work)
-
-
-def ddy_stack(grid: Grid2, P: np.ndarray, scheme=SPECTRAL, out=None, work=None) -> np.ndarray:
-    """d/dy of a stack of planes, shape (..., ny, nx): y is the second-last axis.
-
-    out and work as for ddx_stack.
-    """
-    return _deriv(check_finite(P, "ddy input"), scheme, grid.hy, axis=-2, out=out, work=work)
-
-
 def meanx(f: np.ndarray) -> np.ndarray:
     """Per-row x-mean, shape (ny, 1, ...) so it broadcasts against f."""
     return np.mean(f, axis=1, keepdims=True)
@@ -266,21 +263,24 @@ class Antideriv(NamedTuple):
     row_mean: np.ndarray  # the discarded per-row x-mean of the integrand
 
 
-def inv_dx(grid: Grid2, f: np.ndarray, out=None, work=None) -> Antideriv:
+def inv_dx(grid: Grid2, f: np.ndarray) -> Antideriv:
     """Zero-mean periodic x-antiderivative of (f - meanx f), per y-row.
 
     ddx(inv_dx(f).field) == f - meanx(f) to spectral accuracy.  A nonzero
     row mean is a solvability violation of d/dx g = f on the periodic row;
-    it is removed and reported, not fatal.  out and work as for ddx_stack.
+    it is removed and reported, not fatal.
     """
     f = check_finite(f, "inv_dx input")
-    row_mean = np.squeeze(meanx(f), axis=1)  # taken before work (which may be f) is written
-    return Antideriv(_inv_dx(grid, f, out, work), row_mean)
+    return Antideriv(_inv_dx(grid, f), np.squeeze(meanx(f), axis=1))
 
 
 def _inv_dx(grid: Grid2, f: np.ndarray, out=None, work=None) -> np.ndarray:
     """The field of inv_dx alone, f unchecked: for kernels whose input was
-    checked where it entered, and which take any row means from the integrand."""
+    checked where it entered, and which take any row means from the integrand.
+
+    The result goes into out when it is given; on the matrix path the
+    shifted input goes into work, which may be f itself when f is scratch.
+    """
     if _dense(f, grid.nx):
         return _apply(_antideriv_matrix(grid.nx, grid.hx), f, 1, out, work)
     return _into(out, _spectral_antideriv(f, grid.hx))
@@ -296,8 +296,8 @@ def integrate2(grid: Grid2, f: np.ndarray) -> float:
 # 3-vector field algebra
 # ---------------------------------------------------------------------------
 
-def dot3(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    return np.einsum("...k,...k->...", a, b, out=out)
+def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...k,...k->...", a, b)
 
 
 def cross_planes(a, b, out=None, tmp=None):
@@ -318,46 +318,29 @@ def cross_planes(a, b, out=None, tmp=None):
     return out
 
 
-def dot_planes(a, b, out=None, tmp=None) -> np.ndarray:
-    """a . b for 3-vectors given as three component planes each, summed in
-    component order; written into out, with tmp for each further product,
-    when these are given."""
-    out = np.multiply(a[0], b[0], out=out)
-    for i in (1, 2):
-        out += np.multiply(a[i], b[i], out=tmp)
+def dot_planes(a, b, out=None, tmp=None, order=(0, 1, 2)) -> np.ndarray:
+    """a . b for 3-vectors given as three component planes each, the
+    products summed in `order` (EINSUM_ORDER: dot3's bits on contiguous
+    components); written into out, with tmp for each further product, when
+    these are given."""
+    i, j, k = order
+    out = np.multiply(a[i], b[i], out=out)
+    out += np.multiply(a[j], b[j], out=tmp)
+    out += np.multiply(a[k], b[k], out=tmp)
     return out
 
 
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b over the last axis; the same products and differences as np.cross."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
-    cross_planes(np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0), out=np.moveaxis(out, -1, 0))
-    return out
+def norm_planes(a, out=None, tmp=None) -> np.ndarray:
+    """|a| for 3-vectors given as three component planes, summed in
+    EINSUM_ORDER: the bits of norm3 of the (ny, nx, 3) field; out and tmp
+    as for dot_planes."""
+    return np.sqrt(dot_planes(a, a, out, tmp, EINSUM_ORDER), out=out)
 
 
-def norm3(a: np.ndarray, out=None) -> np.ndarray:
-    """|a| over the last axis, into out when given; einsum's order of
-    summation, so its bits, follow a's memory layout."""
-    return np.sqrt(dot3(a, a, out), out=out)
-
-
-def normalized3(a: np.ndarray) -> np.ndarray:
-    return a / norm3(a)[..., None]
-
-
-# ---------------------------------------------------------------------------
-# Pointwise matrix-field algebra (works for (..., 2, 2) and (..., 3, 3)).
-# The package carries connections by their Lie-algebra coordinates
-# (frames.bracket, lax._sl2_bracket); these products are the reference
-# those coordinate forms are tested against.
-# ---------------------------------------------------------------------------
-
-def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.einsum("...ij,...jk->...ik", A, B)
-
-
-def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return matmul(A, B) - matmul(B, A)
+def norm3(a: np.ndarray) -> np.ndarray:
+    """|a| over the last axis; einsum's order of summation, so its bits,
+    follow a's memory layout."""
+    return np.sqrt(dot3(a, a))
 
 
 def max_norm(M: np.ndarray) -> float:
@@ -430,17 +413,29 @@ def march(step, y, t: float, dt: float, n_steps: int, save_every: int, keep) -> 
 # followed by nx*ny*ncomp IEEE-754 binary64 little-endian values,
 # row-major (y outer, x inner), components interleaved per point.
 
-def write_mfld1(path, grid: Grid2, data: np.ndarray) -> None:
-    data = np.asarray(data, dtype=float)
-    if data.ndim == 2:
-        data = data[:, :, None]
-    if data.shape[:2] != (grid.ny, grid.nx):
-        raise FieldError(f"data shape {data.shape} does not match grid {grid.ny}x{grid.nx}")
-    ncomp = data.shape[2]
+def write_mfld1(path, grid: Grid2, data) -> None:
+    """Write data, an (ny, nx) or (ny, nx, ncomp) field or a sequence of them
+    whose components are written side by side, point by point.
+
+    The payload goes out a block of rows at a time, through one small
+    buffer, so a strided view or a sequence is never copied whole.
+    """
+    parts = [np.asarray(d, dtype=float) for d in (data if isinstance(data, (list, tuple))
+                                                  else (data,))]
+    parts = [d[:, :, None] if d.ndim == 2 else d for d in parts]
+    for d in parts:
+        if d.shape[:2] != (grid.ny, grid.nx):
+            raise FieldError(f"data shape {d.shape} does not match grid {grid.ny}x{grid.nx}")
+    ncomp = sum(d.shape[2] for d in parts)
     header = f"MFLD1 {grid.nx} {grid.ny} {ncomp} {grid.lx:.17g} {grid.ly:.17g}\n"
+    rows = max(1, MFLD1_BLOCK_BYTES // (8 * grid.nx * ncomp))
+    block = np.empty((rows, grid.nx, ncomp), dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(data, dtype="<f8"))  # the buffer itself, not a copy
+        for j in range(0, grid.ny, rows):
+            out = block[:min(rows, grid.ny - j)]
+            np.concatenate([d[j:j + rows] for d in parts], axis=2, out=out)
+            fh.write(out)
 
 
 def read_mfld1(path):
@@ -468,7 +463,8 @@ def read_mfld1(path):
             raise FieldError(f"{path}: truncated payload")
         if left > size:
             raise FieldError(f"{path}: trailing bytes after the payload")
-        raw = fh.read(size)
-    data = np.frombuffer(raw, dtype="<f8").reshape(ny, nx, ncomp).copy()
+        data = np.empty((ny, nx, ncomp), dtype="<f8")
+        if fh.readinto(data) != size:
+            raise FieldError(f"{path}: truncated payload")
     return grid, check_finite(data, f"{path}: payload")
 

@@ -4,9 +4,11 @@ A frame (e1, e2, e3) attached to a spin field S carries the transport system
 
     E_x = A E,   E_y = B E,   E_t = C E,       E = (e1; e2; e3)
 
-with antisymmetric-patterned matrices so3_from_vec of the coefficient triples
+with A = so3(a), B = so3(b), C = so3(w) of the coefficient triples
 
-    a = (tau, sigma, k),  b = (m1, m2, m3),  w = (w1, w2, w3).
+    a = (tau, sigma, k),  b = (m1, m2, m3),  w = (w1, w2, w3),
+
+    so3(v) = [[0, v3, -v2], [-beta v3, 0, v1], [beta v2, -v1, 0]].
 
 Cross-derivative compatibility of the transport system,
 
@@ -15,8 +17,8 @@ Cross-derivative compatibility of the transport system,
     B_t - C_y + [B, C] = 0,
 
 is the executable statement checked by mlxii_residual.  Each matrix entry is
-0 or +-(beta) one triple component, and [so3_from_vec(*a), so3_from_vec(*b)]
-= so3_from_vec(*bracket(a, b, beta)), so the residuals are evaluated on the
+0 or +-(beta) one triple component, and [so3(a), so3(b)] =
+so3(bracket(a, b, beta)), so the residuals are evaluated on the
 triples (scalar derivatives and the bracket, no (..., 3, 3) array) and have
 exactly the max-norms of the matrix forms.  The identities such as
 tau_y - m1_x = e1.(e1x ^ e1y) read their left-hand side off the same a_y - b_x
@@ -25,6 +27,14 @@ and their right-hand side off the densities that coeffs_from_frame keeps.
 The Frenet gauge (sigma = 0, k >= 0) is the default frame construction:
 e1 = S, e2 = S_x/|S_x|, e3 = e1 ^ e2, with a deterministic left-scan fill
 where |S_x| degenerates.
+
+FrameField shows e1, e2, e3 as (ny, nx, 3) fields; the layer computes on
+(3, ny, nx) component stacks, one derivative per stack and axis, and sums
+its dot products in fields.EINSUM_ORDER, the order of dot3 on the
+(ny, nx, 3) fields it computed on before, so its results kept their bits.
+Every array it writes can come from a _Workspace that a command makes once
+(a ring of three in `frame`).  Each public entry checks its input for
+finite values once (FieldError) and runs the unchecked fields._deriv.
 """
 
 from dataclasses import dataclass, replace
@@ -33,23 +43,58 @@ import numpy as np
 
 from .errors import DegenerateFieldError, FieldError, IdentificationError
 from .fields import (
+    EINSUM_ORDER,
     SPECTRAL,
     Grid2,
-    cross3,
+    _deriv,
+    check_finite,
     cross_planes,
     ddx,
     ddy,
-    dot3,
+    dot_planes,
     inv_dx,
-    max_norm,
     meanx,
-    norm3,
-    normalized3,
+    norm_planes,
 )
 
 DEGENERACY_TOL = 1e-8    # |S_x| below this marks a degenerate point
 FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_ITER = 50
+
+
+def _stack(f: np.ndarray) -> np.ndarray:
+    """The (3, ny, nx) stack of an (ny, nx, 3) field, as a view."""
+    return np.moveaxis(f, -1, 0)
+
+
+def _field(P: np.ndarray) -> np.ndarray:
+    """The (ny, nx, 3) field of a (3, ny, nx) stack, as a view."""
+    return np.moveaxis(P, 0, -1)
+
+
+def _dot(a, b, out=None, tmp=None) -> np.ndarray:
+    """a . b of two stacks, with the bits of dot3 of their fields."""
+    return dot_planes(a, b, out, tmp, EINSUM_ORDER)
+
+
+def _triple(e, a, b, out: np.ndarray, p: np.ndarray, tmp) -> np.ndarray:
+    """e . (a ^ b) of three stacks into out, with the bits of _dot(e,
+    cross_planes(a, b)): each component of a ^ b is formed in the plane p
+    as cross_planes forms it, and summed in EINSUM_ORDER."""
+    for n, m in enumerate(EINSUM_ORDER):
+        i, j = (m + 1) % 3, (m + 2) % 3
+        np.multiply(a[i], b[j], out=p)
+        p -= np.multiply(a[j], b[i], out=tmp)
+        if n == 0:
+            np.multiply(e[m], p, out=out)
+        else:
+            out += np.multiply(e[m], p, out=p)
+    return out
+
+
+def _max_abs(M: np.ndarray) -> float:
+    """max |M|, M (scratch) overwritten by |M|."""
+    return float(np.max(np.abs(M, out=M)))
 
 
 @dataclass(frozen=True)
@@ -61,12 +106,12 @@ class FrameField:
 
     def gram_deviation(self) -> float:
         """Max deviation of the pointwise Gram matrix from the identity."""
-        vecs = (self.e1, self.e2, self.e3)
+        vecs = [_stack(e) for e in (self.e1, self.e2, self.e3)]
         dev = 0.0
         for i, a in enumerate(vecs):
             for j, b in enumerate(vecs):
                 target = 1.0 if i == j else 0.0
-                dev = max(dev, float(np.max(np.abs(dot3(a, b) - target))))
+                dev = max(dev, float(np.max(np.abs(_dot(a, b) - target))))
         return dev
 
 
@@ -93,6 +138,48 @@ class FrameCoeffs:
                 (self.w1, self.w2, self.w3))
 
 
+# arrays of a _Workspace: name -> (leading shape, dtype, whether each
+# workspace of a ring has its own)
+_ARRAYS = {"E": ((3, 3), float, True), "mask": ((), bool, True),
+           "A": ((3,), float, True), "B": ((3,), float, True), "D": ((3,), float, True),
+           "K": ((3, 3), float, False), "W": ((3,), float, False),
+           "X": ((3,), float, False), "Y": ((3,), float, False), "Z": ((3,), float, False),
+           "L": ((), float, False), "tmp": ((), float, False), "cols": ((), np.intp, False)}
+
+
+class _Workspace:
+    """The arrays the frame layer writes, for (ny, nx) planes of one shape.
+
+    Its own: E, one frame's e1, e2, e3 stacks, its mask and `frame`, the
+    FrameField showing them; A, B and D, the a, b and density stacks
+    projected from it.  Scratch, shared by a ring: K for frame_dt's
+    velocities and the coefficients mlxii_residual copies; X, Y and Z (the
+    shifted lanes of the matrix path) for derivatives; W, the time
+    entries; planes.  Each array is allocated when it is first used, so a
+    command holds only those its calls write.
+    """
+
+    def __init__(self, shape, scratch=None):
+        self.shape, self.frame = shape, None
+        self._scratch = {} if scratch is None else scratch
+
+    def __getattr__(self, name):
+        try:
+            lead, dtype, own = _ARRAYS[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        store = self.__dict__ if own else self._scratch
+        if name not in store:
+            store[name] = np.empty(lead + self.shape, dtype)
+        self.__dict__[name] = store[name]
+        return store[name]
+
+    def ring(self, n: int) -> list:
+        """This workspace and n - 1 more sharing its scratch, so that n frames
+        and their coefficients stay live at once."""
+        return [self] + [_Workspace(self.shape, self._scratch) for _ in range(n - 1)]
+
+
 def _densities(coeffs: FrameCoeffs) -> tuple:
     if coeffs.densities is None:
         raise FieldError("these coefficients carry no densities e_j.(e_jx ^ e_jy); "
@@ -100,148 +187,201 @@ def _densities(coeffs: FrameCoeffs) -> tuple:
     return coeffs.densities
 
 
-def _fallback_normal(e1: np.ndarray) -> np.ndarray:
-    """Deterministic unit vector orthogonal to e1 (for fully degenerate rows)."""
-    axis = np.zeros_like(e1)
-    use_x = np.abs(e1[..., 0]) < 0.9
-    axis[..., 0] = np.where(use_x, 1.0, 0.0)
-    axis[..., 1] = np.where(use_x, 0.0, 1.0)
-    perp = axis - dot3(axis, e1)[..., None] * e1
-    return normalized3(perp)
+def _minus_along(v: np.ndarray, e: np.ndarray, d: np.ndarray, tmp) -> None:
+    """v - d e for stacks v, e and a plane d, plane by plane, into v."""
+    for vi, ei in zip(v, e):
+        vi -= np.multiply(d, ei, out=tmp)
 
 
-def _fill_columns(mask: np.ndarray) -> np.ndarray:
-    """Nearest unmasked column at or left of each point, wrapping (-1 on dead rows)."""
-    cols = np.maximum.accumulate(np.where(mask, -1, np.arange(mask.shape[1])), axis=1)
-    return np.where(cols < 0, cols[:, -1:], cols)
+def _fallback_normal(e1: np.ndarray, out: np.ndarray, d: np.ndarray, tmp) -> np.ndarray:
+    """Deterministic unit vector orthogonal to e1 (for fully degenerate rows),
+    as a stack into out; the planes d and tmp are scratch."""
+    use_x = np.abs(e1[0]) < 0.9
+    out[0], out[1], out[2] = use_x, ~use_x, 0.0
+    _minus_along(out, e1, _dot(out, e1, d, tmp), tmp)
+    out /= norm_planes(out, d, tmp)
+    return out
+
+
+def _fill_columns(mask: np.ndarray, out=None) -> np.ndarray:
+    """Nearest unmasked column at or left of each point, wrapping (-1 on dead
+    rows); into out, an index plane, when it is given."""
+    cols = np.empty(mask.shape, dtype=np.intp) if out is None else out
+    cols[...] = np.arange(mask.shape[1])
+    np.copyto(cols, -1, where=mask)
+    np.maximum.accumulate(cols, axis=1, out=cols)
+    np.copyto(cols, cols[:, -1:].copy(), where=cols < 0)
+    return cols
 
 
 def frame_from_spin(grid: Grid2, S: np.ndarray, scheme=SPECTRAL,
-                    tol: float = DEGENERACY_TOL) -> FrameField:
+                    tol: float = DEGENERACY_TOL, work=None) -> FrameField:
     """Frenet-gauge frame: e1 = S, e2 = S_x/|S_x|, e3 = e1 ^ e2.
 
     Points with |S_x| < tol are masked; e2 there is copied from the nearest
     non-degenerate x-neighbour to the left (periodic wrap, deterministic),
     then re-orthogonalized against the local e1.  Rows degenerate end to end
     fall back to a fixed axis.  More than half the grid degenerate is fatal.
+    A non-finite S is rejected (FieldError).  Given a _Workspace, the frame
+    is built in its E and mask.
     """
-    e1 = normalized3(np.asarray(S, dtype=float))
-    Sx = ddx(grid, S, scheme)
-    k = norm3(Sx)
-    mask = k < tol
+    ws = work or _Workspace(np.shape(S)[:2])
+    (e1, e2, e3), mask, L, tmp = ws.E, ws.mask, ws.L, ws.tmp
+    P = e3  # S, until e3 is formed
+    P[...] = _stack(S)
+    check_finite(P, "S")
+    np.divide(P, norm_planes(P, L, tmp), out=e1)
+    k = norm_planes(_deriv(P, scheme, grid.hx, -1, out=e2, work=P), L, tmp)  # e2 holds S_x
+    np.less(k, tol, out=mask)
     n_bad = int(np.count_nonzero(mask))
     if n_bad > 0.5 * mask.size:
         raise DegenerateFieldError(
             f"degenerate spin field: |S_x| < {tol} at {n_bad} of {mask.size} points")
 
-    e2 = Sx / np.where(mask, 1.0, k)[..., None]
+    np.copyto(k, 1.0, where=mask)
+    e2 /= k
     if n_bad:
-        e2 = e2[np.arange(grid.ny)[:, None], _fill_columns(mask)]
+        flat = _fill_columns(mask, ws.cols)
+        flat += np.arange(0, mask.size, grid.nx)[:, None]   # dead rows: any index
+        for src, dst in zip(e2, ws.X):
+            np.take(src, flat, out=dst, mode="wrap")
+        e2[...] = ws.X
         row_dead = mask.all(axis=1)
-        e2[row_dead] = _fallback_normal(e1[row_dead])
+        if np.any(row_dead):
+            np.copyto(e2, _fallback_normal(e1, ws.X, L, tmp), where=row_dead[:, None])
 
     # orthogonalize against e1 (removes both fill misalignment and the tiny
     # discrete S.S_x residue), then complete the right-handed triad
-    e2 = e2 - dot3(e2, e1)[..., None] * e1
-    small = norm3(e2) < 1e-12
+    _minus_along(e2, e1, _dot(e2, e1, L, tmp), tmp)
+    small = norm_planes(e2, L, tmp) < 1e-12
     if np.any(small):
-        e2 = np.where(small[..., None], _fallback_normal(e1), e2)
-    e2 = normalized3(e2)
-    e3 = cross3(e1, e2)
-    return FrameField(e1=e1, e2=e2, e3=e3, mask=mask)
+        np.copyto(e2, _fallback_normal(e1, ws.X, L, tmp), where=small)
+    e2 /= norm_planes(e2, L, tmp)
+    cross_planes(e1, e2, e3, tmp)
+    ws.frame = FrameField(e1=_field(e1), e2=_field(e2), e3=_field(e3), mask=mask)
+    return ws.frame
 
 
-def frame_dt(before: FrameField, after: FrameField, dt2: float):
-    """Central-difference frame velocities (e1t, e2t, e3t) over a 2*dt window."""
-    return ((after.e1 - before.e1) / dt2,
-            (after.e2 - before.e2) / dt2,
-            (after.e3 - before.e3) / dt2)
+def frame_dt(before: FrameField, after: FrameField, dt2: float, work=None):
+    """Central-difference frame velocities (e1t, e2t, e3t) over a 2*dt window,
+    (ny, nx, 3) each.  Given a _Workspace, they are written into its scratch
+    stack K, where they last until mlxii_residual runs in it."""
+    T = np.empty((3, 3) + np.shape(before.e1)[:2]) if work is None else work.K
+    for t, a, b in zip(T, (after.e1, after.e2, after.e3), (before.e1, before.e2, before.e3)):
+        np.subtract(_stack(a), _stack(b), out=t)
+        t /= dt2
+    return tuple(_field(t) for t in T)
 
 
-def _k_tau(F: FrameField, e1x: np.ndarray, e2x: np.ndarray) -> tuple:
-    """The curvature k = e2.e1_x and the torsion tau = e3.e2_x."""
-    return dot3(F.e2, e1x), dot3(F.e3, e2x)
+def _frame_stack(F: FrameField, ws: _Workspace) -> np.ndarray:
+    """F's vectors as one (3, 3, ny, nx) stack, checked finite: ws.E, into
+    which F is copied unless F was built there."""
+    if F is not ws.frame:
+        for dst, e in zip(ws.E, (F.e1, F.e2, F.e3)):
+            dst[...] = _stack(e)
+        ws.frame = F
+    return check_finite(ws.E, "frame")
+
+
+def _project(grid: Grid2, E: np.ndarray, scheme, ws: _Workspace, dens=None,
+             along_y: bool = True) -> FrameCoeffs:
+    """The coefficients of the frame stack E, unchecked, by projection into
+    ws.A = a = (tau, sigma, k) and ws.B = b = (m1, m2, m3).
+
+    k = e2.e1_x, sigma = -e3.e1_x, tau = e3.e2_x,
+    m1 = e3.e2_y, m2 = -e3.e1_y, m3 = e2.e1_y.
+    e1 and e2 are differentiated along x and y, one stack each; with dens
+    (three planes), e1.(e1_x ^ e1_y) and e2.(e2_x ^ e2_y) go into its first
+    two from those derivatives.  along_y=False forms k and tau alone.
+    """
+    e1, e2, e3 = E
+    (tau, sigma, k), X, Z, tmp = ws.A, ws.X, ws.Z, ws.tmp
+    _dot(e2, _deriv(e1, scheme, grid.hx, -1, out=X, work=Z), k, tmp)
+    if not along_y:
+        _dot(e3, _deriv(e2, scheme, grid.hx, -1, out=X, work=Z), tau, tmp)
+        return FrameCoeffs(k=k, sigma=None, tau=tau, m1=None, m2=None, m3=None)
+    (m1, m2, m3), Y = ws.B, ws.Y
+    np.negative(_dot(e3, X, sigma, tmp), out=sigma)
+    _deriv(e1, scheme, grid.hy, -2, out=Y, work=Z)
+    np.negative(_dot(e3, Y, m2, tmp), out=m2)
+    _dot(e2, Y, m3, tmp)
+    if dens is not None:
+        _triple(e1, X, Y, dens[0], ws.L, tmp)
+    _dot(e3, _deriv(e2, scheme, grid.hx, -1, out=X, work=Z), tau, tmp)
+    _dot(e3, _deriv(e2, scheme, grid.hy, -2, out=Y, work=Z), m1, tmp)
+    if dens is not None:
+        _triple(e2, X, Y, dens[1], ws.L, tmp)
+    return FrameCoeffs(k=k, sigma=sigma, tau=tau, m1=m1, m2=m2, m3=m3)
+
+
+def _density(grid: Grid2, e: np.ndarray, scheme, ws: _Workspace, out: np.ndarray) -> np.ndarray:
+    """e . (e_x ^ e_y) of the stack e, unchecked, into out."""
+    ex = _deriv(e, scheme, grid.hx, -1, out=ws.X, work=ws.Z)
+    ey = _deriv(e, scheme, grid.hy, -2, out=ws.Y, work=ws.Z)
+    return _triple(e, ex, ey, out, ws.L, ws.tmp)
 
 
 def coeffs_from_frame(grid: Grid2, F: FrameField, scheme=SPECTRAL,
-                      dF_dt=None) -> FrameCoeffs:
+                      dF_dt=None, work=None) -> FrameCoeffs:
     """Transport coefficients by projection, and the densities e_j.(e_jx ^ e_jy).
 
     k = e2.e1_x, sigma = -e3.e1_x, tau = e3.e2_x,
     m1 = e3.e2_y, m2 = -e3.e1_y, m3 = e2.e1_y,
     and, when frame velocities are supplied,
     w1 = e3.e2_t, w2 = -e3.e1_t, w3 = e2.e1_t.
-    Each e_j is differentiated once along x and y; two derivatives are held at most.
+    Each e_j is differentiated once along x and y, as one stack.  A
+    non-finite frame is rejected (FieldError).  Given a _Workspace, the
+    coefficients are written into its A, B, D (and W); a frame not built in
+    it is copied into its E first.
     """
-    e1x, e1y = ddx(grid, F.e1, scheme), ddy(grid, F.e1, scheme)
-    sigma, m2, m3 = -dot3(F.e3, e1x), -dot3(F.e3, e1y), dot3(F.e2, e1y)
-    d1 = _density(F.e1, e1x, e1y)
-    del e1y
-    e2x = ddx(grid, F.e2, scheme)
-    k, tau = _k_tau(F, e1x, e2x)
-    del e1x
-    e2y = ddy(grid, F.e2, scheme)
-    m1 = dot3(F.e3, e2y)
-    d2 = _density(F.e2, e2x, e2y)
-    del e2x, e2y
-    coeffs = FrameCoeffs(k=k, sigma=sigma, tau=tau, m1=m1, m2=m2, m3=m3,
-                         densities=(d1, d2, charge_density(grid, F.e3, scheme)))
-    return coeffs if dF_dt is None else with_time_entries(coeffs, F, dF_dt)
+    ws = work or _Workspace(np.shape(F.e1)[:2])
+    E, dens = _frame_stack(F, ws), ws.D
+    coeffs = _project(grid, E, scheme, ws, dens)
+    _density(grid, E[2], scheme, ws, dens[2])
+    coeffs = replace(coeffs, densities=tuple(dens))
+    return coeffs if dF_dt is None else with_time_entries(coeffs, F, dF_dt, ws)
 
 
-def with_time_entries(coeffs: FrameCoeffs, F: FrameField, dF_dt) -> FrameCoeffs:
-    """coeffs of frame F completed by w1 = e3.e2_t, w2 = -e3.e1_t, w3 = e2.e1_t."""
-    e1t, e2t, _ = dF_dt
-    return replace(coeffs, w1=dot3(F.e3, e2t), w2=-dot3(F.e3, e1t), w3=dot3(F.e2, e1t))
+def with_time_entries(coeffs: FrameCoeffs, F: FrameField, dF_dt, work=None) -> FrameCoeffs:
+    """coeffs of frame F completed by w1 = e3.e2_t, w2 = -e3.e1_t, w3 = e2.e1_t,
+    written into work.W when a _Workspace is given."""
+    ws = work or _Workspace(np.shape(F.e1)[:2])
+    e1t, e2t = _stack(dF_dt[0]), _stack(dF_dt[1])
+    e2, e3 = _stack(F.e2), _stack(F.e3)
+    w1, w2, w3 = ws.W
+    _dot(e3, e2t, w1, ws.tmp)
+    np.negative(_dot(e3, e1t, w2, ws.tmp), out=w2)
+    _dot(e2, e1t, w3, ws.tmp)
+    return replace(coeffs, w1=w1, w2=w2, w3=w3)
 
 
 # ---------------------------------------------------------------------------
 # Transport matrices and compatibility residuals
 # ---------------------------------------------------------------------------
 
-def so3_from_vec(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray, beta: int = 1) -> np.ndarray:
-    """Antisymmetric-patterned transport matrix from a coefficient triple.
-
-    [[0, v3, -v2], [-beta v3, 0, v1], [beta v2, -v1, 0]]
-    """
-    z = np.zeros_like(v1)
-    return np.stack([
-        np.stack([z, v3, -v2], axis=-1),
-        np.stack([-beta * v3, z, v1], axis=-1),
-        np.stack([beta * v2, -v1, z], axis=-1),
-    ], axis=-2)
-
-
-def so3_matrices(coeffs: FrameCoeffs, beta: int = 1):
-    """(A, B, C) transport matrices; C is None without time entries."""
-    a, b, w = coeffs.triples
-    C = so3_from_vec(*w, beta) if coeffs.has_time_entries() else None
-    return so3_from_vec(*a, beta), so3_from_vec(*b, beta), C
-
-
-def bracket(a, b, beta: int = 1) -> tuple:
+def bracket(a, b, beta: int = 1, out=None, tmp=None) -> np.ndarray:
     """Triple c = (beta (a3 b2 - a2 b3), a1 b3 - a3 b1, a2 b1 - a1 b2).
 
-    so3_from_vec(*c, beta) is the commutator of so3_from_vec(*a, beta) and
-    so3_from_vec(*b, beta); c is the cross product b ^ a, its first
-    component scaled by beta.
+    so3(c) is the commutator of so3(a) and so3(b) (module docstring); c is
+    the cross product b ^ a, its first component scaled by beta, written
+    into out (three planes) with tmp when these are given, as cross_planes
+    does.
     """
-    c1, c2, c3 = cross_planes(b, a)
-    return beta * c1, c2, c3
-
-
-def _density(e: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
-    return dot3(e, cross3(ex, ey))
+    c = cross_planes(b, a, out, tmp)
+    c[0] *= beta
+    return c
 
 
 def charge_density(grid: Grid2, e: np.ndarray, scheme=SPECTRAL) -> np.ndarray:
-    """e . (e_x ^ e_y) for a unit vector field e."""
-    return _density(e, ddx(grid, e, scheme), ddy(grid, e, scheme))
+    """e . (e_x ^ e_y) for a unit vector field e; a non-finite e is rejected
+    (FieldError)."""
+    ws = _Workspace(np.shape(e)[:2])
+    return _density(grid, _stack(check_finite(e, "e")), scheme, ws, np.empty(ws.shape))
 
 
 def mlxii_residual(grid: Grid2, coeffs: FrameCoeffs, scheme=SPECTRAL, beta: int = 1,
                    coeffs_before: FrameCoeffs = None, coeffs_after: FrameCoeffs = None,
-                   dt2: float = None, frame: FrameField = None) -> dict:
+                   dt2: float = None, frame: FrameField = None, work=None) -> dict:
     """Compatibility residuals of the frame transport system.
 
     Always reports the max-norm of A_y - B_x + [A,B].  With coefficient
@@ -252,19 +392,36 @@ def mlxii_residual(grid: Grid2, coeffs: FrameCoeffs, scheme=SPECTRAL, beta: int 
     read from coeffs.densities.
 
     Evaluated on the coefficient triples, e.g. a_y - b_x + bracket(a, b);
-    each max-norm equals that of the matrix form.
+    each max-norm equals that of the matrix form.  The triples that are
+    differentiated are copied into one stack, checked once (FieldError)
+    and differentiated once per axis; given a _Workspace, every array is
+    its scratch.
     """
     a, b, w = coeffs.triples
-    D = [ddy(grid, ai, scheme) - ddx(grid, bi, scheme) for ai, bi in zip(a, b)]
-    out = {"xy": max_norm([d + c for d, c in zip(D, bracket(a, b, beta))])}
+    timed = coeffs_before is not None and coeffs_after is not None
+    ws = work or _Workspace(np.shape(a[0]))
+    K, X, Y, tmp = ws.K, ws.X, ws.Y, ws.tmp
+    n = 3 if timed and coeffs.has_time_entries() else 2
+    for dst, triple in zip(K, (a, b, w)[:n]):
+        np.stack(triple, out=dst)
+    check_finite(K[:n], "coefficients")
 
-    if coeffs_before is not None and coeffs_after is not None:
+    D = _deriv(K[0], scheme, grid.hy, -2, out=X, work=K[0])
+    D -= _deriv(K[1], scheme, grid.hx, -1, out=Y, work=K[1])
+    out = {"xy": _max_abs(np.add(D, bracket(a, b, beta, Y, tmp), out=Y))}
+
+    if timed:
         if not coeffs.has_time_entries():
             raise IdentificationError("time residuals need w1..w3 in the mid coefficients")
         (a0, b0, _), (a1, b1, _) = coeffs_before.triples, coeffs_after.triples
-        for key, deriv, x, x0, x1 in (("xt", ddx, a, a0, a1), ("yt", ddy, b, b0, b1)):
-            out[key] = max_norm([(s1 - s0) / dt2 - deriv(grid, wi, scheme) + c
-                                 for s0, s1, wi, c in zip(x0, x1, w, bracket(x, w, beta))])
+        R = K[1]
+        for key, h, axis, x, x0, x1 in (("xt", grid.hx, -1, a, a0, a1),
+                                        ("yt", grid.hy, -2, b, b0, b1)):
+            for r, s0, s1 in zip(R, x0, x1):
+                np.subtract(s1, s0, out=r)
+            R /= dt2
+            R -= _deriv(K[2], scheme, h, axis, out=Y, work=K[0])
+            out[key] = _max_abs(np.add(R, bracket(x, w, beta, Y, tmp), out=R))
 
     if frame is not None:
         # D against the frame triple products; at beta=1 these are
@@ -273,7 +430,8 @@ def mlxii_residual(grid: Grid2, coeffs: FrameCoeffs, scheme=SPECTRAL, beta: int 
         #   k_y - m3_x     = e3.(e3x ^ e3y)
         for name, d, dens, sign in zip(("e1", "e2", "e3"), D, _densities(coeffs),
                                        (1, beta, beta)):
-            out[f"identity_{name}"] = max_norm(d - sign * dens)
+            out[f"identity_{name}"] = _max_abs(np.subtract(d, np.multiply(sign, dens, out=tmp),
+                                                           out=tmp))
     return out
 
 
@@ -304,9 +462,10 @@ def m_coeffs_from_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
     (The sign of the u k term in w3 is fixed by requiring compatibility of
     the transport system; see the project notes.)
     """
+    ws = _Workspace(np.shape(S)[:2])
     if frame is None:
-        frame = frame_from_spin(grid, S, scheme)
-    proj = coeffs_from_frame(grid, frame, scheme)
+        frame = frame_from_spin(grid, S, scheme, work=ws)
+    proj = _project(grid, _frame_stack(frame, ws), scheme, ws)  # no densities, no e3 derivatives
     k, sigma, tau = proj.k, proj.sigma, proj.tau
 
     k_mask = np.abs(k) < k_tol

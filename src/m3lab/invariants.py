@@ -15,7 +15,7 @@ triples a = (tau, sigma, k) and b = (m1, m2, m3) as
 (frames.bracket, the so(3) commutator on triples), which reduces to
 (sigma m3 - k m2, k m1 - tau m3, tau m2 - sigma m1) at beta = +1.  Value
 for value it equals the matrix-entry form A[j,j+1] B[j,j+2] - A[j,j+2]
-B[j,j+1] (cyclic indices) of A = so3_from_vec(*a), B = so3_from_vec(*b).
+B[j,j+1] (cyclic indices) of A = so3(a), B = so3(b) (see frames).
 The two forms agree pointwise at discretization order for smooth frames;
 the comparison is made at the density level because for topologically
 nontrivial fields the coefficients are not globally smooth periodic
@@ -43,18 +43,29 @@ class ChargeReport:
         return list(self.k_vector) + list(self.k_coeff) + list(self.q)
 
 
-def coeff_densities(coeffs: FrameCoeffs, beta: int = 1):
-    """Coefficient-form charge densities, -beta * bracket(a, b, beta)."""
+def coeff_densities(coeffs: FrameCoeffs, beta: int = 1, out=None, tmp=None):
+    """Coefficient-form charge densities, -beta * bracket(a, b, beta), as a
+    (3, ny, nx) stack; written into out with tmp, when these are given."""
     a, b, _ = coeffs.triples
-    return [-beta * c for c in bracket(a, b, beta)]
+    c = bracket(a, b, beta, out, tmp)
+    c *= -beta
+    return c
 
 
-def charges(grid: Grid2, coeffs: FrameCoeffs, beta: int = 1) -> ChargeReport:
+def charges(grid: Grid2, coeffs: FrameCoeffs, beta: int = 1, work=None) -> ChargeReport:
     """All six integrals plus the pointwise density agreement check, for
-    coefficients from coeffs_from_frame (their `densities` are the vector form)."""
-    dens_v, dens_c = _densities(coeffs), coeff_densities(coeffs, beta)
+    coefficients from coeffs_from_frame (their `densities` are the vector form).
+
+    Given a frames workspace, its scratch takes the coefficient densities.
+    """
+    dens_v = _densities(coeffs)
+    if work is None:
+        dens_c, scratch = coeff_densities(coeffs, beta), None
+    else:
+        dens_c, scratch = coeff_densities(coeffs, beta, work.X, work.tmp), work.Y[0]
     k_vec = tuple(integrate2(grid, d) for d in dens_v)
     k_coe = tuple(integrate2(grid, d) for d in dens_c)
-    dev = tuple(float(np.max(np.abs(dv - dc))) for dv, dc in zip(dens_v, dens_c))
+    dev = tuple(float(np.max(np.abs(np.subtract(dv, dc, out=scratch), out=scratch)))
+                for dv, dc in zip(dens_v, dens_c))
     q = tuple(kj / FOUR_PI for kj in k_vec)
     return ChargeReport(k_vector=k_vec, k_coeff=k_coe, q=q, density_dev=dev)

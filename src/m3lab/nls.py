@@ -160,15 +160,17 @@ def step_rk4_nls(grid: Grid2, q: np.ndarray, par: NlsParams, dt: float,
                  scheme=SPECTRAL, work=None):
     """One RK4 step of q (p = beta*conj(q)), v re-solved at each stage.
 
-    q is checked once, on entry: a non-finite q is rejected (FieldError).
-    The stages run _q_rate unchecked, every array in `work`; a step that
-    overflows from a finite q ends non-finite and is a numerical abort
-    (UnstableStepError).  Returns (q, conj_dev), conj_dev 0.0 by
-    construction.  Given a workspace (run_nls makes one for all its steps),
-    the new q is work.q, which the next step overwrites; a step without one
-    makes its own.
+    A non-finite q is rejected (FieldError), except work.q, the result of
+    the step before, which that step checked on its way out; so a march
+    checks each state once.  The stages run _q_rate unchecked, every array
+    in `work`; a step that overflows from a finite q ends non-finite and is
+    a numerical abort (UnstableStepError).  Returns (q, conj_dev), conj_dev
+    0.0 by construction.  Given a workspace (run_nls makes one for all its
+    steps), the new q is work.q, which the next step overwrites; a step
+    without one makes its own.
     """
-    check_finite(q, "q")
+    if work is None or q is not work.q:
+        check_finite(q, "q")
     ws = work or _Workspace(np.shape(q))
     # an overflow anywhere in the step ends as a non-finite result, which
     # aborts below; it needs no warning of its own

@@ -52,6 +52,7 @@ from .fields import (
     march,
     meanx,
     norm3,
+    norm_planes,
     rk4,
 )
 
@@ -131,9 +132,7 @@ class _Workspace:
     stacks of one shape.
 
     run_spin makes one and reuses it in every stage of every step and for
-    every kept state.  S is P seen as an (ny, nx, 3) field; S3 holds a
-    step's result contiguous in that layout, where norm3 gives the bits the
-    renormalisation is pinned to.
+    every kept state.  S is P seen as an (ny, nx, 3) field.
     """
 
     def __init__(self, shape):
@@ -141,7 +140,6 @@ class _Workspace:
         self.u_x, self.u, self.v_x, self.v, self.tmp, self.length = (
             np.empty(shape[1:]) for _ in range(6))
         self.rk4 = [tuple(np.empty(shape) for _ in range(3))]
-        self.S3 = np.empty(shape[1:] + shape[:1])
         self.S = np.moveaxis(self.P, 0, -1)
 
 
@@ -265,8 +263,7 @@ def step_rk4_spin(grid: Grid2, S: np.ndarray, par: SpinParams, dt: float,
     # below; it needs no warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
         (T,) = rk4(grid, lambda y: (_rhs(grid, y[0], par, scheme, ws),), (ws.P,), dt, ws.rk4)
-        np.copyto(ws.S3, np.moveaxis(T, 0, -1))
-        lengths = norm3(ws.S3, out=ws.length)
+        lengths = norm_planes(T, ws.length, ws.tmp)  # norm3's bits, on the stack
         correction = float(np.max(np.abs(np.subtract(lengths, 1.0, out=ws.tmp), out=ws.tmp)))
     if not correction <= RENORM_LIMIT:
         raise UnstableStepError(f"unstable step: renormalization correction {correction:.3e}")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from m3lab.fields import Grid2, normalized3
+from m3lab.fields import Grid2, cross_planes, norm3
 
 # Property tests draw the same examples on every run, keep no example
 # database and stay time-bounded.
@@ -26,6 +26,50 @@ def pytest_configure(config):
 
 def pytest_unconfigure(config):
     shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
+
+
+def cross3(a, b):
+    """a x b over the last axis of (ny, nx, 3) fields, a new contiguous field
+    written through cross_planes: the products and differences of np.cross."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    cross_planes(np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0), out=np.moveaxis(out, -1, 0))
+    return out
+
+
+def normalized3(a):
+    """a / |a| over the last axis of an (ny, nx, 3) field."""
+    return a / norm3(a)[..., None]
+
+
+# Pointwise matrix-field algebra (works for (..., 2, 2) and (..., 3, 3)).
+# The package carries connections by their Lie-algebra coordinates
+# (frames.bracket, lax._sl2_bracket); these products are the reference
+# those coordinate forms are tested against.
+
+def matmul(A, B):
+    return np.einsum("...ij,...jk->...ik", A, B)
+
+
+def commutator(A, B):
+    return matmul(A, B) - matmul(B, A)
+
+
+def so3_from_vec(v1, v2, v3, beta=1):
+    """The transport matrix so3(v) of a coefficient triple (frames docstring):
+    [[0, v3, -v2], [-beta v3, 0, v1], [beta v2, -v1, 0]]."""
+    z = np.zeros_like(v1)
+    return np.stack([
+        np.stack([z, v3, -v2], axis=-1),
+        np.stack([-beta * v3, z, v1], axis=-1),
+        np.stack([beta * v2, -v1, z], axis=-1),
+    ], axis=-2)
+
+
+def so3_matrices(coeffs, beta=1):
+    """(A, B, C) transport matrices of FrameCoeffs; C is None without time entries."""
+    a, b, w = coeffs.triples
+    C = so3_from_vec(*w, beta) if coeffs.has_time_entries() else None
+    return so3_from_vec(*a, beta), so3_from_vec(*b, beta), C
 
 
 @pytest.fixture

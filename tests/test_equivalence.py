@@ -14,7 +14,7 @@ from m3lab.equivalence import (
     u_from_fg,
 )
 from m3lab.errors import DegenerateFieldError, FieldError, ParameterError
-from m3lab.fields import cross3, max_norm, norm3
+from m3lab.fields import max_norm, norm3
 from m3lab.frames import FrameCoeffs, coeffs_from_frame, frame_from_spin
 from m3lab.spin import (
     SpinParams,
@@ -26,7 +26,7 @@ from m3lab.spin import (
     solve_u,
 )
 
-from conftest import smooth_complex
+from conftest import cross3, smooth_complex
 
 PAR_M1 = SpinParams(c=0.0, d=1.0, l=0.0, model="M1")
 PAR = SpinParams(c=0.3, d=1.0, l=0.0, model="M3")

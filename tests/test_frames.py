@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,17 +8,14 @@ from m3lab.convergence import fit_order
 from m3lab.errors import DegenerateFieldError, FieldError, IdentificationError
 from m3lab.fields import (
     Grid2,
-    commutator,
-    cross3,
     ddx,
     ddy,
     dot3,
-    matmul,
     max_norm,
     norm3,
-    normalized3,
 )
 from m3lab.frames import (
+    DEGENERACY_TOL,
     FrameCoeffs,
     FrameField,
     _fill_columns,
@@ -24,10 +24,9 @@ from m3lab.frames import (
     frame_from_spin,
     m_coeffs_from_spin,
     mlxii_residual,
-    so3_matrices,
     with_time_entries,
 )
-from m3lab.invariants import charges
+from m3lab.invariants import charge_density, charges
 from m3lab.spin import (
     SpinParams,
     default_dt,
@@ -38,7 +37,7 @@ from m3lab.spin import (
     run_spin,
 )
 
-from conftest import smooth_spin
+from conftest import commutator, cross3, matmul, normalized3, smooth_spin, so3_matrices
 
 PAR = SpinParams(c=0.3, d=1.0, l=0.0, model="M3")
 
@@ -260,7 +259,9 @@ def matrix_residual(grid, co, scheme, beta, coeffs_before=None, coeffs_after=Non
     if frame is not None:
         lhs = (D[..., 1, 2], D[..., 2, 0] / beta, D[..., 0, 1])
         for j, name in enumerate(("e1", "e2", "e3")):
-            e = getattr(frame, name)
+            # contiguous, as dot3 sums a field of strided components (a frame
+            # stack's view) in another order
+            e = np.ascontiguousarray(getattr(frame, name))
             rhs = dot3(e, cross3(ddx(grid, e, scheme), ddy(grid, e, scheme)))
             if j > 0:
                 rhs = beta * rhs
@@ -292,36 +293,43 @@ def test_mlxii_residual_equals_matrix_form(init, scheme, beta):
 
 
 def test_frame_vectors_differentiated_once(monkeypatch):
-    """coeffs_from_frame takes e1, e2, e3 along x and y once each; charges and
-    the identity checks of mlxii_residual read those densities and
-    differentiate no vector field."""
-    import m3lab.fields as fields
+    """coeffs_from_frame takes e1, e2, e3 along x and y once each, one
+    (3, ny, nx) stack per derivative; charges differentiates nothing, and
+    mlxii_residual its coefficient stacks alone: the identity checks read
+    the densities."""
+    import m3lab.frames as frames
     g = Grid2(32, 32)
     before, mid, after, F, dt2 = slice_window(g, init_stereographic_lump(g), "spectral")
-    vector_axes = []
-    real = fields._deriv
+    calls = []
+    real = frames._deriv
 
-    def counting(f, *args, axis, **kw):
-        if f.shape == (g.ny, g.nx, 3):
-            vector_axes.append(axis)
-        return real(f, *args, axis=axis, **kw)
+    def counting(f, scheme, h, axis, **kw):
+        calls.append((f.shape, axis))
+        return real(f, scheme, h, axis, **kw)
 
-    monkeypatch.setattr(fields, "_deriv", counting)
+    monkeypatch.setattr(frames, "_deriv", counting)
     coeffs_from_frame(g, F)
-    assert sorted(vector_axes) == [0, 0, 0, 1, 1, 1]    # 3 ddy, 3 ddx
-    vector_axes.clear()
+    stack = (3, g.ny, g.nx)
+    assert sorted(calls) == [(stack, -2)] * 3 + [(stack, -1)] * 3
+    calls.clear()
     charges(g, mid)
-    mlxii_residual(g, mid, coeffs_before=before, coeffs_after=after, dt2=dt2, frame=F)
-    assert vector_axes == []
+    assert calls == []
+    timed = dict(coeffs_before=before, coeffs_after=after, dt2=dt2)
+    mlxii_residual(g, mid, **timed)
+    assert sorted(calls) == [(stack, -2)] * 2 + [(stack, -1)] * 2   # a_y, w_y, b_x, w_x
+    without = calls[:]
+    calls.clear()
+    mlxii_residual(g, mid, frame=F, **timed)
+    assert calls == without
 
 
 def test_residuals_and_charges_differentiate_no_matrix_field(monkeypatch):
-    import m3lab.fields as fields
+    import m3lab.frames as frames
     g = Grid2(32, 32)
     before, mid, after, F, dt2 = slice_window(g, init_stereographic_lump(g), "spectral")
     ndims = []
-    real = fields._deriv
-    monkeypatch.setattr(fields, "_deriv",
+    real = frames._deriv
+    monkeypatch.setattr(frames, "_deriv",
                         lambda f, *a, **k: ndims.append(f.ndim) or real(f, *a, **k))
     mlxii_residual(g, mid, coeffs_before=before, coeffs_after=after, dt2=dt2, frame=F)
     charges(g, mid)
@@ -423,3 +431,176 @@ def test_identified_xy_compatibility_converges():
         errs.append(max_norm(res))
         hs.append(g.hx)
     assert fit_order(hs, errs) > 1.7
+
+
+# ---------------------------------------------------------------------------
+# the stack layer against the (ny, nx, 3) formulas it replaced
+# ---------------------------------------------------------------------------
+
+def ref_fallback_normal(e1):
+    axis = np.zeros_like(e1)
+    use_x = np.abs(e1[..., 0]) < 0.9
+    axis[..., 0] = np.where(use_x, 1.0, 0.0)
+    axis[..., 1] = np.where(use_x, 0.0, 1.0)
+    return normalized3(axis - dot3(axis, e1)[..., None] * e1)
+
+
+def ref_frame(grid, S, scheme, tol=DEGENERACY_TOL):
+    """e1, e2, e3 and the mask of frame_from_spin, on (ny, nx, 3) fields."""
+    e1 = normalized3(S)
+    Sx = ddx(grid, S, scheme)
+    k = norm3(Sx)
+    mask = k < tol
+    e2 = Sx / np.where(mask, 1.0, k)[..., None]
+    if mask.any():
+        e2 = left_scan_loop(e2, mask)
+        dead = mask.all(axis=1)
+        e2[dead] = ref_fallback_normal(e1[dead])
+    e2 = e2 - dot3(e2, e1)[..., None] * e1
+    small = norm3(e2) < 1e-12
+    if small.any():
+        e2 = np.where(small[..., None], ref_fallback_normal(e1), e2)
+    e2 = normalized3(e2)
+    return e1, e2, cross3(e1, e2), mask
+
+
+def ref_coeffs(grid, e1, e2, e3, scheme):
+    """The projections of coeffs_from_frame and its densities."""
+    (e1x, e1y), (e2x, e2y), (e3x, e3y) = ((ddx(grid, e, scheme), ddy(grid, e, scheme))
+                                          for e in (e1, e2, e3))
+    return dict(k=dot3(e2, e1x), sigma=-dot3(e3, e1x), tau=dot3(e3, e2x),
+                m1=dot3(e3, e2y), m2=-dot3(e3, e1y), m3=dot3(e2, e1y),
+                densities=[dot3(e, cross3(ex, ey))
+                           for e, ex, ey in ((e1, e1x, e1y), (e2, e2x, e2y), (e3, e3x, e3y))])
+
+
+def ref_bracket(a, b, beta):
+    c = cross3(np.stack(b, axis=-1), np.stack(a, axis=-1))
+    return beta * c[..., 0], c[..., 1], c[..., 2]
+
+
+def ref_mlxii(grid, mid, before, after, dt2, scheme, beta):
+    """mlxii_residual of (ny, nx) coefficient planes, each differentiated alone."""
+    a, b, w = ([mid[n] for n in names] for names in (("tau", "sigma", "k"), ("m1", "m2", "m3"),
+                                                      ("w1", "w2", "w3")))
+    D = [ddy(grid, ai, scheme) - ddx(grid, bi, scheme) for ai, bi in zip(a, b)]
+    out = {"xy": max_norm([d + c for d, c in zip(D, ref_bracket(a, b, beta))])}
+    for key, deriv, x, names in (("xt", ddx, a, ("tau", "sigma", "k")),
+                                 ("yt", ddy, b, ("m1", "m2", "m3"))):
+        out[key] = max_norm([(after[n] - before[n]) / dt2 - deriv(grid, wi, scheme) + c
+                             for n, wi, c in zip(names, w, ref_bracket(x, w, beta))])
+    for name, d, dens, sign in zip(("e1", "e2", "e3"), D, mid["densities"], (1, beta, beta)):
+        out[f"identity_{name}"] = max_norm(d - sign * dens)
+    return out
+
+
+def dead_row_field(grid):
+    X, Y = grid.meshgrid()
+    theta = np.sin(Y) * np.cos(X)
+    return np.stack([np.sin(theta), np.zeros_like(X), np.cos(theta)], axis=-1)
+
+
+def small_e2_field(grid):
+    """Row 0 is (0, 0, 2 + sin x): S_x is exactly parallel to S there, so e2
+    vanishes once projected off e1 and takes the fallback axis (1, 0, 0)."""
+    X, Y = grid.meshgrid()
+    a = np.sin(Y) ** 2
+    return np.stack([a * np.sin(X), a * np.cos(X), 2.0 + np.sin(X)], axis=-1)
+
+
+def turned(S, angle):
+    """S turned about the third axis."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.stack([c * S[..., 0] - s * S[..., 1], s * S[..., 0] + c * S[..., 1], S[..., 2]],
+                    axis=-1)
+
+
+STACK_CASES = {
+    "lump-spectral-32": (32, "spectral", init_stereographic_lump, {}),
+    "lump-spectral-256": (256, "spectral", init_stereographic_lump, {}),   # above DENSE_MAX_N
+    "lump-central4-32": (32, "central4", init_stereographic_lump, {}),
+    "dead-rows": (32, "spectral", dead_row_field, {"tol": 0.3}),
+    "small-e2-spectral": (32, "spectral", small_e2_field, {}),
+    "small-e2-central4": (32, "central4", small_e2_field, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_stack_layer_is_the_field_formulas_bitwise(case):
+    """Frames, coefficients, densities, time entries and the residual dict
+    equal the (ny, nx, 3) formulas bit for bit, with and without a ring of
+    workspaces."""
+    import m3lab.frames as frames
+    n, scheme, make, kw = STACK_CASES[case]
+    g = Grid2(n, n)
+    slices = [turned(make(g), 0.01 * i) for i in range(3)]
+    dt2 = 0.02
+    want = [ref_frame(g, S, scheme, **kw) for S in slices]
+    want_co = [ref_coeffs(g, *r[:3], scheme) for r in want]
+    e1t, e2t = ((after - before) / dt2 for before, after in zip(want[0][:2], want[2][:2]))
+    e2, e3 = want[1][1:3]
+    want_co[1].update(w1=dot3(e3, e2t), w2=-dot3(e3, e1t), w3=dot3(e2, e1t))
+    if make is small_e2_field:
+        assert np.all(want[1][1][0] == (1.0, 0.0, 0.0))
+    for works in ([None] * 3, frames._Workspace((n, n)).ring(3)):
+        F = [frame_from_spin(g, S, scheme, work=wk, **kw) for S, wk in zip(slices, works)]
+        co = [coeffs_from_frame(g, f, scheme, work=wk) for f, wk in zip(F, works)]
+        for f, (e1, e2, e3, mask) in zip(F, want):
+            for got, ref in ((f.e1, e1), (f.e2, e2), (f.e3, e3), (f.mask, mask)):
+                assert np.array_equal(got, ref)
+        mid = with_time_entries(co[1], F[1], frame_dt(F[0], F[2], dt2, works[1]), works[1])
+        for c, ref in zip(co[:1] + [mid] + co[2:], want_co):
+            for name in ref:
+                assert np.array_equal(getattr(c, name), ref[name]), name
+        for beta in (1, -1):
+            got = mlxii_residual(g, mid, scheme, beta, coeffs_before=co[0], coeffs_after=co[2],
+                                 dt2=dt2, frame=F[1], work=works[1])
+            assert got == ref_mlxii(g, want_co[1], want_co[0], want_co[2], dt2, scheme, beta)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_frame_layer_in_its_workspace_allocates_less_than_a_stack(n):
+    """A warm frame and projection in a workspace allocate less than one
+    (3, ny, nx) stack, on the lump (mask, wrap fill, dead rows), on the
+    matrix path and on the rfft path."""
+    import m3lab.frames as frames
+    g = Grid2(n, n)
+    S = init_stereographic_lump(g)
+    ws = frames._Workspace((g.ny, g.nx))
+    coeffs_from_frame(g, frame_from_spin(g, S, work=ws), work=ws)
+    tracemalloc.start()
+    try:
+        coeffs_from_frame(g, frame_from_spin(g, S, work=ws), work=ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ws.X.nbytes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("with_work", [False, True])
+def test_frame_entries_reject_non_finite_input(bad, with_work):
+    """frame_from_spin, coeffs_from_frame, mlxii_residual, charge_density and
+    m_coeffs_from_spin reject a non-finite input (FieldError), with no
+    warning on the way."""
+    import m3lab.frames as frames
+    g = Grid2(32, 32)
+    S = init_modulated_helix(g, eps=0.1)
+    state = make_state(g, S, PAR)
+    ws = frames._Workspace((g.ny, g.nx)) if with_work else None
+    F = frame_from_spin(g, S)
+    co = coeffs_from_frame(g, F)
+    bad_S, bad_e2, bad_m2 = S.copy(), F.e2.copy(), co.m2.copy()
+    bad_S[4, 5, 1] = bad_e2[6, 7, 0] = bad_m2[3, 3] = bad
+    bad_F = FrameField(e1=F.e1, e2=bad_e2, e3=F.e3, mask=F.mask)
+    bad_co = FrameCoeffs(k=co.k, sigma=co.sigma, tau=co.tau, m1=co.m1, m2=bad_m2, m3=co.m3,
+                         densities=co.densities)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: frame_from_spin(g, bad_S, work=ws),
+                     lambda: coeffs_from_frame(g, bad_F, work=ws),
+                     lambda: mlxii_residual(g, bad_co, frame=F, work=ws),
+                     lambda: charge_density(g, bad_S),
+                     lambda: m_coeffs_from_spin(g, bad_S, state.u, state.v, PAR)):
+            with pytest.raises(FieldError):
+                call()

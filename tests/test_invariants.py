@@ -1,9 +1,11 @@
 import numpy as np
 
-from m3lab.fields import Grid2, integrate2, max_norm, normalized3
+from m3lab.fields import Grid2, integrate2, max_norm
 from m3lab.frames import FrameField, coeffs_from_frame, frame_from_spin
 from m3lab.invariants import ChargeReport, charge_density, charges, coeff_densities
 from m3lab.spin import init_modulated_helix, init_stereographic_lump, init_uniform
+
+from conftest import normalized3
 
 FOUR_PI = 4.0 * np.pi
 

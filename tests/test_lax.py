@@ -3,7 +3,7 @@ import pytest
 
 from m3lab.cli import main
 from m3lab.errors import ParameterError
-from m3lab.fields import Grid2, commutator, ddx, ddy, matmul, max_norm
+from m3lab.fields import Grid2, ddx, ddy, max_norm
 from m3lab.lax import (
     IDENT2,
     SIGMA1,
@@ -24,7 +24,7 @@ from m3lab.lax import (
 from m3lab.nls import NlsParams, init_plane_wave, plane_wave_omega, solve_v_nls
 from m3lab.spin import SpinParams, init_uniform, make_state
 
-from conftest import smooth_complex, smooth_spin
+from conftest import commutator, matmul, smooth_complex, smooth_spin
 
 GEN = NlsParams(c=0.3, d=1.0, model="M3q")
 

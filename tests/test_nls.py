@@ -369,3 +369,36 @@ def test_overflowing_step_is_a_numerical_abort():
         with pytest.raises(UnstableStepError):
             for _ in range(10):
                 q, _ = step_rk4_nls(g, q, GEN, default_dt(g))
+
+
+def test_march_checks_each_state_once(grid, rng, monkeypatch):
+    """Each step takes the previous step's checked result unchecked: a march
+    of n steps checks the initial q once, each new q once on its way out,
+    and each kept state once, and gives the bits of fresh single steps."""
+    calls = []
+    real = nls.check_finite
+    monkeypatch.setattr(nls, "check_finite", lambda f, name="field": calls.append(name) or
+                        real(f, name))
+    state = make_state(grid, smooth_complex(grid, rng), GEN)
+    calls.clear()
+    n_steps, save_every = 6, 3
+    saved = run_nls(grid, state, GEN, default_dt(grid), n_steps, save_every)
+    assert len(calls) == 1 + n_steps + n_steps // save_every
+    q = state.q
+    for _ in range(n_steps):
+        q, _ = step_rk4_nls(grid, q, GEN, default_dt(grid))
+    assert np.array_equal(saved[-1].q, q)
+
+
+@pytest.mark.parametrize("given", ["no workspace", "a workspace"])
+def test_step_checks_a_q_that_is_not_its_own_result(grid, rng, given):
+    """Given the workspace of a march, a step still rejects a non-finite q
+    that is not the workspace's own result."""
+    ws = nls._Workspace((grid.ny, grid.nx)) if given == "a workspace" else None
+    q, _ = step_rk4_nls(grid, smooth_complex(grid, rng), GEN, default_dt(grid), work=ws)
+    bad = q.copy()
+    bad[3, 4] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FieldError):
+            step_rk4_nls(grid, bad, GEN, default_dt(grid), work=ws)

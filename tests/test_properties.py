@@ -11,14 +11,14 @@ from hypothesis.extra import numpy as hnp
 
 from m3lab.cli import RunConfig, parse_config_text
 from m3lab.errors import M3LabError
-from m3lab.fields import Grid2, commutator, ddx, inv_dx, meanx, read_mfld1, write_mfld1
-from m3lab.frames import FrameCoeffs, bracket, so3_from_vec
+from m3lab.fields import Grid2, ddx, inv_dx, meanx, read_mfld1, write_mfld1
+from m3lab.frames import FrameCoeffs, bracket
 from m3lab.invariants import coeff_densities
 from m3lab.lax import _sl2, _sl2_bracket, su2_from_vec
 from m3lab.nls import NlsParams, nls_rhs, solve_v_nls, step_rk4_nls
 from m3lab.spin import SpinParams, default_dt, spin_rhs, step_rk4_spin
 
-from conftest import band_limited, smooth_complex, smooth_spin
+from conftest import band_limited, commutator, smooth_complex, smooth_spin, so3_from_vec
 
 seeds = st.integers(0, 2**32 - 1)
 betas = st.sampled_from([1, -1])

@@ -12,7 +12,7 @@ from m3lab.errors import (
     ParameterError,
     UnstableStepError,
 )
-from m3lab.fields import Grid2, cross3, ddx, ddy, dot3, inv_dx, meanx, norm3
+from m3lab.fields import Grid2, ddx, ddy, dot3, inv_dx, meanx, norm3
 from m3lab.frames import FrameCoeffs, coeffs_from_frame, frame_dt, frame_from_spin
 from m3lab.spin import (
     SpinParams,
@@ -30,7 +30,7 @@ from m3lab.spin import (
     step_rk4_spin,
 )
 
-from conftest import smooth_spin
+from conftest import cross3, smooth_spin
 
 PAR = SpinParams(c=0.3, d=1.0, l=0.2, model="M3")
 
@@ -282,7 +282,7 @@ def test_unstable_step_rejected():
     kx, ky = g.nx // 2 - 1, g.ny // 2 - 1
     a = 0.8 * np.cos(kx * X) * np.cos(ky * Y)
     b = 0.8 * np.sin(kx * X) * np.sin(ky * Y)
-    from m3lab.fields import normalized3
+    from conftest import normalized3
     S = make_state(g, normalized3(np.stack([a, b, np.ones_like(a)], axis=-1)), par).S
     with pytest.raises(UnstableStepError):
         for _ in range(5):
@@ -446,3 +446,24 @@ def test_m0_residual_converges():
         errs.append(m0_residual(g, saved[1].S, par, m0))
         hs.append(g.hx)
     assert fit_order(hs, errs) > 1.7
+
+
+def test_renormalisation_lengths_are_norm3_of_the_field(rng, monkeypatch):
+    """The step takes |S| of its RK4 result from the (3, ny, nx) stack, with
+    no (ny, nx, 3) copy: the lengths are norm3 of that copy, bit for bit."""
+    import m3lab.spin as spin
+    results = []
+    real = spin.norm_planes
+
+    def recording(P, out, tmp):
+        results.append(P.copy())
+        return real(P, out, tmp)
+
+    monkeypatch.setattr(spin, "norm_planes", recording)
+    g = Grid2(40, 32)
+    ws = spin._Workspace((3, g.ny, g.nx))
+    assert not hasattr(ws, "S3")
+    S, _ = step_rk4_spin(g, smooth_spin(g, rng), PAR, default_dt(g), work=ws)
+    (T,) = results
+    assert np.array_equal(ws.length, norm3(np.ascontiguousarray(np.moveaxis(T, 0, -1))))
+    assert np.array_equal(S, np.moveaxis(T / ws.length, 0, -1))
