@@ -466,7 +466,7 @@ def cmd_lax_check(args) -> int:
     times = meta["times"]
     if len(times) < 3:
         raise ConfigError("lax-check needs at least three saved slices")
-    mid = len(times) // 2 if len(times) // 2 + 1 < len(times) else len(times) - 2
+    mid = len(times) // 2
     payload = {"config_hash": cfg.sha, "t": times[mid], "results": []}
 
     if args.spin_side:

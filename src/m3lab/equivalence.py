@@ -36,8 +36,7 @@ from .fields import (
     inv_dx,
     meanx,
 )
-from .frames import (FrameCoeffs, FrameField, _frame_stack, _project, _Workspace,
-                     frame_from_spin)
+from .frames import FrameCoeffs, FrameField, _project, _vectors, _Workspace, frame_from_spin
 from .nls import NlsParams, nls_rhs, solve_v_nls
 from .spin import DT_FACTOR, SpinParams, make_state, run_spin
 
@@ -83,14 +82,11 @@ def q_from_spin(grid: Grid2, coeffs: FrameCoeffs, par: SpinParams,
     Returns (q, info) where info quantifies the snapping defect and the
     spread of the per-row tau means.
     """
-    denom = 2.0 * par.c * par.l + par.d
-    if abs(denom) < 1e-12:
-        raise ParameterError("q map undefined: 2cl + d vanishes")
     if modified:
         amp2 = coeffs.k**2 + coeffs.sigma**2
-        amp = (np.sqrt(amp2) if sqrt_variant else amp2) / (2.0 * denom)
+        amp = (np.sqrt(amp2) if sqrt_variant else amp2) / (2.0 * par.denom)
     else:
-        amp = coeffs.k / (2.0 * denom)
+        amp = coeffs.k / (2.0 * par.denom)
 
     phase_fluct, tau_row_mean = inv_dx(grid, coeffs.tau)
     mu = float(np.mean(tau_row_mean))
@@ -119,7 +115,7 @@ def _slice_to_q(grid: Grid2, S: np.ndarray, par: SpinParams, scheme,
         raise DegenerateFieldError(
             f"equivalence check aborted: frame degenerate on {100*frac:.1f}% of the grid")
     # q reads k and tau alone
-    kt = _project(grid, _frame_stack(F, work), scheme, work, along_y=False)
+    kt = _project(grid, _vectors(F), scheme, work, along_y=False)
     return q_from_spin(grid, kt, par, fold_mode=fold_mode)
 
 
@@ -140,11 +136,9 @@ def equiv_residual(grid: Grid2, S_before: np.ndarray, S_mid: np.ndarray,
 
     q_t = (q_after - q_before) / dt2
     p_t = par.beta * np.conj(q_t)
-    scale = max(float(np.max(np.abs(q_t_model))), 1e-30)
     out = {
         "residual_q": float(np.max(np.abs(q_t - q_t_model))),
         "residual_p": float(np.max(np.abs(p_t - p_t_model))),
-        "rhs_scale": scale,
         "obstruction": info,
     }
     pq_y = ddy(grid, p_mid * q_mid, scheme)
@@ -184,7 +178,7 @@ def l_equiv_check(par: SpinParams, make_initial, sizes=(32, 64, 128),
         ladder.append((grid.hx, last["residual_q"]))
     order = fit_order([h for h, _ in ladder], [r for _, r in ladder])
     return EquivReport(residual_q=last["residual_q"], residual_p=last["residual_p"],
-                       residual_v=last["residual_v"], v_cross=last.get("v_cross", float("nan")),
+                       residual_v=last["residual_v"], v_cross=last["v_cross"],
                        ladder=ladder, order=order, obstruction=last["obstruction"])
 
 
@@ -281,7 +275,8 @@ def coeffs_from_fg(grid: Grid2, pair: HirotaPair, scheme=SPECTRAL) -> FrameCoeff
 
 
 def gauge_check(grid: Grid2, pair: HirotaPair, scheme=SPECTRAL) -> float:
-    """Max-norm of Im(conj(f) f_x + conj(g) g_x): zero in the tau = 0 gauge."""
+    """Max-norm of Im(conj(f) f_x + conj(g) g_x): zero in the tau = 0 gauge,
+    the gauge condition of the bilinear representation."""
     f, g = pair.f, pair.g
     val = np.imag(np.conj(f) * ddx(grid, f, scheme) + np.conj(g) * ddx(grid, g, scheme))
     return float(np.max(np.abs(val)))
@@ -293,5 +288,6 @@ def u_from_fg(grid: Grid2, pair: HirotaPair, scheme=SPECTRAL) -> np.ndarray:
     This is -m1 of the (left-handed) bilinear triad; the orientation flip
     relative to the right-handed transport identities is what turns the m1
     pairing into a minus sign here (checked against the constraint solver).
+    States the bilinear form of the M-III auxiliary field u.
     """
     return -coeffs_from_fg(grid, pair, scheme).m1

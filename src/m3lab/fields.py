@@ -52,7 +52,9 @@ dot_planes sums the three products in a given order.  einsum (dot3,
 norm3) sums a field with contiguous components as (a0 b0 + a2 b2) + a1 b1,
 EINSUM_ORDER, and one with strided components in component order; stack
 code dots in EINSUM_ORDER where its results were pinned to dot3 of
-(ny, nx, 3) fields, so moving onto stacks did not move their bits.
+(ny, nx, 3) fields, so moving onto stacks did not move their bits.  The
+order is load-bearing: the lump's near-degenerate points amplify a change
+of rounding, so component order moves its coefficient dumps by 1.1e-2.
 
 The stepping core shared by the spin and NLS solvers also lives here: one
 classical RK4 step (rk4, which owns the dt / stability check) and one save

@@ -28,13 +28,15 @@ The Frenet gauge (sigma = 0, k >= 0) is the default frame construction:
 e1 = S, e2 = S_x/|S_x|, e3 = e1 ^ e2, with a deterministic left-scan fill
 where |S_x| degenerates.
 
-FrameField shows e1, e2, e3 as (ny, nx, 3) fields; the layer computes on
-(3, ny, nx) component stacks, one derivative per stack and axis, and sums
-its dot products in fields.EINSUM_ORDER, the order of dot3 on the
-(ny, nx, 3) fields it computed on before, so its results kept their bits.
-Every array it writes can come from a _Workspace that a command makes once
-(a ring of three in `frame`).  Each public entry checks its input for
-finite values once (FieldError) and runs the unchecked fields._deriv.
+FrameField shows e1, e2, e3 as (ny, nx, 3) fields; the layer reads their
+(3, ny, nx) stack views where they lie, whatever their strides, takes one
+derivative per stack and axis, and sums its dot products in
+fields.EINSUM_ORDER, so its results have the bits of dot3 on the fields.
+Every array it writes can come from a _Workspace, buffers only, that a
+command makes once (a ring of three in `frame`): allocating per call, as
+measured at n = 256, is slower and faults ten times as often in `charges`.
+Each public entry checks its input for finite values once (FieldError) and
+runs the unchecked fields._deriv.
 """
 
 from dataclasses import dataclass, replace
@@ -80,7 +82,8 @@ def _dot(a, b, out=None, tmp=None) -> np.ndarray:
 def _triple(e, a, b, out: np.ndarray, p: np.ndarray, tmp) -> np.ndarray:
     """e . (a ^ b) of three stacks into out, with the bits of _dot(e,
     cross_planes(a, b)): each component of a ^ b is formed in the plane p
-    as cross_planes forms it, and summed in EINSUM_ORDER."""
+    as cross_planes forms it, and summed in EINSUM_ORDER.  (cross_planes
+    would fill a stack, Z, that the rfft path never touches: more memory.)"""
     for n, m in enumerate(EINSUM_ORDER):
         i, j = (m + 1) % 3, (m + 2) % 3
         np.multiply(a[i], b[j], out=p)
@@ -150,9 +153,9 @@ _ARRAYS = {"E": ((3, 3), float, True), "mask": ((), bool, True),
 class _Workspace:
     """The arrays the frame layer writes, for (ny, nx) planes of one shape.
 
-    Its own: E, one frame's e1, e2, e3 stacks, its mask and `frame`, the
-    FrameField showing them; A, B and D, the a, b and density stacks
-    projected from it.  Scratch, shared by a ring: K for frame_dt's
+    Its own: E and mask, the e1, e2, e3 stacks and mask frame_from_spin
+    builds in it; A, B and D, the a, b and density stacks coeffs_from_frame
+    projects into it.  Scratch, shared by a ring: K for frame_dt's
     velocities and the coefficients mlxii_residual copies; X, Y and Z (the
     shifted lanes of the matrix path) for derivatives; W, the time
     entries; planes.  Each array is allocated when it is first used, so a
@@ -160,7 +163,7 @@ class _Workspace:
     """
 
     def __init__(self, shape, scratch=None):
-        self.shape, self.frame = shape, None
+        self.shape = shape
         self._scratch = {} if scratch is None else scratch
 
     def __getattr__(self, name):
@@ -258,8 +261,7 @@ def frame_from_spin(grid: Grid2, S: np.ndarray, scheme=SPECTRAL,
         np.copyto(e2, _fallback_normal(e1, ws.X, L, tmp), where=small)
     e2 /= norm_planes(e2, L, tmp)
     cross_planes(e1, e2, e3, tmp)
-    ws.frame = FrameField(e1=_field(e1), e2=_field(e2), e3=_field(e3), mask=mask)
-    return ws.frame
+    return FrameField(e1=_field(e1), e2=_field(e2), e3=_field(e3), mask=mask)
 
 
 def frame_dt(before: FrameField, after: FrameField, dt2: float, work=None):
@@ -273,19 +275,14 @@ def frame_dt(before: FrameField, after: FrameField, dt2: float, work=None):
     return tuple(_field(t) for t in T)
 
 
-def _frame_stack(F: FrameField, ws: _Workspace) -> np.ndarray:
-    """F's vectors as one (3, 3, ny, nx) stack, checked finite: ws.E, into
-    which F is copied unless F was built there."""
-    if F is not ws.frame:
-        for dst, e in zip(ws.E, (F.e1, F.e2, F.e3)):
-            dst[...] = _stack(e)
-        ws.frame = F
-    return check_finite(ws.E, "frame")
+def _vectors(F: FrameField) -> tuple:
+    """F's e1, e2, e3 as (3, ny, nx) stack views, each checked finite."""
+    return tuple(check_finite(_stack(e), "frame") for e in (F.e1, F.e2, F.e3))
 
 
-def _project(grid: Grid2, E: np.ndarray, scheme, ws: _Workspace, dens=None,
+def _project(grid: Grid2, E: tuple, scheme, ws: _Workspace, dens=None,
              along_y: bool = True) -> FrameCoeffs:
-    """The coefficients of the frame stack E, unchecked, by projection into
+    """The coefficients of the frame stacks E = (e1, e2, e3), unchecked, into
     ws.A = a = (tau, sigma, k) and ws.B = b = (m1, m2, m3).
 
     k = e2.e1_x, sigma = -e3.e1_x, tau = e3.e2_x,
@@ -331,11 +328,11 @@ def coeffs_from_frame(grid: Grid2, F: FrameField, scheme=SPECTRAL,
     w1 = e3.e2_t, w2 = -e3.e1_t, w3 = e2.e1_t.
     Each e_j is differentiated once along x and y, as one stack.  A
     non-finite frame is rejected (FieldError).  Given a _Workspace, the
-    coefficients are written into its A, B, D (and W); a frame not built in
-    it is copied into its E first.
+    coefficients are written into its A, B, D (and W); the frame is read
+    where it lies, built in that workspace or not.
     """
     ws = work or _Workspace(np.shape(F.e1)[:2])
-    E, dens = _frame_stack(F, ws), ws.D
+    E, dens = _vectors(F), ws.D
     coeffs = _project(grid, E, scheme, ws, dens)
     _density(grid, E[2], scheme, ws, dens[2])
     coeffs = replace(coeffs, densities=tuple(dens))
@@ -460,12 +457,13 @@ def m_coeffs_from_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
         w1 = (sigma_t - w2_x + tau w3) / k
 
     (The sign of the u k term in w3 is fixed by requiring compatibility of
-    the transport system; see the project notes.)
+    the transport system; see the project notes.)  States the paper's claim
+    that the M-III dynamics fixes the y- and t-entries from k, sigma, tau.
     """
     ws = _Workspace(np.shape(S)[:2])
     if frame is None:
         frame = frame_from_spin(grid, S, scheme, work=ws)
-    proj = _project(grid, _frame_stack(frame, ws), scheme, ws)  # no densities, no e3 derivatives
+    proj = _project(grid, _vectors(frame), scheme, ws)  # no densities, no e3 derivatives
     k, sigma, tau = proj.k, proj.sigma, proj.tau
 
     k_mask = np.abs(k) < k_tol

@@ -217,10 +217,7 @@ class LaxSpin(NamedTuple):
 def lax_spin_pass(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
                   par, scheme=SPECTRAL) -> LaxSpin:
     """Every derivative the spin-side connection needs, at any lam: 5 per slice."""
-    c, d, l = par.c, par.d, par.l
-    denom_l = 2.0 * c * l + d
-    if abs(denom_l) < 1e-12:
-        raise ParameterError(f"|2 c l + d| = {abs(denom_l):.3e} too small")
+    c, d, denom_l = par.c, par.d, par.denom
     Sm = _spin_entries(S)
     Sx = _spin_entries(ddx(grid, S, scheme))
     Sy = _spin_entries(ddy(grid, S, scheme))
@@ -254,7 +251,7 @@ def lax_spin_at(F: LaxSpin, lam: complex, grouping: str = "factored") -> tuple:
              (lam**2 - l**2, F.F2), (lam - l, F.F1[grouping]))
     if grouping == "factored":
         return U, V, 0.0
-    return U, V, -(lam - l) * 1j * c / (2.0 * c * l + d) * F.half_tr
+    return U, V, -(lam - l) * 1j * c / F.par.denom * F.half_tr
 
 
 def build_lax_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -305,7 +302,8 @@ POLE_TOL = 1e-10
 
 
 def lambda_rhs(lam: np.ndarray, lam_y: np.ndarray, par) -> np.ndarray:
-    """lam_t = 2 (c lam^2 + d lam) lam_y."""
+    """lam_t = 2 (c lam^2 + d lam) lam_y: the paper's nonisospectral flow,
+    the 2 Lam U_y term of the q-side flatness residual."""
     return 2.0 * (par.c * lam**2 + par.d * lam) * lam_y
 
 

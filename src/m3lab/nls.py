@@ -10,8 +10,8 @@ system and whose d=0 limit is the Strachan system):
 For the physical reduction p = beta * conj(q), the pair equations are complex
 conjugates of each other and v stays real, since p q = beta |q|^2.  States
 carry that reduction, and the RK4 step advances q alone; each state's p is
-beta * conj(q), so its conj_dev is 0 by construction.  A stage solves v from
-the real density beta |q|^2 on the half-spectrum path and takes q_t as
+beta * conj(q), so its conj_dev is 0 by construction.  States and stages
+solve v from beta |q|^2 on the half-spectrum path and a stage takes q_t as
 
     q_t = (-i q_y - 4c v q)_x - 2i d^2 v q,
 
@@ -21,8 +21,8 @@ central4 stencils), so d_x d_y = d_y d_x and the regrouped rate is the q_t
 of nls_rhs up to rounding.  (Stepped as a general pair, (q, p) stays on the
 reduction to rounding too: the complex derivative drops the even-n Nyquist
 mode, as the real one does, so it commutes with conjugation.)  nls_rhs and
-solve_v_nls take a general pair (an explicit p), which the equivalence
-check and the reduction tests use.
+solve_v_nls are the general-pair forms (an explicit p), which the
+equivalence check and the reduction tests use.
 
 Plane waves q = A exp(i(k1 x + k2 y - w t)) with constant v = v0 satisfy the
 dispersion relation  w = -k1 k2 + 4 c v0 k1 + 2 d^2 v0  (and the constraint
@@ -74,20 +74,15 @@ def _paired(q: np.ndarray, beta: int) -> np.ndarray:
     return p if beta == 1 else np.negative(p, out=p)
 
 
-def solve_v_nls(grid: Grid2, q: np.ndarray, p, scheme=SPECTRAL, beta: int = 1):
-    """v with v_x = (p q)_y, zero x-mean.
+def solve_v_nls(grid: Grid2, q: np.ndarray, p: np.ndarray, scheme=SPECTRAL):
+    """v with v_x = (p q)_y, zero x-mean, for a general pair (q, p).
 
-    Returns (v, row_mean, imag_residue).  For a general pair the imaginary
-    part is discarded and its magnitude reported (it vanishes identically
-    when p = beta conj q).  p=None stands for p = beta*conj(q): v then comes
-    from the real density beta |q|^2 on the half-spectrum path and
-    imag_residue is 0.  That density equals Re(p q) to one rounding (numpy's
-    complex product may fuse its multiply-add, the plain sum does not).
+    Returns (v, row_mean, imag_residue): the imaginary part is discarded and
+    its magnitude reported (it vanishes when p = beta conj q, up to the
+    rounding of the complex product).  A state on the reduction solves v
+    from the real density beta |q|^2 instead (make_state, the stepper).
     """
     check_finite(q, "q")
-    if p is None:
-        v, v_x = _paired_v(grid, q, scheme, beta, tuple(np.empty(q.shape) for _ in range(3)))
-        return v, meanx(v_x)[:, 0], 0.0
     check_finite(p, "p")
     w, row_mean = inv_dx(grid, ddy(grid, p * q, scheme))
     imag_residue = float(np.max(np.abs(w.imag))) if np.iscomplexobj(w) else 0.0
@@ -96,7 +91,8 @@ def solve_v_nls(grid: Grid2, q: np.ndarray, p, scheme=SPECTRAL, beta: int = 1):
 
 def _paired_v(grid: Grid2, q: np.ndarray, scheme, beta: int, planes) -> tuple:
     """v of the paired q and its integrand (beta |q|^2)_y, q unchecked,
-    written into planes, three real arrays of q's shape."""
+    written into planes, three real arrays of q's shape.  The density is
+    Re(p q) to one rounding (numpy's complex product may fuse its multiply-add)."""
     dens, v_x, v = planes
     np.multiply(q.real, q.real, out=dens)
     dens += np.multiply(q.imag, q.imag, out=v)
@@ -124,12 +120,14 @@ def make_state(grid: Grid2, q: np.ndarray, par: NlsParams, t: float = 0.0,
                scheme=SPECTRAL) -> NlsState:
     """Assemble an NlsState with p = beta*conj(q) and v solved from beta |q|^2.
 
-    The state owns a copy of q (which may be a stepper's workspace array).
+    The state owns a copy of q (which may be a stepper's workspace array);
+    a non-finite q is rejected (FieldError).
     """
-    q = np.array(q, dtype=complex)
-    v, row_mean, _ = solve_v_nls(grid, q, None, scheme, par.beta)
-    return NlsState(q=q, p=_paired(q, par.beta), v=v, t=t,
-                    v_row_mean=float(np.max(np.abs(row_mean))))
+    q = check_finite(np.array(q, dtype=complex), "q")
+    v, v_x = _paired_v(grid, q, scheme, par.beta, tuple(np.empty(q.shape) for _ in range(3)))
+    v_row_mean = float(np.max(np.abs(meanx(v_x))))
+    del v_x  # so that only v is live beside q when p is formed
+    return NlsState(q=q, p=_paired(q, par.beta), v=v, t=t, v_row_mean=v_row_mean)
 
 
 class _Workspace:

@@ -15,6 +15,8 @@ selection only restricts the constants:
     M3: general, 2cl+d != 0
 
 All three share one code path, so the reduction identities hold exactly.
+SpinParams owns |2cl+d| >= DENOM_TOL for every model, checked once: all that
+divides by par.denom (v, the q map, the spin-side Lax pass) relies on it.
 
 S keeps the package's (ny, nx, 3) layout in and out.  The kernel (spin_rhs,
 and the constraint solve it shares with solve_u, solve_v and make_state)
@@ -83,8 +85,9 @@ class SpinParams:
                 raise ParameterError("M2 requires d = 0")
             if self.c == 0.0:
                 raise ParameterError("M2 requires c != 0")
-        if self.model == "M3" and abs(self.denom) < DENOM_TOL:
-            raise ParameterError("M3 requires 2cl + d != 0")
+        if abs(self.denom) < DENOM_TOL:
+            raise ParameterError(f"{self.model} requires |2cl + d| >= {DENOM_TOL}, "
+                                 f"got {abs(self.denom):.3e}")
 
     @property
     def denom(self) -> float:
@@ -97,8 +100,6 @@ class SpinParams:
 
     @property
     def v_prefactor(self) -> float:
-        if abs(self.denom) < DENOM_TOL:
-            raise ParameterError(f"|2cl + d| = {abs(self.denom):.3e} below {DENOM_TOL}")
         return 1.0 / (4.0 * self.denom**2)
 
 
@@ -180,6 +181,7 @@ def solve_u(grid: Grid2, S: np.ndarray, scheme=SPECTRAL):
 
     Returns (u, row_mean) where row_mean is the discarded x-mean of the
     integrand (solvability diagnostic; zero for topologically trivial rows).
+    States the M-III constraint on u alone; tests hold it to u_from_fg.
     """
     ws = _loaded(S)
     _constraints(grid, ws.P, scheme, None, ws)
@@ -187,7 +189,8 @@ def solve_u(grid: Grid2, S: np.ndarray, scheme=SPECTRAL):
 
 
 def solve_v(grid: Grid2, S: np.ndarray, par: SpinParams, scheme=SPECTRAL):
-    """v with v_x = (S_x.S_x)_y / (4(2cl+d)^2), zero x-mean; returns (v, row_mean)."""
+    """v with v_x = (S_x.S_x)_y / (4(2cl+d)^2), zero x-mean; returns (v, row_mean).
+    States the M-III constraint on v alone, the partner's v through 2cl+d."""
     ws = _loaded(S)
     _constraints(grid, ws.P, scheme, par, ws)
     return Antideriv(ws.v, meanx(ws.v_x)[:, 0])
@@ -373,7 +376,8 @@ class M0Coeffs:
 
 
 def m0_reduce(coeffs, mask_tol: float = M0_MASK_TOL) -> M0Coeffs:
-    """Read the decomposition coefficients off frame coefficients.
+    """Read the decomposition coefficients off frame coefficients: the
+    paper's kinematics, S_t in the span of S_x and S_y read off the frame.
 
     Expects an object with fields k, sigma, tau, m1..m3, w1..w3 (a
     frames.FrameCoeffs).  d2, d3 solve the 2x2 system
@@ -401,7 +405,8 @@ def m0_reduce(coeffs, mask_tol: float = M0_MASK_TOL) -> M0Coeffs:
 
 def m0_residual(grid: Grid2, S: np.ndarray, par: SpinParams, m0: M0Coeffs,
                 scheme=SPECTRAL) -> float:
-    """Masked max-norm of S_t - d2 S_x - d3 S_y with S_t from spin_rhs."""
+    """Masked max-norm of S_t - d2 S_x - d3 S_y with S_t from spin_rhs: the
+    kinematics of m0_reduce holds for the M-III rate."""
     St = spin_rhs(grid, S, par, scheme)
     Sx = ddx(grid, S, scheme)
     Sy = ddy(grid, S, scheme)

@@ -98,13 +98,14 @@ def test_slice_map_is_q_from_the_projected_coefficients(grid):
 
 
 def test_q_rejects_vanishing_denominator(grid):
+    # |2cl + d| < DENOM_TOL is refused when SpinParams is built, so
+    # q_from_spin never divides by it
     shape = (grid.ny, grid.nx)
     zeros = np.zeros(shape)
     co = FrameCoeffs(k=zeros + 1.0, sigma=zeros, tau=zeros,
                      m1=zeros, m2=zeros, m3=zeros)
-    par = SpinParams(c=0.5, d=0.0, l=1e-14, model="M2")
     with pytest.raises(ParameterError):
-        q_from_spin(grid, co, par)
+        q_from_spin(grid, co, SpinParams(c=0.5, d=0.0, l=1e-14, model="M2"))
 
 
 def test_modified_amplitude_disagreement_witness(grid):

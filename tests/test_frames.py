@@ -577,6 +577,42 @@ def test_frame_layer_in_its_workspace_allocates_less_than_a_stack(n):
     assert peak < ws.X.nbytes
 
 
+COEFF_NAMES = ("k", "sigma", "tau", "m1", "m2", "m3")
+
+
+@pytest.mark.parametrize("n", [32, 256])
+def test_coeffs_of_a_frame_outside_the_workspace_are_bitwise(n):
+    """coeffs_from_frame reads a frame's vectors where they lie: contiguous
+    (ny, nx, 3) copies and strided views of a frame_from_spin frame give the
+    coefficients and densities of that frame in its workspace bit for bit,
+    on the matrix path (n = 32) and the rfft path (n = 256).  A NaN in one
+    vector of such a frame is rejected (FieldError)."""
+    import m3lab.frames as frames
+    g = Grid2(n, n)
+    ws = frames._Workspace((n, n))
+    F = frame_from_spin(g, init_stereographic_lump(g), work=ws)
+    assert np.count_nonzero(F.mask)  # the fill runs
+    co = coeffs_from_frame(g, F, work=ws)
+    want = [np.copy(getattr(co, name)) for name in COEFF_NAMES] + [np.copy(d) for d in
+                                                                   co.densities]
+    vecs = (F.e1, F.e2, F.e3)
+    copies = FrameField(*(np.array(e) for e in vecs), mask=F.mask)
+    big = np.zeros((3, n, 2 * n, 4))
+    for dst, e in zip(big, vecs):
+        dst[:, ::2, :3] = e
+    views = FrameField(*(b[:, ::2, :3] for b in big), mask=F.mask)
+    for frame in (copies, views):
+        for work in (None, frames._Workspace((n, n))):
+            got = coeffs_from_frame(g, frame, work=work)
+            for a, b in zip([getattr(got, name) for name in COEFF_NAMES] + list(got.densities),
+                            want):
+                assert np.array_equal(a, b)
+    big[1, 3, 6, 2] = np.nan
+    for work in (None, frames._Workspace((n, n))):
+        with pytest.raises(FieldError):
+            coeffs_from_frame(g, views, work=work)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("with_work", [False, True])
 def test_frame_entries_reject_non_finite_input(bad, with_work):

@@ -301,18 +301,25 @@ def test_general_pair_path_unchanged(grid, rng):
         assert np.array_equal(got, ref)
 
 
+def paired_v(grid, q, beta):
+    """v of the paired q and the row means of its integrand, as make_state
+    and the stepper solve them."""
+    v, v_x = nls._paired_v(grid, q, "spectral", beta, tuple(np.empty(q.shape) for _ in range(3)))
+    return v, meanx(v_x)[:, 0]
+
+
 def test_paired_v_is_real_density_solve(grid, rng):
     q = smooth_complex(grid, rng)
     for beta in (1, -1):
-        v, row_mean, imag = solve_v_nls(grid, q, None, beta=beta)
+        v, row_mean = paired_v(grid, q, beta)
         w, mean = inv_dx(grid, ddy(grid, beta * (q.real ** 2 + q.imag ** 2)))
         assert np.array_equal(v, w) and np.array_equal(row_mean, mean)
-        assert imag == 0.0
+        assert v.dtype == np.float64  # a real solve: no imaginary part to discard
         v_gen, _, _ = solve_v_nls(grid, q, beta * np.conj(q))
         assert np.max(np.abs(v - v_gen)) < 1e-13
     state = make_state(grid, q, NlsParams(c=0.3, beta=-1))
-    assert np.array_equal(state.v, solve_v_nls(grid, q, None, beta=-1)[0])
-    assert state.v_row_mean == float(np.max(np.abs(solve_v_nls(grid, q, None, beta=-1)[1])))
+    assert np.array_equal(state.v, paired_v(grid, q, -1)[0])
+    assert state.v_row_mean == float(np.max(np.abs(paired_v(grid, q, -1)[1])))
     assert state.v_row_mean > 1e-3
 
 
@@ -324,7 +331,7 @@ def test_step_transform_counts(rng, monkeypatch, c, n_complex):
     for n, n_real in ((64, 0), (2 * DENSE_MAX_N, 2)):
         grid = Grid2(n, n)
         q = smooth_complex(grid, rng)
-        solve_v_nls(grid, q, None)  # the operator matrices are built before counting
+        make_state(grid, q, NlsParams())  # the operator matrices are built before counting
         calls = dict.fromkeys(("fft", "ifft", "rfft", "irfft"), 0)
 
         def counted(name):
@@ -342,7 +349,7 @@ def test_step_transform_counts(rng, monkeypatch, c, n_complex):
             assert calls == {"fft": n_complex, "ifft": n_complex,
                              "rfft": 4 * n_real, "irfft": 4 * n_real}
             calls.update(dict.fromkeys(calls, 0))
-            solve_v_nls(grid, q, None)
+            make_state(grid, q, NlsParams())
             assert calls == {"fft": 0, "ifft": 0, "rfft": n_real, "irfft": n_real}
 
 

@@ -50,6 +50,9 @@ def test_params_validation():
         SpinParams(c=0.0, d=0.0, model="M2")          # and c != 0
     with pytest.raises(ParameterError):
         SpinParams(c=0.5, d=-0.2, l=0.2, model="M3")  # 2cl + d = 0
+    # 2cl + d is checked at construction for every model, M2 (d = 0) included
+    with pytest.raises(ParameterError):
+        SpinParams(c=0.5, d=0.0, l=0.0, model="M2")
     with pytest.raises(ParameterError):
         SpinParams(beta=2)
     with pytest.raises(ParameterError):
@@ -100,10 +103,11 @@ def test_solve_v_round_trip(grid, rng):
 
 
 def test_solve_v_rejects_vanishing_denominator(grid):
-    # M2 with tiny l slips past construction but 2cl + d is below tolerance
-    par = SpinParams(c=0.5, d=0.0, l=1e-14, model="M2")
+    # M2 with tiny l: |2cl + d| < DENOM_TOL is refused when SpinParams is
+    # built, so solve_v never divides by it
     with pytest.raises(ParameterError):
-        solve_v(grid, init_uniform(grid), par)
+        solve_v(grid, init_uniform(grid),
+                SpinParams(c=0.5, d=0.0, l=1e-14, model="M2"))
     with pytest.raises(ParameterError):
         SpinParams(c=0.5, d=-0.2 + 1e-13, l=0.2, model="M3")
 
