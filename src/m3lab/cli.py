@@ -141,6 +141,9 @@ class RunConfig:
 
     def spin_params(self):
         from .spin import SpinParams
+        if self["params.beta"] != 1:
+            raise ConfigError(f"params.beta = {self['params.beta']} on a spin run: the spin "
+                              f"flow has no beta, and a unit S has frames of beta = 1 only")
         model = self["spin.model"] or self["model"] or "M3"
         return SpinParams(c=self["params.c"], d=self["params.d"], l=self["params.l"],
                           beta=self["params.beta"], model=model)
@@ -301,7 +304,7 @@ def cmd_simulate_spin(args) -> int:
 def cmd_simulate_nls(args) -> int:
     import numpy as np
     from .fields import write_mfld1
-    from .nls import make_state, run_nls
+    from .nls import _paired, make_state, run_nls
 
     cfg = RunConfig.load(args.config)
     grid = cfg.grid()
@@ -317,13 +320,13 @@ def cmd_simulate_nls(args) -> int:
     slices = []
     for idx, st in enumerate(saved):
         name = f"nls_{idx:06d}.mfld1"
-        write_mfld1(os.path.join(out, name), grid,
-                    (st.q.real, st.q.imag, st.p.real, st.p.imag, st.v))
+        p = _paired(st.q, par.beta)
+        write_mfld1(os.path.join(out, name), grid, (st.q.real, st.q.imag, p.real, p.imag, st.v))
         slices.append(name)
     with open(os.path.join(out, "norms.csv"), "w") as fh:
-        fh.write("t,max_abs_q,conj_dev\n")
+        fh.write("t,max_abs_q\n")
         for st in saved:
-            fh.write(f"{st.t!r},{float(np.max(np.abs(st.q)))!r},{st.conj_dev!r}\n")
+            fh.write(f"{st.t!r},{float(np.max(np.abs(st.q)))!r}\n")
     _write_json(os.path.join(out, "meta.json"), {
         "kind": "nls",
         "config_hash": cfg.sha,
@@ -332,7 +335,6 @@ def cmd_simulate_nls(args) -> int:
         "dt": dt,
         "times": [st.t for st in saved],
         "slices": slices,
-        "conj_dev": [st.conj_dev for st in saved],
         "v_row_mean": [st.v_row_mean for st in saved],
     })
     print(f"saved {len(saved)} slices to {out}")
@@ -380,7 +382,7 @@ def cmd_frame(args) -> int:
                          mlxii_residual, with_time_entries)
 
     run_dir, meta, cfg = _open_run(args, "spin")
-    scheme, beta = cfg["scheme"], cfg["params.beta"]
+    scheme, beta = cfg["scheme"], cfg.spin_params().beta
     times = meta["times"]
     report = {"config_hash": cfg.sha, "residuals": []}
     grid = cfg.grid()
@@ -518,7 +520,7 @@ def cmd_charges(args) -> int:
             grid, data = _load_slice(run_dir, meta, cfg, idx)
             yield t, grid, data[..., 0:3]
 
-    _write_charges(out_path, samples(), cfg["scheme"], cfg["params.beta"])
+    _write_charges(out_path, samples(), cfg["scheme"], cfg.spin_params().beta)
     print(f"charge series written to {out_path}")
     return 0
 

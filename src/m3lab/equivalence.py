@@ -37,7 +37,7 @@ from .fields import (
     meanx,
 )
 from .frames import FrameCoeffs, FrameField, _project, _vectors, _Workspace, frame_from_spin
-from .nls import NlsParams, nls_rhs, solve_v_nls
+from .nls import NlsParams, _paired, nls_rhs, solve_v_nls
 from .spin import DT_FACTOR, SpinParams, make_state, run_spin
 
 TWO_PI = 2.0 * np.pi
@@ -130,12 +130,12 @@ def equiv_residual(grid: Grid2, S_before: np.ndarray, S_mid: np.ndarray,
     q_after, _ = _slice_to_q(grid, S_after, par, scheme, mode, work)
 
     npar = NlsParams(c=par.c, d=par.d, beta=par.beta, model="M3q")
-    p_mid = par.beta * np.conj(q_mid)
+    p_mid = _paired(q_mid, par.beta)
     v, _, _ = solve_v_nls(grid, q_mid, p_mid, scheme)
     q_t_model, p_t_model = nls_rhs(grid, q_mid, p_mid, v, npar, scheme)
 
     q_t = (q_after - q_before) / dt2
-    p_t = par.beta * np.conj(q_t)
+    p_t = _paired(q_t, par.beta)
     out = {
         "residual_q": float(np.max(np.abs(q_t - q_t_model))),
         "residual_p": float(np.max(np.abs(p_t - p_t_model))),

@@ -58,8 +58,9 @@ of rounding, so component order moves its coefficient dumps by 1.1e-2.
 
 The stepping core shared by the spin and NLS solvers also lives here: one
 classical RK4 step (rk4, which owns the dt / stability check) and one save
-loop (march).  rk4 forms its stage states and weighted sum in place, in
-arrays a march allocates once and passes as `work`.
+loop (march).  rk4 steps one array, forming its stage state and weighted
+sum in place, in a triple of arrays a march allocates once and passes as
+`work`.
 
 Every public operator rejects a non-finite input (FieldError).  The private
 _deriv and _inv_dx check nothing: a kernel checks its input once, where it
@@ -353,38 +354,33 @@ def max_norm(M: np.ndarray) -> float:
 # Time stepping shared by the spin and NLS solvers
 # ---------------------------------------------------------------------------
 
-def rk4(grid: Grid2, rhs, y: tuple, dt: float, work=None) -> tuple:
-    """One classical RK4 step of y' = rhs(y), y and rhs(y) tuples of arrays.
+def rk4(grid: Grid2, rhs, y: np.ndarray, dt: float, work=None) -> np.ndarray:
+    """One classical RK4 step of y' = rhs(y), y and rhs(y) arrays.
 
     The mixed-derivative dispersive terms of both models bound the step by
     dt <= CFL_SAFETY * hx * hy; a dt outside (0, bound] is rejected.
 
     The stages y + c k and the sum y + dt/6 (k1 + 2 k2 + 2 k3 + k4) are
-    formed in place, in that operand order, in work: a (stage, sum, scratch)
-    triple of arrays per component of y, allocated here when not given.  The
-    new y is returned in the sum arrays.  y is never written, and rhs may
-    return one buffer at every stage.
+    formed in place, in that operand order, in work: one (stage, sum,
+    scratch) triple of arrays, allocated here when not given.  The new y is
+    returned in the sum array.  y is never written, and rhs may return one
+    buffer at every stage.
     """
     bound = CFL_SAFETY * grid.hx * grid.hy
     if not 0.0 < dt <= bound * (1.0 + 1e-9):
         raise ParameterError(f"dt = {dt:.3e} outside the stable range (0, {bound:.3e}]")
 
     k = rhs(y)
-    if work is None:
-        work = [tuple(np.empty(b.shape, np.result_type(a, b)) for _ in range(3))
-                for a, b in zip(y, k)]
-    stages = tuple(s for s, _, _ in work)
-    for a, b, (s, total, _) in zip(y, k, work):
-        total[...] = b
-        np.add(a, np.multiply(0.5 * dt, b, out=s), out=s)
+    s, total, tmp = work or tuple(np.empty(k.shape, np.result_type(y, k)) for _ in range(3))
+    total[...] = k
+    np.add(y, np.multiply(0.5 * dt, k, out=s), out=s)
     for c in (0.5 * dt, dt):
-        for a, b, (s, total, tmp) in zip(y, rhs(stages), work):
-            total += np.multiply(2.0, b, out=tmp)
-            np.add(a, np.multiply(c, b, out=s), out=s)
-    for a, b, (_, total, _) in zip(y, rhs(stages), work):
-        total += b
-        np.add(a, np.multiply(dt / 6.0, total, out=total), out=total)
-    return tuple(total for _, total, _ in work)
+        k = rhs(s)
+        total += np.multiply(2.0, k, out=tmp)
+        np.add(y, np.multiply(c, k, out=s), out=s)
+    total += rhs(s)
+    np.add(y, np.multiply(dt / 6.0, total, out=total), out=total)
+    return total
 
 
 def march(step, y, t: float, dt: float, n_steps: int, save_every: int, keep) -> list:

@@ -9,9 +9,10 @@ system and whose d=0 limit is the Strachan system):
 
 For the physical reduction p = beta * conj(q), the pair equations are complex
 conjugates of each other and v stays real, since p q = beta |q|^2.  States
-carry that reduction, and the RK4 step advances q alone; each state's p is
-beta * conj(q), so its conj_dev is 0 by construction.  States and stages
-solve v from beta |q|^2 on the half-spectrum path and a stage takes q_t as
+hold q and v only, and the RK4 step advances q alone; p is formed from q by
+_paired where it is read (a written slice, the equivalence residual).
+States and stages solve v from beta |q|^2 on the half-spectrum path and a
+stage takes q_t as
 
     q_t = (-i q_y - 4c v q)_x - 2i d^2 v q,
 
@@ -60,16 +61,15 @@ class NlsParams:
 
 @dataclass(frozen=True)
 class NlsState:
-    q: np.ndarray            # (ny, nx) complex
-    p: np.ndarray            # (ny, nx) complex, beta * conj(q)
+    q: np.ndarray            # (ny, nx) complex; p = beta * conj(q)
     v: np.ndarray            # (ny, nx) real, zero x-mean
     t: float = 0.0
-    conj_dev: float = 0.0    # |p - beta conj q|: 0, as p is formed from q
     v_row_mean: float = 0.0  # max |row mean| of (p q)_y that inv_dx discarded
 
 
 def _paired(q: np.ndarray, beta: int) -> np.ndarray:
-    """p = beta*conj(q) by a sign flip: exact, and silent on non-finite q."""
+    """p = beta*conj(q) by a sign flip: exact, and silent on non-finite q.
+    The one place p is formed: a written slice, the equivalence residual."""
     p = np.conj(q)
     return p if beta == 1 else np.negative(p, out=p)
 
@@ -118,16 +118,14 @@ def nls_rhs(grid: Grid2, q: np.ndarray, p: np.ndarray, v: np.ndarray, par: NlsPa
 
 def make_state(grid: Grid2, q: np.ndarray, par: NlsParams, t: float = 0.0,
                scheme=SPECTRAL) -> NlsState:
-    """Assemble an NlsState with p = beta*conj(q) and v solved from beta |q|^2.
+    """Assemble an NlsState with v solved from beta |q|^2 (p = beta*conj(q)).
 
     The state owns a copy of q (which may be a stepper's workspace array);
     a non-finite q is rejected (FieldError).
     """
     q = check_finite(np.array(q, dtype=complex), "q")
     v, v_x = _paired_v(grid, q, scheme, par.beta, tuple(np.empty(q.shape) for _ in range(3)))
-    v_row_mean = float(np.max(np.abs(meanx(v_x))))
-    del v_x  # so that only v is live beside q when p is formed
-    return NlsState(q=q, p=_paired(q, par.beta), v=v, t=t, v_row_mean=v_row_mean)
+    return NlsState(q=q, v=v, t=t, v_row_mean=float(np.max(np.abs(meanx(v_x)))))
 
 
 class _Workspace:
@@ -137,7 +135,7 @@ class _Workspace:
     def __init__(self, shape):
         self.planes = tuple(np.empty(shape) for _ in range(3))
         self.q, self.vq, self.w, self.tmp, self.rate = (np.empty(shape, complex) for _ in range(5))
-        self.rk4 = [tuple(np.empty(shape, complex) for _ in range(3))]
+        self.rk4 = tuple(np.empty(shape, complex) for _ in range(3))
 
 
 def _q_rate(grid: Grid2, q: np.ndarray, par: NlsParams, scheme, ws) -> np.ndarray:
@@ -162,10 +160,9 @@ def step_rk4_nls(grid: Grid2, q: np.ndarray, par: NlsParams, dt: float,
     the step before, which that step checked on its way out; so a march
     checks each state once.  The stages run _q_rate unchecked, every array
     in `work`; a step that overflows from a finite q ends non-finite and is
-    a numerical abort (UnstableStepError).  Returns (q, conj_dev), conj_dev
-    0.0 by construction.  Given a workspace (run_nls makes one for all its
-    steps), the new q is work.q, which the next step overwrites; a step
-    without one makes its own.
+    a numerical abort (UnstableStepError).  Returns the new q.  Given a
+    workspace (run_nls makes one for all its steps), that is work.q, which
+    the next step overwrites; a step without one makes its own.
     """
     if work is None or q is not work.q:
         check_finite(q, "q")
@@ -173,13 +170,13 @@ def step_rk4_nls(grid: Grid2, q: np.ndarray, par: NlsParams, dt: float,
     # an overflow anywhere in the step ends as a non-finite result, which
     # aborts below; it needs no warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
-        q_new, = rk4(grid, lambda y: (_q_rate(grid, y[0], par, scheme, ws),), (q,), dt, ws.rk4)
+        q_new = rk4(grid, lambda y: _q_rate(grid, y, par, scheme, ws), q, dt, ws.rk4)
     try:
         check_finite(q_new, "q")
     except FieldError as exc:
         raise UnstableStepError(f"step went non-finite: {exc}") from exc
     np.copyto(ws.q, q_new)  # out of the sum arrays, which the next step writes
-    return ws.q, 0.0
+    return ws.q
 
 
 def run_nls(grid: Grid2, state: NlsState, par: NlsParams, dt: float,
@@ -187,7 +184,7 @@ def run_nls(grid: Grid2, state: NlsState, par: NlsParams, dt: float,
     """March n_steps, returning the saved states (initial state included)."""
     work = _Workspace(state.q.shape)
     return [state] + march(
-        lambda q: step_rk4_nls(grid, q, par, dt, scheme, work), state.q, state.t, dt,
+        lambda q: (step_rk4_nls(grid, q, par, dt, scheme, work), None), state.q, state.t, dt,
         n_steps, save_every,
         lambda q, t, _: make_state(grid, q, par, t, scheme))
 

@@ -140,7 +140,7 @@ class _Workspace:
         self.P, self.Sx, self.Sy, self.buf, self.rate = (np.empty(shape) for _ in range(5))
         self.u_x, self.u, self.v_x, self.v, self.tmp, self.length = (
             np.empty(shape[1:]) for _ in range(6))
-        self.rk4 = [tuple(np.empty(shape) for _ in range(3))]
+        self.rk4 = tuple(np.empty(shape) for _ in range(3))
         self.S = np.moveaxis(self.P, 0, -1)
 
 
@@ -265,7 +265,7 @@ def step_rk4_spin(grid: Grid2, S: np.ndarray, par: SpinParams, dt: float,
     # an overflow in a stage ends as a non-finite correction, which aborts
     # below; it needs no warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
-        (T,) = rk4(grid, lambda y: (_rhs(grid, y[0], par, scheme, ws),), (ws.P,), dt, ws.rk4)
+        T = rk4(grid, lambda P: _rhs(grid, P, par, scheme, ws), ws.P, dt, ws.rk4)
         lengths = norm_planes(T, ws.length, ws.tmp)  # norm3's bits, on the stack
         correction = float(np.max(np.abs(np.subtract(lengths, 1.0, out=ws.tmp), out=ws.tmp)))
     if not correction <= RENORM_LIMIT:

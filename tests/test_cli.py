@@ -202,7 +202,8 @@ def test_simulate_nls_deterministic(tmp_path):
 
 
 def test_simulate_nls_meta_diagnostics(tmp_path):
-    """Per-slice conj_dev and v row means in meta.json; two reruns write the same meta.json."""
+    """Per-slice v row means in meta.json, and no conj_dev (a constant 0); two reruns
+    write the same meta.json."""
     cfg_text = _with(NLS_CFG, model="M3q", **{"params.c": 0.3})
     metas = []
     for sub in ("a", "b"):
@@ -215,11 +216,11 @@ def test_simulate_nls_meta_diagnostics(tmp_path):
     meta = json.loads(metas[0])
     n = len(meta["slices"])
     assert n == 4
-    assert meta["conj_dev"] == [0.0] * n
+    assert "conj_dev" not in meta
     assert len(meta["v_row_mean"]) == n
     assert all(m >= 0.0 for m in meta["v_row_mean"])
     norms = (tmp_path / "a" / "nlsrun" / "norms.csv").read_text().splitlines()
-    assert norms[0] == "t,max_abs_q,conj_dev" and len(norms) == n + 1
+    assert norms[0] == "t,max_abs_q" and len(norms) == n + 1
 
 
 def test_frame_and_charges(spin_run, tmp_path):
@@ -618,6 +619,48 @@ def test_missing_slice_exits_2(spin_run, tmp_path, capsys):
     (spin_run / meta["slices"][0]).unlink()
     assert main(["--output-dir", str(tmp_path), "charges", "spinrun"]) == 2
     assert meta["slices"][0] in capsys.readouterr().err
+
+
+def test_spin_config_with_beta_minus_one_exits_2(tmp_path, capsys):
+    """The spin flow has no beta: a spin run with params.beta = -1 is refused
+    before anything is written."""
+    cfg = tmp_path / "spin.cfg"
+    cfg.write_text(_with(SPIN_CFG, **{"params.beta": -1}))
+    assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "params.beta" in err
+    assert sorted(os.listdir(tmp_path)) == ["spin.cfg"]
+
+
+@pytest.mark.parametrize("extra", [["frame"], ["charges"], ["equiv-check", "--ladder", "16,24"]],
+                         ids=["frame", "charges", "equiv-check"])
+def test_spin_run_with_beta_minus_one_exits_2(spin_run, tmp_path, capsys, extra):
+    """A spin run whose meta.json records params.beta = -1 is refused, with no output."""
+    meta = json.loads((spin_run / "meta.json").read_text())
+    meta["config"]["params.beta"] = -1
+    (spin_run / "meta.json").write_text(json.dumps(meta))
+    files = sorted(os.listdir(spin_run))
+    capsys.readouterr()
+    assert main(["--output-dir", str(tmp_path), extra[0], "spinrun", *extra[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "params.beta" in err
+    assert sorted(os.listdir(spin_run)) == files
+
+
+@pytest.mark.parametrize("beta", [1, -1])
+def test_simulate_nls_writes_p_as_beta_conj_q(tmp_path, beta):
+    """Re p and Im p of every slice are the bits of beta Re q and -beta Im q,
+    signed zeros included."""
+    cfg = tmp_path / "nls.cfg"
+    cfg.write_text(_with(NLS_CFG, model="M3q", **{"params.c": 0.3, "params.beta": beta}))
+    assert main(["--output-dir", str(tmp_path), "simulate-nls", str(cfg)]) == 0
+    meta = json.loads((tmp_path / "nlsrun" / "meta.json").read_text())
+    assert len(meta["slices"]) == 4
+    for name in meta["slices"]:
+        _, data = read_mfld1(tmp_path / "nlsrun" / name)
+        re_q, im_q, re_p, im_p = (np.ascontiguousarray(data[..., i]) for i in range(4))
+        assert re_p.tobytes() == (beta * re_q).tobytes()
+        assert im_p.tobytes() == (-beta * im_q).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -423,11 +423,11 @@ def test_rk4_in_place_is_the_textbook_step(rng, dtype):
 
     for rate in (reused, lambda f: f):
         want = _textbook_rk4(lambda f: rate(f).copy(), y, dt)
-        work = [tuple(np.empty_like(y) for _ in range(3))]
-        (got,) = rk4(g, lambda z: (rate(z[0]),), (y,), dt, work)
-        assert got is work[0][1]
+        work = tuple(np.empty_like(y) for _ in range(3))
+        got = rk4(g, rate, y, dt, work)
+        assert got is work[1]
         assert np.array_equal(got, want)
-        assert np.array_equal(rk4(g, lambda z: (rate(z[0]),), (y,), dt)[0], want)
+        assert np.array_equal(rk4(g, rate, y, dt), want)
         assert np.array_equal(y, y0)
 
 

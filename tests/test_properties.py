@@ -53,10 +53,7 @@ def test_nls_m3q_at_0_1_is_zakharov_bitwise(seed, scale, beta, scheme):
     for a, b in zip(nls_rhs(g, q, p, v, m3q, scheme), nls_rhs(g, q, p, v, zak, scheme)):
         assert np.array_equal(a, b)
     dt = 0.5 * default_dt(g)
-    q3, dev3 = step_rk4_nls(g, q, m3q, dt, scheme)
-    qz, devz = step_rk4_nls(g, q, zak, dt, scheme)
-    assert np.array_equal(q3, qz)
-    assert dev3 == devz
+    assert np.array_equal(step_rk4_nls(g, q, m3q, dt, scheme), step_rk4_nls(g, q, zak, dt, scheme))
 
 
 @given(seed=seeds, nx=st.integers(8, 40), ny=st.integers(8, 40),

@@ -1,4 +1,5 @@
-"""Guards on the package's sources: a light CLI import and no unused imports."""
+"""Guards on the package's sources: a light CLI import, no unused imports and
+no dead private names."""
 
 import ast
 import os
@@ -52,3 +53,50 @@ def test_unused_import_check_sees_a_leftover(tmp_path):
                    "from .frames import bracket  # noqa: F401 - re-exported\n"
                    "raise FieldError(os.sep)\n")
     assert unused_imports(mod) == ["mod.py:2: ParameterError"]
+
+
+def dead_private_names(paths) -> list:
+    """Module-level `_name`s (functions, classes, constants) of the modules
+    that no module reads, as a name, an attribute or an imported name."""
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    dead = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [f"{path.name}:{node.lineno}: {name}" for name in names
+                     if name.startswith("_") and not name.startswith("__") and name not in read]
+    return dead
+
+
+def test_no_dead_private_names():
+    assert dead_private_names(MODULES) == []
+
+
+def test_dead_private_name_check_sees_a_leftover(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_TOL = 1e-12\n_DEAD = 2\n__all__ = []\n\n"
+        "def _read(x):\n    return x < _TOL\n\n"
+        "def _dead():\n    pass\n\n"
+        "class _Imported:\n    pass\n\n"
+        "class _Gone:\n    pass\n\n"
+        "def _attr():\n    pass\n\n"
+        "def public():\n    return _read(0.0)\n")
+    (tmp_path / "b.py").write_text("from . import a\nfrom .a import _Imported\n"
+                                   "_Imported, a._attr\n")
+    assert dead_private_names([tmp_path / "a.py", tmp_path / "b.py"]) == [
+        "a.py:2: _DEAD", "a.py:8: _dead", "a.py:14: _Gone"]
