@@ -14,6 +14,7 @@ light and pulls the numerical modules in lazily.
 import argparse
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import os
@@ -236,7 +237,7 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_charges(path: str, samples, scheme, beta: int) -> list:
+def _write_charges(path: str, samples, scheme) -> list:
     """Charge table, one row per (t, grid, S) sample; returns their density_dev triples.
 
     Every sample's frame and coefficients are built in one workspace.
@@ -247,13 +248,38 @@ def _write_charges(path: str, samples, scheme, beta: int) -> list:
     for t, grid, S in samples:
         work = work or _Workspace((grid.ny, grid.nx))
         F = frame_from_spin(grid, S, scheme, work=work)
-        reports.append((t, charges(grid, coeffs_from_frame(grid, F, scheme, work=work), beta,
-                                   work)))
+        reports.append((t, charges(grid, coeffs_from_frame(grid, F, scheme, work=work),
+                                   work=work)))
     with open(path, "w") as fh:
         fh.write("t,K1,K2,K3,Kc1,Kc2,Kc3,Q1,Q2,Q3\n")
         for t, rep in reports:
             fh.write(",".join(repr(x) for x in [t] + rep.as_row()) + "\n")
     return [list(rep.density_dev) for _, rep in reports]
+
+
+def _run_dir(args, cfg: RunConfig, table: str) -> str:
+    """The directory a simulate command writes its run to, made if missing.
+
+    The meta.json and `table` of an earlier run there are removed first:
+    they are written again only once the march completes, so a run that
+    aborts leaves slices that no command reads as a run.
+    """
+    out = os.path.join(args.output_dir, cfg["output_dir"])
+    os.makedirs(out, exist_ok=True)
+    for name in ("meta.json", table):
+        path = os.path.join(out, name)
+        if os.path.exists(path):
+            os.remove(path)
+    return out
+
+
+def _columns(write, states) -> list:
+    """The rows write(idx, state) returns for the states of a march, as columns.
+
+    map lets go of each state once it is written, before the march makes the
+    next, so one kept state is held at a time.
+    """
+    return [list(col) for col in zip(*map(write, itertools.count(), states))]
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +288,7 @@ def _write_charges(path: str, samples, scheme, beta: int) -> list:
 
 def cmd_simulate_spin(args) -> int:
     from .fields import write_mfld1
-    from .spin import make_state, run_spin
+    from .spin import make_state, march_spin
 
     cfg = RunConfig.load(args.config)
     grid = cfg.grid()
@@ -272,39 +298,41 @@ def cmd_simulate_spin(args) -> int:
     dt, n_steps = _run_length(cfg, grid)
     state = make_state(grid, make_initial(grid), par, scheme=scheme)
     state.validate()
-    saved = run_spin(grid, state, par, dt, n_steps, cfg["save_every"], scheme)
 
-    out = os.path.join(args.output_dir, cfg["output_dir"])
-    os.makedirs(out, exist_ok=True)
-    slices = []
-    for idx, st in enumerate(saved):
+    out = _run_dir(args, cfg, "invariants.csv")
+
+    def write(idx, st):
+        """Write slice idx, the state st; return its name and scalars."""
         name = f"spin_{idx:06d}.mfld1"
         write_mfld1(os.path.join(out, name), grid, (st.S, st.u, st.v))
-        slices.append(name)
-    density_dev = _write_charges(os.path.join(out, "invariants.csv"),
-                                 ((st.t, grid, st.S) for st in saved), scheme, par.beta)
-    _write_json(os.path.join(out, "meta.json"), {
+        return name, st.t, st.renorm, st.u_row_mean, st.v_row_mean
+
+    slices, times, renorm, u_row_mean, v_row_mean = _columns(
+        write, march_spin(grid, state, par, dt, n_steps, cfg["save_every"], scheme))
+    meta = {
         "kind": "spin",
         "config_hash": cfg.sha,
         "config": cfg.values,
         "env": _env(),
         "dt": dt,
-        "times": [st.t for st in saved],
+        "times": times,
         "slices": slices,
-        "max_renorm": max(st.renorm for st in saved),
-        "renorm": [st.renorm for st in saved],
-        "u_row_mean": [st.u_row_mean for st in saved],
-        "v_row_mean": [st.v_row_mean for st in saved],
-        "density_dev": density_dev,
-    })
-    print(f"saved {len(saved)} slices to {out}")
+        "max_renorm": max(renorm),
+        "renorm": renorm,
+        "u_row_mean": u_row_mean,
+        "v_row_mean": v_row_mean,
+    }
+    meta["density_dev"] = _write_charges(os.path.join(out, "invariants.csv"),
+                                         _spin_samples(out, meta, cfg), scheme)
+    _write_json(os.path.join(out, "meta.json"), meta)
+    print(f"saved {len(slices)} slices to {out}")
     return 0
 
 
 def cmd_simulate_nls(args) -> int:
     import numpy as np
     from .fields import write_mfld1
-    from .nls import _paired, make_state, run_nls
+    from .nls import _paired, make_state, march_nls
 
     cfg = RunConfig.load(args.config)
     grid = cfg.grid()
@@ -313,31 +341,33 @@ def cmd_simulate_nls(args) -> int:
     make_initial = _make_initial(cfg, "nls")
     dt, n_steps = _run_length(cfg, grid)
     state = make_state(grid, make_initial(grid), par, scheme=scheme)
-    saved = run_nls(grid, state, par, dt, n_steps, cfg["save_every"], scheme)
 
-    out = os.path.join(args.output_dir, cfg["output_dir"])
-    os.makedirs(out, exist_ok=True)
-    slices = []
-    for idx, st in enumerate(saved):
+    out = _run_dir(args, cfg, "norms.csv")
+
+    def write(idx, st):
+        """Write slice idx, the state st; return its name and scalars."""
         name = f"nls_{idx:06d}.mfld1"
         p = _paired(st.q, par.beta)
         write_mfld1(os.path.join(out, name), grid, (st.q.real, st.q.imag, p.real, p.imag, st.v))
-        slices.append(name)
+        return name, st.t, float(np.max(np.abs(st.q))), st.v_row_mean
+
+    slices, times, max_abs_q, v_row_mean = _columns(
+        write, march_nls(grid, state, par, dt, n_steps, cfg["save_every"], scheme))
     with open(os.path.join(out, "norms.csv"), "w") as fh:
         fh.write("t,max_abs_q\n")
-        for st in saved:
-            fh.write(f"{st.t!r},{float(np.max(np.abs(st.q)))!r}\n")
+        for t, peak in zip(times, max_abs_q):
+            fh.write(f"{t!r},{peak!r}\n")
     _write_json(os.path.join(out, "meta.json"), {
         "kind": "nls",
         "config_hash": cfg.sha,
         "config": cfg.values,
         "env": _env(),
         "dt": dt,
-        "times": [st.t for st in saved],
+        "times": times,
         "slices": slices,
-        "v_row_mean": [st.v_row_mean for st in saved],
+        "v_row_mean": v_row_mean,
     })
-    print(f"saved {len(saved)} slices to {out}")
+    print(f"saved {len(slices)} slices to {out}")
     return 0
 
 
@@ -376,14 +406,21 @@ def _load_slice(run_dir: str, meta: dict, cfg: RunConfig, idx: int):
     return grid, data
 
 
+def _spin_samples(run_dir: str, meta: dict, cfg: RunConfig):
+    """(t, grid, S) of each slice of a spin run, read one at a time."""
+    for idx, t in enumerate(meta["times"]):
+        grid, data = _load_slice(run_dir, meta, cfg, idx)
+        yield t, grid, data[..., 0:3]
+
+
 def cmd_frame(args) -> int:
     from .fields import write_mfld1
     from .frames import (_Workspace, coeffs_from_frame, frame_dt, frame_from_spin,
                          mlxii_residual, with_time_entries)
 
     run_dir, meta, cfg = _open_run(args, "spin")
-    scheme, beta = cfg["scheme"], cfg.spin_params().beta
-    times = meta["times"]
+    cfg.spin_params()  # rejects a params.beta other than 1
+    scheme, times = cfg["scheme"], meta["times"]
     report = {"config_hash": cfg.sha, "residuals": []}
     grid = cfg.grid()
     ring = _Workspace((grid.ny, grid.nx)).ring(3)
@@ -402,7 +439,7 @@ def cmd_frame(args) -> int:
         co = with_time_entries(mid, F1, frame_dt(F0, F2, dt2, work), work)
         write_mfld1(os.path.join(run_dir, f"coeffs_{idx - 1:06d}.mfld1"), grid,
                     (co.k, co.sigma, co.tau, co.m1, co.m2, co.m3, co.w1, co.w2, co.w3))
-        res = mlxii_residual(grid, co, scheme, beta, coeffs_before=before,
+        res = mlxii_residual(grid, co, scheme, coeffs_before=before,
                              coeffs_after=after, dt2=dt2, frame=F1, work=work)
         report["residuals"].append({"t": times[idx - 1], **res})
     _write_json(os.path.join(run_dir, "frame_report.json"), report)
@@ -513,14 +550,9 @@ def cmd_lax_check(args) -> int:
 
 def cmd_charges(args) -> int:
     run_dir, meta, cfg = _open_run(args, "spin")
+    cfg.spin_params()  # rejects a params.beta other than 1
     out_path = os.path.join(run_dir, "charges.csv")
-
-    def samples():
-        for idx, t in enumerate(meta["times"]):
-            grid, data = _load_slice(run_dir, meta, cfg, idx)
-            yield t, grid, data[..., 0:3]
-
-    _write_charges(out_path, samples(), cfg["scheme"], cfg.spin_params().beta)
+    _write_charges(out_path, _spin_samples(run_dir, meta, cfg), cfg["scheme"])
     print(f"charge series written to {out_path}")
     return 0
 

@@ -383,15 +383,15 @@ def rk4(grid: Grid2, rhs, y: np.ndarray, dt: float, work=None) -> np.ndarray:
     return total
 
 
-def march(step, y, t: float, dt: float, n_steps: int, save_every: int, keep) -> list:
+def march(step, y, t: float, dt: float, n_steps: int, save_every: int, keep):
     """Take n_steps steps `y, diag = step(y)`, the clock t advancing by dt each.
 
-    Every save_every-th step is passed to keep(y, t, diag) and the results are
-    returned in order, so what keep derives (the constraint fields) is
-    computed for kept steps only.  A numerical abort is re-raised with the
-    time of the step that failed.
+    A generator: every save_every-th step is passed to keep(y, t, diag) and
+    what keep returns is yielded, before the next step is taken, so what
+    keep derives (the constraint fields) is computed for kept steps only and
+    a caller that writes each result out holds one at a time.  A numerical
+    abort is re-raised with the time of the step that failed.
     """
-    kept = []
     for i in range(1, n_steps + 1):
         try:
             y, diag = step(y)
@@ -399,8 +399,7 @@ def march(step, y, t: float, dt: float, n_steps: int, save_every: int, keep) -> 
             raise type(exc)(f"step from t = {t:.6g}: {exc}") from exc
         t = t + dt
         if i % save_every == 0:
-            kept.append(keep(y, t, diag))
-    return kept
+            yield keep(y, t, diag)
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ class FrameCoeffs:
 # workspace of a ring has its own)
 _ARRAYS = {"E": ((3, 3), float, True), "mask": ((), bool, True),
            "A": ((3,), float, True), "B": ((3,), float, True), "D": ((3,), float, True),
-           "K": ((3, 3), float, False), "W": ((3,), float, False),
+           "K": ((2, 3), float, False), "W": ((3,), float, False),
            "X": ((3,), float, False), "Y": ((3,), float, False), "Z": ((3,), float, False),
            "L": ((), float, False), "tmp": ((), float, False), "cols": ((), np.intp, False)}
 
@@ -156,9 +156,9 @@ class _Workspace:
     Its own: E and mask, the e1, e2, e3 stacks and mask frame_from_spin
     builds in it; A, B and D, the a, b and density stacks coeffs_from_frame
     projects into it.  Scratch, shared by a ring: K for frame_dt's
-    velocities and the coefficients mlxii_residual copies; X, Y and Z (the
-    shifted lanes of the matrix path) for derivatives; W, the time
-    entries; planes.  Each array is allocated when it is first used, so a
+    velocities and the coefficient triples mlxii_residual copies, two
+    stacks at a time; X, Y and Z (the shifted lanes of the matrix path)
+    for derivatives; W, the time entries; planes.  Each array is allocated when it is first used, so a
     command holds only those its calls write.
     """
 
@@ -265,11 +265,12 @@ def frame_from_spin(grid: Grid2, S: np.ndarray, scheme=SPECTRAL,
 
 
 def frame_dt(before: FrameField, after: FrameField, dt2: float, work=None):
-    """Central-difference frame velocities (e1t, e2t, e3t) over a 2*dt window,
-    (ny, nx, 3) each.  Given a _Workspace, they are written into its scratch
-    stack K, where they last until mlxii_residual runs in it."""
-    T = np.empty((3, 3) + np.shape(before.e1)[:2]) if work is None else work.K
-    for t, a, b in zip(T, (after.e1, after.e2, after.e3), (before.e1, before.e2, before.e3)):
+    """Central-difference velocities (e1t, e2t) of e1 and e2 over a 2*dt
+    window, (ny, nx, 3) each: the time entries (with_time_entries) read no
+    e3t.  Given a _Workspace, they are written into its scratch stack K,
+    where they last until mlxii_residual runs in it."""
+    T = np.empty((2, 3) + np.shape(before.e1)[:2]) if work is None else work.K
+    for t, a, b in zip(T, (after.e1, after.e2), (before.e1, before.e2)):
         np.subtract(_stack(a), _stack(b), out=t)
         t /= dt2
     return tuple(_field(t) for t in T)
@@ -324,7 +325,7 @@ def coeffs_from_frame(grid: Grid2, F: FrameField, scheme=SPECTRAL,
 
     k = e2.e1_x, sigma = -e3.e1_x, tau = e3.e2_x,
     m1 = e3.e2_y, m2 = -e3.e1_y, m3 = e2.e1_y,
-    and, when frame velocities are supplied,
+    and, when the velocities (e1_t, e2_t) of frame_dt are supplied,
     w1 = e3.e2_t, w2 = -e3.e1_t, w3 = e2.e1_t.
     Each e_j is differentiated once along x and y, as one stack.  A
     non-finite frame is rejected (FieldError).  Given a _Workspace, the
@@ -389,19 +390,18 @@ def mlxii_residual(grid: Grid2, coeffs: FrameCoeffs, scheme=SPECTRAL, beta: int 
     read from coeffs.densities.
 
     Evaluated on the coefficient triples, e.g. a_y - b_x + bracket(a, b);
-    each max-norm equals that of the matrix form.  The triples that are
-    differentiated are copied into one stack, checked once (FieldError)
-    and differentiated once per axis; given a _Workspace, every array is
-    its scratch.
+    each max-norm equals that of the matrix form.  Each triple that is
+    differentiated is copied into a stack of K, checked once (FieldError)
+    and differentiated once per axis: a and b first, then w, once a_y - b_x
+    has freed K.  Given a _Workspace, every array is its scratch.
     """
     a, b, w = coeffs.triples
     timed = coeffs_before is not None and coeffs_after is not None
     ws = work or _Workspace(np.shape(a[0]))
     K, X, Y, tmp = ws.K, ws.X, ws.Y, ws.tmp
-    n = 3 if timed and coeffs.has_time_entries() else 2
-    for dst, triple in zip(K, (a, b, w)[:n]):
+    for dst, triple in zip(K, (a, b)):
         np.stack(triple, out=dst)
-    check_finite(K[:n], "coefficients")
+    check_finite(K, "coefficients")
 
     D = _deriv(K[0], scheme, grid.hy, -2, out=X, work=K[0])
     D -= _deriv(K[1], scheme, grid.hx, -1, out=Y, work=K[1])
@@ -410,6 +410,7 @@ def mlxii_residual(grid: Grid2, coeffs: FrameCoeffs, scheme=SPECTRAL, beta: int 
     if timed:
         if not coeffs.has_time_entries():
             raise IdentificationError("time residuals need w1..w3 in the mid coefficients")
+        W = check_finite(np.stack(w, out=K[0]), "coefficients")
         (a0, b0, _), (a1, b1, _) = coeffs_before.triples, coeffs_after.triples
         R = K[1]
         for key, h, axis, x, x0, x1 in (("xt", grid.hx, -1, a, a0, a1),
@@ -417,7 +418,7 @@ def mlxii_residual(grid: Grid2, coeffs: FrameCoeffs, scheme=SPECTRAL, beta: int 
             for r, s0, s1 in zip(R, x0, x1):
                 np.subtract(s1, s0, out=r)
             R /= dt2
-            R -= _deriv(K[2], scheme, h, axis, out=Y, work=K[0])
+            R -= _deriv(W, scheme, h, axis, out=Y, work=ws.Z)
             out[key] = _max_abs(np.add(R, bracket(x, w, beta, Y, tmp), out=R))
 
     if frame is not None:

@@ -129,8 +129,8 @@ def make_state(grid: Grid2, q: np.ndarray, par: NlsParams, t: float = 0.0,
 
 
 class _Workspace:
-    """Every array an NLS step writes, for fields of one shape; run_nls makes
-    one for all its steps."""
+    """Every array an NLS step writes, for fields of one shape; march_nls
+    makes one for all its steps."""
 
     def __init__(self, shape):
         self.planes = tuple(np.empty(shape) for _ in range(3))
@@ -161,7 +161,7 @@ def step_rk4_nls(grid: Grid2, q: np.ndarray, par: NlsParams, dt: float,
     checks each state once.  The stages run _q_rate unchecked, every array
     in `work`; a step that overflows from a finite q ends non-finite and is
     a numerical abort (UnstableStepError).  Returns the new q.  Given a
-    workspace (run_nls makes one for all its steps), that is work.q, which
+    workspace (march_nls makes one for all its steps), that is work.q, which
     the next step overwrites; a step without one makes its own.
     """
     if work is None or q is not work.q:
@@ -179,14 +179,27 @@ def step_rk4_nls(grid: Grid2, q: np.ndarray, par: NlsParams, dt: float,
     return ws.q
 
 
-def run_nls(grid: Grid2, state: NlsState, par: NlsParams, dt: float,
-            n_steps: int, save_every: int = 1, scheme=SPECTRAL):
-    """March n_steps, returning the saved states (initial state included)."""
+def march_nls(grid: Grid2, state: NlsState, par: NlsParams, dt: float,
+              n_steps: int, save_every: int = 1, scheme=SPECTRAL):
+    """Yield state, then the state after every save_every-th of n_steps steps.
+
+    Every step runs in one workspace, which this generator owns.  Each kept
+    state owns copies of its arrays (make_state), so a caller that writes
+    each one out before taking the next holds one at a time.
+    """
+    yield state
     work = _Workspace(state.q.shape)
-    return [state] + march(
+    yield from march(
         lambda q: (step_rk4_nls(grid, q, par, dt, scheme, work), None), state.q, state.t, dt,
         n_steps, save_every,
         lambda q, t, _: make_state(grid, q, par, t, scheme))
+
+
+def run_nls(grid: Grid2, state: NlsState, par: NlsParams, dt: float,
+            n_steps: int, save_every: int = 1, scheme=SPECTRAL) -> list:
+    """The states of march_nls as a list: the initial state and every
+    save_every-th of n_steps steps."""
+    return list(march_nls(grid, state, par, dt, n_steps, save_every, scheme))
 
 
 def init_plane_wave(grid: Grid2, amplitude: float = 0.5, k1: int = 1, k2: int = 1) -> np.ndarray:

@@ -23,10 +23,12 @@ and the constraint solve it shares with solve_u, solve_v and make_state)
 works on S as one contiguous (3, ny, nx) component stack: S_x, S_y and
 (S ^ S_y)_x are each one derivative of a stack, and the derivatives, cross
 and dot products, u, v, the rate and the in-place RK4 stages (fields.rk4)
-are written into the arrays of one workspace.  run_spin marches that
+are written into the arrays of one workspace.  march_spin marches that
 workspace's stack itself: each step renormalises the new S back into the
 stack and hands it on as an (ny, nx, 3) view, and only kept states are
-copied out into (ny, nx, 3) arrays, by make_state.  S is checked for
+copied out into (ny, nx, 3) arrays, by make_state.  march_spin yields each
+kept state as it is made, so a caller that writes it out (simulate-spin)
+holds one at a time; run_spin collects them into a list.  S is checked for
 finite values once, where it enters (each public function, each step);
 the stages run the unchecked operators, and a step that ends non-finite
 aborts through its renormalisation check.
@@ -132,8 +134,8 @@ class _Workspace:
     """The stack P of S and every array a step writes, for (3, ny, nx)
     stacks of one shape.
 
-    run_spin makes one and reuses it in every stage of every step and for
-    every kept state.  S is P seen as an (ny, nx, 3) field.
+    march_spin makes one and reuses it in every stage of every step and
+    for every kept state.  S is P seen as an (ny, nx, 3) field.
     """
 
     def __init__(self, shape):
@@ -256,7 +258,7 @@ def step_rk4_spin(grid: Grid2, S: np.ndarray, par: SpinParams, dt: float,
     non-finite gives a NaN correction, which aborts it (UnstableStepError)
     as a correction beyond RENORM_LIMIT does.
 
-    run_spin makes one workspace for all its steps.  Given one, the step
+    march_spin makes one workspace for all its steps.  Given one, the step
     writes the new S into its stack and returns work.S, the (ny, nx, 3)
     view of that stack, which the next step takes without a copy; a step
     without one makes its own and returns a new array.
@@ -274,18 +276,28 @@ def step_rk4_spin(grid: Grid2, S: np.ndarray, par: SpinParams, dt: float,
     return (ws.S if work is not None else _unstack(ws.P)), correction
 
 
-def run_spin(grid: Grid2, state: SpinState, par: SpinParams, dt: float,
-             n_steps: int, save_every: int = 1, scheme=SPECTRAL):
-    """March n_steps, returning the saved states (initial state included).
+def march_spin(grid: Grid2, state: SpinState, par: SpinParams, dt: float,
+               n_steps: int, save_every: int = 1, scheme=SPECTRAL):
+    """Yield state, then the state after every save_every-th of n_steps steps.
 
-    Every step and kept state runs in one workspace, whose stack the march
-    carries from step to step.
+    Every step and kept state runs in one workspace, which this generator
+    owns and whose stack the march carries from step to step.  Each kept
+    state owns copies of its arrays (make_state), so a caller that writes
+    each one out before taking the next holds one at a time.
     """
+    yield state
     work = _Workspace((3,) + state.S.shape[:2])
-    return [state] + march(
+    yield from march(
         lambda S: step_rk4_spin(grid, S, par, dt, scheme, work), state.S, state.t, dt,
         n_steps, save_every,
         lambda S, t, renorm: make_state(grid, S, par, t, scheme, renorm, work))
+
+
+def run_spin(grid: Grid2, state: SpinState, par: SpinParams, dt: float,
+             n_steps: int, save_every: int = 1, scheme=SPECTRAL) -> list:
+    """The states of march_spin as a list: the initial state and every
+    save_every-th of n_steps steps."""
+    return list(march_spin(grid, state, par, dt, n_steps, save_every, scheme))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,23 +297,64 @@ def test_initial_condition_from_another_domain_exits_2(tmp_path, capsys, side):
     assert main(["--output-dir", str(tmp_path), command, str(cfg)]) == 0
 
 
+def _assert_aborted(run, verify, capsys):
+    """A simulate run that aborted: the slices written before the abort may
+    remain, but no meta.json and no invariants.csv or norms.csv, those of
+    the complete run before it included, so `verify` on it exits 2."""
+    assert all(name.endswith(".mfld1") for name in os.listdir(run))
+    assert main(["--output-dir", str(run.parent)] + verify) == 2
+    assert "meta.json" in capsys.readouterr().err
+
+
 def test_non_finite_step_exits_3(tmp_path, capsys, monkeypatch):
     import m3lab.spin as spin
-    monkeypatch.setattr(spin, "_rhs", lambda grid, P, *args: np.full_like(P, np.nan))
     cfg = tmp_path / "spin.cfg"
     cfg.write_text(SPIN_CFG)
+    assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 0
+    monkeypatch.setattr(spin, "_rhs", lambda grid, P, *args: np.full_like(P, np.nan))
+    capsys.readouterr()
     assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 3
     assert "renormalization correction nan" in capsys.readouterr().err
+    _assert_aborted(tmp_path / "spinrun", ["charges", "spinrun"], capsys)
 
 
 def test_non_finite_nls_step_exits_3(tmp_path, capsys, monkeypatch):
     import m3lab.nls as nls
-    monkeypatch.setattr(nls, "_q_rate", lambda grid, q, *args: np.full_like(q, np.nan))
     cfg = tmp_path / "nls.cfg"
     cfg.write_text(NLS_CFG)
+    assert main(["--output-dir", str(tmp_path), "simulate-nls", str(cfg)]) == 0
+    monkeypatch.setattr(nls, "_q_rate", lambda grid, q, *args: np.full_like(q, np.nan))
+    capsys.readouterr()
     assert main(["--output-dir", str(tmp_path), "simulate-nls", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert "step went non-finite" in err and "Traceback" not in err
+    _assert_aborted(tmp_path / "nlsrun", ["lax-check", "nlsrun", "--lambda", "0.3,0.1"], capsys)
+
+
+@pytest.mark.parametrize("command", ["simulate-spin", "simulate-nls"])
+def test_simulate_memory_does_not_grow_with_saved_slices(tmp_path, command):
+    """Each state is written as it is made and let go: a 30-step march at
+    n = 64 that saves all 31 states peaks, under tracemalloc, within one
+    slice's bytes of one that saves 2."""
+    from m3lab.spin import default_dt
+    n, steps = 64, 30
+    dt = default_dt(Grid2(n, n))
+    text = SPIN_CFG if command == "simulate-spin" else NLS_CFG
+    peaks = {}
+    for save_every in (steps, 1, steps):  # the first run fills the operator caches
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(_with(text, dt=repr(dt), t_end=repr(steps * dt), save_every=save_every,
+                             output_dir=f"every{save_every}", **{"grid.nx": n, "grid.ny": n}))
+        tracemalloc.start()
+        try:
+            assert main(["--output-dir", str(tmp_path), command, str(cfg)]) == 0
+            peaks[save_every] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    for save_every, count in ((1, steps + 1), (steps, 2)):
+        meta = json.loads((tmp_path / f"every{save_every}" / "meta.json").read_text())
+        assert len(meta["slices"]) == count
+    assert abs(peaks[1] - peaks[steps]) < 5 * 8 * n * n
 
 
 def test_meta_records_env(tmp_path, monkeypatch):

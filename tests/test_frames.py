@@ -203,7 +203,8 @@ def test_time_projections(grid, rng):
     co = coeffs_from_frame(grid, frames[1], dF_dt=dF)
     assert co.has_time_entries()
     C = so3_matrices(co)[2]
-    Et = np.stack(dF, axis=-2)
+    e3t = (frames[2].e3 - frames[0].e3) / (2 * 4 * dt)
+    Et = np.stack(dF + (e3t,), axis=-2)
     E = np.stack([frames[1].e1, frames[1].e2, frames[1].e3], axis=-2)
     # C E reproduces the frame velocity up to the finite-difference error
     assert max_norm(matmul(C, E) - Et) < 1e-4
