@@ -12,6 +12,7 @@ light and pulls the numerical modules in lazily.
 """
 
 import argparse
+import fnmatch
 import hashlib
 import inspect
 import itertools
@@ -25,6 +26,11 @@ from .errors import ConfigError, M3LabError, NumericalError
 
 SPIN_SLICE_COMPS = ("S1", "S2", "S3", "u", "v")
 NLS_SLICE_COMPS = ("Re q", "Im q", "Re p", "Im p", "v")
+# every file the subcommands write into a run directory, as fnmatch patterns;
+# a simulate command removes their matches from its directory first
+RUN_FILES = ("spin_[0-9]*.mfld1", "nls_[0-9]*.mfld1", "frame_[0-9]*.mfld1",
+             "coeffs_[0-9]*.mfld1", "meta.json", "invariants.csv", "norms.csv", "charges.csv",
+             "frame_report.json", "equiv_report.json", "lax_report.json", "lax_scan.csv")
 
 
 def _apply_thread_cap():
@@ -257,18 +263,19 @@ def _write_charges(path: str, samples, scheme) -> list:
     return [list(rep.density_dev) for _, rep in reports]
 
 
-def _run_dir(args, cfg: RunConfig, table: str) -> str:
+def _run_dir(args, cfg: RunConfig) -> str:
     """The directory a simulate command writes its run to, made if missing.
 
-    The meta.json and `table` of an earlier run there are removed first:
-    they are written again only once the march completes, so a run that
-    aborts leaves slices that no command reads as a run.
+    Every file of an earlier run there (RUN_FILES) is removed first, so
+    the directory holds this run's files alone; meta.json is written again
+    only once the march completes, so a run that aborts leaves slices that
+    no command reads as a run.  Files m3lab did not write stay.
     """
     out = os.path.join(args.output_dir, cfg["output_dir"])
     os.makedirs(out, exist_ok=True)
-    for name in ("meta.json", table):
+    for name in os.listdir(out):
         path = os.path.join(out, name)
-        if os.path.exists(path):
+        if any(fnmatch.fnmatchcase(name, p) for p in RUN_FILES) and os.path.isfile(path):
             os.remove(path)
     return out
 
@@ -299,7 +306,7 @@ def cmd_simulate_spin(args) -> int:
     state = make_state(grid, make_initial(grid), par, scheme=scheme)
     state.validate()
 
-    out = _run_dir(args, cfg, "invariants.csv")
+    out = _run_dir(args, cfg)
 
     def write(idx, st):
         """Write slice idx, the state st; return its name and scalars."""
@@ -342,7 +349,7 @@ def cmd_simulate_nls(args) -> int:
     dt, n_steps = _run_length(cfg, grid)
     state = make_state(grid, make_initial(grid), par, scheme=scheme)
 
-    out = _run_dir(args, cfg, "norms.csv")
+    out = _run_dir(args, cfg)
 
     def write(idx, st):
         """Write slice idx, the state st; return its name and scalars."""
@@ -415,33 +422,24 @@ def _spin_samples(run_dir: str, meta: dict, cfg: RunConfig):
 
 def cmd_frame(args) -> int:
     from .fields import write_mfld1
-    from .frames import (_Workspace, coeffs_from_frame, frame_dt, frame_from_spin,
-                         mlxii_residual, with_time_entries)
+    from .frames import transport_window
 
     run_dir, meta, cfg = _open_run(args, "spin")
     cfg.spin_params()  # rejects a params.beta other than 1
-    scheme, times = cfg["scheme"], meta["times"]
+    times = meta["times"]
     report = {"config_hash": cfg.sha, "residuals": []}
     grid = cfg.grid()
-    ring = _Workspace((grid.ny, grid.nx)).ring(3)
-    window = []  # (frame, coefficients) of the last three slices, each in its workspace
-    for idx in range(len(times)):
-        grid, data = _load_slice(run_dir, meta, cfg, idx)
-        work = ring[idx % 3]
-        F = frame_from_spin(grid, data[..., 0:3], scheme, work=work)
+
+    def write_frame(idx, F):
         write_mfld1(os.path.join(run_dir, f"frame_{idx:06d}.mfld1"), grid, (F.e1, F.e2, F.e3))
-        window = window[-2:] + [(F, coeffs_from_frame(grid, F, scheme, work=work))]
-        if len(window) < 3:
-            continue
-        (F0, before), (F1, mid), (F2, after) = window
-        dt2 = times[idx] - times[idx - 2]
-        work = ring[(idx - 1) % 3]
-        co = with_time_entries(mid, F1, frame_dt(F0, F2, dt2, work), work)
-        write_mfld1(os.path.join(run_dir, f"coeffs_{idx - 1:06d}.mfld1"), grid,
+
+    def spin_at(idx):
+        return _load_slice(run_dir, meta, cfg, idx)[1][..., 0:3]
+
+    for idx, co, res in transport_window(grid, times, spin_at, write_frame, cfg["scheme"]):
+        write_mfld1(os.path.join(run_dir, f"coeffs_{idx:06d}.mfld1"), grid,
                     (co.k, co.sigma, co.tau, co.m1, co.m2, co.m3, co.w1, co.w2, co.w3))
-        res = mlxii_residual(grid, co, scheme, coeffs_before=before,
-                             coeffs_after=after, dt2=dt2, frame=F1, work=work)
-        report["residuals"].append({"t": times[idx - 1], **res})
+        report["residuals"].append({"t": times[idx], **res})
     _write_json(os.path.join(run_dir, "frame_report.json"), report)
     print(f"wrote {len(times)} frame dumps and {max(0, len(times) - 2)} coefficient dumps to {run_dir}")
     return 0

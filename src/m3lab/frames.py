@@ -33,10 +33,16 @@ FrameField shows e1, e2, e3 as (ny, nx, 3) fields; the layer reads their
 derivative per stack and axis, and sums its dot products in
 fields.EINSUM_ORDER, so its results have the bits of dot3 on the fields.
 Every array it writes can come from a _Workspace, buffers only, that a
-command makes once (a ring of three in `frame`): allocating per call, as
-measured at n = 256, is slower and faults ten times as often in `charges`.
-Each public entry checks its input for finite values once (FieldError) and
-runs the unchecked fields._deriv.
+command makes once: allocating per call, as measured at n = 256, is slower
+and faults ten times as often in `charges`.  transport_window, which the
+`frame` command runs, keeps three slices live in a window of three
+workspaces holding only what the window reads again: each slice's e1, e2,
+a and b.  The slices share e3, the densities and the scratch, so each
+slice's space residuals are taken as soon as its coefficients exist, e3
+is formed again where the time entries read it, and the time residuals
+overwrite the oldest slice, which nothing reads after them.  Each public
+entry checks its input for finite values once (FieldError) and runs the
+unchecked fields._deriv.
 """
 
 from dataclasses import dataclass, replace
@@ -142,24 +148,22 @@ class FrameCoeffs:
 
 
 # arrays of a _Workspace: name -> (leading shape, dtype, whether each
-# workspace of a ring has its own)
-_ARRAYS = {"E": ((3, 3), float, True), "mask": ((), bool, True),
-           "A": ((3,), float, True), "B": ((3,), float, True), "D": ((3,), float, True),
-           "K": ((2, 3), float, False), "W": ((3,), float, False),
-           "X": ((3,), float, False), "Y": ((3,), float, False), "Z": ((3,), float, False),
-           "L": ((), float, False), "tmp": ((), float, False), "cols": ((), np.intp, False)}
+# workspace of a window has its own)
+_ARRAYS = {"E": ((3, 3), float, True), "e3": ((3,), float, False), "mask": ((), bool, False),
+           "A": ((3,), float, True), "B": ((3,), float, True), "D": ((3,), float, False),
+           "W": ((3,), float, False), "X": ((3,), float, False), "Y": ((3,), float, False),
+           "Z": ((3,), float, False), "L": ((), float, False), "tmp": ((), float, False),
+           "cols": ((), np.intp, False)}
 
 
 class _Workspace:
     """The arrays the frame layer writes, for (ny, nx) planes of one shape.
 
-    Its own: E and mask, the e1, e2, e3 stacks and mask frame_from_spin
-    builds in it; A, B and D, the a, b and density stacks coeffs_from_frame
-    projects into it.  Scratch, shared by a ring: K for frame_dt's
-    velocities and the coefficient triples mlxii_residual copies, two
-    stacks at a time; X, Y and Z (the shifted lanes of the matrix path)
-    for derivatives; W, the time entries; planes.  Each array is allocated when it is first used, so a
-    command holds only those its calls write.
+    E and mask take the e1, e2, e3 stacks and mask frame_from_spin builds;
+    A, B and D the a, b and density stacks coeffs_from_frame projects; W
+    the time entries.  Scratch: X, Y and Z (the shifted lanes of the matrix
+    path) for derivatives and residuals; planes.  Each array is allocated
+    when it is first used, so a command holds only those its calls write.
     """
 
     def __init__(self, shape, scratch=None):
@@ -177,10 +181,15 @@ class _Workspace:
         self.__dict__[name] = store[name]
         return store[name]
 
-    def ring(self, n: int) -> list:
-        """This workspace and n - 1 more sharing its scratch, so that n frames
-        and their coefficients stay live at once."""
-        return [self] + [_Workspace(self.shape, self._scratch) for _ in range(n - 1)]
+    def window(self, n: int) -> list:
+        """This workspace and n - 1 more, for n slices live at once: each
+        has its own e1, e2 (its E, whose e3 is the shared e3), A and B; they
+        share every other array."""
+        slots = [self] + [_Workspace(self.shape, self._scratch) for _ in range(n - 1)]
+        for ws in slots:
+            e1, e2 = np.empty((2, 3) + self.shape)
+            ws.E = (e1, e2, ws.e3)
+        return slots
 
 
 def _densities(coeffs: FrameCoeffs) -> tuple:
@@ -264,12 +273,12 @@ def frame_from_spin(grid: Grid2, S: np.ndarray, scheme=SPECTRAL,
     return FrameField(e1=_field(e1), e2=_field(e2), e3=_field(e3), mask=mask)
 
 
-def frame_dt(before: FrameField, after: FrameField, dt2: float, work=None):
+def frame_dt(before: FrameField, after: FrameField, dt2: float, out=None):
     """Central-difference velocities (e1t, e2t) of e1 and e2 over a 2*dt
     window, (ny, nx, 3) each: the time entries (with_time_entries) read no
-    e3t.  Given a _Workspace, they are written into its scratch stack K,
-    where they last until mlxii_residual runs in it."""
-    T = np.empty((2, 3) + np.shape(before.e1)[:2]) if work is None else work.K
+    e3t.  Written into out, two (3, ny, nx) stacks, when it is given; these
+    may be the stacks of before's e1 and e2, which are then overwritten."""
+    T = np.empty((2, 3) + np.shape(before.e1)[:2]) if out is None else out
     for t, a, b in zip(T, (after.e1, after.e2), (before.e1, before.e2)):
         np.subtract(_stack(a), _stack(b), out=t)
         t /= dt2
@@ -377,6 +386,36 @@ def charge_density(grid: Grid2, e: np.ndarray, scheme=SPECTRAL) -> np.ndarray:
     return _density(grid, _stack(check_finite(e, "e")), scheme, ws, np.empty(ws.shape))
 
 
+def _stack_of(planes) -> np.ndarray:
+    """The (3, ny, nx) stack whose planes, in order, are the three given
+    (a workspace's A, B or W), else a new stack of them."""
+    stack = planes[0].base
+    if isinstance(stack, np.ndarray) and stack.shape[:1] == (3,) and all(
+            p.__array_interface__ == s.__array_interface__ for p, s in zip(planes, stack)):
+        return stack
+    return np.stack(planes)
+
+
+def _time_residuals(grid: Grid2, coeffs: FrameCoeffs, coeffs_before: FrameCoeffs,
+                    coeffs_after: FrameCoeffs, dt2: float, scheme, beta: int,
+                    ws: _Workspace, R: np.ndarray) -> dict:
+    """The max-norms of A_t - C_x + [A,C] and B_t - C_y + [B,C], each
+    formed in the stack R, which may be the a stack of coeffs_before."""
+    a, b, w = coeffs.triples
+    W = check_finite(_stack_of(w), "coefficients")
+    (a0, b0, _), (a1, b1, _) = coeffs_before.triples, coeffs_after.triples
+    Y, tmp = ws.Y, ws.tmp
+    out = {}
+    for key, h, axis, x, x0, x1 in (("xt", grid.hx, -1, a, a0, a1),
+                                    ("yt", grid.hy, -2, b, b0, b1)):
+        for r, s0, s1 in zip(R, x0, x1):
+            np.subtract(s1, s0, out=r)
+        R /= dt2
+        R -= _deriv(W, scheme, h, axis, out=Y, work=ws.Z)
+        out[key] = _max_abs(np.add(R, bracket(x, w, beta, Y, tmp), out=R))
+    return out
+
+
 def mlxii_residual(grid: Grid2, coeffs: FrameCoeffs, scheme=SPECTRAL, beta: int = 1,
                    coeffs_before: FrameCoeffs = None, coeffs_after: FrameCoeffs = None,
                    dt2: float = None, frame: FrameField = None, work=None) -> dict:
@@ -390,36 +429,23 @@ def mlxii_residual(grid: Grid2, coeffs: FrameCoeffs, scheme=SPECTRAL, beta: int 
     read from coeffs.densities.
 
     Evaluated on the coefficient triples, e.g. a_y - b_x + bracket(a, b);
-    each max-norm equals that of the matrix form.  Each triple that is
-    differentiated is copied into a stack of K, checked once (FieldError)
-    and differentiated once per axis: a and b first, then w, once a_y - b_x
-    has freed K.  Given a _Workspace, every array is its scratch.
+    each max-norm equals that of the matrix form.  The a, b and w stacks
+    are each checked once (FieldError) and differentiated once per axis,
+    where they lie when they are the stacks of a workspace (else copied);
+    no input is written.  Given a _Workspace, every array is its scratch.
+    transport_window takes the space residuals here as each slice is built,
+    and the time residuals in the arrays of its oldest slice.
     """
-    a, b, w = coeffs.triples
     timed = coeffs_before is not None and coeffs_after is not None
+    if timed and not coeffs.has_time_entries():
+        raise IdentificationError("time residuals need w1..w3 in the mid coefficients")
+    a, b, _ = coeffs.triples
     ws = work or _Workspace(np.shape(a[0]))
-    K, X, Y, tmp = ws.K, ws.X, ws.Y, ws.tmp
-    for dst, triple in zip(K, (a, b)):
-        np.stack(triple, out=dst)
-    check_finite(K, "coefficients")
-
-    D = _deriv(K[0], scheme, grid.hy, -2, out=X, work=K[0])
-    D -= _deriv(K[1], scheme, grid.hx, -1, out=Y, work=K[1])
+    A, B = (check_finite(_stack_of(x), "coefficients") for x in (a, b))
+    X, Y, tmp = ws.X, ws.Y, ws.tmp
+    D = _deriv(A, scheme, grid.hy, -2, out=X, work=ws.Z)
+    D -= _deriv(B, scheme, grid.hx, -1, out=Y, work=ws.Z)
     out = {"xy": _max_abs(np.add(D, bracket(a, b, beta, Y, tmp), out=Y))}
-
-    if timed:
-        if not coeffs.has_time_entries():
-            raise IdentificationError("time residuals need w1..w3 in the mid coefficients")
-        W = check_finite(np.stack(w, out=K[0]), "coefficients")
-        (a0, b0, _), (a1, b1, _) = coeffs_before.triples, coeffs_after.triples
-        R = K[1]
-        for key, h, axis, x, x0, x1 in (("xt", grid.hx, -1, a, a0, a1),
-                                        ("yt", grid.hy, -2, b, b0, b1)):
-            for r, s0, s1 in zip(R, x0, x1):
-                np.subtract(s1, s0, out=r)
-            R /= dt2
-            R -= _deriv(W, scheme, h, axis, out=Y, work=ws.Z)
-            out[key] = _max_abs(np.add(R, bracket(x, w, beta, Y, tmp), out=R))
 
     if frame is not None:
         # D against the frame triple products; at beta=1 these are
@@ -430,7 +456,49 @@ def mlxii_residual(grid: Grid2, coeffs: FrameCoeffs, scheme=SPECTRAL, beta: int 
                                        (1, beta, beta)):
             out[f"identity_{name}"] = _max_abs(np.subtract(d, np.multiply(sign, dens, out=tmp),
                                                            out=tmp))
+    if timed:  # D is read: X takes the time derivatives
+        out.update(_time_residuals(grid, coeffs, coeffs_before, coeffs_after, dt2, scheme, beta,
+                                   ws, X))
     return out
+
+
+def transport_window(grid: Grid2, times, spin_at, on_frame, scheme=SPECTRAL):
+    """The transport coefficients, with their time entries, and the
+    compatibility residuals of every interior slice of a spin run.
+
+    spin_at(idx) gives the spin field S at times[idx], which is let go once
+    its frame F is built; on_frame(idx, F) is called with F.
+    Yields (idx, coeffs, residuals) for idx = 1 .. len(times) - 2: the bits
+    of frame_from_spin, coeffs_from_frame, frame_dt, with_time_entries and
+    mlxii_residual(..., coeffs_before, coeffs_after, dt2, frame) on the
+    slices idx - 1, idx, idx + 1.  Three slices are live at a time, in a
+    window of workspaces (module docstring) whose arrays F and coeffs show:
+    F holds during on_frame (its e3 is shared), coeffs until the next
+    slice, and coeffs carry no densities (the window's are the last
+    slice's by then).
+    """
+    slots = _Workspace((grid.ny, grid.nx)).window(3)
+    last = len(times) - 1
+    live = []  # (frame, coefficients, space residuals) of the last three slices
+    for idx in range(len(times)):
+        ws = slots[idx % 3]
+        F = frame_from_spin(grid, spin_at(idx), scheme, work=ws)
+        on_frame(idx, F)
+        co = coeffs_from_frame(grid, F, scheme, work=ws)
+        # now, while the shared densities are this slice's
+        res = mlxii_residual(grid, co, scheme, frame=F, work=ws) if 0 < idx < last else None
+        live = live[-2:] + [(F, co, res)]
+        if len(live) < 3:
+            continue
+        (F0, before, _), (F1, mid, res), (F2, after, _) = live
+        dt2 = times[idx] - times[idx - 2]
+        oldest, ws = slots[(idx - 2) % 3], slots[(idx - 1) % 3]
+        dF = frame_dt(F0, F2, dt2, out=oldest.E[:2])
+        e1, e2, e3 = ws.E
+        cross_planes(e1, e2, e3, ws.tmp)  # the mid's e3 again, as frame_from_spin formed it
+        co = with_time_entries(mid, F1, dF, ws)
+        res.update(_time_residuals(grid, co, before, after, dt2, scheme, 1, ws, oldest.A))
+        yield idx - 1, replace(co, densities=None), res
 
 
 # ---------------------------------------------------------------------------

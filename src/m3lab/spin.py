@@ -29,9 +29,11 @@ stack and hands it on as an (ny, nx, 3) view, and only kept states are
 copied out into (ny, nx, 3) arrays, by make_state.  march_spin yields each
 kept state as it is made, so a caller that writes it out (simulate-spin)
 holds one at a time; run_spin collects them into a list.  S is checked for
-finite values once, where it enters (each public function, each step);
-the stages run the unchecked operators, and a step that ends non-finite
-aborts through its renormalisation check.
+finite values once, where it enters (each public function, and a step
+or kept state given any S but the workspace's own, which the step before
+left finite); the stages run the unchecked operators, and a step that ends
+non-finite aborts through its renormalisation check, before it writes
+the stack.
 
 The kinematic decomposition S_t = d2 S_x + d3 S_y (with coefficients read off
 a moving frame) lives here as m0_reduce / m0_residual.
@@ -149,12 +151,14 @@ class _Workspace:
 def _loaded(S: np.ndarray, work=None) -> _Workspace:
     """work, or a new workspace, with S in its stack P, checked finite.
 
-    S is copied in unless it is work.S, which already shows P.
+    S is copied in and checked unless it is work.S, which already shows P:
+    the result of the step before, which that step left finite (a step
+    whose correction is not finite aborts before it writes P).
     """
     ws = work or _Workspace((3,) + np.shape(S)[:2])
     if S is not ws.S:
         ws.P[...] = np.moveaxis(S, -1, 0)
-    check_finite(ws.P, "S")
+        check_finite(ws.P, "S")
     return ws
 
 
@@ -253,10 +257,12 @@ def step_rk4_spin(grid: Grid2, S: np.ndarray, par: SpinParams, dt: float,
 
     Returns (S renormalized to unit length, the correction max |1 - |S||
     that renormalization removed).  S is checked once, on entry: a
-    non-finite S is rejected (FieldError).  The stages run unchecked on the
-    (3, ny, nx) stack of S, every array in `work`; a step that ends
-    non-finite gives a NaN correction, which aborts it (UnstableStepError)
-    as a correction beyond RENORM_LIMIT does.
+    non-finite S is rejected (FieldError), except work.S, the result of the
+    step before, which that step left finite; so a march checks its initial
+    S alone.  The stages run unchecked on the (3, ny, nx) stack of S, every
+    array in `work`; a step that ends non-finite gives a NaN correction,
+    which aborts it (UnstableStepError) as a correction beyond
+    RENORM_LIMIT does.
 
     march_spin makes one workspace for all its steps.  Given one, the step
     writes the new S into its stack and returns work.S, the (ny, nx, 3)

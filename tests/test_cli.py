@@ -11,7 +11,8 @@ import pytest
 import m3lab
 from m3lab.cli import RunConfig, build_parser, main, parse_config_text
 from m3lab.errors import ConfigError
-from m3lab.fields import Grid2, read_mfld1, write_mfld1
+from m3lab.fields import DENSE_MAX_N, Grid2, read_mfld1, write_mfld1
+from m3lab.spin import default_dt
 
 from conftest import smooth_complex
 
@@ -336,7 +337,6 @@ def test_simulate_memory_does_not_grow_with_saved_slices(tmp_path, command):
     """Each state is written as it is made and let go: a 30-step march at
     n = 64 that saves all 31 states peaks, under tracemalloc, within one
     slice's bytes of one that saves 2."""
-    from m3lab.spin import default_dt
     n, steps = 64, 30
     dt = default_dt(Grid2(n, n))
     text = SPIN_CFG if command == "simulate-spin" else NLS_CFG
@@ -596,6 +596,98 @@ def test_frame_projects_each_slice_once(spin_run, tmp_path, monkeypatch):
     assert main(["--output-dir", str(tmp_path), "frame", "spinrun"]) == 0
     meta = json.loads((spin_run / "meta.json").read_text())
     assert len(calls) == len(meta["slices"])
+
+
+COEFF_COMPS = ("k", "sigma", "tau", "m1", "m2", "m3", "w1", "w2", "w3")
+
+
+def _lump_run(tmp_path, n, slices=5):
+    """A lump run of n x n points with every one of slices - 1 steps saved,
+    at the step of configs/lump.cfg relative to hx hy."""
+    dt = 0.5 * default_dt(Grid2(n, n))
+    cfg = tmp_path / "lump.cfg"
+    cfg.write_text(_with(SPIN_CFG, **{"grid.nx": n, "grid.ny": n, "params.c": 0.25,
+                                      "spin.init": "stereographic-lump", "spin.init.eps": None,
+                                      "spin.init.kappa": None, "dt": repr(dt),
+                                      "t_end": repr((slices - 1) * dt), "save_every": 1,
+                                      "output_dir": "lump"}))
+    assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 0
+    return tmp_path / "lump"
+
+
+@pytest.mark.parametrize("n", [32, DENSE_MAX_N + 2])
+def test_frame_writes_the_library_path_bitwise(tmp_path, n):
+    """`frame` writes, bit for bit, what frame_from_spin, coeffs_from_frame,
+    frame_dt, with_time_entries and mlxii_residual give called one by one:
+    every frame and coefficient dump and every residual of its report, on
+    a lump on the matrix path (n = 32) and on the rfft path."""
+    from m3lab.frames import (coeffs_from_frame, frame_dt, frame_from_spin, mlxii_residual,
+                              with_time_entries)
+    run = _lump_run(tmp_path, n)
+    assert main(["--output-dir", str(tmp_path), "frame", "lump"]) == 0
+    meta = json.loads((run / "meta.json").read_text())
+    times, grid = meta["times"], Grid2(n, n)
+    frames, coeffs = [], []
+    for idx, name in enumerate(meta["slices"]):
+        F = frame_from_spin(grid, read_mfld1(run / name)[1][..., 0:3])
+        dump = read_mfld1(run / f"frame_{idx:06d}.mfld1")[1]
+        assert np.array_equal(dump, np.concatenate([F.e1, F.e2, F.e3], axis=-1))
+        frames.append(F)
+        coeffs.append(coeffs_from_frame(grid, F))
+    report = json.loads((run / "frame_report.json").read_text())["residuals"]
+    assert len(report) == len(times) - 2 == 3
+    for idx, got in enumerate(report, start=1):
+        dt2 = times[idx + 1] - times[idx - 1]
+        mid = with_time_entries(coeffs[idx], frames[idx],
+                                frame_dt(frames[idx - 1], frames[idx + 1], dt2))
+        dump = read_mfld1(run / f"coeffs_{idx:06d}.mfld1")[1]
+        assert np.array_equal(dump, np.stack([getattr(mid, c) for c in COEFF_COMPS], axis=-1))
+        assert got == {"t": times[idx], **mlxii_residual(
+            grid, mid, coeffs_before=coeffs[idx - 1], coeffs_after=coeffs[idx + 1], dt2=dt2,
+            frame=frames[idx])}
+
+
+def test_frame_holds_three_slices_of_e1_e2_a_and_b(tmp_path):
+    """`frame` keeps, of each slice in its three-slice window, e1, e2, a and
+    b alone (12 planes); e3, the densities and the scratch are shared (21
+    planes) and the slice read is let go once its frame is built.  On a
+    lump on the rfft path its tracemalloc peak, ~63 (ny, nx) planes, stays
+    below 72: a ring of three whole workspaces peaked at ~87."""
+    n = DENSE_MAX_N + 8
+    _lump_run(tmp_path, n)
+    argv = ["--output-dir", str(tmp_path), "frame", "lump"]
+    assert main(argv) == 0  # fills the operator caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 72 * 8 * n * n
+
+
+@pytest.mark.parametrize("command, cfg_text, run, verify", [
+    ("simulate-spin", SPIN_CFG, "spinrun", ["frame", "spinrun"]),
+    ("simulate-nls", NLS_CFG, "nlsrun",
+     ["lax-check", "nlsrun", "--lambda", "0.3,0.1", "--lambda", "0.2,0"]),
+], ids=["spin", "nls"])
+def test_simulate_removes_an_earlier_runs_files(tmp_path, command, cfg_text, run, verify):
+    """A run into the directory of an earlier one, with every state saved
+    and its outputs verified, leaves its own files and those m3lab did not
+    write: the earlier run's surplus slices, dumps and reports go."""
+    cfg = tmp_path / "run.cfg"
+    for save_every in (1, 4):
+        cfg.write_text(_with(cfg_text, save_every=save_every, **{"grid.nx": 16, "grid.ny": 16}))
+        assert main(["--output-dir", str(tmp_path), command, str(cfg)]) == 0
+        if save_every == 1:
+            assert main(["--output-dir", str(tmp_path)] + verify) == 0
+            for name in ("notes.txt", "spin_init.mfld1"):
+                (tmp_path / run / name).write_text("not m3lab's")
+    meta = json.loads((tmp_path / run / "meta.json").read_text())
+    table = "invariants.csv" if command == "simulate-spin" else "norms.csv"
+    assert len(meta["slices"]) == 1
+    assert sorted(os.listdir(tmp_path / run)) == sorted(
+        meta["slices"] + ["meta.json", table, "notes.txt", "spin_init.mfld1"])
 
 
 def _meta_text(**entries):

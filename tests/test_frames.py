@@ -24,6 +24,7 @@ from m3lab.frames import (
     frame_from_spin,
     m_coeffs_from_spin,
     mlxii_residual,
+    transport_window,
     with_time_entries,
 )
 from m3lab.invariants import charge_density, charges
@@ -529,8 +530,9 @@ STACK_CASES = {
 @pytest.mark.parametrize("case", sorted(STACK_CASES))
 def test_stack_layer_is_the_field_formulas_bitwise(case):
     """Frames, coefficients, densities, time entries and the residual dict
-    equal the (ny, nx, 3) formulas bit for bit, with and without a ring of
-    workspaces."""
+    equal the (ny, nx, 3) formulas bit for bit, call by call, with and
+    without a workspace per slice, and in the three-slice window of
+    transport_window."""
     import m3lab.frames as frames
     n, scheme, make, kw = STACK_CASES[case]
     g = Grid2(n, n)
@@ -541,22 +543,46 @@ def test_stack_layer_is_the_field_formulas_bitwise(case):
     e1t, e2t = ((after - before) / dt2 for before, after in zip(want[0][:2], want[2][:2]))
     e2, e3 = want[1][1:3]
     want_co[1].update(w1=dot3(e3, e2t), w2=-dot3(e3, e1t), w3=dot3(e2, e1t))
+    want_res = {beta: ref_mlxii(g, want_co[1], want_co[0], want_co[2], dt2, scheme, beta)
+                for beta in (1, -1)}
     if make is small_e2_field:
         assert np.all(want[1][1][0] == (1.0, 0.0, 0.0))
-    for works in ([None] * 3, frames._Workspace((n, n)).ring(3)):
+
+    def check_frame(f, ref):
+        for got, r in zip((f.e1, f.e2, f.e3, f.mask), ref):
+            assert np.array_equal(got, r)
+
+    def check_coeffs(c, ref):
+        for name in ref:
+            if name != "densities" or c.densities is not None:
+                assert np.array_equal(getattr(c, name), ref[name]), name
+
+    for works in ([None] * 3, [frames._Workspace((n, n)) for _ in range(3)]):
         F = [frame_from_spin(g, S, scheme, work=wk, **kw) for S, wk in zip(slices, works)]
         co = [coeffs_from_frame(g, f, scheme, work=wk) for f, wk in zip(F, works)]
-        for f, (e1, e2, e3, mask) in zip(F, want):
-            for got, ref in ((f.e1, e1), (f.e2, e2), (f.e3, e3), (f.mask, mask)):
-                assert np.array_equal(got, ref)
-        mid = with_time_entries(co[1], F[1], frame_dt(F[0], F[2], dt2, works[1]), works[1])
+        for f, ref in zip(F, want):
+            check_frame(f, ref)
+        mid = with_time_entries(co[1], F[1], frame_dt(F[0], F[2], dt2), works[1])
         for c, ref in zip(co[:1] + [mid] + co[2:], want_co):
-            for name in ref:
-                assert np.array_equal(getattr(c, name), ref[name]), name
+            check_coeffs(c, ref)
         for beta in (1, -1):
             got = mlxii_residual(g, mid, scheme, beta, coeffs_before=co[0], coeffs_after=co[2],
                                  dt2=dt2, frame=F[1], work=works[1])
-            assert got == ref_mlxii(g, want_co[1], want_co[0], want_co[2], dt2, scheme, beta)
+            assert got == want_res[beta]
+
+    if kw:  # transport_window builds frames at the default tolerance
+        return
+    seen = []
+
+    def on_frame(idx, f):
+        seen.append(idx)
+        check_frame(f, want[idx])
+
+    windowed = list(transport_window(g, [0.0, 0.01, dt2], slices.__getitem__, on_frame, scheme))
+    assert seen == [0, 1, 2] and [idx for idx, _, _ in windowed] == [1]
+    (_, mid, got), = windowed
+    check_coeffs(mid, want_co[1])
+    assert got == want_res[1]
 
 
 @pytest.mark.parametrize("n", [128, 256])

@@ -343,6 +343,43 @@ def test_step_given_its_workspace_allocates_less_than_a_stack(rng):
     assert peak < ws.P.nbytes
 
 
+def test_march_checks_its_initial_S_once(grid, rng, monkeypatch):
+    """Each step takes the previous step's result, the march's own stack,
+    unchecked, and so does each kept state: a march of n steps checks its
+    initial S once, and gives the bits of fresh single steps."""
+    import m3lab.spin as spin
+    calls = []
+    real = spin.check_finite
+    monkeypatch.setattr(spin, "check_finite", lambda f, name="field": calls.append(name) or
+                        real(f, name))
+    state = make_state(grid, smooth_spin(grid, rng), PAR)
+    calls.clear()
+    n_steps, save_every = 6, 3
+    saved = run_spin(grid, state, PAR, default_dt(grid), n_steps, save_every)
+    assert calls == ["S"]
+    S = state.S
+    for _ in range(n_steps):
+        S, _ = step_rk4_spin(grid, S, PAR, default_dt(grid))
+    assert np.array_equal(saved[-1].S, S)
+
+
+@pytest.mark.parametrize("given", ["no workspace", "a workspace"])
+def test_step_checks_an_S_that_is_not_its_own_result(grid, rng, given):
+    """Given the workspace of a march, a step and a kept state still reject
+    a non-finite S that is not the workspace's own result."""
+    import m3lab.spin as spin
+    ws = spin._Workspace((3, grid.ny, grid.nx)) if given == "a workspace" else None
+    S, _ = step_rk4_spin(grid, smooth_spin(grid, rng), PAR, default_dt(grid), work=ws)
+    bad = S.copy()
+    bad[3, 4, 1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: step_rk4_spin(grid, bad, PAR, default_dt(grid), work=ws),
+                     lambda: make_state(grid, bad, PAR, work=ws)):
+            with pytest.raises(FieldError):
+                call()
+
+
 def test_run_spin_save_cadence(grid):
     par = SpinParams(c=0.3, d=1.0, l=0.0, model="M3")
     state = make_state(grid, init_modulated_helix(grid), par)

@@ -1,7 +1,8 @@
-"""Guards on the package's sources: a light CLI import, no unused imports and
-no dead private names."""
+"""Guards on the package's sources: a light CLI import, no unused imports,
+no dead private names and no run file a simulate command would not clean up."""
 
 import ast
+import fnmatch
 import os
 import subprocess
 import sys
@@ -100,3 +101,30 @@ def test_dead_private_name_check_sees_a_leftover(tmp_path):
                                    "_Imported, a._attr\n")
     assert dead_private_names([tmp_path / "a.py", tmp_path / "b.py"]) == [
         "a.py:2: _DEAD", "a.py:8: _dead", "a.py:14: _Gone"]
+
+
+SPIN_RUN = ("grid.nx = 16\ngrid.ny = 16\nmodel = M3\nparams.c = 0.3\n"
+            "spin.init = modulated-helix\nt_end = 0.1\nsave_every = 1\noutput_dir = spin\n")
+NLS_RUN = ("grid.nx = 16\ngrid.ny = 16\nmodel = Zakharov\nnls.init = plane-wave\n"
+           "t_end = 0.1\nsave_every = 1\noutput_dir = nls\n")
+
+
+def test_every_file_the_commands_write_is_a_run_file(tmp_path):
+    """Every file that simulate-spin, frame, charges, equiv-check, lax-check
+    on the spin side, simulate-nls and a lax-check scan write into a run
+    directory matches a pattern of cli.RUN_FILES, which a simulate command
+    clears from its directory first, and every pattern matches one."""
+    from m3lab.cli import RUN_FILES, main
+    (tmp_path / "spin.cfg").write_text(SPIN_RUN)
+    (tmp_path / "nls.cfg").write_text(NLS_RUN)
+    for argv in (["simulate-spin", "spin.cfg"], ["frame", "spin"], ["charges", "spin"],
+                 ["equiv-check", "spin", "--ladder", "16,32"],
+                 ["lax-check", "spin", "--spin-side", "--lambda", "0.3,0.1"],
+                 ["simulate-nls", "nls.cfg"],
+                 ["lax-check", "nls", "--lambda", "0.3,0.1", "--lambda", "-0.2,0.4"]):
+        argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
+        assert main(["--output-dir", str(tmp_path)] + argv) == 0, argv
+    written = [f.name for run in ("spin", "nls") for f in (tmp_path / run).iterdir()]
+    matched = {p: [n for n in written if fnmatch.fnmatchcase(n, p)] for p in RUN_FILES}
+    assert sorted(written) == sorted(n for names in matched.values() for n in names)
+    assert [p for p, names in matched.items() if not names] == []
