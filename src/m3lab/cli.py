@@ -70,6 +70,24 @@ _SCHEMA = {
 _PREFIX_KEYS = ("spin.init.", "nls.init.")
 
 
+def _checked(key: str, value, where: str):
+    """value of config key `key`, parsed from a config line or recorded in
+    a meta.json, checked: a known key, a value of its type (a bool is no
+    number; an init parameter is an int or a float) and finite.  An
+    integral init parameter becomes an int."""
+    init = key not in _SCHEMA
+    if init and not key.startswith(_PREFIX_KEYS):
+        raise ConfigError(f"{where}unknown config key {key!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float) if init else _SCHEMA[key][0]):
+        raise ConfigError(f"{where}bad value for {key}: {value!r}")
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}{key} must be finite, got {value!r}")
+        if init and value == int(value):
+            value = int(value)  # numeric init parameter: integers survive
+    return value
+
+
 def parse_config_text(text: str) -> dict:
     """Flat `key = value` lines to a typed dict; unknown keys are fatal."""
     values = {}
@@ -77,27 +95,19 @@ def parse_config_text(text: str) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"line {lineno}: "
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected `key = value`, got {raw!r}")
+            raise ConfigError(f"{where}expected `key = value`, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key in _SCHEMA:
-            caster = _SCHEMA[key][0]
-        elif any(key.startswith(p) for p in _PREFIX_KEYS):
-            caster = None  # numeric init parameter
-        else:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        kind = _SCHEMA.get(key, (float,))[0]  # an init parameter is a number
         try:
-            parsed = val if caster is str else (caster or float)(val)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
-        if isinstance(parsed, float):
-            if not math.isfinite(parsed):
-                raise ConfigError(f"line {lineno}: {key} must be finite, got {val!r}")
-            if caster is None and parsed == int(parsed):
-                parsed = int(parsed)  # numeric init parameter: integers survive
+            val = val if kind is str else kind(val)
+        except ValueError:
+            pass  # left as text, which _checked rejects, naming the key or the value
+        parsed = _checked(key, val, where)
         if key in values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ConfigError(f"{where}duplicate key {key!r}")
         values[key] = parsed
     return values
 
@@ -133,6 +143,8 @@ class RunConfig:
         missing = sorted(set(_SCHEMA) - set(values))
         if missing:
             raise ConfigError(f"meta.json configuration lacks {missing}")
+        values = {key: _checked(key, value, "meta.json configuration: ")
+                  for key, value in values.items()}
         return cls(values=values, sha=meta["config_hash"])
 
     def __getitem__(self, key):
@@ -152,8 +164,7 @@ class RunConfig:
             raise ConfigError(f"params.beta = {self['params.beta']} on a spin run: the spin "
                               f"flow has no beta, and a unit S has frames of beta = 1 only")
         model = self["spin.model"] or self["model"] or "M3"
-        return SpinParams(c=self["params.c"], d=self["params.d"], l=self["params.l"],
-                          beta=self["params.beta"], model=model)
+        return SpinParams(c=self["params.c"], d=self["params.d"], l=self["params.l"], model=model)
 
     def nls_params(self):
         from .nls import NlsParams

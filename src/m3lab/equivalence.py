@@ -5,7 +5,7 @@ slices, read off curvature k and torsion tau, form
 
     q = k / (2(2cl+d)) * exp i{ 2l(cl+d) x - inv_dx(tau) }
 
-with p = beta conj(q) and v solved from v_x = (p q)_y, then measure how well
+with p = conj(q) and v solved from v_x = (p q)_y, then measure how well
 (q, p, v) satisfies the NLS-type system, with q_t by central differencing of
 the saved slices.  On a grid ladder the residual must converge at the order
 of the weakest link (the time differencing), which is the executable version
@@ -37,7 +37,7 @@ from .fields import (
     meanx,
 )
 from .frames import FrameCoeffs, FrameField, _project, _vectors, _Workspace, frame_from_spin
-from .nls import NlsParams, _paired, nls_rhs, solve_v_nls
+from .nls import NlsParams, nls_rhs, solve_v_nls
 from .spin import DT_FACTOR, SpinParams, make_state, run_spin
 
 TWO_PI = 2.0 * np.pi
@@ -129,13 +129,13 @@ def equiv_residual(grid: Grid2, S_before: np.ndarray, S_mid: np.ndarray,
     q_before, _ = _slice_to_q(grid, S_before, par, scheme, mode, work)
     q_after, _ = _slice_to_q(grid, S_after, par, scheme, mode, work)
 
-    npar = NlsParams(c=par.c, d=par.d, beta=par.beta, model="M3q")
-    p_mid = _paired(q_mid, par.beta)
+    npar = NlsParams(c=par.c, d=par.d, model="M3q")
+    p_mid = np.conj(q_mid)
     v, _, _ = solve_v_nls(grid, q_mid, p_mid, scheme)
     q_t_model, p_t_model = nls_rhs(grid, q_mid, p_mid, v, npar, scheme)
 
     q_t = (q_after - q_before) / dt2
-    p_t = _paired(q_t, par.beta)
+    p_t = np.conj(q_t)
     out = {
         "residual_q": float(np.max(np.abs(q_t - q_t_model))),
         "residual_p": float(np.max(np.abs(p_t - p_t_model))),

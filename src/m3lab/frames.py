@@ -8,7 +8,7 @@ with A = so3(a), B = so3(b), C = so3(w) of the coefficient triples
 
     a = (tau, sigma, k),  b = (m1, m2, m3),  w = (w1, w2, w3),
 
-    so3(v) = [[0, v3, -v2], [-beta v3, 0, v1], [beta v2, -v1, 0]].
+    so3(v) = [[0, v3, -v2], [-v3, 0, v1], [v2, -v1, 0]].
 
 Cross-derivative compatibility of the transport system,
 
@@ -17,10 +17,10 @@ Cross-derivative compatibility of the transport system,
     B_t - C_y + [B, C] = 0,
 
 is the executable statement checked by mlxii_residual.  Each matrix entry is
-0 or +-(beta) one triple component, and [so3(a), so3(b)] =
-so3(bracket(a, b, beta)), so the residuals are evaluated on the
-triples (scalar derivatives and the bracket, no (..., 3, 3) array) and have
-exactly the max-norms of the matrix forms.  The identities such as
+0 or +- one triple component, and [so3(a), so3(b)] = so3(bracket(a, b)),
+so the residuals are evaluated on the triples (scalar derivatives and the
+bracket, no (..., 3, 3) array) and have exactly the max-norms of the
+matrix forms.  The identities such as
 tau_y - m1_x = e1.(e1x ^ e1y) read their left-hand side off the same a_y - b_x
 and their right-hand side off the densities that coeffs_from_frame keeps.
 
@@ -366,17 +366,14 @@ def with_time_entries(coeffs: FrameCoeffs, F: FrameField, dF_dt, work=None) -> F
 # Transport matrices and compatibility residuals
 # ---------------------------------------------------------------------------
 
-def bracket(a, b, beta: int = 1, out=None, tmp=None) -> np.ndarray:
-    """Triple c = (beta (a3 b2 - a2 b3), a1 b3 - a3 b1, a2 b1 - a1 b2).
+def bracket(a, b, out=None, tmp=None) -> np.ndarray:
+    """Triple c = (a3 b2 - a2 b3, a1 b3 - a3 b1, a2 b1 - a1 b2).
 
     so3(c) is the commutator of so3(a) and so3(b) (module docstring); c is
-    the cross product b ^ a, its first component scaled by beta, written
-    into out (three planes) with tmp when these are given, as cross_planes
-    does.
+    the cross product b ^ a, written into out (three planes) with tmp when
+    these are given, as cross_planes does.
     """
-    c = cross_planes(b, a, out, tmp)
-    c[0] *= beta
-    return c
+    return cross_planes(b, a, out, tmp)
 
 
 def charge_density(grid: Grid2, e: np.ndarray, scheme=SPECTRAL) -> np.ndarray:
@@ -397,8 +394,8 @@ def _stack_of(planes) -> np.ndarray:
 
 
 def _time_residuals(grid: Grid2, coeffs: FrameCoeffs, coeffs_before: FrameCoeffs,
-                    coeffs_after: FrameCoeffs, dt2: float, scheme, beta: int,
-                    ws: _Workspace, R: np.ndarray) -> dict:
+                    coeffs_after: FrameCoeffs, dt2: float, scheme, ws: _Workspace,
+                    R: np.ndarray) -> dict:
     """The max-norms of A_t - C_x + [A,C] and B_t - C_y + [B,C], each
     formed in the stack R, which may be the a stack of coeffs_before."""
     a, b, w = coeffs.triples
@@ -412,11 +409,11 @@ def _time_residuals(grid: Grid2, coeffs: FrameCoeffs, coeffs_before: FrameCoeffs
             np.subtract(s1, s0, out=r)
         R /= dt2
         R -= _deriv(W, scheme, h, axis, out=Y, work=ws.Z)
-        out[key] = _max_abs(np.add(R, bracket(x, w, beta, Y, tmp), out=R))
+        out[key] = _max_abs(np.add(R, bracket(x, w, Y, tmp), out=R))
     return out
 
 
-def mlxii_residual(grid: Grid2, coeffs: FrameCoeffs, scheme=SPECTRAL, beta: int = 1,
+def mlxii_residual(grid: Grid2, coeffs: FrameCoeffs, scheme=SPECTRAL,
                    coeffs_before: FrameCoeffs = None, coeffs_after: FrameCoeffs = None,
                    dt2: float = None, frame: FrameField = None, work=None) -> dict:
     """Compatibility residuals of the frame transport system.
@@ -445,20 +442,17 @@ def mlxii_residual(grid: Grid2, coeffs: FrameCoeffs, scheme=SPECTRAL, beta: int 
     X, Y, tmp = ws.X, ws.Y, ws.tmp
     D = _deriv(A, scheme, grid.hy, -2, out=X, work=ws.Z)
     D -= _deriv(B, scheme, grid.hx, -1, out=Y, work=ws.Z)
-    out = {"xy": _max_abs(np.add(D, bracket(a, b, beta, Y, tmp), out=Y))}
+    out = {"xy": _max_abs(np.add(D, bracket(a, b, Y, tmp), out=Y))}
 
     if frame is not None:
-        # D against the frame triple products; at beta=1 these are
+        # D against the frame triple products:
         #   tau_y - m1_x   = e1.(e1x ^ e1y)
         #   sigma_y - m2_x = e2.(e2x ^ e2y)
         #   k_y - m3_x     = e3.(e3x ^ e3y)
-        for name, d, dens, sign in zip(("e1", "e2", "e3"), D, _densities(coeffs),
-                                       (1, beta, beta)):
-            out[f"identity_{name}"] = _max_abs(np.subtract(d, np.multiply(sign, dens, out=tmp),
-                                                           out=tmp))
+        for name, d, dens in zip(("e1", "e2", "e3"), D, _densities(coeffs)):
+            out[f"identity_{name}"] = _max_abs(np.subtract(d, dens, out=tmp))
     if timed:  # D is read: X takes the time derivatives
-        out.update(_time_residuals(grid, coeffs, coeffs_before, coeffs_after, dt2, scheme, beta,
-                                   ws, X))
+        out.update(_time_residuals(grid, coeffs, coeffs_before, coeffs_after, dt2, scheme, ws, X))
     return out
 
 
@@ -497,7 +491,7 @@ def transport_window(grid: Grid2, times, spin_at, on_frame, scheme=SPECTRAL):
         e1, e2, e3 = ws.E
         cross_planes(e1, e2, e3, ws.tmp)  # the mid's e3 again, as frame_from_spin formed it
         co = with_time_entries(mid, F1, dF, ws)
-        res.update(_time_residuals(grid, co, before, after, dt2, scheme, 1, ws, oldest.A))
+        res.update(_time_residuals(grid, co, before, after, dt2, scheme, ws, oldest.A))
         yield idx - 1, replace(co, densities=None), res
 
 
@@ -506,8 +500,7 @@ def transport_window(grid: Grid2, times, spin_at, on_frame, scheme=SPECTRAL):
 # ---------------------------------------------------------------------------
 
 def m_coeffs_from_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
-                       par, scheme=SPECTRAL, frame: FrameField = None,
-                       sigma_t: np.ndarray = None, k_tol: float = 1e-8) -> FrameCoeffs:
+                       par, scheme=SPECTRAL, frame: FrameField = None) -> FrameCoeffs:
     """Identified transport coefficients for a spin solution.
 
     The y-entries come from
@@ -525,6 +518,7 @@ def m_coeffs_from_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
         w3 =  m2_x - tau m3 + u k     + 2l(cl+d) m3 - 4 c v k
         w1 = (sigma_t - w2_x + tau w3) / k
 
+    at sigma_t = 0, the Frenet gauge's, and m2 = w1 = 0 where |k| < DEGENERACY_TOL.
     (The sign of the u k term in w3 is fixed by requiring compatibility of
     the transport system; see the project notes.)  States the paper's claim
     that the M-III dynamics fixes the y- and t-entries from k, sigma, tau.
@@ -535,7 +529,7 @@ def m_coeffs_from_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
     proj = _project(grid, _vectors(frame), scheme, ws)  # no densities, no e3 derivatives
     k, sigma, tau = proj.k, proj.sigma, proj.tau
 
-    k_mask = np.abs(k) < k_tol
+    k_mask = np.abs(k) < DEGENERACY_TOL
     if np.count_nonzero(k_mask) > 0.5 * k_mask.size:
         raise DegenerateFieldError("curvature k vanishes on more than half the grid")
     k_safe = np.where(k_mask, 1.0, k)
@@ -568,8 +562,6 @@ def m_coeffs_from_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
     drift = par.drift
     w2 = -ddx(grid, m3, scheme) - tau * m2 + u * sigma + drift * m2 - 4.0 * par.c * v * sigma
     w3 = ddx(grid, m2, scheme) - tau * m3 + u * k + drift * m3 - 4.0 * par.c * v * k
-    if sigma_t is None:
-        sigma_t = np.zeros_like(k)
-    w1 = np.where(k_mask, 0.0, (sigma_t - ddx(grid, w2, scheme) + tau * w3) / k_safe)
+    w1 = np.where(k_mask, 0.0, (tau * w3 - ddx(grid, w2, scheme)) / k_safe)
     return FrameCoeffs(k=k, sigma=sigma, tau=tau, m1=m1, m2=m2, m3=m3,
                        w1=w1, w2=w2, w3=w3)

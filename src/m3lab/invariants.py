@@ -10,11 +10,10 @@ from FrameCoeffs.densities, as the identity check in mlxii_residual does.
 Coefficient form: the same densities expressed through the coefficient
 triples a = (tau, sigma, k) and b = (m1, m2, m3) as
 
-    density = -beta * bracket(a, b, beta)
+    density = -bracket(a, b) = (sigma m3 - k m2, k m1 - tau m3, tau m2 - sigma m1)
 
-(frames.bracket, the so(3) commutator on triples), which reduces to
-(sigma m3 - k m2, k m1 - tau m3, tau m2 - sigma m1) at beta = +1.  Value
-for value it equals the matrix-entry form A[j,j+1] B[j,j+2] - A[j,j+2]
+(frames.bracket, the so(3) commutator on triples).  Value for value it
+equals the matrix-entry form A[j,j+1] B[j,j+2] - A[j,j+2]
 B[j,j+1] (cyclic indices) of A = so3(a), B = so3(b) (see frames).
 The two forms agree pointwise at discretization order for smooth frames;
 the comparison is made at the density level because for topologically
@@ -43,16 +42,15 @@ class ChargeReport:
         return list(self.k_vector) + list(self.k_coeff) + list(self.q)
 
 
-def coeff_densities(coeffs: FrameCoeffs, beta: int = 1, out=None, tmp=None):
-    """Coefficient-form charge densities, -beta * bracket(a, b, beta), as a
-    (3, ny, nx) stack; written into out with tmp, when these are given."""
+def coeff_densities(coeffs: FrameCoeffs, out=None, tmp=None):
+    """Coefficient-form charge densities, -bracket(a, b), as a (3, ny, nx)
+    stack; written into out with tmp, when these are given."""
     a, b, _ = coeffs.triples
-    c = bracket(a, b, beta, out, tmp)
-    c *= -beta
-    return c
+    c = bracket(a, b, out, tmp)
+    return np.negative(c, out=c)
 
 
-def charges(grid: Grid2, coeffs: FrameCoeffs, beta: int = 1, work=None) -> ChargeReport:
+def charges(grid: Grid2, coeffs: FrameCoeffs, work=None) -> ChargeReport:
     """All six integrals plus the pointwise density agreement check, for
     coefficients from coeffs_from_frame (their `densities` are the vector form).
 
@@ -60,9 +58,9 @@ def charges(grid: Grid2, coeffs: FrameCoeffs, beta: int = 1, work=None) -> Charg
     """
     dens_v = _densities(coeffs)
     if work is None:
-        dens_c, scratch = coeff_densities(coeffs, beta), None
+        dens_c, scratch = coeff_densities(coeffs), None
     else:
-        dens_c, scratch = coeff_densities(coeffs, beta, work.X, work.tmp), work.Y[0]
+        dens_c, scratch = coeff_densities(coeffs, work.X, work.tmp), work.Y[0]
     k_vec = tuple(integrate2(grid, d) for d in dens_v)
     k_coe = tuple(integrate2(grid, d) for d in dens_c)
     dev = tuple(float(np.max(np.abs(np.subtract(dv, dc, out=scratch), out=scratch)))

@@ -282,16 +282,16 @@ def build_lax_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
 # Frame-side su(2) generator
 # ---------------------------------------------------------------------------
 
-def su2_from_vec(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray, beta: int = 1) -> np.ndarray:
-    """(1/2i) [[v1, v3 - i v2], [beta(v3 + i v2), -v1]].
+def su2_from_vec(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
+    """(1/2i) [[v1, v3 - i v2], [v3 + i v2, -v1]].
 
     A Lie-algebra homomorphism from the so(3) triples: the commutator of
-    su2_from_vec(*a, beta) and su2_from_vec(*b, beta) is
-    su2_from_vec(*frames.bracket(a, b, beta), beta).  So the su(2) form of
-    the frame transport's flatness is the image of frames.mlxii_residual's.
+    su2_from_vec(*a) and su2_from_vec(*b) is su2_from_vec(*frames.bracket(a,
+    b)).  So the su(2) form of the frame transport's flatness is the image
+    of frames.mlxii_residual's.
     """
     v2 = np.asarray(v2)
-    return _sl2(v1, v3 - 1j * v2, beta * (v3 + 1j * v2)) / 2j
+    return _sl2(v1, v3 - 1j * v2, v3 + 1j * v2) / 2j
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +299,7 @@ def su2_from_vec(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray, beta: int = 1) 
 # ---------------------------------------------------------------------------
 
 POLE_TOL = 1e-10
+FD_STEP = 1e-6           # lambda_residual's central-difference step
 
 
 def lambda_rhs(lam: np.ndarray, lam_y: np.ndarray, par) -> np.ndarray:
@@ -318,13 +319,12 @@ def lambda_solution(y, t, n: int, k: float, a: float, c: float = 0.0):
     return w ** (1.0 / n)
 
 
-def lambda_residual(y, t, n: int, k: float, a: float, c: float = 0.0,
-                    fd_step: float = 1e-6) -> dict:
+def lambda_residual(y, t, n: int, k: float, a: float, c: float = 0.0) -> dict:
     """Residual of lam_t = k lam^n lam_y for the closed-form solution.
 
     "analytic" uses the exact partials lam_t = k lam / (n (a - k t)) and
     lam_y = lam / (n (y + c)); "fd" replaces them by central differences of
-    step fd_step.  Both are max-norms over the sample points.
+    step FD_STEP.  Both are max-norms over the sample points.
     """
     y = np.asarray(y, dtype=complex)
     t = np.asarray(t, dtype=complex)
@@ -335,11 +335,11 @@ def lambda_residual(y, t, n: int, k: float, a: float, c: float = 0.0,
     lam_y = lam / (n * (y + c))
     analytic = float(np.max(np.abs(lam_t - k * lam**n * lam_y)))
 
-    lam_tp = lambda_solution(y, t + fd_step, n, k, a, c)
-    lam_tm = lambda_solution(y, t - fd_step, n, k, a, c)
-    lam_yp = lambda_solution(y + fd_step, t, n, k, a, c)
-    lam_ym = lambda_solution(y - fd_step, t, n, k, a, c)
-    lam_t_fd = (lam_tp - lam_tm) / (2.0 * fd_step)
-    lam_y_fd = (lam_yp - lam_ym) / (2.0 * fd_step)
+    lam_tp = lambda_solution(y, t + FD_STEP, n, k, a, c)
+    lam_tm = lambda_solution(y, t - FD_STEP, n, k, a, c)
+    lam_yp = lambda_solution(y + FD_STEP, t, n, k, a, c)
+    lam_ym = lambda_solution(y - FD_STEP, t, n, k, a, c)
+    lam_t_fd = (lam_tp - lam_tm) / (2.0 * FD_STEP)
+    lam_y_fd = (lam_yp - lam_ym) / (2.0 * FD_STEP)
     fd = float(np.max(np.abs(lam_t_fd - k * lam**n * lam_y_fd)))
     return {"analytic": analytic, "fd": fd}

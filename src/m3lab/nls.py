@@ -10,7 +10,7 @@ system and whose d=0 limit is the Strachan system):
 For the physical reduction p = beta * conj(q), the pair equations are complex
 conjugates of each other and v stays real, since p q = beta |q|^2.  States
 hold q and v only, and the RK4 step advances q alone; p is formed from q by
-_paired where it is read (a written slice, the equivalence residual).
+_paired where a slice is written.
 States and stages solve v from beta |q|^2 on the half-spectrum path and a
 stage takes q_t as
 
@@ -69,7 +69,7 @@ class NlsState:
 
 def _paired(q: np.ndarray, beta: int) -> np.ndarray:
     """p = beta*conj(q) by a sign flip: exact, and silent on non-finite q.
-    The one place p is formed: a written slice, the equivalence residual."""
+    The p of a written slice."""
     p = np.conj(q)
     return p if beta == 1 else np.negative(p, out=p)
 

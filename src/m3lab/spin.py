@@ -65,6 +65,7 @@ from .fields import (
 DENOM_TOL = 1e-12        # rejection threshold for |2cl+d|
 DT_FACTOR = 0.2          # default dt = DT_FACTOR * hx * hy
 RENORM_LIMIT = 1e-3      # step rejected beyond this renormalization correction
+STATE_TOL = 1e-9         # SpinState.validate: max | |S| - 1 | and max |row mean| of u, v
 
 _MODELS = ("M1", "M2", "M3")
 
@@ -74,14 +75,11 @@ class SpinParams:
     c: float = 0.0
     d: float = 1.0
     l: float = 0.0
-    beta: int = 1
     model: str = "M3"
 
     def __post_init__(self):
         if self.model not in _MODELS:
             raise ParameterError(f"unknown spin model {self.model!r}")
-        if self.beta not in (1, -1):
-            raise ParameterError("beta must be +1 or -1")
         if self.model == "M1" and (self.c, self.d, self.l) != (0.0, 1.0, 0.0):
             raise ParameterError("M1 requires (c, d, l) = (0, 1, 0)")
         if self.model == "M2":
@@ -117,13 +115,13 @@ class SpinState:
     u_row_mean: float = 0.0  # max |row mean| of the u integrand (topological obstruction)
     v_row_mean: float = 0.0  # max |row mean| of the v integrand
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         dev = float(np.max(np.abs(norm3(self.S) - 1.0)))
-        if dev > tol:
+        if dev > STATE_TOL:
             raise ParameterError(f"|S| deviates from 1 by {dev:.3e}")
         for name, f in (("u", self.u), ("v", self.v)):
             drift = float(np.max(np.abs(np.mean(f, axis=1))))
-            if drift > tol:
+            if drift > STATE_TOL:
                 raise ParameterError(f"{name} has nonzero x-mean {drift:.3e}")
 
 

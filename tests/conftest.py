@@ -54,22 +54,22 @@ def commutator(A, B):
     return matmul(A, B) - matmul(B, A)
 
 
-def so3_from_vec(v1, v2, v3, beta=1):
+def so3_from_vec(v1, v2, v3):
     """The transport matrix so3(v) of a coefficient triple (frames docstring):
-    [[0, v3, -v2], [-beta v3, 0, v1], [beta v2, -v1, 0]]."""
+    [[0, v3, -v2], [-v3, 0, v1], [v2, -v1, 0]]."""
     z = np.zeros_like(v1)
     return np.stack([
         np.stack([z, v3, -v2], axis=-1),
-        np.stack([-beta * v3, z, v1], axis=-1),
-        np.stack([beta * v2, -v1, z], axis=-1),
+        np.stack([-v3, z, v1], axis=-1),
+        np.stack([v2, -v1, z], axis=-1),
     ], axis=-2)
 
 
-def so3_matrices(coeffs, beta=1):
+def so3_matrices(coeffs):
     """(A, B, C) transport matrices of FrameCoeffs; C is None without time entries."""
     a, b, w = coeffs.triples
-    C = so3_from_vec(*w, beta) if coeffs.has_time_entries() else None
-    return so3_from_vec(*a, beta), so3_from_vec(*b, beta), C
+    C = so3_from_vec(*w) if coeffs.has_time_entries() else None
+    return so3_from_vec(*a), so3_from_vec(*b), C
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -779,6 +780,42 @@ def test_spin_run_with_beta_minus_one_exits_2(spin_run, tmp_path, capsys, extra)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "params.beta" in err
     assert sorted(os.listdir(spin_run)) == files
+
+
+@pytest.fixture(scope="module")
+def recorded_spin_run(tmp_path_factory):
+    """A spin run, made once, for tests that damage a copy of it."""
+    out = tmp_path_factory.mktemp("recorded")
+    (out / "spin.cfg").write_text(SPIN_CFG)
+    assert main(["--output-dir", str(out), "simulate-spin", str(out / "spin.cfg")]) == 0
+    return out / "spinrun"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grid.nx", "64"), ("grid.nx", 32.0), ("params.c", "0.3"), ("params.beta", "1"),
+    ("params.beta", True), ("params.d", float("inf")), ("params.l", float("nan")),
+    ("scheme", 1), ("spin.init.eps", "0.05"), ("spin.init.kappa", False), ("params.e", 0.0),
+], ids=["nx-str", "nx-float", "c-str", "beta-str", "beta-bool", "d-inf", "l-nan", "scheme-int",
+        "init-str", "init-bool", "unknown-key"])
+@pytest.mark.parametrize("extra", [
+    ["frame"], ["charges"], ["equiv-check", "--ladder", "16,24"],
+    ["lax-check", "--lambda", "0.4,0.2", "--spin-side"],
+], ids=["frame", "charges", "equiv-check", "lax-check"])
+def test_mistyped_recorded_config_exits_2(recorded_spin_run, tmp_path, capsys, extra, key,
+                                          value):
+    """Each value meta.json records is checked as a config line's value is:
+    of its key's type, finite, under a known key; a command refuses a run
+    with any other, before it writes anything."""
+    run = tmp_path / "spinrun"
+    shutil.copytree(recorded_spin_run, run)
+    meta = json.loads((run / "meta.json").read_text())
+    meta["config"][key] = value
+    (run / "meta.json").write_text(json.dumps(meta))
+    files = sorted(os.listdir(run))
+    assert main(["--output-dir", str(tmp_path), extra[0], "spinrun", *extra[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: meta.json configuration: ") and key in err
+    assert "Traceback" not in err and sorted(os.listdir(run)) == files
 
 
 @pytest.mark.parametrize("beta", [1, -1])

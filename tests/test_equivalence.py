@@ -141,7 +141,7 @@ def test_equiv_residual_y_independent_statics(grid):
 
 
 def test_equiv_residual_p_equals_q():
-    """p = beta conj(q) and every derivative commutes with conjugation, so the
+    """p = conj(q) and every derivative commutes with conjugation, so the
     p-residual is the q-residual to rounding; here on the 48^2 slice of the
     criterion 06 helix ladder (delta = 0.1 * 32 / 48)."""
     report = l_equiv_check(PAR, lambda g: init_modulated_helix(g, kappa=1, eps=0.05),

@@ -246,27 +246,25 @@ def test_mlxii_sensitivity_to_corruption(grid):
     assert 0.03 < bumped < 1.0
 
 
-def matrix_residual(grid, co, scheme, beta, coeffs_before=None, coeffs_after=None,
-                    dt2=None, frame=None):
+def matrix_residual(grid, co, scheme, coeffs_before=None, coeffs_after=None, dt2=None,
+                    frame=None):
     """The residuals of mlxii_residual on so(3) matrix fields: (ny, nx, 3, 3)
     derivatives and einsum commutators, the identities read off by matrix index."""
-    A, B, C = so3_matrices(co, beta)
+    A, B, C = so3_matrices(co)
     D = ddy(grid, A, scheme) - ddx(grid, B, scheme)
     out = {"xy": max_norm(D + commutator(A, B))}
     if coeffs_before is not None:
-        A0, B0, _ = so3_matrices(coeffs_before, beta)
-        A1, B1, _ = so3_matrices(coeffs_after, beta)
+        A0, B0, _ = so3_matrices(coeffs_before)
+        A1, B1, _ = so3_matrices(coeffs_after)
         out["xt"] = max_norm((A1 - A0) / dt2 - ddx(grid, C, scheme) + commutator(A, C))
         out["yt"] = max_norm((B1 - B0) / dt2 - ddy(grid, C, scheme) + commutator(B, C))
     if frame is not None:
-        lhs = (D[..., 1, 2], D[..., 2, 0] / beta, D[..., 0, 1])
+        lhs = (D[..., 1, 2], D[..., 2, 0], D[..., 0, 1])
         for j, name in enumerate(("e1", "e2", "e3")):
             # contiguous, as dot3 sums a field of strided components (a frame
             # stack's view) in another order
             e = np.ascontiguousarray(getattr(frame, name))
             rhs = dot3(e, cross3(ddx(grid, e, scheme), ddy(grid, e, scheme)))
-            if j > 0:
-                rhs = beta * rhs
             out[f"identity_{name}"] = float(np.max(np.abs(lhs[j] - rhs)))
     return out
 
@@ -282,16 +280,15 @@ def slice_window(grid, S0, scheme):
     return before, mid, after, frames[1], 2 * dt
 
 
-@pytest.mark.parametrize("beta", [1, -1])
 @pytest.mark.parametrize("scheme", ["spectral", "central4"])
 @pytest.mark.parametrize("init", [init_stereographic_lump, init_modulated_helix])
-def test_mlxii_residual_equals_matrix_form(init, scheme, beta):
+def test_mlxii_residual_equals_matrix_form(init, scheme):
     g = Grid2(32, 32)
     before, mid, after, F, dt2 = slice_window(g, init(g), scheme)
     for time in ({}, dict(coeffs_before=before, coeffs_after=after, dt2=dt2)):
         for frame in (None, F):
-            got = mlxii_residual(g, mid, scheme, beta, frame=frame, **time)
-            assert got == matrix_residual(g, mid, scheme, beta, frame=frame, **time)
+            got = mlxii_residual(g, mid, scheme, frame=frame, **time)
+            assert got == matrix_residual(g, mid, scheme, frame=frame, **time)
 
 
 def test_frame_vectors_differentiated_once(monkeypatch):
@@ -476,23 +473,23 @@ def ref_coeffs(grid, e1, e2, e3, scheme):
                            for e, ex, ey in ((e1, e1x, e1y), (e2, e2x, e2y), (e3, e3x, e3y))])
 
 
-def ref_bracket(a, b, beta):
+def ref_bracket(a, b):
     c = cross3(np.stack(b, axis=-1), np.stack(a, axis=-1))
-    return beta * c[..., 0], c[..., 1], c[..., 2]
+    return c[..., 0], c[..., 1], c[..., 2]
 
 
-def ref_mlxii(grid, mid, before, after, dt2, scheme, beta):
+def ref_mlxii(grid, mid, before, after, dt2, scheme):
     """mlxii_residual of (ny, nx) coefficient planes, each differentiated alone."""
     a, b, w = ([mid[n] for n in names] for names in (("tau", "sigma", "k"), ("m1", "m2", "m3"),
                                                       ("w1", "w2", "w3")))
     D = [ddy(grid, ai, scheme) - ddx(grid, bi, scheme) for ai, bi in zip(a, b)]
-    out = {"xy": max_norm([d + c for d, c in zip(D, ref_bracket(a, b, beta))])}
+    out = {"xy": max_norm([d + c for d, c in zip(D, ref_bracket(a, b))])}
     for key, deriv, x, names in (("xt", ddx, a, ("tau", "sigma", "k")),
                                  ("yt", ddy, b, ("m1", "m2", "m3"))):
         out[key] = max_norm([(after[n] - before[n]) / dt2 - deriv(grid, wi, scheme) + c
-                             for n, wi, c in zip(names, w, ref_bracket(x, w, beta))])
-    for name, d, dens, sign in zip(("e1", "e2", "e3"), D, mid["densities"], (1, beta, beta)):
-        out[f"identity_{name}"] = max_norm(d - sign * dens)
+                             for n, wi, c in zip(names, w, ref_bracket(x, w))])
+    for name, d, dens in zip(("e1", "e2", "e3"), D, mid["densities"]):
+        out[f"identity_{name}"] = max_norm(d - dens)
     return out
 
 
@@ -543,8 +540,7 @@ def test_stack_layer_is_the_field_formulas_bitwise(case):
     e1t, e2t = ((after - before) / dt2 for before, after in zip(want[0][:2], want[2][:2]))
     e2, e3 = want[1][1:3]
     want_co[1].update(w1=dot3(e3, e2t), w2=-dot3(e3, e1t), w3=dot3(e2, e1t))
-    want_res = {beta: ref_mlxii(g, want_co[1], want_co[0], want_co[2], dt2, scheme, beta)
-                for beta in (1, -1)}
+    want_res = ref_mlxii(g, want_co[1], want_co[0], want_co[2], dt2, scheme)
     if make is small_e2_field:
         assert np.all(want[1][1][0] == (1.0, 0.0, 0.0))
 
@@ -565,10 +561,9 @@ def test_stack_layer_is_the_field_formulas_bitwise(case):
         mid = with_time_entries(co[1], F[1], frame_dt(F[0], F[2], dt2), works[1])
         for c, ref in zip(co[:1] + [mid] + co[2:], want_co):
             check_coeffs(c, ref)
-        for beta in (1, -1):
-            got = mlxii_residual(g, mid, scheme, beta, coeffs_before=co[0], coeffs_after=co[2],
-                                 dt2=dt2, frame=F[1], work=works[1])
-            assert got == want_res[beta]
+        got = mlxii_residual(g, mid, scheme, coeffs_before=co[0], coeffs_after=co[2], dt2=dt2,
+                             frame=F[1], work=works[1])
+        assert got == want_res
 
     if kw:  # transport_window builds frames at the default tolerance
         return
@@ -582,7 +577,7 @@ def test_stack_layer_is_the_field_formulas_bitwise(case):
     assert seen == [0, 1, 2] and [idx for idx, _, _ in windowed] == [1]
     (_, mid, got), = windowed
     check_coeffs(mid, want_co[1])
-    assert got == want_res[1]
+    assert got == want_res
 
 
 @pytest.mark.parametrize("n", [128, 256])

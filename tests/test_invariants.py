@@ -62,7 +62,7 @@ def test_density_forms_agree_pointwise(grid):
 
 
 def test_coeff_density_closed_form(grid):
-    """At beta = 1 the matrix recipe reduces to the familiar combinations."""
+    """The matrix recipe reduces to the familiar combinations."""
     F = frame_from_spin(grid, init_modulated_helix(grid, kappa=1, eps=0.1))
     co = coeffs_from_frame(grid, F)
     d1, d2, d3 = coeff_densities(co)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from m3lab.cli import RunConfig, parse_config_text
-from m3lab.errors import M3LabError
+from m3lab.errors import M3LabError, UnstableStepError
 from m3lab.fields import Grid2, ddx, inv_dx, meanx, read_mfld1, write_mfld1
 from m3lab.frames import FrameCoeffs, bracket
 from m3lab.invariants import coeff_densities
@@ -28,18 +28,23 @@ schemes = st.sampled_from(["spectral", "central4"])
 away_from_zero = st.floats(0.3, 1.0).flatmap(lambda a: st.sampled_from([a, -a]))
 
 
-@given(seed=seeds, c=away_from_zero, l=away_from_zero, beta=betas, scheme=schemes)
-def test_spin_m3_at_d0_is_m2_bitwise(seed, c, l, beta, scheme):
+@given(seed=seeds, c=away_from_zero, l=away_from_zero, scheme=schemes)
+def test_spin_m3_at_d0_is_m2_bitwise(seed, c, l, scheme):
     g = Grid2(16, 20)
     S = smooth_spin(g, np.random.default_rng(seed))
-    m2 = SpinParams(c=c, d=0.0, l=l, beta=beta, model="M2")
-    m3 = SpinParams(c=c, d=0.0, l=l, beta=beta, model="M3")
+    m2 = SpinParams(c=c, d=0.0, l=l, model="M2")
+    m3 = SpinParams(c=c, d=0.0, l=l, model="M3")
     assert np.array_equal(spin_rhs(g, S, m3, scheme), spin_rhs(g, S, m2, scheme))
     dt = 0.5 * default_dt(g)
-    S3, renorm3 = step_rk4_spin(g, S, m3, dt, scheme)
-    S2, renorm2 = step_rk4_spin(g, S, m2, dt, scheme)
-    assert np.array_equal(S3, S2)
+    steps = []
+    for par in (m3, m2):
+        try:
+            steps.append(step_rk4_spin(g, S, par, dt, scheme))
+        except UnstableStepError as exc:  # a stiff draw must abort both alike
+            steps.append((None, str(exc)))
+    (S3, renorm3), (S2, renorm2) = steps
     assert renorm3 == renorm2
+    assert S3 is None or np.array_equal(S3, S2)
 
 
 @given(seed=seeds, scale=st.floats(0.05, 0.5), beta=betas, scheme=schemes)
@@ -72,12 +77,12 @@ def random_triple(rng, decades):
 
 # Equality below is np.array_equal, which is bit for bit except that an exact
 # zero may carry either sign.
-@given(seed=seeds, decades=st.floats(0.0, 16.0), beta=betas)
-def test_bracket_is_the_so3_commutator(seed, decades, beta):
+@given(seed=seeds, decades=st.floats(0.0, 16.0))
+def test_bracket_is_the_so3_commutator(seed, decades):
     rng = np.random.default_rng(seed)
     a, b = random_triple(rng, decades), random_triple(rng, decades)
-    expect = commutator(so3_from_vec(*a, beta), so3_from_vec(*b, beta))
-    assert np.array_equal(so3_from_vec(*bracket(a, b, beta), beta), expect)
+    expect = commutator(so3_from_vec(*a), so3_from_vec(*b))
+    assert np.array_equal(so3_from_vec(*bracket(a, b)), expect)
 
 
 @given(seed=seeds, decades=st.floats(0.0, 16.0))
@@ -94,25 +99,25 @@ def test_sl2_bracket_is_the_commutator(seed, decades):
     assert np.all(np.abs(got - expect) <= 1e-14 * scale[..., None, None])
 
 
-@given(seed=seeds, decades=st.floats(0.0, 16.0), beta=betas)
-def test_su2_from_vec_is_a_lie_algebra_homomorphism(seed, decades, beta):
+@given(seed=seeds, decades=st.floats(0.0, 16.0))
+def test_su2_from_vec_is_a_lie_algebra_homomorphism(seed, decades):
     """[su2(a), su2(b)] = su2(bracket(a, b)): the su(2) form of the frame
     transport's flatness is the image of the so(3) triple residual."""
     rng = np.random.default_rng(seed)
     a, b = random_triple(rng, decades), random_triple(rng, decades)
-    got = su2_from_vec(*bracket(a, b, beta), beta)
-    expect = commutator(su2_from_vec(*a, beta), su2_from_vec(*b, beta))
+    got = su2_from_vec(*bracket(a, b))
+    expect = commutator(su2_from_vec(*a), su2_from_vec(*b))
     scale = sum(np.abs(e) for e in a) * sum(np.abs(e) for e in b)
     assert np.all(np.abs(got - expect) <= 1e-15 * scale[..., None, None])
 
 
-@given(seed=seeds, decades=st.floats(0.0, 16.0), beta=betas)
-def test_coeff_densities_equal_matrix_entry_formula(seed, decades, beta):
+@given(seed=seeds, decades=st.floats(0.0, 16.0))
+def test_coeff_densities_equal_matrix_entry_formula(seed, decades):
     rng = np.random.default_rng(seed)
     (tau, sigma, k), (m1, m2, m3) = random_triple(rng, decades), random_triple(rng, decades)
     co = FrameCoeffs(k=k, sigma=sigma, tau=tau, m1=m1, m2=m2, m3=m3)
-    A, B = so3_from_vec(tau, sigma, k, beta), so3_from_vec(m1, m2, m3, beta)
-    for j, d in enumerate(coeff_densities(co, beta)):
+    A, B = so3_from_vec(tau, sigma, k), so3_from_vec(m1, m2, m3)
+    for j, d in enumerate(coeff_densities(co)):
         i, l = (j + 1) % 3, (j + 2) % 3
         assert np.array_equal(d, A[..., j, i] * B[..., j, l] - A[..., j, l] * B[..., j, i])
 

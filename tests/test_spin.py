@@ -54,8 +54,6 @@ def test_params_validation():
     with pytest.raises(ParameterError):
         SpinParams(c=0.5, d=0.0, l=0.0, model="M2")
     with pytest.raises(ParameterError):
-        SpinParams(beta=2)
-    with pytest.raises(ParameterError):
         SpinParams(model="M7")
 
 
@@ -207,13 +205,6 @@ def test_state_row_means(grid):
     lump = make_state(grid, init_stereographic_lump(grid), PAR)
     assert lump.u_row_mean > 1e-3
     assert lump.v_row_mean > 1e-3
-
-
-def test_rhs_beta_minus_one_accepted(grid, rng):
-    S = smooth_spin(grid, rng)
-    par = SpinParams(c=0.3, d=1.0, l=0.2, beta=-1, model="M3")
-    St = spin_rhs(grid, S, par)
-    assert np.all(np.isfinite(St))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Guards on the package's sources: a light CLI import, no unused imports,
-no dead private names and no run file a simulate command would not clean up."""
+no dead private names, no default that no call overrides and no run file a
+simulate command would not clean up."""
 
 import ast
 import fnmatch
+import inspect
 import os
 import subprocess
 import sys
@@ -101,6 +103,71 @@ def test_dead_private_name_check_sees_a_leftover(tmp_path):
                                    "_Imported, a._attr\n")
     assert dead_private_names([tmp_path / "a.py", tmp_path / "b.py"]) == [
         "a.py:2: _DEAD", "a.py:8: _dead", "a.py:14: _Gone"]
+
+
+CALLERS = sorted(p for d in ("src", "tests", "perfbench") for p in (SRC.parent / d).rglob("*.py"))
+
+
+def unset_defaults(defining, calling, exempt) -> list:
+    """Defaulted parameters of the functions and methods (not __init__) of
+    the modules `defining` that no call in the modules `calling` passes, by
+    name or by position; what a call passes through *args or **kwargs
+    counts for neither.  Calls are matched to definitions by name; a
+    method takes its first parameter from the object it is called on."""
+    calls = {}
+    for path in calling:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                n_pos = sum(not isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append((n_pos, {k.arg for k in node.keywords}))
+    unset = []
+    for path in defining:
+        tree = ast.parse(path.read_text())
+        methods = {f for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "__init__":
+                continue
+            pos = fn.args.posonlyargs + fn.args.args
+            defaulted = [(i, a.arg) for i, a in enumerate(pos)
+                         if i >= len(pos) - len(fn.args.defaults)]
+            defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if d is not None]
+            shift = fn in methods and not any(getattr(d, "id", "") == "staticmethod"
+                                               for d in fn.decorator_list)
+            for i, arg in defaulted:
+                if arg in exempt or (fn.name, arg) in exempt:
+                    continue
+                if not any(arg in kws or (i is not None and n_pos + shift > i)
+                           for n_pos, kws in calls.get(fn.name, [])):
+                    unset.append(f"{path.name}:{fn.lineno}: {fn.name}({arg})")
+    return unset
+
+
+def test_every_default_is_passed_by_some_call():
+    """A defaulted parameter that no caller sets is an option nobody uses:
+    `scheme` (the package-wide convention) and the parameters of the
+    initial-condition generators, which config keys set through **args,
+    are exempt."""
+    from m3lab import nls, spin
+    generated = {(gen.__name__, name) for table in (spin.INITIAL_CONDITIONS,
+                                                    nls.INITIAL_CONDITIONS)
+                 for gen in table.values() for name in inspect.signature(gen).parameters}
+    assert unset_defaults(MODULES, CALLERS, {"scheme"} | generated) == []
+
+
+def test_unset_default_check_sees_a_leftover(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x, tol=1.0, *, step=2.0, scheme=None):\n    pass\n\n"
+        "def g(x, y=0):\n    pass\n\n"
+        "class C:\n    def __init__(self, n=0):\n        pass\n\n"
+        "    def m(self, a=1, b=2):\n        pass\n\n"
+        "    @staticmethod\n    def s(a=1):\n        pass\n")
+    (tmp_path / "b.py").write_text("f(1, step=3.0)\ng(1, 2)\nC().m(5)\nC.s(*[1])\n"
+                                   "g(**{'y': 1})\n")
+    assert unset_defaults([tmp_path / "a.py"], [tmp_path / "b.py"], {"scheme"}) == [
+        "a.py:1: f(tol)", "a.py:11: m(b)", "a.py:15: s(a)"]
 
 
 SPIN_RUN = ("grid.nx = 16\ngrid.ny = 16\nmodel = M3\nparams.c = 0.3\n"
