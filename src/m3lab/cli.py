@@ -4,7 +4,8 @@ Config format: one `key = value` per line, `#` comments, dotted keys.
 Unknown keys are fatal.  Every subcommand is deterministic given the config,
 and MFLD1 outputs are byte-identical across reruns.
 
-Exit codes: 0 success, 2 validation error, 3 numerical-instability abort.
+Exit codes: 0 success, 2 validation error or a path that cannot be read or
+written (OSError), 3 numerical-instability abort.
 
 The environment variable M3LAB_THREADS caps the BLAS/OpenMP thread pools;
 it must be applied before numpy loads, so this module keeps its imports
@@ -404,9 +405,11 @@ def _open_run(args, kind: str):
     times, slices = meta.get("times"), meta.get("slices")
     if not (isinstance(times, list) and isinstance(slices, list)
             and len(times) == len(slices)
-            and all(isinstance(t, (int, float)) for t in times)
+            and all(isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t)
+                    for t in times)
             and all(isinstance(name, str) for name in slices)):
-        raise ConfigError(f"{meta_path} needs `times` and `slices` lists of equal length")
+        raise ConfigError(f"{meta_path} needs `times` (finite numbers) and `slices` (names) "
+                          "lists of equal length")
     return run_dir, meta, cfg
 
 
@@ -449,7 +452,7 @@ def cmd_frame(args) -> int:
 
     for idx, co, res in transport_window(grid, times, spin_at, write_frame, cfg["scheme"]):
         write_mfld1(os.path.join(run_dir, f"coeffs_{idx:06d}.mfld1"), grid,
-                    (co.k, co.sigma, co.tau, co.m1, co.m2, co.m3, co.w1, co.w2, co.w3))
+                    (*co.a[::-1], *co.b, *co.w))  # k, sigma, tau, m1 .. m3, w1 .. w3
         report["residuals"].append({"t": times[idx], **res})
     _write_json(os.path.join(run_dir, "frame_report.json"), report)
     print(f"wrote {len(times)} frame dumps and {max(0, len(times) - 2)} coefficient dumps to {run_dir}")
@@ -504,6 +507,7 @@ def _check_lambda(lam: complex, par) -> None:
 def cmd_lax_check(args) -> int:
     import numpy as np
     from .lax import flatness_at, flatness_pass_q, lax_spin_at, lax_spin_pass, sl2_trace
+    from .nls import _paired
 
     run_dir, meta, cfg = _open_run(args, "spin" if args.spin_side else "nls")
     par = cfg.spin_params() if args.spin_side else cfg.nls_params()
@@ -532,8 +536,7 @@ def cmd_lax_check(args) -> int:
         for idx in (mid - 1, mid, mid + 1):
             grid, data = _load_slice(run_dir, meta, cfg, idx)
             q = data[..., 0] + 1j * data[..., 1]
-            p = data[..., 2] + 1j * data[..., 3]
-            triple.append((q, p, data[..., 4]))
+            triple.append((q, _paired(q, par.beta), data[..., 4]))
         dt2 = times[mid + 1] - times[mid - 1]
         with np.errstate(over="ignore", invalid="ignore"):
             flat = flatness_pass_q(grid, *triple, par, dt2, scheme)
@@ -724,7 +727,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
-    except M3LabError as exc:
+    except (M3LabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -114,9 +114,9 @@ def _slice_to_q(grid: Grid2, S: np.ndarray, par: SpinParams, scheme,
     if frac > FRAME_MASK_LIMIT:
         raise DegenerateFieldError(
             f"equivalence check aborted: frame degenerate on {100*frac:.1f}% of the grid")
-    # q reads k and tau alone
-    kt = _project(grid, _vectors(F), scheme, work, along_y=False)
-    return q_from_spin(grid, kt, par, fold_mode=fold_mode)
+    # q reads the a triple alone
+    proj = _project(grid, _vectors(F), scheme, work, along_y=False)
+    return q_from_spin(grid, proj, par, fold_mode=fold_mode)
 
 
 def equiv_residual(grid: Grid2, S_before: np.ndarray, S_mid: np.ndarray,
@@ -252,7 +252,8 @@ def coeffs_from_fg(grid: Grid2, pair: HirotaPair, scheme=SPECTRAL) -> FrameCoeff
     sigma =  - D_x(g o f + conj(g) o conj(f)) / Lambda
     tau   =  i D_x(conj(f) o f + conj(g) o g) / Lambda
     m1, m2, m3: same expressions with D_y (m1 like tau, m2 like sigma,
-    m3 like k).  The signs of tau and m1 are fixed by matching the frame
+    m3 like k), so each axis gives one (tau-like, sigma-like, k-like)
+    stack.  The signs of tau and m1 are fixed by matching the frame
     projections (the conjugation-antisymmetric combinations flip sign under
     the printed ordering).
     """
@@ -264,14 +265,10 @@ def coeffs_from_fg(grid: Grid2, pair: HirotaPair, scheme=SPECTRAL) -> FrameCoeff
         d_gf = hirota_d(grid, g, f, axis, scheme)
         d_gf_bar = hirota_d(grid, gb, fb, axis, scheme)
         d_diag = hirota_d(grid, fb, f, axis, scheme) + hirota_d(grid, gb, g, axis, scheme)
-        like_k = (-1j * (d_gf - d_gf_bar) / lam).real
-        like_sigma = (-(d_gf + d_gf_bar) / lam).real
-        like_tau = (1j * d_diag / lam).real
-        return like_k, like_sigma, like_tau
+        return np.stack([(1j * d_diag / lam).real, (-(d_gf + d_gf_bar) / lam).real,
+                         (-1j * (d_gf - d_gf_bar) / lam).real])
 
-    k, sigma, tau = per_axis("x")
-    m3, m2, m1 = per_axis("y")
-    return FrameCoeffs(k=k, sigma=sigma, tau=tau, m1=m1, m2=m2, m3=m3)
+    return FrameCoeffs(a=per_axis("x"), b=per_axis("y"))
 
 
 def gauge_check(grid: Grid2, pair: HirotaPair, scheme=SPECTRAL) -> float:

@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
 Validation failures (bad config, bad parameters, rejected inputs) map to CLI
-exit code 2; numerical aborts discovered mid-run map to exit code 3.
+exit code 2, as does an OSError (a path that cannot be read or written);
+numerical aborts discovered mid-run map to exit code 3.
 """
 
 
@@ -26,7 +27,8 @@ class NumericalError(M3LabError):
 
 
 class UnstableStepError(NumericalError):
-    """Time step rejected: its renormalization or conjugate-pairing correction exceeded the bound."""
+    """Time step rejected: it ended non-finite, or its renormalization
+    correction exceeded the bound."""
 
 
 class DegenerateFieldError(NumericalError):

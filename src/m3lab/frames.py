@@ -32,6 +32,9 @@ FrameField shows e1, e2, e3 as (ny, nx, 3) fields; the layer reads their
 (3, ny, nx) stack views where they lie, whatever their strides, takes one
 derivative per stack and axis, and sums its dot products in
 fields.EINSUM_ORDER, so its results have the bits of dot3 on the fields.
+FrameCoeffs holds a, b, w and the densities as the (3, ny, nx) stacks the
+layer computes them into, and every check reads them there; k .. w3 name
+their planes.
 Every array it writes can come from a _Workspace, buffers only, that a
 command makes once: allocating per call, as measured at n = 256, is slower
 and faults ten times as often in `charges`.  transport_window, which the
@@ -126,25 +129,16 @@ class FrameField:
 
 @dataclass(frozen=True)
 class FrameCoeffs:
-    k: np.ndarray
-    sigma: np.ndarray
-    tau: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray
-    m3: np.ndarray
-    w1: np.ndarray = None
-    w2: np.ndarray = None
-    w3: np.ndarray = None
-    densities: tuple = None  # (e_j.(e_jx ^ e_jy) for j = 1, 2, 3), from coeffs_from_frame
+    """The coefficient triples as (3, ny, nx) stacks, each plane also read
+    by name: a = (tau, sigma, k), b = (m1, m2, m3), w = (w1, w2, w3)."""
+    a: np.ndarray
+    b: np.ndarray
+    w: np.ndarray = None          # the time entries
+    densities: np.ndarray = None  # (e_j.(e_jx ^ e_jy) for j = 1, 2, 3), from coeffs_from_frame
 
-    def has_time_entries(self) -> bool:
-        return self.w1 is not None
-
-    @property
-    def triples(self) -> tuple:
-        """(a, b, w) = ((tau, sigma, k), (m1, m2, m3), (w1, w2, w3))."""
-        return ((self.tau, self.sigma, self.k), (self.m1, self.m2, self.m3),
-                (self.w1, self.w2, self.w3))
+    tau, sigma, k = (property(lambda self, i=i: self.a[i]) for i in range(3))
+    m1, m2, m3 = (property(lambda self, i=i: self.b[i]) for i in range(3))
+    w1, w2, w3 = (property(lambda self, i=i: self.w[i]) for i in range(3))
 
 
 # arrays of a _Workspace: name -> (leading shape, dtype, whether each
@@ -299,16 +293,16 @@ def _project(grid: Grid2, E: tuple, scheme, ws: _Workspace, dens=None,
     m1 = e3.e2_y, m2 = -e3.e1_y, m3 = e2.e1_y.
     e1 and e2 are differentiated along x and y, one stack each; with dens
     (three planes), e1.(e1_x ^ e1_y) and e2.(e2_x ^ e2_y) go into its first
-    two from those derivatives.  along_y=False forms k and tau alone.
+    two from those derivatives.  along_y=False forms a alone (b is None).
     """
     e1, e2, e3 = E
     (tau, sigma, k), X, Z, tmp = ws.A, ws.X, ws.Z, ws.tmp
     _dot(e2, _deriv(e1, scheme, grid.hx, -1, out=X, work=Z), k, tmp)
+    np.negative(_dot(e3, X, sigma, tmp), out=sigma)
     if not along_y:
         _dot(e3, _deriv(e2, scheme, grid.hx, -1, out=X, work=Z), tau, tmp)
-        return FrameCoeffs(k=k, sigma=None, tau=tau, m1=None, m2=None, m3=None)
+        return FrameCoeffs(a=ws.A, b=None)
     (m1, m2, m3), Y = ws.B, ws.Y
-    np.negative(_dot(e3, X, sigma, tmp), out=sigma)
     _deriv(e1, scheme, grid.hy, -2, out=Y, work=Z)
     np.negative(_dot(e3, Y, m2, tmp), out=m2)
     _dot(e2, Y, m3, tmp)
@@ -318,7 +312,7 @@ def _project(grid: Grid2, E: tuple, scheme, ws: _Workspace, dens=None,
     _dot(e3, _deriv(e2, scheme, grid.hy, -2, out=Y, work=Z), m1, tmp)
     if dens is not None:
         _triple(e2, X, Y, dens[1], ws.L, tmp)
-    return FrameCoeffs(k=k, sigma=sigma, tau=tau, m1=m1, m2=m2, m3=m3)
+    return FrameCoeffs(a=ws.A, b=ws.B)
 
 
 def _density(grid: Grid2, e: np.ndarray, scheme, ws: _Workspace, out: np.ndarray) -> np.ndarray:
@@ -342,10 +336,10 @@ def coeffs_from_frame(grid: Grid2, F: FrameField, scheme=SPECTRAL,
     where it lies, built in that workspace or not.
     """
     ws = work or _Workspace(np.shape(F.e1)[:2])
-    E, dens = _vectors(F), ws.D
-    coeffs = _project(grid, E, scheme, ws, dens)
-    _density(grid, E[2], scheme, ws, dens[2])
-    coeffs = replace(coeffs, densities=tuple(dens))
+    E = _vectors(F)
+    coeffs = _project(grid, E, scheme, ws, ws.D)
+    _density(grid, E[2], scheme, ws, ws.D[2])
+    coeffs = replace(coeffs, densities=ws.D)
     return coeffs if dF_dt is None else with_time_entries(coeffs, F, dF_dt, ws)
 
 
@@ -359,7 +353,7 @@ def with_time_entries(coeffs: FrameCoeffs, F: FrameField, dF_dt, work=None) -> F
     _dot(e3, e2t, w1, ws.tmp)
     np.negative(_dot(e3, e1t, w2, ws.tmp), out=w2)
     _dot(e2, e1t, w3, ws.tmp)
-    return replace(coeffs, w1=w1, w2=w2, w3=w3)
+    return replace(coeffs, w=ws.W)
 
 
 # ---------------------------------------------------------------------------
@@ -383,32 +377,20 @@ def charge_density(grid: Grid2, e: np.ndarray, scheme=SPECTRAL) -> np.ndarray:
     return _density(grid, _stack(check_finite(e, "e")), scheme, ws, np.empty(ws.shape))
 
 
-def _stack_of(planes) -> np.ndarray:
-    """The (3, ny, nx) stack whose planes, in order, are the three given
-    (a workspace's A, B or W), else a new stack of them."""
-    stack = planes[0].base
-    if isinstance(stack, np.ndarray) and stack.shape[:1] == (3,) and all(
-            p.__array_interface__ == s.__array_interface__ for p, s in zip(planes, stack)):
-        return stack
-    return np.stack(planes)
-
-
 def _time_residuals(grid: Grid2, coeffs: FrameCoeffs, coeffs_before: FrameCoeffs,
                     coeffs_after: FrameCoeffs, dt2: float, scheme, ws: _Workspace,
                     R: np.ndarray) -> dict:
     """The max-norms of A_t - C_x + [A,C] and B_t - C_y + [B,C], each
     formed in the stack R, which may be the a stack of coeffs_before."""
-    a, b, w = coeffs.triples
-    W = check_finite(_stack_of(w), "coefficients")
-    (a0, b0, _), (a1, b1, _) = coeffs_before.triples, coeffs_after.triples
+    w = check_finite(coeffs.w, "coefficients")
     Y, tmp = ws.Y, ws.tmp
     out = {}
-    for key, h, axis, x, x0, x1 in (("xt", grid.hx, -1, a, a0, a1),
-                                    ("yt", grid.hy, -2, b, b0, b1)):
-        for r, s0, s1 in zip(R, x0, x1):
-            np.subtract(s1, s0, out=r)
+    for key, h, axis, x, x0, x1 in (
+            ("xt", grid.hx, -1, coeffs.a, coeffs_before.a, coeffs_after.a),
+            ("yt", grid.hy, -2, coeffs.b, coeffs_before.b, coeffs_after.b)):
+        np.subtract(x1, x0, out=R)
         R /= dt2
-        R -= _deriv(W, scheme, h, axis, out=Y, work=ws.Z)
+        R -= _deriv(w, scheme, h, axis, out=Y, work=ws.Z)
         out[key] = _max_abs(np.add(R, bracket(x, w, Y, tmp), out=R))
     return out
 
@@ -428,20 +410,19 @@ def mlxii_residual(grid: Grid2, coeffs: FrameCoeffs, scheme=SPECTRAL,
     Evaluated on the coefficient triples, e.g. a_y - b_x + bracket(a, b);
     each max-norm equals that of the matrix form.  The a, b and w stacks
     are each checked once (FieldError) and differentiated once per axis,
-    where they lie when they are the stacks of a workspace (else copied);
-    no input is written.  Given a _Workspace, every array is its scratch.
-    transport_window takes the space residuals here as each slice is built,
-    and the time residuals in the arrays of its oldest slice.
+    where they lie; no input is written.  Given a _Workspace, every array
+    is its scratch.  transport_window takes the space residuals here as
+    each slice is built, and the time residuals in the arrays of its oldest
+    slice.
     """
     timed = coeffs_before is not None and coeffs_after is not None
-    if timed and not coeffs.has_time_entries():
+    if timed and coeffs.w is None:
         raise IdentificationError("time residuals need w1..w3 in the mid coefficients")
-    a, b, _ = coeffs.triples
-    ws = work or _Workspace(np.shape(a[0]))
-    A, B = (check_finite(_stack_of(x), "coefficients") for x in (a, b))
+    a, b = (check_finite(x, "coefficients") for x in (coeffs.a, coeffs.b))
+    ws = work or _Workspace(a.shape[1:])
     X, Y, tmp = ws.X, ws.Y, ws.tmp
-    D = _deriv(A, scheme, grid.hy, -2, out=X, work=ws.Z)
-    D -= _deriv(B, scheme, grid.hx, -1, out=Y, work=ws.Z)
+    D = _deriv(a, scheme, grid.hy, -2, out=X, work=ws.Z)
+    D -= _deriv(b, scheme, grid.hx, -1, out=Y, work=ws.Z)
     out = {"xy": _max_abs(np.add(D, bracket(a, b, Y, tmp), out=Y))}
 
     if frame is not None:
@@ -527,7 +508,7 @@ def m_coeffs_from_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
     if frame is None:
         frame = frame_from_spin(grid, S, scheme, work=ws)
     proj = _project(grid, _vectors(frame), scheme, ws)  # no densities, no e3 derivatives
-    k, sigma, tau = proj.k, proj.sigma, proj.tau
+    tau, sigma, k = proj.a
 
     k_mask = np.abs(k) < DEGENERACY_TOL
     if np.count_nonzero(k_mask) > 0.5 * k_mask.size:
@@ -563,5 +544,4 @@ def m_coeffs_from_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
     w2 = -ddx(grid, m3, scheme) - tau * m2 + u * sigma + drift * m2 - 4.0 * par.c * v * sigma
     w3 = ddx(grid, m2, scheme) - tau * m3 + u * k + drift * m3 - 4.0 * par.c * v * k
     w1 = np.where(k_mask, 0.0, (tau * w3 - ddx(grid, w2, scheme)) / k_safe)
-    return FrameCoeffs(k=k, sigma=sigma, tau=tau, m1=m1, m2=m2, m3=m3,
-                       w1=w1, w2=w2, w3=w3)
+    return FrameCoeffs(a=proj.a, b=np.stack([m1, m2, m3]), w=np.stack([w1, w2, w3]))

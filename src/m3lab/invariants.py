@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Grid2, integrate2
-from .frames import FrameCoeffs, _densities, bracket, charge_density  # noqa: F401 - re-exported
+from .frames import (FrameCoeffs, _densities, _Workspace, bracket,  # noqa: F401 - re-exported
+                     charge_density)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -45,8 +46,7 @@ class ChargeReport:
 def coeff_densities(coeffs: FrameCoeffs, out=None, tmp=None):
     """Coefficient-form charge densities, -bracket(a, b), as a (3, ny, nx)
     stack; written into out with tmp, when these are given."""
-    a, b, _ = coeffs.triples
-    c = bracket(a, b, out, tmp)
+    c = bracket(coeffs.a, coeffs.b, out, tmp)
     return np.negative(c, out=c)
 
 
@@ -54,13 +54,12 @@ def charges(grid: Grid2, coeffs: FrameCoeffs, work=None) -> ChargeReport:
     """All six integrals plus the pointwise density agreement check, for
     coefficients from coeffs_from_frame (their `densities` are the vector form).
 
-    Given a frames workspace, its scratch takes the coefficient densities.
+    The coefficient densities are formed in the scratch of a frames
+    workspace, work when it is given.
     """
     dens_v = _densities(coeffs)
-    if work is None:
-        dens_c, scratch = coeff_densities(coeffs), None
-    else:
-        dens_c, scratch = coeff_densities(coeffs, work.X, work.tmp), work.Y[0]
+    ws = work or _Workspace(coeffs.a.shape[1:])
+    dens_c, scratch = coeff_densities(coeffs, ws.X, ws.tmp), ws.Y[0]
     k_vec = tuple(integrate2(grid, d) for d in dens_v)
     k_coe = tuple(integrate2(grid, d) for d in dens_c)
     dev = tuple(float(np.max(np.abs(np.subtract(dv, dc, out=scratch), out=scratch)))

@@ -308,11 +308,10 @@ def run_spin(grid: Grid2, state: SpinState, par: SpinParams, dt: float,
 # Built-in initial conditions
 # ---------------------------------------------------------------------------
 
-def init_uniform(grid: Grid2, direction=(0.0, 0.0, 1.0)) -> np.ndarray:
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    S = np.empty((grid.ny, grid.nx, 3))
-    S[...] = d
+def init_uniform(grid: Grid2) -> np.ndarray:
+    """S = e3 everywhere."""
+    S = np.zeros((grid.ny, grid.nx, 3))
+    S[..., 2] = 1.0
     return S
 
 
@@ -343,19 +342,17 @@ def _bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def init_stereographic_lump(grid: Grid2, radius_frac: float = 0.45,
-                            center=None) -> np.ndarray:
-    """Degree-one lump: S sweeps the sphere once inside a compact disk.
+def init_stereographic_lump(grid: Grid2, radius_frac: float = 0.45) -> np.ndarray:
+    """Degree-one lump: S sweeps the sphere once inside a compact disk
+    centred in the box.
 
     Outside the disk S = (0,0,1) exactly, so the field is smooth and periodic
     regardless of the box size.
     """
-    if center is None:
-        center = (0.5 * grid.lx, 0.5 * grid.ly)
     R = radius_frac * min(grid.lx, grid.ly)
     X, Y = grid.meshgrid()
-    dx_ = X - center[0]
-    dy_ = Y - center[1]
+    dx_ = X - 0.5 * grid.lx
+    dy_ = Y - 0.5 * grid.ly
     r = np.sqrt(dx_**2 + dy_**2)
     phi = np.arctan2(-dy_, dx_)  # orientation chosen so the degree is +1
     theta = np.pi * _bump(r / R)
@@ -395,8 +392,8 @@ def m0_reduce(coeffs, mask_tol: float = M0_MASK_TOL) -> M0Coeffs:
     """Read the decomposition coefficients off frame coefficients: the
     paper's kinematics, S_t in the span of S_x and S_y read off the frame.
 
-    Expects an object with fields k, sigma, tau, m1..m3, w1..w3 (a
-    frames.FrameCoeffs).  d2, d3 solve the 2x2 system
+    Expects a frames.FrameCoeffs with time entries.  d2, d3 solve the 2x2
+    system
 
         S_t = a12 e2 + a13 e3,  S_x = b12 e2 + b13 e3,  S_y = c12 e2 + c13 e3
 

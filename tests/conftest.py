@@ -7,6 +7,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from m3lab.fields import Grid2, cross_planes, norm3
+from m3lab.frames import FrameCoeffs
 
 # Property tests draw the same examples on every run, keep no example
 # database and stay time-bounded.
@@ -67,9 +68,16 @@ def so3_from_vec(v1, v2, v3):
 
 def so3_matrices(coeffs):
     """(A, B, C) transport matrices of FrameCoeffs; C is None without time entries."""
-    a, b, w = coeffs.triples
-    C = so3_from_vec(*w) if coeffs.has_time_entries() else None
-    return so3_from_vec(*a), so3_from_vec(*b), C
+    C = None if coeffs.w is None else so3_from_vec(*coeffs.w)
+    return so3_from_vec(*coeffs.a), so3_from_vec(*coeffs.b), C
+
+
+def frame_coeffs(k, sigma, tau, m1, m2, m3, w1=None, w2=None, w3=None, densities=None):
+    """FrameCoeffs of named planes, stacked: a = (tau, sigma, k), b = (m1, m2, m3)
+    and, when w1 is given, w = (w1, w2, w3)."""
+    w = None if w1 is None else np.stack([w1, w2, w3])
+    return FrameCoeffs(a=np.stack([tau, sigma, k]), b=np.stack([m1, m2, m3]), w=w,
+                       densities=densities)
 
 
 @pytest.fixture

@@ -578,6 +578,20 @@ def test_bad_run_config_exits_2(tmp_path, capsys, command, cfg_text):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("init, key", [("stereographic-lump", "center"),
+                                       ("uniform", "direction")])
+def test_generator_has_no_vector_parameter(tmp_path, capsys, init, key):
+    """The lump is centred in the box and `uniform` is S = e3: a config key,
+    which holds a number, sets no centre or direction."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_with(SPIN_CFG, **{"spin.init": init, "spin.init.eps": None,
+                                      "spin.init.kappa": None, f"spin.init.{key}": 1}))
+    assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"has no parameter {key}" in err
+
+
 def test_mfld1_initial_takes_no_init_keys(spin_run, tmp_path):
     meta = json.loads((spin_run / "meta.json").read_text())
     cfg = tmp_path / "restart.cfg"
@@ -705,15 +719,19 @@ def _meta_text(**entries):
     _meta_text(slices=["spin_000000.mfld1"]),
     _meta_text(times=[0.0]),
     _meta_text(times=[0.0, 0.1], slices=["spin_000000.mfld1"]),
+    _meta_text(times=[False, True], slices=["spin_000000.mfld1", "spin_000001.mfld1"]),
+    _meta_text(times=[0.0, float("nan")], slices=["spin_000000.mfld1", "spin_000001.mfld1"]),
 ], ids=["garbage", "not-an-object", "no-config", "partial-config", "no-times", "no-slices",
-        "times-slices-mismatch"])
-def test_bad_run_dir_exits_2(tmp_path, capsys, meta_text):
-    run = tmp_path / "run"
-    run.mkdir()
-    (run / "meta.json").write_text(meta_text)
-    assert main(["--output-dir", str(tmp_path), "charges", "run"]) == 2
+        "times-slices-mismatch", "bool-times", "nan-times"])
+def test_bad_run_dir_exits_2(spin_run, tmp_path, capsys, meta_text):
+    """A meta.json that does not describe a run is refused, with the run's
+    slices in place, before any table is written."""
+    (spin_run / "meta.json").write_text(meta_text)
+    capsys.readouterr()
+    assert main(["--output-dir", str(tmp_path), "charges", spin_run.name]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not (spin_run / "charges.csv").exists()
 
 
 def _damage_slice(run, damage):
@@ -870,6 +888,29 @@ def _uniform_config_run(tmp_path):
     return run
 
 
+def _empty_slice_name_run(tmp_path):
+    """A spin run whose meta.json names its first slice "", the run directory."""
+    run = _run(tmp_path, "simulate-spin", SPIN_CFG, "spinrun")
+    meta_path = tmp_path / run / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["slices"][0] = ""
+    meta_path.write_text(json.dumps(meta))
+    return run
+
+
+def _frame_dump_is_a_directory_run(tmp_path):
+    """A spin run where the path of the first frame dump is a directory."""
+    run = _run(tmp_path, "simulate-spin", SPIN_CFG, "spinrun")
+    (tmp_path / run / "frame_000000.mfld1").mkdir()
+    return run
+
+
+def _output_dir_is_a_file(tmp_path):
+    """A spin config whose run directory is an existing file."""
+    (tmp_path / "spinrun").write_text("not a directory")
+    return _config(tmp_path, SPIN_CFG)
+
+
 def _blow_up_config(tmp_path):
     """An M3q run from a large smooth q, which overflows within a few steps."""
     grid = Grid2(32, 32)
@@ -883,6 +924,8 @@ def _blow_up_config(tmp_path):
 EXIT_CASES = {
     ("simulate-spin", 0): lambda t: ["simulate-spin", _config(t, SPIN_CFG)],
     ("simulate-spin", 2): lambda t: ["simulate-spin", _config(t, _with(SPIN_CFG, save_every=0))],
+    ("simulate-spin", 2, "output-dir-is-a-file"): lambda t: ["simulate-spin",
+                                                             _output_dir_is_a_file(t)],
     ("simulate-spin", 3): lambda t: ["simulate-spin", _config(t, _with(
         SPIN_CFG, **{"spin.init": "uniform", "spin.init.eps": None, "spin.init.kappa": None}))],
     ("simulate-nls", 0): lambda t: ["simulate-nls", _config(t, NLS_CFG)],
@@ -890,6 +933,7 @@ EXIT_CASES = {
     ("simulate-nls", 3): lambda t: ["simulate-nls", _blow_up_config(t)],
     ("frame", 0): lambda t: ["frame", _run(t, "simulate-spin", SPIN_CFG, "spinrun")],
     ("frame", 2): lambda t: ["frame", _run(t, "simulate-nls", NLS_CFG, "nlsrun")],
+    ("frame", 2, "dump-is-a-directory"): lambda t: ["frame", _frame_dump_is_a_directory_run(t)],
     ("frame", 3): lambda t: ["frame", _flat_spin_run(t)],
     ("equiv-check", 0): lambda t: ["equiv-check", _run(t, "simulate-spin", SPIN_CFG, "spinrun"),
                                    "--ladder", "16,24"],
@@ -904,6 +948,7 @@ EXIT_CASES = {
                                  "--lambda", "0.3"],
     ("charges", 0): lambda t: ["charges", _run(t, "simulate-spin", SPIN_CFG, "spinrun")],
     ("charges", 2): lambda t: ["charges", "no-such-run"],
+    ("charges", 2, "empty-slice-name"): lambda t: ["charges", _empty_slice_name_run(t)],
     ("charges", 3): lambda t: ["charges", _flat_spin_run(t)],
     ("lambda-check", 0): lambda t: ["lambda-check", "--n", "1", "--k", "2", "--a", "1",
                                     "--samples", "2"],

@@ -15,7 +15,7 @@ from m3lab.equivalence import (
 )
 from m3lab.errors import DegenerateFieldError, FieldError, ParameterError
 from m3lab.fields import max_norm, norm3
-from m3lab.frames import FrameCoeffs, coeffs_from_frame, frame_from_spin
+from m3lab.frames import coeffs_from_frame, frame_from_spin
 from m3lab.spin import (
     SpinParams,
     default_dt,
@@ -26,7 +26,7 @@ from m3lab.spin import (
     solve_u,
 )
 
-from conftest import cross3, smooth_complex
+from conftest import cross3, frame_coeffs, smooth_complex
 
 PAR_M1 = SpinParams(c=0.0, d=1.0, l=0.0, model="M1")
 PAR = SpinParams(c=0.3, d=1.0, l=0.0, model="M3")
@@ -44,8 +44,8 @@ def helix_field(grid, kappa=1):
 def test_q_from_constant_curvature(grid):
     k0 = 0.8
     shape = (grid.ny, grid.nx)
-    co = FrameCoeffs(k=np.full(shape, k0), sigma=np.zeros(shape), tau=np.zeros(shape),
-                     m1=np.zeros(shape), m2=np.zeros(shape), m3=np.zeros(shape))
+    co = frame_coeffs(k=np.full(shape, k0), sigma=np.zeros(shape), tau=np.zeros(shape),
+                      m1=np.zeros(shape), m2=np.zeros(shape), m3=np.zeros(shape))
     q, info = q_from_spin(grid, co, PAR_M1)
     assert max_norm(q - k0 / 2.0) < 1e-14
     assert info["fold_mode"] == 0
@@ -54,7 +54,7 @@ def test_q_from_constant_curvature(grid):
 def test_q_from_zero_curvature_is_zero(grid):
     shape = (grid.ny, grid.nx)
     zeros = np.zeros(shape)
-    co = FrameCoeffs(k=zeros, sigma=zeros, tau=zeros, m1=zeros, m2=zeros, m3=zeros)
+    co = frame_coeffs(k=zeros, sigma=zeros, tau=zeros, m1=zeros, m2=zeros, m3=zeros)
     q, _ = q_from_spin(grid, co, PAR_M1)
     assert max_norm(q) == 0.0
 
@@ -102,8 +102,8 @@ def test_q_rejects_vanishing_denominator(grid):
     # q_from_spin never divides by it
     shape = (grid.ny, grid.nx)
     zeros = np.zeros(shape)
-    co = FrameCoeffs(k=zeros + 1.0, sigma=zeros, tau=zeros,
-                     m1=zeros, m2=zeros, m3=zeros)
+    co = frame_coeffs(k=zeros + 1.0, sigma=zeros, tau=zeros,
+                      m1=zeros, m2=zeros, m3=zeros)
     with pytest.raises(ParameterError):
         q_from_spin(grid, co, SpinParams(c=0.5, d=0.0, l=1e-14, model="M2"))
 

@@ -16,7 +16,6 @@ from m3lab.fields import (
 )
 from m3lab.frames import (
     DEGENERACY_TOL,
-    FrameCoeffs,
     FrameField,
     _fill_columns,
     coeffs_from_frame,
@@ -38,7 +37,8 @@ from m3lab.spin import (
     run_spin,
 )
 
-from conftest import commutator, cross3, matmul, normalized3, smooth_spin, so3_matrices
+from conftest import (commutator, cross3, frame_coeffs, matmul, normalized3, smooth_spin,
+                      so3_matrices)
 
 PAR = SpinParams(c=0.3, d=1.0, l=0.0, model="M3")
 
@@ -202,7 +202,7 @@ def test_time_projections(grid, rng):
     frames = [frame_from_spin(grid, s.S) for s in saved]
     dF = frame_dt(frames[0], frames[2], 2 * 4 * dt)
     co = coeffs_from_frame(grid, frames[1], dF_dt=dF)
-    assert co.has_time_entries()
+    assert co.w is not None
     C = so3_matrices(co)[2]
     e3t = (frames[2].e3 - frames[0].e3) / (2 * 4 * dt)
     Et = np.stack(dF + (e3t,), axis=-2)
@@ -217,8 +217,8 @@ def test_time_projections(grid, rng):
 
 def test_mlxii_constant_frame_zero(grid):
     zero = np.zeros((grid.ny, grid.nx))
-    co = FrameCoeffs(k=zero, sigma=zero, tau=zero, m1=zero, m2=zero, m3=zero,
-                     w1=zero, w2=zero, w3=zero)
+    co = frame_coeffs(k=zero, sigma=zero, tau=zero, m1=zero, m2=zero, m3=zero,
+                      w1=zero, w2=zero, w3=zero)
     res = mlxii_residual(grid, co, coeffs_before=co, coeffs_after=co, dt2=0.1)
     assert res["xy"] == 0.0
     assert res["xt"] == 0.0
@@ -238,8 +238,8 @@ def test_mlxii_sensitivity_to_corruption(grid):
     """Bumping m2 by 0.1 moves the xy residual by Theta(0.1)."""
     F = frame_from_spin(grid, shifted_family(grid))
     co = coeffs_from_frame(grid, F)
-    corrupted = FrameCoeffs(k=co.k, sigma=co.sigma, tau=co.tau,
-                            m1=co.m1, m2=co.m2 + 0.1, m3=co.m3)
+    corrupted = frame_coeffs(k=co.k, sigma=co.sigma, tau=co.tau,
+                             m1=co.m1, m2=co.m2 + 0.1, m3=co.m3)
     base = mlxii_residual(grid, co)["xy"]
     bumped = mlxii_residual(grid, corrupted)["xy"]
     assert base < 1e-9
@@ -599,6 +599,30 @@ def test_frame_layer_in_its_workspace_allocates_less_than_a_stack(n):
     assert peak < ws.X.nbytes
 
 
+@pytest.mark.parametrize("n", [128, 256])
+def test_residuals_of_coefficients_built_elsewhere_allocate_less_than_a_stack(n):
+    """mlxii_residual reads the a, b and w stacks of coefficients built
+    outside any workspace (m_coeffs_from_spin) where they lie: in a warm
+    workspace, the residuals with their time entries allocate less than one
+    (3, ny, nx) stack, on the matrix path and on the rfft path."""
+    import m3lab.frames as frames
+    g = Grid2(n, n)
+    dt = default_dt(g)
+    saved = run_spin(g, make_state(g, init_modulated_helix(g, eps=0.1), PAR), PAR, dt, 2)
+    before, mid, after = (m_coeffs_from_spin(g, s.S, s.u, s.v, PAR) for s in saved)
+    ws = frames._Workspace((g.ny, g.nx))
+    kw = dict(coeffs_before=before, coeffs_after=after, dt2=2 * dt, work=ws)
+    want = mlxii_residual(g, mid, **kw)
+    tracemalloc.start()
+    try:
+        got = mlxii_residual(g, mid, **kw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(got) == ["xt", "xy", "yt"] and got == want
+    assert peak < ws.X.nbytes
+
+
 COEFF_NAMES = ("k", "sigma", "tau", "m1", "m2", "m3")
 
 
@@ -651,8 +675,8 @@ def test_frame_entries_reject_non_finite_input(bad, with_work):
     bad_S, bad_e2, bad_m2 = S.copy(), F.e2.copy(), co.m2.copy()
     bad_S[4, 5, 1] = bad_e2[6, 7, 0] = bad_m2[3, 3] = bad
     bad_F = FrameField(e1=F.e1, e2=bad_e2, e3=F.e3, mask=F.mask)
-    bad_co = FrameCoeffs(k=co.k, sigma=co.sigma, tau=co.tau, m1=co.m1, m2=bad_m2, m3=co.m3,
-                         densities=co.densities)
+    bad_co = frame_coeffs(k=co.k, sigma=co.sigma, tau=co.tau, m1=co.m1, m2=bad_m2, m3=co.m3,
+                          densities=co.densities)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in (lambda: frame_from_spin(g, bad_S, work=ws),

@@ -12,13 +12,14 @@ from hypothesis.extra import numpy as hnp
 from m3lab.cli import RunConfig, parse_config_text
 from m3lab.errors import M3LabError, UnstableStepError
 from m3lab.fields import Grid2, ddx, inv_dx, meanx, read_mfld1, write_mfld1
-from m3lab.frames import FrameCoeffs, bracket
+from m3lab.frames import bracket
 from m3lab.invariants import coeff_densities
 from m3lab.lax import _sl2, _sl2_bracket, su2_from_vec
 from m3lab.nls import NlsParams, nls_rhs, solve_v_nls, step_rk4_nls
 from m3lab.spin import SpinParams, default_dt, spin_rhs, step_rk4_spin
 
-from conftest import band_limited, commutator, smooth_complex, smooth_spin, so3_from_vec
+from conftest import (band_limited, commutator, frame_coeffs, smooth_complex, smooth_spin,
+                      so3_from_vec)
 
 seeds = st.integers(0, 2**32 - 1)
 betas = st.sampled_from([1, -1])
@@ -115,7 +116,7 @@ def test_su2_from_vec_is_a_lie_algebra_homomorphism(seed, decades):
 def test_coeff_densities_equal_matrix_entry_formula(seed, decades):
     rng = np.random.default_rng(seed)
     (tau, sigma, k), (m1, m2, m3) = random_triple(rng, decades), random_triple(rng, decades)
-    co = FrameCoeffs(k=k, sigma=sigma, tau=tau, m1=m1, m2=m2, m3=m3)
+    co = frame_coeffs(k=k, sigma=sigma, tau=tau, m1=m1, m2=m2, m3=m3)
     A, B = so3_from_vec(tau, sigma, k), so3_from_vec(m1, m2, m3)
     for j, d in enumerate(coeff_densities(co)):
         i, l = (j + 1) % 3, (j + 2) % 3

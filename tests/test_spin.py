@@ -13,7 +13,7 @@ from m3lab.errors import (
     UnstableStepError,
 )
 from m3lab.fields import Grid2, ddx, ddy, dot3, inv_dx, meanx, norm3
-from m3lab.frames import FrameCoeffs, coeffs_from_frame, frame_dt, frame_from_spin
+from m3lab.frames import coeffs_from_frame, frame_dt, frame_from_spin
 from m3lab.spin import (
     SpinParams,
     default_dt,
@@ -30,7 +30,7 @@ from m3lab.spin import (
     step_rk4_spin,
 )
 
-from conftest import cross3, smooth_spin
+from conftest import cross3, frame_coeffs, smooth_spin
 
 PAR = SpinParams(c=0.3, d=1.0, l=0.2, model="M3")
 
@@ -422,8 +422,8 @@ def test_run_spin_reuses_its_workspace_exactly(rng, shape):
 
 def test_m0_constant_field_degenerate(grid):
     zero = np.zeros((grid.ny, grid.nx))
-    coeffs = FrameCoeffs(k=zero, sigma=zero, tau=zero, m1=zero, m2=zero, m3=zero,
-                         w1=zero, w2=zero, w3=zero)
+    coeffs = frame_coeffs(k=zero, sigma=zero, tau=zero, m1=zero, m2=zero, m3=zero,
+                          w1=zero, w2=zero, w3=zero)
     with pytest.raises(DegenerateFieldError, match=r"\|det\| < 1e-08"):
         m0_reduce(coeffs)
     with pytest.raises(DegenerateFieldError, match=r"\|det\| < 0\.5"):
@@ -434,7 +434,7 @@ def test_m0_matches_pointwise_solve(grid, rng):
     shape = (grid.ny, grid.nx)
     fields = {n: rng.normal(size=shape) for n in ("k", "sigma", "tau", "m1", "m2", "m3",
                                                   "w1", "w2", "w3")}
-    coeffs = FrameCoeffs(**fields)
+    coeffs = frame_coeffs(**fields)
     m0 = m0_reduce(coeffs, mask_tol=0.05)
     keep = ~m0.mask
     # solve [b12 c12; b13 c13] (d2, d3) = (a12, a13) pointwise
@@ -451,10 +451,10 @@ def test_m0_proportional_rows_give_zero_d3(grid, rng):
     alpha = 0.7
     k = 1.0 + 0.2 * rng.normal(size=shape)
     sigma = 0.3 * rng.normal(size=shape)
-    coeffs = FrameCoeffs(k=k, sigma=sigma, tau=rng.normal(size=shape),
-                         m1=rng.normal(size=shape), m2=1.0 + 0.1 * rng.normal(size=shape),
-                         m3=rng.normal(size=shape),
-                         w1=np.zeros(shape), w2=alpha * sigma, w3=alpha * k)
+    coeffs = frame_coeffs(k=k, sigma=sigma, tau=rng.normal(size=shape),
+                          m1=rng.normal(size=shape), m2=1.0 + 0.1 * rng.normal(size=shape),
+                          m3=rng.normal(size=shape),
+                          w1=np.zeros(shape), w2=alpha * sigma, w3=alpha * k)
     m0 = m0_reduce(coeffs, mask_tol=1e-6)
     keep = ~m0.mask
     assert np.max(np.abs(m0.d2[keep] - alpha)) < 1e-9

@@ -1,6 +1,7 @@
 """Guards on the package's sources: a light CLI import, no unused imports,
-no dead private names, no default that no call overrides and no run file a
-simulate command would not clean up."""
+no dead private names, no default that no call overrides, a README layout
+that names every module and no run file a simulate command would not clean
+up."""
 
 import ast
 import fnmatch
@@ -168,6 +169,15 @@ def test_unset_default_check_sees_a_leftover(tmp_path):
                                    "g(**{'y': 1})\n")
     assert unset_defaults([tmp_path / "a.py"], [tmp_path / "b.py"], {"scheme"}) == [
         "a.py:1: f(tol)", "a.py:11: m(b)", "a.py:15: s(a)"]
+
+
+def test_readme_layout_names_every_module():
+    """The README's Layout block has one line for each module of the package."""
+    readme = (SRC.parent / "README.md").read_text()
+    block = readme.split("## Layout", 1)[1].split("```")[1]
+    named = [line.split()[0] for line in block.splitlines() if line.startswith("src/")]
+    assert sorted(named) == [f"src/m3lab/{path.name}" for path in MODULES
+                             if path.name != "__init__.py"]
 
 
 SPIN_RUN = ("grid.nx = 16\ngrid.ny = 16\nmodel = M3\nparams.c = 0.3\n"
