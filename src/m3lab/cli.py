@@ -255,17 +255,19 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_charges(path: str, samples, scheme) -> list:
-    """Charge table, one row per (t, grid, S) sample; returns their density_dev triples.
+def _write_charges(path: str, grid, times, read_spin, scheme) -> list:
+    """Charge table, one row per slice of a spin run at `times`; returns their
+    density_dev triples.
 
-    Every sample's frame and coefficients are built in one workspace.
+    read_spin(idx, out) reads the S of slice idx into out, the e3 stack of
+    the one workspace in which every slice's frame and coefficients are built.
     """
     from .frames import _Workspace, coeffs_from_frame, frame_from_spin
     from .invariants import charges
-    reports, work = [], None
-    for t, grid, S in samples:
-        work = work or _Workspace((grid.ny, grid.nx))
-        F = frame_from_spin(grid, S, scheme, work=work)
+    reports, work = [], _Workspace((grid.ny, grid.nx))
+    for idx, t in enumerate(times):
+        read_spin(idx, work.E[2])
+        F = frame_from_spin(grid, work.S, scheme, work=work)
         reports.append((t, charges(grid, coeffs_from_frame(grid, F, scheme, work=work),
                                    work=work)))
     with open(path, "w") as fh:
@@ -317,6 +319,8 @@ def cmd_simulate_spin(args) -> int:
     dt, n_steps = _run_length(cfg, grid)
     state = make_state(grid, make_initial(grid), par, scheme=scheme)
     state.validate()
+    states = march_spin(grid, state, par, dt, n_steps, cfg["save_every"], scheme)
+    del state  # the march yields it first: one state is held at a time
 
     out = _run_dir(args, cfg)
 
@@ -326,8 +330,7 @@ def cmd_simulate_spin(args) -> int:
         write_mfld1(os.path.join(out, name), grid, (st.S, st.u, st.v))
         return name, st.t, st.renorm, st.u_row_mean, st.v_row_mean
 
-    slices, times, renorm, u_row_mean, v_row_mean = _columns(
-        write, march_spin(grid, state, par, dt, n_steps, cfg["save_every"], scheme))
+    slices, times, renorm, u_row_mean, v_row_mean = _columns(write, states)
     meta = {
         "kind": "spin",
         "config_hash": cfg.sha,
@@ -341,8 +344,8 @@ def cmd_simulate_spin(args) -> int:
         "u_row_mean": u_row_mean,
         "v_row_mean": v_row_mean,
     }
-    meta["density_dev"] = _write_charges(os.path.join(out, "invariants.csv"),
-                                         _spin_samples(out, meta, cfg), scheme)
+    meta["density_dev"] = _write_charges(os.path.join(out, "invariants.csv"), grid, times,
+                                         _spin_reader(out, meta, cfg), scheme)
     _write_json(os.path.join(out, "meta.json"), meta)
     print(f"saved {len(slices)} slices to {out}")
     return 0
@@ -359,7 +362,8 @@ def cmd_simulate_nls(args) -> int:
     scheme = cfg["scheme"]
     make_initial = _make_initial(cfg, "nls")
     dt, n_steps = _run_length(cfg, grid)
-    state = make_state(grid, make_initial(grid), par, scheme=scheme)
+    states = march_nls(grid, make_state(grid, make_initial(grid), par, scheme=scheme), par, dt,
+                       n_steps, cfg["save_every"], scheme)
 
     out = _run_dir(args, cfg)
 
@@ -370,8 +374,7 @@ def cmd_simulate_nls(args) -> int:
         write_mfld1(os.path.join(out, name), grid, (st.q.real, st.q.imag, p.real, p.imag, st.v))
         return name, st.t, float(np.max(np.abs(st.q))), st.v_row_mean
 
-    slices, times, max_abs_q, v_row_mean = _columns(
-        write, march_nls(grid, state, par, dt, n_steps, cfg["save_every"], scheme))
+    slices, times, max_abs_q, v_row_mean = _columns(write, states)
     with open(os.path.join(out, "norms.csv"), "w") as fh:
         fh.write("t,max_abs_q\n")
         for t, peak in zip(times, max_abs_q):
@@ -413,25 +416,27 @@ def _open_run(args, kind: str):
     return run_dir, meta, cfg
 
 
-def _load_slice(run_dir: str, meta: dict, cfg: RunConfig, idx: int):
-    """(grid, data) of slice idx, checked against the run's grid and slice layout."""
+def _load_slice(run_dir: str, meta: dict, cfg: RunConfig, idx: int, out=None):
+    """(grid, data) of slice idx, checked against the run's grid and slice
+    layout before its payload is read; with out, a (k, ny, nx) stack, its
+    first k components are read into out, which is data (read_mfld1)."""
     from .fields import read_mfld1
     path = os.path.join(run_dir, meta["slices"][idx])
     if not os.path.exists(path):
         raise ConfigError(f"slice {path} does not exist")
-    grid, data = read_mfld1(path)
     comps = SPIN_SLICE_COMPS if meta["kind"] == "spin" else NLS_SLICE_COMPS
-    if grid != cfg.grid() or data.shape[2] != len(comps):
-        raise ConfigError(f"{path}: {data.shape[2]} components on {grid}; the run's slices "
-                          f"have {len(comps)} ({', '.join(comps)}) on {cfg.grid()}")
-    return grid, data
+
+    def check(grid, ncomp):
+        if grid != cfg.grid() or ncomp != len(comps):
+            raise ConfigError(f"{path}: {ncomp} components on {grid}; the run's slices "
+                              f"have {len(comps)} ({', '.join(comps)}) on {cfg.grid()}")
+
+    return read_mfld1(path, out, check)
 
 
-def _spin_samples(run_dir: str, meta: dict, cfg: RunConfig):
-    """(t, grid, S) of each slice of a spin run, read one at a time."""
-    for idx, t in enumerate(meta["times"]):
-        grid, data = _load_slice(run_dir, meta, cfg, idx)
-        yield t, grid, data[..., 0:3]
+def _spin_reader(run_dir: str, meta: dict, cfg: RunConfig):
+    """read_spin(idx, out) of a spin run: the S of slice idx into the stack out."""
+    return lambda idx, out: _load_slice(run_dir, meta, cfg, idx, out)
 
 
 def cmd_frame(args) -> int:
@@ -447,10 +452,8 @@ def cmd_frame(args) -> int:
     def write_frame(idx, F):
         write_mfld1(os.path.join(run_dir, f"frame_{idx:06d}.mfld1"), grid, (F.e1, F.e2, F.e3))
 
-    def spin_at(idx):
-        return _load_slice(run_dir, meta, cfg, idx)[1][..., 0:3]
-
-    for idx, co, res in transport_window(grid, times, spin_at, write_frame, cfg["scheme"]):
+    for idx, co, res in transport_window(grid, times, _spin_reader(run_dir, meta, cfg),
+                                         write_frame, cfg["scheme"]):
         write_mfld1(os.path.join(run_dir, f"coeffs_{idx:06d}.mfld1"), grid,
                     (*co.a[::-1], *co.b, *co.w))  # k, sigma, tau, m1 .. m3, w1 .. w3
         report["residuals"].append({"t": times[idx], **res})
@@ -564,7 +567,8 @@ def cmd_charges(args) -> int:
     run_dir, meta, cfg = _open_run(args, "spin")
     cfg.spin_params()  # rejects a params.beta other than 1
     out_path = os.path.join(run_dir, "charges.csv")
-    _write_charges(out_path, _spin_samples(run_dir, meta, cfg), cfg["scheme"])
+    _write_charges(out_path, cfg.grid(), meta["times"],
+                   _spin_reader(run_dir, meta, cfg), cfg["scheme"])
     print(f"charge series written to {out_path}")
     return 0
 

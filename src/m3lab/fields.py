@@ -169,16 +169,23 @@ def _spectral_deriv(f: np.ndarray, h: float, axis: int, out=None) -> np.ndarray:
     return np.fft.irfft(fhat, n=n, axis=axis, out=out)
 
 
-def _spectral_antideriv(f: np.ndarray, h: float) -> np.ndarray:
-    """Zero-mean periodic antiderivative along axis 1 by FFT (rfft for a real f)."""
+def _spectral_antideriv(f: np.ndarray, h: float, out=None) -> np.ndarray:
+    """Zero-mean periodic antiderivative along axis 1 by FFT (rfft for a real f).
+
+    The spectrum is divided in place and transformed back into out, when
+    it is given (a complex f: into the spectrum, copied into out), so a
+    call holds one spectrum.
+    """
     n = f.shape[1]
     real = not np.iscomplexobj(f)
     k = _wavenumbers(n, h)[:n // 2 + 1 if real else n]
     fhat = np.fft.rfft(f, axis=1) if real else np.fft.fft(f, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ghat = fhat / (1j * _along(k, f.ndim, 1))
-    ghat[:, k == 0.0, ...] = 0.0
-    return np.fft.irfft(ghat, n=n, axis=1) if real else np.fft.ifft(ghat, axis=1)
+        np.divide(fhat, 1j * _along(k, f.ndim, 1), out=fhat)
+    fhat[:, k == 0.0, ...] = 0.0
+    if real:
+        return np.fft.irfft(fhat, n=n, axis=1, out=out)
+    return _into(out, np.fft.ifft(fhat, axis=1, out=fhat))
 
 
 @lru_cache(maxsize=32)
@@ -286,7 +293,7 @@ def _inv_dx(grid: Grid2, f: np.ndarray, out=None, work=None) -> np.ndarray:
     """
     if _dense(f, grid.nx):
         return _apply(_antideriv_matrix(grid.nx, grid.hx), f, 1, out, work)
-    return _into(out, _spectral_antideriv(f, grid.hx))
+    return _spectral_antideriv(f, grid.hx, out)
 
 
 def integrate2(grid: Grid2, f: np.ndarray) -> float:
@@ -435,12 +442,20 @@ def write_mfld1(path, grid: Grid2, data) -> None:
             fh.write(out)
 
 
-def read_mfld1(path):
+def read_mfld1(path, out=None, check=None):
     """Returns (Grid2, data) with data shape (ny, nx, ncomp).
 
+    Given out, a (k, ny, nx) stack, the file's first k components are read
+    into it instead, through one block buffer of rows (as write_mfld1
+    writes), and data is out: a spin slice's S goes straight into the stack
+    that consumes it, and its u and v are never held whole.
+
     A malformed header (ncomp < 1 included), or a payload that is short,
-    followed by further bytes or not finite, is rejected with an M3LabError.
-    The payload size is checked against the file before it is read.
+    followed by further bytes or not finite, is rejected with an M3LabError;
+    every component is checked for finite values, kept or not.  The payload
+    size is checked against the file before it is read, and so is the
+    layout: check(grid, ncomp), when given, may refuse it by raising, and a
+    file whose grid or components cannot fill out is refused.
     """
     with open(path, "rb") as fh:
         header = fh.readline().split()
@@ -460,8 +475,25 @@ def read_mfld1(path):
             raise FieldError(f"{path}: truncated payload")
         if left > size:
             raise FieldError(f"{path}: trailing bytes after the payload")
-        data = np.empty((ny, nx, ncomp), dtype="<f8")
-        if fh.readinto(data) != size:
-            raise FieldError(f"{path}: truncated payload")
-    return grid, check_finite(data, f"{path}: payload")
+        if check is not None:
+            check(grid, ncomp)
+        if out is None:
+            data = buf = np.empty((ny, nx, ncomp), dtype="<f8")
+        else:
+            data, k = out, len(out)
+            if out.shape[1:] != (ny, nx) or k > ncomp:
+                raise FieldError(f"{path}: {ncomp} components on {grid} cannot fill a "
+                                 f"{out.shape} stack")
+            buf = np.empty((max(1, MFLD1_BLOCK_BYTES // (8 * nx * ncomp)), nx, ncomp), "<f8")
+        bad = 0
+        for j in range(0, ny, len(buf)):
+            block = buf[:ny - j]
+            if fh.readinto(block) != block.nbytes:
+                raise FieldError(f"{path}: truncated payload")
+            bad += block.size - np.count_nonzero(np.isfinite(block))
+            if out is not None:
+                np.copyto(out[:, j:j + len(block)], np.moveaxis(block[..., :k], -1, 0))
+    if bad:
+        raise FieldError(f"{path}: payload contains {bad} non-finite entries")
+    return grid, data
 

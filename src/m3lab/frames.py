@@ -37,18 +37,22 @@ layer computes them into, and every check reads them there; k .. w3 name
 their planes.
 Every array it writes can come from a _Workspace, buffers only, that a
 command makes once: allocating per call, as measured at n = 256, is slower
-and faults ten times as often in `charges`.  transport_window, which the
-`frame` command runs, keeps three slices live in a window of three
-workspaces holding only what the window reads again: each slice's e1, e2,
-a and b.  The slices share e3, the densities and the scratch, so each
-slice's space residuals are taken as soon as its coefficients exist, e3
-is formed again where the time entries read it, and the time residuals
-overwrite the oldest slice, which nothing reads after them.  Each public
-entry checks its input for finite values once (FieldError) and runs the
-unchecked fields._deriv.
+and faults ten times as often in `charges`.  A workspace's e3 stack is
+frame_from_spin's copy of S, so a command reads each spin slice's S
+straight into it (fields.read_mfld1 into a stack), never the whole slice.
+transport_window, which the `frame` command runs, keeps three slices live
+in a window of three workspaces holding only what the window reads again:
+each slice's e1, e2, a and b.  The slices share e3, the densities D and the
+scratch, so each slice's space residuals are taken as soon as its
+coefficients exist, while D holds its densities; e3 is formed again where
+the time entries read it, the time entries are written over D, and the
+time residuals overwrite the oldest slice, which nothing reads after them.
+Each public entry checks its input for finite values once (FieldError) and
+runs the unchecked fields._deriv.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -145,19 +149,21 @@ class FrameCoeffs:
 # workspace of a window has its own)
 _ARRAYS = {"E": ((3, 3), float, True), "e3": ((3,), float, False), "mask": ((), bool, False),
            "A": ((3,), float, True), "B": ((3,), float, True), "D": ((3,), float, False),
-           "W": ((3,), float, False), "X": ((3,), float, False), "Y": ((3,), float, False),
-           "Z": ((3,), float, False), "L": ((), float, False), "tmp": ((), float, False),
-           "cols": ((), np.intp, False)}
+           "X": ((3,), float, False), "Y": ((3,), float, False), "Z": ((3,), float, False),
+           "L": ((), float, False), "tmp": ((), float, False), "cols": ((), np.intp, False)}
 
 
 class _Workspace:
     """The arrays the frame layer writes, for (ny, nx) planes of one shape.
 
     E and mask take the e1, e2, e3 stacks and mask frame_from_spin builds;
-    A, B and D the a, b and density stacks coeffs_from_frame projects; W
-    the time entries.  Scratch: X, Y and Z (the shifted lanes of the matrix
-    path) for derivatives and residuals; planes.  Each array is allocated
-    when it is first used, so a command holds only those its calls write.
+    its e3 stack is first frame_from_spin's copy of S, which S shows as an
+    (ny, nx, 3) field, so a reader can fill it in place.  A, B and D take
+    the a, b and density stacks coeffs_from_frame projects; D then takes
+    the time entries, which with_time_entries writes over the densities.
+    Scratch: X, Y and Z (the shifted lanes of the matrix path) for
+    derivatives and residuals; planes.  Each array is allocated when it is
+    first used, so a command holds only those its calls write.
     """
 
     def __init__(self, shape, scratch=None):
@@ -174,6 +180,11 @@ class _Workspace:
             store[name] = np.empty(lead + self.shape, dtype)
         self.__dict__[name] = store[name]
         return store[name]
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        """The spin field whose stack is E's e3 (module docstring)."""
+        return _field(self.E[2])
 
     def window(self, n: int) -> list:
         """This workspace and n - 1 more, for n slices live at once: each
@@ -229,12 +240,14 @@ def frame_from_spin(grid: Grid2, S: np.ndarray, scheme=SPECTRAL,
     then re-orthogonalized against the local e1.  Rows degenerate end to end
     fall back to a fixed axis.  More than half the grid degenerate is fatal.
     A non-finite S is rejected (FieldError).  Given a _Workspace, the frame
-    is built in its E and mask.
+    is built in its E and mask, and S is copied into E's e3 stack unless it
+    is the workspace's S, which shows that stack already.
     """
     ws = work or _Workspace(np.shape(S)[:2])
     (e1, e2, e3), mask, L, tmp = ws.E, ws.mask, ws.L, ws.tmp
     P = e3  # S, until e3 is formed
-    P[...] = _stack(S)
+    if S is not ws.S:
+        P[...] = _stack(S)
     check_finite(P, "S")
     np.divide(P, norm_planes(P, L, tmp), out=e1)
     k = norm_planes(_deriv(P, scheme, grid.hx, -1, out=e2, work=P), L, tmp)  # e2 holds S_x
@@ -332,28 +345,31 @@ def coeffs_from_frame(grid: Grid2, F: FrameField, scheme=SPECTRAL,
     w1 = e3.e2_t, w2 = -e3.e1_t, w3 = e2.e1_t.
     Each e_j is differentiated once along x and y, as one stack.  A
     non-finite frame is rejected (FieldError).  Given a _Workspace, the
-    coefficients are written into its A, B, D (and W); the frame is read
-    where it lies, built in that workspace or not.
+    coefficients are written into its A, B and D; the frame is read where
+    it lies, built in that workspace or not.  The time entries go into
+    arrays of their own, so the densities stay.
     """
     ws = work or _Workspace(np.shape(F.e1)[:2])
     E = _vectors(F)
     coeffs = _project(grid, E, scheme, ws, ws.D)
     _density(grid, E[2], scheme, ws, ws.D[2])
     coeffs = replace(coeffs, densities=ws.D)
-    return coeffs if dF_dt is None else with_time_entries(coeffs, F, dF_dt, ws)
+    return coeffs if dF_dt is None else with_time_entries(coeffs, F, dF_dt)
 
 
 def with_time_entries(coeffs: FrameCoeffs, F: FrameField, dF_dt, work=None) -> FrameCoeffs:
     """coeffs of frame F completed by w1 = e3.e2_t, w2 = -e3.e1_t, w3 = e2.e1_t,
-    written into work.W when a _Workspace is given."""
+    written into work.D when a _Workspace is given.  They overwrite the
+    densities there, so the result carries none when those were coeffs'."""
     ws = work or _Workspace(np.shape(F.e1)[:2])
     e1t, e2t = _stack(dF_dt[0]), _stack(dF_dt[1])
     e2, e3 = _stack(F.e2), _stack(F.e3)
-    w1, w2, w3 = ws.W
+    w = ws.D
+    w1, w2, w3 = w
     _dot(e3, e2t, w1, ws.tmp)
     np.negative(_dot(e3, e1t, w2, ws.tmp), out=w2)
     _dot(e2, e1t, w3, ws.tmp)
-    return replace(coeffs, w=ws.W)
+    return replace(coeffs, w=w, densities=None if coeffs.densities is w else coeffs.densities)
 
 
 # ---------------------------------------------------------------------------
@@ -437,27 +453,30 @@ def mlxii_residual(grid: Grid2, coeffs: FrameCoeffs, scheme=SPECTRAL,
     return out
 
 
-def transport_window(grid: Grid2, times, spin_at, on_frame, scheme=SPECTRAL):
+def transport_window(grid: Grid2, times, read_spin, on_frame, scheme=SPECTRAL):
     """The transport coefficients, with their time entries, and the
     compatibility residuals of every interior slice of a spin run.
 
-    spin_at(idx) gives the spin field S at times[idx], which is let go once
-    its frame F is built; on_frame(idx, F) is called with F.
+    read_spin(idx, out) reads the spin field S at times[idx] into out, the
+    window's shared e3 stack, which frame_from_spin takes as its copy of S;
+    on_frame(idx, F) is called with the frame F built from it.
     Yields (idx, coeffs, residuals) for idx = 1 .. len(times) - 2: the bits
     of frame_from_spin, coeffs_from_frame, frame_dt, with_time_entries and
     mlxii_residual(..., coeffs_before, coeffs_after, dt2, frame) on the
     slices idx - 1, idx, idx + 1.  Three slices are live at a time, in a
     window of workspaces (module docstring) whose arrays F and coeffs show:
     F holds during on_frame (its e3 is shared), coeffs until the next
-    slice, and coeffs carry no densities (the window's are the last
-    slice's by then).
+    slice, and coeffs carry no densities: the shared D holds the densities
+    of each slice until its space residuals are taken, then the time
+    entries of the middle slice, which the next slice's densities overwrite.
     """
     slots = _Workspace((grid.ny, grid.nx)).window(3)
     last = len(times) - 1
     live = []  # (frame, coefficients, space residuals) of the last three slices
     for idx in range(len(times)):
         ws = slots[idx % 3]
-        F = frame_from_spin(grid, spin_at(idx), scheme, work=ws)
+        read_spin(idx, ws.E[2])
+        F = frame_from_spin(grid, ws.S, scheme, work=ws)
         on_frame(idx, F)
         co = coeffs_from_frame(grid, F, scheme, work=ws)
         # now, while the shared densities are this slice's
@@ -471,9 +490,9 @@ def transport_window(grid: Grid2, times, spin_at, on_frame, scheme=SPECTRAL):
         dF = frame_dt(F0, F2, dt2, out=oldest.E[:2])
         e1, e2, e3 = ws.E
         cross_planes(e1, e2, e3, ws.tmp)  # the mid's e3 again, as frame_from_spin formed it
-        co = with_time_entries(mid, F1, dF, ws)
+        co = with_time_entries(mid, F1, dF, ws)  # into D: the densities were read
         res.update(_time_residuals(grid, co, before, after, dt2, scheme, ws, oldest.A))
-        yield idx - 1, replace(co, densities=None), res
+        yield idx - 1, co, res
 
 
 # ---------------------------------------------------------------------------

@@ -184,15 +184,18 @@ def march_nls(grid: Grid2, state: NlsState, par: NlsParams, dt: float,
     """Yield state, then the state after every save_every-th of n_steps steps.
 
     Every step runs in one workspace, which this generator owns.  Each kept
-    state owns copies of its arrays (make_state), so a caller that writes
-    each one out before taking the next holds one at a time.
+    state owns copies of its arrays (make_state), and the generator lets go
+    of each state it yields, the initial one included, so a caller that
+    writes each one out before taking the next holds one at a time.
     """
     yield state
     work = _Workspace(state.q.shape)
-    yield from march(
+    steps = march(
         lambda q: (step_rk4_nls(grid, q, par, dt, scheme, work), None), state.q, state.t, dt,
         n_steps, save_every,
         lambda q, t, _: make_state(grid, q, par, t, scheme))
+    del state
+    yield from steps
 
 
 def run_nls(grid: Grid2, state: NlsState, par: NlsParams, dt: float,

@@ -286,15 +286,18 @@ def march_spin(grid: Grid2, state: SpinState, par: SpinParams, dt: float,
 
     Every step and kept state runs in one workspace, which this generator
     owns and whose stack the march carries from step to step.  Each kept
-    state owns copies of its arrays (make_state), so a caller that writes
-    each one out before taking the next holds one at a time.
+    state owns copies of its arrays (make_state), and the generator lets go
+    of each state it yields, the initial one included, so a caller that
+    writes each one out before taking the next holds one at a time.
     """
     yield state
     work = _Workspace((3,) + state.S.shape[:2])
-    yield from march(
+    steps = march(
         lambda S: step_rk4_spin(grid, S, par, dt, scheme, work), state.S, state.t, dt,
         n_steps, save_every,
         lambda S, t, renorm: make_state(grid, S, par, t, scheme, renorm, work))
+    del state
+    yield from steps
 
 
 def run_spin(grid: Grid2, state: SpinState, par: SpinParams, dt: float,

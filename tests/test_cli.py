@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import platform
@@ -5,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +15,10 @@ import m3lab
 from m3lab.cli import RunConfig, build_parser, main, parse_config_text
 from m3lab.errors import ConfigError
 from m3lab.fields import DENSE_MAX_N, Grid2, read_mfld1, write_mfld1
-from m3lab.spin import default_dt
+from m3lab.nls import NlsParams, init_plane_wave, march_nls
+from m3lab.nls import make_state as make_nls_state
+from m3lab.spin import SpinParams, default_dt, init_modulated_helix, march_spin
+from m3lab.spin import make_state as make_spin_state
 
 from conftest import smooth_complex
 
@@ -662,23 +667,86 @@ def test_frame_writes_the_library_path_bitwise(tmp_path, n):
             frame=frames[idx])}
 
 
-def test_frame_holds_three_slices_of_e1_e2_a_and_b(tmp_path):
-    """`frame` keeps, of each slice in its three-slice window, e1, e2, a and
-    b alone (12 planes); e3, the densities and the scratch are shared (21
-    planes) and the slice read is let go once its frame is built.  On a
-    lump on the rfft path its tracemalloc peak, ~63 (ny, nx) planes, stays
-    below 72: a ring of three whole workspaces peaked at ~87."""
+def _peak_planes(tmp_path, command) -> float:
+    """tracemalloc peak, in (ny, nx) planes, of `command` on a lump run on the
+    rfft path, once a first call has filled the operator caches."""
     n = DENSE_MAX_N + 8
     _lump_run(tmp_path, n)
-    argv = ["--output-dir", str(tmp_path), "frame", "lump"]
-    assert main(argv) == 0  # fills the operator caches
+    argv = ["--output-dir", str(tmp_path), command, "lump"]
+    assert main(argv) == 0
     tracemalloc.start()
     try:
         assert main(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 72 * 8 * n * n
+    return peak / (8 * n * n)
+
+
+def test_frame_holds_three_slices_of_e1_e2_a_and_b(tmp_path):
+    """`frame` keeps, of each slice in its three-slice window, e1, e2, a and
+    b alone (12 planes); e3, the densities and the scratch are shared (18
+    planes).  Each slice's S is read into the shared e3, and the time
+    entries are written over the densities.  On a lump its peak, ~56
+    (ny, nx) planes, stays below 58: reading each whole slice and keeping
+    the time entries apart peaked at ~64, a ring of three whole workspaces
+    at ~87."""
+    assert _peak_planes(tmp_path, "frame") < 58
+
+
+def test_charges_reads_each_slice_into_its_frame(tmp_path):
+    """`charges` builds every slice's frame and coefficients in one frames
+    workspace and reads each slice's S into the e3 stack of its frame.  On
+    a lump its peak, ~32 (ny, nx) planes, stays below 36: reading each
+    whole slice peaked at ~41."""
+    assert _peak_planes(tmp_path, "charges") < 36
+
+
+def _march(side, grid):
+    """march_spin or march_nls of a smooth initial state on grid, every step kept."""
+    dt = default_dt(grid)
+    if side == "spin":
+        par = SpinParams(c=0.3, d=1.0, l=0.0, model="M3")
+        state = make_spin_state(grid, init_modulated_helix(grid), par)
+        return march_spin(grid, state, par, dt, 3, 1)
+    par = NlsParams(c=0.0, d=1.0, model="Zakharov")
+    return march_nls(grid, make_nls_state(grid, init_plane_wave(grid), par), par, dt, 3, 1)
+
+
+@pytest.mark.parametrize("side", ["spin", "nls"])
+def test_march_lets_go_of_the_initial_state(side):
+    """A march keeps nothing of the state it yielded first: once its caller
+    lets that state go, the state is freed before the next one is made."""
+    states = _march(side, Grid2(16, 16))
+    first = weakref.ref(next(states))
+    next(states)
+    assert first() is None
+
+
+@pytest.mark.parametrize("command, cfg_text, side", [
+    ("simulate-spin", SPIN_CFG, "spin"), ("simulate-nls", NLS_CFG, "nls")], ids=["spin", "nls"])
+def test_simulate_lets_go_of_the_initial_state(tmp_path, monkeypatch, command, cfg_text, side):
+    """A simulate command holds one state at a time: by the time it writes
+    the second slice, the initial state is freed."""
+    import m3lab.fields as fields
+    module = importlib.import_module(f"m3lab.{side}")
+    real_march, real_write = getattr(module, f"march_{side}"), fields.write_mfld1
+    first, alive = [], []
+
+    def watched(grid, state, *args):
+        first.append(weakref.ref(state))
+        return real_march(grid, state, *args)
+
+    def write(*args):
+        alive.append(first[0]() is not None)
+        real_write(*args)
+
+    monkeypatch.setattr(module, f"march_{side}", watched)
+    monkeypatch.setattr(fields, "write_mfld1", write)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    assert main(["--output-dir", str(tmp_path), command, str(cfg)]) == 0
+    assert len(alive) > 2 and alive == [True] + [False] * (len(alive) - 1)
 
 
 @pytest.mark.parametrize("command, cfg_text, run, verify", [
@@ -736,35 +804,53 @@ def test_bad_run_dir_exits_2(spin_run, tmp_path, capsys, meta_text):
 
 def _damage_slice(run, damage):
     """Rewrite the middle slice of a run: "comps" drops its last component,
-    "grid" writes the same values on a domain of another length."""
+    "grid" writes the same values on a domain of another length, "nan-4"
+    and "nan-5" put a NaN in the 4th or 5th component alone (u or v on the
+    spin side), "truncated", "trailing" and "header" damage the file.
+    Returns the slice's path and the end of the error line it gives."""
     meta = json.loads((run / "meta.json").read_text())
     path = run / meta["slices"][len(meta["slices"]) // 2]
     grid, data = read_mfld1(path)
+    body = path.read_bytes()
+    message = "components on Grid2"
     if damage == "comps":
         write_mfld1(path, grid, data[..., :-1])
-    else:
+    elif damage == "grid":
         write_mfld1(path, Grid2(grid.nx, grid.ny, 2.0 * grid.lx, grid.ly), data)
-    return path.name
+    elif damage.startswith("nan"):
+        data[3, 5, int(damage[-1]) - 1] = np.nan
+        write_mfld1(path, grid, data)
+        message = "payload contains 1 non-finite entries"
+    else:
+        path.write_bytes({"truncated": body[:-8], "trailing": body + b"junk",
+                          "header": b"MFLD2" + body[5:]}[damage])
+        message = {"truncated": "truncated payload", "trailing": "trailing bytes after the payload",
+                   "header": "not an MFLD1 file"}[damage]
+    return path, message
 
 
-@pytest.mark.parametrize("damage", ["comps", "grid"])
+@pytest.mark.parametrize("damage", ["comps", "grid", "nan-4", "nan-5", "truncated", "trailing",
+                                    "header"])
 @pytest.mark.parametrize("side, extra", [
     ("spin", ["frame"]), ("spin", ["charges"]),
     ("spin", ["lax-check", "--lambda", "0.4,0.2", "--spin-side"]),
     ("nls", ["lax-check", "--lambda", "0.3,0.1"]),
 ], ids=["frame", "charges", "lax-check-spin", "lax-check-q"])
 def test_bad_slice_exits_2_naming_the_file(tmp_path, capsys, side, extra, damage):
-    """Every slice a command reads is checked against the run's grid and layout."""
+    """Every slice a command reads is checked against the run's grid and
+    layout, and every component of it for finite values, whether the
+    command reads it into a frame stack (frame, charges) or whole
+    (lax-check): one error line naming the file, exit 2."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SPIN_CFG if side == "spin" else NLS_CFG)
     assert main(["--output-dir", str(tmp_path), f"simulate-{side}", str(cfg)]) == 0
     run = tmp_path / f"{side}run"
-    name = _damage_slice(run, damage)
+    path, message = _damage_slice(run, damage)
     capsys.readouterr()
     assert main(["--output-dir", str(tmp_path), extra[0], str(run.name), *extra[1:]]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert name in err and "components on Grid2" in err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_missing_slice_exits_2(spin_run, tmp_path, capsys):

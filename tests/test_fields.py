@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -334,6 +336,46 @@ def test_constant_along_axis_maps_to_zero(nx, ny):
     assert np.array_equal(_inv_dx(g, scratch, work=scratch), inv_dx(g, plane).field)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_spectral_antiderivative_is_the_spectrum_quotient_bitwise(rng, dtype):
+    """On the rfft path, and for a complex field, _inv_dx divides the spectrum
+    in place and transforms it back into out: bit for bit the quotient into a
+    spectrum of its own, transformed into a new array, written out here."""
+    g = Grid2(ABOVE, 40, lx=2.0)
+    f = rng.normal(size=(g.ny, g.nx)).astype(dtype)
+    if dtype is complex:
+        f += 1j * rng.normal(size=f.shape)
+    n, real = g.nx, dtype is float
+    k = TWO_PI * np.fft.fftfreq(n, d=g.hx)
+    k[n // 2] = 0.0
+    k = k[:n // 2 + 1] if real else k
+    fhat = np.fft.rfft(f, axis=1) if real else np.fft.fft(f, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ghat = fhat / (1j * k)
+    ghat[:, k == 0.0] = 0.0
+    want = np.fft.irfft(ghat, n=n, axis=1) if real else np.fft.ifft(ghat, axis=1)
+    out = np.empty_like(f)
+    assert _inv_dx(g, f, out=out) is out
+    assert np.array_equal(out, want)
+    assert np.array_equal(_inv_dx(g, f), want)
+
+
+def test_rfft_antiderivative_holds_one_half_spectrum():
+    """Into a given out, an rfft-path antiderivative allocates its spectrum
+    alone: no quotient beside it, no result to copy."""
+    g = Grid2(ABOVE, ABOVE)
+    f = _smooth(g)
+    out = np.empty_like(f)
+    _inv_dx(g, f, out=out)  # fills the wavenumber cache
+    tracemalloc.start()
+    try:
+        _inv_dx(g, f, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16 * g.ny * (g.nx // 2 + 1)
+
+
 @pytest.mark.parametrize("nx, ny", [(32, 32), (33, 40), (ABOVE, 64)])
 def test_plane_derivative_is_its_vector_slice(nx, ny):
     """Bit for bit: a component plane, the (ny, nx, *comps) field it came
@@ -456,6 +498,81 @@ def test_mfld1_bad_header_rejected(tmp_path, header):
     path.write_bytes(header + bytes(8 * 64))
     with pytest.raises(M3LabError):
         read_mfld1(path)
+
+
+# a grid whose 5-component rows go 6 to a read block: blocks of 6, .., 6, 4 rows
+BLOCKED = Grid2(256, 40, lx=1.5, ly=2.5)
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("non-finite", "payload contains 2 non-finite entries"),
+    ("truncated", "truncated payload"),
+    ("trailing", "trailing bytes after the payload"),
+    ("header", "not an MFLD1 file"),
+    ("header-int", "bad MFLD1 header"),
+    ("header-no-comps", "MFLD1 header gives 0 components"),
+])
+def test_mfld1_stack_read_rejects_what_an_array_read_rejects(tmp_path, damage, message):
+    """Read whole or into a (1, ny, nx) stack, a damaged file is refused with
+    the same error.  Every component of every block is checked, the ones a
+    stack does not keep included (the NaN and the inf sit in the 4th and
+    5th component, in two blocks), and the message counts the whole
+    payload's entries."""
+    data = np.zeros((BLOCKED.ny, BLOCKED.nx, 5))
+    data[2, 5, 3] = np.nan
+    data[37, 0, 4] = np.inf
+    path = tmp_path / "f.mfld1"
+    write_mfld1(path, BLOCKED, data if damage == "non-finite" else np.zeros_like(data))
+    head, body = path.read_bytes().split(b"\n", 1)
+    head += b"\n"
+    path.write_bytes({"truncated": head + body[:-8], "trailing": head + body + b"junk",
+                      "header": b"MFLD2" + head[5:] + body,
+                      "header-int": head.replace(b" 40 ", b" 4x ") + body,
+                      "header-no-comps": head.replace(b" 5 ", b" 0 ") + body,
+                      }.get(damage, head + body))
+    errors = []
+    for out in (None, np.empty((1, BLOCKED.ny, BLOCKED.nx))):
+        with pytest.raises(FieldError) as exc:
+            read_mfld1(path, out)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] and errors[0].startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_mfld1_read_into_a_stack(tmp_path, rng, k):
+    """A stack of k planes takes the file's first k components bit for bit,
+    block by block, and is what the read returns."""
+    data = rng.normal(size=(BLOCKED.ny, BLOCKED.nx, 5))
+    path = tmp_path / "f.mfld1"
+    write_mfld1(path, BLOCKED, data)
+    out = np.full((k, BLOCKED.ny, BLOCKED.nx), np.nan)
+    grid, got = read_mfld1(path, out)
+    assert grid == BLOCKED and got is out
+    assert np.array_equal(out, np.moveaxis(data[..., :k], -1, 0))
+
+
+@pytest.mark.parametrize("shape", [(6, 40, 256), (3, 40, 128), (3, 41, 256)])
+def test_mfld1_stack_the_file_cannot_fill_is_refused(tmp_path, shape):
+    path = tmp_path / "f.mfld1"
+    write_mfld1(path, BLOCKED, np.zeros((BLOCKED.ny, BLOCKED.nx, 5)))
+    with pytest.raises(FieldError, match="cannot fill"):
+        read_mfld1(path, np.empty(shape))
+
+
+def test_mfld1_layout_check_runs_before_the_payload(tmp_path):
+    """check(grid, ncomp) sees the header and can refuse the file before a
+    payload entry is read: its error, not the non-finite one, is raised."""
+    path = tmp_path / "f.mfld1"
+    write_mfld1(path, BLOCKED, np.full((BLOCKED.ny, BLOCKED.nx, 5), np.nan))
+    seen = []
+
+    def check(grid, ncomp):
+        seen.append((grid, ncomp))
+        raise ConfigError("refused")
+
+    with pytest.raises(ConfigError, match="refused"):
+        read_mfld1(path, np.empty((3, BLOCKED.ny, BLOCKED.nx)), check)
+    assert seen == [(BLOCKED, 5)]
 
 
 def test_mfld1_header_format(tmp_path):

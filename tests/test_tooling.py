@@ -1,7 +1,7 @@
 """Guards on the package's sources: a light CLI import, no unused imports,
-no dead private names, no default that no call overrides, a README layout
-that names every module and no run file a simulate command would not clean
-up."""
+no dead private names, no default that no call overrides, one MFLD1
+reader, a README layout that names every module and no run file a
+simulate command would not clean up."""
 
 import ast
 import fnmatch
@@ -169,6 +169,57 @@ def test_unset_default_check_sees_a_leftover(tmp_path):
                                    "g(**{'y': 1})\n")
     assert unset_defaults([tmp_path / "a.py"], [tmp_path / "b.py"], {"scheme"}) == [
         "a.py:1: f(tol)", "a.py:11: m(b)", "a.py:15: s(a)"]
+
+
+BINARY_READS = ("fromfile", "memmap", "readinto", "read_bytes")
+
+
+def binary_reads(paths) -> list:
+    """Calls in the modules that read a file's bytes: open() (or a path's
+    open()) with a literal binary read mode, numpy's fromfile and memmap, a
+    file's readinto and a path's read_bytes.  MFLD1 is the one binary
+    format the package reads, so outside fields each is a second reader."""
+    found = []
+    for path in paths:
+        calls = [n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Call)]
+        for node in sorted(calls, key=lambda n: (n.lineno, n.col_offset)):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "open":
+                modes = node.args[1:2] if isinstance(node.func, ast.Name) else node.args[:2]
+                modes += [k.value for k in node.keywords if k.arg == "mode"]
+                if not any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                           and set(m.value) <= set("rwxabt+") and {"r", "b"} <= set(m.value)
+                           for m in modes):
+                    continue
+            elif name not in BINARY_READS:
+                continue
+            found.append(f"{path.name}:{node.lineno}: {name}")
+    return found
+
+
+def test_only_fields_reads_mfld1():
+    """read_mfld1 is the one MFLD1 reader: no other module reads a file's
+    bytes, and the check sees the reader itself."""
+    fields = SRC / "m3lab" / "fields.py"
+    assert binary_reads([p for p in MODULES if p != fields]) == []
+    assert [f.split(": ")[1] for f in binary_reads([fields])] == ["open", "readinto"]
+
+
+def test_binary_read_check_sees_a_second_reader(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\nfrom pathlib import Path\n\n"
+        "def second(path):\n"
+        "    with open(path, 'rb') as fh:\n        fh.readline()\n"
+        "    with open(path, mode='r+b'):\n        pass\n"
+        "    Path(path).open('rb')\n    Path(path).read_bytes()\n"
+        "    return np.fromfile(path, dtype='<f8')\n\n"
+        "def text_and_writes(path):\n"
+        "    with open(path) as fh:\n        fh.read()\n"
+        "    with open(path, 'wb'):\n        pass\n"
+        "    open(path, 'r'), open('bar.txt'), Path(path).open()\n")
+    assert binary_reads([tmp_path / "a.py"]) == [
+        "a.py:5: open", "a.py:7: open", "a.py:9: open", "a.py:10: read_bytes",
+        "a.py:11: fromfile"]
 
 
 def test_readme_layout_names_every_module():
