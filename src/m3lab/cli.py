@@ -178,12 +178,14 @@ def _initial_from_file(path: str, grid, comps: int):
     from .fields import read_mfld1
     if not os.path.exists(path):
         raise ConfigError(f"initial-condition file {path!r} does not exist")
-    fgrid, data = read_mfld1(path)
-    if fgrid != grid:
-        raise ConfigError(f"{path}: sampled on {fgrid}, the config sets {grid}")
-    if data.shape[2] < comps:
-        raise ConfigError(f"{path}: {data.shape[2]} components, need at least {comps}")
-    return data
+
+    def check(fgrid, ncomp):
+        if fgrid != grid:
+            raise ConfigError(f"{path}: sampled on {fgrid}, the config sets {grid}")
+        if ncomp < comps:
+            raise ConfigError(f"{path}: {ncomp} components, need at least {comps}")
+
+    return read_mfld1(path, check=check)[1]
 
 
 def _spin_from_file(grid, path):
@@ -262,12 +264,13 @@ def _write_charges(path: str, grid, times, read_spin, scheme) -> list:
     read_spin(idx, out) reads the S of slice idx into out, the e3 stack of
     the one workspace in which every slice's frame and coefficients are built.
     """
+    import numpy as np
     from .frames import _Workspace, coeffs_from_frame, frame_from_spin
     from .invariants import charges
     reports, work = [], _Workspace((grid.ny, grid.nx))
     for idx, t in enumerate(times):
-        read_spin(idx, work.E[2])
-        F = frame_from_spin(grid, work.S, scheme, work=work)
+        read_spin(idx, work.e3)
+        F = frame_from_spin(grid, np.moveaxis(work.e3, 0, -1), scheme, work=work)
         reports.append((t, charges(grid, coeffs_from_frame(grid, F, scheme, work=work),
                                    work=work)))
     with open(path, "w") as fh:
@@ -410,9 +413,10 @@ def _open_run(args, kind: str):
             and len(times) == len(slices)
             and all(isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t)
                     for t in times)
+            and all(a < b for a, b in zip(times, times[1:]))
             and all(isinstance(name, str) for name in slices)):
-        raise ConfigError(f"{meta_path} needs `times` (finite numbers) and `slices` (names) "
-                          "lists of equal length")
+        raise ConfigError(f"{meta_path} needs `times` (finite numbers, strictly increasing) "
+                          "and `slices` (names) lists of equal length")
     return run_dir, meta, cfg
 
 

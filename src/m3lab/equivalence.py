@@ -104,11 +104,10 @@ def q_from_spin(grid: Grid2, coeffs: FrameCoeffs, par: SpinParams,
     return q, info
 
 
-def _slice_to_q(grid: Grid2, S: np.ndarray, par: SpinParams, scheme,
-                fold_mode=None, work=None):
-    """q of one slice; its frame and k, tau are built in work, a frames
-    workspace, when it is given."""
-    work = work or _Workspace((grid.ny, grid.nx))
+def _slice_to_q(grid: Grid2, S: np.ndarray, par: SpinParams, scheme, fold_mode=None):
+    """q of one slice; its frame and k, tau are built in a frames workspace
+    of its own."""
+    work = _Workspace((grid.ny, grid.nx))
     F = frame_from_spin(grid, S, scheme, work=work)
     frac = float(np.count_nonzero(F.mask)) / F.mask.size
     if frac > FRAME_MASK_LIMIT:
@@ -123,11 +122,10 @@ def equiv_residual(grid: Grid2, S_before: np.ndarray, S_mid: np.ndarray,
                    S_after: np.ndarray, dt2: float, par: SpinParams,
                    scheme=SPECTRAL, v_spin: np.ndarray = None) -> dict:
     """Evolution residuals of the mapped (q, p, v) on one slice triple."""
-    work = _Workspace((grid.ny, grid.nx))
-    q_mid, info = _slice_to_q(grid, S_mid, par, scheme, work=work)
+    q_mid, info = _slice_to_q(grid, S_mid, par, scheme)
     mode = info["fold_mode"]
-    q_before, _ = _slice_to_q(grid, S_before, par, scheme, mode, work)
-    q_after, _ = _slice_to_q(grid, S_after, par, scheme, mode, work)
+    q_before, _ = _slice_to_q(grid, S_before, par, scheme, mode)
+    q_after, _ = _slice_to_q(grid, S_after, par, scheme, mode)
 
     npar = NlsParams(c=par.c, d=par.d, model="M3q")
     p_mid = np.conj(q_mid)
@@ -233,16 +231,14 @@ def frame_from_fg(pair: HirotaPair) -> FrameField:
     """
     f, g = pair.f, pair.g
     lam = pair.Lambda
-    e1 = spin_from_fg(pair)
     fg = f * g
     e2_plus = 1j * (np.conj(f)**2 + g**2) / lam
     e2_3 = (1j * (fg - np.conj(fg))).real / lam
     e3_plus = (np.conj(f)**2 - g**2) / lam
     e3_3 = -(fg + np.conj(fg)).real / lam
-    e2 = np.stack([e2_plus.real, e2_plus.imag, e2_3], axis=-1)
-    e3 = np.stack([e3_plus.real, e3_plus.imag, e3_3], axis=-1)
-    return FrameField(e1=e1, e2=e2, e3=e3,
-                      mask=np.zeros(lam.shape, dtype=bool))
+    E = (np.moveaxis(spin_from_fg(pair), -1, 0), np.stack([e2_plus.real, e2_plus.imag, e2_3]),
+         np.stack([e3_plus.real, e3_plus.imag, e3_3]))
+    return FrameField(E=E, mask=np.zeros(lam.shape, dtype=bool))
 
 
 def coeffs_from_fg(grid: Grid2, pair: HirotaPair, scheme=SPECTRAL) -> FrameCoeffs:

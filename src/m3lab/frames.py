@@ -28,22 +28,22 @@ The Frenet gauge (sigma = 0, k >= 0) is the default frame construction:
 e1 = S, e2 = S_x/|S_x|, e3 = e1 ^ e2, with a deterministic left-scan fill
 where |S_x| degenerates.
 
-FrameField shows e1, e2, e3 as (ny, nx, 3) fields; the layer reads their
-(3, ny, nx) stack views where they lie, whatever their strides, takes one
-derivative per stack and axis, and sums its dot products in
-fields.EINSUM_ORDER, so its results have the bits of dot3 on the fields.
-FrameCoeffs holds a, b, w and the densities as the (3, ny, nx) stacks the
-layer computes them into, and every check reads them there; k .. w3 name
-their planes.
+FrameField holds e1, e2, e3 as the (3, ny, nx) stacks E the layer
+computes them into, and shows each as an (ny, nx, 3) field; the layer reads
+the stacks where they lie, whatever their strides, takes one derivative per
+stack and axis, and sums its dot products in fields.EINSUM_ORDER, so its
+results have the bits of dot3 on the fields.  FrameCoeffs holds a, b, w and
+the densities as the stacks the layer computes them into, and every check
+reads them there; k .. w3 name their planes.
 Every array it writes can come from a _Workspace, buffers only, that a
 command makes once: allocating per call, as measured at n = 256, is slower
 and faults ten times as often in `charges`.  A workspace's e3 stack is
 frame_from_spin's copy of S, so a command reads each spin slice's S
 straight into it (fields.read_mfld1 into a stack), never the whole slice.
 transport_window, which the `frame` command runs, keeps three slices live
-in a window of three workspaces holding only what the window reads again:
-each slice's e1, e2, a and b.  The slices share e3, the densities D and the
-scratch, so each slice's space residuals are taken as soon as its
+in three workspaces, each with its own e1, e2, a and b, the arrays the
+window reads again.  The second and third share the first's e3, densities
+D and scratch, so each slice's space residuals are taken as soon as its
 coefficients exist, while D holds its densities; e3 is formed again where
 the time entries read it, the time entries are written over D, and the
 time residuals overwrite the oldest slice, which nothing reads after them.
@@ -52,7 +52,6 @@ runs the unchecked fields._deriv.
 """
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -75,16 +74,6 @@ from .fields import (
 DEGENERACY_TOL = 1e-8    # |S_x| below this marks a degenerate point
 FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_ITER = 50
-
-
-def _stack(f: np.ndarray) -> np.ndarray:
-    """The (3, ny, nx) stack of an (ny, nx, 3) field, as a view."""
-    return np.moveaxis(f, -1, 0)
-
-
-def _field(P: np.ndarray) -> np.ndarray:
-    """The (ny, nx, 3) field of a (3, ny, nx) stack, as a view."""
-    return np.moveaxis(P, 0, -1)
 
 
 def _dot(a, b, out=None, tmp=None) -> np.ndarray:
@@ -115,17 +104,18 @@ def _max_abs(M: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FrameField:
-    e1: np.ndarray           # (ny, nx, 3)
-    e2: np.ndarray
-    e3: np.ndarray
+    """The frame as its (3, ny, nx) stacks E = (e1, e2, e3), each also read
+    as an (ny, nx, 3) field, a view: e1, e2, e3."""
+    E: tuple
     mask: np.ndarray = None  # True where the construction was degenerate
+
+    e1, e2, e3 = (property(lambda self, i=i: np.moveaxis(self.E[i], 0, -1)) for i in range(3))
 
     def gram_deviation(self) -> float:
         """Max deviation of the pointwise Gram matrix from the identity."""
-        vecs = [_stack(e) for e in (self.e1, self.e2, self.e3)]
         dev = 0.0
-        for i, a in enumerate(vecs):
-            for j, b in enumerate(vecs):
+        for i, a in enumerate(self.E):
+            for j, b in enumerate(self.E):
                 target = 1.0 if i == j else 0.0
                 dev = max(dev, float(np.max(np.abs(_dot(a, b) - target))))
         return dev
@@ -145,56 +135,31 @@ class FrameCoeffs:
     w1, w2, w3 = (property(lambda self, i=i: self.w[i]) for i in range(3))
 
 
-# arrays of a _Workspace: name -> (leading shape, dtype, whether each
-# workspace of a window has its own)
-_ARRAYS = {"E": ((3, 3), float, True), "e3": ((3,), float, False), "mask": ((), bool, False),
-           "A": ((3,), float, True), "B": ((3,), float, True), "D": ((3,), float, False),
-           "X": ((3,), float, False), "Y": ((3,), float, False), "Z": ((3,), float, False),
-           "L": ((), float, False), "tmp": ((), float, False), "cols": ((), np.intp, False)}
-
-
 class _Workspace:
     """The arrays the frame layer writes, for (ny, nx) planes of one shape.
 
-    E and mask take the e1, e2, e3 stacks and mask frame_from_spin builds;
-    its e3 stack is first frame_from_spin's copy of S, which S shows as an
-    (ny, nx, 3) field, so a reader can fill it in place.  A, B and D take
-    the a, b and density stacks coeffs_from_frame projects; D then takes
-    the time entries, which with_time_entries writes over the densities.
-    Scratch: X, Y and Z (the shifted lanes of the matrix path) for
-    derivatives and residuals; planes.  Each array is allocated when it is
-    first used, so a command holds only those its calls write.
+    e1, e2, e3 (E) and mask take the frame frame_from_spin builds; its e3
+    stack is first frame_from_spin's copy of S, so a reader can fill it in
+    place.  A, B and D take the a, b and density stacks coeffs_from_frame
+    projects; D then takes the time entries, which with_time_entries writes
+    over the densities.  Scratch: X, Y and Z (the shifted lanes of the
+    matrix path) for derivatives and residuals; planes L and tmp, with L
+    also the fill's index plane (its bytes as int64).  Each workspace has
+    its own e1, e2, A and B, and takes every other array from `shared`,
+    another workspace, when it is given (transport_window's three slices).
     """
 
-    def __init__(self, shape, scratch=None):
+    def __init__(self, shape, shared=None):
         self.shape = shape
-        self._scratch = {} if scratch is None else scratch
-
-    def __getattr__(self, name):
-        try:
-            lead, dtype, own = _ARRAYS[name]
-        except KeyError:
-            raise AttributeError(name) from None
-        store = self.__dict__ if own else self._scratch
-        if name not in store:
-            store[name] = np.empty(lead + self.shape, dtype)
-        self.__dict__[name] = store[name]
-        return store[name]
-
-    @cached_property
-    def S(self) -> np.ndarray:
-        """The spin field whose stack is E's e3 (module docstring)."""
-        return _field(self.E[2])
-
-    def window(self, n: int) -> list:
-        """This workspace and n - 1 more, for n slices live at once: each
-        has its own e1, e2 (its E, whose e3 is the shared e3), A and B; they
-        share every other array."""
-        slots = [self] + [_Workspace(self.shape, self._scratch) for _ in range(n - 1)]
-        for ws in slots:
-            e1, e2 = np.empty((2, 3) + self.shape)
-            ws.E = (e1, e2, ws.e3)
-        return slots
+        self.e1, self.e2, self.A, self.B = (np.empty((3,) + shape) for _ in range(4))
+        if shared is None:
+            self.e3, self.D, self.X, self.Y, self.Z = (np.empty((3,) + shape) for _ in range(5))
+            self.L, self.tmp = np.empty(shape), np.empty(shape)
+            self.mask = np.empty(shape, bool)
+        else:
+            for name in ("e3", "D", "X", "Y", "Z", "L", "tmp", "mask"):
+                setattr(self, name, getattr(shared, name))
+        self.E = (self.e1, self.e2, self.e3)
 
 
 def _densities(coeffs: FrameCoeffs) -> tuple:
@@ -239,15 +204,14 @@ def frame_from_spin(grid: Grid2, S: np.ndarray, scheme=SPECTRAL,
     non-degenerate x-neighbour to the left (periodic wrap, deterministic),
     then re-orthogonalized against the local e1.  Rows degenerate end to end
     fall back to a fixed axis.  More than half the grid degenerate is fatal.
-    A non-finite S is rejected (FieldError).  Given a _Workspace, the frame
-    is built in its E and mask, and S is copied into E's e3 stack unless it
-    is the workspace's S, which shows that stack already.
+    A non-finite S is rejected (FieldError).  The frame is built in the E
+    and mask of a _Workspace, work when it is given, and S is first copied
+    into its e3 stack: a copy of that stack's own field onto it is free.
     """
     ws = work or _Workspace(np.shape(S)[:2])
     (e1, e2, e3), mask, L, tmp = ws.E, ws.mask, ws.L, ws.tmp
     P = e3  # S, until e3 is formed
-    if S is not ws.S:
-        P[...] = _stack(S)
+    P[...] = np.moveaxis(S, -1, 0)
     check_finite(P, "S")
     np.divide(P, norm_planes(P, L, tmp), out=e1)
     k = norm_planes(_deriv(P, scheme, grid.hx, -1, out=e2, work=P), L, tmp)  # e2 holds S_x
@@ -260,7 +224,7 @@ def frame_from_spin(grid: Grid2, S: np.ndarray, scheme=SPECTRAL,
     np.copyto(k, 1.0, where=mask)
     e2 /= k
     if n_bad:
-        flat = _fill_columns(mask, ws.cols)
+        flat = _fill_columns(mask, L.view(np.int64))  # over k, which is read
         flat += np.arange(0, mask.size, grid.nx)[:, None]   # dead rows: any index
         for src, dst in zip(e2, ws.X):
             np.take(src, flat, out=dst, mode="wrap")
@@ -277,24 +241,24 @@ def frame_from_spin(grid: Grid2, S: np.ndarray, scheme=SPECTRAL,
         np.copyto(e2, _fallback_normal(e1, ws.X, L, tmp), where=small)
     e2 /= norm_planes(e2, L, tmp)
     cross_planes(e1, e2, e3, tmp)
-    return FrameField(e1=_field(e1), e2=_field(e2), e3=_field(e3), mask=mask)
+    return FrameField(E=ws.E, mask=mask)
 
 
 def frame_dt(before: FrameField, after: FrameField, dt2: float, out=None):
     """Central-difference velocities (e1t, e2t) of e1 and e2 over a 2*dt
-    window, (ny, nx, 3) each: the time entries (with_time_entries) read no
-    e3t.  Written into out, two (3, ny, nx) stacks, when it is given; these
-    may be the stacks of before's e1 and e2, which are then overwritten."""
-    T = np.empty((2, 3) + np.shape(before.e1)[:2]) if out is None else out
-    for t, a, b in zip(T, (after.e1, after.e2), (before.e1, before.e2)):
-        np.subtract(_stack(a), _stack(b), out=t)
+    window, (3, ny, nx) stacks: the time entries (with_time_entries) read
+    no e3t.  Written into out, two stacks, when it is given; these may be
+    before's e1 and e2, which are then overwritten."""
+    T = np.empty((2,) + np.shape(before.E[0])) if out is None else out
+    for t, a, b in zip(T, after.E, before.E):
+        np.subtract(a, b, out=t)
         t /= dt2
-    return tuple(_field(t) for t in T)
+    return T
 
 
 def _vectors(F: FrameField) -> tuple:
-    """F's e1, e2, e3 as (3, ny, nx) stack views, each checked finite."""
-    return tuple(check_finite(_stack(e), "frame") for e in (F.e1, F.e2, F.e3))
+    """F's stacks e1, e2, e3, each checked finite."""
+    return tuple(check_finite(e, "frame") for e in F.E)
 
 
 def _project(grid: Grid2, E: tuple, scheme, ws: _Workspace, dens=None,
@@ -349,7 +313,7 @@ def coeffs_from_frame(grid: Grid2, F: FrameField, scheme=SPECTRAL,
     it lies, built in that workspace or not.  The time entries go into
     arrays of their own, so the densities stay.
     """
-    ws = work or _Workspace(np.shape(F.e1)[:2])
+    ws = work or _Workspace(np.shape(F.E[0])[1:])
     E = _vectors(F)
     coeffs = _project(grid, E, scheme, ws, ws.D)
     _density(grid, E[2], scheme, ws, ws.D[2])
@@ -358,18 +322,17 @@ def coeffs_from_frame(grid: Grid2, F: FrameField, scheme=SPECTRAL,
 
 
 def with_time_entries(coeffs: FrameCoeffs, F: FrameField, dF_dt, work=None) -> FrameCoeffs:
-    """coeffs of frame F completed by w1 = e3.e2_t, w2 = -e3.e1_t, w3 = e2.e1_t,
-    written into work.D when a _Workspace is given.  They overwrite the
-    densities there, so the result carries none when those were coeffs'."""
-    ws = work or _Workspace(np.shape(F.e1)[:2])
-    e1t, e2t = _stack(dF_dt[0]), _stack(dF_dt[1])
-    e2, e3 = _stack(F.e2), _stack(F.e3)
-    w = ws.D
+    """coeffs of frame F completed by w1 = e3.e2_t, w2 = -e3.e1_t, w3 = e2.e1_t
+    of the stacks dF_dt = (e1_t, e2_t).  Given a _Workspace, they are written
+    into its D, over the densities, and the result carries none."""
+    e1t, e2t = dF_dt
+    _, e2, e3 = F.E
+    w, tmp = (np.empty(np.shape(e3)), None) if work is None else (work.D, work.tmp)
     w1, w2, w3 = w
-    _dot(e3, e2t, w1, ws.tmp)
-    np.negative(_dot(e3, e1t, w2, ws.tmp), out=w2)
-    _dot(e2, e1t, w3, ws.tmp)
-    return replace(coeffs, w=w, densities=None if coeffs.densities is w else coeffs.densities)
+    _dot(e3, e2t, w1, tmp)
+    np.negative(_dot(e3, e1t, w2, tmp), out=w2)
+    _dot(e2, e1t, w3, tmp)
+    return replace(coeffs, w=w, densities=None if work is not None else coeffs.densities)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +352,8 @@ def bracket(a, b, out=None, tmp=None) -> np.ndarray:
 def charge_density(grid: Grid2, e: np.ndarray, scheme=SPECTRAL) -> np.ndarray:
     """e . (e_x ^ e_y) for a unit vector field e; a non-finite e is rejected
     (FieldError)."""
-    ws = _Workspace(np.shape(e)[:2])
-    return _density(grid, _stack(check_finite(e, "e")), scheme, ws, np.empty(ws.shape))
+    ws, e = _Workspace(np.shape(e)[:2]), np.moveaxis(check_finite(e, "e"), -1, 0)
+    return _density(grid, e, scheme, ws, np.empty(ws.shape))
 
 
 def _time_residuals(grid: Grid2, coeffs: FrameCoeffs, coeffs_before: FrameCoeffs,
@@ -463,20 +426,21 @@ def transport_window(grid: Grid2, times, read_spin, on_frame, scheme=SPECTRAL):
     Yields (idx, coeffs, residuals) for idx = 1 .. len(times) - 2: the bits
     of frame_from_spin, coeffs_from_frame, frame_dt, with_time_entries and
     mlxii_residual(..., coeffs_before, coeffs_after, dt2, frame) on the
-    slices idx - 1, idx, idx + 1.  Three slices are live at a time, in a
-    window of workspaces (module docstring) whose arrays F and coeffs show:
+    slices idx - 1, idx, idx + 1.  Three slices are live at a time, in
+    three workspaces (module docstring) whose arrays F and coeffs show:
     F holds during on_frame (its e3 is shared), coeffs until the next
     slice, and coeffs carry no densities: the shared D holds the densities
     of each slice until its space residuals are taken, then the time
     entries of the middle slice, which the next slice's densities overwrite.
     """
-    slots = _Workspace((grid.ny, grid.nx)).window(3)
+    first = _Workspace((grid.ny, grid.nx))
+    slots = [first, _Workspace(first.shape, first), _Workspace(first.shape, first)]
     last = len(times) - 1
     live = []  # (frame, coefficients, space residuals) of the last three slices
     for idx in range(len(times)):
         ws = slots[idx % 3]
-        read_spin(idx, ws.E[2])
-        F = frame_from_spin(grid, ws.S, scheme, work=ws)
+        read_spin(idx, ws.e3)
+        F = frame_from_spin(grid, np.moveaxis(ws.e3, 0, -1), scheme, work=ws)
         on_frame(idx, F)
         co = coeffs_from_frame(grid, F, scheme, work=ws)
         # now, while the shared densities are this slice's

@@ -7,7 +7,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from m3lab.fields import Grid2, cross_planes, norm3
-from m3lab.frames import FrameCoeffs
+from m3lab.frames import FrameCoeffs, FrameField
 
 # Property tests draw the same examples on every run, keep no example
 # database and stay time-bounded.
@@ -70,6 +70,11 @@ def so3_matrices(coeffs):
     """(A, B, C) transport matrices of FrameCoeffs; C is None without time entries."""
     C = None if coeffs.w is None else so3_from_vec(*coeffs.w)
     return so3_from_vec(*coeffs.a), so3_from_vec(*coeffs.b), C
+
+
+def frame_field(e1, e2, e3, mask=None):
+    """FrameField of (ny, nx, 3) fields: its stacks are their (3, ny, nx) views."""
+    return FrameField(E=tuple(np.moveaxis(e, -1, 0) for e in (e1, e2, e3)), mask=mask)
 
 
 def frame_coeffs(k, sigma, tau, m1, m2, m3, w1=None, w2=None, w3=None, densities=None):

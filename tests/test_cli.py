@@ -304,6 +304,28 @@ def test_initial_condition_from_another_domain_exits_2(tmp_path, capsys, side):
     assert main(["--output-dir", str(tmp_path), command, str(cfg)]) == 0
 
 
+@pytest.mark.parametrize("side", ["spin", "nls"])
+def test_initial_file_layout_is_checked_before_its_payload(tmp_path, capsys, side):
+    """An init MFLD1 on another grid, or with too few components, is refused
+    for its layout before its payload is read: the NaN in it is never seen."""
+    from m3lab.spin import init_modulated_helix
+    base = _with(SPIN_CFG if side == "spin" else NLS_CFG, **{"grid.nx": 16, "grid.ny": 16})
+    drop = {k.strip(): None for k, _, _ in (ln.partition("=") for ln in base.splitlines())
+            if k.strip().startswith(f"{side}.init.")}
+    for n, comps, message in ((32, 3, "sampled on Grid2(nx=32"), (16, 1, "1 components, need")):
+        g = Grid2(n, n)
+        data = init_modulated_helix(g)[..., :comps]
+        data[3, 5, 0] = np.nan
+        path = tmp_path / f"init{n}.mfld1"
+        write_mfld1(path, g, data)
+        cfg = tmp_path / "init.cfg"
+        cfg.write_text(_with(base, **drop, **{f"{side}.init": path}))
+        capsys.readouterr()
+        assert main(["--output-dir", str(tmp_path), f"simulate-{side}", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+
+
 def _assert_aborted(run, verify, capsys):
     """A simulate run that aborted: the slices written before the abort may
     remain, but no meta.json and no invariants.csv or norms.csv, those of
@@ -439,6 +461,22 @@ def test_lax_check_negative_lambda_separated(nls_run, tmp_path):
     separated, attached = rep["results"]
     assert separated == attached
     assert separated["lam"] == [-0.2, 0.4]
+
+
+def test_lax_check_on_repeated_times_exits_2(nls_run, tmp_path, capsys):
+    """A run whose `times` repeat is refused, naming them: the central
+    difference of q over the middle slices would divide by zero, and the
+    flatness residual would overflow whatever --lambda is given."""
+    meta = json.loads((nls_run / "meta.json").read_text())
+    mid = len(meta["times"]) // 2
+    meta["times"][mid:mid + 2] = [meta["times"][mid - 1]] * 2
+    (nls_run / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["--output-dir", str(tmp_path), "lax-check", "nlsrun",
+                 "--lambda", "0.3,0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "`times`" in err and "--lambda" not in err
+    assert not (nls_run / "lax_report.json").exists()
 
 
 def test_lax_check_spin_side(spin_run, tmp_path):
@@ -789,8 +827,9 @@ def _meta_text(**entries):
     _meta_text(times=[0.0, 0.1], slices=["spin_000000.mfld1"]),
     _meta_text(times=[False, True], slices=["spin_000000.mfld1", "spin_000001.mfld1"]),
     _meta_text(times=[0.0, float("nan")], slices=["spin_000000.mfld1", "spin_000001.mfld1"]),
+    _meta_text(times=[0.0, 0.1, 0.1], slices=[f"spin_{i:06d}.mfld1" for i in range(3)]),
 ], ids=["garbage", "not-an-object", "no-config", "partial-config", "no-times", "no-slices",
-        "times-slices-mismatch", "bool-times", "nan-times"])
+        "times-slices-mismatch", "bool-times", "nan-times", "repeated-time"])
 def test_bad_run_dir_exits_2(spin_run, tmp_path, capsys, meta_text):
     """A meta.json that does not describe a run is refused, with the run's
     slices in place, before any table is written."""

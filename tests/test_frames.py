@@ -37,8 +37,8 @@ from m3lab.spin import (
     run_spin,
 )
 
-from conftest import (commutator, cross3, frame_coeffs, matmul, normalized3, smooth_spin,
-                      so3_matrices)
+from conftest import (commutator, cross3, frame_coeffs, frame_field, matmul, normalized3,
+                      smooth_spin, so3_matrices)
 
 PAR = SpinParams(c=0.3, d=1.0, l=0.0, model="M3")
 
@@ -174,9 +174,8 @@ def test_frenet_classical_formulas(grid):
 
 def test_coeffs_constant_frame_vanish(grid):
     ones = np.ones((grid.ny, grid.nx, 1))
-    F = FrameField(e1=ones * np.array([1.0, 0, 0]),
-                   e2=ones * np.array([0, 1.0, 0]),
-                   e3=ones * np.array([0, 0, 1.0]))
+    F = frame_field(ones * np.array([1.0, 0, 0]), ones * np.array([0, 1.0, 0]),
+                    ones * np.array([0, 0, 1.0]))
     co = coeffs_from_frame(grid, F)
     for name in ("k", "sigma", "tau", "m1", "m2", "m3"):
         assert max_norm(getattr(co, name)) == 0.0
@@ -205,7 +204,7 @@ def test_time_projections(grid, rng):
     assert co.w is not None
     C = so3_matrices(co)[2]
     e3t = (frames[2].e3 - frames[0].e3) / (2 * 4 * dt)
-    Et = np.stack(dF + (e3t,), axis=-2)
+    Et = np.stack([np.moveaxis(t, 0, -1) for t in dF] + [e3t], axis=-2)
     E = np.stack([frames[1].e1, frames[1].e2, frames[1].e3], axis=-2)
     # C E reproduces the frame velocity up to the finite-difference error
     assert max_norm(matmul(C, E) - Et) < 1e-4
@@ -394,7 +393,7 @@ def rotated_frame(grid, S, amplitude):
     phi = amplitude * (1.0 + 0.3 * np.sin(X) * np.cos(Y))
     e2 = np.cos(phi)[..., None] * F.e2 + np.sin(phi)[..., None] * F.e3
     e3 = -np.sin(phi)[..., None] * F.e2 + np.cos(phi)[..., None] * F.e3
-    return FrameField(e1=F.e1, e2=e2, e3=e3, mask=F.mask)
+    return frame_field(F.e1, e2, e3, mask=F.mask)
 
 
 def test_identified_fixed_point_sigma_nonzero(grid):
@@ -593,19 +592,31 @@ def test_stack_layer_is_the_field_formulas_bitwise(case):
 def test_frame_layer_in_its_workspace_allocates_less_than_a_stack(n):
     """A warm frame and projection in a workspace allocate less than one
     (3, ny, nx) stack, on the lump (mask, wrap fill, dead rows), on the
-    matrix path and on the rfft path."""
+    matrix path and on the rfft path.  So does a frame of the S read into
+    the workspace's e3 stack, which frame_from_spin copies onto itself: it
+    has the bits of a frame of a copy of S."""
     import m3lab.frames as frames
     g = Grid2(n, n)
     S = init_stereographic_lump(g)
     ws = frames._Workspace((g.ny, g.nx))
     coeffs_from_frame(g, frame_from_spin(g, S, work=ws), work=ws)
-    tracemalloc.start()
-    try:
-        coeffs_from_frame(g, frame_from_spin(g, S, work=ws), work=ws)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < ws.X.nbytes
+
+    def traced(call):
+        tracemalloc.start()
+        try:
+            out = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ws.X.nbytes
+        return out
+
+    traced(lambda: coeffs_from_frame(g, frame_from_spin(g, S, work=ws), work=ws))
+    want = frame_from_spin(g, S.copy())
+    ws.e3[...] = np.moveaxis(S, -1, 0)
+    F = traced(lambda: frame_from_spin(g, np.moveaxis(ws.e3, 0, -1), work=ws))
+    for got, ref in zip(F.E + (F.mask,), want.E + (want.mask,)):
+        assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("n", [128, 256])
@@ -637,11 +648,12 @@ COEFF_NAMES = ("k", "sigma", "tau", "m1", "m2", "m3")
 
 @pytest.mark.parametrize("n", [32, 256])
 def test_coeffs_of_a_frame_outside_the_workspace_are_bitwise(n):
-    """coeffs_from_frame reads a frame's vectors where they lie: contiguous
-    (ny, nx, 3) copies and strided views of a frame_from_spin frame give the
-    coefficients and densities of that frame in its workspace bit for bit,
-    on the matrix path (n = 32) and the rfft path (n = 256).  A NaN in one
-    vector of such a frame is rejected (FieldError)."""
+    """coeffs_from_frame reads a frame's stacks where they lie: the stacks of
+    contiguous (ny, nx, 3) copies and strided stack views of a
+    frame_from_spin frame give the coefficients and densities of that frame
+    in its workspace bit for bit, on the matrix path (n = 32) and the rfft
+    path (n = 256).  A NaN in one vector of such a frame is rejected
+    (FieldError)."""
     import m3lab.frames as frames
     g = Grid2(n, n)
     ws = frames._Workspace((n, n))
@@ -650,19 +662,18 @@ def test_coeffs_of_a_frame_outside_the_workspace_are_bitwise(n):
     co = coeffs_from_frame(g, F, work=ws)
     want = [np.copy(getattr(co, name)) for name in COEFF_NAMES] + [np.copy(d) for d in
                                                                    co.densities]
-    vecs = (F.e1, F.e2, F.e3)
-    copies = FrameField(*(np.array(e) for e in vecs), mask=F.mask)
-    big = np.zeros((3, n, 2 * n, 4))
-    for dst, e in zip(big, vecs):
-        dst[:, ::2, :3] = e
-    views = FrameField(*(b[:, ::2, :3] for b in big), mask=F.mask)
+    copies = frame_field(*(np.array(e) for e in (F.e1, F.e2, F.e3)), mask=F.mask)
+    big = np.zeros((3, 4, n, 2 * n))
+    for dst, e in zip(big, F.E):
+        dst[:3, :, ::2] = e
+    views = FrameField(E=tuple(b[:3, :, ::2] for b in big), mask=F.mask)
     for frame in (copies, views):
         for work in (None, frames._Workspace((n, n))):
             got = coeffs_from_frame(g, frame, work=work)
             for a, b in zip([getattr(got, name) for name in COEFF_NAMES] + list(got.densities),
                             want):
                 assert np.array_equal(a, b)
-    big[1, 3, 6, 2] = np.nan
+    big[1, 2, 3, 12] = np.nan
     for work in (None, frames._Workspace((n, n))):
         with pytest.raises(FieldError):
             coeffs_from_frame(g, views, work=work)
@@ -683,7 +694,7 @@ def test_frame_entries_reject_non_finite_input(bad, with_work):
     co = coeffs_from_frame(g, F)
     bad_S, bad_e2, bad_m2 = S.copy(), F.e2.copy(), co.m2.copy()
     bad_S[4, 5, 1] = bad_e2[6, 7, 0] = bad_m2[3, 3] = bad
-    bad_F = FrameField(e1=F.e1, e2=bad_e2, e3=F.e3, mask=F.mask)
+    bad_F = frame_field(F.e1, bad_e2, F.e3, mask=F.mask)
     bad_co = frame_coeffs(k=co.k, sigma=co.sigma, tau=co.tau, m1=co.m1, m2=bad_m2, m3=co.m3,
                           densities=co.densities)
     with warnings.catch_warnings():

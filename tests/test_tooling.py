@@ -1,7 +1,7 @@
 """Guards on the package's sources: a light CLI import, no unused imports,
-no dead private names, no default that no call overrides, one MFLD1
-reader, a README layout that names every module and no run file a
-simulate command would not clean up."""
+no dead private names, no default that no call overrides, no identity
+probe in the frame layer, one MFLD1 reader, a README layout that names
+every module and no run file a simulate command would not clean up."""
 
 import ast
 import fnmatch
@@ -169,6 +169,39 @@ def test_unset_default_check_sees_a_leftover(tmp_path):
                                    "g(**{'y': 1})\n")
     assert unset_defaults([tmp_path / "a.py"], [tmp_path / "b.py"], {"scheme"}) == [
         "a.py:1: f(tol)", "a.py:11: m(b)", "a.py:15: s(a)"]
+
+
+def identity_probes(paths) -> list:
+    """`is` and `is not` comparisons in the modules of which neither operand
+    is None: each tells an object by its identity, not by what it holds."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left] + node.comparators
+            found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                      for op, x, y in zip(node.ops, operands, operands[1:])
+                      if isinstance(op, (ast.Is, ast.IsNot))
+                      and not any(isinstance(o, ast.Constant) and o.value is None for o in (x, y))]
+    return found
+
+
+def test_frame_layer_makes_no_identity_probe():
+    """frames, equivalence and invariants decide nothing by an array's
+    identity: a workspace's arrays are what a caller hands in, and a copy of
+    an array onto itself costs nothing."""
+    assert identity_probes([SRC / "m3lab" / name for name in
+                            ("frames.py", "equivalence.py", "invariants.py")]) == []
+
+
+def test_identity_probe_check_sees_a_probe(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(S, ws, w, x=None):\n"
+        "    if S is not ws.S and x is None:\n        pass\n"
+        "    return x is not None, None is x, w is ws.D, S is x is None\n")
+    assert identity_probes([tmp_path / "a.py"]) == [
+        "a.py:2: S is not ws.S", "a.py:4: w is ws.D", "a.py:4: S is x is None"]
 
 
 BINARY_READS = ("fromfile", "memmap", "readinto", "read_bytes")
