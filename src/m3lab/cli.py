@@ -69,6 +69,11 @@ _SCHEMA = {
     "output_dir": (str, "run"),
 }
 _PREFIX_KEYS = ("spin.init.", "nls.init.")
+# bounds on the size of a simulate run, each over 100x the largest run of the
+# configs, tests and benchmark (300 steps, 31 slices, 256 x 256 points)
+MAX_STEPS = 100_000
+MAX_SLICES = 10_000
+MAX_CELLS = 1 << 23
 
 
 def _checked(key: str, value, where: str):
@@ -103,7 +108,7 @@ def parse_config_text(text: str) -> dict:
         key, val = key.strip(), val.strip()
         kind = _SCHEMA.get(key, (float,))[0]  # an init parameter is a number
         try:
-            val = val if kind is str else kind(val)
+            val = kind(val)
         except ValueError:
             pass  # left as text, which _checked rejects, naming the key or the value
         parsed = _checked(key, val, where)
@@ -224,7 +229,10 @@ def _make_initial(cfg: RunConfig, side: str):
 
 
 def _run_length(cfg: RunConfig, grid):
-    """(dt, n_steps) of a simulate run; dt = 0 picks the default step."""
+    """(dt, n_steps) of a simulate run; dt = 0 picks the default step.  A dt
+    beyond the step bound, or a run beyond MAX_STEPS, MAX_SLICES or
+    MAX_CELLS, is refused before the run allocates or writes anything."""
+    from .fields import checked_dt
     from .spin import default_dt
     dt, t_end, save_every = cfg["dt"], cfg["t_end"], cfg["save_every"]
     if dt < 0.0:
@@ -233,10 +241,15 @@ def _run_length(cfg: RunConfig, grid):
         raise ConfigError(f"t_end must be positive, got {t_end!r}")
     if save_every < 1:
         raise ConfigError(f"save_every must be at least 1, got {save_every}")
-    dt = dt if dt > 0.0 else default_dt(grid)
-    if not math.isfinite(t_end / dt):
-        raise ConfigError(f"t_end / dt is not finite (t_end = {t_end!r}, dt = {dt!r})")
-    return dt, max(1, int(round(t_end / dt)))
+    if grid.nx * grid.ny > MAX_CELLS:
+        raise ConfigError(f"grid of {grid.nx} x {grid.ny} points exceeds {MAX_CELLS}")
+    dt = checked_dt(grid, dt if dt > 0.0 else default_dt(grid))
+    if not t_end / dt <= MAX_STEPS:
+        raise ConfigError(f"t_end / dt = {t_end / dt:.3e} steps exceeds {MAX_STEPS}")
+    n_steps = max(1, int(round(t_end / dt)))
+    if n_steps // save_every + 1 > MAX_SLICES:
+        raise ConfigError(f"{n_steps // save_every + 1} saved slices exceed {MAX_SLICES}")
+    return dt, n_steps
 
 
 def _env() -> dict:
@@ -312,7 +325,7 @@ def _columns(write, states) -> list:
 
 def cmd_simulate_spin(args) -> int:
     from .fields import write_mfld1
-    from .spin import make_state, march_spin
+    from .spin import check_unit, make_state, march_spin
 
     cfg = RunConfig.load(args.config)
     grid = cfg.grid()
@@ -320,7 +333,7 @@ def cmd_simulate_spin(args) -> int:
     scheme = cfg["scheme"]
     make_initial = _make_initial(cfg, "spin")
     dt, n_steps = _run_length(cfg, grid)
-    state = make_state(grid, make_initial(grid), par, scheme=scheme)
+    state = make_state(grid, check_unit(make_initial(grid)), par, scheme=scheme)
     state.validate()
     states = march_spin(grid, state, par, dt, n_steps, cfg["save_every"], scheme)
     del state  # the march yields it first: one state is held at a time

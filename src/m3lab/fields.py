@@ -56,11 +56,11 @@ code dots in EINSUM_ORDER where its results were pinned to dot3 of
 order is load-bearing: the lump's near-degenerate points amplify a change
 of rounding, so component order moves its coefficient dumps by 1.1e-2.
 
-The stepping core shared by the spin and NLS solvers also lives here: one
-classical RK4 step (rk4, which owns the dt / stability check) and one save
-loop (march).  rk4 steps one array, forming its stage state and weighted
-sum in place, in a triple of arrays a march allocates once and passes as
-`work`.
+The stepping core shared by the spin and NLS solvers also lives here: the
+step bound (checked_dt), one classical RK4 step (rk4) and the march
+protocol (march).  rk4 steps one array, forming its stage state and
+weighted sum in place, in a triple of arrays a march's workspace holds as
+`work`; march yields a march's states, stepping the workspace it loaded.
 
 Every public operator rejects a non-finite input (FieldError).  The private
 _deriv and _inv_dx check nothing: a kernel checks its input once, where it
@@ -361,11 +361,18 @@ def max_norm(M: np.ndarray) -> float:
 # Time stepping shared by the spin and NLS solvers
 # ---------------------------------------------------------------------------
 
-def rk4(grid: Grid2, rhs, y: np.ndarray, dt: float, work=None) -> np.ndarray:
-    """One classical RK4 step of y' = rhs(y), y and rhs(y) arrays.
+def checked_dt(grid: Grid2, dt: float) -> float:
+    """dt, unless outside (0, CFL_SAFETY * hx * hy] (ParameterError): the
+    mixed-derivative dispersive terms of both models bound the step."""
+    bound = CFL_SAFETY * grid.hx * grid.hy
+    if not 0.0 < dt <= bound * (1.0 + 1e-9):
+        raise ParameterError(f"dt = {dt:.3e} outside the stable range (0, {bound:.3e}]")
+    return dt
 
-    The mixed-derivative dispersive terms of both models bound the step by
-    dt <= CFL_SAFETY * hx * hy; a dt outside (0, bound] is rejected.
+
+def rk4(grid: Grid2, rhs, y: np.ndarray, dt: float, work=None) -> np.ndarray:
+    """One classical RK4 step of y' = rhs(y), y and rhs(y) arrays, dt checked
+    by checked_dt.
 
     The stages y + c k and the sum y + dt/6 (k1 + 2 k2 + 2 k3 + k4) are
     formed in place, in that operand order, in work: one (stage, sum,
@@ -373,10 +380,7 @@ def rk4(grid: Grid2, rhs, y: np.ndarray, dt: float, work=None) -> np.ndarray:
     returned in the sum array.  y is never written, and rhs may return one
     buffer at every stage.
     """
-    bound = CFL_SAFETY * grid.hx * grid.hy
-    if not 0.0 < dt <= bound * (1.0 + 1e-9):
-        raise ParameterError(f"dt = {dt:.3e} outside the stable range (0, {bound:.3e}]")
-
+    checked_dt(grid, dt)
     k = rhs(y)
     s, total, tmp = work or tuple(np.empty(k.shape, np.result_type(y, k)) for _ in range(3))
     total[...] = k
@@ -390,23 +394,26 @@ def rk4(grid: Grid2, rhs, y: np.ndarray, dt: float, work=None) -> np.ndarray:
     return total
 
 
-def march(step, y, t: float, dt: float, n_steps: int, save_every: int, keep):
-    """Take n_steps steps `y, diag = step(y)`, the clock t advancing by dt each.
+def march(state, step, keep, dt: float, n_steps: int, save_every: int):
+    """Yield state, then the state after every save_every-th of n_steps steps.
 
-    A generator: every save_every-th step is passed to keep(y, t, diag) and
-    what keep returns is yielded, before the next step is taken, so what
-    keep derives (the constraint fields) is computed for kept steps only and
-    a caller that writes each result out holds one at a time.  A numerical
-    abort is re-raised with the time of the step that failed.
+    step() advances the workspace a march loaded state into by dt, in place,
+    and returns a diagnostic; keep(t, diag) makes the kept state at time t
+    of it.  Each state is yielded before the next step and then let go, the
+    initial one included, so a caller that writes each one out holds one at
+    a time.  A numerical abort is re-raised with the time of its step.
     """
+    t = state.t
+    yield state
+    del state
     for i in range(1, n_steps + 1):
         try:
-            y, diag = step(y)
+            diag = step()
         except NumericalError as exc:
             raise type(exc)(f"step from t = {t:.6g}: {exc}") from exc
         t = t + dt
         if i % save_every == 0:
-            yield keep(y, t, diag)
+            yield keep(t, diag)
 
 
 # ---------------------------------------------------------------------------

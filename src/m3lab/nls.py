@@ -10,7 +10,9 @@ system and whose d=0 limit is the Strachan system):
 For the physical reduction p = beta * conj(q), the pair equations are complex
 conjugates of each other and v stays real, since p q = beta |q|^2.  States
 hold q and v only, and the RK4 step advances q alone; p is formed from q by
-_paired where a slice is written.
+_paired where a slice is written.  As on the spin side, a march loads q
+into one workspace, checked once, and steps it in place; each step checks
+its result.
 States and stages solve v from beta |q|^2 on the half-spectrum path and a
 stage takes q_t as
 
@@ -30,11 +32,12 @@ dispersion relation  w = -k1 k2 + 4 c v0 k1 + 2 d^2 v0  (and the constraint
 forces v0 = 0 on the periodic box, leaving w = -k1 k2).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldError, ParameterError, UnstableStepError
+from .errors import FieldError, NumericalError, ParameterError, UnstableStepError
 from .fields import (SPECTRAL, Grid2, _deriv, _inv_dx, check_finite, ddx, ddy, inv_dx, march,
                      meanx, rk4)
 
@@ -57,6 +60,8 @@ class NlsParams:
             raise ParameterError("Zakharov requires (c, d) = (0, 1)")
         if self.model == "Strachan" and self.d != 0.0:
             raise ParameterError("Strachan requires d = 0")
+        if not (math.isfinite(2.0 * self.d * self.d) and math.isfinite(4.0 * self.c)):
+            raise ParameterError(f"(c, d) = ({self.c!r}, {self.d!r}) overflows 2 d^2 or 4c")
 
 
 @dataclass(frozen=True)
@@ -121,21 +126,26 @@ def make_state(grid: Grid2, q: np.ndarray, par: NlsParams, t: float = 0.0,
     """Assemble an NlsState with v solved from beta |q|^2 (p = beta*conj(q)).
 
     The state owns a copy of q (which may be a stepper's workspace array);
-    a non-finite q is rejected (FieldError).
+    a non-finite q is rejected (FieldError), and a q whose density beta |q|^2
+    overflows is a numerical abort, with no warning on the way.
     """
     q = check_finite(np.array(q, dtype=complex), "q")
-    v, v_x = _paired_v(grid, q, scheme, par.beta, tuple(np.empty(q.shape) for _ in range(3)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, v_x = _paired_v(grid, q, scheme, par.beta, tuple(np.empty(q.shape) for _ in range(3)))
+    if not np.all(np.isfinite(v)):
+        raise NumericalError(f"v of q is not finite (max |q| = {np.max(np.abs(q)):.3e})")
     return NlsState(q=q, v=v, t=t, v_row_mean=float(np.max(np.abs(meanx(v_x)))))
 
 
 class _Workspace:
-    """Every array an NLS step writes, for fields of one shape; march_nls
-    makes one for all its steps."""
+    """q loaded: a copy of q, checked finite, and every array an NLS step
+    writes; march_nls loads one for all its steps."""
 
-    def __init__(self, shape):
-        self.planes = tuple(np.empty(shape) for _ in range(3))
-        self.q, self.vq, self.w, self.tmp, self.rate = (np.empty(shape, complex) for _ in range(5))
-        self.rk4 = tuple(np.empty(shape, complex) for _ in range(3))
+    def __init__(self, q: np.ndarray):
+        self.q = check_finite(np.array(q, dtype=complex), "q")
+        self.planes = tuple(np.empty(self.q.shape) for _ in range(3))
+        self.vq, self.w, self.tmp, self.rate = (np.empty(self.q.shape, complex) for _ in range(4))
+        self.rk4 = tuple(np.empty(self.q.shape, complex) for _ in range(3))
 
 
 def _q_rate(grid: Grid2, q: np.ndarray, par: NlsParams, scheme, ws) -> np.ndarray:
@@ -152,50 +162,37 @@ def _q_rate(grid: Grid2, q: np.ndarray, par: NlsParams, scheme, ws) -> np.ndarra
     return q_t
 
 
-def step_rk4_nls(grid: Grid2, q: np.ndarray, par: NlsParams, dt: float,
-                 scheme=SPECTRAL, work=None):
-    """One RK4 step of q (p = beta*conj(q)), v re-solved at each stage.
+def step_rk4_nls(grid: Grid2, ws: _Workspace, par: NlsParams, dt: float,
+                 scheme=SPECTRAL) -> None:
+    """One RK4 step of the q loaded in ws (p = beta*conj(q)), in place, v
+    re-solved at each stage.
 
-    A non-finite q is rejected (FieldError), except work.q, the result of
-    the step before, which that step checked on its way out; so a march
-    checks each state once.  The stages run _q_rate unchecked, every array
-    in `work`; a step that overflows from a finite q ends non-finite and is
-    a numerical abort (UnstableStepError).  Returns the new q.  Given a
-    workspace (march_nls makes one for all its steps), that is work.q, which
-    the next step overwrites; a step without one makes its own.
+    The stages run _q_rate unchecked, every array in ws: q was checked when
+    loaded, and the step checks the new q before it writes it into ws.q.  A
+    step that ends non-finite is a numerical abort (UnstableStepError).
     """
-    if work is None or q is not work.q:
-        check_finite(q, "q")
-    ws = work or _Workspace(np.shape(q))
     # an overflow anywhere in the step ends as a non-finite result, which
     # aborts below; it needs no warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
-        q_new = rk4(grid, lambda y: _q_rate(grid, y, par, scheme, ws), q, dt, ws.rk4)
+        q_new = rk4(grid, lambda y: _q_rate(grid, y, par, scheme, ws), ws.q, dt, ws.rk4)
     try:
         check_finite(q_new, "q")
     except FieldError as exc:
         raise UnstableStepError(f"step went non-finite: {exc}") from exc
     np.copyto(ws.q, q_new)  # out of the sum arrays, which the next step writes
-    return ws.q
 
 
 def march_nls(grid: Grid2, state: NlsState, par: NlsParams, dt: float,
               n_steps: int, save_every: int = 1, scheme=SPECTRAL):
     """Yield state, then the state after every save_every-th of n_steps steps.
 
-    Every step runs in one workspace, which this generator owns.  Each kept
-    state owns copies of its arrays (make_state), and the generator lets go
-    of each state it yields, the initial one included, so a caller that
-    writes each one out before taking the next holds one at a time.
+    state.q is loaded into one workspace, which every step runs in
+    (fields.march); each kept state owns copies of its arrays (make_state).
     """
-    yield state
-    work = _Workspace(state.q.shape)
-    steps = march(
-        lambda q: (step_rk4_nls(grid, q, par, dt, scheme, work), None), state.q, state.t, dt,
-        n_steps, save_every,
-        lambda q, t, _: make_state(grid, q, par, t, scheme))
-    del state
-    yield from steps
+    ws = _Workspace(state.q)
+    return march(state, lambda: step_rk4_nls(grid, ws, par, dt, scheme),
+                 lambda t, _: make_state(grid, ws.q, par, t, scheme),
+                 dt, n_steps, save_every)
 
 
 def run_nls(grid: Grid2, state: NlsState, par: NlsParams, dt: float,

@@ -23,22 +23,19 @@ and the constraint solve it shares with solve_u, solve_v and make_state)
 works on S as one contiguous (3, ny, nx) component stack: S_x, S_y and
 (S ^ S_y)_x are each one derivative of a stack, and the derivatives, cross
 and dot products, u, v, the rate and the in-place RK4 stages (fields.rk4)
-are written into the arrays of one workspace.  march_spin marches that
-workspace's stack itself: each step renormalises the new S back into the
-stack and hands it on as an (ny, nx, 3) view, and only kept states are
-copied out into (ny, nx, 3) arrays, by make_state.  march_spin yields each
-kept state as it is made, so a caller that writes it out (simulate-spin)
-holds one at a time; run_spin collects them into a list.  S is checked for
-finite values once, where it enters (each public function, and a step
-or kept state given any S but the workspace's own, which the step before
-left finite); the stages run the unchecked operators, and a step that ends
-non-finite aborts through its renormalisation check, before it writes
-the stack.
+are written into the arrays of one workspace.  Loading S into a workspace
+copies it into the stack and checks it for finite values: that is where S
+enters.  step_rk4_spin advances a loaded workspace in place, and a step
+that ends non-finite aborts before it writes the stack.  march_spin loads
+the initial S and steps that workspace (fields.march); only kept states
+are copied out of it, and each is yielded as it is made, so a caller that
+writes it out (simulate-spin) holds one at a time.
 
 The kinematic decomposition S_t = d2 S_x + d3 S_y (with coefficients read off
 a moving frame) lives here as m0_reduce / m0_residual.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +87,10 @@ class SpinParams:
         if abs(self.denom) < DENOM_TOL:
             raise ParameterError(f"{self.model} requires |2cl + d| >= {DENOM_TOL}, "
                                  f"got {abs(self.denom):.3e}")
+        if not all(map(math.isfinite, (self.denom, self.drift, 4.0 * self.c,
+                                       self.denom * self.denom))):
+            raise ParameterError(f"(c, d, l) = ({self.c!r}, {self.d!r}, {self.l!r}) overflows "
+                                 "2cl + d, its square, 2l(cl + d) or 4c")
 
     @property
     def denom(self) -> float:
@@ -116,13 +117,20 @@ class SpinState:
     v_row_mean: float = 0.0  # max |row mean| of the v integrand
 
     def validate(self) -> None:
-        dev = float(np.max(np.abs(norm3(self.S) - 1.0)))
-        if dev > STATE_TOL:
-            raise ParameterError(f"|S| deviates from 1 by {dev:.3e}")
+        check_unit(self.S)
         for name, f in (("u", self.u), ("v", self.v)):
             drift = float(np.max(np.abs(np.mean(f, axis=1))))
             if drift > STATE_TOL:
                 raise ParameterError(f"{name} has nonzero x-mean {drift:.3e}")
+
+
+def check_unit(S: np.ndarray) -> np.ndarray:
+    """S, unless |S| deviates from 1 by more than STATE_TOL (ParameterError):
+    checked before the constraint solve, which a far from unit S overflows."""
+    dev = float(np.max(np.abs(norm3(S) - 1.0)))
+    if dev > STATE_TOL:
+        raise ParameterError(f"|S| deviates from 1 by {dev:.3e}")
+    return S
 
 
 def _unstack(P: np.ndarray) -> np.ndarray:
@@ -131,33 +139,18 @@ def _unstack(P: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """The stack P of S and every array a step writes, for (3, ny, nx)
-    stacks of one shape.
+    """S loaded: a copy of the (ny, nx, 3) field S as the stack P, checked
+    finite, and every array a step writes.  march_spin loads one and reuses
+    it in every stage of every step and for every kept state."""
 
-    march_spin makes one and reuses it in every stage of every step and
-    for every kept state.  S is P seen as an (ny, nx, 3) field.
-    """
-
-    def __init__(self, shape):
+    def __init__(self, S: np.ndarray):
+        shape = (3,) + np.shape(S)[:2]
         self.P, self.Sx, self.Sy, self.buf, self.rate = (np.empty(shape) for _ in range(5))
         self.u_x, self.u, self.v_x, self.v, self.tmp, self.length = (
             np.empty(shape[1:]) for _ in range(6))
         self.rk4 = tuple(np.empty(shape) for _ in range(3))
-        self.S = np.moveaxis(self.P, 0, -1)
-
-
-def _loaded(S: np.ndarray, work=None) -> _Workspace:
-    """work, or a new workspace, with S in its stack P, checked finite.
-
-    S is copied in and checked unless it is work.S, which already shows P:
-    the result of the step before, which that step left finite (a step
-    whose correction is not finite aborts before it writes P).
-    """
-    ws = work or _Workspace((3,) + np.shape(S)[:2])
-    if S is not ws.S:
-        ws.P[...] = np.moveaxis(S, -1, 0)
-        check_finite(ws.P, "S")
-    return ws
+        self.P[...] = np.moveaxis(S, -1, 0)
+        check_finite(self.P, "S")
 
 
 def _constraints(grid: Grid2, P, scheme, par: SpinParams, ws) -> None:
@@ -187,7 +180,7 @@ def solve_u(grid: Grid2, S: np.ndarray, scheme=SPECTRAL):
     integrand (solvability diagnostic; zero for topologically trivial rows).
     States the M-III constraint on u alone; tests hold it to u_from_fg.
     """
-    ws = _loaded(S)
+    ws = _Workspace(S)
     _constraints(grid, ws.P, scheme, None, ws)
     return Antideriv(ws.u, meanx(ws.u_x)[:, 0])
 
@@ -195,7 +188,7 @@ def solve_u(grid: Grid2, S: np.ndarray, scheme=SPECTRAL):
 def solve_v(grid: Grid2, S: np.ndarray, par: SpinParams, scheme=SPECTRAL):
     """v with v_x = (S_x.S_x)_y / (4(2cl+d)^2), zero x-mean; returns (v, row_mean).
     States the M-III constraint on v alone, the partner's v through 2cl+d."""
-    ws = _loaded(S)
+    ws = _Workspace(S)
     _constraints(grid, ws.P, scheme, par, ws)
     return Antideriv(ws.v, meanx(ws.v_x)[:, 0])
 
@@ -226,22 +219,26 @@ def spin_rhs(grid: Grid2, S: np.ndarray, par: SpinParams, scheme=SPECTRAL) -> np
     Computed on the (3, ny, nx) component stack of S; the (ny, nx, 3)
     result is written once.  A non-finite S is rejected (FieldError).
     """
-    ws = _loaded(S)
+    ws = _Workspace(S)
     return _unstack(_rhs(grid, ws.P, par, scheme, ws))
 
 
-def make_state(grid: Grid2, S: np.ndarray, par: SpinParams, t: float = 0.0,
-               scheme=SPECTRAL, renorm: float = 0.0, work=None) -> SpinState:
-    """Assemble a SpinState with u, v solved from S (one differentiation of S).
-
-    work as for step_rk4_spin.  S, u and v are copied out of it, S as a new
-    (ny, nx, 3) array, so the state owns its arrays.
-    """
-    ws = _loaded(S, work)
+def _state(grid: Grid2, ws: _Workspace, par: SpinParams, t: float, scheme,
+           renorm: float) -> SpinState:
+    """The SpinState of the S in the stack of ws, with u, v solved from it
+    (one differentiation of S).  S, u and v are copied out of ws, S as a
+    new (ny, nx, 3) array, so the state owns its arrays."""
     _constraints(grid, ws.P, scheme, par, ws)
     return SpinState(S=_unstack(ws.P), u=ws.u.copy(), v=ws.v.copy(), t=t, renorm=renorm,
                      u_row_mean=float(np.max(np.abs(meanx(ws.u_x)))),
                      v_row_mean=float(np.max(np.abs(meanx(ws.v_x)))))
+
+
+def make_state(grid: Grid2, S: np.ndarray, par: SpinParams, t: float = 0.0,
+               scheme=SPECTRAL) -> SpinState:
+    """Assemble a SpinState with u, v solved from S; a non-finite S is
+    rejected (FieldError)."""
+    return _state(grid, _Workspace(S), par, t, scheme, 0.0)
 
 
 def default_dt(grid: Grid2) -> float:
@@ -249,25 +246,17 @@ def default_dt(grid: Grid2) -> float:
     return DT_FACTOR * grid.hx * grid.hy
 
 
-def step_rk4_spin(grid: Grid2, S: np.ndarray, par: SpinParams, dt: float,
-                  scheme=SPECTRAL, work=None):
-    """One classical RK4 step of S.
+def step_rk4_spin(grid: Grid2, ws: _Workspace, par: SpinParams, dt: float,
+                  scheme=SPECTRAL) -> float:
+    """One classical RK4 step of the S loaded in ws, in place.
 
-    Returns (S renormalized to unit length, the correction max |1 - |S||
-    that renormalization removed).  S is checked once, on entry: a
-    non-finite S is rejected (FieldError), except work.S, the result of the
-    step before, which that step left finite; so a march checks its initial
-    S alone.  The stages run unchecked on the (3, ny, nx) stack of S, every
-    array in `work`; a step that ends non-finite gives a NaN correction,
-    which aborts it (UnstableStepError) as a correction beyond
-    RENORM_LIMIT does.
-
-    march_spin makes one workspace for all its steps.  Given one, the step
-    writes the new S into its stack and returns work.S, the (ny, nx, 3)
-    view of that stack, which the next step takes without a copy; a step
-    without one makes its own and returns a new array.
+    The new S, renormalized to unit length, replaces the old in the stack
+    ws.P; returns the correction max |1 - |S|| that renormalization
+    removed.  The stages run unchecked, every array in ws: the stack was
+    checked when loaded, and a step that ends non-finite gives a NaN
+    correction, which aborts it (UnstableStepError) before it writes the
+    stack, as a correction beyond RENORM_LIMIT does.
     """
-    ws = _loaded(S, work)
     # an overflow in a stage ends as a non-finite correction, which aborts
     # below; it needs no warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
@@ -277,27 +266,20 @@ def step_rk4_spin(grid: Grid2, S: np.ndarray, par: SpinParams, dt: float,
     if not correction <= RENORM_LIMIT:
         raise UnstableStepError(f"unstable step: renormalization correction {correction:.3e}")
     np.divide(T, lengths, out=ws.P)
-    return (ws.S if work is not None else _unstack(ws.P)), correction
+    return correction
 
 
 def march_spin(grid: Grid2, state: SpinState, par: SpinParams, dt: float,
                n_steps: int, save_every: int = 1, scheme=SPECTRAL):
     """Yield state, then the state after every save_every-th of n_steps steps.
 
-    Every step and kept state runs in one workspace, which this generator
-    owns and whose stack the march carries from step to step.  Each kept
-    state owns copies of its arrays (make_state), and the generator lets go
-    of each state it yields, the initial one included, so a caller that
-    writes each one out before taking the next holds one at a time.
+    state.S is loaded into one workspace, which every step and kept state
+    runs in (fields.march); each kept state owns copies of its arrays.
     """
-    yield state
-    work = _Workspace((3,) + state.S.shape[:2])
-    steps = march(
-        lambda S: step_rk4_spin(grid, S, par, dt, scheme, work), state.S, state.t, dt,
-        n_steps, save_every,
-        lambda S, t, renorm: make_state(grid, S, par, t, scheme, renorm, work))
-    del state
-    yield from steps
+    ws = _Workspace(state.S)
+    return march(state, lambda: step_rk4_spin(grid, ws, par, dt, scheme),
+                 lambda t, renorm: _state(grid, ws, par, t, scheme, renorm),
+                 dt, n_steps, save_every)
 
 
 def run_spin(grid: Grid2, state: SpinState, par: SpinParams, dt: float,

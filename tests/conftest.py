@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from m3lab import nls, spin
 from m3lab.fields import Grid2, cross_planes, norm3
 from m3lab.frames import FrameCoeffs, FrameField
 
@@ -115,6 +116,21 @@ def smooth_spin(grid, rng, amplitude=0.35, kmax=3):
     S = np.stack(comps, axis=-1)
     S[..., 2] += 1.0
     return normalized3(S)
+
+
+def spin_step(grid, S, par, dt, scheme="spectral"):
+    """One step_rk4_spin of S in a workspace loaded with it: (the new S as an
+    (ny, nx, 3) field, the renormalisation correction)."""
+    ws = spin._Workspace(S)
+    correction = spin.step_rk4_spin(grid, ws, par, dt, scheme)
+    return spin._unstack(ws.P), correction
+
+
+def nls_step(grid, q, par, dt, scheme="spectral"):
+    """One step_rk4_nls of q in a workspace loaded with it: the new q."""
+    ws = nls._Workspace(q)
+    nls.step_rk4_nls(grid, ws, par, dt, scheme)
+    return ws.q
 
 
 def smooth_complex(grid, rng, kmax=3, scale=0.5):

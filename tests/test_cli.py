@@ -6,13 +6,15 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
 import m3lab
-from m3lab.cli import RunConfig, build_parser, main, parse_config_text
+from m3lab.cli import (MAX_CELLS, MAX_SLICES, MAX_STEPS, RunConfig, _run_length, build_parser,
+                       main, parse_config_text)
 from m3lab.errors import ConfigError
 from m3lab.fields import DENSE_MAX_N, Grid2, read_mfld1, write_mfld1
 from m3lab.nls import NlsParams, init_plane_wave, march_nls
@@ -590,6 +592,13 @@ def test_numerical_abort_exits_3(tmp_path):
     assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 3
 
 
+def _one_error_line(capsys, prefix="error: ") -> str:
+    """The stderr of a refused command: exactly one line, starting with prefix."""
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    return err
+
+
 @pytest.mark.parametrize("command, cfg_text", [
     ("simulate-spin", _with(SPIN_CFG, save_every=0)),
     ("simulate-nls", _with(NLS_CFG, save_every=0)),
@@ -607,18 +616,113 @@ def test_numerical_abort_exits_3(tmp_path):
     ("simulate-spin", _with(SPIN_CFG, **{"spin.init.eps": "inf"})),
     ("simulate-spin", _with(SPIN_CFG, dt=5e-324)),
     ("simulate-nls", _with(NLS_CFG, dt=5e-324)),
+    ("simulate-spin", _with(SPIN_CFG, **{"params.l": 1e300})),
+    ("simulate-spin", _with(SPIN_CFG, **{"params.d": 1e300})),
+    ("simulate-nls", _with(NLS_CFG, model="M3q", **{"params.d": 1e300})),
+    ("simulate-nls", _with(NLS_CFG, model="M3q", **{"params.c": 1e308})),
 ], ids=["spin-save_every-0", "nls-save_every-0", "spin-t_end-0", "nls-t_end-0",
         "spin-t_end-negative", "nls-t_end-negative", "spin-dt-negative",
         "spin-init-unknown-key", "nls-init-unknown-key",
         "spin-scheme-foo", "nls-scheme-foo",
         "spin-params-c-nan", "nls-params-d-inf", "spin-init-inf",
-        "spin-dt-tiny", "nls-dt-tiny"])
+        "spin-dt-tiny", "nls-dt-tiny",
+        "spin-params-l-overflows", "spin-params-d-overflows", "nls-params-d-overflows",
+        "nls-params-c-overflows"])
 def test_bad_run_config_exits_2(tmp_path, capsys, command, cfg_text):
+    """A refused config exits 2 with one error line, no numpy warning
+    before it, and nothing written."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(cfg_text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--output-dir", str(tmp_path), command, str(cfg)]) == 2
+    _one_error_line(capsys)
+    assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
+
+
+@pytest.mark.parametrize("command, cfg_text, run, slice_name", [
+    ("simulate-spin", SPIN_CFG, "spinrun", "spin_000000.mfld1"),
+    ("simulate-nls", NLS_CFG, "nlsrun", "nls_000000.mfld1")], ids=["spin", "nls"])
+def test_dt_beyond_the_step_bound_leaves_the_run_directory(tmp_path, capsys, command, cfg_text,
+                                                           run, slice_name):
+    """A dt beyond CFL_SAFETY hx hy is refused before the run directory is
+    touched: an earlier run's files stay and no slice is written."""
+    earlier = {"meta.json": "{}\n", slice_name.replace("000000", "000007"): "earlier"}
+    (tmp_path / run).mkdir()
+    for name, text in earlier.items():
+        (tmp_path / run / name).write_text(text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_with(cfg_text, dt=0.01, **{"grid.nx": 64, "grid.ny": 64}))
     assert main(["--output-dir", str(tmp_path), command, str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert "outside the stable range" in _one_error_line(capsys)
+    assert {p.name: p.read_text() for p in (tmp_path / run).iterdir()} == earlier
+
+
+def test_recorded_overflowing_parameter_exits_2(recorded_spin_run, tmp_path, capsys):
+    """The same for a value that a run's meta.json records."""
+    run = tmp_path / "spinrun"
+    shutil.copytree(recorded_spin_run, run)
+    meta = json.loads((run / "meta.json").read_text())
+    meta["config"]["params.l"] = 1e300
+    (run / "meta.json").write_text(json.dumps(meta))
+    files = sorted(os.listdir(run))
+    assert main(["--output-dir", str(tmp_path), "equiv-check", "spinrun", "--ladder", "16,24"]) == 2
+    assert "overflows" in _one_error_line(capsys)
+    assert sorted(os.listdir(run)) == files
+
+
+def test_nls_density_overflow_is_one_abort_line(tmp_path, capsys):
+    """A q whose density |q|^2 overflows aborts with its one line: no numpy
+    warning reaches stderr before it."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_with(NLS_CFG, **{"nls.init.amplitude": 1e200}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--output-dir", str(tmp_path), "simulate-nls", str(cfg)]) == 3
+    _one_error_line(capsys, "numerical abort: ")
+
+
+def test_far_from_unit_initial_S_is_one_error_line(tmp_path, capsys):
+    """An initial S far from unit length is refused before its constraints
+    are solved, so no numpy warning reaches stderr before the error line."""
+    grid = Grid2(16, 16)
+    S = init_modulated_helix(grid)
+    S[2:5, 3:9] = 1e200
+    write_mfld1(tmp_path / "S0.mfld1", grid, S)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_with(SPIN_CFG, **{"grid.nx": 16, "grid.ny": 16,
+                                      "spin.init": tmp_path / "S0.mfld1",
+                                      "spin.init.eps": None, "spin.init.kappa": None}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 2
+    assert "|S| deviates from 1 by inf" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("changes, what", [
+    ({"dt": 1e-300, "t_end": 0.02}, "steps"),
+    ({"t_end": 1e300}, "steps"),
+    ({"save_every": 1, "t_end": 10_000 * default_dt(Grid2(16, 16))}, "slices"),
+    ({"grid.nx": 4096, "grid.ny": 4096}, "points"),
+], ids=["tiny-dt", "huge-t_end", "slices", "cells"])
+def test_run_length_refuses_a_run_beyond_its_size_bound(changes, what):
+    """_run_length refuses a run of more than MAX_STEPS steps, MAX_SLICES
+    saved slices or MAX_CELLS points; the run itself is never started."""
+    cfg = RunConfig.from_text(_with(SPIN_CFG, **{"grid.nx": 16, "grid.ny": 16, **changes}))
+    with pytest.raises(ConfigError, match=what):
+        _run_length(cfg, cfg.grid())
+
+
+@pytest.mark.parametrize("n, steps, save_every", [(128, 300, 10), (256, 24, 2)])
+def test_run_size_bound_is_far_above_the_benchmark(n, steps, save_every):
+    """The benchmark's largest runs (300 steps and 31 slices at 128^2, 256^2
+    points) are accepted, each at a hundredth of its bound or less."""
+    dt = default_dt(Grid2(n, n))
+    cfg = RunConfig.from_text(_with(SPIN_CFG, dt=repr(dt), t_end=repr(steps * dt),
+                                    save_every=save_every, **{"grid.nx": n, "grid.ny": n}))
+    assert _run_length(cfg, cfg.grid()) == (dt, steps)
+    assert 100 * steps <= MAX_STEPS and 100 * (steps // save_every + 1) <= MAX_SLICES
+    assert 100 * n * n <= MAX_CELLS
 
 
 @pytest.mark.parametrize("init, key", [("stereographic-lump", "center"),

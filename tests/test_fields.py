@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from m3lab.errors import ConfigError, FieldError, M3LabError
+from m3lab.errors import ConfigError, FieldError, M3LabError, UnstableStepError
 from m3lab.fields import (
     DENSE_MAX_N,
     EINSUM_ORDER,
@@ -19,6 +19,7 @@ from m3lab.fields import (
     dot_planes,
     integrate2,
     inv_dx,
+    march,
     meanx,
     norm3,
     norm_planes,
@@ -471,6 +472,28 @@ def test_rk4_in_place_is_the_textbook_step(rng, dtype):
         assert np.array_equal(got, want)
         assert np.array_equal(rk4(g, rate, y, dt), want)
         assert np.array_equal(y, y0)
+
+
+def test_march_yields_state_then_kept_steps(grid):
+    """march yields the state it is given, then keep(t, diag) after every
+    save_every-th step, on the clock of dt; an abort names the step's time."""
+    class State:
+        t = 0.5
+
+    taken, dt = [], 0.25
+    states = march(State(), lambda: taken.append(1) or len(taken),
+                   lambda t, diag: (t, diag, len(taken)), dt, 7, 3)
+    assert isinstance(next(states), State) and taken == []
+    assert list(states) == [(1.25, 3, 3), (2.0, 6, 6)]
+    assert len(taken) == 7
+
+    def unstable():
+        raise UnstableStepError("went non-finite")
+
+    states = march(State(), unstable, None, dt, 2, 1)
+    next(states)
+    with pytest.raises(UnstableStepError, match="step from t = 0.5: went non-finite"):
+        next(states)
 
 
 def test_mfld1_non_finite_payload_rejected(tmp_path, grid):

@@ -9,8 +9,10 @@ from m3lab.errors import FieldError, NumericalError, ParameterError, UnstableSte
 from m3lab.fields import DENSE_MAX_N, Grid2, ddx, ddy, inv_dx, meanx, rk4
 from m3lab.nls import (
     NlsParams,
+    NlsState,
     init_plane_wave,
     make_state,
+    march_nls,
     nls_rhs,
     plane_wave_omega,
     run_nls,
@@ -19,7 +21,7 @@ from m3lab.nls import (
 )
 from m3lab.spin import default_dt
 
-from conftest import smooth_complex
+from conftest import nls_step, smooth_complex
 
 ZAK = NlsParams(c=0.0, d=1.0, model="Zakharov")
 GEN = NlsParams(c=0.3, d=1.0, model="M3q")
@@ -120,7 +122,7 @@ def test_dispersion_relation_with_injected_background(grid):
 def test_step_preserves_zero(grid):
     z = np.zeros((grid.ny, grid.nx), dtype=complex)
     state = make_state(grid, z, ZAK)
-    q = step_rk4_nls(grid, state.q, ZAK, default_dt(grid))
+    q = nls_step(grid, state.q, ZAK, default_dt(grid))
     assert np.max(np.abs(q)) == 0.0
 
 
@@ -129,10 +131,10 @@ def test_step_rk4_order(grid, rng):
     q0 = smooth_complex(grid, rng)
 
     def terminal(dt, n):
-        q = make_state(grid, q0, par).q
+        ws = nls._Workspace(make_state(grid, q0, par).q)
         for _ in range(n):
-            q = step_rk4_nls(grid, q, par, dt)
-        return q
+            step_rk4_nls(grid, ws, par, dt)
+        return ws.q
 
     dt0, n0 = 0.8 * default_dt(grid), 8
     Q1 = terminal(dt0, n0)
@@ -158,33 +160,31 @@ def test_non_finite_stage_is_a_numerical_abort(grid, rng, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="non-finite"):
-            step_rk4_nls(grid, q, GEN, default_dt(grid))
+            nls_step(grid, q, GEN, default_dt(grid))
     assert len(stages) == 4
 
 
 def test_step_given_its_workspace_allocates_less_than_a_field(rng):
-    """Given its workspace, a step writes every stage, the v solve and the
-    new q into that workspace's arrays: after warm-up, what it allocates at
-    its peak stays below one complex (ny, nx) field."""
+    """A step writes every stage, the v solve and the new q into the arrays
+    of the workspace it advances: after warm-up, what it allocates at its
+    peak stays below one complex (ny, nx) field."""
     g = Grid2(128, 128)
-    ws = nls._Workspace((g.ny, g.nx))
-    q = step_rk4_nls(g, smooth_complex(g, rng, scale=0.3), GEN, default_dt(g), work=ws)
-    assert q is ws.q
+    ws = nls._Workspace(smooth_complex(g, rng, scale=0.3))
+    step_rk4_nls(g, ws, GEN, default_dt(g))
     tracemalloc.start()
     try:
-        q = step_rk4_nls(g, q, GEN, default_dt(g), work=ws)
+        step_rk4_nls(g, ws, GEN, default_dt(g))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert q is ws.q
-    assert peak < q.nbytes
+    assert peak < ws.q.nbytes
 
 
 def test_plane_wave_modulus_conserved(grid):
-    q = make_state(grid, init_plane_wave(grid, 0.5, 1, 1), ZAK).q
+    ws = nls._Workspace(make_state(grid, init_plane_wave(grid, 0.5, 1, 1), ZAK).q)
     for _ in range(100):
-        q = step_rk4_nls(grid, q, ZAK, default_dt(grid))
-        assert np.max(np.abs(np.abs(q) - 0.5)) < 1e-9
+        step_rk4_nls(grid, ws, ZAK, default_dt(grid))
+        assert np.max(np.abs(np.abs(ws.q) - 0.5)) < 1e-9
 
 
 def test_run_nls_measured_frequency(grid):
@@ -240,7 +240,7 @@ def test_reduced_step_matches_general_pair(shape, scheme, beta, c, d):
     tol = 1e-13 * np.max(np.abs(q))
     q_ref, p_ref = general_pair_step(g, q, par, default_dt(g), scheme)
     assert np.max(np.abs(p_ref - beta * np.conj(q_ref))) <= tol
-    q_new = step_rk4_nls(g, q, par, default_dt(g), scheme)
+    q_new = nls_step(g, q, par, default_dt(g), scheme)
     assert np.max(np.abs(q_new - q_ref)) <= tol
 
 
@@ -272,9 +272,9 @@ def test_step_reductions_bitwise(grid, rng, scheme, beta):
                                                   - 2j * vq(q)),
             ((c, 0.0), "Strachan", lambda q: ddx(grid, -1j * ddy(grid, q, scheme)
                                                   - 4.0 * c * vq(q), scheme))):
-        step = step_rk4_nls(grid, q, NlsParams(*m3q, beta=beta, model="M3q"), dt, scheme)
+        step = nls_step(grid, q, NlsParams(*m3q, beta=beta, model="M3q"), dt, scheme)
         par = NlsParams(*m3q, beta=beta, model=reduced)
-        assert np.array_equal(step, step_rk4_nls(grid, q, par, dt, scheme))
+        assert np.array_equal(step, nls_step(grid, q, par, dt, scheme))
         assert np.array_equal(step, written_out(rate))
 
 
@@ -322,6 +322,7 @@ def test_step_transform_counts(rng, monkeypatch, c, n_complex):
         grid = Grid2(n, n)
         q = smooth_complex(grid, rng)
         make_state(grid, q, NlsParams())  # the operator matrices are built before counting
+        ws = nls._Workspace(q)
         calls = dict.fromkeys(("fft", "ifft", "rfft", "irfft"), 0)
 
         def counted(name):
@@ -335,7 +336,7 @@ def test_step_transform_counts(rng, monkeypatch, c, n_complex):
         with monkeypatch.context() as m:
             for name in calls:
                 m.setattr(np.fft, name, counted(name))
-            step_rk4_nls(grid, q, NlsParams(c=c, d=1.0), default_dt(grid))
+            step_rk4_nls(grid, ws, NlsParams(c=c, d=1.0), default_dt(grid))
             assert calls == {"fft": n_complex, "ifft": n_complex,
                              "rfft": 4 * n_real, "irfft": 4 * n_real}
             calls.update(dict.fromkeys(calls, 0))
@@ -352,7 +353,7 @@ def test_non_finite_q_rejected(grid, rng, bad, part):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FieldError):
-            step_rk4_nls(grid, q, GEN, default_dt(grid))
+            nls_step(grid, q, GEN, default_dt(grid))
         with pytest.raises(FieldError):
             make_state(grid, q, GEN)
 
@@ -360,18 +361,19 @@ def test_non_finite_q_rejected(grid, rng, bad, part):
 def test_overflowing_step_is_a_numerical_abort():
     """A finite q whose step overflows aborts as unstable, with no warning on the way."""
     g = Grid2(32, 32)
-    q = smooth_complex(g, np.random.default_rng(3), scale=6.0)
+    ws = nls._Workspace(smooth_complex(g, np.random.default_rng(3), scale=6.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(UnstableStepError):
             for _ in range(10):
-                q = step_rk4_nls(g, q, GEN, default_dt(g))
+                step_rk4_nls(g, ws, GEN, default_dt(g))
 
 
 def test_march_checks_each_state_once(grid, rng, monkeypatch):
     """Each step takes the previous step's checked result unchecked: a march
-    of n steps checks the initial q once, each new q once on its way out,
-    and each kept state once, and gives the bits of fresh single steps."""
+    of n steps checks the initial q once, where it loads it, each new q once
+    on its way out, and each kept state once, and gives the bits of single
+    steps each loaded afresh."""
     calls = []
     real = nls.check_finite
     monkeypatch.setattr(nls, "check_finite", lambda f, name="field": calls.append(name) or
@@ -383,19 +385,20 @@ def test_march_checks_each_state_once(grid, rng, monkeypatch):
     assert len(calls) == 1 + n_steps + n_steps // save_every
     q = state.q
     for _ in range(n_steps):
-        q = step_rk4_nls(grid, q, GEN, default_dt(grid))
+        q = nls_step(grid, q, GEN, default_dt(grid))
     assert np.array_equal(saved[-1].q, q)
 
 
-@pytest.mark.parametrize("given", ["no workspace", "a workspace"])
-def test_step_checks_a_q_that_is_not_its_own_result(grid, rng, given):
-    """Given the workspace of a march, a step still rejects a non-finite q
-    that is not the workspace's own result."""
-    ws = nls._Workspace((grid.ny, grid.nx)) if given == "a workspace" else None
-    q = step_rk4_nls(grid, smooth_complex(grid, rng), GEN, default_dt(grid), work=ws)
-    bad = q.copy()
+def test_loading_checks_every_q(grid, rng):
+    """Every q that reaches a step is loaded first, and loading rejects a
+    non-finite one, before any warning: a march's initial state and a
+    workspace loaded for single steps."""
+    state = make_state(grid, smooth_complex(grid, rng), GEN)
+    bad = state.q.copy()
     bad[3, 4] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FieldError):
-            step_rk4_nls(grid, bad, GEN, default_dt(grid), work=ws)
+        for call in (lambda: march_nls(grid, NlsState(bad, state.v), GEN, default_dt(grid), 2),
+                     lambda: nls._Workspace(bad)):
+            with pytest.raises(FieldError):
+                call()

@@ -15,11 +15,11 @@ from m3lab.fields import Grid2, ddx, inv_dx, meanx, read_mfld1, write_mfld1
 from m3lab.frames import bracket
 from m3lab.invariants import coeff_densities
 from m3lab.lax import _sl2, _sl2_bracket, su2_from_vec
-from m3lab.nls import NlsParams, nls_rhs, solve_v_nls, step_rk4_nls
-from m3lab.spin import SpinParams, default_dt, spin_rhs, step_rk4_spin
+from m3lab.nls import NlsParams, nls_rhs, solve_v_nls
+from m3lab.spin import SpinParams, default_dt, spin_rhs
 
-from conftest import (band_limited, commutator, frame_coeffs, smooth_complex, smooth_spin,
-                      so3_from_vec)
+from conftest import (band_limited, commutator, frame_coeffs, nls_step, smooth_complex,
+                      smooth_spin, so3_from_vec, spin_step)
 
 seeds = st.integers(0, 2**32 - 1)
 betas = st.sampled_from([1, -1])
@@ -40,7 +40,7 @@ def test_spin_m3_at_d0_is_m2_bitwise(seed, c, l, scheme):
     steps = []
     for par in (m3, m2):
         try:
-            steps.append(step_rk4_spin(g, S, par, dt, scheme))
+            steps.append(spin_step(g, S, par, dt, scheme))
         except UnstableStepError as exc:  # a stiff draw must abort both alike
             steps.append((None, str(exc)))
     (S3, renorm3), (S2, renorm2) = steps
@@ -59,7 +59,7 @@ def test_nls_m3q_at_0_1_is_zakharov_bitwise(seed, scale, beta, scheme):
     for a, b in zip(nls_rhs(g, q, p, v, m3q, scheme), nls_rhs(g, q, p, v, zak, scheme)):
         assert np.array_equal(a, b)
     dt = 0.5 * default_dt(g)
-    assert np.array_equal(step_rk4_nls(g, q, m3q, dt, scheme), step_rk4_nls(g, q, zak, dt, scheme))
+    assert np.array_equal(nls_step(g, q, m3q, dt, scheme), nls_step(g, q, zak, dt, scheme))
 
 
 @given(seed=seeds, nx=st.integers(8, 40), ny=st.integers(8, 40),

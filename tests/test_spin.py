@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from m3lab import spin
 from m3lab.convergence import fit_order
 from m3lab.errors import (
     DegenerateFieldError,
@@ -16,6 +17,7 @@ from m3lab.fields import Grid2, ddx, ddy, dot3, inv_dx, meanx, norm3
 from m3lab.frames import coeffs_from_frame, frame_dt, frame_from_spin
 from m3lab.spin import (
     SpinParams,
+    SpinState,
     default_dt,
     init_modulated_helix,
     init_stereographic_lump,
@@ -23,6 +25,7 @@ from m3lab.spin import (
     m0_reduce,
     m0_residual,
     make_state,
+    march_spin,
     run_spin,
     solve_u,
     solve_v,
@@ -30,7 +33,7 @@ from m3lab.spin import (
     step_rk4_spin,
 )
 
-from conftest import cross3, frame_coeffs, smooth_spin
+from conftest import cross3, frame_coeffs, smooth_spin, spin_step
 
 PAR = SpinParams(c=0.3, d=1.0, l=0.2, model="M3")
 
@@ -213,16 +216,16 @@ def test_state_row_means(grid):
 
 def test_step_preserves_equilibrium(grid):
     state = make_state(grid, init_uniform(grid), PAR)
-    S, _ = step_rk4_spin(grid, state.S, PAR, default_dt(grid))
+    S, _ = spin_step(grid, state.S, PAR, default_dt(grid))
     assert np.array_equal(S, state.S)
 
 
 def test_step_dt_validation(grid):
     state = make_state(grid, init_uniform(grid), PAR)
     with pytest.raises(ParameterError):
-        step_rk4_spin(grid, state.S, PAR, -1.0)
+        spin_step(grid, state.S, PAR, -1.0)
     with pytest.raises(ParameterError):
-        step_rk4_spin(grid, state.S, PAR, 10.0 * grid.hx * grid.hy)
+        spin_step(grid, state.S, PAR, 10.0 * grid.hx * grid.hy)
 
 
 
@@ -237,7 +240,8 @@ def test_non_finite_spin_rejected(grid, rng, bad, comp):
         with pytest.raises(FieldError):
             spin_rhs(grid, S, PAR)
         with pytest.raises(FieldError):
-            step_rk4_spin(grid, S, PAR, default_dt(grid))
+            spin_step(grid, S, PAR, default_dt(grid))
+
 
 def test_step_rk4_order():
     g = Grid2(48, 48)
@@ -245,10 +249,10 @@ def test_step_rk4_order():
     S0 = init_modulated_helix(g, kappa=1, eps=0.1)
 
     def terminal(dt, n):
-        S = make_state(g, S0, par).S
+        ws = spin._Workspace(make_state(g, S0, par).S)
         for _ in range(n):
-            S, _ = step_rk4_spin(g, S, par, dt)
-        return S
+            step_rk4_spin(g, ws, par, dt)
+        return ws.P
 
     dt0, n0 = 0.8 * default_dt(g), 10
     S1 = terminal(dt0, n0)
@@ -260,12 +264,11 @@ def test_step_rk4_order():
 
 def test_unit_norm_and_drift_over_run(grid):
     par = SpinParams(c=0.3, d=1.0, l=0.0, model="M3")
-    S = make_state(grid, init_modulated_helix(grid, kappa=1, eps=0.1), par).S
+    ws = spin._Workspace(make_state(grid, init_modulated_helix(grid, kappa=1, eps=0.1), par).S)
     worst = 0.0
     for _ in range(100):
-        S, renorm = step_rk4_spin(grid, S, par, default_dt(grid))
-        worst = max(worst, renorm)
-        assert np.max(np.abs(norm3(S) - 1.0)) < 1e-9
+        worst = max(worst, step_rk4_spin(grid, ws, par, default_dt(grid)))
+        assert np.max(np.abs(norm3(np.moveaxis(ws.P, 0, -1)) - 1.0)) < 1e-9
     assert worst < 1e-6
 
 
@@ -278,25 +281,24 @@ def test_unstable_step_rejected():
     a = 0.8 * np.cos(kx * X) * np.cos(ky * Y)
     b = 0.8 * np.sin(kx * X) * np.sin(ky * Y)
     from conftest import normalized3
-    S = make_state(g, normalized3(np.stack([a, b, np.ones_like(a)], axis=-1)), par).S
+    ws = spin._Workspace(make_state(g, normalized3(np.stack([a, b, np.ones_like(a)], axis=-1)),
+                                 par).S)
     with pytest.raises(UnstableStepError):
         for _ in range(5):
-            S, _ = step_rk4_spin(g, S, par, default_dt(g))
+            step_rk4_spin(g, ws, par, default_dt(g))
 
 
 def test_non_finite_correction_aborts_the_step(grid, rng, monkeypatch):
     """A rhs gone non-finite gives a NaN renormalization correction; the step
     aborts instead of returning a non-finite S."""
-    import m3lab.spin as spin
     monkeypatch.setattr(spin, "_rhs", lambda grid, P, *args: np.full_like(P, np.nan))
     with pytest.raises(UnstableStepError, match="correction nan"):
-        step_rk4_spin(grid, smooth_spin(grid, rng), PAR, default_dt(grid))
+        spin_step(grid, smooth_spin(grid, rng), PAR, default_dt(grid))
 
 
 def test_non_finite_stage_is_a_numerical_abort(grid, rng, monkeypatch):
     """A stage rate gone non-finite is not checked in the stage; the
     renormalisation is, and the step aborts with no warning on the way."""
-    import m3lab.spin as spin
     real_rhs = spin._rhs
     stages = []
 
@@ -310,35 +312,32 @@ def test_non_finite_stage_is_a_numerical_abort(grid, rng, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="correction nan"):
-            step_rk4_spin(grid, S, PAR, default_dt(grid))
+            spin_step(grid, S, PAR, default_dt(grid))
     assert len(stages) == 4
 
 
 def test_step_given_its_workspace_allocates_less_than_a_stack(rng):
-    """Given its workspace, a step writes every stage, the weighted sum and
-    the renormalised S into that workspace's arrays: after warm-up, what it
-    allocates at its peak (the finite check's mask, numpy's iterator buffers
-    of at most 8192 elements) stays below one (3, ny, nx) stack."""
-    import m3lab.spin as spin
+    """A step writes every stage, the weighted sum and the renormalised S
+    into the arrays of the workspace it advances: after warm-up, what it
+    allocates at its peak (numpy's iterator buffers of at most 8192
+    elements) stays below one (3, ny, nx) stack."""
     g = Grid2(128, 128)
-    ws = spin._Workspace((3, g.ny, g.nx))
-    S, _ = step_rk4_spin(g, smooth_spin(g, rng), PAR, default_dt(g), work=ws)
-    assert S is ws.S
+    ws = spin._Workspace(smooth_spin(g, rng))
+    step_rk4_spin(g, ws, PAR, default_dt(g))
     tracemalloc.start()
     try:
-        S, _ = step_rk4_spin(g, S, PAR, default_dt(g), work=ws)
+        step_rk4_spin(g, ws, PAR, default_dt(g))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert S is ws.S
     assert peak < ws.P.nbytes
 
 
 def test_march_checks_its_initial_S_once(grid, rng, monkeypatch):
     """Each step takes the previous step's result, the march's own stack,
     unchecked, and so does each kept state: a march of n steps checks its
-    initial S once, and gives the bits of fresh single steps."""
-    import m3lab.spin as spin
+    initial S once, where it loads it, and gives the bits of single steps
+    each loaded afresh."""
     calls = []
     real = spin.check_finite
     monkeypatch.setattr(spin, "check_finite", lambda f, name="field": calls.append(name) or
@@ -350,23 +349,23 @@ def test_march_checks_its_initial_S_once(grid, rng, monkeypatch):
     assert calls == ["S"]
     S = state.S
     for _ in range(n_steps):
-        S, _ = step_rk4_spin(grid, S, PAR, default_dt(grid))
+        S, _ = spin_step(grid, S, PAR, default_dt(grid))
     assert np.array_equal(saved[-1].S, S)
 
 
-@pytest.mark.parametrize("given", ["no workspace", "a workspace"])
-def test_step_checks_an_S_that_is_not_its_own_result(grid, rng, given):
-    """Given the workspace of a march, a step and a kept state still reject
-    a non-finite S that is not the workspace's own result."""
-    import m3lab.spin as spin
-    ws = spin._Workspace((3, grid.ny, grid.nx)) if given == "a workspace" else None
-    S, _ = step_rk4_spin(grid, smooth_spin(grid, rng), PAR, default_dt(grid), work=ws)
-    bad = S.copy()
+def test_loading_checks_every_S(grid, rng):
+    """Every S that reaches a step is loaded first, and loading rejects a
+    non-finite one, before any warning: a march's initial state, a state
+    made from S, a workspace loaded for single steps."""
+    state = make_state(grid, smooth_spin(grid, rng), PAR)
+    bad = state.S.copy()
     bad[3, 4, 1] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for call in (lambda: step_rk4_spin(grid, bad, PAR, default_dt(grid), work=ws),
-                     lambda: make_state(grid, bad, PAR, work=ws)):
+        for call in (lambda: march_spin(grid, SpinState(bad, state.u, state.v), PAR,
+                                        default_dt(grid), 2),
+                     lambda: make_state(grid, bad, PAR),
+                     lambda: spin._Workspace(bad)):
             with pytest.raises(FieldError):
                 call()
 
@@ -392,7 +391,7 @@ def test_step_is_textbook_rk4_on_spin_rhs(rng, shape):
     k4 = spin_rhs(g, S + dt * k3, PAR)
     T = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     length = norm3(T)
-    got, correction = step_rk4_spin(g, S, PAR, dt)
+    got, correction = spin_step(g, S, PAR, dt)
     assert np.array_equal(got, T / length[..., None])
     assert correction == np.max(np.abs(length - 1.0))
 
@@ -408,10 +407,11 @@ def test_run_spin_reuses_its_workspace_exactly(rng, shape):
     S = state.S
     for kept in saved[1:]:
         for _ in range(2):
-            S, renorm = step_rk4_spin(g, S, par, default_dt(g))
-        ref = make_state(g, S, par, kept.t, renorm=renorm)
-        for name in ("S", "u", "v", "renorm", "u_row_mean", "v_row_mean"):
+            S, renorm = spin_step(g, S, par, default_dt(g))
+        ref = make_state(g, S, par, kept.t)
+        for name in ("S", "u", "v", "u_row_mean", "v_row_mean"):
             assert np.array_equal(getattr(kept, name), getattr(ref, name)), name
+        assert kept.renorm == renorm
     assert not np.shares_memory(saved[1].u, saved[2].u)
     assert not np.shares_memory(saved[1].v, saved[2].v)
 
@@ -483,7 +483,6 @@ def test_m0_residual_converges():
 def test_renormalisation_lengths_are_norm3_of_the_field(rng, monkeypatch):
     """The step takes |S| of its RK4 result from the (3, ny, nx) stack, with
     no (ny, nx, 3) copy: the lengths are norm3 of that copy, bit for bit."""
-    import m3lab.spin as spin
     results = []
     real = spin.norm_planes
 
@@ -493,9 +492,9 @@ def test_renormalisation_lengths_are_norm3_of_the_field(rng, monkeypatch):
 
     monkeypatch.setattr(spin, "norm_planes", recording)
     g = Grid2(40, 32)
-    ws = spin._Workspace((3, g.ny, g.nx))
+    ws = spin._Workspace(smooth_spin(g, rng))
     assert not hasattr(ws, "S3")
-    S, _ = step_rk4_spin(g, smooth_spin(g, rng), PAR, default_dt(g), work=ws)
+    step_rk4_spin(g, ws, PAR, default_dt(g))
     (T,) = results
     assert np.array_equal(ws.length, norm3(np.ascontiguousarray(np.moveaxis(T, 0, -1))))
-    assert np.array_equal(S, np.moveaxis(T / ws.length, 0, -1))
+    assert np.array_equal(ws.P, T / ws.length)

@@ -195,6 +195,13 @@ def test_frame_layer_makes_no_identity_probe():
                             ("frames.py", "equivalence.py", "invariants.py")]) == []
 
 
+def test_package_makes_no_identity_probe():
+    """No module decides anything by an object's identity: a workspace's
+    arrays are what a caller hands in or a march loaded, and a copy of an
+    array onto itself costs nothing."""
+    assert identity_probes(MODULES) == []
+
+
 def test_identity_probe_check_sees_a_probe(tmp_path):
     (tmp_path / "a.py").write_text(
         "def f(S, ws, w, x=None):\n"
