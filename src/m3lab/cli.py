@@ -194,12 +194,12 @@ def _initial_from_file(path: str, grid, comps: int):
 
 
 def _spin_from_file(grid, path):
-    return _initial_from_file(path, grid, 3)[..., 0:3]
+    return _initial_from_file(path, grid, 3)[:3]
 
 
 def _q_from_file(grid, path):
-    data = _initial_from_file(path, grid, 2)
-    return data[..., 0] + 1j * data[..., 1]
+    real, imag = _initial_from_file(path, grid, 2)[:2]
+    return real + 1j * imag
 
 
 def _make_initial(cfg: RunConfig, side: str):
@@ -230,8 +230,9 @@ def _make_initial(cfg: RunConfig, side: str):
 
 def _run_length(cfg: RunConfig, grid):
     """(dt, n_steps) of a simulate run; dt = 0 picks the default step.  A dt
-    beyond the step bound, or a run beyond MAX_STEPS, MAX_SLICES or
-    MAX_CELLS, is refused before the run allocates or writes anything."""
+    beyond the step bound, a t_end that rounds to no step, or a run beyond
+    MAX_STEPS, MAX_SLICES or MAX_CELLS, is refused before the run allocates
+    or writes anything."""
     from .fields import checked_dt
     from .spin import default_dt
     dt, t_end, save_every = cfg["dt"], cfg["t_end"], cfg["save_every"]
@@ -246,7 +247,9 @@ def _run_length(cfg: RunConfig, grid):
     dt = checked_dt(grid, dt if dt > 0.0 else default_dt(grid))
     if not t_end / dt <= MAX_STEPS:
         raise ConfigError(f"t_end / dt = {t_end / dt:.3e} steps exceeds {MAX_STEPS}")
-    n_steps = max(1, int(round(t_end / dt)))
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1:
+        raise ConfigError(f"t_end = {t_end!r} rounds to no step of dt = {dt!r}")
     if n_steps // save_every + 1 > MAX_SLICES:
         raise ConfigError(f"{n_steps // save_every + 1} saved slices exceed {MAX_SLICES}")
     return dt, n_steps
@@ -277,13 +280,12 @@ def _write_charges(path: str, grid, times, read_spin, scheme) -> list:
     read_spin(idx, out) reads the S of slice idx into out, the e3 stack of
     the one workspace in which every slice's frame and coefficients are built.
     """
-    import numpy as np
     from .frames import _Workspace, coeffs_from_frame, frame_from_spin
     from .invariants import charges
     reports, work = [], _Workspace((grid.ny, grid.nx))
     for idx, t in enumerate(times):
         read_spin(idx, work.e3)
-        F = frame_from_spin(grid, np.moveaxis(work.e3, 0, -1), scheme, work=work)
+        F = frame_from_spin(grid, work.e3, scheme, work=work)
         reports.append((t, charges(grid, coeffs_from_frame(grid, F, scheme, work=work),
                                    work=work)))
     with open(path, "w") as fh:
@@ -435,9 +437,13 @@ def _open_run(args, kind: str):
 
 def _load_slice(run_dir: str, meta: dict, cfg: RunConfig, idx: int, out=None):
     """(grid, data) of slice idx, checked against the run's grid and slice
-    layout before its payload is read; with out, a (k, ny, nx) stack, its
-    first k components are read into out, which is data (read_mfld1)."""
+    layout before its payload is read; data is the stack of its components
+    or, given out, a (k, ny, nx) stack, its first k components read into
+    out (read_mfld1).  A spin slice whose S is off unit length by more than
+    spin.STATE_TOL is refused (ConfigError)."""
+    from .errors import ParameterError
     from .fields import read_mfld1
+    from .spin import check_unit
     path = os.path.join(run_dir, meta["slices"][idx])
     if not os.path.exists(path):
         raise ConfigError(f"slice {path} does not exist")
@@ -448,7 +454,13 @@ def _load_slice(run_dir: str, meta: dict, cfg: RunConfig, idx: int, out=None):
             raise ConfigError(f"{path}: {ncomp} components on {grid}; the run's slices "
                               f"have {len(comps)} ({', '.join(comps)}) on {cfg.grid()}")
 
-    return read_mfld1(path, out, check)
+    grid, data = read_mfld1(path, out, check)
+    if meta["kind"] == "spin":
+        try:
+            check_unit(data[:3])
+        except ParameterError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    return grid, data
 
 
 def _spin_reader(run_dir: str, meta: dict, cfg: RunConfig):
@@ -467,7 +479,7 @@ def cmd_frame(args) -> int:
     grid = cfg.grid()
 
     def write_frame(idx, F):
-        write_mfld1(os.path.join(run_dir, f"frame_{idx:06d}.mfld1"), grid, (F.e1, F.e2, F.e3))
+        write_mfld1(os.path.join(run_dir, f"frame_{idx:06d}.mfld1"), grid, F.E)
 
     for idx, co, res in transport_window(grid, times, _spin_reader(run_dir, meta, cfg),
                                          write_frame, cfg["scheme"]):
@@ -543,7 +555,7 @@ def cmd_lax_check(args) -> int:
 
     if args.spin_side:
         grid, data = _load_slice(run_dir, meta, cfg, mid)
-        spin = lax_spin_pass(grid, data[..., 0:3], data[..., 3], data[..., 4], par, scheme)
+        spin = lax_spin_pass(grid, data[:3], data[3], data[4], par, scheme)
         for lam in lams:
             entry = {"lam": [lam.real, lam.imag]}
             for grouping in ("factored", "split"):
@@ -555,8 +567,8 @@ def cmd_lax_check(args) -> int:
         triple = []
         for idx in (mid - 1, mid, mid + 1):
             grid, data = _load_slice(run_dir, meta, cfg, idx)
-            q = data[..., 0] + 1j * data[..., 1]
-            triple.append((q, _paired(q, par.beta), data[..., 4]))
+            q = data[0] + 1j * data[1]
+            triple.append((q, _paired(q, par.beta), data[4]))
         dt2 = times[mid + 1] - times[mid - 1]
         with np.errstate(over="ignore", invalid="ignore"):
             flat = flatness_pass_q(grid, *triple, par, dt2, scheme)
@@ -618,11 +630,10 @@ def cmd_lambda_check(args) -> int:
 
 def cmd_selftest(args) -> int:
     import numpy as np
-    from .fields import Grid2, ddx, inv_dx, meanx
+    from .fields import Grid2, ddx, ddy, dot3, inv_dx, meanx
     from .lax import pauli_identities, zero_curvature_q
     from .nls import NlsParams, init_plane_wave, nls_rhs, plane_wave_omega, solve_v_nls
     from .spin import SpinParams, init_modulated_helix, spin_rhs
-    from .fields import dot3
 
     failures = []
 
@@ -644,7 +655,6 @@ def cmd_selftest(args) -> int:
     rt = np.max(np.abs(ddx(grid, g_field) - (f - meanx(f))))
     check(f"inv_dx round-trip ({rt:.2e} < 1e-10)", rt < 1e-10)
 
-    from .fields import ddy
     X, Y = grid.meshgrid()
     par = NlsParams(c=0.0, d=1.0, model="Zakharov")
     q = 0.4 * np.exp(1j * X) + 0.1 * np.exp(1j * (Y - 2 * X))

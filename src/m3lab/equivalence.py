@@ -21,6 +21,7 @@ unit spin field and an orthonormal frame through Hirota derivatives
 D_x(a o b) = a_x b - a b_x.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,7 @@ from .fields import (
 )
 from .frames import FrameCoeffs, FrameField, _project, _vectors, _Workspace, frame_from_spin
 from .nls import NlsParams, nls_rhs, solve_v_nls
-from .spin import DT_FACTOR, SpinParams, make_state, run_spin
+from .spin import SpinParams, default_dt, make_state, march_spin
 
 TWO_PI = 2.0 * np.pi
 FRAME_MASK_LIMIT = 0.10   # abort the equivalence check beyond this mask fraction
@@ -153,10 +154,11 @@ def l_equiv_check(par: SpinParams, make_initial, sizes=(32, 64, 128),
                   scheme=SPECTRAL) -> EquivReport:
     """Grid-ladder equivalence check.
 
-    make_initial(grid) -> S0.  On each grid the spin field is marched to
-    t_eval with slices saved a time delta apart, delta shrinking like the
+    make_initial(grid) -> S0.  On each grid the spin field is marched once,
+    to t_eval, with slices kept a time delta apart, delta shrinking like the
     grid spacing, so the central-difference q_t is the accuracy bottleneck
-    and the fitted order of the residual ladder sits near 2.
+    and the fitted order of the residual ladder sits near 2.  Only the last
+    three slices are held, and the residuals are taken on them.
     """
     n0 = sizes[0]
     ladder = []
@@ -164,13 +166,11 @@ def l_equiv_check(par: SpinParams, make_initial, sizes=(32, 64, 128),
     for n in sizes:
         grid = Grid2(n, n, lx, ly)
         delta = delta0 * n0 / n
-        spd = max(1, int(np.ceil(delta / (DT_FACTOR * grid.hx * grid.hy))))
+        spd = max(1, int(np.ceil(delta / default_dt(grid))))
         blocks = max(2, int(np.round(t_eval / delta)) + 1)
-        dt, lead = delta / spd, (blocks - 2) * spd
-        state = make_state(grid, make_initial(grid), par, scheme=scheme)
-        # march to the first of the three slices without keeping those before it
-        state = run_spin(grid, state, par, dt, lead, max(lead, 1), scheme)[-1]
-        s0, s1, s2 = run_spin(grid, state, par, dt, 2 * spd, spd, scheme)
+        states = march_spin(grid, make_state(grid, make_initial(grid), par, scheme=scheme), par,
+                            delta / spd, blocks * spd, spd, scheme)
+        s0, s1, s2 = deque(states, maxlen=3)
         last = equiv_residual(grid, s0.S, s1.S, s2.S, 2.0 * delta, par,
                               scheme, v_spin=s1.v)
         ladder.append((grid.hx, last["residual_q"]))
@@ -218,7 +218,7 @@ def spin_from_fg(pair: HirotaPair) -> np.ndarray:
     lam = pair.Lambda
     s_plus = 2.0 * np.conj(pair.f) * pair.g / lam
     s3 = (np.abs(pair.f)**2 - np.abs(pair.g)**2) / lam
-    return np.stack([s_plus.real, s_plus.imag, s3], axis=-1)
+    return np.stack([s_plus.real, s_plus.imag, s3])
 
 
 def frame_from_fg(pair: HirotaPair) -> FrameField:
@@ -236,7 +236,7 @@ def frame_from_fg(pair: HirotaPair) -> FrameField:
     e2_3 = (1j * (fg - np.conj(fg))).real / lam
     e3_plus = (np.conj(f)**2 - g**2) / lam
     e3_3 = -(fg + np.conj(fg)).real / lam
-    E = (np.moveaxis(spin_from_fg(pair), -1, 0), np.stack([e2_plus.real, e2_plus.imag, e2_3]),
+    E = (spin_from_fg(pair), np.stack([e2_plus.real, e2_plus.imag, e2_3]),
          np.stack([e3_plus.real, e3_plus.imag, e3_3]))
     return FrameField(E=E, mask=np.zeros(lam.shape, dtype=bool))
 

@@ -3,15 +3,19 @@
 Layout conventions used across the package:
 
   scalar / complex field   ndarray, shape (ny, nx)
-  3-vector field           ndarray, shape (ny, nx, 3); the spin kernel and
-                           the frame layer compute on its (3, ny, nx)
-                           stack of component planes
+  3-vector field           ndarray, shape (3, ny, nx): a stack of its three
+                           component planes, from the generators that make
+                           it to the MFLD1 file that stores it
   2x2 matrix field         ndarray, shape (ny, nx, 2, 2), complex; only as
                            the Lax builders' return value, never differentiated
 
-x runs along axis 1 of a field (fastest in memory), y along axis 0; on a
-stack they are the last two axes.  The domain is the periodic rectangle
-[0, lx) x [0, ly) sampled at x_i = i*hx, y_j = j*hy.
+x runs along the last axis of a field or stack (fastest in memory), y along
+the one before it.  The domain is the periodic rectangle [0, lx) x [0, ly)
+sampled at x_i = i*hx, y_j = j*hy.  ddx and ddy act on the last two axes
+of any (..., ny, nx) array, inv_dx on the last, so a vector field is
+differentiated as one stack; a public entry refuses an array whose
+trailing dims are not the grid's (check_field), which would be
+differentiated along others.
 
 Two derivative schemes are provided: "spectral" (FFT, exact below Nyquist)
 and "central4" (periodic 5-point 4th-order stencil).  The periodic
@@ -30,11 +34,8 @@ plane instead.  The matrix is that same rfft operator applied to the
 identity, cached per (n, h), so the two paths agree to rounding.
 Each lane is shifted by its first sample before the product: a field
 constant along the axis then maps to exact zeros, as it does through rfft.
-A (ny, nx, *comps) field is taken apart into contiguous component planes
-for the product, so a plane's result is bit for bit the slice of its
-field's, and so is the plane of a stack.  One derivative of an (n, n)
-plane, shift included, best of 15 on a 2-core VM with one OpenBLAS thread
-(ms, along x / along y):
+One derivative of an (n, n) plane, shift included, best of 15 on a 2-core
+VM with one OpenBLAS thread (ms, along x / along y):
 
   n      matrix product   rfft/irfft
   32     0.005 / 0.004    0.020 / 0.020
@@ -45,16 +46,17 @@ plane, shift included, best of 15 on a 2-core VM with one OpenBLAS thread
 so longer axes keep the transforms.  A (..., ny, nx) stack of planes is
 differentiated by one product over the stack, or on the rfft branch one
 transform per plane, which pocketfft runs faster than one transform over
-the stack.
+the stack.  Either way a plane's result is bit for bit that of the plane
+alone.
 
-On stacks, cross_planes forms each component as np.cross does, and
-dot_planes sums the three products in a given order.  einsum (dot3,
-norm3) sums a field with contiguous components as (a0 b0 + a2 b2) + a1 b1,
-EINSUM_ORDER, and one with strided components in component order; stack
-code dots in EINSUM_ORDER where its results were pinned to dot3 of
-(ny, nx, 3) fields, so moving onto stacks did not move their bits.  The
-order is load-bearing: the lump's near-degenerate points amplify a change
-of rounding, so component order moves its coefficient dumps by 1.1e-2.
+On stacks, cross_planes forms each component as np.cross does, and dot3
+sums the three products in a given order, EINSUM_ORDER = (a0 b0 + a2 b2)
++ a1 b1 unless told otherwise; norm3 is its root.  The order is the one
+numpy's einsum takes over contiguous components, which the frame layer's
+results were first pinned to, and it is load-bearing: the lump's
+near-degenerate points amplify a change of rounding, so component order
+moves its coefficient dumps by 1.1e-2.  The spin kernel's constraint dots
+sum in component order, as they always have.
 
 The stepping core shared by the spin and NLS solvers also lives here: the
 step bound (checked_dt), one classical RK4 step (rk4) and the march
@@ -65,7 +67,7 @@ weighted sum in place, in a triple of arrays a march's workspace holds as
 Every public operator rejects a non-finite input (FieldError).  The private
 _deriv and _inv_dx check nothing: a kernel checks its input once, where it
 enters (a stepper once per step), and runs on them, with cross_planes and
-dot_planes, into output and scratch arrays it allocated once.
+dot3, into output and scratch arrays it allocated once.
 """
 
 import os
@@ -81,8 +83,9 @@ SPECTRAL = "spectral"
 CENTRAL4 = "central4"
 CFL_SAFETY = 0.3         # dt must not exceed CFL_SAFETY * hx * hy
 DENSE_MAX_N = 128        # real spectral operators along axes this short: matrix product
-EINSUM_ORDER = (0, 2, 1)  # einsum's order of summation over contiguous 3-vector components
+EINSUM_ORDER = (0, 2, 1)  # dot3's order of summation over the three components
 MFLD1_BLOCK_BYTES = 1 << 16  # payload written through a buffer of about this size
+BLOCK_POINTS = 2048      # pointwise work on row blocks of about this many points stays in cache
 
 TWO_PI = 2.0 * np.pi
 
@@ -123,19 +126,24 @@ class Grid2:
         return np.meshgrid(self.x, self.y)
 
 
-def _along(k: np.ndarray, ndim: int, axis: int) -> np.ndarray:
-    """k reshaped to broadcast along `axis` of an ndim-dimensional field."""
-    shape = [1] * ndim
-    shape[axis] = k.size
-    return k.reshape(shape)
-
-
 def check_finite(f: np.ndarray, name: str = "field") -> np.ndarray:
     f = np.asarray(f)
     if not np.all(np.isfinite(f)):
         bad = int(np.size(f) - np.count_nonzero(np.isfinite(f)))
         raise FieldError(f"{name} contains {bad} non-finite entries")
     return f
+
+
+def check_field(grid: Grid2, f: np.ndarray, name: str = "field", lead=None) -> np.ndarray:
+    """f, checked finite, unless its shape is not lead + (grid.ny, grid.nx),
+    or does not end in (grid.ny, grid.nx) when lead is None (FieldError):
+    the operators act on the last two axes, so an array laid out otherwise
+    would be differentiated along the wrong ones."""
+    f = np.asarray(f)
+    if f.shape[-2:] != (grid.ny, grid.nx) or (lead is not None and f.shape[:-2] != lead):
+        want = f"(..., {grid.ny}, {grid.nx})" if lead is None else str(lead + (grid.ny, grid.nx))
+        raise FieldError(f"{name} has shape {f.shape}, not {want}")
+    return check_finite(f, name)
 
 
 def _frozen(M: np.ndarray) -> np.ndarray:
@@ -157,41 +165,43 @@ def _wavenumbers(n: int, h: float) -> np.ndarray:
 
 
 def _spectral_deriv(f: np.ndarray, h: float, axis: int, out=None) -> np.ndarray:
-    """The derivative along axis, into out when given (a complex f is transformed in it)."""
+    """The derivative along axis -1 or -2, into out when given (a complex f
+    is transformed in it)."""
     n = f.shape[axis]
     k = _wavenumbers(n, h)
+    k = k if axis == -1 else k[:, None]
     if np.iscomplexobj(f):
         fhat = np.fft.fft(f, axis=axis, out=out)
-        np.multiply(1j * _along(k, f.ndim, axis), fhat, out=fhat)
+        np.multiply(1j * k, fhat, out=fhat)
         return np.fft.ifft(fhat, axis=axis, out=fhat)
     fhat = np.fft.rfft(f, axis=axis)
-    fhat *= 1j * _along(k[:n // 2 + 1], f.ndim, axis)
+    fhat *= 1j * k[:n // 2 + 1]
     return np.fft.irfft(fhat, n=n, axis=axis, out=out)
 
 
 def _spectral_antideriv(f: np.ndarray, h: float, out=None) -> np.ndarray:
-    """Zero-mean periodic antiderivative along axis 1 by FFT (rfft for a real f).
+    """Zero-mean periodic antiderivative along the last axis by FFT (rfft for a real f).
 
     The spectrum is divided in place and transformed back into out, when
     it is given (a complex f: into the spectrum, copied into out), so a
     call holds one spectrum.
     """
-    n = f.shape[1]
+    n = f.shape[-1]
     real = not np.iscomplexobj(f)
     k = _wavenumbers(n, h)[:n // 2 + 1 if real else n]
-    fhat = np.fft.rfft(f, axis=1) if real else np.fft.fft(f, axis=1)
+    fhat = np.fft.rfft(f) if real else np.fft.fft(f)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(fhat, 1j * _along(k, f.ndim, 1), out=fhat)
-    fhat[:, k == 0.0, ...] = 0.0
+        np.divide(fhat, 1j * k, out=fhat)
+    np.copyto(fhat, 0.0, where=k == 0.0)
     if real:
-        return np.fft.irfft(fhat, n=n, axis=1, out=out)
-    return _into(out, np.fft.ifft(fhat, axis=1, out=fhat))
+        return np.fft.irfft(fhat, n=n, out=out)
+    return _into(out, np.fft.ifft(fhat, out=fhat))
 
 
 @lru_cache(maxsize=32)
 def _deriv_matrix(n: int, h: float) -> np.ndarray:
     """D with D @ f = the half-spectrum derivative of f along an n-point axis."""
-    return _frozen(_spectral_deriv(np.eye(n), h, axis=0))
+    return _frozen(_spectral_deriv(np.eye(n), h, axis=-2))
 
 
 @lru_cache(maxsize=32)
@@ -214,20 +224,17 @@ def _into(out, d: np.ndarray) -> np.ndarray:
 
 
 def _apply(M: np.ndarray, f: np.ndarray, axis: int, out=None, work=None) -> np.ndarray:
-    """M along `axis` of f, one product per (ny, nx) plane, lanes shifted to start at 0.
+    """M along axis -1 (x) or -2 (y) of a (..., ny, nx) array f, one product
+    per plane, lanes shifted to start at 0.
 
-    axis 0 or 1 indexes a (ny, nx, *comps) field, -2 or -1 a (..., ny, nx)
-    stack of planes.  The shifted lanes go into work, the result into out,
-    when these are given.  The first samples are copied out before the
-    shift, so that a work which is f itself is not copied whole.
+    The shifted lanes go into work, the result into out, when these are
+    given.  The first samples are taken out before the shift, so that a
+    work which is f itself is not copied whole.
     """
-    if axis >= 0 and f.ndim > 2:
-        planes = np.moveaxis(f.reshape(f.shape[:2] + (-1,)), -1, 0)
-        res = np.moveaxis(_apply(M, planes, axis - 2), 0, -1)
-        return _into(out, np.ascontiguousarray(res).reshape(f.shape))
-    if axis % f.ndim == f.ndim - 1:
-        return np.matmul(np.subtract(f, f[..., :1].copy(), out=work, order="C"), M.T, out=out)
-    return np.matmul(M, np.subtract(f, f[..., :1, :].copy(), out=work, order="C"), out=out)
+    shifted = np.subtract(f, np.take(f, [0], axis), out=work, order="C")
+    if axis == -1:
+        return np.matmul(shifted, M.T, out=out)
+    return np.matmul(M, shifted, out=out)
 
 
 def _central4_deriv(f: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -242,8 +249,8 @@ def _deriv(f: np.ndarray, scheme, h: float, axis: int, out=None, work=None) -> n
     if scheme == SPECTRAL:
         if _dense(f, f.shape[axis]):
             return _apply(_deriv_matrix(f.shape[axis], h), f, axis, out, work)
-        if axis < 0 and f.ndim > 2:  # a stack: pocketfft is faster plane by plane
-            out = np.empty(f.shape) if out is None else out
+        if f.ndim > 2:  # a stack: pocketfft is faster plane by plane
+            out = np.empty(f.shape, np.result_type(f, 1.0)) if out is None else out
             for p, o in zip(f, out):
                 _spectral_deriv(p, h, axis, o)
             return out
@@ -254,18 +261,18 @@ def _deriv(f: np.ndarray, scheme, h: float, axis: int, out=None, work=None) -> n
 
 
 def ddx(grid: Grid2, f: np.ndarray, scheme=SPECTRAL) -> np.ndarray:
-    """d/dx along axis 1; works for any trailing component dimensions."""
-    return _deriv(check_finite(f, "ddx input"), scheme, grid.hx, axis=1)
+    """d/dx along the last axis of a (..., ny, nx) field or stack."""
+    return _deriv(check_field(grid, f, "ddx input"), scheme, grid.hx, axis=-1)
 
 
 def ddy(grid: Grid2, f: np.ndarray, scheme=SPECTRAL) -> np.ndarray:
-    """d/dy along axis 0; works for any trailing component dimensions."""
-    return _deriv(check_finite(f, "ddy input"), scheme, grid.hy, axis=0)
+    """d/dy along the second-last axis of a (..., ny, nx) field or stack."""
+    return _deriv(check_field(grid, f, "ddy input"), scheme, grid.hy, axis=-2)
 
 
 def meanx(f: np.ndarray) -> np.ndarray:
-    """Per-row x-mean, shape (ny, 1, ...) so it broadcasts against f."""
-    return np.mean(f, axis=1, keepdims=True)
+    """Per-row x-mean, shape (..., ny, 1) so it broadcasts against f."""
+    return np.mean(f, axis=-1, keepdims=True)
 
 
 class Antideriv(NamedTuple):
@@ -280,8 +287,8 @@ def inv_dx(grid: Grid2, f: np.ndarray) -> Antideriv:
     row mean is a solvability violation of d/dx g = f on the periodic row;
     it is removed and reported, not fatal.
     """
-    f = check_finite(f, "inv_dx input")
-    return Antideriv(_inv_dx(grid, f), np.squeeze(meanx(f), axis=1))
+    f = check_field(grid, f, "inv_dx input")
+    return Antideriv(_inv_dx(grid, f), np.squeeze(meanx(f), axis=-1))
 
 
 def _inv_dx(grid: Grid2, f: np.ndarray, out=None, work=None) -> np.ndarray:
@@ -292,23 +299,19 @@ def _inv_dx(grid: Grid2, f: np.ndarray, out=None, work=None) -> np.ndarray:
     shifted input goes into work, which may be f itself when f is scratch.
     """
     if _dense(f, grid.nx):
-        return _apply(_antideriv_matrix(grid.nx, grid.hx), f, 1, out, work)
+        return _apply(_antideriv_matrix(grid.nx, grid.hx), f, -1, out, work)
     return _spectral_antideriv(f, grid.hx, out)
 
 
 def integrate2(grid: Grid2, f: np.ndarray) -> float:
     """Periodic trapezoid quadrature hx*hy*sum(f); exact below Nyquist."""
-    f = check_finite(f, "integrate2 input")
+    f = check_field(grid, f, "integrate2 input")
     return float(grid.hx * grid.hy * np.sum(f))
 
 
 # ---------------------------------------------------------------------------
 # 3-vector field algebra
 # ---------------------------------------------------------------------------
-
-def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("...k,...k->...", a, b)
-
 
 def cross_planes(a, b, out=None, tmp=None):
     """a x b for 3-vectors given as three component planes each (any sequence).
@@ -328,11 +331,10 @@ def cross_planes(a, b, out=None, tmp=None):
     return out
 
 
-def dot_planes(a, b, out=None, tmp=None, order=(0, 1, 2)) -> np.ndarray:
-    """a . b for 3-vectors given as three component planes each, the
-    products summed in `order` (EINSUM_ORDER: dot3's bits on contiguous
-    components); written into out, with tmp for each further product, when
-    these are given."""
+def dot3(a, b, out=None, tmp=None, order=EINSUM_ORDER) -> np.ndarray:
+    """a . b for 3-vectors given as three component planes each (a stack),
+    the products summed in `order`; written into out, with tmp for each
+    further product, when these are given."""
     i, j, k = order
     out = np.multiply(a[i], b[i], out=out)
     out += np.multiply(a[j], b[j], out=tmp)
@@ -340,17 +342,10 @@ def dot_planes(a, b, out=None, tmp=None, order=(0, 1, 2)) -> np.ndarray:
     return out
 
 
-def norm_planes(a, out=None, tmp=None) -> np.ndarray:
+def norm3(a, out=None, tmp=None) -> np.ndarray:
     """|a| for 3-vectors given as three component planes, summed in
-    EINSUM_ORDER: the bits of norm3 of the (ny, nx, 3) field; out and tmp
-    as for dot_planes."""
-    return np.sqrt(dot_planes(a, a, out, tmp, EINSUM_ORDER), out=out)
-
-
-def norm3(a: np.ndarray) -> np.ndarray:
-    """|a| over the last axis; einsum's order of summation, so its bits,
-    follow a's memory layout."""
-    return np.sqrt(dot3(a, a))
+    EINSUM_ORDER; out and tmp as for dot3."""
+    return np.sqrt(dot3(a, a, out, tmp), out=out)
 
 
 def max_norm(M: np.ndarray) -> float:
@@ -425,19 +420,20 @@ def march(state, step, keep, dt: float, n_steps: int, save_every: int):
 # row-major (y outer, x inner), components interleaved per point.
 
 def write_mfld1(path, grid: Grid2, data) -> None:
-    """Write data, an (ny, nx) or (ny, nx, ncomp) field or a sequence of them
-    whose components are written side by side, point by point.
+    """Write data, an (ny, nx) plane or a (k, ny, nx) stack or a sequence of
+    them, whose planes are written side by side, point by point.
 
     The payload goes out a block of rows at a time, through one small
     buffer, so a strided view or a sequence is never copied whole.
     """
-    parts = [np.asarray(d, dtype=float) for d in (data if isinstance(data, (list, tuple))
-                                                  else (data,))]
-    parts = [d[:, :, None] if d.ndim == 2 else d for d in parts]
-    for d in parts:
-        if d.shape[:2] != (grid.ny, grid.nx):
-            raise FieldError(f"data shape {d.shape} does not match grid {grid.ny}x{grid.nx}")
-    ncomp = sum(d.shape[2] for d in parts)
+    planes = []
+    for d in data if isinstance(data, (list, tuple)) else (data,):
+        d = np.asarray(d, dtype=float)
+        if d.ndim not in (2, 3) or d.shape[-2:] != (grid.ny, grid.nx):
+            raise FieldError(f"data shape {d.shape} is no plane or stack on grid "
+                             f"{grid.ny}x{grid.nx}")
+        planes.extend(d.reshape((-1, grid.ny, grid.nx)))
+    ncomp = len(planes)
     header = f"MFLD1 {grid.nx} {grid.ny} {ncomp} {grid.lx:.17g} {grid.ly:.17g}\n"
     rows = max(1, MFLD1_BLOCK_BYTES // (8 * grid.nx * ncomp))
     block = np.empty((rows, grid.nx, ncomp), dtype="<f8")
@@ -445,17 +441,18 @@ def write_mfld1(path, grid: Grid2, data) -> None:
         fh.write(header.encode("ascii"))
         for j in range(0, grid.ny, rows):
             out = block[:min(rows, grid.ny - j)]
-            np.concatenate([d[j:j + rows] for d in parts], axis=2, out=out)
+            np.stack([p[j:j + rows] for p in planes], axis=-1, out=out)
             fh.write(out)
 
 
 def read_mfld1(path, out=None, check=None):
-    """Returns (Grid2, data) with data shape (ny, nx, ncomp).
+    """Returns (Grid2, data), data the (ncomp, ny, nx) stack of the file's
+    components, read through one block buffer of rows (as write_mfld1
+    writes them).
 
     Given out, a (k, ny, nx) stack, the file's first k components are read
-    into it instead, through one block buffer of rows (as write_mfld1
-    writes), and data is out: a spin slice's S goes straight into the stack
-    that consumes it, and its u and v are never held whole.
+    into it instead, and data is out: a spin slice's S goes straight into
+    the stack that consumes it, and its u and v are never held whole.
 
     A malformed header (ncomp < 1 included), or a payload that is short,
     followed by further bytes or not finite, is rejected with an M3LabError;
@@ -484,22 +481,19 @@ def read_mfld1(path, out=None, check=None):
             raise FieldError(f"{path}: trailing bytes after the payload")
         if check is not None:
             check(grid, ncomp)
-        if out is None:
-            data = buf = np.empty((ny, nx, ncomp), dtype="<f8")
-        else:
-            data, k = out, len(out)
-            if out.shape[1:] != (ny, nx) or k > ncomp:
-                raise FieldError(f"{path}: {ncomp} components on {grid} cannot fill a "
-                                 f"{out.shape} stack")
-            buf = np.empty((max(1, MFLD1_BLOCK_BYTES // (8 * nx * ncomp)), nx, ncomp), "<f8")
+        data = np.empty((ncomp, ny, nx)) if out is None else out
+        k = len(data)
+        if data.shape[1:] != (ny, nx) or k > ncomp:
+            raise FieldError(f"{path}: {ncomp} components on {grid} cannot fill a "
+                             f"{data.shape} stack")
+        buf = np.empty((max(1, MFLD1_BLOCK_BYTES // (8 * nx * ncomp)), nx, ncomp), "<f8")
         bad = 0
         for j in range(0, ny, len(buf)):
             block = buf[:ny - j]
             if fh.readinto(block) != block.nbytes:
                 raise FieldError(f"{path}: truncated payload")
             bad += block.size - np.count_nonzero(np.isfinite(block))
-            if out is not None:
-                np.copyto(out[:, j:j + len(block)], np.moveaxis(block[..., :k], -1, 0))
+            np.copyto(data[:, j:j + len(block)], np.moveaxis(block[..., :k], -1, 0))
     if bad:
         raise FieldError(f"{path}: payload contains {bad} non-finite entries")
     return grid, data

@@ -29,12 +29,11 @@ e1 = S, e2 = S_x/|S_x|, e3 = e1 ^ e2, with a deterministic left-scan fill
 where |S_x| degenerates.
 
 FrameField holds e1, e2, e3 as the (3, ny, nx) stacks E the layer
-computes them into, and shows each as an (ny, nx, 3) field; the layer reads
-the stacks where they lie, whatever their strides, takes one derivative per
-stack and axis, and sums its dot products in fields.EINSUM_ORDER, so its
-results have the bits of dot3 on the fields.  FrameCoeffs holds a, b, w and
-the densities as the stacks the layer computes them into, and every check
-reads them there; k .. w3 name their planes.
+computes them into; the layer reads the stacks where they lie, whatever
+their strides, takes one derivative per stack and axis, and sums its dot
+products with fields.dot3, in EINSUM_ORDER.  FrameCoeffs holds a, b, w
+and the densities as the stacks the layer computes them into, and every
+check reads them there; k .. w3 name their planes.
 Every array it writes can come from a _Workspace, buffers only, that a
 command makes once: allocating per call, as measured at n = 256, is slower
 and faults ten times as often in `charges`.  A workspace's e3 stack is
@@ -47,8 +46,9 @@ D and scratch, so each slice's space residuals are taken as soon as its
 coefficients exist, while D holds its densities; e3 is formed again where
 the time entries read it, the time entries are written over D, and the
 time residuals overwrite the oldest slice, which nothing reads after them.
-Each public entry checks its input for finite values once (FieldError) and
-runs the unchecked fields._deriv.
+Each public entry checks its input once, for finite values and, a spin
+field, for its (3, ny, nx) shape (FieldError), and runs the unchecked
+fields._deriv.
 """
 
 from dataclasses import dataclass, replace
@@ -61,14 +61,15 @@ from .fields import (
     SPECTRAL,
     Grid2,
     _deriv,
+    check_field,
     check_finite,
     cross_planes,
     ddx,
     ddy,
-    dot_planes,
+    dot3,
     inv_dx,
     meanx,
-    norm_planes,
+    norm3,
 )
 
 DEGENERACY_TOL = 1e-8    # |S_x| below this marks a degenerate point
@@ -76,13 +77,8 @@ FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_ITER = 50
 
 
-def _dot(a, b, out=None, tmp=None) -> np.ndarray:
-    """a . b of two stacks, with the bits of dot3 of their fields."""
-    return dot_planes(a, b, out, tmp, EINSUM_ORDER)
-
-
 def _triple(e, a, b, out: np.ndarray, p: np.ndarray, tmp) -> np.ndarray:
-    """e . (a ^ b) of three stacks into out, with the bits of _dot(e,
+    """e . (a ^ b) of three stacks into out, with the bits of dot3(e,
     cross_planes(a, b)): each component of a ^ b is formed in the plane p
     as cross_planes forms it, and summed in EINSUM_ORDER.  (cross_planes
     would fill a stack, Z, that the rfft path never touches: more memory.)"""
@@ -104,12 +100,9 @@ def _max_abs(M: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FrameField:
-    """The frame as its (3, ny, nx) stacks E = (e1, e2, e3), each also read
-    as an (ny, nx, 3) field, a view: e1, e2, e3."""
+    """The frame as its (3, ny, nx) stacks E = (e1, e2, e3)."""
     E: tuple
     mask: np.ndarray = None  # True where the construction was degenerate
-
-    e1, e2, e3 = (property(lambda self, i=i: np.moveaxis(self.E[i], 0, -1)) for i in range(3))
 
     def gram_deviation(self) -> float:
         """Max deviation of the pointwise Gram matrix from the identity."""
@@ -117,7 +110,7 @@ class FrameField:
         for i, a in enumerate(self.E):
             for j, b in enumerate(self.E):
                 target = 1.0 if i == j else 0.0
-                dev = max(dev, float(np.max(np.abs(_dot(a, b) - target))))
+                dev = max(dev, float(np.max(np.abs(dot3(a, b) - target))))
         return dev
 
 
@@ -180,8 +173,8 @@ def _fallback_normal(e1: np.ndarray, out: np.ndarray, d: np.ndarray, tmp) -> np.
     as a stack into out; the planes d and tmp are scratch."""
     use_x = np.abs(e1[0]) < 0.9
     out[0], out[1], out[2] = use_x, ~use_x, 0.0
-    _minus_along(out, e1, _dot(out, e1, d, tmp), tmp)
-    out /= norm_planes(out, d, tmp)
+    _minus_along(out, e1, dot3(out, e1, d, tmp), tmp)
+    out /= norm3(out, d, tmp)
     return out
 
 
@@ -204,17 +197,17 @@ def frame_from_spin(grid: Grid2, S: np.ndarray, scheme=SPECTRAL,
     non-degenerate x-neighbour to the left (periodic wrap, deterministic),
     then re-orthogonalized against the local e1.  Rows degenerate end to end
     fall back to a fixed axis.  More than half the grid degenerate is fatal.
-    A non-finite S is rejected (FieldError).  The frame is built in the E
-    and mask of a _Workspace, work when it is given, and S is first copied
-    into its e3 stack: a copy of that stack's own field onto it is free.
+    A non-finite S, or one that is no (3, ny, nx) stack on grid, is
+    rejected (FieldError).  The frame is built in the E and mask of a
+    _Workspace, work when it is given, and S is first copied into its e3
+    stack: a copy of that stack onto itself is free.
     """
-    ws = work or _Workspace(np.shape(S)[:2])
+    ws = work or _Workspace((grid.ny, grid.nx))
     (e1, e2, e3), mask, L, tmp = ws.E, ws.mask, ws.L, ws.tmp
     P = e3  # S, until e3 is formed
-    P[...] = np.moveaxis(S, -1, 0)
-    check_finite(P, "S")
-    np.divide(P, norm_planes(P, L, tmp), out=e1)
-    k = norm_planes(_deriv(P, scheme, grid.hx, -1, out=e2, work=P), L, tmp)  # e2 holds S_x
+    P[...] = check_field(grid, S, "S", (3,))
+    np.divide(P, norm3(P, L, tmp), out=e1)
+    k = norm3(_deriv(P, scheme, grid.hx, -1, out=e2, work=P), L, tmp)  # e2 holds S_x
     np.less(k, tol, out=mask)
     n_bad = int(np.count_nonzero(mask))
     if n_bad > 0.5 * mask.size:
@@ -235,11 +228,11 @@ def frame_from_spin(grid: Grid2, S: np.ndarray, scheme=SPECTRAL,
 
     # orthogonalize against e1 (removes both fill misalignment and the tiny
     # discrete S.S_x residue), then complete the right-handed triad
-    _minus_along(e2, e1, _dot(e2, e1, L, tmp), tmp)
-    small = norm_planes(e2, L, tmp) < 1e-12
+    _minus_along(e2, e1, dot3(e2, e1, L, tmp), tmp)
+    small = norm3(e2, L, tmp) < 1e-12
     if np.any(small):
         np.copyto(e2, _fallback_normal(e1, ws.X, L, tmp), where=small)
-    e2 /= norm_planes(e2, L, tmp)
+    e2 /= norm3(e2, L, tmp)
     cross_planes(e1, e2, e3, tmp)
     return FrameField(E=ws.E, mask=mask)
 
@@ -274,19 +267,19 @@ def _project(grid: Grid2, E: tuple, scheme, ws: _Workspace, dens=None,
     """
     e1, e2, e3 = E
     (tau, sigma, k), X, Z, tmp = ws.A, ws.X, ws.Z, ws.tmp
-    _dot(e2, _deriv(e1, scheme, grid.hx, -1, out=X, work=Z), k, tmp)
-    np.negative(_dot(e3, X, sigma, tmp), out=sigma)
+    dot3(e2, _deriv(e1, scheme, grid.hx, -1, out=X, work=Z), k, tmp)
+    np.negative(dot3(e3, X, sigma, tmp), out=sigma)
     if not along_y:
-        _dot(e3, _deriv(e2, scheme, grid.hx, -1, out=X, work=Z), tau, tmp)
+        dot3(e3, _deriv(e2, scheme, grid.hx, -1, out=X, work=Z), tau, tmp)
         return FrameCoeffs(a=ws.A, b=None)
     (m1, m2, m3), Y = ws.B, ws.Y
     _deriv(e1, scheme, grid.hy, -2, out=Y, work=Z)
-    np.negative(_dot(e3, Y, m2, tmp), out=m2)
-    _dot(e2, Y, m3, tmp)
+    np.negative(dot3(e3, Y, m2, tmp), out=m2)
+    dot3(e2, Y, m3, tmp)
     if dens is not None:
         _triple(e1, X, Y, dens[0], ws.L, tmp)
-    _dot(e3, _deriv(e2, scheme, grid.hx, -1, out=X, work=Z), tau, tmp)
-    _dot(e3, _deriv(e2, scheme, grid.hy, -2, out=Y, work=Z), m1, tmp)
+    dot3(e3, _deriv(e2, scheme, grid.hx, -1, out=X, work=Z), tau, tmp)
+    dot3(e3, _deriv(e2, scheme, grid.hy, -2, out=Y, work=Z), m1, tmp)
     if dens is not None:
         _triple(e2, X, Y, dens[1], ws.L, tmp)
     return FrameCoeffs(a=ws.A, b=ws.B)
@@ -329,9 +322,9 @@ def with_time_entries(coeffs: FrameCoeffs, F: FrameField, dF_dt, work=None) -> F
     _, e2, e3 = F.E
     w, tmp = (np.empty(np.shape(e3)), None) if work is None else (work.D, work.tmp)
     w1, w2, w3 = w
-    _dot(e3, e2t, w1, tmp)
-    np.negative(_dot(e3, e1t, w2, tmp), out=w2)
-    _dot(e2, e1t, w3, tmp)
+    dot3(e3, e2t, w1, tmp)
+    np.negative(dot3(e3, e1t, w2, tmp), out=w2)
+    dot3(e2, e1t, w3, tmp)
     return replace(coeffs, w=w, densities=None if work is not None else coeffs.densities)
 
 
@@ -350,9 +343,9 @@ def bracket(a, b, out=None, tmp=None) -> np.ndarray:
 
 
 def charge_density(grid: Grid2, e: np.ndarray, scheme=SPECTRAL) -> np.ndarray:
-    """e . (e_x ^ e_y) for a unit vector field e; a non-finite e is rejected
-    (FieldError)."""
-    ws, e = _Workspace(np.shape(e)[:2]), np.moveaxis(check_finite(e, "e"), -1, 0)
+    """e . (e_x ^ e_y) for a unit vector field e; a non-finite e, or one
+    that is no (3, ny, nx) stack on grid, is rejected (FieldError)."""
+    ws, e = _Workspace((grid.ny, grid.nx)), check_field(grid, e, "e", (3,))
     return _density(grid, e, scheme, ws, np.empty(ws.shape))
 
 
@@ -440,7 +433,7 @@ def transport_window(grid: Grid2, times, read_spin, on_frame, scheme=SPECTRAL):
     for idx in range(len(times)):
         ws = slots[idx % 3]
         read_spin(idx, ws.e3)
-        F = frame_from_spin(grid, np.moveaxis(ws.e3, 0, -1), scheme, work=ws)
+        F = frame_from_spin(grid, ws.e3, scheme, work=ws)
         on_frame(idx, F)
         co = coeffs_from_frame(grid, F, scheme, work=ws)
         # now, while the shared densities are this slice's
@@ -487,7 +480,7 @@ def m_coeffs_from_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
     the transport system; see the project notes.)  States the paper's claim
     that the M-III dynamics fixes the y- and t-entries from k, sigma, tau.
     """
-    ws = _Workspace(np.shape(S)[:2])
+    ws = _Workspace((grid.ny, grid.nx))
     if frame is None:
         frame = frame_from_spin(grid, S, scheme, work=ws)
     proj = _project(grid, _vectors(frame), scheme, ws)  # no densities, no e3 derivatives

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .fields import SPECTRAL, Grid2, ddx, ddy, max_norm
+from .fields import BLOCK_POINTS, SPECTRAL, Grid2, check_field, ddx, ddy, max_norm
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -89,7 +89,7 @@ def _sl2_bracket(x, y) -> tuple:
 
 def trace_deviation(M: np.ndarray) -> float:
     """Max |trace| over the grid (builders here are traceless)."""
-    return float(np.max(np.abs(np.einsum("...ii->...", M))))
+    return float(np.max(np.abs(np.trace(M, axis1=-2, axis2=-1))))
 
 
 def sl2_trace(a, iden=0.0) -> float:
@@ -100,8 +100,6 @@ def sl2_trace(a, iden=0.0) -> float:
 # ---------------------------------------------------------------------------
 # q-side connection: lam-independent fields, then pointwise work per lam
 # ---------------------------------------------------------------------------
-
-BLOCK_POINTS = 2048  # the per-lam flatness work runs on row blocks of about this many points
 
 
 def _q_fields(grid: Grid2, q, p, v, par, scheme) -> tuple:
@@ -194,8 +192,9 @@ def zero_curvature_q(grid: Grid2, qpv_before, qpv_mid, qpv_after, par,
 # ---------------------------------------------------------------------------
 
 def _spin_entries(w: np.ndarray) -> tuple:
-    """sl(2) entries of w.sigma = [[w3, w1 - i w2], [w1 + i w2, -w3]], w a real 3-vector field."""
-    return w[..., 2], w[..., 0] - 1j * w[..., 1], w[..., 0] + 1j * w[..., 1]
+    """sl(2) entries of w.sigma = [[w3, w1 - i w2], [w1 + i w2, -w3]], w a real 3-vector stack."""
+    w1, w2, w3 = w
+    return w3, w1 - 1j * w2, w1 + 1j * w2
 
 
 def _lin(*terms) -> tuple:
@@ -216,9 +215,11 @@ class LaxSpin(NamedTuple):
 
 def lax_spin_pass(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
                   par, scheme=SPECTRAL) -> LaxSpin:
-    """Every derivative the spin-side connection needs, at any lam: 5 per slice."""
+    """Every derivative the spin-side connection needs, at any lam: 5 per
+    slice.  An S that is no (3, ny, nx) stack on grid, or not finite, is
+    rejected (FieldError)."""
     c, d, denom_l = par.c, par.d, par.denom
-    Sm = _spin_entries(S)
+    Sm = _spin_entries(check_field(grid, S, "S", (3,)))
     Sx = _spin_entries(ddx(grid, S, scheme))
     Sy = _spin_entries(ddy(grid, S, scheme))
     SSx = _lin((0.5, _sl2_bracket(Sm, Sx)))

@@ -102,7 +102,7 @@ def _paired_v(grid: Grid2, q: np.ndarray, scheme, beta: int, planes) -> tuple:
     np.multiply(q.real, q.real, out=dens)
     dens += np.multiply(q.imag, q.imag, out=v)
     np.multiply(beta, dens, out=dens)
-    _deriv(dens, scheme, grid.hy, 0, out=v_x, work=dens)
+    _deriv(dens, scheme, grid.hy, -2, out=v_x, work=dens)
     return _inv_dx(grid, v_x, out=v, work=dens), v_x
 
 
@@ -153,11 +153,11 @@ def _q_rate(grid: Grid2, q: np.ndarray, par: NlsParams, scheme, ws) -> np.ndarra
     ws.rate; q unchecked."""
     v, _ = _paired_v(grid, q, scheme, par.beta, ws.planes)
     vq = np.multiply(v, q, out=ws.vq)
-    w = _deriv(q, scheme, grid.hy, 0, out=ws.w)
+    w = _deriv(q, scheme, grid.hy, -2, out=ws.w)
     w *= -1j
     if par.c != 0.0:
         w -= np.multiply(4.0 * par.c, vq, out=ws.tmp)
-    q_t = _deriv(w, scheme, grid.hx, 1, out=ws.rate)
+    q_t = _deriv(w, scheme, grid.hx, -1, out=ws.rate)
     q_t -= np.multiply(2j * par.d * par.d, vq, out=ws.tmp)
     return q_t
 

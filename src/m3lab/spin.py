@@ -18,17 +18,18 @@ All three share one code path, so the reduction identities hold exactly.
 SpinParams owns |2cl+d| >= DENOM_TOL for every model, checked once: all that
 divides by par.denom (v, the q map, the spin-side Lax pass) relies on it.
 
-S keeps the package's (ny, nx, 3) layout in and out.  The kernel (spin_rhs,
-and the constraint solve it shares with solve_u, solve_v and make_state)
-works on S as one contiguous (3, ny, nx) component stack: S_x, S_y and
-(S ^ S_y)_x are each one derivative of a stack, and the derivatives, cross
-and dot products, u, v, the rate and the in-place RK4 stages (fields.rk4)
-are written into the arrays of one workspace.  Loading S into a workspace
-copies it into the stack and checks it for finite values: that is where S
-enters.  step_rk4_spin advances a loaded workspace in place, and a step
-that ends non-finite aborts before it writes the stack.  march_spin loads
-the initial S and steps that workspace (fields.march); only kept states
-are copied out of it, and each is yielded as it is made, so a caller that
+S is a (3, ny, nx) stack of component planes, in and out: the generators
+make it, SpinState holds it and spin_rhs returns S_t as one.  The kernel
+(spin_rhs, and the constraint solve it shares with solve_u, solve_v and
+make_state) takes S_x, S_y and (S ^ S_y)_x each as one derivative of a
+stack, and the derivatives, cross and dot products, u, v, the rate and
+the in-place RK4 stages (fields.rk4) are written into the arrays of one
+workspace.  Loading S into a workspace copies it into the stack and checks
+its shape and its values (fields.check_field): that is where S enters.
+step_rk4_spin advances a loaded workspace in place, and a step that ends
+non-finite aborts before it writes the stack.  march_spin loads the
+initial S and steps that workspace (fields.march); only kept states are
+copied out of it, and each is yielded as it is made, so a caller that
 writes it out (simulate-spin) holds one at a time.
 
 The kinematic decomposition S_t = d2 S_x + d3 S_y (with coefficients read off
@@ -42,20 +43,20 @@ import numpy as np
 
 from .errors import DegenerateFieldError, ParameterError, UnstableStepError
 from .fields import (
+    BLOCK_POINTS,
     SPECTRAL,
     Antideriv,
     Grid2,
     _deriv,
     _inv_dx,
-    check_finite,
+    check_field,
     cross_planes,
     ddx,
     ddy,
-    dot_planes,
+    dot3,
     march,
     meanx,
     norm3,
-    norm_planes,
     rk4,
 )
 
@@ -108,7 +109,7 @@ class SpinParams:
 
 @dataclass(frozen=True)
 class SpinState:
-    S: np.ndarray            # (ny, nx, 3), unit length
+    S: np.ndarray            # (3, ny, nx), unit length
     u: np.ndarray            # (ny, nx), zero x-mean
     v: np.ndarray            # (ny, nx), zero x-mean
     t: float = 0.0
@@ -126,31 +127,30 @@ class SpinState:
 
 def check_unit(S: np.ndarray) -> np.ndarray:
     """S, unless |S| deviates from 1 by more than STATE_TOL (ParameterError):
-    checked before the constraint solve, which a far from unit S overflows."""
-    dev = float(np.max(np.abs(norm3(S) - 1.0)))
+    checked before the constraint solve, which a far from unit S overflows.
+    |S| is formed on blocks of rows, with no array the size of S and no
+    warning where it overflows."""
+    rows = max(1, BLOCK_POINTS // np.shape(S)[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = max(float(np.max(np.abs(norm3(S[:, j:j + rows]) - 1.0)))
+                  for j in range(0, np.shape(S)[-2], rows))
     if dev > STATE_TOL:
         raise ParameterError(f"|S| deviates from 1 by {dev:.3e}")
     return S
 
 
-def _unstack(P: np.ndarray) -> np.ndarray:
-    """A (3, ny, nx) stack as a new (ny, nx, 3) field."""
-    return np.ascontiguousarray(np.moveaxis(P, 0, -1))
-
-
 class _Workspace:
-    """S loaded: a copy of the (ny, nx, 3) field S as the stack P, checked
-    finite, and every array a step writes.  march_spin loads one and reuses
-    it in every stage of every step and for every kept state."""
+    """S loaded: a copy of the stack S as P, checked (shape and values), and
+    every array a step writes.  march_spin loads one and reuses it in every
+    stage of every step and for every kept state."""
 
-    def __init__(self, S: np.ndarray):
-        shape = (3,) + np.shape(S)[:2]
+    def __init__(self, grid: Grid2, S: np.ndarray):
+        shape = (3, grid.ny, grid.nx)
         self.P, self.Sx, self.Sy, self.buf, self.rate = (np.empty(shape) for _ in range(5))
         self.u_x, self.u, self.v_x, self.v, self.tmp, self.length = (
             np.empty(shape[1:]) for _ in range(6))
         self.rk4 = tuple(np.empty(shape) for _ in range(3))
-        self.P[...] = np.moveaxis(S, -1, 0)
-        check_finite(self.P, "S")
+        self.P[...] = check_field(grid, S, "S", (3,))
 
 
 def _constraints(grid: Grid2, P, scheme, par: SpinParams, ws) -> None:
@@ -162,11 +162,11 @@ def _constraints(grid: Grid2, P, scheme, par: SpinParams, ws) -> None:
     """
     _deriv(P, scheme, grid.hx, -1, out=ws.Sx, work=ws.buf)
     _deriv(P, scheme, grid.hy, -2, out=ws.Sy, work=ws.buf)
-    dot_planes(P, cross_planes(ws.Sx, ws.Sy, ws.buf, ws.tmp), ws.u_x, ws.tmp)
+    dot3(P, cross_planes(ws.Sx, ws.Sy, ws.buf, ws.tmp), ws.u_x, ws.tmp, (0, 1, 2))
     np.negative(ws.u_x, out=ws.u_x)
     # buf is free again: its planes take the shifted lanes
     if par is not None:
-        dens = dot_planes(ws.Sx, ws.Sx, ws.buf[0], ws.tmp)
+        dens = dot3(ws.Sx, ws.Sx, ws.buf[0], ws.tmp, (0, 1, 2))
         _deriv(dens, scheme, grid.hy, -2, out=ws.v_x, work=dens)
         ws.v_x *= par.v_prefactor
         _inv_dx(grid, ws.v_x, out=ws.v, work=dens)
@@ -180,7 +180,7 @@ def solve_u(grid: Grid2, S: np.ndarray, scheme=SPECTRAL):
     integrand (solvability diagnostic; zero for topologically trivial rows).
     States the M-III constraint on u alone; tests hold it to u_from_fg.
     """
-    ws = _Workspace(S)
+    ws = _Workspace(grid, S)
     _constraints(grid, ws.P, scheme, None, ws)
     return Antideriv(ws.u, meanx(ws.u_x)[:, 0])
 
@@ -188,7 +188,7 @@ def solve_u(grid: Grid2, S: np.ndarray, scheme=SPECTRAL):
 def solve_v(grid: Grid2, S: np.ndarray, par: SpinParams, scheme=SPECTRAL):
     """v with v_x = (S_x.S_x)_y / (4(2cl+d)^2), zero x-mean; returns (v, row_mean).
     States the M-III constraint on v alone, the partner's v through 2cl+d."""
-    ws = _Workspace(S)
+    ws = _Workspace(grid, S)
     _constraints(grid, ws.P, scheme, par, ws)
     return Antideriv(ws.v, meanx(ws.v_x)[:, 0])
 
@@ -216,29 +216,29 @@ def spin_rhs(grid: Grid2, S: np.ndarray, par: SpinParams, scheme=SPECTRAL) -> np
     solvability defect); substituting the exact u_x keeps S_t orthogonal to
     S to rounding instead of to the size of that defect.
 
-    Computed on the (3, ny, nx) component stack of S; the (ny, nx, 3)
-    result is written once.  A non-finite S is rejected (FieldError).
+    A non-finite S, or one that is no (3, ny, nx) stack on grid, is
+    rejected (FieldError).
     """
-    ws = _Workspace(S)
-    return _unstack(_rhs(grid, ws.P, par, scheme, ws))
+    ws = _Workspace(grid, S)
+    return _rhs(grid, ws.P, par, scheme, ws)
 
 
 def _state(grid: Grid2, ws: _Workspace, par: SpinParams, t: float, scheme,
            renorm: float) -> SpinState:
     """The SpinState of the S in the stack of ws, with u, v solved from it
-    (one differentiation of S).  S, u and v are copied out of ws, S as a
-    new (ny, nx, 3) array, so the state owns its arrays."""
+    (one differentiation of S).  S, u and v are copied out of ws, so the
+    state owns its arrays."""
     _constraints(grid, ws.P, scheme, par, ws)
-    return SpinState(S=_unstack(ws.P), u=ws.u.copy(), v=ws.v.copy(), t=t, renorm=renorm,
+    return SpinState(S=ws.P.copy(), u=ws.u.copy(), v=ws.v.copy(), t=t, renorm=renorm,
                      u_row_mean=float(np.max(np.abs(meanx(ws.u_x)))),
                      v_row_mean=float(np.max(np.abs(meanx(ws.v_x)))))
 
 
 def make_state(grid: Grid2, S: np.ndarray, par: SpinParams, t: float = 0.0,
                scheme=SPECTRAL) -> SpinState:
-    """Assemble a SpinState with u, v solved from S; a non-finite S is
-    rejected (FieldError)."""
-    return _state(grid, _Workspace(S), par, t, scheme, 0.0)
+    """Assemble a SpinState with u, v solved from S; a non-finite S, or one
+    that is no (3, ny, nx) stack on grid, is rejected (FieldError)."""
+    return _state(grid, _Workspace(grid, S), par, t, scheme, 0.0)
 
 
 def default_dt(grid: Grid2) -> float:
@@ -261,7 +261,7 @@ def step_rk4_spin(grid: Grid2, ws: _Workspace, par: SpinParams, dt: float,
     # below; it needs no warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
         T = rk4(grid, lambda P: _rhs(grid, P, par, scheme, ws), ws.P, dt, ws.rk4)
-        lengths = norm_planes(T, ws.length, ws.tmp)  # norm3's bits, on the stack
+        lengths = norm3(T, ws.length, ws.tmp)
         correction = float(np.max(np.abs(np.subtract(lengths, 1.0, out=ws.tmp), out=ws.tmp)))
     if not correction <= RENORM_LIMIT:
         raise UnstableStepError(f"unstable step: renormalization correction {correction:.3e}")
@@ -276,7 +276,7 @@ def march_spin(grid: Grid2, state: SpinState, par: SpinParams, dt: float,
     state.S is loaded into one workspace, which every step and kept state
     runs in (fields.march); each kept state owns copies of its arrays.
     """
-    ws = _Workspace(state.S)
+    ws = _Workspace(grid, state.S)
     return march(state, lambda: step_rk4_spin(grid, ws, par, dt, scheme),
                  lambda t, renorm: _state(grid, ws, par, t, scheme, renorm),
                  dt, n_steps, save_every)
@@ -295,8 +295,8 @@ def run_spin(grid: Grid2, state: SpinState, par: SpinParams, dt: float,
 
 def init_uniform(grid: Grid2) -> np.ndarray:
     """S = e3 everywhere."""
-    S = np.zeros((grid.ny, grid.nx, 3))
-    S[..., 2] = 1.0
+    S = np.zeros((3, grid.ny, grid.nx))
+    S[2] = 1.0
     return S
 
 
@@ -315,7 +315,7 @@ def init_modulated_helix(grid: Grid2, kappa: int = 1, eps: float = 0.08) -> np.n
     psi = kappa * xs
     return np.stack([np.sin(theta) * np.cos(psi),
                      np.sin(theta) * np.sin(psi),
-                     np.cos(theta)], axis=-1)
+                     np.cos(theta)])
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
@@ -343,7 +343,7 @@ def init_stereographic_lump(grid: Grid2, radius_frac: float = 0.45) -> np.ndarra
     theta = np.pi * _bump(r / R)
     return np.stack([np.sin(theta) * np.cos(phi),
                      np.sin(theta) * np.sin(phi),
-                     np.cos(theta)], axis=-1)
+                     np.cos(theta)])
 
 
 INITIAL_CONDITIONS = {
@@ -408,6 +408,5 @@ def m0_residual(grid: Grid2, S: np.ndarray, par: SpinParams, m0: M0Coeffs,
     St = spin_rhs(grid, S, par, scheme)
     Sx = ddx(grid, S, scheme)
     Sy = ddy(grid, S, scheme)
-    res = St - m0.d2[..., None] * Sx - m0.d3[..., None] * Sy
-    keep = ~m0.mask
-    return float(np.max(np.abs(res[keep])))
+    res = St - m0.d2 * Sx - m0.d3 * Sy
+    return float(np.max(np.abs(res[:, ~m0.mask])))

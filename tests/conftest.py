@@ -7,8 +7,8 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from m3lab import nls, spin
-from m3lab.fields import Grid2, cross_planes, norm3
-from m3lab.frames import FrameCoeffs, FrameField
+from m3lab.fields import Grid2, norm3
+from m3lab.frames import FrameCoeffs
 
 # Property tests draw the same examples on every run, keep no example
 # database and stay time-bounded.
@@ -30,23 +30,26 @@ def pytest_unconfigure(config):
     shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
 
 
-def cross3(a, b):
-    """a x b over the last axis of (ny, nx, 3) fields, a new contiguous field
-    written through cross_planes: the products and differences of np.cross."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
-    cross_planes(np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0), out=np.moveaxis(out, -1, 0))
-    return out
-
-
 def normalized3(a):
-    """a / |a| over the last axis of an (ny, nx, 3) field."""
-    return a / norm3(a)[..., None]
+    """a / |a| of a (3, ny, nx) stack."""
+    return a / norm3(a)
 
 
 # Pointwise matrix-field algebra (works for (..., 2, 2) and (..., 3, 3)).
 # The package carries connections by their Lie-algebra coordinates
 # (frames.bracket, lax._sl2_bracket); these products are the reference
-# those coordinate forms are tested against.
+# those coordinate forms are tested against.  They take the matrix indices
+# last, so a stack of vectors or matrices is moved to its points first.
+
+def pointwise(stack, k=1):
+    """The (ny, nx, ...) view of a stack whose first k axes index components."""
+    return np.moveaxis(stack, tuple(range(k)), tuple(range(-k, 0)))
+
+
+def d_matrix(deriv, grid, M, scheme="spectral"):
+    """deriv (ddx or ddy) of an (ny, nx, m, m) matrix field, entry by entry."""
+    return pointwise(deriv(grid, np.moveaxis(M, (-2, -1), (0, 1)), scheme), 2)
+
 
 def matmul(A, B):
     return np.einsum("...ij,...jk->...ik", A, B)
@@ -71,11 +74,6 @@ def so3_matrices(coeffs):
     """(A, B, C) transport matrices of FrameCoeffs; C is None without time entries."""
     C = None if coeffs.w is None else so3_from_vec(*coeffs.w)
     return so3_from_vec(*coeffs.a), so3_from_vec(*coeffs.b), C
-
-
-def frame_field(e1, e2, e3, mask=None):
-    """FrameField of (ny, nx, 3) fields: its stacks are their (3, ny, nx) views."""
-    return FrameField(E=tuple(np.moveaxis(e, -1, 0) for e in (e1, e2, e3)), mask=mask)
 
 
 def frame_coeffs(k, sigma, tau, m1, m2, m3, w1=None, w2=None, w3=None, densities=None):
@@ -112,18 +110,17 @@ def smooth_spin(grid, rng, amplitude=0.35, kmax=3):
     spectrum of S has tails whose aliasing would otherwise dominate the
     rounding-level identities these fields are used to test.
     """
-    comps = [band_limited(grid, rng, kmax=kmax, scale=amplitude) for _ in range(3)]
-    S = np.stack(comps, axis=-1)
-    S[..., 2] += 1.0
+    S = np.stack([band_limited(grid, rng, kmax=kmax, scale=amplitude) for _ in range(3)])
+    S[2] += 1.0
     return normalized3(S)
 
 
 def spin_step(grid, S, par, dt, scheme="spectral"):
-    """One step_rk4_spin of S in a workspace loaded with it: (the new S as an
-    (ny, nx, 3) field, the renormalisation correction)."""
-    ws = spin._Workspace(S)
+    """One step_rk4_spin of S in a workspace loaded with it: (the new S,
+    the renormalisation correction)."""
+    ws = spin._Workspace(grid, S)
     correction = spin.step_rk4_spin(grid, ws, par, dt, scheme)
-    return spin._unstack(ws.P), correction
+    return ws.P, correction
 
 
 def nls_step(grid, q, par, dt, scheme="spectral"):

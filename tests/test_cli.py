@@ -316,8 +316,8 @@ def test_initial_file_layout_is_checked_before_its_payload(tmp_path, capsys, sid
             if k.strip().startswith(f"{side}.init.")}
     for n, comps, message in ((32, 3, "sampled on Grid2(nx=32"), (16, 1, "1 components, need")):
         g = Grid2(n, n)
-        data = init_modulated_helix(g)[..., :comps]
-        data[3, 5, 0] = np.nan
+        data = init_modulated_helix(g)[:comps]
+        data[0, 3, 5] = np.nan
         path = tmp_path / f"init{n}.mfld1"
         write_mfld1(path, g, data)
         cfg = tmp_path / "init.cfg"
@@ -620,6 +620,8 @@ def _one_error_line(capsys, prefix="error: ") -> str:
     ("simulate-spin", _with(SPIN_CFG, **{"params.d": 1e300})),
     ("simulate-nls", _with(NLS_CFG, model="M3q", **{"params.d": 1e300})),
     ("simulate-nls", _with(NLS_CFG, model="M3q", **{"params.c": 1e308})),
+    ("simulate-spin", _with(SPIN_CFG, t_end=0.001)),
+    ("simulate-nls", _with(NLS_CFG, t_end=0.001)),
 ], ids=["spin-save_every-0", "nls-save_every-0", "spin-t_end-0", "nls-t_end-0",
         "spin-t_end-negative", "nls-t_end-negative", "spin-dt-negative",
         "spin-init-unknown-key", "nls-init-unknown-key",
@@ -627,7 +629,7 @@ def _one_error_line(capsys, prefix="error: ") -> str:
         "spin-params-c-nan", "nls-params-d-inf", "spin-init-inf",
         "spin-dt-tiny", "nls-dt-tiny",
         "spin-params-l-overflows", "spin-params-d-overflows", "nls-params-d-overflows",
-        "nls-params-c-overflows"])
+        "nls-params-c-overflows", "spin-t_end-no-step", "nls-t_end-no-step"])
 def test_bad_run_config_exits_2(tmp_path, capsys, command, cfg_text):
     """A refused config exits 2 with one error line, no numpy warning
     before it, and nothing written."""
@@ -687,7 +689,7 @@ def test_far_from_unit_initial_S_is_one_error_line(tmp_path, capsys):
     are solved, so no numpy warning reaches stderr before the error line."""
     grid = Grid2(16, 16)
     S = init_modulated_helix(grid)
-    S[2:5, 3:9] = 1e200
+    S[:, 2:5, 3:9] = 1e200
     write_mfld1(tmp_path / "S0.mfld1", grid, S)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(_with(SPIN_CFG, **{"grid.nx": 16, "grid.ny": 16,
@@ -711,6 +713,45 @@ def test_run_length_refuses_a_run_beyond_its_size_bound(changes, what):
     cfg = RunConfig.from_text(_with(SPIN_CFG, **{"grid.nx": 16, "grid.ny": 16, **changes}))
     with pytest.raises(ConfigError, match=what):
         _run_length(cfg, cfg.grid())
+
+
+def test_run_length_refuses_a_t_end_that_rounds_to_no_step():
+    """A t_end of half a step or less is refused, not run as one whole step
+    recorded as the run's end time; a longer one runs its rounded count."""
+    cfg = RunConfig.from_text(_with(SPIN_CFG, **{"grid.nx": 16, "grid.ny": 16}))
+    dt = default_dt(cfg.grid())
+    for t_end in (0.001, 0.5 * dt):
+        with pytest.raises(ConfigError, match="rounds to no step"):
+            _run_length(RunConfig.from_text(_with(SPIN_CFG, **{
+                "grid.nx": 16, "grid.ny": 16, "t_end": t_end})), cfg.grid())
+    for t_end, steps in ((0.51 * dt, 1), (1.49 * dt, 1), (1.51 * dt, 2)):
+        got = _run_length(RunConfig.from_text(_with(SPIN_CFG, **{
+            "grid.nx": 16, "grid.ny": 16, "t_end": t_end})), cfg.grid())
+        assert got == (dt, steps)
+
+
+@pytest.mark.parametrize("command", [["frame"], ["charges"],
+                                     ["lax-check", "--spin-side", "--lambda", "0.3,0.1"]],
+                         ids=["frame", "charges", "lax-check-spin"])
+def test_far_from_unit_slice_is_one_error_line(tmp_path, capsys, command):
+    """A recorded slice whose S is finite but far from unit length (1e200 at
+    8 points of slice 1 of a 16^2 run) is refused where it is read: exit 2,
+    one error line naming the file, and no numpy warning before it."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_with(SPIN_CFG, **{"grid.nx": 16, "grid.ny": 16, "save_every": 1}))
+    assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 0
+    meta = json.loads((tmp_path / "spinrun" / "meta.json").read_text())
+    assert len(meta["slices"]) == 3
+    path = tmp_path / "spinrun" / meta["slices"][1]
+    grid, data = read_mfld1(path)
+    data[:3, 2:4, 5:9] = 1e200
+    write_mfld1(path, grid, data)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--output-dir", str(tmp_path), command[0], "spinrun", *command[1:]]) == 2
+    err = _one_error_line(capsys, f"error: {path}: ")
+    assert "|S| deviates from 1 by inf" in err
 
 
 @pytest.mark.parametrize("n, steps, save_every", [(128, 300, 10), (256, 24, 2)])
@@ -791,9 +832,9 @@ def test_frame_writes_the_library_path_bitwise(tmp_path, n):
     times, grid = meta["times"], Grid2(n, n)
     frames, coeffs = [], []
     for idx, name in enumerate(meta["slices"]):
-        F = frame_from_spin(grid, read_mfld1(run / name)[1][..., 0:3])
+        F = frame_from_spin(grid, read_mfld1(run / name)[1][:3])
         dump = read_mfld1(run / f"frame_{idx:06d}.mfld1")[1]
-        assert np.array_equal(dump, np.concatenate([F.e1, F.e2, F.e3], axis=-1))
+        assert np.array_equal(dump, np.concatenate(F.E))
         frames.append(F)
         coeffs.append(coeffs_from_frame(grid, F))
     report = json.loads((run / "frame_report.json").read_text())["residuals"]
@@ -803,7 +844,7 @@ def test_frame_writes_the_library_path_bitwise(tmp_path, n):
         mid = with_time_entries(coeffs[idx], frames[idx],
                                 frame_dt(frames[idx - 1], frames[idx + 1], dt2))
         dump = read_mfld1(run / f"coeffs_{idx:06d}.mfld1")[1]
-        assert np.array_equal(dump, np.stack([getattr(mid, c) for c in COEFF_COMPS], axis=-1))
+        assert np.array_equal(dump, np.stack([getattr(mid, c) for c in COEFF_COMPS]))
         assert got == {"t": times[idx], **mlxii_residual(
             grid, mid, coeffs_before=coeffs[idx - 1], coeffs_after=coeffs[idx + 1], dt2=dt2,
             frame=frames[idx])}
@@ -957,11 +998,11 @@ def _damage_slice(run, damage):
     body = path.read_bytes()
     message = "components on Grid2"
     if damage == "comps":
-        write_mfld1(path, grid, data[..., :-1])
+        write_mfld1(path, grid, data[:-1])
     elif damage == "grid":
         write_mfld1(path, Grid2(grid.nx, grid.ny, 2.0 * grid.lx, grid.ly), data)
     elif damage.startswith("nan"):
-        data[3, 5, int(damage[-1]) - 1] = np.nan
+        data[int(damage[-1]) - 1, 3, 5] = np.nan
         write_mfld1(path, grid, data)
         message = "payload contains 1 non-finite entries"
     else:
@@ -1076,7 +1117,7 @@ def test_simulate_nls_writes_p_as_beta_conj_q(tmp_path, beta):
     assert len(meta["slices"]) == 4
     for name in meta["slices"]:
         _, data = read_mfld1(tmp_path / "nlsrun" / name)
-        re_q, im_q, re_p, im_p = (np.ascontiguousarray(data[..., i]) for i in range(4))
+        re_q, im_q, re_p, im_p = data[:4]
         assert re_p.tobytes() == (beta * re_q).tobytes()
         assert im_p.tobytes() == (-beta * im_q).tobytes()
 
@@ -1101,7 +1142,7 @@ def _flat_spin_run(tmp_path):
     run = _run(tmp_path, "simulate-spin", SPIN_CFG, "spinrun")
     for path in (tmp_path / run).glob("spin_*.mfld1"):
         grid, data = read_mfld1(path)
-        data[..., 0:3] = (0.0, 0.0, 1.0)
+        data[0:3] = np.array([0.0, 0.0, 1.0])[:, None, None]
         write_mfld1(path, grid, data)
     return run
 
@@ -1144,7 +1185,7 @@ def _blow_up_config(tmp_path):
     """An M3q run from a large smooth q, which overflows within a few steps."""
     grid = Grid2(32, 32)
     q = smooth_complex(grid, np.random.default_rng(3), scale=6.0)
-    write_mfld1(tmp_path / "q0.mfld1", grid, np.stack([q.real, q.imag], axis=-1))
+    write_mfld1(tmp_path / "q0.mfld1", grid, (q.real, q.imag))
     return _config(tmp_path, _with(NLS_CFG, model="M3q", **{
         "params.c": 0.3, "nls.init": tmp_path / "q0.mfld1",
         "nls.init.amplitude": None, "nls.init.k1": None, "nls.init.k2": None}))

@@ -16,20 +16,18 @@ from m3lab.fields import (
     ddx,
     ddy,
     dot3,
-    dot_planes,
     integrate2,
     inv_dx,
     march,
     meanx,
     norm3,
-    norm_planes,
     read_mfld1,
     rk4,
     write_mfld1,
 )
 from m3lab.spin import SpinParams, make_state, spin_rhs
 
-from conftest import band_limited, cross3, smooth_spin
+from conftest import band_limited, smooth_spin
 
 TWO_PI = 2.0 * np.pi
 ABOVE = 2 * DENSE_MAX_N      # an axis length on the rfft branch
@@ -99,6 +97,22 @@ def test_non_finite_rejected(grid):
         inv_dx(grid, f)
 
 
+@pytest.mark.parametrize("shape", [(64, 64, 3), (64, 3), (3, 64, 32), (64,)],
+                         ids=["field", "lanes", "other-grid", "row"])
+def test_array_off_the_grid_axes_is_refused(tmp_path, grid, shape):
+    """ddx, ddy, inv_dx, integrate2 and write_mfld1 act on the last two
+    axes: an array whose trailing dims are not (ny, nx), such as a
+    (ny, nx, 3) field, is refused (FieldError) rather than differentiated
+    along its component axis."""
+    f = np.zeros(shape)
+    for op in (ddx, ddy, inv_dx, integrate2):
+        with pytest.raises(FieldError, match=r"not \(\.\.\., 64, 64\)"):
+            op(grid, f)
+    with pytest.raises(FieldError, match="no plane or stack"):
+        write_mfld1(tmp_path / "f.mfld1", grid, f)
+    assert not (tmp_path / "f.mfld1").exists()
+
+
 def test_inv_dx_zero(grid):
     out = inv_dx(grid, np.zeros((grid.ny, grid.nx)))
     assert np.all(out.field == 0.0)
@@ -138,13 +152,11 @@ def _complex_deriv(f, k, axis):
 
 
 def _complex_inv_dx(f, k):
-    """The full complex-FFT zero-mean x-antiderivative of a real field."""
-    shape = [1] * f.ndim
-    shape[1] = k.size
+    """The full complex-FFT zero-mean x-antiderivative of a real field or stack."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        ghat = np.fft.fft(f, axis=1) / (1j * k.reshape(shape))
-    ghat[:, 0, ...] = 0.0
-    return np.fft.ifft(ghat, axis=1).real
+        ghat = np.fft.fft(f) / (1j * k)
+    ghat[..., 0] = 0.0
+    return np.fft.ifft(ghat).real
 
 
 @pytest.mark.parametrize("nx, ny", [(32, 32), (33, 33), (32, 33)])
@@ -155,56 +167,60 @@ def test_real_path_matches_complex_fft(nx, ny):
     ky = TWO_PI * np.fft.fftfreq(ny, d=g.hy)
     X, Y = g.meshgrid()
     f = np.exp(np.sin(TWO_PI * X / g.lx) + 0.5 * np.cos(2 * TWO_PI * Y / g.ly))
-    vec = np.stack([f, f * np.cos(TWO_PI * Y / g.ly), np.sin(TWO_PI * (X / g.lx - Y / g.ly))],
-                   axis=-1)
+    vec = np.stack([f, f * np.cos(TWO_PI * Y / g.ly), np.sin(TWO_PI * (X / g.lx - Y / g.ly))])
     for field in (f, vec):
-        assert np.max(np.abs(ddx(g, field) - _complex_deriv(field, kx, 1))) < 1e-12
-        assert np.max(np.abs(ddy(g, field) - _complex_deriv(field, ky, 0))) < 1e-12
+        assert np.max(np.abs(ddx(g, field) - _complex_deriv(field, kx, -1))) < 1e-12
+        assert np.max(np.abs(ddy(g, field) - _complex_deriv(field, ky, -2))) < 1e-12
         assert np.max(np.abs(inv_dx(g, field).field - _complex_inv_dx(field, kx))) < 1e-12
 
 
 def test_cross3_equals_np_cross_bitwise(rng):
-    a, b = rng.standard_normal((2, 16, 16, 3))
-    assert np.array_equal(cross3(a, b), np.cross(a, b))
+    """The cross product of two 3-vector stacks is np.cross over their
+    component axis, bit for bit."""
+    a, b = rng.standard_normal((2, 3, 16, 16))
+    assert np.array_equal(cross_planes(a, b), np.cross(a, b, axis=0))
 
 
 def test_plane_products_into_given_arrays_bitwise(rng):
-    """cross_planes and dot_planes give the same bits into given output and
+    """cross_planes and dot3 give the same bits into given output and
     scratch arrays as into new ones, and the textbook expressions."""
     a, b = rng.standard_normal((2, 3, 16, 12))
     out, tmp = np.empty((3, 16, 12)), np.empty((16, 12))
-    want = np.cross(np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1))
-    assert np.array_equal(np.moveaxis(cross_planes(a, b), 0, -1), want)
+    want = np.cross(a, b, axis=0)
+    assert np.array_equal(cross_planes(a, b), want)
     assert cross_planes(a, b, out, tmp) is out
-    assert np.array_equal(np.moveaxis(out, 0, -1), want)
+    assert np.array_equal(out, want)
     dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-    assert np.array_equal(dot_planes(a, b), dot)
-    assert dot_planes(a, b, tmp, out[0]) is tmp
+    assert np.array_equal(dot3(a, b, order=(0, 1, 2)), dot)
+    assert dot3(a, b, tmp, out[0], (0, 1, 2)) is tmp
     assert np.array_equal(tmp, dot)
 
 
 @pytest.mark.parametrize("ny, nx", [(8, 8), (33, 40), (256, 256)])
 def test_einsum_order_plane_dot_is_dot3(rng, ny, nx):
-    """The numpy behaviour the frame layer's bits rest on: dot3 (einsum)
-    sums a field with contiguous components as (a0 b0 + a2 b2) + a1 b1,
-    which dot_planes gives in EINSUM_ORDER, and a field with strided
-    components (the view of a stack) in component order."""
-    def planes(f):
-        return np.moveaxis(f, -1, 0)
+    """The numpy behaviour the frame layer's bits rest on: einsum sums a
+    (ny, nx, 3) field with contiguous components as (a0 b0 + a2 b2) + a1 b1
+    and one with strided components (the view of a stack) in component
+    order.  dot3 and norm3 of stacks sum in EINSUM_ORDER, the first, so the
+    results pinned to einsum on such fields kept their bits on stacks."""
+    def einsum_dot(f, g):
+        return np.einsum("...k,...k->...", f, g)
 
-    a, b = rng.standard_normal((2, ny, nx, 3))
-    wide = rng.standard_normal((ny, nx, 5))[..., 1:4]   # contiguous components, strided points
-    for f, g in ((a, b), (a, a), (wide, b), (wide, wide)):
-        assert np.array_equal(dot_planes(planes(f), planes(g), order=EINSUM_ORDER), dot3(f, g))
-        assert np.array_equal(norm_planes(planes(f)), norm3(f))
+    def field(P):
+        return np.ascontiguousarray(np.moveaxis(P, 0, -1))
+
     P, Q = rng.standard_normal((2, 3, ny, nx))
-    assert np.array_equal(dot_planes(P, Q), dot3(np.moveaxis(P, 0, -1), np.moveaxis(Q, 0, -1)))
-    out, tmp = np.empty((ny, nx)), np.empty((ny, nx))
-    assert dot_planes(P, Q, out, tmp, EINSUM_ORDER) is out
-    assert np.array_equal(out, dot3(np.ascontiguousarray(np.moveaxis(P, 0, -1)),
-                                    np.ascontiguousarray(np.moveaxis(Q, 0, -1))))
+    for f, g in ((P, Q), (P, P)):
+        assert np.array_equal(dot3(f, g), einsum_dot(field(f), field(g)))
+    assert np.array_equal(norm3(P), np.sqrt(einsum_dot(field(P), field(P))))
+    assert np.array_equal(dot3(P, Q, order=(0, 1, 2)),
+                          einsum_dot(np.moveaxis(P, 0, -1), np.moveaxis(Q, 0, -1)))
+    out, length, tmp = np.empty((3, ny, nx))
+    assert dot3(P, Q, out, tmp) is out and norm3(P, length, tmp) is length
+    assert np.array_equal(out, dot3(P, Q)) and np.array_equal(length, norm3(P))
+    assert EINSUM_ORDER == (0, 2, 1)
     if ny * nx > 1000:  # the two orders part somewhere, so the choice of order is seen
-        assert not np.array_equal(out, dot_planes(P, Q))
+        assert not np.array_equal(out, dot3(P, Q, order=(0, 1, 2)))
 
 
 def _counting(monkeypatch, names):
@@ -268,22 +284,23 @@ def test_spin_kernel_transforms_contiguous_planes(rng, monkeypatch):
 
 
 def _reference(op, g, f):
-    """The rfft definition of ddx / ddy / inv_dx on a real field."""
+    """The rfft definition of ddx / ddy / inv_dx on a real field or stack."""
     if op is inv_dx:
         return _spectral_antideriv(f, g.hx)
     if op is ddx:
-        return _spectral_deriv(f, g.hx, axis=1)
-    return _spectral_deriv(f, g.hy, axis=0)
+        return _spectral_deriv(f, g.hx, axis=-1)
+    return _spectral_deriv(f, g.hy, axis=-2)
 
 
 def _smooth(g, comps=()):
-    """exp of a few low modes, times a different mode per component."""
+    """exp of a few low modes, times a different mode per component: a
+    (*comps, ny, nx) stack."""
     X, Y = g.meshgrid()
     x, y = TWO_PI * X / g.lx, TWO_PI * Y / g.ly
     f = np.exp(np.sin(x) + 0.5 * np.cos(2 * y) + 0.3 * np.sin(x - y))
-    out = np.empty(f.shape + comps)
+    out = np.empty(comps + f.shape)
     for i, idx in enumerate(np.ndindex(comps)):
-        out[(...,) + idx] = f * np.cos((i + 1) * x + i * y)
+        out[idx] = f * np.cos((i + 1) * x + i * y)
     return out if comps else f
 
 
@@ -323,14 +340,14 @@ def test_complex_field_is_differentiated_by_parts(nx, ny):
 def test_constant_along_axis_maps_to_zero(nx, ny):
     g = Grid2(nx, ny)
     X, Y = g.meshgrid()
-    along_x = np.stack([np.cos(TWO_PI * Y / g.ly) + 3.0, np.exp(Y)], axis=-1)
+    along_x = np.stack([np.cos(TWO_PI * Y / g.ly) + 3.0, np.exp(Y)])
     along_y = np.sin(TWO_PI * X / g.lx) - 0.7
     assert np.all(ddx(g, along_x) == 0.0)
     assert np.all(inv_dx(g, along_x).field == 0.0)
     assert np.all(ddy(g, along_y) == 0.0)
     # the discarded row mean is that of the unshifted integrand, also when
     # the integrand is its own work array
-    mean = np.squeeze(meanx(along_x), axis=1)
+    mean = np.squeeze(meanx(along_x), axis=-1)
     assert np.array_equal(inv_dx(g, along_x).row_mean, mean)
     plane = np.exp(np.cos(TWO_PI * Y / g.ly)) + np.sin(TWO_PI * X / g.lx)
     scratch = plane.copy()
@@ -379,20 +396,21 @@ def test_rfft_antiderivative_holds_one_half_spectrum():
 
 @pytest.mark.parametrize("nx, ny", [(32, 32), (33, 40), (ABOVE, 64)])
 def test_plane_derivative_is_its_vector_slice(nx, ny):
-    """Bit for bit: a component plane, the (ny, nx, *comps) field it came
-    from and the (comps, ny, nx) stack it sits in give the same numbers."""
+    """Bit for bit: a component plane and the (*comps, ny, nx) stack it sits
+    in give the same numbers, through the public operators and through
+    _deriv on the stack's planes as one (comps, ny, nx) array."""
     g = Grid2(nx, ny)
     for comps in ((3,), (3, 3)):
         f = _smooth(g, comps)
-        P = np.moveaxis(f.reshape(ny, nx, -1), -1, 0).copy()
+        P = f.reshape((-1, ny, nx))
         for op, stack in ((ddx, (g.hx, -1)), (ddy, (g.hy, -2)), (inv_dx, None)):
             whole = op(g, f)
             whole = whole.field if op is inv_dx else whole
             stacked = _deriv(P, "spectral", *stack) if stack else None
             for i, idx in enumerate(np.ndindex(comps)):
-                plane = op(g, f[(...,) + idx])
+                plane = op(g, f[idx])
                 plane = plane.field if op is inv_dx else plane
-                assert np.array_equal(plane, whole[(...,) + idx])
+                assert np.array_equal(plane, whole[idx])
                 if stack:
                     assert np.array_equal(plane, stacked[i])
 
@@ -415,7 +433,7 @@ def test_integrate2_sine_squared():
 
 
 def test_mfld1_round_trip(tmp_path, grid, rng):
-    data = np.stack([band_limited(grid, rng) for _ in range(3)], axis=-1)
+    data = np.stack([band_limited(grid, rng) for _ in range(3)])
     path = tmp_path / "field.mfld1"
     write_mfld1(path, grid, data)
     g2, back = read_mfld1(path)
@@ -429,18 +447,20 @@ def test_mfld1_round_trip(tmp_path, grid, rng):
 
 @pytest.mark.parametrize("layout", ["plane", "strided view"])
 def test_mfld1_payload_is_the_little_endian_buffer(tmp_path, layout):
-    """The file is the header and the data's <f8 bytes, also for a
-    non-contiguous (ny, nx, 3) view written without a copy of its own."""
+    """The file is the header and the data's <f8 bytes, components
+    interleaved point by point: for a stack, also a strided view written
+    without a copy of its own, those of the (ny, nx, 3) array of its points."""
     g = Grid2(8, 12, lx=1.5, ly=2.5)
     base = np.arange(3 * g.ny * g.nx, dtype=float)
-    data = (base[:g.ny * g.nx].reshape(g.ny, g.nx) if layout == "plane"
-            else np.moveaxis(base.reshape(3, g.ny, g.nx), 0, -1))
+    points = (base[:g.ny * g.nx].reshape(g.ny, g.nx) if layout == "plane"
+              else base.reshape(g.ny, g.nx, 3))
+    data = points if layout == "plane" else np.moveaxis(points, -1, 0)
     assert data.flags.c_contiguous == (layout == "plane")
     path = tmp_path / "p.mfld1"
     write_mfld1(path, g, data)
     ncomp = 1 if data.ndim == 2 else 3
     header = f"MFLD1 8 12 {ncomp} {g.lx:.17g} {g.ly:.17g}\n".encode("ascii")
-    assert path.read_bytes() == header + data.astype("<f8").tobytes()
+    assert path.read_bytes() == header + points.astype("<f8").tobytes()
 
 
 def _textbook_rk4(rhs, y, dt):
@@ -541,9 +561,9 @@ def test_mfld1_stack_read_rejects_what_an_array_read_rejects(tmp_path, damage, m
     stack does not keep included (the NaN and the inf sit in the 4th and
     5th component, in two blocks), and the message counts the whole
     payload's entries."""
-    data = np.zeros((BLOCKED.ny, BLOCKED.nx, 5))
-    data[2, 5, 3] = np.nan
-    data[37, 0, 4] = np.inf
+    data = np.zeros((5, BLOCKED.ny, BLOCKED.nx))
+    data[3, 2, 5] = np.nan
+    data[4, 37, 0] = np.inf
     path = tmp_path / "f.mfld1"
     write_mfld1(path, BLOCKED, data if damage == "non-finite" else np.zeros_like(data))
     head, body = path.read_bytes().split(b"\n", 1)
@@ -565,19 +585,20 @@ def test_mfld1_stack_read_rejects_what_an_array_read_rejects(tmp_path, damage, m
 def test_mfld1_read_into_a_stack(tmp_path, rng, k):
     """A stack of k planes takes the file's first k components bit for bit,
     block by block, and is what the read returns."""
-    data = rng.normal(size=(BLOCKED.ny, BLOCKED.nx, 5))
+    data = rng.normal(size=(5, BLOCKED.ny, BLOCKED.nx))
     path = tmp_path / "f.mfld1"
     write_mfld1(path, BLOCKED, data)
     out = np.full((k, BLOCKED.ny, BLOCKED.nx), np.nan)
     grid, got = read_mfld1(path, out)
     assert grid == BLOCKED and got is out
-    assert np.array_equal(out, np.moveaxis(data[..., :k], -1, 0))
+    assert np.array_equal(out, data[:k])
+    assert np.array_equal(read_mfld1(path)[1], data)
 
 
 @pytest.mark.parametrize("shape", [(6, 40, 256), (3, 40, 128), (3, 41, 256)])
 def test_mfld1_stack_the_file_cannot_fill_is_refused(tmp_path, shape):
     path = tmp_path / "f.mfld1"
-    write_mfld1(path, BLOCKED, np.zeros((BLOCKED.ny, BLOCKED.nx, 5)))
+    write_mfld1(path, BLOCKED, np.zeros((5, BLOCKED.ny, BLOCKED.nx)))
     with pytest.raises(FieldError, match="cannot fill"):
         read_mfld1(path, np.empty(shape))
 
@@ -586,7 +607,7 @@ def test_mfld1_layout_check_runs_before_the_payload(tmp_path):
     """check(grid, ncomp) sees the header and can refuse the file before a
     payload entry is read: its error, not the non-finite one, is raised."""
     path = tmp_path / "f.mfld1"
-    write_mfld1(path, BLOCKED, np.full((BLOCKED.ny, BLOCKED.nx, 5), np.nan))
+    write_mfld1(path, BLOCKED, np.full((5, BLOCKED.ny, BLOCKED.nx), np.nan))
     seen = []
 
     def check(grid, ncomp):

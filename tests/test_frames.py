@@ -8,6 +8,7 @@ from m3lab.convergence import fit_order
 from m3lab.errors import DegenerateFieldError, FieldError, IdentificationError
 from m3lab.fields import (
     Grid2,
+    cross_planes,
     ddx,
     ddy,
     dot3,
@@ -37,7 +38,7 @@ from m3lab.spin import (
     run_spin,
 )
 
-from conftest import (commutator, cross3, frame_coeffs, frame_field, matmul, normalized3,
+from conftest import (commutator, d_matrix, frame_coeffs, matmul, normalized3, pointwise,
                       smooth_spin, so3_matrices)
 
 PAR = SpinParams(c=0.3, d=1.0, l=0.0, model="M3")
@@ -45,7 +46,7 @@ PAR = SpinParams(c=0.3, d=1.0, l=0.0, model="M3")
 
 def helix_field(grid):
     X, _ = grid.meshgrid()
-    return np.stack([np.sin(X), np.zeros_like(X), np.cos(X)], axis=-1)
+    return np.stack([np.sin(X), np.zeros_like(X), np.cos(X)])
 
 
 def shifted_family(grid):
@@ -56,7 +57,7 @@ def shifted_family(grid):
     psi = xs + 0.2 * np.cos(xs)
     return np.stack([np.sin(theta) * np.cos(psi),
                      np.sin(theta) * np.sin(psi),
-                     np.cos(theta)], axis=-1)
+                     np.cos(theta)])
 
 
 # ---------------------------------------------------------------------------
@@ -67,15 +68,15 @@ def test_frame_hand_case(grid):
     """S = (sin x, 0, cos x): e2 = (cos x, 0, -sin x), e3 = e1 ^ e2 = (0, 1, 0)."""
     F = frame_from_spin(grid, helix_field(grid))
     X, _ = grid.meshgrid()
-    e2_expect = np.stack([np.cos(X), np.zeros_like(X), -np.sin(X)], axis=-1)
-    assert max_norm(F.e2 - e2_expect) < 1e-12
-    assert max_norm(F.e3 - np.array([0.0, 1.0, 0.0])) < 1e-12
+    e2_expect = np.stack([np.cos(X), np.zeros_like(X), -np.sin(X)])
+    assert max_norm(F.E[1] - e2_expect) < 1e-12
+    assert max_norm(F.E[2] - np.array([0.0, 1.0, 0.0])[:, None, None]) < 1e-12
 
 
 def test_frame_orthonormal_and_right_handed(grid, rng):
     F = frame_from_spin(grid, smooth_spin(grid, rng))
     assert F.gram_deviation() < 1e-9
-    assert max_norm(F.e3 - cross3(F.e1, F.e2)) < 1e-12
+    assert max_norm(F.E[2] - cross_planes(F.E[0], F.E[1])) < 1e-12
 
 
 def test_frame_rejects_uniform_field(grid):
@@ -87,24 +88,24 @@ def test_frame_mask_fill_is_deterministic(grid):
     S = init_stereographic_lump(grid)
     F1 = frame_from_spin(grid, S)
     F2 = frame_from_spin(grid, S)
-    assert np.array_equal(F1.e2, F2.e2)
+    assert np.array_equal(F1.E[1], F2.E[1])
     assert 0.0 < F1.mask.mean() < 0.5
     assert F1.gram_deviation() < 1e-9  # fill is re-orthogonalized
 
 
 def left_scan_loop(e2, mask):
-    """The degenerate fill as a column-by-column loop: each masked point takes
-    the value carried from the nearest unmasked column to its left, a row's
-    leading masked columns the value of its last unmasked column; rows masked
-    end to end are left as they are."""
+    """The degenerate fill of a stack as a column-by-column loop: each masked
+    point takes the value carried from the nearest unmasked column to its
+    left, a row's leading masked columns the value of its last unmasked
+    column; rows masked end to end are left as they are."""
     e2 = e2.copy()
     for row in np.where(mask.any(axis=1) & ~mask.all(axis=1))[0]:
-        carry = e2[row, np.where(~mask[row])[0][-1]].copy()
+        carry = e2[:, row, np.where(~mask[row])[0][-1]].copy()
         for i in range(mask.shape[1]):
             if mask[row, i]:
-                e2[row, i] = carry
+                e2[:, row, i] = carry
             else:
-                carry = e2[row, i]
+                carry = e2[:, row, i]
     return e2
 
 
@@ -116,12 +117,12 @@ def test_fill_columns_match_left_scan_loop(rng):
         mask = rng.random((ny, nx)) < rng.uniform(0.1, 0.9)
         mask[rng.random(ny) < 0.2] = True           # dead rows
         mask[rng.random(ny) < 0.5, 0] = True        # masked first column
-        values = rng.normal(size=(ny, nx, 3))
+        values = rng.normal(size=(3, ny, nx))
         cols = _fill_columns(mask)
         alive = ~mask.all(axis=1)
         assert np.all(cols[~alive] == -1)
-        got = np.take_along_axis(values, cols[..., None], axis=1)
-        assert np.array_equal(got[alive], left_scan_loop(values, mask)[alive])
+        got = np.take_along_axis(values, cols[None], axis=2)
+        assert np.array_equal(got[:, alive], left_scan_loop(values, mask)[:, alive])
 
 
 def test_frame_fill_matches_left_scan_loop():
@@ -131,7 +132,7 @@ def test_frame_fill_matches_left_scan_loop():
     g = Grid2(32, 32)
     X, Y = g.meshgrid()
     theta = np.sin(Y) * np.cos(X)
-    S = np.stack([np.sin(theta), np.zeros_like(X), np.cos(theta)], axis=-1)
+    S = np.stack([np.sin(theta), np.zeros_like(X), np.cos(theta)])
     tol = 0.3
     F = frame_from_spin(g, S, tol=tol)
     Sx = ddx(g, S)
@@ -139,9 +140,9 @@ def test_frame_fill_matches_left_scan_loop():
     dead = mask.all(axis=1)
     assert np.array_equal(F.mask, mask)
     assert 0 < dead.sum() and mask[~dead, 0].all() and 0.2 < mask.mean() < 0.5
-    e1 = F.e1[~dead]
-    e2 = left_scan_loop(Sx / np.where(mask, 1.0, norm3(Sx))[..., None], mask)[~dead]
-    assert np.array_equal(F.e2[~dead], normalized3(e2 - dot3(e2, e1)[..., None] * e1))
+    e1 = F.E[0][:, ~dead]
+    e2 = left_scan_loop(Sx / np.where(mask, 1.0, norm3(Sx)), mask)[:, ~dead]
+    assert np.array_equal(F.E[1][:, ~dead], normalized3(e2 - dot3(e2, e1) * e1))
     assert F.gram_deviation() < 1e-12
 
 
@@ -168,14 +169,13 @@ def test_frenet_classical_formulas(grid):
     speed = norm3(Sx)
     keep = speed > 1e-6
     assert max_norm(co.k[keep] - speed[keep]) < 1e-9
-    tau_classic = dot3(S, cross3(Sx, Sxx)) / speed**2
+    tau_classic = dot3(S, cross_planes(Sx, Sxx)) / speed**2
     assert max_norm(co.tau[keep] - tau_classic[keep]) < 1e-8
 
 
 def test_coeffs_constant_frame_vanish(grid):
-    ones = np.ones((grid.ny, grid.nx, 1))
-    F = frame_field(ones * np.array([1.0, 0, 0]), ones * np.array([0, 1.0, 0]),
-                    ones * np.array([0, 0, 1.0]))
+    ones = np.ones((grid.ny, grid.nx))
+    F = FrameField(E=tuple(axis[:, None, None] * ones for axis in np.eye(3)))
     co = coeffs_from_frame(grid, F)
     for name in ("k", "sigma", "tau", "m1", "m2", "m3"):
         assert max_norm(getattr(co, name)) == 0.0
@@ -186,9 +186,9 @@ def test_transport_reconstruction(grid):
     F = frame_from_spin(grid, shifted_family(grid))
     co = coeffs_from_frame(grid, F)
     A, B, _ = so3_matrices(co)
-    E = np.stack([F.e1, F.e2, F.e3], axis=-2)       # (ny, nx, 3(frame), 3(comp))
-    Ex = np.stack([ddx(grid, F.e1), ddx(grid, F.e2), ddx(grid, F.e3)], axis=-2)
-    Ey = np.stack([ddy(grid, F.e1), ddy(grid, F.e2), ddy(grid, F.e3)], axis=-2)
+    E = pointwise(np.stack(F.E), 2)       # (ny, nx, 3(frame), 3(comp))
+    Ex = pointwise(ddx(grid, np.stack(F.E)), 2)
+    Ey = pointwise(ddy(grid, np.stack(F.E)), 2)
     assert max_norm(matmul(A, E) - Ex) < 1e-9
     assert max_norm(matmul(B, E) - Ey) < 1e-9
 
@@ -203,9 +203,9 @@ def test_time_projections(grid, rng):
     co = coeffs_from_frame(grid, frames[1], dF_dt=dF)
     assert co.w is not None
     C = so3_matrices(co)[2]
-    e3t = (frames[2].e3 - frames[0].e3) / (2 * 4 * dt)
-    Et = np.stack([np.moveaxis(t, 0, -1) for t in dF] + [e3t], axis=-2)
-    E = np.stack([frames[1].e1, frames[1].e2, frames[1].e3], axis=-2)
+    e3t = (frames[2].E[2] - frames[0].E[2]) / (2 * 4 * dt)
+    Et = pointwise(np.stack(list(dF) + [e3t]), 2)
+    E = pointwise(np.stack(frames[1].E), 2)
     # C E reproduces the frame velocity up to the finite-difference error
     assert max_norm(matmul(C, E) - Et) < 1e-4
 
@@ -250,20 +250,19 @@ def matrix_residual(grid, co, scheme, coeffs_before=None, coeffs_after=None, dt2
     """The residuals of mlxii_residual on so(3) matrix fields: (ny, nx, 3, 3)
     derivatives and einsum commutators, the identities read off by matrix index."""
     A, B, C = so3_matrices(co)
-    D = ddy(grid, A, scheme) - ddx(grid, B, scheme)
+    D = d_matrix(ddy, grid, A, scheme) - d_matrix(ddx, grid, B, scheme)
     out = {"xy": max_norm(D + commutator(A, B))}
     if coeffs_before is not None:
         A0, B0, _ = so3_matrices(coeffs_before)
         A1, B1, _ = so3_matrices(coeffs_after)
-        out["xt"] = max_norm((A1 - A0) / dt2 - ddx(grid, C, scheme) + commutator(A, C))
-        out["yt"] = max_norm((B1 - B0) / dt2 - ddy(grid, C, scheme) + commutator(B, C))
+        out["xt"] = max_norm((A1 - A0) / dt2 - d_matrix(ddx, grid, C, scheme)
+                             + commutator(A, C))
+        out["yt"] = max_norm((B1 - B0) / dt2 - d_matrix(ddy, grid, C, scheme)
+                             + commutator(B, C))
     if frame is not None:
         lhs = (D[..., 1, 2], D[..., 2, 0], D[..., 0, 1])
-        for j, name in enumerate(("e1", "e2", "e3")):
-            # contiguous, as dot3 sums a field of strided components (a frame
-            # stack's view) in another order
-            e = np.ascontiguousarray(getattr(frame, name))
-            rhs = dot3(e, cross3(ddx(grid, e, scheme), ddy(grid, e, scheme)))
+        for j, (name, e) in enumerate(zip(("e1", "e2", "e3"), frame.E)):
+            rhs = dot3(e, cross_planes(ddx(grid, e, scheme), ddy(grid, e, scheme)))
             out[f"identity_{name}"] = float(np.max(np.abs(lhs[j] - rhs)))
     return out
 
@@ -391,9 +390,9 @@ def rotated_frame(grid, S, amplitude):
     F = frame_from_spin(grid, S)
     X, Y = grid.meshgrid()
     phi = amplitude * (1.0 + 0.3 * np.sin(X) * np.cos(Y))
-    e2 = np.cos(phi)[..., None] * F.e2 + np.sin(phi)[..., None] * F.e3
-    e3 = -np.sin(phi)[..., None] * F.e2 + np.cos(phi)[..., None] * F.e3
-    return frame_field(F.e1, e2, e3, mask=F.mask)
+    e1, e2, e3 = F.E
+    return FrameField(E=(e1, np.cos(phi) * e2 + np.sin(phi) * e3,
+                         -np.sin(phi) * e2 + np.cos(phi) * e3), mask=F.mask)
 
 
 def test_identified_fixed_point_sigma_nonzero(grid):
@@ -425,41 +424,40 @@ def test_identified_xy_compatibility_converges():
         co = m_coeffs_from_spin(g, S, state.u, state.v, PAR, scheme="central4",
                                 frame=frame_from_spin(g, S, "central4"))
         A, B, _ = so3_matrices(co)
-        res = ddy(g, A, "central4") - ddx(g, B, "central4") + commutator(A, B)
+        res = (d_matrix(ddy, g, A, "central4") - d_matrix(ddx, g, B, "central4")
+               + commutator(A, B))
         errs.append(max_norm(res))
         hs.append(g.hx)
     assert fit_order(hs, errs) > 1.7
 
 
 # ---------------------------------------------------------------------------
-# the stack layer against the (ny, nx, 3) formulas it replaced
+# the stack layer against the vector formulas, written out
 # ---------------------------------------------------------------------------
 
 def ref_fallback_normal(e1):
-    axis = np.zeros_like(e1)
-    use_x = np.abs(e1[..., 0]) < 0.9
-    axis[..., 0] = np.where(use_x, 1.0, 0.0)
-    axis[..., 1] = np.where(use_x, 0.0, 1.0)
-    return normalized3(axis - dot3(axis, e1)[..., None] * e1)
+    use_x = np.abs(e1[0]) < 0.9
+    axis = np.stack([np.where(use_x, 1.0, 0.0), np.where(use_x, 0.0, 1.0), np.zeros_like(e1[0])])
+    return normalized3(axis - dot3(axis, e1) * e1)
 
 
 def ref_frame(grid, S, scheme, tol=DEGENERACY_TOL):
-    """e1, e2, e3 and the mask of frame_from_spin, on (ny, nx, 3) fields."""
+    """e1, e2, e3 and the mask of frame_from_spin, written out on whole stacks."""
     e1 = normalized3(S)
     Sx = ddx(grid, S, scheme)
     k = norm3(Sx)
     mask = k < tol
-    e2 = Sx / np.where(mask, 1.0, k)[..., None]
+    e2 = Sx / np.where(mask, 1.0, k)
     if mask.any():
         e2 = left_scan_loop(e2, mask)
         dead = mask.all(axis=1)
-        e2[dead] = ref_fallback_normal(e1[dead])
-    e2 = e2 - dot3(e2, e1)[..., None] * e1
+        e2[:, dead] = ref_fallback_normal(e1[:, dead])
+    e2 = e2 - dot3(e2, e1) * e1
     small = norm3(e2) < 1e-12
     if small.any():
-        e2 = np.where(small[..., None], ref_fallback_normal(e1), e2)
+        e2 = np.where(small, ref_fallback_normal(e1), e2)
     e2 = normalized3(e2)
-    return e1, e2, cross3(e1, e2), mask
+    return e1, e2, cross_planes(e1, e2), mask
 
 
 def ref_coeffs(grid, e1, e2, e3, scheme):
@@ -468,13 +466,12 @@ def ref_coeffs(grid, e1, e2, e3, scheme):
                                           for e in (e1, e2, e3))
     return dict(k=dot3(e2, e1x), sigma=-dot3(e3, e1x), tau=dot3(e3, e2x),
                 m1=dot3(e3, e2y), m2=-dot3(e3, e1y), m3=dot3(e2, e1y),
-                densities=[dot3(e, cross3(ex, ey))
+                densities=[dot3(e, cross_planes(ex, ey))
                            for e, ex, ey in ((e1, e1x, e1y), (e2, e2x, e2y), (e3, e3x, e3y))])
 
 
 def ref_bracket(a, b):
-    c = cross3(np.stack(b, axis=-1), np.stack(a, axis=-1))
-    return c[..., 0], c[..., 1], c[..., 2]
+    return tuple(np.cross(np.stack(b), np.stack(a), axis=0))
 
 
 def ref_mlxii(grid, mid, before, after, dt2, scheme):
@@ -495,7 +492,7 @@ def ref_mlxii(grid, mid, before, after, dt2, scheme):
 def dead_row_field(grid):
     X, Y = grid.meshgrid()
     theta = np.sin(Y) * np.cos(X)
-    return np.stack([np.sin(theta), np.zeros_like(X), np.cos(theta)], axis=-1)
+    return np.stack([np.sin(theta), np.zeros_like(X), np.cos(theta)])
 
 
 def small_e2_field(grid):
@@ -503,14 +500,13 @@ def small_e2_field(grid):
     vanishes once projected off e1 and takes the fallback axis (1, 0, 0)."""
     X, Y = grid.meshgrid()
     a = np.sin(Y) ** 2
-    return np.stack([a * np.sin(X), a * np.cos(X), 2.0 + np.sin(X)], axis=-1)
+    return np.stack([a * np.sin(X), a * np.cos(X), 2.0 + np.sin(X)])
 
 
 def turned(S, angle):
     """S turned about the third axis."""
     c, s = np.cos(angle), np.sin(angle)
-    return np.stack([c * S[..., 0] - s * S[..., 1], s * S[..., 0] + c * S[..., 1], S[..., 2]],
-                    axis=-1)
+    return np.stack([c * S[0] - s * S[1], s * S[0] + c * S[1], S[2]])
 
 
 STACK_CASES = {
@@ -526,7 +522,7 @@ STACK_CASES = {
 @pytest.mark.parametrize("case", sorted(STACK_CASES))
 def test_stack_layer_is_the_field_formulas_bitwise(case):
     """Frames, coefficients, densities, time entries and the residual dict
-    equal the (ny, nx, 3) formulas bit for bit, call by call, with and
+    equal the vector formulas written out bit for bit, call by call, with and
     without a workspace per slice, and in the three-slice window of
     transport_window."""
     import m3lab.frames as frames
@@ -541,10 +537,10 @@ def test_stack_layer_is_the_field_formulas_bitwise(case):
     want_co[1].update(w1=dot3(e3, e2t), w2=-dot3(e3, e1t), w3=dot3(e2, e1t))
     want_res = ref_mlxii(g, want_co[1], want_co[0], want_co[2], dt2, scheme)
     if make is small_e2_field:
-        assert np.all(want[1][1][0] == (1.0, 0.0, 0.0))
+        assert np.all(want[1][1][:, 0] == np.array([[1.0], [0.0], [0.0]]))
 
     def check_frame(f, ref):
-        for got, r in zip((f.e1, f.e2, f.e3, f.mask), ref):
+        for got, r in zip(f.E + (f.mask,), ref):
             assert np.array_equal(got, r)
 
     def check_coeffs(c, ref):
@@ -579,7 +575,7 @@ def test_stack_layer_is_the_field_formulas_bitwise(case):
         check_frame(f, want[idx])
 
     def read_spin(idx, out):
-        out[...] = np.moveaxis(slices[idx], -1, 0)
+        out[...] = slices[idx]
 
     windowed = list(transport_window(g, [0.0, 0.01, dt2], read_spin, on_frame, scheme))
     assert seen == [0, 1, 2] and [idx for idx, _, _ in windowed] == [1]
@@ -613,8 +609,8 @@ def test_frame_layer_in_its_workspace_allocates_less_than_a_stack(n):
 
     traced(lambda: coeffs_from_frame(g, frame_from_spin(g, S, work=ws), work=ws))
     want = frame_from_spin(g, S.copy())
-    ws.e3[...] = np.moveaxis(S, -1, 0)
-    F = traced(lambda: frame_from_spin(g, np.moveaxis(ws.e3, 0, -1), work=ws))
+    ws.e3[...] = S
+    F = traced(lambda: frame_from_spin(g, ws.e3, work=ws))
     for got, ref in zip(F.E + (F.mask,), want.E + (want.mask,)):
         assert np.array_equal(got, ref)
 
@@ -648,8 +644,8 @@ COEFF_NAMES = ("k", "sigma", "tau", "m1", "m2", "m3")
 
 @pytest.mark.parametrize("n", [32, 256])
 def test_coeffs_of_a_frame_outside_the_workspace_are_bitwise(n):
-    """coeffs_from_frame reads a frame's stacks where they lie: the stacks of
-    contiguous (ny, nx, 3) copies and strided stack views of a
+    """coeffs_from_frame reads a frame's stacks where they lie: contiguous
+    copies, stack views of (ny, nx, 3) arrays and strided stack views of a
     frame_from_spin frame give the coefficients and densities of that frame
     in its workspace bit for bit, on the matrix path (n = 32) and the rfft
     path (n = 256).  A NaN in one vector of such a frame is rejected
@@ -662,12 +658,14 @@ def test_coeffs_of_a_frame_outside_the_workspace_are_bitwise(n):
     co = coeffs_from_frame(g, F, work=ws)
     want = [np.copy(getattr(co, name)) for name in COEFF_NAMES] + [np.copy(d) for d in
                                                                    co.densities]
-    copies = frame_field(*(np.array(e) for e in (F.e1, F.e2, F.e3)), mask=F.mask)
+    copies = FrameField(E=tuple(np.array(e) for e in F.E), mask=F.mask)
+    interleaved = FrameField(E=tuple(np.moveaxis(np.array(pointwise(e)), -1, 0) for e in F.E),
+                             mask=F.mask)
     big = np.zeros((3, 4, n, 2 * n))
     for dst, e in zip(big, F.E):
         dst[:3, :, ::2] = e
     views = FrameField(E=tuple(b[:3, :, ::2] for b in big), mask=F.mask)
-    for frame in (copies, views):
+    for frame in (copies, interleaved, views):
         for work in (None, frames._Workspace((n, n))):
             got = coeffs_from_frame(g, frame, work=work)
             for a, b in zip([getattr(got, name) for name in COEFF_NAMES] + list(got.densities),
@@ -692,9 +690,9 @@ def test_frame_entries_reject_non_finite_input(bad, with_work):
     ws = frames._Workspace((g.ny, g.nx)) if with_work else None
     F = frame_from_spin(g, S)
     co = coeffs_from_frame(g, F)
-    bad_S, bad_e2, bad_m2 = S.copy(), F.e2.copy(), co.m2.copy()
-    bad_S[4, 5, 1] = bad_e2[6, 7, 0] = bad_m2[3, 3] = bad
-    bad_F = frame_field(F.e1, bad_e2, F.e3, mask=F.mask)
+    bad_S, bad_e2, bad_m2 = S.copy(), F.E[1].copy(), co.m2.copy()
+    bad_S[1, 4, 5] = bad_e2[0, 6, 7] = bad_m2[3, 3] = bad
+    bad_F = FrameField(E=(F.E[0], bad_e2, F.E[2]), mask=F.mask)
     bad_co = frame_coeffs(k=co.k, sigma=co.sigma, tau=co.tau, m1=co.m1, m2=bad_m2, m3=co.m3,
                           densities=co.densities)
     with warnings.catch_warnings():

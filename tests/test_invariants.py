@@ -1,11 +1,11 @@
 import numpy as np
 
 from m3lab.fields import Grid2, integrate2, max_norm
-from m3lab.frames import coeffs_from_frame, frame_from_spin
+from m3lab.frames import FrameField, coeffs_from_frame, frame_from_spin
 from m3lab.invariants import ChargeReport, charge_density, charges, coeff_densities
 from m3lab.spin import init_modulated_helix, init_stereographic_lump, init_uniform
 
-from conftest import frame_field, normalized3
+from conftest import normalized3
 
 FOUR_PI = 4.0 * np.pi
 
@@ -20,7 +20,7 @@ def test_density_parity(grid):
     d = charge_density(grid, e)
     d_flip = charge_density(grid, -e)
     assert max_norm(d_flip + d) < 1e-12
-    e_reflect = e[::-1, :, :].copy()            # y -> -y on the periodic grid
+    e_reflect = e[:, ::-1, :].copy()            # y -> -y on the periodic grid
     d_reflect = charge_density(grid, e_reflect)
     assert max_norm(d_reflect + d[::-1, :]) < 1e-9
 
@@ -38,9 +38,8 @@ def test_lump_degree_one():
 
 
 def test_charges_constant_frame(grid):
-    ones = np.ones((grid.ny, grid.nx, 1))
-    F = frame_field(ones * np.array([1.0, 0, 0]), ones * np.array([0, 1.0, 0]),
-                    ones * np.array([0, 0, 1.0]))
+    ones = np.ones((grid.ny, grid.nx))
+    F = FrameField(E=tuple(axis[:, None, None] * ones for axis in np.eye(3)))
     co = coeffs_from_frame(grid, F)
     rep = charges(grid, co)
     assert rep.k_vector == (0.0, 0.0, 0.0)

@@ -24,15 +24,15 @@ from m3lab.lax import (
 from m3lab.nls import NlsParams, init_plane_wave, plane_wave_omega, solve_v_nls
 from m3lab.spin import SpinParams, init_uniform, make_state
 
-from conftest import commutator, matmul, smooth_complex, smooth_spin
+from conftest import commutator, d_matrix, matmul, smooth_complex, smooth_spin
 
 GEN = NlsParams(c=0.3, d=1.0, model="M3q")
 
 
 def _spin_matrix(w):
-    """w.sigma for a 3-vector field w."""
-    return (w[..., 0, None, None] * SIGMA1 + w[..., 1, None, None] * SIGMA2
-            + w[..., 2, None, None] * SIGMA3)
+    """w.sigma for a 3-vector stack w, an (ny, nx, 2, 2) matrix field."""
+    w1, w2, w3 = (c[..., None, None] for c in w)
+    return w1 * SIGMA1 + w2 * SIGMA2 + w3 * SIGMA3
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ def test_lax_q_zakharov_limit(grid, rng):
     Q[..., 0, 1] = q
     Q[..., 1, 0] = p
     U_ref = 1j * (lam * SIGMA3 + Q)
-    V_ref = -1j * v[..., None, None] * SIGMA3 - matmul(ddy(grid, Q), SIGMA3[None, None])
+    V_ref = -1j * v[..., None, None] * SIGMA3 - matmul(d_matrix(ddy, grid, Q), SIGMA3[None, None])
     assert max_norm(U - U_ref) < 1e-14
     assert max_norm(V - V_ref) < 1e-14
 
@@ -131,7 +131,7 @@ def test_lax_q_v_is_the_expanded_polynomial(grid, rng, beta):
     Q = np.zeros(q.shape + (2, 2), dtype=complex)
     Q[..., 0, 1] = q
     Q[..., 1, 0] = p
-    Qy_s3 = matmul(ddy(grid, Q), SIGMA3[None, None])
+    Qy_s3 = matmul(d_matrix(ddy, grid, Q), SIGMA3[None, None])
     vs3, vQ = v[..., None, None] * SIGMA3, v[..., None, None] * Q
     B2 = -4j * c * c * vs3
     B1 = -4j * c * d * vs3 - 2.0 * c * Qy_s3 - 8j * c * c * vQ
@@ -300,7 +300,7 @@ def _lax_spin_by_matrices(grid, S, u, v, par, lam, grouping):
     U = (1j * c * (lam**2 - l**2) + 1j * d * (lam - l)) * Sm + (c * (lam - l) / denom) * SSx
     B = 0.25 * (commutator(Sm, Sy) + 2j * u[..., None, None] * Sm)
     F2 = -4j * c * c * v[..., None, None] * Sm
-    SSx_y = ddy(grid, SSx)
+    SSx_y = d_matrix(ddy, grid, SSx)
     if grouping == "factored":
         brace = _traceless(matmul(Sm, SSx_y - commutator(SSx, B)))
     else:

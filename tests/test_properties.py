@@ -174,7 +174,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
        lx=st.floats(1e-300, 1e300), ly=st.floats(1e-300, 1e300), data=st.data())
 def test_mfld1_round_trip_is_bit_exact(nx, ny, ncomp, lx, ly, data):
     grid = Grid2(nx, ny, lx, ly)
-    field = data.draw(hnp.arrays(np.float64, (ny, nx, ncomp), elements=finite))
+    field = data.draw(hnp.arrays(np.float64, (ncomp, ny, nx), elements=finite))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "f.mfld1")
         write_mfld1(path, grid, field)

@@ -13,7 +13,7 @@ from m3lab.errors import (
     ParameterError,
     UnstableStepError,
 )
-from m3lab.fields import Grid2, ddx, ddy, dot3, inv_dx, meanx, norm3
+from m3lab.fields import Grid2, cross_planes, ddx, ddy, dot3, inv_dx, meanx, norm3
 from m3lab.frames import coeffs_from_frame, frame_dt, frame_from_spin
 from m3lab.spin import (
     SpinParams,
@@ -33,7 +33,7 @@ from m3lab.spin import (
     step_rk4_spin,
 )
 
-from conftest import cross3, frame_coeffs, smooth_spin, spin_step
+from conftest import frame_coeffs, smooth_spin, spin_step
 
 PAR = SpinParams(c=0.3, d=1.0, l=0.2, model="M3")
 
@@ -72,7 +72,7 @@ def test_solve_u_constant_field(grid):
 
 def test_solve_u_x_only_field(grid):
     X, _ = grid.meshgrid()
-    S = np.stack([np.sin(X), np.zeros_like(X), np.cos(X)], axis=-1)
+    S = np.stack([np.sin(X), np.zeros_like(X), np.cos(X)])
     u, _ = solve_u(grid, S)
     assert np.max(np.abs(u)) < 1e-12
 
@@ -80,7 +80,7 @@ def test_solve_u_x_only_field(grid):
 def test_solve_u_round_trip(grid, rng):
     S = smooth_spin(grid, rng)
     u, _ = solve_u(grid, S)
-    integrand = -dot3(S, cross3(ddx(grid, S), ddy(grid, S)))
+    integrand = -dot3(S, cross_planes(ddx(grid, S), ddy(grid, S)))
     res = ddx(grid, u) - (integrand - meanx(integrand))
     assert np.max(np.abs(res)) < 1e-9
 
@@ -89,7 +89,7 @@ def test_solve_v_trivial_cases(grid):
     v, _ = solve_v(grid, init_uniform(grid), PAR)
     assert np.max(np.abs(v)) == 0.0
     X, _ = grid.meshgrid()
-    S = np.stack([np.sin(X), np.zeros_like(X), np.cos(X)], axis=-1)
+    S = np.stack([np.sin(X), np.zeros_like(X), np.cos(X)])
     v, _ = solve_v(grid, S, PAR)
     assert np.max(np.abs(v)) < 1e-11
 
@@ -123,7 +123,7 @@ def test_rhs_equilibrium(grid):
 
 def test_rhs_y_independent_is_static(grid):
     X, _ = grid.meshgrid()
-    S = np.stack([np.sin(X), np.zeros_like(X), np.cos(X)], axis=-1)
+    S = np.stack([np.sin(X), np.zeros_like(X), np.cos(X)])
     assert np.max(np.abs(spin_rhs(grid, S, PAR))) < 1e-10
 
 
@@ -148,14 +148,15 @@ def test_reduction_identity_m2(grid, rng):
 
 
 def _vector_layout_rhs(grid, S, par, scheme):
-    """The M-III rhs written on the interleaved (ny, nx, 3) layout."""
+    """The M-III rhs written out on the vector stack with the public
+    operators, the (u S)_x term expanded as the kernel expands it."""
     Sx = ddx(grid, S, scheme)
     Sy = ddy(grid, S, scheme)
-    u_x = -dot3(S, cross3(Sx, Sy))
+    u_x = -dot3(S, cross_planes(Sx, Sy))
     u = inv_dx(grid, u_x).field
     v = inv_dx(grid, par.v_prefactor * ddy(grid, dot3(Sx, Sx), scheme)).field
-    return (ddx(grid, cross3(S, Sy), scheme) + u_x[..., None] * S + u[..., None] * Sx
-            + par.drift * Sy - 4.0 * par.c * v[..., None] * Sx)
+    return (ddx(grid, cross_planes(S, Sy), scheme) + u_x * S + u * Sx
+            + par.drift * Sy - 4.0 * par.c * v * Sx)
 
 
 @pytest.mark.parametrize("shape", [(32, 32), (33, 33), (32, 40)])
@@ -189,11 +190,11 @@ def test_make_state_constraints_equal_solvers(rng, scheme):
 @pytest.mark.parametrize("shape", [(32, 40), (136, 8)])
 def test_state_row_means_are_those_of_the_integrands(rng, shape):
     """The reported row means are the x-means of the u and v integrands,
-    formed here on the (ny, nx, 3) layout."""
+    formed here with the public operators."""
     g = Grid2(*shape)
     S = smooth_spin(g, rng, amplitude=0.6)
     Sx, Sy = ddx(g, S), ddy(g, S)
-    u_int = -dot3(S, cross3(Sx, Sy))
+    u_int = -dot3(S, cross_planes(Sx, Sy))
     v_int = PAR.v_prefactor * ddy(g, dot3(Sx, Sx))
     state = make_state(g, S, PAR)
     for got, integrand in ((state.u_row_mean, u_int), (state.v_row_mean, v_int)):
@@ -234,7 +235,7 @@ def test_step_dt_validation(grid):
 def test_non_finite_spin_rejected(grid, rng, bad, comp):
     """A non-finite entry in any plane of S is a FieldError, raised before any warning."""
     S = smooth_spin(grid, rng)
-    S[5, 7, comp] = bad
+    S[comp, 5, 7] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FieldError):
@@ -249,7 +250,7 @@ def test_step_rk4_order():
     S0 = init_modulated_helix(g, kappa=1, eps=0.1)
 
     def terminal(dt, n):
-        ws = spin._Workspace(make_state(g, S0, par).S)
+        ws = spin._Workspace(g, make_state(g, S0, par).S)
         for _ in range(n):
             step_rk4_spin(g, ws, par, dt)
         return ws.P
@@ -264,11 +265,12 @@ def test_step_rk4_order():
 
 def test_unit_norm_and_drift_over_run(grid):
     par = SpinParams(c=0.3, d=1.0, l=0.0, model="M3")
-    ws = spin._Workspace(make_state(grid, init_modulated_helix(grid, kappa=1, eps=0.1), par).S)
+    ws = spin._Workspace(grid, make_state(grid, init_modulated_helix(grid, kappa=1, eps=0.1),
+                                          par).S)
     worst = 0.0
     for _ in range(100):
         worst = max(worst, step_rk4_spin(grid, ws, par, default_dt(grid)))
-        assert np.max(np.abs(norm3(np.moveaxis(ws.P, 0, -1)) - 1.0)) < 1e-9
+        assert np.max(np.abs(norm3(ws.P) - 1.0)) < 1e-9
     assert worst < 1e-6
 
 
@@ -281,8 +283,7 @@ def test_unstable_step_rejected():
     a = 0.8 * np.cos(kx * X) * np.cos(ky * Y)
     b = 0.8 * np.sin(kx * X) * np.sin(ky * Y)
     from conftest import normalized3
-    ws = spin._Workspace(make_state(g, normalized3(np.stack([a, b, np.ones_like(a)], axis=-1)),
-                                 par).S)
+    ws = spin._Workspace(g, make_state(g, normalized3(np.stack([a, b, np.ones_like(a)])), par).S)
     with pytest.raises(UnstableStepError):
         for _ in range(5):
             step_rk4_spin(g, ws, par, default_dt(g))
@@ -322,7 +323,7 @@ def test_step_given_its_workspace_allocates_less_than_a_stack(rng):
     allocates at its peak (numpy's iterator buffers of at most 8192
     elements) stays below one (3, ny, nx) stack."""
     g = Grid2(128, 128)
-    ws = spin._Workspace(smooth_spin(g, rng))
+    ws = spin._Workspace(g, smooth_spin(g, rng))
     step_rk4_spin(g, ws, PAR, default_dt(g))
     tracemalloc.start()
     try:
@@ -339,9 +340,9 @@ def test_march_checks_its_initial_S_once(grid, rng, monkeypatch):
     initial S once, where it loads it, and gives the bits of single steps
     each loaded afresh."""
     calls = []
-    real = spin.check_finite
-    monkeypatch.setattr(spin, "check_finite", lambda f, name="field": calls.append(name) or
-                        real(f, name))
+    real = spin.check_field
+    monkeypatch.setattr(spin, "check_field", lambda grid, f, name, lead: calls.append(name) or
+                        real(grid, f, name, lead))
     state = make_state(grid, smooth_spin(grid, rng), PAR)
     calls.clear()
     n_steps, save_every = 6, 3
@@ -359,15 +360,40 @@ def test_loading_checks_every_S(grid, rng):
     made from S, a workspace loaded for single steps."""
     state = make_state(grid, smooth_spin(grid, rng), PAR)
     bad = state.S.copy()
-    bad[3, 4, 1] = np.nan
+    bad[1, 3, 4] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in (lambda: march_spin(grid, SpinState(bad, state.u, state.v), PAR,
                                         default_dt(grid), 2),
                      lambda: make_state(grid, bad, PAR),
-                     lambda: spin._Workspace(bad)):
+                     lambda: spin._Workspace(grid, bad)):
             with pytest.raises(FieldError):
                 call()
+
+
+@pytest.mark.parametrize("shape", ["field", "two-planes", "other-grid"])
+def test_vector_field_off_the_stack_layout_is_refused(grid, rng, shape):
+    """Every entry that takes a vector field takes a (3, ny, nx) stack: a
+    (ny, nx, 3) field, a stack of other than three planes or one on another
+    grid is refused with FieldError, not differentiated along its component
+    axis."""
+    from m3lab.frames import charge_density, frame_from_spin
+    from m3lab.lax import lax_spin_pass
+    S = smooth_spin(grid, rng)
+    bad = {"field": np.ascontiguousarray(np.moveaxis(S, 0, -1)), "two-planes": S[:2],
+           "other-grid": smooth_spin(Grid2(grid.nx, 2 * grid.ny), rng)}[shape]
+    state = make_state(grid, S, PAR)
+    for call in (lambda: make_state(grid, bad, PAR), lambda: spin_rhs(grid, bad, PAR),
+                 lambda: solve_u(grid, bad), lambda: solve_v(grid, bad, PAR),
+                 lambda: march_spin(grid, SpinState(bad, state.u, state.v), PAR,
+                                    default_dt(grid), 1),
+                 lambda: frame_from_spin(grid, bad), lambda: charge_density(grid, bad),
+                 lambda: lax_spin_pass(grid, bad, state.u, state.v, PAR)):
+        with pytest.raises(FieldError, match=f"not \\(3, {grid.ny}, {grid.nx}\\)"):
+            call()
+    if shape == "field":
+        with pytest.raises(FieldError, match="not"):
+            ddx(grid, bad)
 
 
 def test_run_spin_save_cadence(grid):
@@ -392,7 +418,7 @@ def test_step_is_textbook_rk4_on_spin_rhs(rng, shape):
     T = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     length = norm3(T)
     got, correction = spin_step(g, S, PAR, dt)
-    assert np.array_equal(got, T / length[..., None])
+    assert np.array_equal(got, T / length)
     assert correction == np.max(np.abs(length - 1.0))
 
 
@@ -481,20 +507,21 @@ def test_m0_residual_converges():
 
 
 def test_renormalisation_lengths_are_norm3_of_the_field(rng, monkeypatch):
-    """The step takes |S| of its RK4 result from the (3, ny, nx) stack, with
-    no (ny, nx, 3) copy: the lengths are norm3 of that copy, bit for bit."""
+    """The step takes |S| of its RK4 result with norm3 on the (3, ny, nx)
+    stack, into its workspace: bit for bit the einsum norm of the contiguous
+    (ny, nx, 3) field that the step's lengths were first pinned to."""
     results = []
-    real = spin.norm_planes
+    real = spin.norm3
 
     def recording(P, out, tmp):
         results.append(P.copy())
         return real(P, out, tmp)
 
-    monkeypatch.setattr(spin, "norm_planes", recording)
+    monkeypatch.setattr(spin, "norm3", recording)
     g = Grid2(40, 32)
-    ws = spin._Workspace(smooth_spin(g, rng))
-    assert not hasattr(ws, "S3")
+    ws = spin._Workspace(g, smooth_spin(g, rng))
     step_rk4_spin(g, ws, PAR, default_dt(g))
     (T,) = results
-    assert np.array_equal(ws.length, norm3(np.ascontiguousarray(np.moveaxis(T, 0, -1))))
+    field = np.ascontiguousarray(np.moveaxis(T, 0, -1))
+    assert np.array_equal(ws.length, np.sqrt(np.einsum("...k,...k->...", field, field)))
     assert np.array_equal(ws.P, T / ws.length)

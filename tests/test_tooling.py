@@ -1,7 +1,8 @@
 """Guards on the package's sources: a light CLI import, no unused imports,
 no dead private names, no default that no call overrides, no identity
-probe in the frame layer, one MFLD1 reader, a README layout that names
-every module and no run file a simulate command would not clean up."""
+probe in the frame layer, one vector layout, one MFLD1 reader, a README
+layout that names every module and no run file a simulate command would
+not clean up."""
 
 import ast
 import fnmatch
@@ -209,6 +210,60 @@ def test_identity_probe_check_sees_a_probe(tmp_path):
         "    return x is not None, None is x, w is ws.D, S is x is None\n")
     assert identity_probes([tmp_path / "a.py"]) == [
         "a.py:2: S is not ws.S", "a.py:4: w is ws.D", "a.py:4: S is x is None"]
+
+
+LAYOUT_CALLS = ("moveaxis", "swapaxes", "transpose", "einsum")
+MFLD1_IO = ("read_mfld1", "write_mfld1")
+
+
+def layout_conversions(paths) -> list:
+    """Calls that convert or sum by array layout (moveaxis, swapaxes,
+    transpose, einsum), and subscripts that open with `...` and then index or
+    slice a trailing axis ([..., k], [..., 0:3]; not one that only adds axes
+    with None), in the modules.  The MFLD1 reader and writer, which
+    interleave the planes of a stack point by point, are exempt."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        exempt = [(f.lineno, f.end_lineno) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name in MFLD1_IO]
+        hits = []
+        for node in ast.walk(tree):
+            if any(a <= getattr(node, "lineno", 0) <= b for a, b in exempt):
+                continue
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in LAYOUT_CALLS:
+                    hits.append((node.lineno, name))
+            elif isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple):
+                first, *rest = node.slice.elts
+                if (isinstance(first, ast.Constant) and first.value is Ellipsis
+                        and not all(isinstance(e, ast.Constant) and e.value is None
+                                    for e in rest)):
+                    hits.append((node.lineno, ast.unparse(node)))
+        found += [f"{path.name}:{line}: {what}" for line, what in sorted(hits, key=lambda h: h[0])]
+    return found
+
+
+def test_package_keeps_one_vector_layout():
+    """A vector field is a (3, ny, nx) stack from its generator to its MFLD1
+    file: no module converts layouts, sums by memory layout or picks
+    components off a trailing axis, except the MFLD1 reader and writer."""
+    assert layout_conversions(MODULES) == []
+
+
+def test_layout_check_sees_a_leftover(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\n\n"
+        "def f(S, M, v):\n"
+        "    P = np.moveaxis(S, -1, 0)\n"
+        "    d = np.einsum('...k,...k->...', S, S) + S[..., 2] + S[..., 0:3].sum()\n"
+        "    return P.swapaxes(0, 1), M.transpose(), v[..., None, None] * M, S[0], M.T\n\n"
+        "def write_mfld1(path, grid, data):\n"
+        "    return np.moveaxis(data[..., :3], -1, 0)\n")
+    assert layout_conversions([tmp_path / "a.py"]) == [
+        "a.py:4: moveaxis", "a.py:5: einsum", "a.py:5: S[..., 2]", "a.py:5: S[..., 0:3]",
+        "a.py:6: swapaxes", "a.py:6: transpose"]
 
 
 BINARY_READS = ("fromfile", "memmap", "readinto", "read_bytes")
