@@ -7,6 +7,10 @@ and MFLD1 outputs are byte-identical across reruns.
 Exit codes: 0 success, 2 validation error or a path that cannot be read or
 written (OSError), 3 numerical-instability abort.
 
+simulate-spin and simulate-nls write a run directory through one body,
+_simulate, which owns the write protocol; the other commands open a run
+through _open_run, which checks its meta.json and its parameters.
+
 The environment variable M3LAB_THREADS caps the BLAS/OpenMP thread pools;
 it must be applied before numpy loads, so this module keeps its imports
 light and pulls the numerical modules in lazily.
@@ -16,7 +20,6 @@ import argparse
 import fnmatch
 import hashlib
 import inspect
-import itertools
 import json
 import math
 import os
@@ -178,6 +181,10 @@ class RunConfig:
         return NlsParams(c=self["params.c"], d=self["params.d"],
                          beta=self["params.beta"], model=model)
 
+    def params(self, kind: str):
+        """The SpinParams of a "spin" run or the NlsParams of an "nls" run."""
+        return self.spin_params() if kind == "spin" else self.nls_params()
+
 
 def _initial_from_file(path: str, grid, comps: int):
     from .fields import read_mfld1
@@ -207,7 +214,8 @@ def _make_initial(cfg: RunConfig, side: str):
 
     `<side>.init` names a built-in generator, called with the `<side>.init.*`
     keys, or an MFLD1 file.  Every such key must name a parameter of the
-    generator; a file takes none.
+    generator, and one the generator annotates `int` must hold an integer;
+    a file takes none.
     """
     from . import nls, spin
     table, read = {"spin": (spin.INITIAL_CONDITIONS, _spin_from_file),
@@ -215,16 +223,19 @@ def _make_initial(cfg: RunConfig, side: str):
     name = cfg[f"{side}.init"]
     args = cfg.init_args(f"{side}.init.")
     if name.endswith(".mfld1"):
-        gen, params = (lambda grid: read(grid, name)), []
+        gen, params = (lambda grid: read(grid, name)), {}
     elif name in table:
         gen = table[name]
-        params = list(inspect.signature(gen).parameters)[1:]
+        params = dict(list(inspect.signature(gen).parameters.items())[1:])
     else:
         raise ConfigError(f"unknown {side}.init {name!r}; have {sorted(table)}")
     unknown = sorted(set(args) - set(params))
     if unknown:
         raise ConfigError(f"{side}.init {name!r} has no parameter {', '.join(unknown)}; "
-                          f"it takes {params or 'none'}")
+                          f"it takes {list(params) or 'none'}")
+    for key, value in args.items():
+        if params[key].annotation == int and not isinstance(value, int):
+            raise ConfigError(f"{side}.init.{key} must be an integer, got {value!r}")
     return lambda grid: gen(grid, **args)
 
 
@@ -296,13 +307,9 @@ def _write_charges(path: str, grid, times, read_spin, scheme) -> list:
 
 
 def _run_dir(args, cfg: RunConfig) -> str:
-    """The directory a simulate command writes its run to, made if missing.
-
-    Every file of an earlier run there (RUN_FILES) is removed first, so
-    the directory holds this run's files alone; meta.json is written again
-    only once the march completes, so a run that aborts leaves slices that
-    no command reads as a run.  Files m3lab did not write stay.
-    """
+    """The directory a simulate command writes its run to, made if missing,
+    with every file of an earlier run there (RUN_FILES) removed; files m3lab
+    did not write stay."""
     out = os.path.join(args.output_dir, cfg["output_dir"])
     os.makedirs(out, exist_ok=True)
     for name in os.listdir(out):
@@ -312,13 +319,42 @@ def _run_dir(args, cfg: RunConfig) -> str:
     return out
 
 
-def _columns(write, states) -> list:
-    """The rows write(idx, state) returns for the states of a march, as columns.
+def _simulate(args, kind: str, start, payload, finish) -> int:
+    """Run the config args.config names and write its `kind` run directory.
 
-    map lets go of each state once it is written, before the march makes the
-    next, so one kept state is held at a time.
+    Every refusal comes first: the config, the parameters, the initial
+    field, the run length, and whatever start(grid, par, initial, dt,
+    n_steps, save_every, scheme) checks before it returns the march.  Then
+    _run_dir clears the directory, and each state the march yields is
+    written as <kind>_NNNNNN.mfld1 and let go before the march makes the
+    next: payload(par, st) gives its planes and stacks and its scalars, each
+    a per-slice list of meta.json.  finish(out, cfg, meta) writes the run's
+    own table and completes meta, and meta.json comes last, so a run that
+    aborts leaves slices that no command reads as a run.
     """
-    return [list(col) for col in zip(*map(write, itertools.count(), states))]
+    from .fields import write_mfld1
+
+    cfg = RunConfig.load(args.config)
+    grid, par, scheme = cfg.grid(), cfg.params(kind), cfg["scheme"]
+    make_initial = _make_initial(cfg, kind)
+    dt, n_steps = _run_length(cfg, grid)
+    states = start(grid, par, make_initial(grid), dt, n_steps, cfg["save_every"], scheme)
+    out = _run_dir(args, cfg)
+    meta = {"kind": kind, "config_hash": cfg.sha, "config": cfg.values, "env": _env(),
+            "dt": dt, "times": [], "slices": []}
+    for st in states:
+        name = f"{kind}_{len(meta['slices']):06d}.mfld1"
+        data, scalars = payload(par, st)
+        write_mfld1(os.path.join(out, name), grid, data)
+        meta["slices"].append(name)
+        meta["times"].append(st.t)
+        for key, value in scalars.items():
+            meta.setdefault(key, []).append(value)
+        del st, data  # let go of the state before the march makes the next
+    finish(out, cfg, meta)
+    _write_json(os.path.join(out, "meta.json"), meta)
+    print(f"saved {len(meta['slices'])} slices to {out}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -326,93 +362,51 @@ def _columns(write, states) -> list:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate_spin(args) -> int:
-    from .fields import write_mfld1
     from .spin import check_unit, make_state, march_spin
 
-    cfg = RunConfig.load(args.config)
-    grid = cfg.grid()
-    par = cfg.spin_params()
-    scheme = cfg["scheme"]
-    make_initial = _make_initial(cfg, "spin")
-    dt, n_steps = _run_length(cfg, grid)
-    state = make_state(grid, check_unit(make_initial(grid)), par, scheme=scheme)
-    state.validate()
-    states = march_spin(grid, state, par, dt, n_steps, cfg["save_every"], scheme)
-    del state  # the march yields it first: one state is held at a time
+    def start(grid, par, S, dt, n_steps, save_every, scheme):
+        state = make_state(grid, check_unit(S), par, scheme=scheme)
+        state.validate()
+        return march_spin(grid, state, par, dt, n_steps, save_every, scheme)
 
-    out = _run_dir(args, cfg)
+    def invariants(out, cfg, meta):
+        meta["max_renorm"] = max(meta["renorm"])
+        meta["density_dev"] = _write_charges(os.path.join(out, "invariants.csv"), cfg.grid(),
+                                             meta["times"], _spin_reader(out, meta, cfg),
+                                             cfg["scheme"])
 
-    def write(idx, st):
-        """Write slice idx, the state st; return its name and scalars."""
-        name = f"spin_{idx:06d}.mfld1"
-        write_mfld1(os.path.join(out, name), grid, (st.S, st.u, st.v))
-        return name, st.t, st.renorm, st.u_row_mean, st.v_row_mean
-
-    slices, times, renorm, u_row_mean, v_row_mean = _columns(write, states)
-    meta = {
-        "kind": "spin",
-        "config_hash": cfg.sha,
-        "config": cfg.values,
-        "env": _env(),
-        "dt": dt,
-        "times": times,
-        "slices": slices,
-        "max_renorm": max(renorm),
-        "renorm": renorm,
-        "u_row_mean": u_row_mean,
-        "v_row_mean": v_row_mean,
-    }
-    meta["density_dev"] = _write_charges(os.path.join(out, "invariants.csv"), grid, times,
-                                         _spin_reader(out, meta, cfg), scheme)
-    _write_json(os.path.join(out, "meta.json"), meta)
-    print(f"saved {len(slices)} slices to {out}")
-    return 0
+    return _simulate(args, "spin", start, lambda par, st: ((st.S, st.u, st.v), {
+        "renorm": st.renorm, "u_row_mean": st.u_row_mean, "v_row_mean": st.v_row_mean}),
+        invariants)
 
 
 def cmd_simulate_nls(args) -> int:
     import numpy as np
-    from .fields import write_mfld1
     from .nls import _paired, make_state, march_nls
 
-    cfg = RunConfig.load(args.config)
-    grid = cfg.grid()
-    par = cfg.nls_params()
-    scheme = cfg["scheme"]
-    make_initial = _make_initial(cfg, "nls")
-    dt, n_steps = _run_length(cfg, grid)
-    states = march_nls(grid, make_state(grid, make_initial(grid), par, scheme=scheme), par, dt,
-                       n_steps, cfg["save_every"], scheme)
+    def start(grid, par, q, dt, n_steps, save_every, scheme):
+        return march_nls(grid, make_state(grid, q, par, scheme=scheme), par, dt, n_steps,
+                         save_every, scheme)
 
-    out = _run_dir(args, cfg)
-
-    def write(idx, st):
-        """Write slice idx, the state st; return its name and scalars."""
-        name = f"nls_{idx:06d}.mfld1"
+    def payload(par, st):
         p = _paired(st.q, par.beta)
-        write_mfld1(os.path.join(out, name), grid, (st.q.real, st.q.imag, p.real, p.imag, st.v))
-        return name, st.t, float(np.max(np.abs(st.q))), st.v_row_mean
+        return (st.q.real, st.q.imag, p.real, p.imag, st.v), {
+            "max_abs_q": float(np.max(np.abs(st.q))), "v_row_mean": st.v_row_mean}
 
-    slices, times, max_abs_q, v_row_mean = _columns(write, states)
-    with open(os.path.join(out, "norms.csv"), "w") as fh:
-        fh.write("t,max_abs_q\n")
-        for t, peak in zip(times, max_abs_q):
-            fh.write(f"{t!r},{peak!r}\n")
-    _write_json(os.path.join(out, "meta.json"), {
-        "kind": "nls",
-        "config_hash": cfg.sha,
-        "config": cfg.values,
-        "env": _env(),
-        "dt": dt,
-        "times": times,
-        "slices": slices,
-        "v_row_mean": v_row_mean,
-    })
-    print(f"saved {len(slices)} slices to {out}")
-    return 0
+    def norms(out, cfg, meta):
+        """norms.csv, which takes max |q| of each slice out of meta."""
+        with open(os.path.join(out, "norms.csv"), "w") as fh:
+            fh.write("t,max_abs_q\n")
+            for t, peak in zip(meta["times"], meta.pop("max_abs_q")):
+                fh.write(f"{t!r},{peak!r}\n")
+
+    return _simulate(args, "nls", start, payload, norms)
 
 
 def _open_run(args, kind: str):
-    """(run dir, meta, RunConfig) of the `kind` run named by args.run_dir."""
+    """(run dir, meta, RunConfig, parameters) of the `kind` run named by
+    args.run_dir; RunConfig.params checks the parameters (a spin run's
+    params.beta must be 1)."""
     run_dir = os.path.join(args.output_dir, args.run_dir)
     meta_path = os.path.join(run_dir, "meta.json")
     try:
@@ -432,7 +426,7 @@ def _open_run(args, kind: str):
             and all(isinstance(name, str) for name in slices)):
         raise ConfigError(f"{meta_path} needs `times` (finite numbers, strictly increasing) "
                           "and `slices` (names) lists of equal length")
-    return run_dir, meta, cfg
+    return run_dir, meta, cfg, cfg.params(kind)
 
 
 def _load_slice(run_dir: str, meta: dict, cfg: RunConfig, idx: int, out=None):
@@ -472,8 +466,7 @@ def cmd_frame(args) -> int:
     from .fields import write_mfld1
     from .frames import transport_window
 
-    run_dir, meta, cfg = _open_run(args, "spin")
-    cfg.spin_params()  # rejects a params.beta other than 1
+    run_dir, meta, cfg, _ = _open_run(args, "spin")
     times = meta["times"]
     report = {"config_hash": cfg.sha, "residuals": []}
     grid = cfg.grid()
@@ -494,14 +487,14 @@ def cmd_frame(args) -> int:
 def cmd_equiv_check(args) -> int:
     from .equivalence import l_equiv_check
 
-    run_dir, meta, cfg = _open_run(args, "spin")
+    run_dir, meta, cfg, par = _open_run(args, "spin")
     try:
         sizes = tuple(int(s) for s in args.ladder.split(","))
     except ValueError as exc:
         raise ConfigError(f"--ladder expects comma-separated grid sizes, got {args.ladder!r}") from exc
     if len(set(sizes)) < len(sizes):
         raise ConfigError(f"--ladder repeats a grid size: {args.ladder!r}")
-    report = l_equiv_check(cfg.spin_params(), _make_initial(cfg, "spin"), sizes=sizes,
+    report = l_equiv_check(par, _make_initial(cfg, "spin"), sizes=sizes,
                            lx=cfg["grid.lx"], ly=cfg["grid.ly"], scheme=cfg["scheme"])
     payload = {"config_hash": cfg.sha, **report.as_dict()}
     out_path = os.path.join(run_dir, "equiv_report.json")
@@ -541,8 +534,7 @@ def cmd_lax_check(args) -> int:
     from .lax import flatness_at, flatness_pass_q, lax_spin_at, lax_spin_pass, sl2_trace
     from .nls import _paired
 
-    run_dir, meta, cfg = _open_run(args, "spin" if args.spin_side else "nls")
-    par = cfg.spin_params() if args.spin_side else cfg.nls_params()
+    run_dir, meta, cfg, par = _open_run(args, "spin" if args.spin_side else "nls")
     lams = [_parse_lambda(text) for text in args.lam]
     for lam in lams:
         _check_lambda(lam, par)
@@ -593,8 +585,7 @@ def cmd_lax_check(args) -> int:
 
 
 def cmd_charges(args) -> int:
-    run_dir, meta, cfg = _open_run(args, "spin")
-    cfg.spin_params()  # rejects a params.beta other than 1
+    run_dir, meta, cfg, _ = _open_run(args, "spin")
     out_path = os.path.join(run_dir, "charges.csv")
     _write_charges(out_path, cfg.grid(), meta["times"],
                    _spin_reader(run_dir, meta, cfg), cfg["scheme"])

@@ -34,10 +34,12 @@ from .fields import (
     check_finite,
     ddx,
     ddy,
+    integrate2,
     inv_dx,
     meanx,
 )
-from .frames import FrameCoeffs, FrameField, _project, _vectors, _Workspace, frame_from_spin
+from .frames import (FrameCoeffs, FrameField, _project, _vectors, _Workspace, charge_density,
+                     frame_from_spin)
 from .nls import NlsParams, nls_rhs, solve_v_nls
 from .spin import SpinParams, default_dt, make_state, march_spin
 
@@ -105,15 +107,26 @@ def q_from_spin(grid: Grid2, coeffs: FrameCoeffs, par: SpinParams,
     return q, info
 
 
+def _limited_frame(grid: Grid2, S: np.ndarray, scheme, work, what: str) -> FrameField:
+    """frame_from_spin of S, in work when it is given; a frame masked on more
+    than FRAME_MASK_LIMIT of the grid aborts the check (DegenerateFieldError),
+    naming `what` S is, n, the masked fraction and the degree Q of S."""
+    F = frame_from_spin(grid, S, scheme, work=work)
+    frac = float(np.count_nonzero(F.mask)) / F.mask.size
+    if frac > FRAME_MASK_LIMIT:
+        Q = integrate2(grid, charge_density(grid, S, scheme)) / (4.0 * np.pi)
+        raise DegenerateFieldError(
+            f"equivalence check aborted: the frame of the {what} at n = {grid.nx} is "
+            f"degenerate on {100*frac:.1f}% of the grid, beyond {FRAME_MASK_LIMIT:.0%} "
+            f"(degree Q = {Q:.6f})")
+    return F
+
+
 def _slice_to_q(grid: Grid2, S: np.ndarray, par: SpinParams, scheme, fold_mode=None):
     """q of one slice; its frame and k, tau are built in a frames workspace
     of its own."""
     work = _Workspace((grid.ny, grid.nx))
-    F = frame_from_spin(grid, S, scheme, work=work)
-    frac = float(np.count_nonzero(F.mask)) / F.mask.size
-    if frac > FRAME_MASK_LIMIT:
-        raise DegenerateFieldError(
-            f"equivalence check aborted: frame degenerate on {100*frac:.1f}% of the grid")
+    F = _limited_frame(grid, S, scheme, work, "marched slice")
     # q reads the a triple alone
     proj = _project(grid, _vectors(F), scheme, work, along_y=False)
     return q_from_spin(grid, proj, par, fold_mode=fold_mode)
@@ -158,14 +171,18 @@ def l_equiv_check(par: SpinParams, make_initial, sizes=(32, 64, 128),
     to t_eval, with slices kept a time delta apart, delta shrinking like the
     grid spacing, so the central-difference q_t is the accuracy bottleneck
     and the fitted order of the residual ladder sits near 2.  Only the last
-    three slices are held, and the residuals are taken on them.
+    three slices are held, and the residuals are taken on them.  Every
+    rung's initial field is checked against FRAME_MASK_LIMIT before the
+    first march, and every slice the residuals read again after it.
     """
     n0 = sizes[0]
     ladder = []
     last = None
-    for n in sizes:
-        grid = Grid2(n, n, lx, ly)
-        delta = delta0 * n0 / n
+    grids = [Grid2(n, n, lx, ly) for n in sizes]
+    for grid in grids:  # the check's frame is freed before any march
+        _limited_frame(grid, make_initial(grid), scheme, None, "initial field")
+    for grid in grids:
+        delta = delta0 * n0 / grid.nx
         spd = max(1, int(np.ceil(delta / default_dt(grid))))
         blocks = max(2, int(np.round(t_eval / delta)) + 1)
         states = march_spin(grid, make_state(grid, make_initial(grid), par, scheme=scheme), par,

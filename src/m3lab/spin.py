@@ -332,8 +332,11 @@ def init_stereographic_lump(grid: Grid2, radius_frac: float = 0.45) -> np.ndarra
     centred in the box.
 
     Outside the disk S = (0,0,1) exactly, so the field is smooth and periodic
-    regardless of the box size.
+    regardless of the box size.  A radius_frac outside (0, 0.5], a disk
+    that is a point or does not fit in the box, is refused (ParameterError).
     """
+    if not 0.0 < radius_frac <= 0.5:
+        raise ParameterError(f"radius_frac must lie in (0, 0.5], got {radius_frac!r}")
     R = radius_frac * min(grid.lx, grid.ly)
     X, Y = grid.meshgrid()
     dx_ = X - 0.5 * grid.lx

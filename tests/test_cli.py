@@ -622,6 +622,11 @@ def _one_error_line(capsys, prefix="error: ") -> str:
     ("simulate-nls", _with(NLS_CFG, model="M3q", **{"params.c": 1e308})),
     ("simulate-spin", _with(SPIN_CFG, t_end=0.001)),
     ("simulate-nls", _with(NLS_CFG, t_end=0.001)),
+    ("simulate-spin", _with(SPIN_CFG, **{"spin.init.kappa": 0.5})),
+    ("simulate-nls", _with(NLS_CFG, **{"nls.init.k1": 0.5})),
+    ("simulate-nls", _with(NLS_CFG, **{"nls.init.k2": -2.5})),
+    ("simulate-spin", _with(LUMP_CFG, **{"spin.init.radius_frac": 0})),
+    ("simulate-spin", _with(LUMP_CFG, **{"spin.init.radius_frac": 0.5000001})),
 ], ids=["spin-save_every-0", "nls-save_every-0", "spin-t_end-0", "nls-t_end-0",
         "spin-t_end-negative", "nls-t_end-negative", "spin-dt-negative",
         "spin-init-unknown-key", "nls-init-unknown-key",
@@ -629,10 +634,13 @@ def _one_error_line(capsys, prefix="error: ") -> str:
         "spin-params-c-nan", "nls-params-d-inf", "spin-init-inf",
         "spin-dt-tiny", "nls-dt-tiny",
         "spin-params-l-overflows", "spin-params-d-overflows", "nls-params-d-overflows",
-        "nls-params-c-overflows", "spin-t_end-no-step", "nls-t_end-no-step"])
+        "nls-params-c-overflows", "spin-t_end-no-step", "nls-t_end-no-step",
+        "spin-init-kappa-fraction", "nls-init-k1-fraction", "nls-init-k2-fraction",
+        "lump-radius_frac-0", "lump-radius_frac-above-half"])
 def test_bad_run_config_exits_2(tmp_path, capsys, command, cfg_text):
     """A refused config exits 2 with one error line, no numpy warning
-    before it, and nothing written."""
+    before it, and nothing written.  A generator's mode number must be an
+    integer, and the lump's radius_frac must lie in (0, 0.5]."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(cfg_text)
     with warnings.catch_warnings():
@@ -780,6 +788,30 @@ def test_generator_has_no_vector_parameter(tmp_path, capsys, init, key):
     assert f"has no parameter {key}" in err
 
 
+def test_equiv_check_refuses_a_degenerate_initial_frame_before_marching(tmp_path, capsys,
+                                                                        monkeypatch):
+    """The lump's initial Frenet frame is masked on 10.4% of the grid at
+    n = 32, beyond equivalence.FRAME_MASK_LIMIT: equiv-check aborts (exit 3)
+    before any march, naming the rung, the masked fraction and the degree."""
+    import m3lab.equivalence as equivalence
+
+    cfg = tmp_path / "lump.cfg"
+    cfg.write_text(LUMP_CFG)
+    assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 0
+    capsys.readouterr()
+
+    def no_march(*args):
+        raise AssertionError("equiv-check marched a degenerate initial field")
+
+    monkeypatch.setattr(equivalence, "march_spin", no_march)
+    assert main(["--output-dir", str(tmp_path), "equiv-check", "spinrun",
+                 "--ladder", "32,64"]) == 3
+    err = _one_error_line(capsys, "numerical abort: ")
+    assert "initial field at n = 32" in err and "degenerate on 10.4% of the grid" in err
+    assert "degree Q = 1.000002" in err
+    assert not (tmp_path / "spinrun" / "equiv_report.json").exists()
+
+
 def test_mfld1_initial_takes_no_init_keys(spin_run, tmp_path):
     meta = json.loads((spin_run / "meta.json").read_text())
     cfg = tmp_path / "restart.cfg"
@@ -870,7 +902,7 @@ def test_frame_holds_three_slices_of_e1_e2_a_and_b(tmp_path):
     """`frame` keeps, of each slice in its three-slice window, e1, e2, a and
     b alone (12 planes); e3, the densities and the scratch are shared (18
     planes).  Each slice's S is read into the shared e3, and the time
-    entries are written over the densities.  On a lump its peak, ~56
+    entries are written over the densities.  On a lump its peak, 55.5
     (ny, nx) planes, stays below 58: reading each whole slice and keeping
     the time entries apart peaked at ~64, a ring of three whole workspaces
     at ~87."""
@@ -880,7 +912,7 @@ def test_frame_holds_three_slices_of_e1_e2_a_and_b(tmp_path):
 def test_charges_reads_each_slice_into_its_frame(tmp_path):
     """`charges` builds every slice's frame and coefficients in one frames
     workspace and reads each slice's S into the e3 stack of its frame.  On
-    a lump its peak, ~32 (ny, nx) planes, stays below 36: reading each
+    a lump its peak, 31.4 (ny, nx) planes, stays below 36: reading each
     whole slice peaked at ~41."""
     assert _peak_planes(tmp_path, "charges") < 36
 

@@ -1,0 +1,120 @@
+"""The CLI contract under edge inputs: every config key and every parameter
+of a built-in initial-condition generator, one at a time, set to 0, +-1,
++-1e-300, +-1e300, 0.5 or a word, on 16 x 16 spin and NLS runs.
+
+Each case runs `cli.main` in process and must exit 0, 2 or 3; a run that
+fails prints exactly one stderr line and no numpy RuntimeWarning; a refused
+run (exit 2) writes nothing and any other writes only into its run
+directory; and a value that is no integer is refused for a key or a
+generator parameter that takes one.  The cases are every (key, value) pair,
+so no case is drawn at random.
+
+A case whose run would take more than RUN_BUDGET steps is never started:
+its config goes to `_run_length` alone, which must refuse it.
+"""
+
+import inspect
+import math
+import warnings
+
+import pytest
+
+from m3lab import nls, spin
+from m3lab.cli import _SCHEMA, MAX_STEPS, RunConfig, _run_length, main
+from m3lab.errors import M3LabError
+
+BASES = {
+    "spin": ("simulate-spin", "grid.nx = 16\ngrid.ny = 16\nparams.c = 0.3\n"
+             "spin.init = modulated-helix\nt_end = 0.1\nsave_every = 1\noutput_dir = run\n"),
+    "lump": ("simulate-spin", "grid.nx = 16\ngrid.ny = 16\nparams.c = 0.3\n"
+             "spin.init = stereographic-lump\nt_end = 0.1\nsave_every = 1\noutput_dir = run\n"),
+    "nls": ("simulate-nls", "grid.nx = 16\ngrid.ny = 16\nparams.c = 0.3\n"
+            "nls.init = plane-wave\nt_end = 0.1\nsave_every = 1\noutput_dir = run\n"),
+}
+VALUES = ("0", "1", "-1", "1e-300", "-1e-300", "1e300", "-1e300", "0.5", "abc")
+RUN_BUDGET = 200  # steps; the edge values give runs of at most 33 steps or beyond MAX_STEPS
+
+
+def _generator_keys(prefix, gen):
+    """{config key: annotation} of the parameters of generator gen."""
+    return {prefix + name: p.annotation
+            for name, p in list(inspect.signature(gen).parameters.items())[1:]}
+
+
+# base -> {key: the type the key or generator parameter takes}
+KEYS = {
+    "spin": {**{k: t for k, (t, _) in _SCHEMA.items() if not k.startswith("nls.")},
+             **_generator_keys("spin.init.", spin.init_modulated_helix)},
+    "lump": _generator_keys("spin.init.", spin.init_stereographic_lump),
+    "nls": {**{k: t for k, (t, _) in _SCHEMA.items() if not k.startswith("spin.")},
+            **_generator_keys("nls.init.", nls.init_plane_wave)},
+}
+CASES = [(base, key, value) for base, keys in KEYS.items() for key in keys for value in VALUES]
+
+
+def _text(base, key, value):
+    lines = [ln for ln in BASES[base][1].splitlines() if ln.partition("=")[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+def _steps(cfg) -> float:
+    """The steps of the run of cfg, estimated apart from the CLI: t_end over
+    dt, or over the default 0.2 hx hy when dt = 0; inf where no step forms."""
+    try:
+        dt = cfg["dt"] or 0.2 * (cfg["grid.lx"] / cfg["grid.nx"]) * (cfg["grid.ly"] / cfg["grid.ny"])
+        return abs(cfg["t_end"] / dt)
+    except (ZeroDivisionError, OverflowError):
+        return math.inf
+
+
+def _files(root):
+    return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+
+def _not_integral(value: str) -> bool:
+    try:
+        return float(value) != int(float(value))
+    except ValueError:
+        return True
+
+
+@pytest.mark.parametrize("base, key, value", CASES,
+                         ids=[f"{b}-{k}-{v}" for b, k, v in CASES])
+def test_edge_value_keeps_the_cli_contract(tmp_path, monkeypatch, capsys, base, key, value):
+    command, _ = BASES[base]
+    text = _text(base, key, value)
+    try:
+        cfg = RunConfig.from_text(text)
+    except M3LabError:
+        cfg = None  # refused as it is parsed; main refuses it the same way
+    if cfg is not None and not _steps(cfg) <= RUN_BUDGET:
+        # never started: only the run-length check sees it, and must refuse it
+        assert _steps(cfg) > MAX_STEPS, "an edge value reaches a run too long to test"
+        with pytest.raises(M3LabError):
+            _run_length(cfg, cfg.grid())
+        return
+
+    (tmp_path / "in").mkdir()
+    (tmp_path / "cwd").mkdir()
+    (tmp_path / "in" / "run.cfg").write_text(text)
+    monkeypatch.chdir(tmp_path / "cwd")
+    before = _files(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["--output-dir", str(tmp_path / "out"), command,
+                     str(tmp_path / "in" / "run.cfg")])
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: " if code == 2 else "numerical abort: "), err
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+    written = _files(tmp_path) - before
+    run_dir = (tmp_path / "out" / (value if key == "output_dir" else "run")).relative_to(tmp_path)
+    assert [p for p in written if run_dir not in p.parents] == []
+    if code == 2:
+        assert written == set()
+    if KEYS[base][key] == int and _not_integral(value):
+        assert code == 2 and key in err

@@ -1,8 +1,9 @@
 """Guards on the package's sources: a light CLI import, no unused imports,
 no dead private names, no default that no call overrides, no identity
-probe in the frame layer, one vector layout, one MFLD1 reader, a README
-layout that names every module and no run file a simulate command would
-not clean up."""
+probe in the frame layer, one vector layout, one MFLD1 reader, one writer
+of run directories, no parameter check called for its side effect alone, a
+README layout that names every module and no run file a simulate command
+would not clean up."""
 
 import ast
 import fnmatch
@@ -315,6 +316,86 @@ def test_binary_read_check_sees_a_second_reader(tmp_path):
     assert binary_reads([tmp_path / "a.py"]) == [
         "a.py:5: open", "a.py:7: open", "a.py:9: open", "a.py:10: read_bytes",
         "a.py:11: fromfile"]
+
+
+def run_dir_writers(path) -> tuple:
+    """(functions that call _run_dir, functions that write meta.json) of the
+    module, by top-level function name, nested functions counted in theirs.
+    A function writes meta.json when it calls _write_json, or open() with a
+    literal mode that writes, on arguments holding the literal "meta.json"."""
+    callers, writers = set(), set()
+    for fn in ast.parse(path.read_text()).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "_run_dir":
+                callers.add(fn.name)
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            writes = name == "_write_json" or name == "open" and any(
+                isinstance(m, ast.Constant) and set("wxa+") & set(str(m.value)) for m in modes)
+            if writes and any(isinstance(n, ast.Constant) and n.value == "meta.json"
+                              for arg in node.args for n in ast.walk(arg)):
+                writers.add(fn.name)
+    return sorted(callers), sorted(writers)
+
+
+def test_one_function_writes_every_run_directory():
+    """Both simulate commands write their run directory through one body:
+    exactly one function of the CLI clears a run directory (_run_dir) and
+    writes a meta.json, and it is the same one."""
+    callers, writers = run_dir_writers(SRC / "m3lab" / "cli.py")
+    assert len(callers) == 1 and writers == callers
+
+
+def test_run_dir_check_sees_a_second_writer(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "import json, os\n\n"
+        "def _run_dir(args):\n    return args\n\n"
+        "def _write_json(path, payload):\n    pass\n\n"
+        "def _simulate(args):\n"
+        "    out = _run_dir(args)\n    _write_json(os.path.join(out, 'meta.json'), {})\n\n"
+        "def cmd_second(args):\n    out = _run_dir(args)\n\n"
+        "    def finish():\n"
+        "        with open(os.path.join(out, 'meta.json'), mode='w') as fh:\n"
+        "            json.dump({}, fh)\n    finish()\n\n"
+        "def _open_run(args):\n"
+        "    with open(os.path.join(args, 'meta.json'), 'r') as fh:\n"
+        "        return json.load(fh)\n")
+    assert run_dir_writers(tmp_path / "cli.py") == (["_simulate", "cmd_second"],
+                                                    ["_simulate", "cmd_second"])
+
+
+PARAMS_CALLS = ("spin_params", "nls_params", "params")
+
+
+def discarded_params(paths) -> list:
+    """Statements of the modules that call RunConfig's spin_params,
+    nls_params or params and drop the result: a check made for its side
+    effect, which _open_run and _simulate make once for every run."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                    and getattr(node.value.func, "attr", None) in PARAMS_CALLS):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node.value)}")
+    return found
+
+
+def test_no_parameter_check_is_called_for_its_side_effect():
+    assert discarded_params(MODULES) == []
+
+
+def test_discarded_params_check_sees_a_dropped_result(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(cfg, kind):\n"
+        "    cfg.spin_params()  # rejects a params.beta other than 1\n"
+        "    par = cfg.nls_params()\n    cfg.params(kind)\n"
+        "    return par, cfg.params(kind), [cfg.spin_params()]\n")
+    assert discarded_params([tmp_path / "a.py"]) == [
+        "a.py:2: cfg.spin_params()", "a.py:4: cfg.params(kind)"]
 
 
 def test_readme_layout_names_every_module():
