@@ -9,7 +9,10 @@ written (OSError), 3 numerical-instability abort.
 
 simulate-spin and simulate-nls write a run directory through one body,
 _simulate, which owns the write protocol; the other commands open a run
-through _open_run, which checks its meta.json and its parameters.
+through _open_run, which checks its meta.json and its parameters.  Every
+MFLD1 file a command reads, an initial-condition file or a run's slice,
+goes through one reader, _read_checked, which checks its grid and its
+components (SLICE_COMPS) before its payload is read.
 
 The environment variable M3LAB_THREADS caps the BLAS/OpenMP thread pools;
 it must be applied before numpy loads, so this module keeps its imports
@@ -28,8 +31,10 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, M3LabError, NumericalError
 
-SPIN_SLICE_COMPS = ("S1", "S2", "S3", "u", "v")
-NLS_SLICE_COMPS = ("Re q", "Im q", "Re p", "Im p", "v")
+# the components of a run's slices, per kind: its field's, which an
+# initial-condition file holds first, then the rest
+SLICE_COMPS = {"spin": (("S1", "S2", "S3"), ("u", "v")),
+               "nls": (("Re q", "Im q"), ("Re p", "Im p", "v"))}
 # every file the subcommands write into a run directory, as fnmatch patterns;
 # a simulate command removes their matches from its directory first
 RUN_FILES = ("spin_[0-9]*.mfld1", "nls_[0-9]*.mfld1", "frame_[0-9]*.mfld1",
@@ -186,27 +191,26 @@ class RunConfig:
         return self.spin_params() if kind == "spin" else self.nls_params()
 
 
-def _initial_from_file(path: str, grid, comps: int):
+def _read_checked(path: str, grid, kind: str, initial: bool = False, out=None):
+    """The data of the MFLD1 file at path, a `kind` run's slice or, initial,
+    an initial-condition file, read only after its layout is checked: the
+    file must exist and be sampled on grid, with exactly a slice's
+    components (SLICE_COMPS) or at least its field's (ConfigError).  Given
+    out, a (k, ny, nx) stack, its first k components are read into out
+    (read_mfld1)."""
     from .fields import read_mfld1
+    field_comps, rest = SLICE_COMPS[kind]
+    comps = field_comps if initial else field_comps + rest
     if not os.path.exists(path):
-        raise ConfigError(f"initial-condition file {path!r} does not exist")
+        raise ConfigError(f"{path}: no such file")
 
     def check(fgrid, ncomp):
-        if fgrid != grid:
-            raise ConfigError(f"{path}: sampled on {fgrid}, the config sets {grid}")
-        if ncomp < comps:
-            raise ConfigError(f"{path}: {ncomp} components, need at least {comps}")
+        if fgrid != grid or ncomp < len(comps) or ncomp > len(comps) and not initial:
+            raise ConfigError(f"{path}: sampled on {fgrid} with {ncomp} components, need "
+                              f"{'at least ' if initial else ''}{len(comps)} components on "
+                              f"{grid}: {', '.join(comps)}")
 
-    return read_mfld1(path, check=check)[1]
-
-
-def _spin_from_file(grid, path):
-    return _initial_from_file(path, grid, 3)[:3]
-
-
-def _q_from_file(grid, path):
-    real, imag = _initial_from_file(path, grid, 2)[:2]
-    return real + 1j * imag
+    return read_mfld1(path, out, check)[1]
 
 
 def _make_initial(cfg: RunConfig, side: str):
@@ -218,12 +222,14 @@ def _make_initial(cfg: RunConfig, side: str):
     a file takes none.
     """
     from . import nls, spin
-    table, read = {"spin": (spin.INITIAL_CONDITIONS, _spin_from_file),
-                   "nls": (nls.INITIAL_CONDITIONS, _q_from_file)}[side]
+    table = {"spin": spin.INITIAL_CONDITIONS, "nls": nls.INITIAL_CONDITIONS}[side]
     name = cfg[f"{side}.init"]
     args = cfg.init_args(f"{side}.init.")
     if name.endswith(".mfld1"):
-        gen, params = (lambda grid: read(grid, name)), {}
+        def gen(grid):
+            data = _read_checked(name, grid, side, initial=True)
+            return data[:3] if side == "spin" else data[0] + 1j * data[1]
+        params = {}
     elif name in table:
         gen = table[name]
         params = dict(list(inspect.signature(gen).parameters.items())[1:])
@@ -430,31 +436,20 @@ def _open_run(args, kind: str):
 
 
 def _load_slice(run_dir: str, meta: dict, cfg: RunConfig, idx: int, out=None):
-    """(grid, data) of slice idx, checked against the run's grid and slice
-    layout before its payload is read; data is the stack of its components
-    or, given out, a (k, ny, nx) stack, its first k components read into
-    out (read_mfld1).  A spin slice whose S is off unit length by more than
-    spin.STATE_TOL is refused (ConfigError)."""
+    """The data of slice idx of the run, read by _read_checked on the run's
+    grid: the stack of its components or, given out, out.  A spin slice
+    whose S is off unit length by more than spin.STATE_TOL is refused
+    (ConfigError)."""
     from .errors import ParameterError
-    from .fields import read_mfld1
     from .spin import check_unit
     path = os.path.join(run_dir, meta["slices"][idx])
-    if not os.path.exists(path):
-        raise ConfigError(f"slice {path} does not exist")
-    comps = SPIN_SLICE_COMPS if meta["kind"] == "spin" else NLS_SLICE_COMPS
-
-    def check(grid, ncomp):
-        if grid != cfg.grid() or ncomp != len(comps):
-            raise ConfigError(f"{path}: {ncomp} components on {grid}; the run's slices "
-                              f"have {len(comps)} ({', '.join(comps)}) on {cfg.grid()}")
-
-    grid, data = read_mfld1(path, out, check)
+    data = _read_checked(path, cfg.grid(), meta["kind"], out=out)
     if meta["kind"] == "spin":
         try:
             check_unit(data[:3])
         except ParameterError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-    return grid, data
+    return data
 
 
 def _spin_reader(run_dir: str, meta: dict, cfg: RunConfig):
@@ -538,7 +533,7 @@ def cmd_lax_check(args) -> int:
     lams = [_parse_lambda(text) for text in args.lam]
     for lam in lams:
         _check_lambda(lam, par)
-    scheme = cfg["scheme"]
+    grid, scheme = cfg.grid(), cfg["scheme"]
     times = meta["times"]
     if len(times) < 3:
         raise ConfigError("lax-check needs at least three saved slices")
@@ -546,7 +541,7 @@ def cmd_lax_check(args) -> int:
     payload = {"config_hash": cfg.sha, "t": times[mid], "results": []}
 
     if args.spin_side:
-        grid, data = _load_slice(run_dir, meta, cfg, mid)
+        data = _load_slice(run_dir, meta, cfg, mid)
         spin = lax_spin_pass(grid, data[:3], data[3], data[4], par, scheme)
         for lam in lams:
             entry = {"lam": [lam.real, lam.imag]}
@@ -558,7 +553,7 @@ def cmd_lax_check(args) -> int:
     else:
         triple = []
         for idx in (mid - 1, mid, mid + 1):
-            grid, data = _load_slice(run_dir, meta, cfg, idx)
+            data = _load_slice(run_dir, meta, cfg, idx)
             q = data[0] + 1j * data[1]
             triple.append((q, _paired(q, par.beta), data[4]))
         dt2 = times[mid + 1] - times[mid - 1]

@@ -38,7 +38,7 @@ from .fields import (
     inv_dx,
     meanx,
 )
-from .frames import (FrameCoeffs, FrameField, _project, _vectors, _Workspace, charge_density,
+from .frames import (FrameCoeffs, FrameField, _Workspace, charge_density, coeffs_from_frame,
                      frame_from_spin)
 from .nls import NlsParams, nls_rhs, solve_v_nls
 from .spin import SpinParams, default_dt, make_state, march_spin
@@ -56,6 +56,7 @@ class EquivReport:
     ladder: list = field(default_factory=list)   # (h, residual_q) pairs
     order: float = float("nan")          # NaN below two ladder sizes; null in as_dict
     obstruction: dict = field(default_factory=dict)
+    initial: list = field(default_factory=list)  # per rung: n, masked_fraction, Q of S0
 
     def as_dict(self) -> dict:
         return {
@@ -66,6 +67,7 @@ class EquivReport:
             "ladder": [[h, r] for h, r in self.ladder],
             "order": self.order if np.isfinite(self.order) else None,  # JSON has no NaN
             "obstruction": self.obstruction,
+            "initial": self.initial,
         }
 
 
@@ -107,29 +109,34 @@ def q_from_spin(grid: Grid2, coeffs: FrameCoeffs, par: SpinParams,
     return q, info
 
 
-def _limited_frame(grid: Grid2, S: np.ndarray, scheme, work, what: str) -> FrameField:
-    """frame_from_spin of S, in work when it is given; a frame masked on more
-    than FRAME_MASK_LIMIT of the grid aborts the check (DegenerateFieldError),
-    naming `what` S is, n, the masked fraction and the degree Q of S."""
+def _degree(grid: Grid2, S: np.ndarray, scheme) -> float:
+    """The degree Q = (1/4 pi) int S.(S_x ^ S_y) of the spin field S."""
+    return integrate2(grid, charge_density(grid, S, scheme)) / (4.0 * np.pi)
+
+
+def _limited_frame(grid: Grid2, S: np.ndarray, scheme, work, what: str):
+    """(frame_from_spin of S, in work when it is given, the fraction of the
+    grid its mask covers); a fraction beyond FRAME_MASK_LIMIT aborts the
+    check (DegenerateFieldError), naming `what` S is, n, the fraction and
+    the degree Q of S."""
     F = frame_from_spin(grid, S, scheme, work=work)
     frac = float(np.count_nonzero(F.mask)) / F.mask.size
     if frac > FRAME_MASK_LIMIT:
-        Q = integrate2(grid, charge_density(grid, S, scheme)) / (4.0 * np.pi)
+        del F
         raise DegenerateFieldError(
             f"equivalence check aborted: the frame of the {what} at n = {grid.nx} is "
             f"degenerate on {100*frac:.1f}% of the grid, beyond {FRAME_MASK_LIMIT:.0%} "
-            f"(degree Q = {Q:.6f})")
-    return F
+            f"(degree Q = {_degree(grid, S, scheme):.6f})")
+    return F, frac
 
 
 def _slice_to_q(grid: Grid2, S: np.ndarray, par: SpinParams, scheme, fold_mode=None):
-    """q of one slice; its frame and k, tau are built in a frames workspace
-    of its own."""
+    """q of one slice; its frame and coefficients are built in a frames
+    workspace of its own."""
     work = _Workspace((grid.ny, grid.nx))
-    F = _limited_frame(grid, S, scheme, work, "marched slice")
-    # q reads the a triple alone
-    proj = _project(grid, _vectors(F), scheme, work, along_y=False)
-    return q_from_spin(grid, proj, par, fold_mode=fold_mode)
+    F, _ = _limited_frame(grid, S, scheme, work, "marched slice")
+    return q_from_spin(grid, coeffs_from_frame(grid, F, scheme, work=work), par,
+                       fold_mode=fold_mode)
 
 
 def equiv_residual(grid: Grid2, S_before: np.ndarray, S_mid: np.ndarray,
@@ -173,14 +180,18 @@ def l_equiv_check(par: SpinParams, make_initial, sizes=(32, 64, 128),
     and the fitted order of the residual ladder sits near 2.  Only the last
     three slices are held, and the residuals are taken on them.  Every
     rung's initial field is checked against FRAME_MASK_LIMIT before the
-    first march, and every slice the residuals read again after it.
+    first march, and every slice the residuals read again after it; the
+    report records each rung's initial masked fraction and degree Q.
     """
     n0 = sizes[0]
-    ladder = []
+    ladder, initial = [], []
     last = None
     grids = [Grid2(n, n, lx, ly) for n in sizes]
-    for grid in grids:  # the check's frame is freed before any march
-        _limited_frame(grid, make_initial(grid), scheme, None, "initial field")
+    for grid in grids:  # the check's frame is freed before Q and before any march
+        S0 = make_initial(grid)
+        frac = _limited_frame(grid, S0, scheme, None, "initial field")[1]
+        initial.append({"n": grid.nx, "masked_fraction": frac, "Q": _degree(grid, S0, scheme)})
+    del S0
     for grid in grids:
         delta = delta0 * n0 / grid.nx
         spd = max(1, int(np.ceil(delta / default_dt(grid))))
@@ -194,7 +205,8 @@ def l_equiv_check(par: SpinParams, make_initial, sizes=(32, 64, 128),
     order = fit_order([h for h, _ in ladder], [r for _, r in ladder])
     return EquivReport(residual_q=last["residual_q"], residual_p=last["residual_p"],
                        residual_v=last["residual_v"], v_cross=last["v_cross"],
-                       ladder=ladder, order=order, obstruction=last["obstruction"])
+                       ladder=ladder, order=order, obstruction=last["obstruction"],
+                       initial=initial)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,15 @@ class Grid2:
         return np.meshgrid(self.x, self.y)
 
 
+def check_mode(name: str, m: int, n: int) -> None:
+    """Refuse (ParameterError) m, a generator's integer mode number along an
+    axis of n points, at or past the Nyquist mode n/2: every operator drops
+    the Nyquist mode's derivative, and mode m + n samples as m."""
+    if not abs(m) < n / 2:
+        raise ParameterError(f"mode number {name} = {m} is at or past the Nyquist mode "
+                             f"of {n} points: |{name}| < {n / 2:g} is needed")
+
+
 def check_finite(f: np.ndarray, name: str = "field") -> np.ndarray:
     f = np.asarray(f)
     if not np.all(np.isfinite(f)):
@@ -454,12 +463,13 @@ def read_mfld1(path, out=None, check=None):
     into it instead, and data is out: a spin slice's S goes straight into
     the stack that consumes it, and its u and v are never held whole.
 
-    A malformed header (ncomp < 1 included), or a payload that is short,
-    followed by further bytes or not finite, is rejected with an M3LabError;
-    every component is checked for finite values, kept or not.  The payload
-    size is checked against the file before it is read, and so is the
-    layout: check(grid, ncomp), when given, may refuse it by raising, and a
-    file whose grid or components cannot fill out is refused.
+    A malformed header (ncomp < 1, or a grid Grid2 refuses, included), or a
+    payload that is short, followed by further bytes or not finite, is
+    rejected with an M3LabError naming the file; every component is checked
+    for finite values, kept or not.  The payload size is checked against
+    the file before it is read, and so is the layout: check(grid, ncomp),
+    when given, may refuse it by raising, and a file whose grid or
+    components cannot fill out is refused.
     """
     with open(path, "rb") as fh:
         header = fh.readline().split()
@@ -472,7 +482,10 @@ def read_mfld1(path, out=None, check=None):
             raise FieldError(f"{path}: bad MFLD1 header {b' '.join(header)!r}") from None
         if ncomp < 1:
             raise FieldError(f"{path}: MFLD1 header gives {ncomp} components")
-        grid = Grid2(nx, ny, lx, ly)
+        try:
+            grid = Grid2(nx, ny, lx, ly)
+        except ConfigError as exc:
+            raise FieldError(f"{path}: {exc}") from None
         size = 8 * nx * ny * ncomp
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if left < size:

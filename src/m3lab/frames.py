@@ -33,7 +33,10 @@ computes them into; the layer reads the stacks where they lie, whatever
 their strides, takes one derivative per stack and axis, and sums its dot
 products with fields.dot3, in EINSUM_ORDER.  FrameCoeffs holds a, b, w
 and the densities as the stacks the layer computes them into, and every
-check reads them there; k .. w3 name their planes.
+check reads them there; k .. w3 name their planes.  coeffs_from_frame is
+the one projection of a frame onto a, b and the densities: the `frame` and
+`charges` commands, the curvature map of equivalence and
+m_coeffs_from_spin all read their coefficients off it.
 Every array it writes can come from a _Workspace, buffers only, that a
 command makes once: allocating per call, as measured at n = 256, is slower
 and faults ten times as often in `charges`.  A workspace's e3 stack is
@@ -249,42 +252,6 @@ def frame_dt(before: FrameField, after: FrameField, dt2: float, out=None):
     return T
 
 
-def _vectors(F: FrameField) -> tuple:
-    """F's stacks e1, e2, e3, each checked finite."""
-    return tuple(check_finite(e, "frame") for e in F.E)
-
-
-def _project(grid: Grid2, E: tuple, scheme, ws: _Workspace, dens=None,
-             along_y: bool = True) -> FrameCoeffs:
-    """The coefficients of the frame stacks E = (e1, e2, e3), unchecked, into
-    ws.A = a = (tau, sigma, k) and ws.B = b = (m1, m2, m3).
-
-    k = e2.e1_x, sigma = -e3.e1_x, tau = e3.e2_x,
-    m1 = e3.e2_y, m2 = -e3.e1_y, m3 = e2.e1_y.
-    e1 and e2 are differentiated along x and y, one stack each; with dens
-    (three planes), e1.(e1_x ^ e1_y) and e2.(e2_x ^ e2_y) go into its first
-    two from those derivatives.  along_y=False forms a alone (b is None).
-    """
-    e1, e2, e3 = E
-    (tau, sigma, k), X, Z, tmp = ws.A, ws.X, ws.Z, ws.tmp
-    dot3(e2, _deriv(e1, scheme, grid.hx, -1, out=X, work=Z), k, tmp)
-    np.negative(dot3(e3, X, sigma, tmp), out=sigma)
-    if not along_y:
-        dot3(e3, _deriv(e2, scheme, grid.hx, -1, out=X, work=Z), tau, tmp)
-        return FrameCoeffs(a=ws.A, b=None)
-    (m1, m2, m3), Y = ws.B, ws.Y
-    _deriv(e1, scheme, grid.hy, -2, out=Y, work=Z)
-    np.negative(dot3(e3, Y, m2, tmp), out=m2)
-    dot3(e2, Y, m3, tmp)
-    if dens is not None:
-        _triple(e1, X, Y, dens[0], ws.L, tmp)
-    dot3(e3, _deriv(e2, scheme, grid.hx, -1, out=X, work=Z), tau, tmp)
-    dot3(e3, _deriv(e2, scheme, grid.hy, -2, out=Y, work=Z), m1, tmp)
-    if dens is not None:
-        _triple(e2, X, Y, dens[1], ws.L, tmp)
-    return FrameCoeffs(a=ws.A, b=ws.B)
-
-
 def _density(grid: Grid2, e: np.ndarray, scheme, ws: _Workspace, out: np.ndarray) -> np.ndarray:
     """e . (e_x ^ e_y) of the stack e, unchecked, into out."""
     ex = _deriv(e, scheme, grid.hx, -1, out=ws.X, work=ws.Z)
@@ -300,17 +267,27 @@ def coeffs_from_frame(grid: Grid2, F: FrameField, scheme=SPECTRAL,
     m1 = e3.e2_y, m2 = -e3.e1_y, m3 = e2.e1_y,
     and, when the velocities (e1_t, e2_t) of frame_dt are supplied,
     w1 = e3.e2_t, w2 = -e3.e1_t, w3 = e2.e1_t.
-    Each e_j is differentiated once along x and y, as one stack.  A
-    non-finite frame is rejected (FieldError).  Given a _Workspace, the
-    coefficients are written into its A, B and D; the frame is read where
-    it lies, built in that workspace or not.  The time entries go into
-    arrays of their own, so the densities stay.
+    Each e_j is differentiated once along x and y, as one stack, and the
+    density of e_j is formed from those two derivatives.  A non-finite
+    frame is rejected (FieldError).  Given a _Workspace, the coefficients
+    are written into its A, B and D; the frame is read where it lies, built
+    in that workspace or not.  The time entries go into arrays of their
+    own, so the densities stay.
     """
     ws = work or _Workspace(np.shape(F.E[0])[1:])
-    E = _vectors(F)
-    coeffs = _project(grid, E, scheme, ws, ws.D)
-    _density(grid, E[2], scheme, ws, ws.D[2])
-    coeffs = replace(coeffs, densities=ws.D)
+    e1, e2, e3 = (check_finite(e, "frame") for e in F.E)
+    (tau, sigma, k), (m1, m2, m3), X, Y, Z, tmp = ws.A, ws.B, ws.X, ws.Y, ws.Z, ws.tmp
+    dot3(e2, _deriv(e1, scheme, grid.hx, -1, out=X, work=Z), k, tmp)
+    np.negative(dot3(e3, X, sigma, tmp), out=sigma)
+    _deriv(e1, scheme, grid.hy, -2, out=Y, work=Z)
+    np.negative(dot3(e3, Y, m2, tmp), out=m2)
+    dot3(e2, Y, m3, tmp)
+    _triple(e1, X, Y, ws.D[0], ws.L, tmp)
+    dot3(e3, _deriv(e2, scheme, grid.hx, -1, out=X, work=Z), tau, tmp)
+    dot3(e3, _deriv(e2, scheme, grid.hy, -2, out=Y, work=Z), m1, tmp)
+    _triple(e2, X, Y, ws.D[1], ws.L, tmp)
+    _density(grid, e3, scheme, ws, ws.D[2])
+    coeffs = FrameCoeffs(a=ws.A, b=ws.B, densities=ws.D)
     return coeffs if dF_dt is None else with_time_entries(coeffs, F, dF_dt)
 
 
@@ -467,9 +444,9 @@ def m_coeffs_from_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
         m3 = inv_dx(k_y + sigma m1 - tau m2),
 
     with the per-row antiderivative constants (lost to the periodic zero-mean
-    inv_dx) restored from frame projections.  From m2 = u_x / k, the m2/m3
-    circularity at sigma != 0 is resolved by a damped fixed point, skipped
-    when max|sigma| < 1e-12.  The time entries then follow from the dynamics:
+    inv_dx) restored from the frame's projection, coeffs_from_frame.  From
+    m2 = u_x / k, the m2/m3 circularity at sigma != 0 is resolved by a
+    damped fixed point, skipped when max|sigma| < 1e-12.  The time entries then follow from the dynamics:
 
         w2 = -m3_x - tau m2 + u sigma + 2l(cl+d) m2 - 4 c v sigma
         w3 =  m2_x - tau m3 + u k     + 2l(cl+d) m3 - 4 c v k
@@ -483,7 +460,7 @@ def m_coeffs_from_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
     ws = _Workspace((grid.ny, grid.nx))
     if frame is None:
         frame = frame_from_spin(grid, S, scheme, work=ws)
-    proj = _project(grid, _vectors(frame), scheme, ws)  # no densities, no e3 derivatives
+    proj = coeffs_from_frame(grid, frame, scheme, work=ws)  # the densities are not read
     tau, sigma, k = proj.a
 
     k_mask = np.abs(k) < DEGENERACY_TOL

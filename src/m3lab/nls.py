@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError, NumericalError, ParameterError, UnstableStepError
-from .fields import (SPECTRAL, Grid2, _deriv, _inv_dx, check_finite, ddx, ddy, inv_dx, march,
-                     meanx, rk4)
+from .fields import (SPECTRAL, Grid2, _deriv, _inv_dx, check_finite, check_mode, ddx, ddy, inv_dx,
+                     march, meanx, rk4)
 
 _MODELS = ("M3q", "Zakharov", "Strachan")
 
@@ -203,7 +203,10 @@ def run_nls(grid: Grid2, state: NlsState, par: NlsParams, dt: float,
 
 
 def init_plane_wave(grid: Grid2, amplitude: float = 0.5, k1: int = 1, k2: int = 1) -> np.ndarray:
-    """q = A exp(i(k1 x + k2 y)) with integer mode numbers on the box."""
+    """q = A exp(i(k1 x + k2 y)) with integer mode numbers on the box, each
+    below the Nyquist mode of its axis (ParameterError)."""
+    check_mode("k1", k1, grid.nx)
+    check_mode("k2", k2, grid.ny)
     X, Y = grid.meshgrid()
     return amplitude * np.exp(1j * (k1 * 2.0 * np.pi * X / grid.lx
                                     + k2 * 2.0 * np.pi * Y / grid.ly))

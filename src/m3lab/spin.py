@@ -50,6 +50,7 @@ from .fields import (
     _deriv,
     _inv_dx,
     check_field,
+    check_mode,
     cross_planes,
     ddx,
     ddy,
@@ -305,8 +306,10 @@ def init_modulated_helix(grid: Grid2, kappa: int = 1, eps: float = 0.08) -> np.n
 
     theta = pi/2 + eps*f(x,y) with f built from nonzero x-harmonics, so f has
     zero x-mean on every row; this keeps the torsion row means (the phase
-    obstruction of the curvature map) at the eps^2 level.
+    obstruction of the curvature map) at the eps^2 level.  The winding
+    number kappa must lie below the Nyquist mode nx/2 (ParameterError).
     """
+    check_mode("kappa", kappa, grid.nx)
     X, Y = grid.meshgrid()
     xs = 2.0 * np.pi * X / grid.lx
     ys = 2.0 * np.pi * Y / grid.ly

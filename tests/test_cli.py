@@ -521,6 +521,10 @@ def test_equiv_check_small_ladder(spin_run, tmp_path):
     rep = json.loads((spin_run / "equiv_report.json").read_text())
     assert rep["order"] > 1.5
     assert len(rep["ladder"]) == 3
+    # each rung's initial helix: no masked point, and degree 0
+    assert [(r["n"], r["masked_fraction"]) for r in rep["initial"]] == [(16, 0.0), (24, 0.0),
+                                                                         (32, 0.0)]
+    assert all(abs(r["Q"]) < 1e-12 for r in rep["initial"])
 
 
 def test_equiv_check_one_size_ladder_writes_strict_json(spin_run, tmp_path):
@@ -809,6 +813,43 @@ def test_equiv_check_refuses_a_degenerate_initial_frame_before_marching(tmp_path
     err = _one_error_line(capsys, "numerical abort: ")
     assert "initial field at n = 32" in err and "degenerate on 10.4% of the grid" in err
     assert "degree Q = 1.000002" in err
+    assert not (tmp_path / "spinrun" / "equiv_report.json").exists()
+
+
+@pytest.mark.parametrize("side, key, value", [("nls", "k1", 8), ("nls", "k1", 17),
+                                             ("nls", "k2", -8), ("spin", "kappa", 8),
+                                             ("spin", "kappa", 9)])
+def test_generator_mode_at_or_past_nyquist_exits_2(tmp_path, capsys, side, key, value):
+    """A mode number at or past the Nyquist mode n/2 of a 16 x 16 run is
+    refused before anything is written: k1 = 8, whose derivative every
+    operator drops, and k1 = 17, sampled exactly as k1 = 1, both ran."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_with(SPIN_CFG if side == "spin" else NLS_CFG,
+                         **{"grid.nx": 16, "grid.ny": 16, f"{side}.init.{key}": value}))
+    assert main(["--output-dir", str(tmp_path), f"simulate-{side}", str(cfg)]) == 2
+    assert f"{key} = {value} is at or past the Nyquist mode of 16 points" in _one_error_line(capsys)
+    assert not any(tmp_path.glob("*run"))
+
+
+def test_equiv_check_refuses_a_mode_past_nyquist_on_a_coarser_rung(tmp_path, capsys,
+                                                                    monkeypatch):
+    """kappa = 9 is below the Nyquist mode of the run's n = 32 but not of
+    n = 16: `equiv-check --ladder 32,16` refuses it (exit 2) on that rung,
+    before any march."""
+    import m3lab.equivalence as equivalence
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_with(SPIN_CFG, **{"spin.init.kappa": 9, "dt": 0.001, "t_end": 0.002}))
+    assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 0
+    capsys.readouterr()
+
+    def no_march(*args):
+        raise AssertionError("equiv-check marched a field it refuses")
+
+    monkeypatch.setattr(equivalence, "march_spin", no_march)
+    assert main(["--output-dir", str(tmp_path), "equiv-check", "spinrun",
+                 "--ladder", "32,16"]) == 2
+    assert "kappa = 9 is at or past the Nyquist mode of 16 points" in _one_error_line(capsys)
     assert not (tmp_path / "spinrun" / "equiv_report.json").exists()
 
 

@@ -1,19 +1,24 @@
 """The CLI contract under edge inputs: every config key and every parameter
 of a built-in initial-condition generator, one at a time, set to 0, +-1,
-+-1e-300, +-1e300, 0.5 or a word, on 16 x 16 spin and NLS runs.
++-1e-300, +-1e300, 0.5 or a word, on 16 x 16 spin and NLS runs; and every
+MFLD1 header field, one at a time, set to 0, +-1, 1e300, nan, inf, a word
+or 2**31, in an initial-condition file and in a run's slice as `frame`,
+`charges` and `lax-check` read it.
 
 Each case runs `cli.main` in process and must exit 0, 2 or 3; a run that
 fails prints exactly one stderr line and no numpy RuntimeWarning; a refused
 run (exit 2) writes nothing and any other writes only into its run
 directory; and a value that is no integer is refused for a key or a
-generator parameter that takes one.  The cases are every (key, value) pair,
-so no case is drawn at random.
+generator parameter that takes one.  A header case must exit 0, 2 or 3 too,
+a failure as one stderr line that names the file.  The cases are every
+(key, value) pair, so no case is drawn at random.
 
 A case whose run would take more than RUN_BUDGET steps is never started:
 its config goes to `_run_length` alone, which must refuse it.
 """
 
 import inspect
+import json
 import math
 import warnings
 
@@ -118,3 +123,80 @@ def test_edge_value_keeps_the_cli_contract(tmp_path, monkeypatch, capsys, base, 
         assert written == set()
     if KEYS[base][key] == int and _not_integral(value):
         assert code == 2 and key in err
+
+
+# ---------------------------------------------------------------------------
+# MFLD1 header fields: an initial-condition file, and a run's slice as
+# `frame`, `charges` and `lax-check` read it
+# ---------------------------------------------------------------------------
+
+HEADER_FIELDS = ("nx", "ny", "ncomp", "lx", "ly")
+# 2**31 points (or components) claim a payload far past the file's: refused
+# as truncated before anything is allocated, so no payload is ever written
+# to match it
+HEADER_VALUES = ("0", "1", "-1", "1e300", "nan", "inf", "abc", str(2**31))
+READERS = {  # the command line of each reader, on the directory of `runs`
+    "init-spin": lambda root: ["simulate-spin", str(root / "init-spin.cfg")],
+    "init-nls": lambda root: ["simulate-nls", str(root / "init-nls.cfg")],
+    "frame": lambda root: ["frame", "spin"],
+    "charges": lambda root: ["charges", "spin"],
+    "lax-check-spin": lambda root: ["lax-check", "spin", "--spin-side", "--lambda", "0.3,0.1"],
+    "lax-check-nls": lambda root: ["lax-check", "nls", "--lambda", "0.3,0.1"],
+}
+HEADER_CASES = [(reader, name, value) for reader in READERS
+                for name in HEADER_FIELDS for value in HEADER_VALUES]
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """16 x 16 spin and NLS runs, in the directories spin and nls, of the
+    three or more slices lax-check needs, and a config of each side that
+    starts from its run's first slice, copied to init-<side>.mfld1."""
+    root = tmp_path_factory.mktemp("runs")
+    for side in ("spin", "nls"):
+        command, _ = BASES[side]
+        (root / f"{side}.cfg").write_text(_text(side, "output_dir", side))
+        assert main(["--output-dir", str(root), command, str(root / f"{side}.cfg")]) == 0
+        init = root / f"init-{side}.mfld1"
+        init.write_bytes((root / side / f"{side}_000000.mfld1").read_bytes())
+        (root / f"init-{side}.cfg").write_text(_text(side, f"{side}.init", init))
+    return root
+
+
+def _with_header(path, name, value):
+    """Rewrite the header field `name` of the MFLD1 file at path to value,
+    the payload left as it is."""
+    head, _, payload = path.read_bytes().partition(b"\n")
+    fields = head.split()
+    fields[1 + HEADER_FIELDS.index(name)] = value.encode()
+    path.write_bytes(b" ".join(fields) + b"\n" + payload)
+
+
+@pytest.mark.parametrize("reader, name, value", HEADER_CASES,
+                         ids=[f"{r}-{n}-{v}" for r, n, v in HEADER_CASES])
+def test_mfld1_header_edge_value_keeps_the_cli_contract(runs, capsys, reader, name, value):
+    """One header field of the file the command reads set to an edge value:
+    the command exits 0, 2 or 3, and a failure is one line that names the
+    file, with no traceback and no RuntimeWarning."""
+    if reader.startswith("init"):
+        path = runs / f"{reader}.mfld1"
+    else:
+        side = "nls" if reader.endswith("nls") else "spin"
+        meta = json.loads((runs / side / "meta.json").read_text())
+        path = runs / side / meta["slices"][len(meta["slices"]) // 2]
+    original = path.read_bytes()
+    _with_header(path, name, value)
+    try:
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--output-dir", str(runs), *READERS[reader](runs)])
+    finally:
+        path.write_bytes(original)
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code in (0, 2, 3)
+    if code != 0:
+        assert err.startswith("error: " if code == 2 else "numerical abort: "), err
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert str(path) in err

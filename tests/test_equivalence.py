@@ -85,8 +85,8 @@ def test_q_quantized_linear_phase_folds_exactly(grid):
 
 
 def test_slice_map_is_q_from_the_projected_coefficients(grid):
-    """The slice map, which forms k and tau alone, gives the bits of
-    q_from_spin on coeffs_from_frame, with and without a forced fold mode."""
+    """The slice map gives the bits of q_from_spin on coeffs_from_frame,
+    with and without a forced fold mode."""
     from m3lab.equivalence import _slice_to_q
     S = init_modulated_helix(grid, kappa=1, eps=0.1)
     F = frame_from_spin(grid, S)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from m3lab.errors import ConfigError, FieldError, M3LabError, UnstableStepError
+from m3lab.errors import ConfigError, FieldError, M3LabError, ParameterError, UnstableStepError
 from m3lab.fields import (
     DENSE_MAX_N,
     EINSUM_ORDER,
@@ -12,6 +12,7 @@ from m3lab.fields import (
     _inv_dx,
     _spectral_antideriv,
     _spectral_deriv,
+    check_mode,
     cross_planes,
     ddx,
     ddy,
@@ -626,3 +627,14 @@ def test_mfld1_header_format(tmp_path):
     header = path.read_bytes().split(b"\n", 1)[0].split()
     assert header[0] == b"MFLD1"
     assert [int(header[1]), int(header[2]), int(header[3])] == [8, 16, 1]
+
+
+@pytest.mark.parametrize("n, kept, refused", [(16, 7, 8), (17, 8, 9)])
+def test_check_mode_refuses_the_nyquist_mode_and_past(n, kept, refused):
+    """A mode number must lie below n/2: on an odd axis the last resolved
+    mode (n - 1)/2 is kept, on an even one the Nyquist mode n/2 is refused."""
+    for m in (kept, -kept):
+        check_mode("k", m, n)
+    for m in (refused, -refused, refused + n, 10**300):
+        with pytest.raises(ParameterError, match=f"k = {m} is at or past"):
+            check_mode("k", m, n)

@@ -1,9 +1,10 @@
 """Guards on the package's sources: a light CLI import, no unused imports,
 no dead private names, no default that no call overrides, no identity
-probe in the frame layer, one vector layout, one MFLD1 reader, one writer
-of run directories, no parameter check called for its side effect alone, a
-README layout that names every module and no run file a simulate command
-would not clean up."""
+probe in the frame layer, one vector layout, one MFLD1 reader and one CLI
+function that calls it, no private frames name used outside frames but
+the workspace and the densities, one writer of run directories, no
+parameter check called for its side effect alone, a README layout that
+names every module and no run file a simulate command would not clean up."""
 
 import ast
 import fnmatch
@@ -316,6 +317,77 @@ def test_binary_read_check_sees_a_second_reader(tmp_path):
     assert binary_reads([tmp_path / "a.py"]) == [
         "a.py:5: open", "a.py:7: open", "a.py:9: open", "a.py:10: read_bytes",
         "a.py:11: fromfile"]
+
+
+def mfld1_readers(path) -> list:
+    """Top-level functions of the module that call read_mfld1, by name or
+    as an attribute, nested functions counted in theirs."""
+    return sorted({fn.name for fn in ast.parse(path.read_text()).body
+                   if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn) if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", getattr(node.func, "attr", None)) == "read_mfld1"})
+
+
+def test_cli_reads_mfld1_in_one_function():
+    """An initial-condition file and a run's slice are read through one
+    checked reader, which checks a file's grid and components before
+    read_mfld1 reads its payload."""
+    assert mfld1_readers(SRC / "m3lab" / "cli.py") == ["_read_checked"]
+
+
+def test_mfld1_reader_check_sees_a_second_reader(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "from . import fields\n\n"
+        "def _read_checked(path):\n    from .fields import read_mfld1\n"
+        "    return read_mfld1(path)[1]\n\n"
+        "def _load_slice(path):\n    return _read_checked(path)\n\n"
+        "def _spin_from_file(path):\n"
+        "    def check(grid, ncomp):\n        pass\n"
+        "    def read():\n        return fields.read_mfld1(path, None, check)\n"
+        "    return read()\n")
+    assert mfld1_readers(tmp_path / "cli.py") == ["_read_checked", "_spin_from_file"]
+
+
+# the private frames names a module may import: the workspace, which a
+# command makes once for every slice, and the densities that charges reads
+PRIVATE_FRAMES_NAMES = {("cli.py", "_Workspace"), ("equivalence.py", "_Workspace"),
+                        ("invariants.py", "_Workspace"), ("invariants.py", "_densities")}
+
+
+def private_frames_names(paths) -> list:
+    """(module file, name) of each private name of frames that the modules
+    import from it or read as an attribute of it."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "frames":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "frames":
+                names = [node.attr]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name.startswith("_") and not name.startswith("__")]
+    return sorted(found)
+
+
+def test_frame_layer_internals_stay_in_frames():
+    """Outside frames, a module imports no private frames name but the
+    workspace and the densities: the projection of a frame, its checks
+    and its derivatives are reached through coeffs_from_frame."""
+    used = private_frames_names([p for p in MODULES if p.name != "frames.py"])
+    assert set(used) - PRIVATE_FRAMES_NAMES == set()
+
+
+def test_private_frames_name_check_sees_a_leftover(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from . import frames\n"
+        "from .frames import _Workspace, _project, coeffs_from_frame\n\n"
+        "def f(grid, F):\n"
+        "    from m3lab.frames import _vectors\n"
+        "    return frames._triple, frames.__name__, _vectors(F), _Workspace, _project\n")
+    assert private_frames_names([tmp_path / "a.py"]) == [
+        ("a.py", "_Workspace"), ("a.py", "_project"), ("a.py", "_triple"), ("a.py", "_vectors")]
 
 
 def run_dir_writers(path) -> tuple:
