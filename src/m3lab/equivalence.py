@@ -22,7 +22,7 @@ D_x(a o b) = a_x b - a b_x.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,45 +54,24 @@ class EquivReport:
     residual_v: float                    # constraint v_x = (pq)_y
     v_cross: float                       # spin-side v versus q-side v
     ladder: list = field(default_factory=list)   # (h, residual_q) pairs
-    order: float = float("nan")          # NaN below two ladder sizes; null in as_dict
+    order: float = float("nan")          # NaN below two ladder sizes; JSON null in as_dict
     obstruction: dict = field(default_factory=dict)
     initial: list = field(default_factory=list)  # per rung: n, masked_fraction, Q of S0
 
     def as_dict(self) -> dict:
-        return {
-            "residual_q": self.residual_q,
-            "residual_p": self.residual_p,
-            "residual_v": self.residual_v,
-            "v_cross": self.v_cross,
-            "ladder": [[h, r] for h, r in self.ladder],
-            "order": self.order if np.isfinite(self.order) else None,  # JSON has no NaN
-            "obstruction": self.obstruction,
-            "initial": self.initial,
-        }
+        return {**asdict(self), "order": self.order if np.isfinite(self.order) else None}
 
 
-def q_from_spin(grid: Grid2, coeffs: FrameCoeffs, par: SpinParams,
-                modified: bool = False, sqrt_variant: bool = False,
-                fold_mode: int = None):
-    """Complex field from Frenet data.
+def q_from_spin(grid: Grid2, coeffs: FrameCoeffs, par: SpinParams, fold_mode: int = None):
+    """Complex field from Frenet data: amplitude k/(2(2cl+d)), phase
+    2l(cl+d) x - inv_dx(tau).
 
-    Amplitude k/(2(2cl+d)); with modified=True the amplitude becomes
-    (k^2 + sigma^2)/(2(2cl+d)) as stated for the sigma-bearing gauge, or
-    sqrt(k^2 + sigma^2)/(2(2cl+d)) with sqrt_variant=True (the dimensionally
-    consistent alternative; kept behind this flag).
-
-    The phase is 2l(cl+d) x - inv_dx(tau).  The x-linear coefficient
-    (drift minus the mean of tau) is snapped to the nearest periodic mode
-    2*pi*m/lx; pass fold_mode to force m (needed when comparing slices).
-    Returns (q, info) where info quantifies the snapping defect and the
-    spread of the per-row tau means.
+    The x-linear coefficient of the phase (drift minus the mean of tau) is
+    snapped to the nearest periodic mode 2*pi*m/lx; pass fold_mode to force
+    m (needed when comparing slices).  Returns (q, info) where info
+    quantifies the snapping defect and the spread of the per-row tau means.
     """
-    if modified:
-        amp2 = coeffs.k**2 + coeffs.sigma**2
-        amp = (np.sqrt(amp2) if sqrt_variant else amp2) / (2.0 * par.denom)
-    else:
-        amp = coeffs.k / (2.0 * par.denom)
-
+    amp = coeffs.k / (2.0 * par.denom)
     phase_fluct, tau_row_mean = inv_dx(grid, coeffs.tau)
     mu = float(np.mean(tau_row_mean))
     linear = par.drift - mu
@@ -203,10 +182,7 @@ def l_equiv_check(par: SpinParams, make_initial, sizes=(32, 64, 128),
                               scheme, v_spin=s1.v)
         ladder.append((grid.hx, last["residual_q"]))
     order = fit_order([h for h, _ in ladder], [r for _, r in ladder])
-    return EquivReport(residual_q=last["residual_q"], residual_p=last["residual_p"],
-                       residual_v=last["residual_v"], v_cross=last["v_cross"],
-                       ladder=ladder, order=order, obstruction=last["obstruction"],
-                       initial=initial)
+    return EquivReport(**last, ladder=ladder, order=order, initial=initial)
 
 
 # ---------------------------------------------------------------------------

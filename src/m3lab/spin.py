@@ -64,7 +64,7 @@ from .fields import (
 DENOM_TOL = 1e-12        # rejection threshold for |2cl+d|
 DT_FACTOR = 0.2          # default dt = DT_FACTOR * hx * hy
 RENORM_LIMIT = 1e-3      # step rejected beyond this renormalization correction
-STATE_TOL = 1e-9         # SpinState.validate: max | |S| - 1 | and max |row mean| of u, v
+STATE_TOL = 1e-9         # check_unit: max | |S| - 1 |
 
 _MODELS = ("M1", "M2", "M3")
 
@@ -117,13 +117,6 @@ class SpinState:
     renorm: float = 0.0      # max |1 - |S|| removed by the step that made S
     u_row_mean: float = 0.0  # max |row mean| of the u integrand (topological obstruction)
     v_row_mean: float = 0.0  # max |row mean| of the v integrand
-
-    def validate(self) -> None:
-        check_unit(self.S)
-        for name, f in (("u", self.u), ("v", self.v)):
-            drift = float(np.max(np.abs(np.mean(f, axis=1))))
-            if drift > STATE_TOL:
-                raise ParameterError(f"{name} has nonzero x-mean {drift:.3e}")
 
 
 def check_unit(S: np.ndarray) -> np.ndarray:

@@ -456,6 +456,17 @@ def test_lax_check_scan(nls_run, tmp_path):
     assert len(rows) == 4
 
 
+def test_lax_check_of_one_lambda_removes_an_earlier_scan(nls_run, tmp_path):
+    """A one-lambda report does not sit beside the scan of an earlier call."""
+    assert main(["--output-dir", str(tmp_path), "lax-check", "nlsrun",
+                 "--lambda", "0.3,0.1", "--lambda=-0.2,0.4"]) == 0
+    assert (nls_run / "lax_scan.csv").exists()
+    assert main(["--output-dir", str(tmp_path), "lax-check", "nlsrun",
+                 "--lambda", "0.5,0.0"]) == 0
+    assert len(json.loads((nls_run / "lax_report.json").read_text())["results"]) == 1
+    assert not (nls_run / "lax_scan.csv").exists()
+
+
 def test_lax_check_negative_lambda_separated(nls_run, tmp_path):
     assert main(["--output-dir", str(tmp_path), "lax-check", "nlsrun",
                  "--lambda", "-0.2,0.4", "--lambda=-0.2,0.4"]) == 0
@@ -486,8 +497,8 @@ def test_lax_check_spin_side(spin_run, tmp_path):
                  "--lambda", "0.4,0.2", "--spin-side"]) == 0
     rep = json.loads((spin_run / "lax_report.json").read_text())
     entry = rep["results"][0]
-    assert entry["trace_U_factored"] < 1e-12
-    assert entry["trace_V_factored"] < 1e-12
+    assert sorted(entry) == ["lam", "trace_V_split"]  # the traces that are 0.0 by construction go
+    assert entry["lam"] == [0.4, 0.2] and entry["trace_V_split"] > 0.0
 
 
 LAX_CFGS = {"spin": SPIN_CFG, "nls": NLS_CFG,

@@ -109,21 +109,19 @@ def test_q_rejects_vanishing_denominator(grid):
 
 
 def test_modified_amplitude_disagreement_witness(grid):
-    """In the Frenet gauge the modified map squares the curvature: the two
-    maps agree exactly when k = 1 and differ by the factor k otherwise."""
-    F1 = frame_from_spin(grid, helix_field(grid, kappa=1))
-    co1 = coeffs_from_frame(grid, F1)
-    q_a, _ = q_from_spin(grid, co1, PAR_M1)
-    q_m, _ = q_from_spin(grid, co1, PAR_M1, modified=True)
-    assert max_norm(q_m - q_a) < 1e-12            # k = 1: identical
-
-    F2 = frame_from_spin(grid, helix_field(grid, kappa=2))
-    co2 = coeffs_from_frame(grid, F2)
-    q_a2, _ = q_from_spin(grid, co2, PAR_M1, fold_mode=0)
-    q_m2, _ = q_from_spin(grid, co2, PAR_M1, fold_mode=0, modified=True)
-    assert max_norm(q_m2 - 2.0 * q_a2) < 1e-10    # amplitude k^2/2 vs k/2, k = 2
-    q_s2, _ = q_from_spin(grid, co2, PAR_M1, fold_mode=0, modified=True, sqrt_variant=True)
-    assert max_norm(q_s2 - q_a2) < 1e-10          # sqrt variant restores k/2
+    """The paper prints the sigma-bearing gauge's amplitude as
+    (k^2 + sigma^2)/(2(2cl+d)).  In the Frenet gauge that squares the
+    curvature: it agrees with the map's k/(2(2cl+d)) exactly when k = 1 and
+    is k times it otherwise, and its square root sqrt(k^2 + sigma^2) gives k
+    back.  Both amplitudes are formed here from the projected coefficients."""
+    denom2 = 2.0 * PAR_M1.denom
+    for kappa, tol in ((1, 1e-12), (2, 1e-10)):    # k = 1: the two amplitudes agree
+        co = coeffs_from_frame(grid, frame_from_spin(grid, helix_field(grid, kappa=kappa)))
+        amp = np.abs(q_from_spin(grid, co, PAR_M1, fold_mode=0)[0])
+        assert max_norm(amp - co.k / denom2) < 1e-12              # the map's amplitude
+        printed = (co.k**2 + co.sigma**2) / denom2
+        assert max_norm(printed - kappa * amp) < tol              # k^2/2 vs k/2
+        assert max_norm(np.sqrt(co.k**2 + co.sigma**2) / denom2 - amp) < 1e-10
 
 
 # ---------------------------------------------------------------------------

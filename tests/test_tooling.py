@@ -1,10 +1,11 @@
 """Guards on the package's sources: a light CLI import, no unused imports,
-no dead private names, no default that no call overrides, no identity
-probe in the frame layer, one vector layout, one MFLD1 reader and one CLI
-function that calls it, no private frames name used outside frames but
-the workspace and the densities, one writer of run directories, no
-parameter check called for its side effect alone, a README layout that
-names every module and no run file a simulate command would not clean up."""
+no dead private names, no default that no call overrides, no boolean
+option that only unit tests set, no identity probe in the frame layer, one
+vector layout, one MFLD1 reader and one CLI function that calls it, no
+private frames name used outside frames but the workspace and the
+densities, one writer of run directories, no parameter check called for
+its side effect alone, a README layout that names every module and no run
+file a simulate command would not clean up."""
 
 import ast
 import fnmatch
@@ -112,12 +113,13 @@ def test_dead_private_name_check_sees_a_leftover(tmp_path):
 CALLERS = sorted(p for d in ("src", "tests", "perfbench") for p in (SRC.parent / d).rglob("*.py"))
 
 
-def unset_defaults(defining, calling, exempt) -> list:
+def unset_defaults(defining, calling, exempt, checked=lambda default: True) -> list:
     """Defaulted parameters of the functions and methods (not __init__) of
     the modules `defining` that no call in the modules `calling` passes, by
     name or by position; what a call passes through *args or **kwargs
     counts for neither.  Calls are matched to definitions by name; a
-    method takes its first parameter from the object it is called on."""
+    method takes its first parameter from the object it is called on.
+    Only parameters whose default expression passes `checked` are listed."""
     calls = {}
     for path in calling:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -134,14 +136,15 @@ def unset_defaults(defining, calling, exempt) -> list:
             if not isinstance(fn, ast.FunctionDef) or fn.name == "__init__":
                 continue
             pos = fn.args.posonlyargs + fn.args.args
-            defaulted = [(i, a.arg) for i, a in enumerate(pos)
-                         if i >= len(pos) - len(fn.args.defaults)]
-            defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
-                          if d is not None]
+            first = len(pos) - len(fn.args.defaults)
+            defaulted = [(i, a.arg, d) for i, (a, d) in
+                         enumerate(zip(pos[first:], fn.args.defaults), first)]
+            defaulted += [(None, a.arg, d) for a, d in zip(fn.args.kwonlyargs,
+                                                           fn.args.kw_defaults) if d is not None]
             shift = fn in methods and not any(getattr(d, "id", "") == "staticmethod"
                                                for d in fn.decorator_list)
-            for i, arg in defaulted:
-                if arg in exempt or (fn.name, arg) in exempt:
+            for i, arg, default in defaulted:
+                if arg in exempt or (fn.name, arg) in exempt or not checked(default):
                     continue
                 if not any(arg in kws or (i is not None and n_pos + shift > i)
                            for n_pos, kws in calls.get(fn.name, [])):
@@ -172,6 +175,27 @@ def test_unset_default_check_sees_a_leftover(tmp_path):
                                    "g(**{'y': 1})\n")
     assert unset_defaults([tmp_path / "a.py"], [tmp_path / "b.py"], {"scheme"}) == [
         "a.py:1: f(tol)", "a.py:11: m(b)", "a.py:15: s(a)"]
+
+
+def bool_default(default) -> bool:
+    return isinstance(default, ast.Constant) and isinstance(default.value, bool)
+
+
+def test_no_boolean_option_is_set_by_tests_alone():
+    """A bool default that only unit tests set is a branch no program path
+    takes: the calls that count are those of the package and of the
+    acceptance criteria."""
+    callers = MODULES + [SRC.parent / "tests" / "test_acceptance.py"]
+    assert unset_defaults(MODULES, callers, set(), bool_default) == []
+
+
+def test_boolean_option_check_sees_one_set_by_tests_alone(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x, fast=False, tol=1.0, *, strict=True, name=None):\n    pass\n\n"
+        "def g(x, verbose=False, flag=0):\n    pass\n")
+    (tmp_path / "b.py").write_text("g(1, verbose=True)\n")
+    assert unset_defaults([tmp_path / "a.py"], [tmp_path / "b.py"], set(), bool_default) == [
+        "a.py:1: f(fast)", "a.py:1: f(strict)"]
 
 
 def identity_probes(paths) -> list:
