@@ -21,6 +21,7 @@ light and pulls the numerical modules in lazily.
 
 import argparse
 import fnmatch
+import functools
 import hashlib
 import inspect
 import json
@@ -245,13 +246,16 @@ def _make_initial(cfg: RunConfig, side: str):
     return lambda grid: gen(grid, **args)
 
 
-def _run_length(cfg: RunConfig, grid):
-    """(dt, n_steps) of a simulate run; dt = 0 picks the default step.  A dt
+def _run_length(cfg: RunConfig, grid, default=None):
+    """(dt, n_steps) of a simulate run; dt = 0 picks the default step:
+    default(), a function of no argument that a simulate command passes
+    (it makes the initial state, and a spin run gives that state's step),
+    or fields.default_dt(grid) where there is none or it gives None.  A dt
     beyond the step bound, a t_end that rounds to no step, or a run beyond
-    MAX_STEPS, MAX_SLICES or MAX_CELLS, is refused before the run allocates
-    or writes anything."""
-    from .fields import checked_dt
-    from .spin import default_dt
+    MAX_STEPS, MAX_SLICES or MAX_CELLS, is refused before the run writes
+    anything, and every refusal that needs no step before default() is
+    called."""
+    from .fields import checked_dt, default_dt
     dt, t_end, save_every = cfg["dt"], cfg["t_end"], cfg["save_every"]
     if dt < 0.0:
         raise ConfigError(f"dt must be non-negative, got {dt!r}")
@@ -261,7 +265,7 @@ def _run_length(cfg: RunConfig, grid):
         raise ConfigError(f"save_every must be at least 1, got {save_every}")
     if grid.nx * grid.ny > MAX_CELLS:
         raise ConfigError(f"grid of {grid.nx} x {grid.ny} points exceeds {MAX_CELLS}")
-    dt = checked_dt(grid, dt if dt > 0.0 else default_dt(grid))
+    dt = checked_dt(grid, dt or (default and default()) or default_dt(grid))
     if not t_end / dt <= MAX_STEPS:
         raise ConfigError(f"t_end / dt = {t_end / dt:.3e} steps exceeds {MAX_STEPS}")
     n_steps = int(round(t_end / dt))
@@ -325,26 +329,31 @@ def _run_dir(args, cfg: RunConfig) -> str:
     return out
 
 
-def _simulate(args, kind: str, start, payload, finish) -> int:
+def _simulate(args, kind: str, load, step, march, payload, finish) -> int:
     """Run the config args.config names and write its `kind` run directory.
 
-    Every refusal comes first: the config, the parameters, the initial
-    field, the run length, and whatever start(grid, par, initial, dt,
-    n_steps, save_every, scheme) checks before it returns the march.  Then
-    _run_dir clears the directory, and each state the march yields is
-    written as <kind>_NNNNNN.mfld1 and let go before the march makes the
-    next: payload(par, st) gives its planes and stacks and its scalars, each
-    a per-slice list of meta.json.  finish(out, cfg, meta) writes the run's
-    own table and completes meta, and meta.json comes last, so a run that
-    aborts leaves slices that no command reads as a run.
+    Every refusal comes first: the config, the parameters, the run length
+    (_run_length) and the initial field, which load(grid, initial, par,
+    scheme=scheme) makes a state of.  A run at dt = 0 makes that state
+    inside _run_length and steps at step(grid, par, state) (a spin run's
+    own; None keeps the grid's default).  Then _run_dir clears the
+    directory, and each state that march(grid, state, par, dt, n_steps,
+    save_every, scheme) yields is written as <kind>_NNNNNN.mfld1 and let go
+    before the march makes the next: payload(par, st) gives its planes and
+    stacks and its scalars, each a per-slice list of meta.json.
+    finish(out, cfg, meta) writes the run's own table and completes meta,
+    and meta.json comes last, so a run that aborts leaves slices that no
+    command reads as a run.
     """
     from .fields import write_mfld1
 
     cfg = RunConfig.load(args.config)
     grid, par, scheme = cfg.grid(), cfg.params(kind), cfg["scheme"]
     make_initial = _make_initial(cfg, kind)
-    dt, n_steps = _run_length(cfg, grid)
-    states = start(grid, par, make_initial(grid), dt, n_steps, cfg["save_every"], scheme)
+    initial = functools.cache(lambda: load(grid, make_initial(grid), par, scheme=scheme))
+    dt, n_steps = _run_length(cfg, grid, lambda: step(grid, par, initial()))
+    states = march(grid, initial(), par, dt, n_steps, cfg["save_every"], scheme)
+    del initial  # the march lets go of the initial state once it is written
     out = _run_dir(args, cfg)
     meta = {"kind": kind, "config_hash": cfg.sha, "config": cfg.values, "env": _env(),
             "dt": dt, "times": [], "slices": []}
@@ -368,11 +377,7 @@ def _simulate(args, kind: str, start, payload, finish) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate_spin(args) -> int:
-    from .spin import check_unit, make_state, march_spin
-
-    def start(grid, par, S, dt, n_steps, save_every, scheme):
-        state = make_state(grid, check_unit(S), par, scheme=scheme)
-        return march_spin(grid, state, par, dt, n_steps, save_every, scheme)
+    from .spin import check_unit, make_state, march_spin, stable_dt
 
     def invariants(out, cfg, meta):
         meta["max_renorm"] = max(meta["renorm"])
@@ -380,23 +385,25 @@ def cmd_simulate_spin(args) -> int:
                                              meta["times"], _spin_reader(out, meta, cfg),
                                              cfg["scheme"])
 
-    return _simulate(args, "spin", start, lambda par, st: ((st.S, st.u, st.v), {
-        "renorm": st.renorm, "u_row_mean": st.u_row_mean, "v_row_mean": st.v_row_mean}),
-        invariants)
+    return _simulate(args, "spin",
+                     lambda grid, S, par, scheme: make_state(grid, check_unit(S), par,
+                                                             scheme=scheme),
+                     stable_dt, march_spin,
+                     lambda par, st: ((st.S, st.u, st.v), {
+                         "renorm": st.renorm, "u_row_mean": st.u_row_mean,
+                         "v_row_mean": st.v_row_mean, "tail": st.tail}),
+                     invariants)
 
 
 def cmd_simulate_nls(args) -> int:
     import numpy as np
     from .nls import _paired, make_state, march_nls
 
-    def start(grid, par, q, dt, n_steps, save_every, scheme):
-        return march_nls(grid, make_state(grid, q, par, scheme=scheme), par, dt, n_steps,
-                         save_every, scheme)
-
     def payload(par, st):
         p = _paired(st.q, par.beta)
         return (st.q.real, st.q.imag, p.real, p.imag, st.v), {
-            "max_abs_q": float(np.max(np.abs(st.q))), "v_row_mean": st.v_row_mean}
+            "max_abs_q": float(np.max(np.abs(st.q))), "v_row_mean": st.v_row_mean,
+            "tail": st.tail}
 
     def norms(out, cfg, meta):
         """norms.csv, which takes max |q| of each slice out of meta."""
@@ -405,7 +412,8 @@ def cmd_simulate_nls(args) -> int:
             for t, peak in zip(meta["times"], meta.pop("max_abs_q")):
                 fh.write(f"{t!r},{peak!r}\n")
 
-    return _simulate(args, "nls", start, payload, norms)
+    return _simulate(args, "nls", make_state, lambda grid, par, state: None, march_nls,
+                     payload, norms)
 
 
 def _open_run(args, kind: str):

@@ -41,7 +41,7 @@ from .fields import (
 from .frames import (FrameCoeffs, FrameField, _Workspace, charge_density, coeffs_from_frame,
                      frame_from_spin)
 from .nls import NlsParams, nls_rhs, solve_v_nls
-from .spin import SpinParams, default_dt, make_state, march_spin
+from .spin import SpinParams, make_state, march_spin, stable_dt
 
 TWO_PI = 2.0 * np.pi
 FRAME_MASK_LIMIT = 0.10   # abort the equivalence check beyond this mask fraction
@@ -56,7 +56,7 @@ class EquivReport:
     ladder: list = field(default_factory=list)   # (h, residual_q) pairs
     order: float = float("nan")          # NaN below two ladder sizes; JSON null in as_dict
     obstruction: dict = field(default_factory=dict)
-    initial: list = field(default_factory=list)  # per rung: n, masked_fraction, Q of S0
+    initial: list = field(default_factory=list)  # per rung: n, masked_fraction, Q, tail of S0
 
     def as_dict(self) -> dict:
         return {**asdict(self), "order": self.order if np.isfinite(self.order) else None}
@@ -160,7 +160,10 @@ def l_equiv_check(par: SpinParams, make_initial, sizes=(32, 64, 128),
     three slices are held, and the residuals are taken on them.  Every
     rung's initial field is checked against FRAME_MASK_LIMIT before the
     first march, and every slice the residuals read again after it; the
-    report records each rung's initial masked fraction and degree Q.
+    report records each rung's initial masked fraction, degree Q and
+    spectral tail (its initial state's).  Each rung marches at the step its
+    initial state allows (spin.stable_dt), cut to a whole number of steps
+    per delta.
     """
     n0 = sizes[0]
     ladder, initial = [], []
@@ -171,12 +174,14 @@ def l_equiv_check(par: SpinParams, make_initial, sizes=(32, 64, 128),
         frac = _limited_frame(grid, S0, scheme, None, "initial field")[1]
         initial.append({"n": grid.nx, "masked_fraction": frac, "Q": _degree(grid, S0, scheme)})
     del S0
-    for grid in grids:
+    for grid, rung in zip(grids, initial):
         delta = delta0 * n0 / grid.nx
-        spd = max(1, int(np.ceil(delta / default_dt(grid))))
+        state = make_state(grid, make_initial(grid), par, scheme=scheme)
+        rung["tail"] = state.tail
+        spd = max(1, int(np.ceil(delta / stable_dt(grid, par, state))))
         blocks = max(2, int(np.round(t_eval / delta)) + 1)
-        states = march_spin(grid, make_state(grid, make_initial(grid), par, scheme=scheme), par,
-                            delta / spd, blocks * spd, spd, scheme)
+        states = march_spin(grid, state, par, delta / spd, blocks * spd, spd, scheme)
+        del state
         s0, s1, s2 = deque(states, maxlen=3)
         last = equiv_residual(grid, s0.S, s1.S, s2.S, 2.0 * delta, par,
                               scheme, v_spin=s1.v)

@@ -20,7 +20,9 @@ differentiated along others.
 Two derivative schemes are provided: "spectral" (FFT, exact below Nyquist)
 and "central4" (periodic 5-point 4th-order stencil).  The periodic
 antiderivative inv_dx is spectral and zero-mean by construction; the per-row
-mean it discards is returned as a solvability diagnostic.
+mean it discards is returned as a solvability diagnostic.  spectral_tail
+reads how well the grid holds a field: the share of its energy past two
+thirds of the wavenumbers.
 
 Every spectral operator reads one wavenumber table per (n, h), cached:
 the fft wavenumbers with the even-n Nyquist entry set to 0, so the Nyquist
@@ -59,7 +61,8 @@ moves its coefficient dumps by 1.1e-2.  The spin kernel's constraint dots
 sum in component order, as they always have.
 
 The stepping core shared by the spin and NLS solvers also lives here: the
-step bound (checked_dt), one classical RK4 step (rk4) and the march
+step ceiling (max_dt, which checked_dt enforces and of which the NLS
+default_dt is a fraction), one classical RK4 step (rk4) and the march
 protocol (march).  rk4 steps one array, forming its stage state and
 weighted sum in place, in a triple of arrays a march's workspace holds as
 `work`; march yields a march's states, stepping the workspace it loaded.
@@ -81,7 +84,8 @@ from .errors import ConfigError, FieldError, NumericalError, ParameterError
 
 SPECTRAL = "spectral"
 CENTRAL4 = "central4"
-CFL_SAFETY = 0.3         # dt must not exceed CFL_SAFETY * hx * hy
+RK4_LIMIT = 2.0 * 2.0 ** 0.5  # classical RK4 is stable on the imaginary axis up to this
+STEP_SAFETY = 0.9        # a default step is this fraction of RK4's limit
 DENSE_MAX_N = 128        # real spectral operators along axes this short: matrix product
 EINSUM_ORDER = (0, 2, 1)  # dot3's order of summation over the three components
 MFLD1_BLOCK_BYTES = 1 << 16  # payload written through a buffer of about this size
@@ -318,6 +322,37 @@ def integrate2(grid: Grid2, f: np.ndarray) -> float:
     return float(grid.hx * grid.hy * np.sum(f))
 
 
+def spectral_tail(f: np.ndarray) -> float:
+    """How well the grid holds f, an (ny, nx) field or a (k, ny, nx) stack:
+    the root of the energy with |kx| > nx/3 or |ky| > ny/3 over the total,
+    the largest over its planes (a complex field's real and imaginary
+    parts).  Each plane's half spectrum is squared in one buffer, and the
+    band is summed as slices of it.  Rounding when resolved."""
+    f = np.asarray(f)
+    ny, nx = f.shape[-2:]
+    rows, cols = slice(ny // 3 + 1, ny - ny // 3), slice(nx // 3 + 1, None)  # |ky|, kx past 1/3
+    kx = np.arange(nx // 2 + 1)
+    weight = np.where((kx == 0) | (2 * kx == nx), 1.0, 2.0)  # the half spectrum's mirrored columns
+    planes = f.reshape((-1, ny, nx))
+    if np.iscomplexobj(f):
+        planes = [part for p in planes for part in (p.real, p.imag)]
+    F = np.empty((ny, nx // 2 + 1), complex)
+    energy = F.real
+    worst = 0.0
+    for p in planes:
+        np.fft.rfft2(p, out=F)
+        np.square(F.real, out=F.real)
+        np.square(F.imag, out=F.imag)
+        energy += F.imag
+        energy *= weight
+        total = float(np.sum(energy))
+        if total > 0.0:
+            tail = (np.sum(energy[rows]) + np.sum(energy[:rows.start, cols])
+                    + np.sum(energy[rows.stop:, cols]))
+            worst = max(worst, float(np.sqrt(tail / total)))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # 3-vector field algebra
 # ---------------------------------------------------------------------------
@@ -365,10 +400,28 @@ def max_norm(M: np.ndarray) -> float:
 # Time stepping shared by the spin and NLS solvers
 # ---------------------------------------------------------------------------
 
+def max_dt(grid: Grid2, ax: float = 0.0, ay: float = 0.0) -> float:
+    """RK4's imaginary-axis limit over the largest rate kx ky + ax kx + ay ky
+    on the grid's wavenumbers (Nyquist dropped, as by every operator).
+    About a uniform field both models rotate a mode at exactly kx ky, so
+    max_dt(grid) is the exact ceiling of a stable step; the central4
+    wavenumbers are smaller.  ax and ay are first-order rates a field
+    drives (spin.stable_dt).
+    """
+    kx, ky = (float(_wavenumbers(n, h)[(n - 1) // 2])  # the largest entry
+              for n, h in ((grid.nx, grid.hx), (grid.ny, grid.hy)))
+    return RK4_LIMIT / (kx * ky + ax * kx + ay * ky)
+
+
+def default_dt(grid: Grid2) -> float:
+    """The NLS default step: STEP_SAFETY of the ceiling max_dt(grid)."""
+    return STEP_SAFETY * max_dt(grid)
+
+
 def checked_dt(grid: Grid2, dt: float) -> float:
-    """dt, unless outside (0, CFL_SAFETY * hx * hy] (ParameterError): the
-    mixed-derivative dispersive terms of both models bound the step."""
-    bound = CFL_SAFETY * grid.hx * grid.hy
+    """dt, unless outside (0, max_dt(grid)] (ParameterError): past that
+    ceiling the shared dispersive term grows at every step."""
+    bound = max_dt(grid)
     if not 0.0 < dt <= bound * (1.0 + 1e-9):
         raise ParameterError(f"dt = {dt:.3e} outside the stable range (0, {bound:.3e}]")
     return dt

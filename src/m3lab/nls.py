@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import FieldError, NumericalError, ParameterError, UnstableStepError
 from .fields import (SPECTRAL, Grid2, _deriv, _inv_dx, check_finite, check_mode, ddx, ddy, inv_dx,
-                     march, meanx, rk4)
+                     march, meanx, rk4, spectral_tail)
 
 _MODELS = ("M3q", "Zakharov", "Strachan")
 
@@ -70,6 +70,7 @@ class NlsState:
     v: np.ndarray            # (ny, nx) real, zero x-mean
     t: float = 0.0
     v_row_mean: float = 0.0  # max |row mean| of (p q)_y that inv_dx discarded
+    tail: float = 0.0        # spectral tail of q (fields.spectral_tail)
 
 
 def _paired(q: np.ndarray, beta: int) -> np.ndarray:
@@ -134,7 +135,8 @@ def make_state(grid: Grid2, q: np.ndarray, par: NlsParams, t: float = 0.0,
         v, v_x = _paired_v(grid, q, scheme, par.beta, tuple(np.empty(q.shape) for _ in range(3)))
     if not np.all(np.isfinite(v)):
         raise NumericalError(f"v of q is not finite (max |q| = {np.max(np.abs(q)):.3e})")
-    return NlsState(q=q, v=v, t=t, v_row_mean=float(np.max(np.abs(meanx(v_x)))))
+    return NlsState(q=q, v=v, t=t, v_row_mean=float(np.max(np.abs(meanx(v_x)))),
+                    tail=spectral_tail(q))
 
 
 class _Workspace:

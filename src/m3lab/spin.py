@@ -30,7 +30,8 @@ step_rk4_spin advances a loaded workspace in place, and a step that ends
 non-finite aborts before it writes the stack.  march_spin loads the
 initial S and steps that workspace (fields.march); only kept states are
 copied out of it, and each is yielded as it is made, so a caller that
-writes it out (simulate-spin) holds one at a time.
+writes it out (simulate-spin) holds one at a time.  A march's default step
+is stable_dt of its initial state, below the ceiling of fields.checked_dt.
 
 The kinematic decomposition S_t = d2 S_x + d3 S_y (with coefficients read off
 a moving frame) lives here as m0_reduce / m0_residual.
@@ -45,6 +46,7 @@ from .errors import DegenerateFieldError, ParameterError, UnstableStepError
 from .fields import (
     BLOCK_POINTS,
     SPECTRAL,
+    STEP_SAFETY,
     Antideriv,
     Grid2,
     _deriv,
@@ -56,13 +58,14 @@ from .fields import (
     ddy,
     dot3,
     march,
+    max_dt,
     meanx,
     norm3,
     rk4,
+    spectral_tail,
 )
 
 DENOM_TOL = 1e-12        # rejection threshold for |2cl+d|
-DT_FACTOR = 0.2          # default dt = DT_FACTOR * hx * hy
 RENORM_LIMIT = 1e-3      # step rejected beyond this renormalization correction
 STATE_TOL = 1e-9         # check_unit: max | |S| - 1 |
 
@@ -117,6 +120,8 @@ class SpinState:
     renorm: float = 0.0      # max |1 - |S|| removed by the step that made S
     u_row_mean: float = 0.0  # max |row mean| of the u integrand (topological obstruction)
     v_row_mean: float = 0.0  # max |row mean| of the v integrand
+    tail: float = 0.0        # spectral tail of S (fields.spectral_tail)
+    slopes: tuple = (0.0, 0.0)  # max |S_x|, max |S_y|, which stable_dt reads
 
 
 def check_unit(S: np.ndarray) -> np.ndarray:
@@ -220,12 +225,14 @@ def spin_rhs(grid: Grid2, S: np.ndarray, par: SpinParams, scheme=SPECTRAL) -> np
 def _state(grid: Grid2, ws: _Workspace, par: SpinParams, t: float, scheme,
            renorm: float) -> SpinState:
     """The SpinState of the S in the stack of ws, with u, v solved from it
-    (one differentiation of S).  S, u and v are copied out of ws, so the
-    state owns its arrays."""
+    (one differentiation of S).  Its tail and slopes are taken in ws before
+    S, u and v are copied out of it, so the state owns its arrays."""
     _constraints(grid, ws.P, scheme, par, ws)
+    slopes = tuple(float(np.max(norm3(d, ws.length, ws.tmp))) for d in (ws.Sx, ws.Sy))
+    tail = spectral_tail(ws.P)
     return SpinState(S=ws.P.copy(), u=ws.u.copy(), v=ws.v.copy(), t=t, renorm=renorm,
                      u_row_mean=float(np.max(np.abs(meanx(ws.u_x)))),
-                     v_row_mean=float(np.max(np.abs(meanx(ws.v_x)))))
+                     v_row_mean=float(np.max(np.abs(meanx(ws.v_x)))), tail=tail, slopes=slopes)
 
 
 def make_state(grid: Grid2, S: np.ndarray, par: SpinParams, t: float = 0.0,
@@ -235,9 +242,27 @@ def make_state(grid: Grid2, S: np.ndarray, par: SpinParams, t: float = 0.0,
     return _state(grid, _Workspace(grid, S), par, t, scheme, 0.0)
 
 
-def default_dt(grid: Grid2) -> float:
-    """Mixed-derivative dispersive scale: dt = 0.2 hx hy."""
-    return DT_FACTOR * grid.hx * grid.hy
+def stable_dt(grid: Grid2, par: SpinParams, state: SpinState) -> float:
+    """The step a march of state takes by default: STEP_SAFETY of RK4's
+    imaginary-axis limit over rho, the norm of the rate's symbol linearised
+    about state.S with frozen coefficients, at the largest wavenumbers:
+
+      rho = kx ky                                  S ^ s_xy
+          + kx (|S_y| + |u| + 4|c| |v|)            s_x ^ S_y, u s_x, -4c v s_x
+          + ky (|S_x| + |2l(cl+d)|                 S_x ^ s_y, the drift
+                + 2|c| |S_x|^2 / (2cl+d)^2)        -4c dv S_x, dv from v's constraint
+
+    with each magnitude's maximum over the grid.  Terms of order zero in
+    k, and the u constraint's, which reach the tangent modes at O(1), are
+    left out.  rho >= kx ky, so the step stays below the ceiling
+    fields.max_dt(grid).  It reads the u, v and slopes of state, which the
+    constraint solve that made state left: it differentiates nothing.
+    """
+    c = abs(par.c)
+    sx, sy = state.slopes
+    ax = sy + float(np.max(np.abs(state.u))) + 4.0 * c * float(np.max(np.abs(state.v)))
+    ay = sx + abs(par.drift) + 2.0 * c * sx * sx / par.denom ** 2
+    return STEP_SAFETY * max_dt(grid, ax, ay)
 
 
 def step_rk4_spin(grid: Grid2, ws: _Workspace, par: SpinParams, dt: float,
@@ -249,7 +274,11 @@ def step_rk4_spin(grid: Grid2, ws: _Workspace, par: SpinParams, dt: float,
     removed.  The stages run unchecked, every array in ws: the stack was
     checked when loaded, and a step that ends non-finite gives a NaN
     correction, which aborts it (UnstableStepError) before it writes the
-    stack, as a correction beyond RENORM_LIMIT does.
+    stack, as a correction beyond RENORM_LIMIT does.  The abort names the
+    spectral tail of the S the step started from (fields.spectral_tail): a
+    correction that grows linearly with dt on a field of large tail is a
+    rate the grid cannot keep tangent to an unresolved S, not an unstable
+    step.
     """
     # an overflow in a stage ends as a non-finite correction, which aborts
     # below; it needs no warning of its own
@@ -258,7 +287,8 @@ def step_rk4_spin(grid: Grid2, ws: _Workspace, par: SpinParams, dt: float,
         lengths = norm3(T, ws.length, ws.tmp)
         correction = float(np.max(np.abs(np.subtract(lengths, 1.0, out=ws.tmp), out=ws.tmp)))
     if not correction <= RENORM_LIMIT:
-        raise UnstableStepError(f"unstable step: renormalization correction {correction:.3e}")
+        raise UnstableStepError(f"unstable step: renormalization correction {correction:.3e} "
+                                f"(spectral tail of S {spectral_tail(ws.P):.3e})")
     np.divide(T, lengths, out=ws.P)
     return correction
 

@@ -17,7 +17,7 @@ from m3lab.equivalence import (
     l_equiv_check,
     spin_from_fg,
 )
-from m3lab.fields import Grid2, ddx, integrate2, inv_dx, max_norm, meanx, norm3
+from m3lab.fields import Grid2, ddx, default_dt, integrate2, inv_dx, max_norm, meanx, norm3
 from m3lab.frames import coeffs_from_frame, frame_dt, frame_from_spin, mlxii_residual
 from m3lab.invariants import charge_density
 from m3lab.lax import build_lax_q, build_lax_spin, lambda_residual, pauli_identities, \
@@ -33,7 +33,6 @@ from m3lab.nls import (
 )
 from m3lab.spin import (
     SpinParams,
-    default_dt,
     init_modulated_helix,
     init_stereographic_lump,
     make_state as make_spin_state,

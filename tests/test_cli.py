@@ -16,10 +16,10 @@ import m3lab
 from m3lab.cli import (MAX_CELLS, MAX_SLICES, MAX_STEPS, RunConfig, _run_length, build_parser,
                        main, parse_config_text)
 from m3lab.errors import ConfigError
-from m3lab.fields import DENSE_MAX_N, Grid2, read_mfld1, write_mfld1
+from m3lab.fields import DENSE_MAX_N, Grid2, default_dt, read_mfld1, spectral_tail, write_mfld1
 from m3lab.nls import NlsParams, init_plane_wave, march_nls
 from m3lab.nls import make_state as make_nls_state
-from m3lab.spin import SpinParams, default_dt, init_modulated_helix, march_spin
+from m3lab.spin import SpinParams, init_modulated_helix, march_spin, stable_dt
 from m3lab.spin import make_state as make_spin_state
 
 from conftest import smooth_complex
@@ -205,6 +205,60 @@ def test_simulate_spin_meta_diagnostics(tmp_path):
                 == (tmp_path / "b" / "spinrun" / name).read_bytes())
 
 
+@pytest.mark.parametrize("command, cfg_text, run", [
+    ("simulate-spin", SPIN_CFG, "spinrun"), ("simulate-nls", NLS_CFG, "nlsrun")],
+    ids=["spin", "nls"])
+def test_simulate_records_the_tail_of_every_slice(tmp_path, command, cfg_text, run):
+    """meta.json lists the spectral tail of each kept slice's field (S, or
+    q), as it lists renorm: a resolved run reads rounding."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    assert main(["--output-dir", str(tmp_path), command, str(cfg)]) == 0
+    meta = json.loads((tmp_path / run / "meta.json").read_text())
+    assert len(meta["tail"]) == len(meta["slices"])
+    for name, tail in zip(meta["slices"], meta["tail"]):
+        data = read_mfld1(tmp_path / run / name)[1]
+        field = data[:3] if command == "simulate-spin" else data[0] + 1j * data[1]
+        assert tail == spectral_tail(field) < 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+def test_every_config_runs_at_the_step_it_is_given_or_the_rule_gives(tmp_path, name):
+    """Each configs/*.cfg runs to exit 0 as it stands, and again at dt = 0:
+    a spin run then steps at stable_dt of its initial state, an NLS run at
+    the grid's default step, and neither aborts."""
+    cfg = RunConfig.load(os.path.join(CONFIGS, name))
+    with open(os.path.join(CONFIGS, name)) as fh:
+        text = fh.read()
+    kind = "nls" if "nls.init" in text else "spin"
+    for dt in sorted({cfg["dt"], 0.0}, reverse=True):
+        path = tmp_path / name
+        path.write_text(_with(text, dt=repr(dt)))
+        assert main(["--output-dir", str(tmp_path), f"simulate-{kind}", str(path)]) == 0
+        meta = json.loads((tmp_path / cfg["output_dir"] / "meta.json").read_text())
+        grid = cfg.grid()
+        if dt:
+            assert meta["dt"] == dt
+        elif kind == "spin":
+            par = cfg.spin_params()
+            S0 = read_mfld1(tmp_path / cfg["output_dir"] / meta["slices"][0])[1][:3]
+            assert meta["dt"] == stable_dt(grid, par, make_spin_state(grid, S0, par))
+        else:
+            assert meta["dt"] == default_dt(grid)
+
+
+def test_unresolved_field_aborts_naming_its_tail(tmp_path, capsys):
+    """A 16^2 lump of radius_frac 0.5, whose tail is 3.875e-2, aborts its
+    first step at the rule's step too: the one abort line names the tail."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_with(SPIN_CFG, **{"grid.nx": 16, "grid.ny": 16, "params.c": 0.25,
+                                      "spin.init": "stereographic-lump", "spin.init.eps": None,
+                                      "spin.init.kappa": None, "spin.init.radius_frac": 0.5}))
+    assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 3
+    err = _one_error_line(capsys, "numerical abort: step from t = 0: ")
+    assert "(spectral tail of S 3.875e-02)" in err
+
+
 def test_simulate_nls_deterministic(tmp_path):
     a, b = _rerun_files(tmp_path, NLS_CFG, "simulate-nls", "nlsrun")
     assert len(a) >= 3
@@ -225,7 +279,7 @@ def test_simulate_nls_meta_diagnostics(tmp_path):
     assert metas[0] == metas[1]
     meta = json.loads(metas[0])
     n = len(meta["slices"])
-    assert n == 4
+    assert n == 3
     assert "conj_dev" not in meta
     assert len(meta["v_row_mean"]) == n
     assert all(m >= 0.0 for m in meta["v_row_mean"])
@@ -536,6 +590,11 @@ def test_equiv_check_small_ladder(spin_run, tmp_path):
     assert [(r["n"], r["masked_fraction"]) for r in rep["initial"]] == [(16, 0.0), (24, 0.0),
                                                                          (32, 0.0)]
     assert all(abs(r["Q"]) < 1e-12 for r in rep["initial"])
+    # and its spectral tail, which falls to rounding level by n = 32
+    tails = [r["tail"] for r in rep["initial"]]
+    assert tails == [spectral_tail(init_modulated_helix(Grid2(n, n), kappa=1, eps=0.05))
+                     for n in (16, 24, 32)]
+    assert tails[0] > tails[1] > tails[2] and tails[2] < 1e-12
 
 
 def test_equiv_check_one_size_ladder_writes_strict_json(spin_run, tmp_path):
@@ -670,7 +729,7 @@ def test_bad_run_config_exits_2(tmp_path, capsys, command, cfg_text):
     ("simulate-nls", NLS_CFG, "nlsrun", "nls_000000.mfld1")], ids=["spin", "nls"])
 def test_dt_beyond_the_step_bound_leaves_the_run_directory(tmp_path, capsys, command, cfg_text,
                                                            run, slice_name):
-    """A dt beyond CFL_SAFETY hx hy is refused before the run directory is
+    """A dt beyond the step bound max_dt is refused before the run directory is
     touched: an earlier run's files stay and no slice is written."""
     earlier = {"meta.json": "{}\n", slice_name.replace("000000", "000007"): "earlier"}
     (tmp_path / run).mkdir()
@@ -761,7 +820,7 @@ def test_far_from_unit_slice_is_one_error_line(tmp_path, capsys, command):
     8 points of slice 1 of a 16^2 run) is refused where it is read: exit 2,
     one error line naming the file, and no numpy warning before it."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(_with(SPIN_CFG, **{"grid.nx": 16, "grid.ny": 16, "save_every": 1}))
+    cfg.write_text(_with(SPIN_CFG, t_end=0.1, **{"grid.nx": 16, "grid.ny": 16, "save_every": 1}))
     assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 0
     meta = json.loads((tmp_path / "spinrun" / "meta.json").read_text())
     assert len(meta["slices"]) == 3
@@ -890,8 +949,9 @@ COEFF_COMPS = ("k", "sigma", "tau", "m1", "m2", "m3", "w1", "w2", "w3")
 
 def _lump_run(tmp_path, n, slices=5):
     """A lump run of n x n points with every one of slices - 1 steps saved,
-    at the step of configs/lump.cfg relative to hx hy."""
-    dt = 0.5 * default_dt(Grid2(n, n))
+    at the step of configs/lump.cfg relative to hx hy, 0.1 hx hy."""
+    grid = Grid2(n, n)
+    dt = 0.1 * grid.hx * grid.hy
     cfg = tmp_path / "lump.cfg"
     cfg.write_text(_with(SPIN_CFG, **{"grid.nx": n, "grid.ny": n, "params.c": 0.25,
                                       "spin.init": "stereographic-lump", "spin.init.eps": None,
@@ -1027,7 +1087,8 @@ def test_simulate_removes_an_earlier_runs_files(tmp_path, command, cfg_text, run
     write: the earlier run's surplus slices, dumps and reports go."""
     cfg = tmp_path / "run.cfg"
     for save_every in (1, 4):
-        cfg.write_text(_with(cfg_text, save_every=save_every, **{"grid.nx": 16, "grid.ny": 16}))
+        cfg.write_text(_with(cfg_text, save_every=save_every, t_end=0.1,
+                             **{"grid.nx": 16, "grid.ny": 16}))
         assert main(["--output-dir", str(tmp_path), command, str(cfg)]) == 0
         if save_every == 1:
             assert main(["--output-dir", str(tmp_path)] + verify) == 0
@@ -1198,7 +1259,7 @@ def test_simulate_nls_writes_p_as_beta_conj_q(tmp_path, beta):
     cfg.write_text(_with(NLS_CFG, model="M3q", **{"params.c": 0.3, "params.beta": beta}))
     assert main(["--output-dir", str(tmp_path), "simulate-nls", str(cfg)]) == 0
     meta = json.loads((tmp_path / "nlsrun" / "meta.json").read_text())
-    assert len(meta["slices"]) == 4
+    assert len(meta["slices"]) == 3
     for name in meta["slices"]:
         _, data = read_mfld1(tmp_path / "nlsrun" / name)
         re_q, im_q, re_p, im_p = data[:4]

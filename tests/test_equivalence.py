@@ -14,11 +14,10 @@ from m3lab.equivalence import (
     u_from_fg,
 )
 from m3lab.errors import DegenerateFieldError, FieldError, ParameterError
-from m3lab.fields import cross_planes, max_norm, norm3
+from m3lab.fields import cross_planes, default_dt, max_norm, norm3
 from m3lab.frames import coeffs_from_frame, frame_from_spin
 from m3lab.spin import (
     SpinParams,
-    default_dt,
     init_modulated_helix,
     init_uniform,
     make_state,

@@ -7,25 +7,32 @@ from m3lab.errors import ConfigError, FieldError, M3LabError, ParameterError, Un
 from m3lab.fields import (
     DENSE_MAX_N,
     EINSUM_ORDER,
+    RK4_LIMIT,
+    STEP_SAFETY,
     Grid2,
     _deriv,
     _inv_dx,
     _spectral_antideriv,
     _spectral_deriv,
     check_mode,
+    checked_dt,
     cross_planes,
     ddx,
     ddy,
+    default_dt,
     dot3,
     integrate2,
     inv_dx,
     march,
+    max_dt,
     meanx,
     norm3,
     read_mfld1,
     rk4,
+    spectral_tail,
     write_mfld1,
 )
+from m3lab.nls import NlsParams, nls_rhs, solve_v_nls
 from m3lab.spin import SpinParams, make_state, spin_rhs
 
 from conftest import band_limited, smooth_spin
@@ -638,3 +645,104 @@ def test_check_mode_refuses_the_nyquist_mode_and_past(n, kept, refused):
     for m in (refused, -refused, refused + n, 10**300):
         with pytest.raises(ParameterError, match=f"k = {m} is at or past"):
             check_mode("k", m, n)
+
+
+# ---------------------------------------------------------------------------
+# the step ceiling and the spectral tail
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("nx, ny, lx, ly", [(128, 128, TWO_PI, TWO_PI), (16, 24, 20.0, TWO_PI),
+                                            (33, 32, TWO_PI, 3.0)])
+def test_step_ceiling_is_rk4s_limit_over_the_top_wavenumbers(nx, ny, lx, ly):
+    """max_dt is 2 sqrt 2 / (kx ky) at the largest wavenumbers, with the
+    even-n Nyquist entry dropped (0.2957 hx hy at n = 128); checked_dt
+    admits it, and the benchmark's explicit 0.2 hx hy, and refuses past it;
+    the NLS default is STEP_SAFETY of it."""
+    g = Grid2(nx, ny, lx, ly)
+    kx, ky = (TWO_PI / length * ((n - 1) // 2) for n, length in ((nx, lx), (ny, ly)))
+    assert max_dt(g) == pytest.approx(RK4_LIMIT / (kx * ky), rel=1e-14)
+    assert max_dt(g, 2.0, 3.0) == pytest.approx(RK4_LIMIT / (kx * ky + 2.0 * kx + 3.0 * ky),
+                                                rel=1e-14)
+    if nx == ny == 128:
+        assert max_dt(g) / (g.hx * g.hy) == pytest.approx(0.29575, abs=1e-5)
+    assert default_dt(g) == STEP_SAFETY * max_dt(g)
+    for dt in (max_dt(g), default_dt(g), 0.2 * g.hx * g.hy):
+        assert checked_dt(g, dt) == dt
+    for dt in (1.0001 * max_dt(g), 0.0, -default_dt(g)):
+        with pytest.raises(ParameterError, match="outside the stable range"):
+            checked_dt(g, dt)
+
+
+def _top_mode(g):
+    """The phase kx x + ky y of the largest resolved mode of g."""
+    X, Y = g.meshgrid()
+    return (TWO_PI / g.lx * ((g.nx - 1) // 2)) * X + (TWO_PI / g.ly * ((g.ny - 1) // 2)) * Y
+
+
+@pytest.mark.parametrize("side", ["spin", "nls"])
+def test_step_ceiling_is_exact(side):
+    """Both models rotate a small perturbation of a uniform field at the top
+    mode at the rate kx ky, so RK4 grows it past the ceiling and damps it
+    below: at 1.01 max_dt it grows over 40 steps, at 0.99 max_dt it decays.
+    (The steps are written out: rk4 refuses a dt past the ceiling.)"""
+    g = Grid2(32, 32)
+    phase, eps = _top_mode(g), 1e-6
+    if side == "spin":
+        par = SpinParams(c=0.3, d=1.0, l=0.0)
+        y0 = np.stack([eps * np.cos(phase), eps * np.sin(phase),
+                       np.full_like(phase, np.sqrt(1.0 - eps * eps))])
+
+        def rate(S):
+            return spin_rhs(g, S, par)
+
+        def size(S):
+            return float(np.max(np.abs(S[:2])))
+    else:
+        par = NlsParams(c=0.0, d=1.0, model="Zakharov")
+        y0 = eps * np.exp(1j * phase)
+
+        def rate(q):
+            p = np.conj(q)
+            return nls_rhs(g, q, p, solve_v_nls(g, q, p)[0], par)[0]
+
+        def size(q):
+            return float(np.max(np.abs(q)))
+    for factor, grows in ((1.01, True), (0.99, False)):
+        y = y0
+        for _ in range(40):
+            y = _textbook_rk4(rate, y, factor * max_dt(g))
+        assert (size(y) > 2.0 * size(y0)) == grows
+        assert (size(y) < 0.5 * size(y0)) == (not grows)
+
+
+def _full_spectrum_tail(f):
+    """spectral_tail written with one fft2 of every plane."""
+    worst = 0.0
+    for p in f.reshape((-1,) + f.shape[-2:]):
+        for part in ((p.real, p.imag) if np.iscomplexobj(p) else (p,)):
+            ny, nx = part.shape
+            e = np.abs(np.fft.fft2(part)) ** 2
+            ky = np.abs(np.fft.fftfreq(ny, 1.0 / ny))[:, None]
+            kx = np.abs(np.fft.fftfreq(nx, 1.0 / nx))[None, :]
+            if e.sum() > 0.0:
+                worst = max(worst, np.sqrt(e[(kx > nx / 3) | (ky > ny / 3)].sum() / e.sum()))
+    return worst
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (3, 24, 17), (2, 9, 32)])
+def test_spectral_tail_is_the_energy_beyond_two_thirds(rng, shape):
+    """The tail is the root of the energy with |kx| > nx/3 or |ky| > ny/3
+    over the total, the largest over the planes: one low mode reads 0, one
+    mode past the band 1, an equal mix of the two 1/sqrt 2; random real and
+    complex fields read what a full fft2 reads."""
+    ny, nx = shape[-2:]
+    x = TWO_PI * np.arange(nx) / nx
+    y = TWO_PI * np.arange(ny) / ny
+    X, Y = np.meshgrid(x, y)
+    low, high = np.cos(X + 2 * Y), np.sin((nx // 2 - 1) * X)
+    assert spectral_tail(low) < 1e-14
+    assert spectral_tail(high) == pytest.approx(1.0)
+    assert spectral_tail(np.stack([low, low + high])) == pytest.approx(np.sqrt(0.5))
+    assert spectral_tail(np.zeros(shape)) == 0.0
+    for f in (rng.normal(size=shape), rng.normal(size=shape) + 1j * rng.normal(size=shape)):
+        assert spectral_tail(f) == pytest.approx(_full_spectrum_tail(f), rel=1e-12)

@@ -11,6 +11,7 @@ from m3lab.fields import (
     cross_planes,
     ddx,
     ddy,
+    default_dt,
     dot3,
     max_norm,
     norm3,
@@ -30,7 +31,6 @@ from m3lab.frames import (
 from m3lab.invariants import charge_density, charges
 from m3lab.spin import (
     SpinParams,
-    default_dt,
     init_modulated_helix,
     init_stereographic_lump,
     init_uniform,

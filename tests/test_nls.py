@@ -6,7 +6,7 @@ import pytest
 
 from m3lab import nls
 from m3lab.errors import FieldError, NumericalError, ParameterError, UnstableStepError
-from m3lab.fields import DENSE_MAX_N, Grid2, ddx, ddy, inv_dx, meanx, rk4
+from m3lab.fields import DENSE_MAX_N, Grid2, ddx, ddy, default_dt, inv_dx, meanx, rk4, spectral_tail
 from m3lab.nls import (
     NlsParams,
     NlsState,
@@ -19,7 +19,6 @@ from m3lab.nls import (
     solve_v_nls,
     step_rk4_nls,
 )
-from m3lab.spin import default_dt
 
 from conftest import nls_step, smooth_complex
 
@@ -402,3 +401,10 @@ def test_loading_checks_every_q(grid, rng):
                      lambda: nls._Workspace(bad)):
             with pytest.raises(FieldError):
                 call()
+
+
+def test_state_records_the_tail_of_its_q(grid, rng):
+    """Every NLS state, made or kept, carries the spectral tail of its q."""
+    state = make_state(grid, smooth_complex(grid, rng), GEN)
+    for st in run_nls(grid, state, GEN, default_dt(grid), 2):
+        assert st.tail == spectral_tail(st.q) < 1e-8

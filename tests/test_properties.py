@@ -11,12 +11,12 @@ from hypothesis.extra import numpy as hnp
 
 from m3lab.cli import RunConfig, parse_config_text
 from m3lab.errors import M3LabError, UnstableStepError
-from m3lab.fields import Grid2, ddx, inv_dx, meanx, read_mfld1, write_mfld1
+from m3lab.fields import Grid2, ddx, default_dt, inv_dx, meanx, read_mfld1, write_mfld1
 from m3lab.frames import bracket
 from m3lab.invariants import coeff_densities
 from m3lab.lax import _sl2, _sl2_bracket, su2_from_vec
 from m3lab.nls import NlsParams, nls_rhs, solve_v_nls
-from m3lab.spin import SpinParams, default_dt, spin_rhs
+from m3lab.spin import SpinParams, spin_rhs
 
 from conftest import (band_limited, commutator, frame_coeffs, nls_step, smooth_complex,
                       smooth_spin, so3_from_vec, spin_step)

@@ -13,12 +13,25 @@ from m3lab.errors import (
     ParameterError,
     UnstableStepError,
 )
-from m3lab.fields import Grid2, cross_planes, ddx, ddy, dot3, inv_dx, meanx, norm3
+from m3lab.fields import (
+    STEP_SAFETY,
+    Grid2,
+    cross_planes,
+    ddx,
+    ddy,
+    default_dt,
+    dot3,
+    inv_dx,
+    max_dt,
+    meanx,
+    norm3,
+    rk4,
+    spectral_tail,
+)
 from m3lab.frames import coeffs_from_frame, frame_dt, frame_from_spin
 from m3lab.spin import (
     SpinParams,
     SpinState,
-    default_dt,
     init_modulated_helix,
     init_stereographic_lump,
     init_uniform,
@@ -30,6 +43,7 @@ from m3lab.spin import (
     solve_u,
     solve_v,
     spin_rhs,
+    stable_dt,
     step_rk4_spin,
 )
 
@@ -525,3 +539,150 @@ def test_renormalisation_lengths_are_norm3_of_the_field(rng, monkeypatch):
     field = np.ascontiguousarray(np.moveaxis(T, 0, -1))
     assert np.array_equal(ws.length, np.sqrt(np.einsum("...k,...k->...", field, field)))
     assert np.array_equal(ws.P, T / ws.length)
+
+
+# ---------------------------------------------------------------------------
+# the step rule: stable_dt
+# ---------------------------------------------------------------------------
+
+RULE_PARAMS = [SpinParams(c=0.3, d=1.0, l=0.0), SpinParams(c=0.3, d=1.0, l=2.0),
+               SpinParams(c=0.25, d=0.0, l=0.4, model="M2"), SpinParams()]
+
+
+@pytest.mark.parametrize("par", RULE_PARAMS, ids=["M3", "M3-drift", "M2", "M1-slice"])
+def test_stable_dt_stays_below_the_ceiling(rng, par):
+    """rho >= kx ky, so stable_dt <= STEP_SAFETY max_dt <= max_dt for every
+    field: a uniform field with no drift reads STEP_SAFETY max_dt itself,
+    and helices, the lump and random smooth fields read less."""
+    for n in (16, 32, 48):
+        g = Grid2(n, n)
+        fields = [init_modulated_helix(g, 1), init_modulated_helix(g, 3),
+                  init_stereographic_lump(g)] + [smooth_spin(g, rng) for _ in range(3)]
+        for S in fields:
+            assert 0.0 < stable_dt(g, par, make_state(g, S, par)) < STEP_SAFETY * max_dt(g)
+        uniform = stable_dt(g, par, make_state(g, init_uniform(g), par))
+        assert uniform <= STEP_SAFETY * max_dt(g) < max_dt(g)
+        assert (uniform == STEP_SAFETY * max_dt(g)) == (par.drift == 0.0)
+
+
+def _rule_case(name, n):
+    """(grid, par, S0) of a named case of the step rule's no-abort test."""
+    g = Grid2(n, n)
+    if name.startswith("helix"):
+        return g, SpinParams(c=0.3, d=1.0, l=0.0), init_modulated_helix(g, int(name[-1]))
+    if name == "lump":
+        return g, SpinParams(c=0.25, d=1.0, l=0.0), init_stereographic_lump(g, 0.45)
+    return g, SpinParams(c=0.3, d=1.0, l=2.0), init_modulated_helix(g, 1)  # large drift
+
+
+RULE_CASES = ([(f"helix-k{k}", n) for k in (1, 2, 3, 4) for n in (32, 64, 128)]
+              + [("lump", 64), ("lump", 128), ("drift", 32), ("drift", 64)])
+
+
+@pytest.mark.parametrize("name, n", RULE_CASES, ids=[f"{a}-{b}" for a, b in RULE_CASES])
+def test_the_rule_step_marches_without_abort(name, n):
+    """A march at the step the rule chose takes 12 steps with no abort and a
+    renormalisation correction below a tenth of RENORM_LIMIT, and (n <= 64)
+    is in RK4's asymptotic regime: its distance to a march at half the step
+    is over 8x that of the half step to the quarter step (16x at fourth
+    order; an unstable step is not convergent at all).  (The helix at
+    kappa >= 2 and n >= 64 does abort later, at any step, from a mode that
+    the semi-discrete flow itself grows from rounding.)"""
+    g, par, S0 = _rule_case(name, n)
+    state = make_state(g, S0, par)
+    dt = stable_dt(g, par, state)
+    *_, last = march_spin(g, state, par, dt, 12, 12)
+    assert last.renorm < 0.1 * spin.RENORM_LIMIT
+    if n <= 64:
+        *_, half = march_spin(g, state, par, dt / 2, 24, 24)
+        *_, quarter = march_spin(g, state, par, dt / 4, 48, 48)
+        assert np.max(np.abs(last.S - half.S)) > 8.0 * np.max(np.abs(half.S - quarter.S))
+
+
+UNRESOLVED = {"lump-0.5": lambda g: init_stereographic_lump(g, 0.5),
+              "lump-0.45": lambda g: init_stereographic_lump(g, 0.45),
+              "helix-k7": lambda g: init_modulated_helix(g, 7, 0.08)}
+
+
+@pytest.mark.parametrize("name", sorted(UNRESOLVED))
+def test_under_resolved_first_step_is_an_accuracy_limit(name):
+    """The 16^2 fields whose first step aborts at 0.2 hx hy hold a spectral
+    tail of 3.8e-2 or more, and their first-step correction is linear in dt
+    from 0.2 down to 0.05 hx hy: dt max |S . S_t|, the rate the grid cannot
+    keep tangent to an unresolved S.  An unstable step would grow with dt
+    much faster; no step rule rescues these fields."""
+    g = Grid2(16, 16)
+    par = SpinParams(c=0.3, d=1.0, l=0.0)
+    S = UNRESOLVED[name](g)
+    assert spectral_tail(S) >= 3.8e-2
+    rate = spin_rhs(g, S, par)
+    normal = float(np.max(np.abs(dot3(S, rate))))
+    corrections = []
+    for factor in (0.2, 0.1, 0.05):
+        dt = factor * g.hx * g.hy
+        corrections.append(float(np.max(np.abs(norm3(rk4(g, lambda P: spin_rhs(g, P, par), S,
+                                                            dt)) - 1.0))))
+    assert corrections[0] > spin.RENORM_LIMIT
+    for big, small in zip(corrections, corrections[1:]):
+        assert 1.9 < big / small < 2.1
+    dt = 0.05 * g.hx * g.hy
+    assert corrections[-1] == pytest.approx(dt * normal, rel=0.1)
+
+
+def test_abort_names_the_tail_of_the_field_it_stepped_from(monkeypatch):
+    """The renormalisation abort names the spectral tail of the S the step
+    started from, which the step computes on an abort alone."""
+    g = Grid2(16, 16)
+    par = SpinParams(c=0.3, d=1.0, l=0.0)
+    S, helix = init_stereographic_lump(g, 0.5), init_modulated_helix(g)
+    dt, helix_dt = (stable_dt(g, par, make_state(g, f, par)) for f in (S, helix))
+    calls = []
+    monkeypatch.setattr(spin, "spectral_tail", lambda f: calls.append(1) or spectral_tail(f))
+    ws = spin._Workspace(g, helix)
+    for _ in range(4):
+        step_rk4_spin(g, ws, par, helix_dt)
+    assert calls == []
+    with pytest.raises(UnstableStepError, match=f"spectral tail of S {spectral_tail(S):.3e}"):
+        spin_step(g, S, par, dt)
+    assert calls == [1]
+
+
+def _cone_wave(grid, par, theta, k1, k2, t, rate=False):
+    """The cone wave S = (sin th cos phi, sin th sin phi, cos th), phi = k1 x
+    + k2 y - w t, w = k1 k2 cos th - 2l(cl+d) k2: an exact solution of
+    M1/M2/M3 with u = v = 0.  With rate, its S_t instead."""
+    X, Y = grid.meshgrid()
+    w = k1 * k2 * np.cos(theta) - par.drift * k2
+    phi = k1 * X + k2 * Y - w * t
+    if rate:
+        return w * np.sin(theta) * np.stack([np.sin(phi), -np.cos(phi), np.zeros_like(phi)])
+    return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                     np.full_like(phi, np.cos(theta))])
+
+
+@pytest.mark.parametrize("par", [SpinParams(c=0.3, d=1.0, l=0.0), SpinParams()],
+                         ids=["M3", "M1-slice"])
+def test_cone_wave_holds_its_closed_form_at_the_rule_step(par):
+    """At theta = 0.7, k = (2, 1) and n = 64 the rate is the wave's S_t to
+    rounding, and the march at stable_dt (cut to whole steps) to t = 0.1
+    holds the closed form to 1e-10."""
+    g = Grid2(64, 64)
+    S0 = _cone_wave(g, par, 0.7, 2, 1, 0.0)
+    assert np.max(np.abs(spin_rhs(g, S0, par) - _cone_wave(g, par, 0.7, 2, 1, 0.0, True))) < 1e-12
+    state = make_state(g, S0, par)
+    steps = int(np.ceil(0.1 / stable_dt(g, par, state)))
+    *_, last = march_spin(g, state, par, 0.1 / steps, steps, steps)
+    assert np.max(np.abs(last.S - _cone_wave(g, par, 0.7, 2, 1, last.t))) <= 1e-10
+
+
+def test_state_records_the_tail_and_slopes_of_its_S(rng):
+    """Every state, made or kept, carries its S's spectral tail and max |S_x|,
+    max |S_y|, taken in the workspace of the constraint solve; stable_dt
+    reads the slopes, u and v of a state and nothing else."""
+    g = Grid2(32, 40)
+    par = SpinParams(c=0.3, d=1.0, l=0.2)
+    for st in run_spin(g, make_state(g, smooth_spin(g, rng), par), par, 1e-3, 2):
+        assert st.tail == spectral_tail(st.S)
+        assert st.slopes == tuple(float(np.max(norm3(d(g, st.S)))) for d in (ddx, ddy))
+        bare = SpinState(st.S + np.nan, st.u, st.v, slopes=st.slopes)
+        assert stable_dt(g, par, bare) == stable_dt(g, par, st)

@@ -4,8 +4,9 @@ option that only unit tests set, no identity probe in the frame layer, one
 vector layout, one MFLD1 reader and one CLI function that calls it, no
 private frames name used outside frames but the workspace and the
 densities, one writer of run directories, no parameter check called for
-its side effect alone, a README layout that names every module and no run
-file a simulate command would not clean up."""
+its side effect alone, no step formed from the cell area, a README layout
+that names every module and no run file a simulate command would not
+clean up."""
 
 import ast
 import fnmatch
@@ -492,6 +493,62 @@ def test_discarded_params_check_sees_a_dropped_result(tmp_path):
         "    return par, cfg.params(kind), [cfg.spin_params()]\n")
     assert discarded_params([tmp_path / "a.py"]) == [
         "a.py:2: cfg.spin_params()", "a.py:4: cfg.params(kind)"]
+
+
+STEP_CONSTANTS = ("DT_FACTOR", "CFL_SAFETY")
+QUADRATURE = ("integrate2",)
+
+
+def step_leftovers(paths) -> list:
+    """In the modules: every product that multiplies an hx by an hy (a step
+    formed from the cell area) outside the quadrature integrate2, and every
+    name DT_FACTOR or CFL_SAFETY.  The step has one owner: fields.max_dt,
+    which reads the wavenumbers, and what reads it (checked_dt, default_dt,
+    spin.stable_dt)."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        exempt = [(f.lineno, f.end_lineno) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name in QUADRATURE]
+        inner = {id(side) for node in ast.walk(tree)
+                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                 for side in (node.left, node.right)}
+
+        def factors(node):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                return factors(node.left) + factors(node.right)
+            return [getattr(node, "attr", getattr(node, "id", None))]
+
+        hits = []
+        for node in ast.walk(tree):
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in STEP_CONSTANTS:
+                hits.append((node.lineno, name))
+            elif isinstance(node, ast.alias) and node.name in STEP_CONSTANTS:
+                hits.append((node.lineno, node.name))
+            elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                  and id(node) not in inner and {"hx", "hy"} <= set(factors(node))
+                  and not any(a <= node.lineno <= b for a, b in exempt)):
+                hits.append((node.lineno, ast.unparse(node)))
+        found += [f"{path.name}:{line}: {what}" for line, what in sorted(hits)]
+    return found
+
+
+def test_no_module_forms_a_step_from_the_cell_area():
+    assert step_leftovers(MODULES) == []
+
+
+def test_step_leftover_check_sees_a_leftover(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from .fields import CFL_SAFETY\n"
+        "DT_FACTOR = 0.2\n\n"
+        "def default_dt(grid, hx, hy):\n"
+        "    return DT_FACTOR * grid.hx * grid.hy, 0.3 * hx * (2.0 * hy), grid.hx + grid.hy\n\n"
+        "def integrate2(grid, f):\n"
+        "    return grid.hx * grid.hy * f.sum(), 2.0 * grid.hx, fields.CFL_SAFETY\n")
+    assert step_leftovers([tmp_path / "a.py"]) == [
+        "a.py:1: CFL_SAFETY", "a.py:2: DT_FACTOR", "a.py:5: 0.3 * hx * (2.0 * hy)",
+        "a.py:5: DT_FACTOR", "a.py:5: DT_FACTOR * grid.hx * grid.hy", "a.py:8: CFL_SAFETY"]
 
 
 def test_readme_layout_names_every_module():
