@@ -496,6 +496,9 @@ def cmd_equiv_check(args) -> int:
         raise ConfigError(f"--ladder expects comma-separated grid sizes, got {args.ladder!r}") from exc
     if len(set(sizes)) < len(sizes):
         raise ConfigError(f"--ladder repeats a grid size: {args.ladder!r}")
+    n = max(sizes, key=abs)
+    if n * n > MAX_CELLS:  # refused before any rung is built, as a simulate run's grid
+        raise ConfigError(f"--ladder rung of {n} x {n} points exceeds {MAX_CELLS}")
     report = l_equiv_check(par, _make_initial(cfg, "spin"), sizes=sizes,
                            lx=cfg["grid.lx"], ly=cfg["grid.ly"], scheme=cfg["scheme"])
     payload = {"config_hash": cfg.sha, **report.as_dict()}
@@ -533,13 +536,17 @@ def _check_lambda(lam: complex, par) -> None:
 
 def cmd_lax_check(args) -> int:
     import numpy as np
-    from .lax import flatness_at, flatness_pass_q, lax_spin_at, lax_spin_pass, sl2_trace
+    from .lax import flatness_at, flatness_pass_q, split_trace
     from .nls import _paired
+    from .spin import DENOM_TOL
 
     run_dir, meta, cfg, par = _open_run(args, "spin" if args.spin_side else "nls")
     lams = [_parse_lambda(text) for text in args.lam]
     for lam in lams:
         _check_lambda(lam, par)
+        if args.spin_side and abs(2.0 * par.c * lam + par.d) < DENOM_TOL:
+            raise ConfigError(f"--lambda {lam.real!r},{lam.imag!r} gives |2 c lam + d| below "
+                              f"{DENOM_TOL} at c = {par.c!r}, d = {par.d!r}")
     grid, scheme = cfg.grid(), cfg["scheme"]
     times = meta["times"]
     if len(times) < 3:
@@ -548,12 +555,10 @@ def cmd_lax_check(args) -> int:
     payload = {"config_hash": cfg.sha, "t": times[mid], "results": []}
 
     if args.spin_side:
-        data = _load_slice(run_dir, meta, cfg, mid)
-        spin = lax_spin_pass(grid, data[:3], data[3], data[4], par, scheme)
-        for lam in lams:  # the split V alone has an identity part, so a non-zero trace
-            _, V, iden = lax_spin_at(spin, lam, "split")
-            payload["results"].append({"lam": [lam.real, lam.imag],
-                                       "trace_V_split": sl2_trace(V[0], iden)})
+        S = _load_slice(run_dir, meta, cfg, mid, out=np.empty((3, grid.ny, grid.nx)))
+        # the split V alone has an identity part, so a non-zero trace
+        payload["results"] = [{"lam": [lam.real, lam.imag], "trace_V_split": tr}
+                              for lam, tr in zip(lams, split_trace(grid, S, par, lams, scheme))]
     else:
         triple = []
         for idx in (mid - 1, mid, mid + 1):

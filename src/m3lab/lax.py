@@ -26,13 +26,13 @@ on blocks of rows, so its temporaries stay in cache rather than being
 faulted in afresh at every lam.  zero_curvature_q is the pass and one
 flatness_at; build_lax_q forms the same entries at one lam.
 
-The spin-side connection builder is provided verbatim for structural
-diagnostics (algebraic identities, the trace of the split reading); one
-grouping ambiguity in its lam^1 coefficient is kept behind a flag.  It too
-works on sl(2) entries, S.sigma and the entries of the real derivatives of
-S, so no connection here is a product or derivative of a matrix field.
-It has the same split: lax_spin_pass differentiates once per slice and
-lax_spin_at is pointwise per lam.
+The spin-side connection builder, build_lax_spin, is provided verbatim for
+structural diagnostics (algebraic identities), with the ambiguous brace of
+its lam^1 coefficient read factored.  Of the other, split reading only the
+trace is read: split_trace forms its lam-free trace field once per slice
+and scales it per lam.  Both work on sl(2) entries, S.sigma and the
+entries of the real derivatives of S, so no connection here is a product
+or derivative of a matrix field.
 """
 
 from typing import NamedTuple
@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .fields import BLOCK_POINTS, SPECTRAL, Grid2, check_field, ddx, ddy, max_norm
+from .spin import DENOM_TOL
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -92,9 +93,9 @@ def trace_deviation(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.trace(M, axis1=-2, axis2=-1))))
 
 
-def sl2_trace(a, iden=0.0) -> float:
-    """trace_deviation of _sl2(a, b, c) + iden I, read off the diagonal entries."""
-    return float(np.max(np.abs((a + iden) + (iden - a))))
+def sl2_trace(a) -> float:
+    """trace_deviation of _sl2(a, b, c), read off the diagonal entries."""
+    return float(np.max(np.abs(a + (-a))))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +189,7 @@ def zero_curvature_q(grid: Grid2, qpv_before, qpv_mid, qpv_after, par,
 
 
 # ---------------------------------------------------------------------------
-# spin-side connection: lam-independent fields, then pointwise work per lam
+# spin-side connection, and the trace of its split reading
 # ---------------------------------------------------------------------------
 
 def _spin_entries(w: np.ndarray) -> tuple:
@@ -202,81 +203,53 @@ def _lin(*terms) -> tuple:
     return tuple(sum(k * X[i] for k, X in terms) for i in range(3))
 
 
-class LaxSpin(NamedTuple):
-    """The lam-independent entries of the spin-side connection at one slice."""
-    par: object
-    Sm: tuple       # S.sigma
-    SSx: tuple      # S S_x, a half bracket
-    B: tuple
-    F2: tuple
-    F1: dict        # per grouping
-    half_tr: np.ndarray  # tr(S (S S_x)_y)/2, the split reading's identity part
+def build_lax_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
+                   par, lam: complex, scheme=SPECTRAL):
+    """Spin-side connection (U', V') built verbatim; structural use only.
 
+    S enters as S.sigma = [[S3, S1 - i S2], [S1 + i S2, -S3]], carried as its
+    sl(2) entries; S_x and S_y are the entries of the real derivatives of S.
+    The S matrix multiplies the whole lam^1 brace (the factored reading).
 
-def lax_spin_pass(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
-                  par, scheme=SPECTRAL) -> LaxSpin:
-    """Every derivative the spin-side connection needs, at any lam: 5 per
-    slice.  An S that is no (3, ny, nx) stack on grid, or not finite, is
-    rejected (FieldError)."""
-    c, d, denom_l = par.c, par.d, par.denom
+    For traceless 2x2 A, B the product is AB = [A, B]/2 + tr(AB)/2 I, and
+    tr(S S_x) = 2 S.S_x vanishes for a unit field.  So S S_x and the brace
+    are taken as half brackets, traceless by construction (the discrete
+    residue of S.S_x is dropped).  An S that is no finite (3, ny, nx) stack
+    on grid is rejected (FieldError), and so is |2c lam + d| < DENOM_TOL.
+    """
+    c, d, l, denom_l = par.c, par.d, par.l, par.denom
+    denom = 2.0 * c * lam + d
+    if abs(denom) < DENOM_TOL:
+        raise ParameterError(f"|2 c lam + d| = {abs(denom):.3e} too small")
     Sm = _spin_entries(check_field(grid, S, "S", (3,)))
     Sx = _spin_entries(ddx(grid, S, scheme))
     Sy = _spin_entries(ddy(grid, S, scheme))
     SSx = _lin((0.5, _sl2_bracket(Sm, Sx)))
     B = _lin((0.25, _sl2_bracket(Sm, Sy)), (0.5j * u, Sm))
     SSx_y = tuple(ddy(grid, e, scheme) for e in SSx)
-    SSx_B = _sl2_bracket(SSx, B)
-    braces = {"factored": _lin((0.5, _sl2_bracket(Sm, _lin((1.0, SSx_y), (-1.0, SSx_B))))),
-              "split": _lin((0.5, _sl2_bracket(Sm, SSx_y)), (-1.0, SSx_B))}
-    F1 = {g: _lin((-4j * c * d * v, Sm), (-(4.0 * c * c / denom_l) * v * v, SSx),
-                  (-1j * c / denom_l, brace)) for g, brace in braces.items()}
-    (s0, s1, s2), (e0, e1, e2) = Sm, SSx_y
-    half_tr = 0.5 * (2.0 * s0 * e0 + s1 * e2 + s2 * e1)
-    return LaxSpin(par, Sm, SSx, B, _lin((-4j * c * c * v, Sm)), F1, half_tr)
-
-
-def lax_spin_at(F: LaxSpin, lam: complex, grouping: str = "factored") -> tuple:
-    """sl(2) entries of (U', V') at lam, and V's identity part (0.0 if factored).
-
-    Pointwise in the entries of F.
-    """
-    c, d, l = F.par.c, F.par.d, F.par.l
-    denom = 2.0 * c * lam + d
-    if abs(denom) < 1e-12:
-        raise ParameterError(f"|2 c lam + d| = {abs(denom):.3e} too small")
-    if grouping not in ("factored", "split"):
-        raise ParameterError(f"unknown grouping {grouping!r}")
-    U = _lin((1j * c * (lam**2 - l**2) + 1j * d * (lam - l), F.Sm), (c * (lam - l) / denom, F.SSx))
+    brace = _lin((0.5, _sl2_bracket(Sm, _lin((1.0, SSx_y), (-1.0, _sl2_bracket(SSx, B))))))
+    F1 = _lin((-4j * c * d * v, Sm), (-(4.0 * c * c / denom_l) * v * v, SSx),
+              (-1j * c / denom_l, brace))
+    F2 = _lin((-4j * c * c * v, Sm))
+    U = _lin((1j * c * (lam**2 - l**2) + 1j * d * (lam - l), Sm), (c * (lam - l) / denom, SSx))
     # lam^2 F2 + lam F1 + F0 with F0 = -l F1 - l^2 F2
-    V = _lin((2.0 * c * (lam**2 - l**2) + 2.0 * d * (lam - l), F.B),
-             (lam**2 - l**2, F.F2), (lam - l, F.F1[grouping]))
-    if grouping == "factored":
-        return U, V, 0.0
-    return U, V, -(lam - l) * 1j * c / F.par.denom * F.half_tr
+    V = _lin((2.0 * c * (lam**2 - l**2) + 2.0 * d * (lam - l), B),
+             (lam**2 - l**2, F2), (lam - l, F1))
+    return _sl2(*U), _sl2(*V)
 
 
-def build_lax_spin(grid: Grid2, S: np.ndarray, u: np.ndarray, v: np.ndarray,
-                   par, lam: complex, scheme=SPECTRAL, grouping: str = "factored"):
-    """Spin-side connection (U', V') built verbatim; structural use only.
-
-    S enters as S.sigma = [[S3, S1 - i S2], [S1 + i S2, -S3]], carried as its
-    sl(2) entries; S_x and S_y are the entries of the real derivatives of S.
-    The lam^1 coefficient contains an ambiguously grouped term;
-    grouping="factored" multiplies the whole brace by the S matrix (the
-    traceless reading), grouping="split" applies it to the derivative term
-    only.
-
-    For traceless 2x2 A, B the product is AB = [A, B]/2 + tr(AB)/2 I, and
-    tr(S S_x) = 2 S.S_x vanishes for a unit field.  So S S_x and the
-    factored brace are taken as half brackets, traceless by construction
-    (the discrete residue of S.S_x is dropped); the split brace keeps
-    tr(S (S S_x)_y)/2 as the identity part of V.
-    """
-    U, V, iden = lax_spin_at(lax_spin_pass(grid, S, u, v, par, scheme), lam, grouping)
-    V = _sl2(*V)
-    if grouping == "split":
-        V += iden[..., None, None] * IDENT2
-    return _sl2(*U), V
+def split_trace(grid: Grid2, S: np.ndarray, par, lams, scheme=SPECTRAL) -> list:
+    """max |tr V'| at each lam of lams, with the lam^1 brace split: S
+    multiplying its derivative term (S S_x)_y alone.  That adds
+    -(lam - l) i c/(2cl + d) tr(S (S S_x)_y)/2 I to the factored V', so only
+    S.sigma, S S_x and (S S_x)_y are formed, once; S is checked as in
+    build_lax_spin."""
+    Sm = _spin_entries(check_field(grid, S, "S", (3,)))
+    SSx = _lin((0.5, _sl2_bracket(Sm, _spin_entries(ddx(grid, S, scheme)))))
+    (s0, s1, s2), (e0, e1, e2) = Sm, tuple(ddy(grid, e, scheme) for e in SSx)
+    half_tr = 0.5 * (2.0 * s0 * e0 + s1 * e2 + s2 * e1)
+    return [float(np.max(np.abs(2.0 * (-(lam - par.l) * 1j * par.c / par.denom * half_tr))))
+            for lam in lams]
 
 
 # ---------------------------------------------------------------------------

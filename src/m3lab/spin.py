@@ -16,7 +16,8 @@ selection only restricts the constants:
 
 All three share one code path, so the reduction identities hold exactly.
 SpinParams owns |2cl+d| >= DENOM_TOL for every model, checked once: all that
-divides by par.denom (v, the q map, the spin-side Lax pass) relies on it.
+divides by par.denom (v, the q map, the spin-side Lax pair) relies on it.
+The pair's U' also divides by 2c lam + d, refused below the same DENOM_TOL.
 
 S is a (3, ny, nx) stack of component planes, in and out: the generators
 make it, SpinState holds it and spin_rhs returns S_t as one.  The kernel
@@ -65,7 +66,7 @@ from .fields import (
     spectral_tail,
 )
 
-DENOM_TOL = 1e-12        # rejection threshold for |2cl+d|
+DENOM_TOL = 1e-12        # rejection threshold for |2cl+d| and |2c lam+d|
 RENORM_LIMIT = 1e-3      # step rejected beyond this renormalization correction
 STATE_TOL = 1e-9         # check_unit: max | |S| - 1 |
 

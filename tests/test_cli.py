@@ -563,10 +563,12 @@ LAX_CFGS = {"spin": SPIN_CFG, "nls": NLS_CFG,
     ("nls", "1e200,0"), ("nls", "0,1e200"), ("nls", "inf,0"), ("nls", "nan,0"),
     ("m3q", "1e150,0"), ("m3q", "0,1e150"),
     ("spin", "1e308,0"), ("spin", "nan,0"), ("spin", "0,-inf"),
+    ("spin", "-1.6666666666666667,0"),
 ])
 def test_lax_check_bad_lambda_exits_2(tmp_path, capsys, cfg_name, lam):
     """A non-finite lambda, or one whose c lam^2 + d lam or q-side flatness
-    residual overflows, is a validation error naming the flag."""
+    residual overflows, is a validation error naming the flag; so is, on
+    the spin side, one at which 2 c lam + d vanishes (c = 0.3, d = 1)."""
     side = "spin" if cfg_name == "spin" else "nls"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(LAX_CFGS[cfg_name])
@@ -613,6 +615,23 @@ def test_equiv_check_repeated_size_exits_2(spin_run, tmp_path, capsys):
     """A repeated size would be run again and weigh twice in the order fit."""
     assert main(["--output-dir", str(tmp_path), "equiv-check", "spinrun", "--ladder", "16,16"]) == 2
     assert capsys.readouterr().err.startswith("error: --ladder")
+    assert not (spin_run / "equiv_report.json").exists()
+
+
+def test_equiv_check_oversized_rung_exits_2(spin_run, tmp_path, capsys, monkeypatch):
+    """A rung past MAX_CELLS (4096^2 = 2^24 points) is refused before any
+    rung is built, as a simulate run's grid is."""
+    import m3lab.equivalence as equivalence
+
+    def reached(*args, **kwargs):
+        raise AssertionError("l_equiv_check reached")
+
+    monkeypatch.setattr(equivalence, "l_equiv_check", reached)
+    capsys.readouterr()
+    assert main(["--output-dir", str(tmp_path), "equiv-check", "spinrun",
+                 "--ladder", "32,4096"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --ladder") and err.count("\n") == 1
     assert not (spin_run / "equiv_report.json").exists()
 
 

@@ -18,6 +18,7 @@ from m3lab.lax import (
     lambda_solution,
     pauli,
     pauli_identities,
+    split_trace,
     trace_deviation,
     zero_curvature_q,
 )
@@ -230,6 +231,7 @@ def test_flatness_scan_matches_single_lambda(rng, case, scheme):
 # ---------------------------------------------------------------------------
 
 SPAR = SpinParams(c=0.3, d=1.0, l=0.2, model="M3")
+SPIN_LAMBDAS = [0.4 + 0.2j, -0.7 + 0.05j, 1.3]
 
 
 def test_lax_spin_vanishes_at_lam_l(grid):
@@ -247,16 +249,18 @@ def test_lax_spin_traceless_factored(grid, rng):
     assert trace_deviation(V) < 1e-12
 
 
-def test_lax_spin_split_grouping_differs(grid, rng):
-    """The alternative bracket reading changes V (and is not traceless)."""
+def test_lax_spin_split_grouping_differs(rng):
+    """split_trace is the trace of the split reading's V, formed as 2x2
+    matrix products, at every lam of one call; that trace is not zero."""
+    grid = Grid2(40, 48, lx=5.0, ly=7.0)
     S = smooth_spin(grid, rng)
     state = make_state(grid, S, SPAR)
-    _, Vf = build_lax_spin(grid, S, state.u, state.v, SPAR, 0.4 + 0.2j, grouping="factored")
-    _, Vs = build_lax_spin(grid, S, state.u, state.v, SPAR, 0.4 + 0.2j, grouping="split")
-    assert max_norm(Vf - Vs) > 1e-6
-    assert trace_deviation(Vs) > 1e-6
-    with pytest.raises(ParameterError):
-        build_lax_spin(grid, S, state.u, state.v, SPAR, 0.4, grouping="elsewhere")
+    traces = split_trace(grid, S, SPAR, SPIN_LAMBDAS)
+    for lam, tr in zip(SPIN_LAMBDAS, traces, strict=True):
+        _, V_ref = _lax_spin_by_matrices(grid, S, state.u, state.v, SPAR, lam, "split")
+        ref = trace_deviation(V_ref)
+        assert ref > 1e-6
+        assert abs(tr - ref) <= 1e-13 * ref
 
 
 def test_lax_spin_denominator_guard(grid):
@@ -312,14 +316,14 @@ def _lax_spin_by_matrices(grid, S, u, v, par, lam, grouping):
     return U, V
 
 
-@pytest.mark.parametrize("grouping", ["factored", "split"])
-@pytest.mark.parametrize("lam", [0.4 + 0.2j, -0.7 + 0.05j, 1.3])
-def test_lax_spin_entries_match_matrix_algebra(rng, grouping, lam):
+@pytest.mark.parametrize("lam", SPIN_LAMBDAS, ids=lambda lam: f"{lam}-factored")
+def test_lax_spin_entries_match_matrix_algebra(rng, lam):
+    """build_lax_spin's entries are those of the factored pair by matrix products."""
     grid = Grid2(40, 48, lx=5.0, ly=7.0)
     S = smooth_spin(grid, rng)
     state = make_state(grid, S, SPAR)
-    U, V = build_lax_spin(grid, S, state.u, state.v, SPAR, lam, grouping=grouping)
-    U_ref, V_ref = _lax_spin_by_matrices(grid, S, state.u, state.v, SPAR, lam, grouping)
+    U, V = build_lax_spin(grid, S, state.u, state.v, SPAR, lam)
+    U_ref, V_ref = _lax_spin_by_matrices(grid, S, state.u, state.v, SPAR, lam, "factored")
     assert max_norm(U - U_ref) < 1e-13 * max_norm(U_ref)
     assert max_norm(V - V_ref) < 1e-13 * max_norm(V_ref)
 
@@ -332,8 +336,8 @@ def test_lax_spin_differentiates_no_matrix_field(grid, rng, monkeypatch):
     real = fields._deriv
     monkeypatch.setattr(fields, "_deriv",
                         lambda f, *a, **k: ndims.append(f.ndim) or real(f, *a, **k))
-    for grouping in ("factored", "split"):
-        build_lax_spin(grid, S, state.u, state.v, SPAR, 0.4 + 0.2j, grouping=grouping)
+    build_lax_spin(grid, S, state.u, state.v, SPAR, 0.4 + 0.2j)
+    split_trace(grid, S, SPAR, [0.4 + 0.2j])
     assert ndims and max(ndims) <= 3
 
 
@@ -349,12 +353,16 @@ output_dir = run
 """
 
 
-@pytest.mark.parametrize("side, extra, many", [
-    ("nls", "model = M3q\nnls.init = plane-wave\nnls.init.amplitude = 0.5\n", 16),
-    ("spin", "model = M3\nspin.init = modulated-helix\nspin.init.eps = 0.05\n", 8),
+@pytest.mark.parametrize("side, extra, many, derivs", [
+    ("nls", "model = M3q\nnls.init = plane-wave\nnls.init.amplitude = 0.5\n", 16, 5),
+    ("spin", "model = M3\nspin.init = modulated-helix\nspin.init.eps = 0.05\n", 8, 4),
 ], ids=["q-side", "spin-side"])
-def test_lax_check_derivatives_do_not_grow_with_the_scan(tmp_path, monkeypatch, side, extra, many):
-    """lax-check differentiates once per slice, whatever the number of lambdas."""
+def test_lax_check_derivatives_do_not_grow_with_the_scan(tmp_path, monkeypatch, side, extra, many,
+                                                         derivs):
+    """lax-check differentiates once per slice, whatever the number of
+    lambdas: q_y, p_y and the x-derivatives of v, Q, P on the q side;
+    S_x and the y-derivatives of the three entries of S S_x on the spin
+    side, which reads neither u nor v."""
     import m3lab.fields as fields
     cfg = tmp_path / "run.cfg"
     cfg.write_text(RUN_CFG + extra)
@@ -369,7 +377,7 @@ def test_lax_check_derivatives_do_not_grow_with_the_scan(tmp_path, monkeypatch, 
         calls.clear()
         assert main(["--output-dir", str(tmp_path), "lax-check", "run", *lams, *side_flag]) == 0
         counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    assert counts == [derivs, derivs]
 
 
 # ---------------------------------------------------------------------------

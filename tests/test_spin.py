@@ -392,7 +392,7 @@ def test_vector_field_off_the_stack_layout_is_refused(grid, rng, shape):
     grid is refused with FieldError, not differentiated along its component
     axis."""
     from m3lab.frames import charge_density, frame_from_spin
-    from m3lab.lax import lax_spin_pass
+    from m3lab.lax import build_lax_spin, split_trace
     S = smooth_spin(grid, rng)
     bad = {"field": np.ascontiguousarray(np.moveaxis(S, 0, -1)), "two-planes": S[:2],
            "other-grid": smooth_spin(Grid2(grid.nx, 2 * grid.ny), rng)}[shape]
@@ -402,7 +402,8 @@ def test_vector_field_off_the_stack_layout_is_refused(grid, rng, shape):
                  lambda: march_spin(grid, SpinState(bad, state.u, state.v), PAR,
                                     default_dt(grid), 1),
                  lambda: frame_from_spin(grid, bad), lambda: charge_density(grid, bad),
-                 lambda: lax_spin_pass(grid, bad, state.u, state.v, PAR)):
+                 lambda: build_lax_spin(grid, bad, state.u, state.v, PAR, 0.4),
+                 lambda: split_trace(grid, bad, PAR, [0.4])):
         with pytest.raises(FieldError, match=f"not \\(3, {grid.ny}, {grid.nx}\\)"):
             call()
     if shape == "field":

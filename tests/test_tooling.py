@@ -199,6 +199,26 @@ def test_boolean_option_check_sees_one_set_by_tests_alone(tmp_path):
         "a.py:1: f(fast)", "a.py:1: f(strict)"]
 
 
+def str_default(default) -> bool:
+    return isinstance(default, ast.Constant) and isinstance(default.value, str)
+
+
+def test_no_string_option_is_set_by_tests_alone():
+    """A str default that only unit tests set names a reading no program
+    path takes, as a bool one does."""
+    callers = MODULES + [SRC.parent / "tests" / "test_acceptance.py"]
+    assert unset_defaults(MODULES, callers, set(), str_default) == []
+
+
+def test_string_option_check_sees_one_set_by_tests_alone(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x, mode='fast', tol=1.0, *, kind='a', name=None):\n    pass\n\n"
+        "def g(x, reading='factored', flag=False):\n    pass\n")
+    (tmp_path / "b.py").write_text("g(1, 'split')\n")
+    assert unset_defaults([tmp_path / "a.py"], [tmp_path / "b.py"], set(), str_default) == [
+        "a.py:1: f(mode)", "a.py:1: f(kind)"]
+
+
 def identity_probes(paths) -> list:
     """`is` and `is not` comparisons in the modules of which neither operand
     is None: each tells an object by its identity, not by what it holds."""
