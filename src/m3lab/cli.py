@@ -83,6 +83,7 @@ _PREFIX_KEYS = ("spin.init.", "nls.init.")
 MAX_STEPS = 100_000
 MAX_SLICES = 10_000
 MAX_CELLS = 1 << 23
+MAX_SAMPLES = 1000  # lambda-check's bound on --samples, 100x its default (samples^2 rows)
 
 
 def _checked(key: str, value, where: str):
@@ -137,7 +138,7 @@ class RunConfig:
         try:
             with open(path, "r") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # a NUL in the path is a ValueError
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_text(text)
 
@@ -316,11 +317,10 @@ def _write_charges(path: str, grid, times, read_spin, scheme) -> list:
     return [list(rep.density_dev) for _, rep in reports]
 
 
-def _run_dir(args, cfg: RunConfig) -> str:
-    """The directory a simulate command writes its run to, made if missing,
-    with every file of an earlier run there (RUN_FILES) removed; files m3lab
-    did not write stay."""
-    out = os.path.join(args.output_dir, cfg["output_dir"])
+def _run_dir(out: str) -> str:
+    """out, the directory a simulate command writes its run to, made if
+    missing, with every file of an earlier run there (RUN_FILES) removed;
+    files m3lab did not write stay."""
     os.makedirs(out, exist_ok=True)
     for name in os.listdir(out):
         path = os.path.join(out, name)
@@ -348,13 +348,16 @@ def _simulate(args, kind: str, load, step, march, payload, finish) -> int:
     from .fields import write_mfld1
 
     cfg = RunConfig.load(args.config)
+    out = os.path.join(args.output_dir, cfg["output_dir"])
+    if "\0" in out:  # no path holds one; refused before the run starts
+        raise ConfigError(f"run directory {out!r} holds a NUL character")
     grid, par, scheme = cfg.grid(), cfg.params(kind), cfg["scheme"]
     make_initial = _make_initial(cfg, kind)
     initial = functools.cache(lambda: load(grid, make_initial(grid), par, scheme=scheme))
     dt, n_steps = _run_length(cfg, grid, lambda: step(grid, par, initial()))
     states = march(grid, initial(), par, dt, n_steps, cfg["save_every"], scheme)
     del initial  # the march lets go of the initial state once it is written
-    out = _run_dir(args, cfg)
+    _run_dir(out)
     meta = {"kind": kind, "config_hash": cfg.sha, "config": cfg.values, "env": _env(),
             "dt": dt, "times": [], "slices": []}
     for st in states:
@@ -510,7 +513,11 @@ def cmd_equiv_check(args) -> int:
     return 0
 
 
-def _parse_lambda(text: str) -> complex:
+def _parse_lambda(text: str, par) -> complex:
+    """lam of `--lambda re,im`: finite, and c lam^2 + d lam and (2 c lam + d)^2
+    finite at the run's c, d."""
+    import numpy as np
+
     try:
         re_s, im_s = text.split(",")
         lam = complex(float(re_s), float(im_s))
@@ -518,13 +525,6 @@ def _parse_lambda(text: str) -> complex:
         raise ConfigError(f"--lambda expects `re,im`, got {text!r}") from exc
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
         raise ConfigError(f"--lambda must be finite, got {text!r}")
-    return lam
-
-
-def _check_lambda(lam: complex, par) -> None:
-    """Reject a lam whose c lam^2 + d lam or (2 c lam + d)^2 overflows."""
-    import numpy as np
-
     z = np.complex128(lam)
     with np.errstate(all="ignore"):
         mu = 2.0 * par.c * z + par.d
@@ -532,6 +532,7 @@ def _check_lambda(lam: complex, par) -> None:
     if not finite:
         raise ConfigError(f"--lambda {lam.real!r},{lam.imag!r} overflows c lam^2 + d lam "
                           f"or (2 c lam + d)^2 at c = {par.c!r}, d = {par.d!r}")
+    return lam
 
 
 def cmd_lax_check(args) -> int:
@@ -541,9 +542,8 @@ def cmd_lax_check(args) -> int:
     from .spin import DENOM_TOL
 
     run_dir, meta, cfg, par = _open_run(args, "spin" if args.spin_side else "nls")
-    lams = [_parse_lambda(text) for text in args.lam]
+    lams = [_parse_lambda(text, par) for text in args.lam]
     for lam in lams:
-        _check_lambda(lam, par)
         if args.spin_side and abs(2.0 * par.c * lam + par.d) < DENOM_TOL:
             raise ConfigError(f"--lambda {lam.real!r},{lam.imag!r} gives |2 c lam + d| below "
                               f"{DENOM_TOL} at c = {par.c!r}, d = {par.d!r}")
@@ -605,8 +605,8 @@ def cmd_lambda_check(args) -> int:
 
     if args.n == 0:
         raise ConfigError("--n must be a nonzero integer")
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise ConfigError(f"--samples must be from 1 to {MAX_SAMPLES}, got {args.samples}")
     for name in ("k", "a", "c"):
         if not math.isfinite(getattr(args, name)):
             raise ConfigError(f"--{name} must be finite, got {getattr(args, name)!r}")
@@ -616,7 +616,10 @@ def cmd_lambda_check(args) -> int:
     worst_analytic = worst_fd = 0.0
     for y in ys:
         for t in ts:
-            rep = lambda_residual(float(y), float(t), args.n, args.k, args.a, args.c)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                rep = lambda_residual(float(y), float(t), args.n, args.k, args.a, args.c)
+            if not (math.isfinite(rep["analytic"]) and math.isfinite(rep["fd"])):
+                raise ConfigError(f"the residual overflows at y = {float(y)!r}, t = {float(t)!r}")
             worst_analytic = max(worst_analytic, rep["analytic"])
             worst_fd = max(worst_fd, rep["fd"])
             print(f"{float(y)!r},{float(t)!r},{rep['analytic']!r},{rep['fd']!r}")
@@ -687,9 +690,14 @@ def cmd_selftest(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line and exit 2 through main, as every other refusal
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="m3lab", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="m3lab", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--output-dir", default=".",
                         help="base directory for runs and reports (default: .)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -748,9 +756,9 @@ def _attach_lambda(argv: list) -> list:
 
 def main(argv=None) -> int:
     _apply_thread_cap()
-    parser = build_parser()
-    args = parser.parse_args(_attach_lambda(sys.argv[1:] if argv is None else list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = build_parser().parse_args(_attach_lambda(argv))
         return args.func(args)
     except NumericalError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

@@ -5,11 +5,11 @@ slices, read off curvature k and torsion tau, form
 
     q = k / (2(2cl+d)) * exp i{ 2l(cl+d) x - inv_dx(tau) }
 
-with p = conj(q) and v solved from v_x = (p q)_y, then measure how well
-(q, p, v) satisfies the NLS-type system, with q_t by central differencing of
-the saved slices.  On a grid ladder the residual must converge at the order
-of the weakest link (the time differencing), which is the executable version
-of the equivalence claim.
+then measure q_t by central differencing of the saved slices against the
+rate simulate-nls integrates (nls.q_rate: p = conj(q), v_x = (p q)_y).  On
+a grid ladder the residual must converge at the order of the weakest link
+(the time differencing), which is the executable version of the
+equivalence claim.
 
 The x-linear part of the phase (the drift term plus the discarded row mean
 of tau) is periodic only when its coefficient times lx is a multiple of
@@ -28,30 +28,18 @@ import numpy as np
 
 from .convergence import fit_order
 from .errors import DegenerateFieldError, FieldError, ParameterError
-from .fields import (
-    SPECTRAL,
-    Grid2,
-    check_finite,
-    ddx,
-    ddy,
-    integrate2,
-    inv_dx,
-    meanx,
-)
+from .fields import SPECTRAL, TWO_PI, Grid2, check_finite, ddx, ddy, dot3, integrate2, inv_dx
 from .frames import (FrameCoeffs, FrameField, _Workspace, charge_density, coeffs_from_frame,
                      frame_from_spin)
-from .nls import NlsParams, nls_rhs, solve_v_nls
+from .nls import NlsParams, q_rate
 from .spin import SpinParams, make_state, march_spin, stable_dt
 
-TWO_PI = 2.0 * np.pi
 FRAME_MASK_LIMIT = 0.10   # abort the equivalence check beyond this mask fraction
 
 
 @dataclass(frozen=True)
 class EquivReport:
     residual_q: float                    # evolution equation for q
-    residual_p: float                    # conjugate equation for p
-    residual_v: float                    # constraint v_x = (pq)_y
     v_cross: float                       # spin-side v versus q-side v
     ladder: list = field(default_factory=list)   # (h, residual_q) pairs
     order: float = float("nan")          # NaN below two ladder sizes; JSON null in as_dict
@@ -95,18 +83,23 @@ def _degree(grid: Grid2, S: np.ndarray, scheme) -> float:
 
 def _limited_frame(grid: Grid2, S: np.ndarray, scheme, work, what: str):
     """(frame_from_spin of S, in work when it is given, the fraction of the
-    grid its mask covers); a fraction beyond FRAME_MASK_LIMIT aborts the
-    check (DegenerateFieldError), naming `what` S is, n, the fraction and
-    the degree Q of S."""
+    grid its mask covers).  The check aborts (DegenerateFieldError), naming
+    `what` S is, n and the degree Q of S, on a frame masked beyond
+    FRAME_MASK_LIMIT of the grid, and then on a frame that folds where no
+    point is masked: its e2 turns by more than 90 degrees (e2.e2' < 0)
+    between periodic x- or y-neighbours."""
     F = frame_from_spin(grid, S, scheme, work=work)
     frac = float(np.count_nonzero(F.mask)) / F.mask.size
     if frac > FRAME_MASK_LIMIT:
-        del F
-        raise DegenerateFieldError(
-            f"equivalence check aborted: the frame of the {what} at n = {grid.nx} is "
-            f"degenerate on {100*frac:.1f}% of the grid, beyond {FRAME_MASK_LIMIT:.0%} "
-            f"(degree Q = {_degree(grid, S, scheme):.6f})")
-    return F, frac
+        why = f"is degenerate on {100*frac:.1f}% of the grid, beyond {FRAME_MASK_LIMIT:.0%}"
+    elif folds := sum(int(np.count_nonzero(dot3(F.E[1], np.roll(F.E[1], 1, axis)) < 0.0))
+                      for axis in (-1, -2)):
+        why = f"folds: e2 turns by more than 90 degrees between {folds} pairs of neighbours"
+    else:
+        return F, frac
+    del F
+    raise DegenerateFieldError(f"equivalence check aborted: the frame of the {what} at "
+                               f"n = {grid.nx} {why} (degree Q = {_degree(grid, S, scheme):.6f})")
 
 
 def _slice_to_q(grid: Grid2, S: np.ndarray, par: SpinParams, scheme, fold_mode=None):
@@ -121,27 +114,15 @@ def _slice_to_q(grid: Grid2, S: np.ndarray, par: SpinParams, scheme, fold_mode=N
 def equiv_residual(grid: Grid2, S_before: np.ndarray, S_mid: np.ndarray,
                    S_after: np.ndarray, dt2: float, par: SpinParams,
                    scheme=SPECTRAL, v_spin: np.ndarray = None) -> dict:
-    """Evolution residuals of the mapped (q, p, v) on one slice triple."""
+    """Evolution residual of the mapped q on one slice triple, against the
+    rate simulate-nls integrates, and the v of that rate against v_spin."""
     q_mid, info = _slice_to_q(grid, S_mid, par, scheme)
     mode = info["fold_mode"]
     q_before, _ = _slice_to_q(grid, S_before, par, scheme, mode)
     q_after, _ = _slice_to_q(grid, S_after, par, scheme, mode)
-
-    npar = NlsParams(c=par.c, d=par.d, model="M3q")
-    p_mid = np.conj(q_mid)
-    v, _, _ = solve_v_nls(grid, q_mid, p_mid, scheme)
-    q_t_model, p_t_model = nls_rhs(grid, q_mid, p_mid, v, npar, scheme)
-
-    q_t = (q_after - q_before) / dt2
-    p_t = np.conj(q_t)
-    out = {
-        "residual_q": float(np.max(np.abs(q_t - q_t_model))),
-        "residual_p": float(np.max(np.abs(p_t - p_t_model))),
-        "obstruction": info,
-    }
-    pq_y = ddy(grid, p_mid * q_mid, scheme)
-    out["residual_v"] = float(np.max(np.abs(ddx(grid, v, scheme)
-                                            - (pq_y - meanx(pq_y)).real)))
+    q_t, v = q_rate(grid, q_mid, NlsParams(c=par.c, d=par.d), scheme)
+    out = {"residual_q": float(np.max(np.abs((q_after - q_before) / dt2 - q_t))),
+           "obstruction": info}
     if v_spin is not None:
         out["v_cross"] = float(np.max(np.abs(v - v_spin)))
     return out
@@ -158,17 +139,19 @@ def l_equiv_check(par: SpinParams, make_initial, sizes=(32, 64, 128),
     grid spacing, so the central-difference q_t is the accuracy bottleneck
     and the fitted order of the residual ladder sits near 2.  Only the last
     three slices are held, and the residuals are taken on them.  Every
-    rung's initial field is checked against FRAME_MASK_LIMIT before the
-    first march, and every slice the residuals read again after it; the
-    report records each rung's initial masked fraction, degree Q and
-    spectral tail (its initial state's).  Each rung marches at the step its
+    rung's initial field is made (a bad parameter is refused), then its
+    frame is checked (_limited_frame), before the first march, and every
+    slice the residuals read again after it; the report records each
+    rung's initial masked fraction, degree Q and spectral tail (its initial
+    state's).  Each rung marches at the step its
     initial state allows (spin.stable_dt), cut to a whole number of steps
     per delta.
     """
     n0 = sizes[0]
     ladder, initial = [], []
-    last = None
     grids = [Grid2(n, n, lx, ly) for n in sizes]
+    for grid in grids:  # a bad parameter on any rung is refused before any frame is built
+        make_initial(grid)
     for grid in grids:  # the check's frame is freed before Q and before any march
         S0 = make_initial(grid)
         frac = _limited_frame(grid, S0, scheme, None, "initial field")[1]

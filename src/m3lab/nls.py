@@ -24,8 +24,8 @@ central4 stencils), so d_x d_y = d_y d_x and the regrouped rate is the q_t
 of nls_rhs up to rounding.  (Stepped as a general pair, (q, p) stays on the
 reduction to rounding too: the complex derivative drops the even-n Nyquist
 mode, as the real one does, so it commutes with conjugation.)  nls_rhs and
-solve_v_nls are the general-pair forms (an explicit p), which the
-equivalence check and the reduction tests use.
+solve_v_nls, the general-pair forms (an explicit p), are a reference for
+tests and selftest; the equivalence check reads the stepper's q_rate.
 
 Plane waves q = A exp(i(k1 x + k2 y - w t)) with constant v = v0 satisfy the
 dispersion relation  w = -k1 k2 + 4 c v0 k1 + 2 d^2 v0  (and the constraint
@@ -162,6 +162,13 @@ def _q_rate(grid: Grid2, q: np.ndarray, par: NlsParams, scheme, ws) -> np.ndarra
     q_t = _deriv(w, scheme, grid.hx, -1, out=ws.rate)
     q_t -= np.multiply(2j * par.d * par.d, vq, out=ws.tmp)
     return q_t
+
+
+def q_rate(grid: Grid2, q: np.ndarray, par: NlsParams, scheme=SPECTRAL) -> tuple:
+    """(q_t, v) of q (p = beta*conj(q)) in a workspace of their own, by the
+    kernel step_rk4_nls integrates; a non-finite q is rejected (FieldError)."""
+    ws = _Workspace(q)
+    return _q_rate(grid, ws.q, par, scheme, ws), ws.planes[-1]  # _paired_v solves v into it
 
 
 def step_rk4_nls(grid: Grid2, ws: _Workspace, par: NlsParams, dt: float,

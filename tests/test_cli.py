@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import m3lab
-from m3lab.cli import (MAX_CELLS, MAX_SLICES, MAX_STEPS, RunConfig, _run_length, build_parser,
-                       main, parse_config_text)
+from m3lab.cli import (MAX_CELLS, MAX_SAMPLES, MAX_SLICES, MAX_STEPS, RunConfig, _run_length,
+                       build_parser, main, parse_config_text)
 from m3lab.errors import ConfigError
 from m3lab.fields import DENSE_MAX_N, Grid2, default_dt, read_mfld1, spectral_tail, write_mfld1
 from m3lab.nls import NlsParams, init_plane_wave, march_nls
@@ -651,6 +651,68 @@ def test_lambda_check(capsys):
     assert all(float(r.split(",")[2]) < 1e-12 for r in rows)
 
 
+def test_lambda_check_samples_beyond_its_bound_exits_2(capsys, monkeypatch):
+    """--samples asks for samples^2 rows: one past MAX_SAMPLES is refused
+    (exit 2, one line) before any row is computed or printed."""
+    import m3lab.lax as lax
+
+    def reached(*args, **kwargs):
+        raise AssertionError("lambda_residual reached")
+
+    monkeypatch.setattr(lax, "lambda_residual", reached)
+    capsys.readouterr()
+    assert main(["lambda-check", "--n", "1", "--k", "2", "--a", "1",
+                 "--samples", str(MAX_SAMPLES + 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: --samples must be from 1 to {MAX_SAMPLES}")
+
+
+@pytest.mark.parametrize("option", ["--k", "--c"])
+def test_lambda_check_overflowing_residual_exits_2(capsys, option):
+    """A finite --k or --c of 1e308 overflows the flow's residual: refused
+    (exit 2, one line) with no numpy warning, where it printed inf rows."""
+    args = {"--n": "1", "--k": "2", "--a": "1", "--c": "0", "--samples": "2", option: "1e308"}
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["lambda-check", *(t for kv in args.items() for t in kv)]) == 2
+    assert "the residual overflows at y = " in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["frame"], ["lambda-check", "--n", "x", "--k", "2", "--a", "1"],
+    ["equiv-check", "run", "--ladder"], ["no-such-command"],
+    ["lax-check", "run", "--lambda", "0.3,0.1", "--both-sides"]])
+def test_argument_error_is_one_line_exit_2(capsys, argv):
+    """An argument argparse refuses is one line and exit 2 through main, as
+    every other refusal, where argparse printed its usage too and exited."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert _one_error_line(capsys, "error: m3lab")
+
+
+@pytest.mark.parametrize("where", ["--output-dir", "output_dir", "config"])
+def test_nul_in_a_path_exits_2_before_the_run_starts(tmp_path, capsys, monkeypatch, where):
+    """A NUL character in a simulate command's config path or run directory
+    is refused (exit 2, one line) before an initial state is made; it was a
+    ValueError traceback."""
+    import m3lab.spin as spin
+
+    def reached(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(spin, "make_state", reached)
+    cfg = _config(tmp_path, _with(SPIN_CFG, output_dir="spin\0run" if where == "output_dir"
+                                  else "spinrun"))
+    base = str(tmp_path / "a\0b") if where == "--output-dir" else str(tmp_path)
+    capsys.readouterr()
+    assert main(["--output-dir", base, "simulate-spin",
+                 cfg + "\0" if where == "config" else cfg]) == 2
+    _one_error_line(capsys)
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
@@ -902,6 +964,30 @@ def test_equiv_check_refuses_a_degenerate_initial_frame_before_marching(tmp_path
     err = _one_error_line(capsys, "numerical abort: ")
     assert "initial field at n = 32" in err and "degenerate on 10.4% of the grid" in err
     assert "degree Q = 1.000002" in err
+    assert not (tmp_path / "spinrun" / "equiv_report.json").exists()
+
+
+def test_equiv_check_refuses_a_folding_frame_before_marching(tmp_path, capsys, monkeypatch):
+    """The kappa = 0 helix masks no point, but its Frenet e2 turns by more
+    than 90 degrees between 92 x- and 64 y-neighbours at n = 32: equiv-check
+    aborts (exit 3) before any march, naming the rung, the count and the
+    degree, where it wrote a diverging ladder (order -1.22) and exit 0."""
+    import m3lab.equivalence as equivalence
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_with(SPIN_CFG, **{"spin.init.kappa": 0}))
+    assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 0
+    capsys.readouterr()
+
+    def no_march(*args):
+        raise AssertionError("equiv-check marched a folding initial field")
+
+    monkeypatch.setattr(equivalence, "march_spin", no_march)
+    assert main(["--output-dir", str(tmp_path), "equiv-check", "spinrun",
+                 "--ladder", "32,64"]) == 3
+    err = _one_error_line(capsys, "numerical abort: ")
+    assert "initial field at n = 32 folds" in err and "between 156 pairs" in err
+    assert "degree Q = " in err
     assert not (tmp_path / "spinrun" / "equiv_report.json").exists()
 
 
@@ -1408,3 +1494,91 @@ def test_exit_code_table(tmp_path, capsys, case):
     assert err.startswith({0: "", 2: "error: ", 3: "numerical abort: "}[code])
     if code == 0:
         assert err == ""
+
+
+# ---------------------------------------------------------------------------
+# argument fuzz: edge values of every argument, one at a time, through main
+# ---------------------------------------------------------------------------
+
+LADDERS = ["16", "24,16", "16,24,32", "8", "16,8", "4", "2", "0", "-16", "16,-16", "16,16",
+           "16,24,16", "x", "", "16,", ",", "1e3", "16.0", " 16", "9" * 23]
+LAMBDAS = ["0.3,0.1", "-0.3,0.1", "-0,-0", "1e-300,0", "1e154,0", "1e300,0", "0,1e300",
+           "1e300,1e300", "nan,0", "0,nan", "inf,0", "-inf,0", "word", "a,b", "0.3", "-0.3",
+           "0.3,0.1,0", ",", ""]
+LAMBDA_ARGS = {"--n": ["0", "-1", "2", "1000000", "9" * 23, "-" + "9" * 23, "1.5", "x", ""],
+               "--k": ["0", "-0", "5e-324", "1e308", "-1e308", "nan", "inf", "-inf", "x"],
+               "--a": ["0", "1e-10", "2e-10", "1e-308", "1e308", "-1e308", "nan", "inf", "x"],
+               "--c": ["0", "-0.1", "-1", "-2", "-0.10000000001", "1e308", "-1e308", "nan", "x"],
+               "--samples": ["1", "0", "-1", str(MAX_SAMPLES + 1), "100000000", "x", ""]}
+READERS = [["frame"], ["charges"], ["equiv-check", "--ladder", "16"],
+           ["lax-check", "--lambda", "0.3,0.1"],
+           ["lax-check", "--spin-side", "--lambda", "0.3,0.1"]]
+RUN_NAMES = ["", ".", "..", "nope", "a\0b", "run.cfg", "{run}/", "{run}/meta.json", "{other}",
+             "/"]
+BASE_DIRS = ["", "/nonexistent", "run.cfg", "a\0b", "{base}/", "/"]
+
+
+def _reader(command, run_name):
+    """argv of a command that reads the run run_name (its options after it)."""
+    return [command[0], run_name, *command[1:]]
+
+
+def _fuzz_cases():
+    """(id, argv) of each case; `{base}` is the fuzz runs' directory,
+    `{run}` a run of the command's side and `{other}` one of the other."""
+    cases = [(f"ladder={v!r}", ["--output-dir", "{base}", "equiv-check", "spinrun",
+                                "--ladder", v]) for v in LADDERS]
+    cases += [(f"lambda{side}={v!r}", ["--output-dir", "{base}", "lax-check", run, "--lambda", v,
+                                       *side.split()])
+              for v in LAMBDAS for run, side in (("nlsrun", ""), ("spinrun", " --spin-side"))]
+    base_args = {"--n": "1", "--k": "2", "--a": "1", "--c": "0", "--samples": "2"}
+    cases += [(f"lambda-check{key}={v!r}",
+               ["lambda-check", *(t for kv in {**base_args, key: v}.items() for t in kv)])
+              for key, values in LAMBDA_ARGS.items() for v in values]
+    cases += [(f"{' '.join(cmd)}:run={v!r}", ["--output-dir", "{base}", *_reader(cmd, v)])
+              for cmd in READERS for v in RUN_NAMES]
+    cases += [(f"{' '.join(cmd)}:output-dir={v!r}", ["--output-dir", v, *_reader(cmd, "{run}")])
+              for cmd in READERS for v in BASE_DIRS]
+    return cases
+
+
+FUZZ_CASES = _fuzz_cases()
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A directory holding a run.cfg and a 16^2 spin and NLS run of three slices or more."""
+    base = tmp_path_factory.mktemp("fuzz")
+    for command, text in (("simulate-spin", SPIN_CFG), ("simulate-nls", NLS_CFG)):
+        (base / "run.cfg").write_text(_with(text, t_end=0.1, save_every=1,
+                                             **{"grid.nx": 16, "grid.ny": 16}))
+        assert main(["--output-dir", str(base), command, str(base / "run.cfg")]) == 0
+    return base
+
+
+def _tree(base) -> set:
+    return {os.path.relpath(os.path.join(d, f), base) for d, _, files in os.walk(base)
+            for f in files}
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in FUZZ_CASES],
+                         ids=[case_id for case_id, _ in FUZZ_CASES])
+def test_argument_fuzz(fuzz_base, capsys, monkeypatch, argv):
+    """Every edge value of --ladder, --lambda, --output-dir, the run
+    directory name and lambda-check's arguments: exit 0, 2 or 3, one stderr
+    line on a refusal, no traceback or numpy warning, and no file written
+    outside the run directories."""
+    monkeypatch.chdir(fuzz_base)  # a relative --output-dir is taken from the fuzz runs' directory
+    spin_side = "--spin-side" in argv or argv[2:3] in (["frame"], ["charges"], ["equiv-check"])
+    run, other = ("spinrun", "nlsrun") if spin_side else ("nlsrun", "spinrun")
+    argv = [a.format(base=fuzz_base, run=run, other=other) for a in argv]
+    before = _tree(fuzz_base)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert err == "" if code == 0 else err.startswith(("error: ", "numerical abort: "))
+    assert err.count("\n") == (code != 0) and "Traceback" not in err
+    assert all(path.startswith(("spinrun", "nlsrun")) for path in _tree(fuzz_base) - before)

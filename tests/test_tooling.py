@@ -4,9 +4,9 @@ option that only unit tests set, no identity probe in the frame layer, one
 vector layout, one MFLD1 reader and one CLI function that calls it, no
 private frames name used outside frames but the workspace and the
 densities, one writer of run directories, no parameter check called for
-its side effect alone, no step formed from the cell area, a README layout
-that names every module and no run file a simulate command would not
-clean up."""
+its side effect alone, no step formed from the cell area, no command that
+calls the general NLS pair, a README layout that names every module and
+no run file a simulate command would not clean up."""
 
 import ast
 import fnmatch
@@ -569,6 +569,46 @@ def test_step_leftover_check_sees_a_leftover(tmp_path):
     assert step_leftovers([tmp_path / "a.py"]) == [
         "a.py:1: CFL_SAFETY", "a.py:2: DT_FACTOR", "a.py:5: 0.3 * hx * (2.0 * hy)",
         "a.py:5: DT_FACTOR", "a.py:5: DT_FACTOR * grid.hx * grid.hy", "a.py:8: CFL_SAFETY"]
+
+
+GENERAL_PAIR = ("nls_rhs", "solve_v_nls")
+GENERAL_PAIR_READERS = {("cli.py", "cmd_selftest")}
+
+
+def general_pair_callers(paths) -> list:
+    """Each call of nls_rhs or solve_v_nls, by name or as an attribute, in
+    the modules, as `module:line: top-level function or class` (nested
+    functions and methods counted in theirs), but in GENERAL_PAIR_READERS."""
+    found = []
+    for path in paths:
+        for top in ast.parse(path.read_text()).body:
+            if (not isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    or (path.name, top.name) in GENERAL_PAIR_READERS):
+                continue
+            found += [f"{path.name}:{node.lineno}: {top.name}" for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and getattr(
+                          node.func, "id", getattr(node.func, "attr", None)) in GENERAL_PAIR]
+    return sorted(found)
+
+
+def test_general_pair_is_a_reference_only():
+    """nls_rhs and solve_v_nls, the general pair (an explicit p), are a
+    reference for the tests and selftest: no command reads its rate from
+    them, since simulate-nls integrates the reduced kernel (nls.q_rate)."""
+    assert general_pair_callers(MODULES) == []
+
+
+def test_general_pair_check_sees_a_caller(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "from . import nls\nfrom .nls import nls_rhs, solve_v_nls\n\n"
+        "def cmd_selftest(args):\n    return nls_rhs(args), solve_v_nls(args)\n\n"
+        "def equiv_residual(grid, q):\n    v = nls.solve_v_nls(grid, q, q)[0]\n"
+        "    return nls_rhs(grid, q, q, v)\n\n"
+        "class Checker:\n    def rate(self, q):\n        def inner():\n"
+        "            return solve_v_nls(q, q)\n        return inner\n\n"
+        "def nls_rhs_twin(q):\n    return q\n")
+    assert general_pair_callers([tmp_path / "cli.py"]) == [
+        "cli.py:14: Checker", "cli.py:8: equiv_residual", "cli.py:9: equiv_residual"]
 
 
 def test_readme_layout_names_every_module():
