@@ -41,6 +41,8 @@ SLICE_COMPS = {"spin": (("S1", "S2", "S3"), ("u", "v")),
 RUN_FILES = ("spin_[0-9]*.mfld1", "nls_[0-9]*.mfld1", "frame_[0-9]*.mfld1",
              "coeffs_[0-9]*.mfld1", "meta.json", "invariants.csv", "norms.csv", "charges.csv",
              "frame_report.json", "equiv_report.json", "lax_report.json", "lax_scan.csv")
+# lambda-check's float options, whose value main attaches (`--k=-1e3`)
+NUMBER_OPTIONS = ("--k", "--a", "--c")
 
 
 def _apply_thread_cap():
@@ -247,15 +249,15 @@ def _make_initial(cfg: RunConfig, side: str):
     return lambda grid: gen(grid, **args)
 
 
-def _run_length(cfg: RunConfig, grid, default=None):
+def _run_length(cfg: RunConfig, grid, default=None, band: bool = False):
     """(dt, n_steps) of a simulate run; dt = 0 picks the default step:
     default(), a function of no argument that a simulate command passes
     (it makes the initial state, and a spin run gives that state's step),
     or fields.default_dt(grid) where there is none or it gives None.  A dt
-    beyond the step bound, a t_end that rounds to no step, or a run beyond
-    MAX_STEPS, MAX_SLICES or MAX_CELLS, is refused before the run writes
-    anything, and every refusal that needs no step before default() is
-    called."""
+    beyond the step bound (the 2/3 band's, with band), a t_end that rounds
+    to no step, or a run beyond MAX_STEPS, MAX_SLICES or MAX_CELLS, is
+    refused before the run writes anything, and every refusal that needs no
+    step before default() is called."""
     from .fields import checked_dt, default_dt
     dt, t_end, save_every = cfg["dt"], cfg["t_end"], cfg["save_every"]
     if dt < 0.0:
@@ -266,7 +268,7 @@ def _run_length(cfg: RunConfig, grid, default=None):
         raise ConfigError(f"save_every must be at least 1, got {save_every}")
     if grid.nx * grid.ny > MAX_CELLS:
         raise ConfigError(f"grid of {grid.nx} x {grid.ny} points exceeds {MAX_CELLS}")
-    dt = checked_dt(grid, dt or (default and default()) or default_dt(grid))
+    dt = checked_dt(grid, dt or (default and default()) or default_dt(grid), band)
     if not t_end / dt <= MAX_STEPS:
         raise ConfigError(f"t_end / dt = {t_end / dt:.3e} steps exceeds {MAX_STEPS}")
     n_steps = int(round(t_end / dt))
@@ -332,11 +334,13 @@ def _run_dir(out: str) -> str:
 def _simulate(args, kind: str, load, step, march, payload, finish) -> int:
     """Run the config args.config names and write its `kind` run directory.
 
-    Every refusal comes first: the config, the parameters, the run length
+    Every refusal comes first: the config (a run directory that resolves
+    to --output-dir itself included), the parameters, the run length
     (_run_length) and the initial field, which load(grid, initial, par,
     scheme=scheme) makes a state of.  A run at dt = 0 makes that state
     inside _run_length and steps at step(grid, par, state) (a spin run's
-    own; None keeps the grid's default).  Then _run_dir clears the
+    own; None keeps the grid's default); a spin run then marches in the
+    2/3 band, which meta.json records as `band`.  Then _run_dir clears the
     directory, and each state that march(grid, state, par, dt, n_steps,
     save_every, scheme) yields is written as <kind>_NNNNNN.mfld1 and let go
     before the march makes the next: payload(par, st) gives its planes and
@@ -351,15 +355,21 @@ def _simulate(args, kind: str, load, step, march, payload, finish) -> int:
     out = os.path.join(args.output_dir, cfg["output_dir"])
     if "\0" in out:  # no path holds one; refused before the run starts
         raise ConfigError(f"run directory {out!r} holds a NUL character")
+    if os.path.realpath(out) == os.path.realpath(args.output_dir):  # _run_dir would clear it
+        raise ConfigError(f"output_dir = {cfg['output_dir']!r} is the base directory "
+                          f"{args.output_dir!r} itself; a run needs a directory of its own")
     grid, par, scheme = cfg.grid(), cfg.params(kind), cfg["scheme"]
     make_initial = _make_initial(cfg, kind)
     initial = functools.cache(lambda: load(grid, make_initial(grid), par, scheme=scheme))
-    dt, n_steps = _run_length(cfg, grid, lambda: step(grid, par, initial()))
+    band = kind == "spin" and not cfg["dt"]
+    dt, n_steps = _run_length(cfg, grid, lambda: step(grid, par, initial()), band)
+    if band:
+        march = functools.partial(march, band=True)
     states = march(grid, initial(), par, dt, n_steps, cfg["save_every"], scheme)
     del initial  # the march lets go of the initial state once it is written
     _run_dir(out)
     meta = {"kind": kind, "config_hash": cfg.sha, "config": cfg.values, "env": _env(),
-            "dt": dt, "times": [], "slices": []}
+            "dt": dt, "band": band, "times": [], "slices": []}
     for st in states:
         name = f"{kind}_{len(meta['slices']):06d}.mfld1"
         data, scalars = payload(par, st)
@@ -743,12 +753,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_lambda(argv: list) -> list:
-    """`--lambda RE,IM` as `--lambda=RE,IM`, so a negative RE is not read as an option."""
+def _is_number(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_values(argv: list) -> list:
+    """`--lambda RE,IM` as `--lambda=RE,IM`, and a number V after one of
+    NUMBER_OPTIONS as `--k=V`, so a negative value that argparse does not
+    read as a number (-0.2,0.4, -1e3, -inf) is not read as an option."""
     out = []
     for tok in argv:
-        if out and out[-1] == "--lambda" and "," in tok:
-            out[-1] = f"--lambda={tok}"
+        if out and (out[-1] == "--lambda" and "," in tok
+                    or out[-1] in NUMBER_OPTIONS and _is_number(tok)):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
@@ -758,7 +779,7 @@ def main(argv=None) -> int:
     _apply_thread_cap()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_attach_lambda(argv))
+        args = build_parser().parse_args(_attach_values(argv))
         return args.func(args)
     except NumericalError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

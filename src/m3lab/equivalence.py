@@ -145,7 +145,7 @@ def l_equiv_check(par: SpinParams, make_initial, sizes=(32, 64, 128),
     rung's initial masked fraction, degree Q and spectral tail (its initial
     state's).  Each rung marches at the step its
     initial state allows (spin.stable_dt), cut to a whole number of steps
-    per delta.
+    per delta, in the 2/3 band that step is made for.
     """
     n0 = sizes[0]
     ladder, initial = [], []
@@ -163,7 +163,8 @@ def l_equiv_check(par: SpinParams, make_initial, sizes=(32, 64, 128),
         rung["tail"] = state.tail
         spd = max(1, int(np.ceil(delta / stable_dt(grid, par, state))))
         blocks = max(2, int(np.round(t_eval / delta)) + 1)
-        states = march_spin(grid, state, par, delta / spd, blocks * spd, spd, scheme)
+        states = march_spin(grid, state, par, delta / spd, blocks * spd, spd, scheme,
+                            band=True)
         del state
         s0, s1, s2 = deque(states, maxlen=3)
         last = equiv_residual(grid, s0.S, s1.S, s2.S, 2.0 * delta, par,

@@ -21,8 +21,12 @@ Two derivative schemes are provided: "spectral" (FFT, exact below Nyquist)
 and "central4" (periodic 5-point 4th-order stencil).  The periodic
 antiderivative inv_dx is spectral and zero-mean by construction; the per-row
 mean it discards is returned as a solvability diagnostic.  spectral_tail
-reads how well the grid holds a field: the share of its energy past two
-thirds of the wavenumbers.
+reads how well the grid holds a field: the share of its energy past the
+2/3 band, |kx| <= nx//3 and |ky| <= ny//3 (_band_top is the band's one
+definition).  band_limit projects a real field or stack into that band
+(the 2/3 rule), as two dense products when both axes have at most
+DENSE_MAX_N points and as an rfft2 pair above; band_operator makes the
+matrices or the spectrum buffer it reads, for its caller to keep.
 
 Every spectral operator reads one wavenumber table per (n, h), cached:
 the fft wavenumbers with the even-n Nyquist entry set to 0, so the Nyquist
@@ -61,11 +65,12 @@ moves its coefficient dumps by 1.1e-2.  The spin kernel's constraint dots
 sum in component order, as they always have.
 
 The stepping core shared by the spin and NLS solvers also lives here: the
-step ceiling (max_dt, which checked_dt enforces and of which the NLS
-default_dt is a fraction), one classical RK4 step (rk4) and the march
-protocol (march).  rk4 steps one array, forming its stage state and
-weighted sum in place, in a triple of arrays a march's workspace holds as
-`work`; march yields a march's states, stepping the workspace it loaded.
+step ceiling (max_dt, on the grid's or on the band's top wavenumbers,
+which checked_dt enforces and of which the NLS default_dt is a fraction),
+one classical RK4 step (rk4) and the march protocol (march).  rk4 steps
+one array, forming its stage state and weighted sum in place, in a triple
+of arrays a march's workspace holds as `work`; march yields a march's
+states, stepping the workspace it loaded.
 
 Every public operator rejects a non-finite input (FieldError).  The private
 _deriv and _inv_dx check nothing: a kernel checks its input once, where it
@@ -322,15 +327,70 @@ def integrate2(grid: Grid2, f: np.ndarray) -> float:
     return float(grid.hx * grid.hy * np.sum(f))
 
 
+def _band_top(n: int) -> int:
+    """The largest mode number |k| that the 2/3 band keeps on an n-point axis."""
+    return n // 3
+
+
+def _past_band(n: int, half: bool) -> slice:
+    """The entries of an n-point axis's spectrum past the 2/3 band: of its
+    half spectrum (rfft) when half, else of its full one (fft)."""
+    top = _band_top(n)
+    return slice(top + 1, None if half else n - top)
+
+
+class Band(NamedTuple):
+    """The 2/3 band operator of a grid, made by band_operator and applied by
+    band_limit: its dense matrices along y and x, or on the rfft2 path
+    (None, None and) the buffer of one plane's half spectrum."""
+    y: np.ndarray
+    x: np.ndarray
+    spectrum: np.ndarray = None
+
+
+def _band_matrix(n: int) -> np.ndarray:
+    """B with B @ f = the 2/3 band part of f along an n-point axis."""
+    F = np.fft.rfft(np.eye(n), axis=0)
+    F[_past_band(n, True)] = 0.0
+    return _frozen(np.fft.irfft(F, n=n, axis=0))
+
+
+def band_operator(grid: Grid2) -> Band:
+    """The 2/3 band operator of grid: dense products when both axes have at
+    most DENSE_MAX_N points, rfft2 otherwise.  Nothing caches it: its
+    holder (a spin workspace) keeps it."""
+    if max(grid.nx, grid.ny) <= DENSE_MAX_N:
+        bx = _band_matrix(grid.nx)
+        return Band(bx if grid.ny == grid.nx else _band_matrix(grid.ny), bx)
+    return Band(None, None, np.empty((grid.ny, grid.nx // 2 + 1), complex))
+
+
+def band_limit(f: np.ndarray, band: Band, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The part of f, a real (..., ny, nx) field or stack, with |kx| <= nx//3
+    and |ky| <= ny//3 (the 2/3 rule: Orszag, J. Atmos. Sci. 28, 1971), into
+    out, which may be f; work, of f's shape, takes the x-product of the
+    dense path."""
+    if band.y is not None:
+        return np.matmul(band.y, np.matmul(f, band.x.T, out=work), out=out)
+    ny, nx = f.shape[-2:]
+    F = band.spectrum
+    for p, o in zip(f.reshape((-1, ny, nx)), out.reshape((-1, ny, nx))):
+        np.fft.rfft2(p, out=F)
+        F[_past_band(ny, False)] = 0.0
+        F[:, _past_band(nx, True)] = 0.0
+        np.fft.irfft(np.fft.ifft(F, axis=0, out=F), n=nx, out=o)  # irfft2 ignores out
+    return out
+
+
 def spectral_tail(f: np.ndarray) -> float:
     """How well the grid holds f, an (ny, nx) field or a (k, ny, nx) stack:
-    the root of the energy with |kx| > nx/3 or |ky| > ny/3 over the total,
-    the largest over its planes (a complex field's real and imaginary
-    parts).  Each plane's half spectrum is squared in one buffer, and the
-    band is summed as slices of it.  Rounding when resolved."""
+    the root of the energy past the 2/3 band (|kx| > nx//3 or |ky| > ny//3)
+    over the total, the largest over its planes (a complex field's real and
+    imaginary parts).  Each plane's half spectrum is squared in one buffer,
+    and the band is summed as slices of it.  Rounding when resolved."""
     f = np.asarray(f)
     ny, nx = f.shape[-2:]
-    rows, cols = slice(ny // 3 + 1, ny - ny // 3), slice(nx // 3 + 1, None)  # |ky|, kx past 1/3
+    rows, cols = _past_band(ny, False), _past_band(nx, True)
     kx = np.arange(nx // 2 + 1)
     weight = np.where((kx == 0) | (2 * kx == nx), 1.0, 2.0)  # the half spectrum's mirrored columns
     planes = f.reshape((-1, ny, nx))
@@ -400,15 +460,17 @@ def max_norm(M: np.ndarray) -> float:
 # Time stepping shared by the spin and NLS solvers
 # ---------------------------------------------------------------------------
 
-def max_dt(grid: Grid2, ax: float = 0.0, ay: float = 0.0) -> float:
+def max_dt(grid: Grid2, ax: float = 0.0, ay: float = 0.0, band: bool = False) -> float:
     """RK4's imaginary-axis limit over the largest rate kx ky + ax kx + ay ky
-    on the grid's wavenumbers (Nyquist dropped, as by every operator).
-    About a uniform field both models rotate a mode at exactly kx ky, so
-    max_dt(grid) is the exact ceiling of a stable step; the central4
+    on the grid's wavenumbers (Nyquist dropped, as by every operator), or
+    with band on those the 2/3 band keeps (band_limit), whose tops are
+    2/3 as large.  About a uniform field both models rotate a mode at
+    exactly kx ky, so max_dt(grid, band=band) is the exact ceiling of a
+    stable step of the kernel that runs on those wavenumbers; the central4
     wavenumbers are smaller.  ax and ay are first-order rates a field
     drives (spin.stable_dt).
     """
-    kx, ky = (float(_wavenumbers(n, h)[(n - 1) // 2])  # the largest entry
+    kx, ky = (float(_wavenumbers(n, h)[_band_top(n) if band else (n - 1) // 2])
               for n, h in ((grid.nx, grid.hx), (grid.ny, grid.hy)))
     return RK4_LIMIT / (kx * ky + ax * kx + ay * ky)
 
@@ -418,18 +480,18 @@ def default_dt(grid: Grid2) -> float:
     return STEP_SAFETY * max_dt(grid)
 
 
-def checked_dt(grid: Grid2, dt: float) -> float:
-    """dt, unless outside (0, max_dt(grid)] (ParameterError): past that
-    ceiling the shared dispersive term grows at every step."""
-    bound = max_dt(grid)
+def checked_dt(grid: Grid2, dt: float, band: bool = False) -> float:
+    """dt, unless outside (0, max_dt(grid, band=band)] (ParameterError):
+    past that ceiling the shared dispersive term grows at every step."""
+    bound = max_dt(grid, band=band)
     if not 0.0 < dt <= bound * (1.0 + 1e-9):
         raise ParameterError(f"dt = {dt:.3e} outside the stable range (0, {bound:.3e}]")
     return dt
 
 
-def rk4(grid: Grid2, rhs, y: np.ndarray, dt: float, work=None) -> np.ndarray:
+def rk4(grid: Grid2, rhs, y: np.ndarray, dt: float, work=None, band: bool = False) -> np.ndarray:
     """One classical RK4 step of y' = rhs(y), y and rhs(y) arrays, dt checked
-    by checked_dt.
+    by checked_dt (against the band's ceiling when rhs runs in the band).
 
     The stages y + c k and the sum y + dt/6 (k1 + 2 k2 + 2 k3 + k4) are
     formed in place, in that operand order, in work: one (stage, sum,
@@ -437,7 +499,7 @@ def rk4(grid: Grid2, rhs, y: np.ndarray, dt: float, work=None) -> np.ndarray:
     returned in the sum array.  y is never written, and rhs may return one
     buffer at every stage.
     """
-    checked_dt(grid, dt)
+    checked_dt(grid, dt, band)
     k = rhs(y)
     s, total, tmp = work or tuple(np.empty(k.shape, np.result_type(y, k)) for _ in range(3))
     total[...] = k

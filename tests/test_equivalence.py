@@ -9,6 +9,7 @@ from m3lab.equivalence import (
     frame_from_fg,
     gauge_check,
     hirota_d,
+    l_equiv_check,
     q_from_spin,
     spin_from_fg,
     u_from_fg,
@@ -160,6 +161,21 @@ def test_equiv_residual_reads_the_rate_the_nls_stepper_integrates():
     v = nls.make_state(grid, q_mid, npar).v
     assert res["v_cross"] == float(np.max(np.abs(v - saved[1].v)))
     assert 0.0 < res["residual_q"] < 1e-3 and res["v_cross"] < 1e-12
+
+
+def test_kappa_2_helix_ladder_converges_in_the_band():
+    """The kappa = 2 helix (eps = 0.05) on criterion 06's ladder and
+    parameters: each rung marches at its rule's step in the 2/3 band, where
+    the full-grid kernel aborted on the n = 64 rung at t = 0.136, and the
+    ladder converges at order >= 1.9 (1.0431e-3 / 2.5779e-4 / 7.2004e-5,
+    order 1.928)."""
+    par = SpinParams(c=0.3, d=1.0, l=0.0, model="M3")
+    report = l_equiv_check(par, lambda g: init_modulated_helix(g, kappa=2, eps=0.05),
+                           sizes=(32, 64, 128), t_eval=0.2, delta0=0.1)
+    residuals = [r for _, r in report.ladder]
+    assert all(a > b for a, b in zip(residuals, residuals[1:]))
+    assert report.order >= 1.9
+    assert report.v_cross < 1e-12
 
 
 def test_equiv_residual_aborts_on_equilibrium(grid):

@@ -571,6 +571,53 @@ def test_step_leftover_check_sees_a_leftover(tmp_path):
         "a.py:5: DT_FACTOR", "a.py:5: DT_FACTOR * grid.hx * grid.hy", "a.py:8: CFL_SAFETY"]
 
 
+BAND_DEFINER = ("fields.py", "_band_top")   # the one cut n // 3 of the 2/3 band
+BAND_APPLIER = ("spin.py", "_rhs")          # the one kernel that runs in it
+
+
+def band_leftovers(paths) -> list:
+    """In the modules: every floor division by 3 (a 2/3 band cut) outside
+    fields._band_top, which the projection, spectral_tail and max_dt read,
+    and every use of band_limit, the band's projection, outside spin._rhs
+    (importing it is no use)."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+
+        def within(node, owner):
+            return path.name == owner[0] and any(
+                f.name == owner[1] and f.lineno <= node.lineno <= f.end_lineno for f in funcs)
+
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+                    and isinstance(node.right, ast.Constant) and node.right.value == 3
+                    and not within(node, BAND_DEFINER)):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            elif (isinstance(node, (ast.Name, ast.Attribute))
+                  and getattr(node, "id", getattr(node, "attr", None)) == "band_limit"
+                  and not within(node, BAND_APPLIER)):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_the_band_has_one_definition_and_one_applier():
+    assert band_leftovers(MODULES) == []
+
+
+def test_band_leftover_check_sees_a_leftover(tmp_path):
+    (tmp_path / "fields.py").write_text(
+        "def _band_top(n):\n    return n // 3\n\n"
+        "def spectral_tail(f):\n    return f.shape[-1] // 3, f.shape[-1] // 2\n")
+    (tmp_path / "spin.py").write_text(
+        "from .fields import band_limit\n\n"
+        "def _rhs(r, band):\n    return band_limit(r, band)\n\n"
+        "def step(r, band):\n    return fields.band_limit(r, band)\n")
+    (tmp_path / "nls.py").write_text("def _rhs(q, band):\n    return band_limit(q, band)\n")
+    assert band_leftovers([tmp_path / n for n in ("fields.py", "spin.py", "nls.py")]) == [
+        "fields.py:5: f.shape[-1] // 3", "spin.py:7: fields.band_limit", "nls.py:2: band_limit"]
+
+
 GENERAL_PAIR = ("nls_rhs", "solve_v_nls")
 GENERAL_PAIR_READERS = {("cli.py", "cmd_selftest")}
 
@@ -621,7 +668,7 @@ def test_readme_layout_names_every_module():
 
 
 SPIN_RUN = ("grid.nx = 16\ngrid.ny = 16\nmodel = M3\nparams.c = 0.3\n"
-            "spin.init = modulated-helix\nt_end = 0.1\nsave_every = 1\noutput_dir = spin\n")
+            "spin.init = modulated-helix\nt_end = 0.2\nsave_every = 1\noutput_dir = spin\n")
 NLS_RUN = ("grid.nx = 16\ngrid.ny = 16\nmodel = Zakharov\nnls.init = plane-wave\n"
            "t_end = 0.1\nsave_every = 1\noutput_dir = nls\n")
 
