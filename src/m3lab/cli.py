@@ -249,15 +249,15 @@ def _make_initial(cfg: RunConfig, side: str):
     return lambda grid: gen(grid, **args)
 
 
-def _run_length(cfg: RunConfig, grid, default=None, band: bool = False):
+def _run_length(cfg: RunConfig, grid, default=None):
     """(dt, n_steps) of a simulate run; dt = 0 picks the default step:
     default(), a function of no argument that a simulate command passes
     (it makes the initial state, and a spin run gives that state's step),
     or fields.default_dt(grid) where there is none or it gives None.  A dt
-    beyond the step bound (the 2/3 band's, with band), a t_end that rounds
-    to no step, or a run beyond MAX_STEPS, MAX_SLICES or MAX_CELLS, is
-    refused before the run writes anything, and every refusal that needs no
-    step before default() is called."""
+    beyond the step bound, a t_end that rounds to no step, or a run beyond
+    MAX_STEPS, MAX_SLICES or MAX_CELLS, is refused before the run writes
+    anything, and every refusal that needs no step before default() is
+    called."""
     from .fields import checked_dt, default_dt
     dt, t_end, save_every = cfg["dt"], cfg["t_end"], cfg["save_every"]
     if dt < 0.0:
@@ -268,7 +268,7 @@ def _run_length(cfg: RunConfig, grid, default=None, band: bool = False):
         raise ConfigError(f"save_every must be at least 1, got {save_every}")
     if grid.nx * grid.ny > MAX_CELLS:
         raise ConfigError(f"grid of {grid.nx} x {grid.ny} points exceeds {MAX_CELLS}")
-    dt = checked_dt(grid, dt or (default and default()) or default_dt(grid), band)
+    dt = checked_dt(grid, dt or (default and default()) or default_dt(grid))
     if not t_end / dt <= MAX_STEPS:
         raise ConfigError(f"t_end / dt = {t_end / dt:.3e} steps exceeds {MAX_STEPS}")
     n_steps = int(round(t_end / dt))
@@ -334,13 +334,12 @@ def _run_dir(out: str) -> str:
 def _simulate(args, kind: str, load, step, march, payload, finish) -> int:
     """Run the config args.config names and write its `kind` run directory.
 
-    Every refusal comes first: the config (a run directory that resolves
-    to --output-dir itself included), the parameters, the run length
+    Every refusal comes first: the config (a run directory that is not
+    inside --output-dir included), the parameters, the run length
     (_run_length) and the initial field, which load(grid, initial, par,
     scheme=scheme) makes a state of.  A run at dt = 0 makes that state
     inside _run_length and steps at step(grid, par, state) (a spin run's
-    own; None keeps the grid's default); a spin run then marches in the
-    2/3 band, which meta.json records as `band`.  Then _run_dir clears the
+    own; None keeps the grid's default).  Then _run_dir clears the
     directory, and each state that march(grid, state, par, dt, n_steps,
     save_every, scheme) yields is written as <kind>_NNNNNN.mfld1 and let go
     before the march makes the next: payload(par, st) gives its planes and
@@ -355,21 +354,19 @@ def _simulate(args, kind: str, load, step, march, payload, finish) -> int:
     out = os.path.join(args.output_dir, cfg["output_dir"])
     if "\0" in out:  # no path holds one; refused before the run starts
         raise ConfigError(f"run directory {out!r} holds a NUL character")
-    if os.path.realpath(out) == os.path.realpath(args.output_dir):  # _run_dir would clear it
-        raise ConfigError(f"output_dir = {cfg['output_dir']!r} is the base directory "
-                          f"{args.output_dir!r} itself; a run needs a directory of its own")
+    base, run = os.path.realpath(args.output_dir), os.path.realpath(out)
+    if run == base or os.path.commonpath([base, run]) != base:  # _run_dir would clear it
+        raise ConfigError(f"output_dir = {cfg['output_dir']!r} is no directory inside "
+                          f"{args.output_dir!r}; a run needs a directory of its own there")
     grid, par, scheme = cfg.grid(), cfg.params(kind), cfg["scheme"]
     make_initial = _make_initial(cfg, kind)
     initial = functools.cache(lambda: load(grid, make_initial(grid), par, scheme=scheme))
-    band = kind == "spin" and not cfg["dt"]
-    dt, n_steps = _run_length(cfg, grid, lambda: step(grid, par, initial()), band)
-    if band:
-        march = functools.partial(march, band=True)
+    dt, n_steps = _run_length(cfg, grid, lambda: step(grid, par, initial()))
     states = march(grid, initial(), par, dt, n_steps, cfg["save_every"], scheme)
     del initial  # the march lets go of the initial state once it is written
     _run_dir(out)
     meta = {"kind": kind, "config_hash": cfg.sha, "config": cfg.values, "env": _env(),
-            "dt": dt, "band": band, "times": [], "slices": []}
+            "dt": dt, "times": [], "slices": []}
     for st in states:
         name = f"{kind}_{len(meta['slices']):06d}.mfld1"
         data, scalars = payload(par, st)

@@ -143,9 +143,9 @@ def l_equiv_check(par: SpinParams, make_initial, sizes=(32, 64, 128),
     frame is checked (_limited_frame), before the first march, and every
     slice the residuals read again after it; the report records each
     rung's initial masked fraction, degree Q and spectral tail (its initial
-    state's).  Each rung marches at the step its
-    initial state allows (spin.stable_dt), cut to a whole number of steps
-    per delta, in the 2/3 band that step is made for.
+    state's).  Each rung marches in the 2/3 band, at the step its initial
+    state allows there (spin.stable_dt with band), cut to a whole number of
+    steps per delta.
     """
     n0 = sizes[0]
     ladder, initial = [], []
@@ -161,7 +161,7 @@ def l_equiv_check(par: SpinParams, make_initial, sizes=(32, 64, 128),
         delta = delta0 * n0 / grid.nx
         state = make_state(grid, make_initial(grid), par, scheme=scheme)
         rung["tail"] = state.tail
-        spd = max(1, int(np.ceil(delta / stable_dt(grid, par, state))))
+        spd = max(1, int(np.ceil(delta / stable_dt(grid, par, state, band=True))))
         blocks = max(2, int(np.round(t_eval / delta)) + 1)
         states = march_spin(grid, state, par, delta / spd, blocks * spd, spd, scheme,
                             band=True)

@@ -23,10 +23,8 @@ antiderivative inv_dx is spectral and zero-mean by construction; the per-row
 mean it discards is returned as a solvability diagnostic.  spectral_tail
 reads how well the grid holds a field: the share of its energy past the
 2/3 band, |kx| <= nx//3 and |ky| <= ny//3 (_band_top is the band's one
-definition).  band_limit projects a real field or stack into that band
-(the 2/3 rule), as two dense products when both axes have at most
-DENSE_MAX_N points and as an rfft2 pair above; band_operator makes the
-matrices or the spectrum buffer it reads, for its caller to keep.
+definition).  band_limit projects a real stack into that band (the 2/3
+rule) through an rfft2 pair and a spectrum buffer its caller keeps.
 
 Every spectral operator reads one wavenumber table per (n, h), cached:
 the fft wavenumbers with the even-n Nyquist entry set to 0, so the Nyquist
@@ -339,46 +337,16 @@ def _past_band(n: int, half: bool) -> slice:
     return slice(top + 1, None if half else n - top)
 
 
-class Band(NamedTuple):
-    """The 2/3 band operator of a grid, made by band_operator and applied by
-    band_limit: its dense matrices along y and x, or on the rfft2 path
-    (None, None and) the buffer of one plane's half spectrum."""
-    y: np.ndarray
-    x: np.ndarray
-    spectrum: np.ndarray = None
-
-
-def _band_matrix(n: int) -> np.ndarray:
-    """B with B @ f = the 2/3 band part of f along an n-point axis."""
-    F = np.fft.rfft(np.eye(n), axis=0)
-    F[_past_band(n, True)] = 0.0
-    return _frozen(np.fft.irfft(F, n=n, axis=0))
-
-
-def band_operator(grid: Grid2) -> Band:
-    """The 2/3 band operator of grid: dense products when both axes have at
-    most DENSE_MAX_N points, rfft2 otherwise.  Nothing caches it: its
-    holder (a spin workspace) keeps it."""
-    if max(grid.nx, grid.ny) <= DENSE_MAX_N:
-        bx = _band_matrix(grid.nx)
-        return Band(bx if grid.ny == grid.nx else _band_matrix(grid.ny), bx)
-    return Band(None, None, np.empty((grid.ny, grid.nx // 2 + 1), complex))
-
-
-def band_limit(f: np.ndarray, band: Band, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """The part of f, a real (..., ny, nx) field or stack, with |kx| <= nx//3
-    and |ky| <= ny//3 (the 2/3 rule: Orszag, J. Atmos. Sci. 28, 1971), into
-    out, which may be f; work, of f's shape, takes the x-product of the
-    dense path."""
-    if band.y is not None:
-        return np.matmul(band.y, np.matmul(f, band.x.T, out=work), out=out)
-    ny, nx = f.shape[-2:]
-    F = band.spectrum
-    for p, o in zip(f.reshape((-1, ny, nx)), out.reshape((-1, ny, nx))):
-        np.fft.rfft2(p, out=F)
-        F[_past_band(ny, False)] = 0.0
-        F[:, _past_band(nx, True)] = 0.0
-        np.fft.irfft(np.fft.ifft(F, axis=0, out=F), n=nx, out=o)  # irfft2 ignores out
+def band_limit(f: np.ndarray, out: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """The part of f, a real (k, ny, nx) stack, with |kx| <= nx//3 and
+    |ky| <= ny//3 (the 2/3 rule: Orszag, J. Atmos. Sci. 28, 1971), into out,
+    which may be f: an rfft2 into spectrum, the (k, ny, nx//2 + 1) complex
+    buffer its caller keeps, the entries past the band zeroed, and back."""
+    ny, nx = f.shape[1:]
+    np.fft.rfft2(f, out=spectrum)
+    spectrum[:, _past_band(ny, False)] = 0.0
+    spectrum[:, :, _past_band(nx, True)] = 0.0
+    np.fft.irfft(np.fft.ifft(spectrum, axis=1, out=spectrum), n=nx, out=out)  # irfft2 has no out
     return out
 
 
@@ -480,18 +448,20 @@ def default_dt(grid: Grid2) -> float:
     return STEP_SAFETY * max_dt(grid)
 
 
-def checked_dt(grid: Grid2, dt: float, band: bool = False) -> float:
-    """dt, unless outside (0, max_dt(grid, band=band)] (ParameterError):
-    past that ceiling the shared dispersive term grows at every step."""
-    bound = max_dt(grid, band=band)
+def checked_dt(grid: Grid2, dt: float, bound: float = None) -> float:
+    """dt, unless outside (0, bound] (ParameterError), bound the ceiling of
+    the kernel that steps, max_dt(grid) unless given: past it the shared
+    dispersive term grows at every step."""
+    bound = bound or max_dt(grid)
     if not 0.0 < dt <= bound * (1.0 + 1e-9):
         raise ParameterError(f"dt = {dt:.3e} outside the stable range (0, {bound:.3e}]")
     return dt
 
 
-def rk4(grid: Grid2, rhs, y: np.ndarray, dt: float, work=None, band: bool = False) -> np.ndarray:
+def rk4(grid: Grid2, rhs, y: np.ndarray, dt: float, work=None, bound: float = None) -> np.ndarray:
     """One classical RK4 step of y' = rhs(y), y and rhs(y) arrays, dt checked
-    by checked_dt (against the band's ceiling when rhs runs in the band).
+    by checked_dt against bound, the ceiling of rhs's kernel (max_dt(grid)
+    unless given).
 
     The stages y + c k and the sum y + dt/6 (k1 + 2 k2 + 2 k3 + k4) are
     formed in place, in that operand order, in work: one (stage, sum,
@@ -499,7 +469,7 @@ def rk4(grid: Grid2, rhs, y: np.ndarray, dt: float, work=None, band: bool = Fals
     returned in the sum array.  y is never written, and rhs may return one
     buffer at every stage.
     """
-    checked_dt(grid, dt, band)
+    checked_dt(grid, dt, bound)
     k = rhs(y)
     s, total, tmp = work or tuple(np.empty(k.shape, np.result_type(y, k)) for _ in range(3))
     total[...] = k

@@ -32,13 +32,15 @@ non-finite aborts before it writes the stack.  march_spin loads the
 initial S and steps that workspace (fields.march); only kept states are
 copied out of it, and each is yielded as it is made, so a caller that
 writes it out (simulate-spin) holds one at a time.  A march's default step
-is stable_dt of its initial state, below the ceiling of fields.checked_dt
-on the 2/3 band's wavenumbers, and a march at it runs in that band: each
-stage's rate is projected into it (fields.band_limit) and made tangent to
-S again.  On the full grid the kernel grows aliased modes from rounding
-(the kappa >= 2 helix and the cone waves abort at any step); in the band
-it does not, and its top wavenumbers, 2/3 of the grid's, allow a step
-about twice as long.  A march at an explicit dt keeps the full grid.
+is stable_dt of its initial state, below the ceiling of fields.checked_dt.
+
+A march runs on the full grid, or with band in the 2/3 band (the kernel
+equiv-check's ladder runs): each stage's rate is projected into the band
+(fields.band_limit) and made tangent to S again.  On the full grid the
+kernel grows aliased modes from rounding (the kappa >= 2 helix and the
+cone waves abort at any step); in the band it does not, and its top
+wavenumbers, 2/3 of the grid's, allow a step about twice as long
+(stable_dt(..., band=True), under max_dt(grid, band=True)).
 
 The kinematic decomposition S_t = d2 S_x + d3 S_y (with coefficients read off
 a moving frame) lives here as m0_reduce / m0_residual.
@@ -59,7 +61,6 @@ from .fields import (
     _deriv,
     _inv_dx,
     band_limit,
-    band_operator,
     check_field,
     check_mode,
     cross_planes,
@@ -150,10 +151,11 @@ def check_unit(S: np.ndarray) -> np.ndarray:
 class _Workspace:
     """S loaded: a copy of the stack S as P, checked (shape and values), and
     every array a step writes.  march_spin loads one and reuses it in every
-    stage of every step and for every kept state.  With band it holds the
-    grid's 2/3 band operator (fields.band_operator), which its rate then
-    runs in; else band is None.  RK4's scratch is buf, which a stage leaves
-    free."""
+    stage of every step and for every kept state.  With band its rate runs
+    in the 2/3 band, through spectrum, the stack's half spectrum
+    (fields.band_limit); else spectrum is None.  ceiling is the step bound
+    of its kernel (fields.max_dt).  RK4's scratch is buf, which a stage
+    leaves free."""
 
     def __init__(self, grid: Grid2, S: np.ndarray, band: bool = False):
         shape = (3, grid.ny, grid.nx)
@@ -161,7 +163,8 @@ class _Workspace:
         self.u_x, self.u, self.v_x, self.v, self.tmp, self.length = (
             np.empty(shape[1:]) for _ in range(6))
         self.rk4 = (np.empty(shape), np.empty(shape), self.buf)
-        self.band = band_operator(grid) if band else None
+        self.spectrum = np.empty((3, grid.ny, grid.nx // 2 + 1), complex) if band else None
+        self.ceiling = max_dt(grid, band=band)
         self.P[...] = check_field(grid, S, "S", (3,))
 
 
@@ -207,7 +210,7 @@ def solve_v(grid: Grid2, S: np.ndarray, par: SpinParams, scheme=SPECTRAL):
 
 def _rhs(grid: Grid2, P: np.ndarray, par: SpinParams, scheme, ws) -> np.ndarray:
     """S_t of the stack P of S, P unchecked, written into ws.rate.  In a
-    workspace with a band, the rate r is projected into it and its normal
+    band workspace the rate r is projected into the 2/3 band and its normal
     part removed, r <- B r - (S . B r) S, so it stays tangent to S: the
     band stops the aliasing growth of the full-grid kernel, and the normal
     part a bare projection leaves would show as renormalisation."""
@@ -220,8 +223,8 @@ def _rhs(grid: Grid2, P: np.ndarray, par: SpinParams, scheme, ws) -> np.ndarray:
         out += np.multiply(par.drift, ws.Sy, out=ws.buf)
     if par.c != 0.0:
         out -= np.multiply(np.multiply(4.0 * par.c, ws.v, out=ws.tmp), ws.Sx, out=ws.buf)
-    if ws.band is not None:
-        band_limit(out, ws.band, out, ws.buf)
+    if ws.spectrum is not None:
+        band_limit(out, out, ws.spectrum)
         out -= np.multiply(dot3(P, out, ws.tmp, ws.length, (0, 1, 2)), P, out=ws.buf)
     return out
 
@@ -262,7 +265,7 @@ def make_state(grid: Grid2, S: np.ndarray, par: SpinParams, t: float = 0.0,
     return _state(grid, _Workspace(grid, S), par, t, scheme, 0.0)
 
 
-def stable_dt(grid: Grid2, par: SpinParams, state: SpinState) -> float:
+def stable_dt(grid: Grid2, par: SpinParams, state: SpinState, band: bool = False) -> float:
     """The step a march of state takes by default: STEP_SAFETY of RK4's
     imaginary-axis limit over rho, the norm of the rate's symbol linearised
     about state.S with frozen coefficients, at the largest wavenumbers:
@@ -275,18 +278,17 @@ def stable_dt(grid: Grid2, par: SpinParams, state: SpinState) -> float:
     with each magnitude's maximum over the grid.  Terms of order zero in
     k, and the u constraint's, which reach the tangent modes at O(1), are
     left out.  rho >= kx ky, so the step stays below the ceiling
-    fields.max_dt(grid, band=True).  kx and ky are the tops of the 2/3
-    band, which a march at this step runs in (march_spin): in the band the
-    kx ky term is 4/9 of the full grid's and the first-order ones 2/3, so
-    the step is about twice as long.  It reads the u, v and slopes of
-    state, which the constraint solve that made state left: it
-    differentiates nothing.
+    fields.max_dt(grid, band=band).  With band, kx and ky are the tops of
+    the 2/3 band, for a march in it (march_spin): there the kx ky term is
+    4/9 of the full grid's and the first-order ones 2/3, so the step is
+    about twice as long.  It reads the u, v and slopes of state, which the
+    constraint solve that made state left: it differentiates nothing.
     """
     c = abs(par.c)
     sx, sy = state.slopes
     ax = sy + float(np.max(np.abs(state.u))) + 4.0 * c * float(np.max(np.abs(state.v)))
     ay = sx + abs(par.drift) + 2.0 * c * sx * sx / par.denom ** 2
-    return STEP_SAFETY * max_dt(grid, ax, ay, band=True)
+    return STEP_SAFETY * max_dt(grid, ax, ay, band)
 
 
 def step_rk4_spin(grid: Grid2, ws: _Workspace, par: SpinParams, dt: float,
@@ -295,21 +297,19 @@ def step_rk4_spin(grid: Grid2, ws: _Workspace, par: SpinParams, dt: float,
 
     The new S, renormalized to unit length, replaces the old in the stack
     ws.P; returns the correction max |1 - |S|| that renormalization
-    removed.  The stages run unchecked, every array in ws, in its band when
-    it holds one (_rhs; dt is then checked against the band's ceiling):
-    the stack was checked when loaded, and a step that ends non-finite
-    gives a NaN correction, which aborts it (UnstableStepError) before it
-    writes the stack, as a correction beyond RENORM_LIMIT does.  The abort names the
-    spectral tail of the S the step started from (fields.spectral_tail): a
-    correction that grows linearly with dt on a field of large tail is a
-    rate the grid cannot keep tangent to an unresolved S, not an unstable
-    step.
+    removed; dt is checked against ws.ceiling.  The stages run unchecked,
+    every array in ws: the stack was checked when loaded, and a step that
+    ends non-finite gives a NaN correction, which aborts it
+    (UnstableStepError) before it writes the stack, as a correction beyond
+    RENORM_LIMIT does.  The abort names the spectral tail of the S the step
+    started from (fields.spectral_tail): a correction that grows linearly
+    with dt on a field of large tail is a rate the grid cannot keep tangent
+    to an unresolved S, not an unstable step.
     """
     # an overflow in a stage ends as a non-finite correction, which aborts
     # below; it needs no warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
-        T = rk4(grid, lambda P: _rhs(grid, P, par, scheme, ws), ws.P, dt, ws.rk4,
-                ws.band is not None)
+        T = rk4(grid, lambda P: _rhs(grid, P, par, scheme, ws), ws.P, dt, ws.rk4, ws.ceiling)
         lengths = norm3(T, ws.length, ws.tmp)
         correction = float(np.max(np.abs(np.subtract(lengths, 1.0, out=ws.tmp), out=ws.tmp)))
     if not correction <= RENORM_LIMIT:
@@ -325,8 +325,8 @@ def march_spin(grid: Grid2, state: SpinState, par: SpinParams, dt: float,
 
     state.S is loaded into one workspace, which every step and kept state
     runs in (fields.march); each kept state owns copies of its arrays.
-    With band the rate runs in the 2/3 band (_rhs), as a march at the rule's
-    step (stable_dt) does; its dt is checked against the band's ceiling.
+    With band the rate runs in the 2/3 band (_rhs), and dt may reach the
+    band's ceiling, max_dt(grid, band=True).
     """
     ws = _Workspace(grid, state.S, band)
     return march(state, lambda: step_rk4_spin(grid, ws, par, dt, scheme),

@@ -16,8 +16,7 @@ import m3lab
 from m3lab.cli import (MAX_CELLS, MAX_SAMPLES, MAX_SLICES, MAX_STEPS, RunConfig, _run_length,
                        build_parser, main, parse_config_text)
 from m3lab.errors import ConfigError
-from m3lab.fields import (DENSE_MAX_N, TWO_PI, Grid2, default_dt, read_mfld1, spectral_tail,
-                          write_mfld1)
+from m3lab.fields import DENSE_MAX_N, Grid2, default_dt, read_mfld1, spectral_tail, write_mfld1
 from m3lab.nls import NlsParams, init_plane_wave, march_nls
 from m3lab.nls import make_state as make_nls_state
 from m3lab.spin import SpinParams, init_modulated_helix, march_spin, stable_dt
@@ -36,7 +35,7 @@ params.l = 0.0
 spin.init = modulated-helix
 spin.init.eps = 0.05
 spin.init.kappa = 1
-t_end = 0.1
+t_end = 0.05
 save_every = 2
 output_dir = spinrun
 """
@@ -110,7 +109,7 @@ CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 
 @pytest.mark.parametrize("name, sha", [
-    ("spin-reference.cfg", "e381360452d1f2590a4f53aab4166fcde4d16462e10dc1fd4b6a710840a2dbe8"),
+    ("spin-reference.cfg", "34b82279ff8fec42fca7ae2e0664ddc5930dba9ef1a3b65ab1bf016995a56d16"),
     ("lump.cfg", "98654baee9533014985ce02bf484a395509259fe164d5bd2daa85b9a6d14e77e"),
     ("nls-reference.cfg", "1bbaef6ce48dfc7349c876b8f85073949cb15f19901591e645586a985cbd16b8"),
 ])
@@ -250,19 +249,14 @@ def test_every_config_runs_at_the_step_it_is_given_or_the_rule_gives(tmp_path, n
 
 def test_unresolved_field_aborts_naming_its_tail(tmp_path, capsys):
     """A 16^2 lump of radius_frac 0.5, whose tail is 3.875e-2, aborts its
-    first step at an explicit 0.2 hx hy, on the full-grid kernel: the one
-    abort line names the tail.  At the rule's step the 2/3 band keeps the
-    rate tangent to S, and the run ends with exit 0."""
-    lump = {"grid.nx": 16, "grid.ny": 16, "params.c": 0.25, "spin.init": "stereographic-lump",
-            "spin.init.eps": None, "spin.init.kappa": None, "spin.init.radius_frac": 0.5}
+    first step at the rule's step too: the one abort line names the tail."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(_with(SPIN_CFG, dt=repr(0.2 * (TWO_PI / 16) ** 2), **lump))
+    cfg.write_text(_with(SPIN_CFG, **{"grid.nx": 16, "grid.ny": 16, "params.c": 0.25,
+                                      "spin.init": "stereographic-lump", "spin.init.eps": None,
+                                      "spin.init.kappa": None, "spin.init.radius_frac": 0.5}))
     assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 3
     err = _one_error_line(capsys, "numerical abort: step from t = 0: ")
     assert "(spectral tail of S 3.875e-02)" in err
-    cfg.write_text(_with(SPIN_CFG, **lump))
-    assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 0
-    assert json.loads((tmp_path / "spinrun" / "meta.json").read_text())["band"] is True
 
 
 def test_simulate_nls_deterministic(tmp_path):
@@ -327,7 +321,7 @@ def test_initial_condition_from_mfld1(spin_run, tmp_path):
     cfg = tmp_path / "restart.cfg"
     cfg.write_text(
         "grid.nx = 32\ngrid.ny = 32\nmodel = M3\nparams.c = 0.3\n"
-        f"spin.init = {slice_path}\nt_end = 0.05\nsave_every = 2\n"
+        f"spin.init = {slice_path}\nt_end = 0.02\nsave_every = 2\n"
         "output_dir = restartrun\n")
     assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 0
     meta2 = json.loads((tmp_path / "restartrun" / "meta.json").read_text())
@@ -929,7 +923,7 @@ def test_far_from_unit_slice_is_one_error_line(tmp_path, capsys, command):
     8 points of slice 1 of a 16^2 run) is refused where it is read: exit 2,
     one error line naming the file, and no numpy warning before it."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(_with(SPIN_CFG, t_end=0.15, **{"grid.nx": 16, "grid.ny": 16, "save_every": 1}))
+    cfg.write_text(_with(SPIN_CFG, t_end=0.1, **{"grid.nx": 16, "grid.ny": 16, "save_every": 1}))
     assert main(["--output-dir", str(tmp_path), "simulate-spin", str(cfg)]) == 0
     meta = json.loads((tmp_path / "spinrun" / "meta.json").read_text())
     assert len(meta["slices"]) == 3
@@ -1193,9 +1187,9 @@ def test_simulate_lets_go_of_the_initial_state(tmp_path, monkeypatch, command, c
     real_march, real_write = getattr(module, f"march_{side}"), fields.write_mfld1
     first, alive = [], []
 
-    def watched(grid, state, *args, **kwargs):
+    def watched(grid, state, *args):
         first.append(weakref.ref(state))
-        return real_march(grid, state, *args, **kwargs)
+        return real_march(grid, state, *args)
 
     def write(*args):
         alive.append(first[0]() is not None)
@@ -1209,26 +1203,43 @@ def test_simulate_lets_go_of_the_initial_state(tmp_path, monkeypatch, command, c
     assert len(alive) > 2 and alive == [True] + [False] * (len(alive) - 1)
 
 
-@pytest.mark.parametrize("output_dir", ["", ".", "sub/.."], ids=["empty", "dot", "up"])
+@pytest.mark.parametrize("output_dir", ["", ".", "sub/..", "..", "ABS"],
+                         ids=["empty", "dot", "up", "parent", "absolute"])
 @pytest.mark.parametrize("command, cfg_text", [("simulate-spin", SPIN_CFG),
                                                ("simulate-nls", NLS_CFG)], ids=["spin", "nls"])
-def test_run_directory_that_is_the_base_directory_is_refused(tmp_path, capsys, command, cfg_text,
+def test_run_directory_outside_the_base_directory_is_refused(tmp_path, capsys, command, cfg_text,
                                                              output_dir):
-    """A config whose output_dir resolves to --output-dir itself is refused
-    (exit 2, one line naming it) before the run starts: a user's files there
-    whose names a run writes survive byte for byte, where the run deleted them."""
-    base = tmp_path / "base"
+    """A config whose output_dir is not a directory strictly inside
+    --output-dir (the base itself, its parent, an absolute path elsewhere)
+    is refused (exit 2, one line naming it) before the run starts: a user's
+    files there whose names a run writes survive byte for byte, where the
+    run deleted them."""
+    base = tmp_path / "base" / "out"
     (base / "sub").mkdir(parents=True)
     user = {"meta.json": b'{"mine": true}\n', "norms.csv": b"t,x\n0,1\n",
             "invariants.csv": b"\x00\xff", "spin_000000.mfld1": b"mine", "notes.txt": b"kept"}
-    for name, data in user.items():
-        (base / name).write_bytes(data)
+    for where in (base, base.parent):
+        for name, data in user.items():
+            (where / name).write_bytes(data)
+    output_dir = str(base.parent) if output_dir == "ABS" else output_dir
     cfg = tmp_path / "run.cfg"
     cfg.write_text(_with(cfg_text, output_dir=output_dir))
     capsys.readouterr()
     assert main(["--output-dir", str(base), command, str(cfg)]) == 2
-    assert f"output_dir = {output_dir!r} is the base directory" in _one_error_line(capsys)
-    assert {p.name: p.read_bytes() for p in base.iterdir() if p.is_file()} == user
+    assert f"output_dir = {output_dir!r} is no directory inside" in _one_error_line(capsys)
+    for where in (base, base.parent):
+        assert {p.name: p.read_bytes() for p in where.iterdir() if p.is_file()} == user
+
+
+def test_run_directory_inside_the_base_directory_runs(tmp_path):
+    """A nested output_dir, and one that leaves and re-enters --output-dir,
+    are inside it and run."""
+    base = tmp_path / "out"
+    for output_dir in ("a/b", f"../{base.name}/c"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(_with(SPIN_CFG, output_dir=output_dir))
+        assert main(["--output-dir", str(base), "simulate-spin", str(cfg)]) == 0
+        assert (base / output_dir / "meta.json").is_file()
 
 
 @pytest.mark.parametrize("command, cfg_text, run, verify", [

@@ -30,7 +30,7 @@ from m3lab.errors import M3LabError
 
 BASES = {
     "spin": ("simulate-spin", "grid.nx = 16\ngrid.ny = 16\nparams.c = 0.3\n"
-             "spin.init = modulated-helix\nt_end = 0.2\nsave_every = 1\noutput_dir = run\n"),
+             "spin.init = modulated-helix\nt_end = 0.1\nsave_every = 1\noutput_dir = run\n"),
     "lump": ("simulate-spin", "grid.nx = 16\ngrid.ny = 16\nparams.c = 0.3\n"
              "spin.init = stereographic-lump\nt_end = 0.1\nsave_every = 1\noutput_dir = run\n"),
     "nls": ("simulate-nls", "grid.nx = 16\ngrid.ny = 16\nparams.c = 0.3\n"

@@ -347,7 +347,7 @@ grid.ny = 32
 params.c = 0.3
 params.d = 1.0
 params.l = 0.0
-t_end = 0.1
+t_end = 0.05
 save_every = 2
 output_dir = run
 """

@@ -553,18 +553,19 @@ RULE_PARAMS = [SpinParams(c=0.3, d=1.0, l=0.0), SpinParams(c=0.3, d=1.0, l=2.0),
 
 @pytest.mark.parametrize("par", RULE_PARAMS, ids=["M3", "M3-drift", "M2", "M1-slice"])
 def test_stable_dt_stays_below_the_ceiling(rng, par):
-    """rho >= kx ky on the 2/3 band's wavenumbers, so stable_dt <= STEP_SAFETY
-    max_dt <= max_dt of the band for every field: a uniform field with no
-    drift reads STEP_SAFETY max_dt itself, and helices, the lump and random
-    smooth fields read less."""
-    for n in (16, 32, 48):
+    """rho >= kx ky, so stable_dt <= STEP_SAFETY max_dt <= max_dt for every
+    field, on the grid's wavenumbers and on the 2/3 band's: a uniform field
+    with no drift reads STEP_SAFETY max_dt itself, and helices, the lump and
+    random smooth fields read less."""
+    for n, band in ((n, band) for n in (16, 32, 48) for band in (False, True)):
         g = Grid2(n, n)
-        ceiling = max_dt(g, band=True)
-        fields = [init_modulated_helix(g, 1), init_modulated_helix(g, 3),
-                  init_stereographic_lump(g)] + [smooth_spin(g, rng) for _ in range(3)]
-        for S in fields:
-            assert 0.0 < stable_dt(g, par, make_state(g, S, par)) < STEP_SAFETY * ceiling
-        uniform = stable_dt(g, par, make_state(g, init_uniform(g), par))
+        ceiling = max_dt(g, band=band)
+        states = [make_state(g, S, par) for S in
+                  [init_modulated_helix(g, 1), init_modulated_helix(g, 3),
+                   init_stereographic_lump(g)] + [smooth_spin(g, rng) for _ in range(3)]]
+        for state in states:
+            assert 0.0 < stable_dt(g, par, state, band) < STEP_SAFETY * ceiling
+        uniform = stable_dt(g, par, make_state(g, init_uniform(g), par), band)
         assert uniform <= STEP_SAFETY * ceiling < ceiling
         assert (uniform == STEP_SAFETY * ceiling) == (par.drift == 0.0)
 
@@ -585,21 +586,25 @@ RULE_CASES = ([(f"helix-k{k}", n) for k in (1, 2, 3, 4) for n in (32, 64, 128)]
 
 @pytest.mark.parametrize("name, n", RULE_CASES, ids=[f"{a}-{b}" for a, b in RULE_CASES])
 def test_the_rule_step_marches_without_abort(name, n):
-    """A march at the step the rule chose, in the 2/3 band, takes 12 steps
-    with no abort and a renormalisation correction below a tenth of
-    RENORM_LIMIT, and (n <= 64) is in RK4's asymptotic regime: its distance
-    to a march at half the step is over 8x that of the half step to the
-    quarter step (16x at fourth order; an unstable step is not convergent
-    at all)."""
+    """A march at the step the rule chose, on the full grid and (at the
+    band's own rule step) in the 2/3 band, takes 12 steps with no abort and
+    a renormalisation correction below a tenth of RENORM_LIMIT, and
+    (n <= 64) is in RK4's asymptotic regime: its distance to a march at
+    half the step is over 8x that of the half step to the quarter step (16x
+    at fourth order; an unstable step is not convergent at all).  (On the
+    full grid the helix at kappa >= 2 and n >= 64 does abort later, at any
+    step, from a mode that the semi-discrete flow itself grows from
+    rounding; the band holds it.)"""
     g, par, S0 = _rule_case(name, n)
     state = make_state(g, S0, par)
-    dt = stable_dt(g, par, state)
-    *_, last = march_spin(g, state, par, dt, 12, 12, band=True)
-    assert last.renorm < 0.1 * spin.RENORM_LIMIT
-    if n <= 64:
-        *_, half = march_spin(g, state, par, dt / 2, 24, 24, band=True)
-        *_, quarter = march_spin(g, state, par, dt / 4, 48, 48, band=True)
-        assert np.max(np.abs(last.S - half.S)) > 8.0 * np.max(np.abs(half.S - quarter.S))
+    for band in (False, True):
+        dt = stable_dt(g, par, state, band)
+        *_, last = march_spin(g, state, par, dt, 12, 12, band=band)
+        assert last.renorm < 0.1 * spin.RENORM_LIMIT
+        if n <= 64:
+            *_, half = march_spin(g, state, par, dt / 2, 24, 24, band=band)
+            *_, quarter = march_spin(g, state, par, dt / 4, 48, 48, band=band)
+            assert np.max(np.abs(last.S - half.S)) > 8.0 * np.max(np.abs(half.S - quarter.S))
 
 
 UNRESOLVED = {"lump-0.5": lambda g: init_stereographic_lump(g, 0.5),
@@ -634,16 +639,14 @@ def test_under_resolved_first_step_is_an_accuracy_limit(name):
 
 def test_abort_names_the_tail_of_the_field_it_stepped_from(monkeypatch):
     """The renormalisation abort names the spectral tail of the S the step
-    started from, which the step computes on an abort alone (the helix
-    steps at its rule's step, in the 2/3 band; the lump at its own on the
-    full grid)."""
+    started from, which the step computes on an abort alone."""
     g = Grid2(16, 16)
     par = SpinParams(c=0.3, d=1.0, l=0.0)
     S, helix = init_stereographic_lump(g, 0.5), init_modulated_helix(g)
     dt, helix_dt = (stable_dt(g, par, make_state(g, f, par)) for f in (S, helix))
     calls = []
     monkeypatch.setattr(spin, "spectral_tail", lambda f: calls.append(1) or spectral_tail(f))
-    ws = spin._Workspace(g, helix, band=True)
+    ws = spin._Workspace(g, helix)
     for _ in range(4):
         step_rk4_spin(g, ws, par, helix_dt)
     assert calls == []
@@ -669,14 +672,14 @@ def _cone_wave(grid, par, theta, k1, k2, t, rate=False):
                          ids=["M3", "M1-slice"])
 def test_cone_wave_holds_its_closed_form_at_the_rule_step(par):
     """At theta = 0.7, k = (2, 1) and n = 64 the rate is the wave's S_t to
-    rounding, and the march at stable_dt (cut to whole steps, in the band)
-    to t = 0.1 holds the closed form to 1e-10."""
+    rounding, and the march at stable_dt (cut to whole steps) to t = 0.1
+    holds the closed form to 1e-10."""
     g = Grid2(64, 64)
     S0 = _cone_wave(g, par, 0.7, 2, 1, 0.0)
     assert np.max(np.abs(spin_rhs(g, S0, par) - _cone_wave(g, par, 0.7, 2, 1, 0.0, True))) < 1e-12
     state = make_state(g, S0, par)
     steps = int(np.ceil(0.1 / stable_dt(g, par, state)))
-    *_, last = march_spin(g, state, par, 0.1 / steps, steps, steps, band=True)
+    *_, last = march_spin(g, state, par, 0.1 / steps, steps, steps)
     assert np.max(np.abs(last.S - _cone_wave(g, par, 0.7, 2, 1, last.t))) <= 1e-10
 
 
@@ -694,41 +697,41 @@ def test_state_records_the_tail_and_slopes_of_its_S(rng):
 
 
 # ---------------------------------------------------------------------------
-# the 2/3 band the rule's step marches in
+# the 2/3 band: the kernel of equiv-check's ladder
 # ---------------------------------------------------------------------------
 
 M3_CONE = SpinParams(c=0.3, d=1.0, l=0.0)
 
 
-def _noisy_cone_march(n, band, dt_of):
+def _noisy_cone_march(n, band):
     """The M3 cone wave (theta = 0.7, k = (2, 1)) on n^2, seeded with 1e-10
-    noise, marched to t = 1 at dt_of(grid, rule step), cut to whole steps:
-    (grid, its state at t = 1)."""
+    noise, marched to t = 1 at the rule's step of its kernel, cut to whole
+    steps: (grid, its state at t = 1)."""
     g = Grid2(n, n)
     S0 = _cone_wave(g, M3_CONE, 0.7, 2, 1, 0.0)
     S0 = S0 + 1e-10 * np.random.default_rng(n).normal(size=S0.shape)
     state = make_state(g, S0 / norm3(S0), M3_CONE)
-    steps = int(np.ceil(1.0 / dt_of(g, stable_dt(g, M3_CONE, state))))
+    steps = int(np.ceil(1.0 / stable_dt(g, M3_CONE, state, band)))
     *_, last = march_spin(g, state, M3_CONE, 1.0 / steps, steps, steps, band=band)
     return g, last
 
 
 @pytest.mark.parametrize("n", [64, 128])
 def test_band_holds_the_noisy_cone_wave_to_t1(n):
-    """At the rule's step, in the band, the seeded cone wave holds its closed
-    form to 1e-9 up to t = 1 (3.9e-10 at n = 64 and 3.6e-10 at 128)."""
-    g, last = _noisy_cone_march(n, True, lambda g, dt: dt)
+    """At the band's rule step, in the band, the seeded cone wave holds its
+    closed form to 1e-9 up to t = 1 (3.9e-10 at n = 64, 3.6e-10 at 128)."""
+    g, last = _noisy_cone_march(n, True)
     assert last.t == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(last.S - _cone_wave(g, M3_CONE, 0.7, 2, 1, last.t))) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [64, 128])
 def test_full_grid_kernel_grows_the_noisy_cone_wave_to_an_abort(n):
-    """Witness: the full-grid kernel, at the rule's step scaled to its own
-    ceiling, grows the seeded cone wave's aliased modes from the noise and
-    aborts, before t = 0.2 (at t = 0.128 for n = 64, 0.033 for 128)."""
+    """Witness: the full-grid kernel, at its rule's step, grows the seeded
+    cone wave's aliased modes from the noise and aborts before t = 0.2
+    (from t = 0.126 at n = 64, 0.033 at 128)."""
     with pytest.raises(UnstableStepError, match=r"step from t = 0\.[01]\d*:"):
-        _noisy_cone_march(n, False, lambda g, dt: dt * max_dt(g) / max_dt(g, band=True))
+        _noisy_cone_march(n, False)
 
 
 def test_band_ceiling_is_exact():
@@ -759,23 +762,20 @@ def test_band_ceiling_is_exact():
         assert growth > 0.5
 
 
-@pytest.mark.parametrize("ny, nx", [(48, 40), (27, 33), (256, 256)])
-def test_dense_and_rfft2_band_agree_and_keep_the_band(rng, ny, nx):
-    """The band as dense products and as rfft2 agree to rounding on a random
-    stack; the result holds no energy past the band (spectral_tail reads
-    rounding), the band is kept, and a second projection changes nothing."""
-    g = Grid2(nx, ny)
+@pytest.mark.parametrize("ny, nx", [(48, 40), (27, 33), (32, 32)])
+def test_band_limit_keeps_exactly_the_band(rng, ny, nx):
+    """band_limit equals zeroing a full fft2 past |kx| <= nx//3, |ky| <= ny//3
+    to rounding, in place too; its result holds no energy past the band
+    (spectral_tail reads rounding), and a second projection changes nothing."""
     f = rng.normal(size=(3, ny, nx))
-    dense = fields.Band(fields._band_matrix(ny), fields._band_matrix(nx))
-    transform = fields.Band(None, None, np.empty((ny, nx // 2 + 1), complex))
-    assert (fields.band_operator(g).y is None) == (max(nx, ny) > fields.DENSE_MAX_N)
-    a = fields.band_limit(f, dense, np.empty_like(f), np.empty_like(f))
-    b = fields.band_limit(f, transform, np.empty_like(f), np.empty_like(f))
-    assert np.max(np.abs(a - b)) < 1e-12
-    assert spectral_tail(a) < 1e-12 < spectral_tail(f)
-    again = fields.band_limit(a.copy(), transform, np.empty_like(f), np.empty_like(f))
-    assert np.max(np.abs(again - a)) < 1e-12
-    X, Y = g.meshgrid()
-    kept = np.cos(TWO_PI * ((nx // 3) * X / g.lx + (ny // 3) * Y / g.ly))
-    assert np.max(np.abs(fields.band_limit(kept, dense, np.empty_like(kept),
-                                           np.empty_like(kept)) - kept)) < 1e-12
+    spectrum = np.empty((3, ny, nx // 2 + 1), complex)
+    kx, ky = np.fft.fftfreq(nx, 1.0 / nx), np.fft.fftfreq(ny, 1.0 / ny)
+    keep = (np.abs(kx) <= nx // 3) & (np.abs(ky)[:, None] <= ny // 3)
+    want = np.fft.ifft2(np.fft.fft2(f) * keep).real
+    got = fields.band_limit(f, np.empty_like(f), spectrum)
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert spectral_tail(got) < 1e-12 < spectral_tail(f)
+    again = f.copy()
+    fields.band_limit(again, again, spectrum)
+    assert np.array_equal(again, got)
+    assert np.max(np.abs(fields.band_limit(got, np.empty_like(f), spectrum) - got)) < 1e-12

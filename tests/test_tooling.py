@@ -668,7 +668,7 @@ def test_readme_layout_names_every_module():
 
 
 SPIN_RUN = ("grid.nx = 16\ngrid.ny = 16\nmodel = M3\nparams.c = 0.3\n"
-            "spin.init = modulated-helix\nt_end = 0.2\nsave_every = 1\noutput_dir = spin\n")
+            "spin.init = modulated-helix\nt_end = 0.1\nsave_every = 1\noutput_dir = spin\n")
 NLS_RUN = ("grid.nx = 16\ngrid.ny = 16\nmodel = Zakharov\nnls.init = plane-wave\n"
            "t_end = 0.1\nsave_every = 1\noutput_dir = nls\n")
 
