@@ -12,7 +12,8 @@ _simulate, which owns the write protocol; the other commands open a run
 through _open_run, which checks its meta.json and its parameters.  Every
 MFLD1 file a command reads, an initial-condition file or a run's slice,
 goes through one reader, _read_checked, which checks its grid and its
-components (SLICE_COMPS) before its payload is read.
+components (SLICE_COMPS) before its payload is read, and its field
+after; one writer, _write_csv, writes every CSV table.
 
 The environment variable M3LAB_THREADS caps the BLAS/OpenMP thread pools;
 it must be applied before numpy loads, so this module keeps its imports
@@ -30,7 +31,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, M3LabError, NumericalError
+from .errors import ConfigError, M3LabError, NumericalError, ParameterError
 
 # the components of a run's slices, per kind: its field's, which an
 # initial-condition file holds first, then the rest
@@ -201,7 +202,9 @@ def _read_checked(path: str, grid, kind: str, initial: bool = False, out=None):
     file must exist and be sampled on grid, with exactly a slice's
     components (SLICE_COMPS) or at least its field's (ConfigError).  Given
     out, a (k, ny, nx) stack, its first k components are read into out
-    (read_mfld1)."""
+    (read_mfld1).  A field no state is made of (an S off unit length by
+    more than spin.STATE_TOL, a q whose |q|^2 overflows) is refused too."""
+    from . import nls, spin
     from .fields import read_mfld1
     field_comps, rest = SLICE_COMPS[kind]
     comps = field_comps if initial else field_comps + rest
@@ -214,7 +217,12 @@ def _read_checked(path: str, grid, kind: str, initial: bool = False, out=None):
                               f"{'at least ' if initial else ''}{len(comps)} components on "
                               f"{grid}: {', '.join(comps)}")
 
-    return read_mfld1(path, out, check)[1]
+    data = read_mfld1(path, out, check)[1]
+    try:
+        (spin.check_unit if kind == "spin" else nls.check_density)(data[:len(field_comps)])
+    except ParameterError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return data
 
 
 def _make_initial(cfg: RunConfig, side: str):
@@ -258,7 +266,7 @@ def _run_length(cfg: RunConfig, grid, default=None):
     MAX_STEPS, MAX_SLICES or MAX_CELLS, is refused before the run writes
     anything, and every refusal that needs no step before default() is
     called."""
-    from .fields import checked_dt, default_dt
+    from .fields import checked_dt, default_dt, max_dt
     dt, t_end, save_every = cfg["dt"], cfg["t_end"], cfg["save_every"]
     if dt < 0.0:
         raise ConfigError(f"dt must be non-negative, got {dt!r}")
@@ -268,6 +276,8 @@ def _run_length(cfg: RunConfig, grid, default=None):
         raise ConfigError(f"save_every must be at least 1, got {save_every}")
     if grid.nx * grid.ny > MAX_CELLS:
         raise ConfigError(f"grid of {grid.nx} x {grid.ny} points exceeds {MAX_CELLS}")
+    if not t_end <= MAX_STEPS * max_dt(grid):  # no step is longer than the bound
+        raise ConfigError(f"t_end = {t_end!r} takes over {MAX_STEPS} steps of {max_dt(grid):.3e}")
     dt = checked_dt(grid, dt or (default and default()) or default_dt(grid))
     if not t_end / dt <= MAX_STEPS:
         raise ConfigError(f"t_end / dt = {t_end / dt:.3e} steps exceeds {MAX_STEPS}")
@@ -297,25 +307,29 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_charges(path: str, grid, times, read_spin, scheme) -> list:
-    """Charge table, one row per slice of a spin run at `times`; returns their
-    density_dev triples.
+def _write_csv(path: str, header: str, rows) -> None:
+    """A CSV table: the header line, then the repr of each value of each row."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(x) for x in row) + "\n")
 
-    read_spin(idx, out) reads the S of slice idx into out, the e3 stack of
-    the one workspace in which every slice's frame and coefficients are built.
-    """
+
+def _write_charges(path: str, run_dir: str, meta: dict, cfg: RunConfig) -> list:
+    """Charge table of a spin run, one row per slice; returns their
+    density_dev triples.  Each slice's S is read into the e3 stack of the
+    one workspace in which every slice's frame and coefficients are built."""
     from .frames import _Workspace, coeffs_from_frame, frame_from_spin
     from .invariants import charges
+    grid, scheme = cfg.grid(), cfg["scheme"]
     reports, work = [], _Workspace((grid.ny, grid.nx))
-    for idx, t in enumerate(times):
-        read_spin(idx, work.e3)
+    for idx, t in enumerate(meta["times"]):
+        _load_slice(run_dir, meta, cfg, idx, work.e3)
         F = frame_from_spin(grid, work.e3, scheme, work=work)
         reports.append((t, charges(grid, coeffs_from_frame(grid, F, scheme, work=work),
                                    work=work)))
-    with open(path, "w") as fh:
-        fh.write("t,K1,K2,K3,Kc1,Kc2,Kc3,Q1,Q2,Q3\n")
-        for t, rep in reports:
-            fh.write(",".join(repr(x) for x in [t] + rep.as_row()) + "\n")
+    _write_csv(path, "t,K1,K2,K3,Kc1,Kc2,Kc3,Q1,Q2,Q3",
+               ([t] + rep.as_row() for t, rep in reports))
     return [list(rep.density_dev) for _, rep in reports]
 
 
@@ -387,18 +401,14 @@ def _simulate(args, kind: str, load, step, march, payload, finish) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate_spin(args) -> int:
-    from .spin import check_unit, make_state, march_spin, stable_dt
+    from .spin import make_state, march_spin, stable_dt
 
     def invariants(out, cfg, meta):
         meta["max_renorm"] = max(meta["renorm"])
-        meta["density_dev"] = _write_charges(os.path.join(out, "invariants.csv"), cfg.grid(),
-                                             meta["times"], _spin_reader(out, meta, cfg),
-                                             cfg["scheme"])
+        meta["density_dev"] = _write_charges(os.path.join(out, "invariants.csv"), out, meta, cfg)
 
-    return _simulate(args, "spin",
-                     lambda grid, S, par, scheme: make_state(grid, check_unit(S), par,
-                                                             scheme=scheme),
-                     stable_dt, march_spin,
+    # a file's S is unit-checked as it is read; a generator's is unit by construction
+    return _simulate(args, "spin", make_state, stable_dt, march_spin,
                      lambda par, st: ((st.S, st.u, st.v), {
                          "renorm": st.renorm, "u_row_mean": st.u_row_mean,
                          "v_row_mean": st.v_row_mean, "tail": st.tail}),
@@ -417,10 +427,8 @@ def cmd_simulate_nls(args) -> int:
 
     def norms(out, cfg, meta):
         """norms.csv, which takes max |q| of each slice out of meta."""
-        with open(os.path.join(out, "norms.csv"), "w") as fh:
-            fh.write("t,max_abs_q\n")
-            for t, peak in zip(meta["times"], meta.pop("max_abs_q")):
-                fh.write(f"{t!r},{peak!r}\n")
+        _write_csv(os.path.join(out, "norms.csv"), "t,max_abs_q",
+                   zip(meta["times"], meta.pop("max_abs_q")))
 
     return _simulate(args, "nls", make_state, lambda grid, par, state: None, march_nls,
                      payload, norms)
@@ -454,24 +462,9 @@ def _open_run(args, kind: str):
 
 def _load_slice(run_dir: str, meta: dict, cfg: RunConfig, idx: int, out=None):
     """The data of slice idx of the run, read by _read_checked on the run's
-    grid: the stack of its components or, given out, out.  A spin slice
-    whose S is off unit length by more than spin.STATE_TOL is refused
-    (ConfigError)."""
-    from .errors import ParameterError
-    from .spin import check_unit
-    path = os.path.join(run_dir, meta["slices"][idx])
-    data = _read_checked(path, cfg.grid(), meta["kind"], out=out)
-    if meta["kind"] == "spin":
-        try:
-            check_unit(data[:3])
-        except ParameterError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    return data
-
-
-def _spin_reader(run_dir: str, meta: dict, cfg: RunConfig):
-    """read_spin(idx, out) of a spin run: the S of slice idx into the stack out."""
-    return lambda idx, out: _load_slice(run_dir, meta, cfg, idx, out)
+    grid: the stack of its components or, given out, out."""
+    return _read_checked(os.path.join(run_dir, meta["slices"][idx]), cfg.grid(),
+                         meta["kind"], out=out)
 
 
 def cmd_frame(args) -> int:
@@ -486,7 +479,8 @@ def cmd_frame(args) -> int:
     def write_frame(idx, F):
         write_mfld1(os.path.join(run_dir, f"frame_{idx:06d}.mfld1"), grid, F.E)
 
-    for idx, co, res in transport_window(grid, times, _spin_reader(run_dir, meta, cfg),
+    for idx, co, res in transport_window(grid, times,
+                                         functools.partial(_load_slice, run_dir, meta, cfg),
                                          write_frame, cfg["scheme"]):
         write_mfld1(os.path.join(run_dir, f"coeffs_{idx:06d}.mfld1"), grid,
                     (*co.a[::-1], *co.b, *co.w))  # k, sigma, tau, m1 .. m3, w1 .. w3
@@ -509,8 +503,8 @@ def cmd_equiv_check(args) -> int:
     n = max(sizes, key=abs)
     if n * n > MAX_CELLS:  # refused before any rung is built, as a simulate run's grid
         raise ConfigError(f"--ladder rung of {n} x {n} points exceeds {MAX_CELLS}")
-    report = l_equiv_check(par, _make_initial(cfg, "spin"), sizes=sizes,
-                           lx=cfg["grid.lx"], ly=cfg["grid.ly"], scheme=cfg["scheme"])
+    report = l_equiv_check(par, _make_initial(cfg, "spin"), sizes=sizes, lx=cfg["grid.lx"],
+                           ly=cfg["grid.ly"], scheme=cfg["scheme"], max_steps=MAX_STEPS)
     payload = {"config_hash": cfg.sha, **report.as_dict()}
     out_path = os.path.join(run_dir, "equiv_report.json")
     _write_json(out_path, payload)
@@ -556,8 +550,9 @@ def cmd_lax_check(args) -> int:
                               f"{DENOM_TOL} at c = {par.c!r}, d = {par.d!r}")
     grid, scheme = cfg.grid(), cfg["scheme"]
     times = meta["times"]
-    if len(times) < 3:
-        raise ConfigError("lax-check needs at least three saved slices")
+    need = 1 if args.spin_side else 3  # the middle slice, or the three q_t is formed from
+    if len(times) < need:
+        raise ConfigError(f"lax-check needs {need} or more saved slices")
     mid = len(times) // 2
     payload = {"config_hash": cfg.sha, "t": times[mid], "results": []}
 
@@ -586,10 +581,8 @@ def cmd_lax_check(args) -> int:
     _write_json(out_path, payload)
     scan_path = os.path.join(run_dir, "lax_scan.csv")
     if len(lams) > 1 and not args.spin_side:
-        with open(scan_path, "w") as fh:
-            fh.write("lam_re,lam_im,residual\n")
-            for entry in payload["results"]:
-                fh.write(f"{entry['lam'][0]!r},{entry['lam'][1]!r},{entry['residual']!r}\n")
+        _write_csv(scan_path, "lam_re,lam_im,residual",
+                   (entry["lam"] + [entry["residual"]] for entry in payload["results"]))
         print(f"lambda scan written to {scan_path}")
     elif os.path.exists(scan_path):  # an earlier scan does not describe this report
         os.remove(scan_path)
@@ -600,8 +593,7 @@ def cmd_lax_check(args) -> int:
 def cmd_charges(args) -> int:
     run_dir, meta, cfg, _ = _open_run(args, "spin")
     out_path = os.path.join(run_dir, "charges.csv")
-    _write_charges(out_path, cfg.grid(), meta["times"],
-                   _spin_reader(run_dir, meta, cfg), cfg["scheme"])
+    _write_charges(out_path, run_dir, meta, cfg)
     print(f"charge series written to {out_path}")
     return 0
 
@@ -702,6 +694,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache  # built once per process, however often main runs in it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="m3lab", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -28,7 +28,8 @@ import numpy as np
 
 from .convergence import fit_order
 from .errors import DegenerateFieldError, FieldError, ParameterError
-from .fields import SPECTRAL, TWO_PI, Grid2, check_finite, ddx, ddy, dot3, integrate2, inv_dx
+from .fields import (SPECTRAL, TWO_PI, Grid2, check_finite, ddx, ddy, dot3, integrate2, inv_dx,
+                     max_dt)
 from .frames import (FrameCoeffs, FrameField, _Workspace, charge_density, coeffs_from_frame,
                      frame_from_spin)
 from .nls import NlsParams, q_rate
@@ -131,7 +132,7 @@ def equiv_residual(grid: Grid2, S_before: np.ndarray, S_mid: np.ndarray,
 def l_equiv_check(par: SpinParams, make_initial, sizes=(32, 64, 128),
                   lx: float = TWO_PI, ly: float = TWO_PI,
                   t_eval: float = 0.2, delta0: float = 0.1,
-                  scheme=SPECTRAL) -> EquivReport:
+                  scheme=SPECTRAL, max_steps: float = np.inf) -> EquivReport:
     """Grid-ladder equivalence check.
 
     make_initial(grid) -> S0.  On each grid the spin field is marched once,
@@ -145,24 +146,33 @@ def l_equiv_check(par: SpinParams, make_initial, sizes=(32, 64, 128),
     rung's initial masked fraction, degree Q and spectral tail (its initial
     state's).  Each rung marches in the 2/3 band, at the step its initial
     state allows there (spin.stable_dt with band), cut to a whole number of
-    steps per delta.
+    steps per delta.  A rung whose march takes over max_steps steps is refused
+    (ParameterError), before any frame where the band's step bound does.
     """
     n0 = sizes[0]
     ladder, initial = [], []
     grids = [Grid2(n, n, lx, ly) for n in sizes]
+
+    def spacing(grid, dt):  # (delta, steps per delta, deltas) of a march at steps <= dt
+        delta = delta0 * n0 / grid.nx
+        blocks = max(2, int(np.round(t_eval / delta)) + 1)
+        if not blocks * delta <= max_steps * dt:
+            raise ParameterError(f"n = {grid.nx}: t = {blocks * delta:.3g} at steps of {dt:.3e} "
+                                 f"takes more than {max_steps} steps")
+        return delta, max(1, int(np.ceil(delta / dt))), blocks
+
     for grid in grids:  # a bad parameter on any rung is refused before any frame is built
         make_initial(grid)
+        spacing(grid, max_dt(grid, band=True))
     for grid in grids:  # the check's frame is freed before Q and before any march
         S0 = make_initial(grid)
         frac = _limited_frame(grid, S0, scheme, None, "initial field")[1]
         initial.append({"n": grid.nx, "masked_fraction": frac, "Q": _degree(grid, S0, scheme)})
     del S0
     for grid, rung in zip(grids, initial):
-        delta = delta0 * n0 / grid.nx
         state = make_state(grid, make_initial(grid), par, scheme=scheme)
         rung["tail"] = state.tail
-        spd = max(1, int(np.ceil(delta / stable_dt(grid, par, state, band=True))))
-        blocks = max(2, int(np.round(t_eval / delta)) + 1)
+        delta, spd, blocks = spacing(grid, stable_dt(grid, par, state, band=True))
         states = march_spin(grid, state, par, delta / spd, blocks * spd, spd, scheme,
                             band=True)
         del state

@@ -555,6 +555,28 @@ def test_lax_check_spin_side(spin_run, tmp_path):
     assert entry["lam"] == [0.4, 0.2] and entry["trace_V_split"] > 0.0
 
 
+@pytest.mark.parametrize("side, code", [("spin", 0), ("nls", 2)])
+def test_lax_check_asks_only_for_the_slices_its_side_reads(tmp_path, capsys, side, code):
+    """A 16^2 run of one step, saved at every step, has two slices: the
+    spin side reads the middle one alone, and takes it; the q side's
+    central difference in t needs three, and refuses it."""
+    dt = default_dt(Grid2(16, 16))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_with(SPIN_CFG if side == "spin" else NLS_CFG, dt=repr(dt), t_end=repr(dt),
+                         save_every=1, **{"grid.nx": 16, "grid.ny": 16}))
+    assert main(["--output-dir", str(tmp_path), f"simulate-{side}", str(cfg)]) == 0
+    meta = json.loads((tmp_path / f"{side}run" / "meta.json").read_text())
+    assert len(meta["slices"]) == 2
+    capsys.readouterr()
+    extra = ["--spin-side"] if side == "spin" else []
+    assert main(["--output-dir", str(tmp_path), "lax-check", f"{side}run",
+                 "--lambda", "0.3,0.1", *extra]) == code
+    if code == 0:
+        assert json.loads((tmp_path / "spinrun" / "lax_report.json").read_text())["t"] == dt
+    else:
+        assert "needs 3 or more saved slices" in _one_error_line(capsys)
+
+
 LAX_CFGS = {"spin": SPIN_CFG, "nls": NLS_CFG,
             "m3q": _with(NLS_CFG, model="M3q", **{"params.c": 0.3})}
 
@@ -937,6 +959,43 @@ def test_far_from_unit_slice_is_one_error_line(tmp_path, capsys, command):
         assert main(["--output-dir", str(tmp_path), command[0], "spinrun", *command[1:]]) == 2
     err = _one_error_line(capsys, f"error: {path}: ")
     assert "|S| deviates from 1 by inf" in err
+
+
+@pytest.mark.parametrize("command, cfg_text", [("simulate-spin", SPIN_CFG),
+                                               ("simulate-nls", NLS_CFG)], ids=["spin", "nls"])
+def test_run_past_max_steps_at_the_step_bound_is_refused_before_its_field(tmp_path, capsys,
+                                                                          command, cfg_text):
+    """grid.ly = 1e-300 puts the step bound under 1e-300, so the run takes
+    more than MAX_STEPS steps at any dt: it is refused before its initial
+    state is made, whose y-derivatives overflow, so no numpy warning comes
+    before the error line."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_with(cfg_text, **{"grid.ly": 1e-300}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--output-dir", str(tmp_path), command, str(cfg)]) == 2
+    assert f"takes over {MAX_STEPS} steps of" in _one_error_line(capsys)
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("key, value", [("params.c", 1e300), ("grid.ly", 1e-300)])
+def test_equiv_check_refuses_a_rung_past_max_steps(recorded_spin_run, tmp_path, capsys, key,
+                                                   value):
+    """A recorded value whose rung would march more than MAX_STEPS steps is
+    refused, with no numpy warning: params.c = 1e300 takes the rule's step
+    of the rung to ~1e-300, and grid.ly = 1e-300 the step bound of the band
+    (refused before any frame, whose derivatives overflow, is built)."""
+    run = tmp_path / "spinrun"
+    shutil.copytree(recorded_spin_run, run)
+    meta = json.loads((run / "meta.json").read_text())
+    meta["config"][key] = value
+    (run / "meta.json").write_text(json.dumps(meta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--output-dir", str(tmp_path), "equiv-check", "spinrun",
+                     "--ladder", "16,24"]) == 2
+    assert f"takes more than {MAX_STEPS} steps" in _one_error_line(capsys)
+    assert not (run / "equiv_report.json").exists()
 
 
 @pytest.mark.parametrize("n, steps, save_every", [(128, 300, 10), (256, 24, 2)])

@@ -1,9 +1,10 @@
 """Guards on the package's sources: a light CLI import, no unused imports,
 no dead private names, no default that no call overrides, no boolean
 option that only unit tests set, no identity probe in the frame layer, one
-vector layout, one MFLD1 reader and one CLI function that calls it, no
-private frames name used outside frames but the workspace and the
-densities, one writer of run directories, no parameter check called for
+vector layout, one MFLD1 reader and one CLI function that calls it and
+unit-checks S, two CLI functions that open a file to write (JSON and
+CSV), no private frames name used outside frames but the workspace and
+the densities, one writer of run directories, no parameter check called for
 its side effect alone, no step formed from the cell area, no command that
 calls the general NLS pair, a README layout that names every module and
 no run file a simulate command would not clean up."""
@@ -364,20 +365,37 @@ def test_binary_read_check_sees_a_second_reader(tmp_path):
         "a.py:11: fromfile"]
 
 
-def mfld1_readers(path) -> list:
-    """Top-level functions of the module that call read_mfld1, by name or
-    as an attribute, nested functions counted in theirs."""
+def users(path, name) -> list:
+    """Top-level functions of the module that read `name`, as a name or an
+    attribute (a call or a reference), nested functions counted in theirs."""
     return sorted({fn.name for fn in ast.parse(path.read_text()).body
                    if isinstance(fn, ast.FunctionDef)
-                   for node in ast.walk(fn) if isinstance(node, ast.Call)
-                   and getattr(node.func, "id", getattr(node.func, "attr", None)) == "read_mfld1"})
+                   for node in ast.walk(fn)
+                   if getattr(node, "id", getattr(node, "attr", None)) == name})
 
 
 def test_cli_reads_mfld1_in_one_function():
     """An initial-condition file and a run's slice are read through one
     checked reader, which checks a file's grid and components before
     read_mfld1 reads its payload."""
-    assert mfld1_readers(SRC / "m3lab" / "cli.py") == ["_read_checked"]
+    assert users(SRC / "m3lab" / "cli.py", "read_mfld1") == ["_read_checked"]
+
+
+def test_cli_unit_checks_spin_in_one_function():
+    """The checked reader alone unit-checks an S: every S a command reads
+    comes from a file through it, and a generator's is unit by
+    construction."""
+    assert users(SRC / "m3lab" / "cli.py", "check_unit") == ["_read_checked"]
+
+
+def test_unit_check_guard_sees_a_leftover(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "def _read_checked(path):\n    from . import spin\n"
+        "    return spin.check_unit(path)\n\n"
+        "def cmd_simulate_spin(args):\n    from .spin import check_unit, make_state\n"
+        "    return lambda S: make_state(check_unit(S))\n\n"
+        "def _load_slice(path):\n    return _read_checked(path)\n")
+    assert users(tmp_path / "cli.py", "check_unit") == ["_read_checked", "cmd_simulate_spin"]
 
 
 def test_mfld1_reader_check_sees_a_second_reader(tmp_path):
@@ -390,7 +408,7 @@ def test_mfld1_reader_check_sees_a_second_reader(tmp_path):
         "    def check(grid, ncomp):\n        pass\n"
         "    def read():\n        return fields.read_mfld1(path, None, check)\n"
         "    return read()\n")
-    assert mfld1_readers(tmp_path / "cli.py") == ["_read_checked", "_spin_from_file"]
+    assert users(tmp_path / "cli.py", "read_mfld1") == ["_read_checked", "_spin_from_file"]
 
 
 # the private frames names a module may import: the workspace, which a
@@ -435,11 +453,19 @@ def test_private_frames_name_check_sees_a_leftover(tmp_path):
         ("a.py", "_Workspace"), ("a.py", "_project"), ("a.py", "_triple"), ("a.py", "_vectors")]
 
 
+def opens_to_write(call) -> bool:
+    """Whether the call is open() with a mode that writes, or one that is
+    no literal."""
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    return getattr(call.func, "id", getattr(call.func, "attr", None)) == "open" and any(
+        not isinstance(m, ast.Constant) or set("wxa+") & set(str(m.value)) for m in modes)
+
+
 def run_dir_writers(path) -> tuple:
     """(functions that call _run_dir, functions that write meta.json) of the
     module, by top-level function name, nested functions counted in theirs.
     A function writes meta.json when it calls _write_json, or open() with a
-    literal mode that writes, on arguments holding the literal "meta.json"."""
+    mode that writes, on arguments holding the literal "meta.json"."""
     callers, writers = set(), set()
     for fn in ast.parse(path.read_text()).body:
         if not isinstance(fn, ast.FunctionDef):
@@ -450,9 +476,7 @@ def run_dir_writers(path) -> tuple:
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             if name == "_run_dir":
                 callers.add(fn.name)
-            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
-            writes = name == "_write_json" or name == "open" and any(
-                isinstance(m, ast.Constant) and set("wxa+") & set(str(m.value)) for m in modes)
+            writes = name == "_write_json" or opens_to_write(node)
             if writes and any(isinstance(n, ast.Constant) and n.value == "meta.json"
                               for arg in node.args for n in ast.walk(arg)):
                 writers.add(fn.name)
@@ -483,6 +507,35 @@ def test_run_dir_check_sees_a_second_writer(tmp_path):
         "        return json.load(fh)\n")
     assert run_dir_writers(tmp_path / "cli.py") == (["_simulate", "cmd_second"],
                                                     ["_simulate", "cmd_second"])
+
+
+def file_writers(path) -> list:
+    """Top-level functions of the module that open a file to write it
+    (opens_to_write), nested functions counted in theirs."""
+    return sorted({fn.name for fn in ast.parse(path.read_text()).body
+                   if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+                   if isinstance(node, ast.Call) and opens_to_write(node)})
+
+
+def test_cli_writes_text_files_through_two_writers():
+    """Every JSON report and meta.json goes through _write_json, and every
+    CSV table (invariants.csv, charges.csv, norms.csv, lax_scan.csv)
+    through _write_csv: no other function of the CLI opens a file to write."""
+    assert file_writers(SRC / "m3lab" / "cli.py") == ["_write_csv", "_write_json"]
+
+
+def test_file_writer_guard_sees_a_leftover(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "def _write_json(path, payload):\n    with open(path, 'w') as fh:\n        pass\n\n"
+        "def _write_csv(path, header, rows):\n    with open(path, mode='w') as fh:\n"
+        "        pass\n\n"
+        "def cmd_simulate_nls(args):\n    def norms(out):\n"
+        "        with open(out, 'a') as fh:\n            fh.write('t,max_abs_q')\n"
+        "    return norms\n\n"
+        "def cmd_lax_check(args, mode):\n    open(args.run_dir, mode).close()\n\n"
+        "def _open_run(args):\n    with open(args.meta) as fh:\n        return fh.read()\n")
+    assert file_writers(tmp_path / "cli.py") == ["_write_csv", "_write_json", "cmd_lax_check",
+                                                 "cmd_simulate_nls"]
 
 
 PARAMS_CALLS = ("spin_params", "nls_params", "params")
