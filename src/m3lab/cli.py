@@ -204,8 +204,8 @@ def _read_checked(path: str, grid, kind: str, initial: bool = False, out=None):
     out, a (k, ny, nx) stack, its first k components are read into out
     (read_mfld1).  A field no state is made of (an S off unit length by
     more than spin.STATE_TOL, a q whose |q|^2 overflows) is refused too."""
-    from . import nls, spin
     from .fields import read_mfld1
+    from .spin import check_unit
     field_comps, rest = SLICE_COMPS[kind]
     comps = field_comps if initial else field_comps + rest
     if not os.path.exists(path):
@@ -219,7 +219,10 @@ def _read_checked(path: str, grid, kind: str, initial: bool = False, out=None):
 
     data = read_mfld1(path, out, check)[1]
     try:
-        (spin.check_unit if kind == "spin" else nls.check_density)(data[:len(field_comps)])
+        if kind == "spin":
+            check_unit(data[:3])
+        elif abs(data[0] + 1j * data[1]).max() > math.sqrt(sys.float_info.max):
+            raise ParameterError("the density |q|^2 overflows")
     except ParameterError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return data
@@ -503,8 +506,8 @@ def cmd_equiv_check(args) -> int:
     n = max(sizes, key=abs)
     if n * n > MAX_CELLS:  # refused before any rung is built, as a simulate run's grid
         raise ConfigError(f"--ladder rung of {n} x {n} points exceeds {MAX_CELLS}")
-    report = l_equiv_check(par, _make_initial(cfg, "spin"), sizes=sizes, lx=cfg["grid.lx"],
-                           ly=cfg["grid.ly"], scheme=cfg["scheme"], max_steps=MAX_STEPS)
+    report = l_equiv_check(par, _make_initial(cfg, "spin"), sizes=sizes,
+                           lx=cfg["grid.lx"], ly=cfg["grid.ly"], scheme=cfg["scheme"])
     payload = {"config_hash": cfg.sha, **report.as_dict()}
     out_path = os.path.join(run_dir, "equiv_report.json")
     _write_json(out_path, payload)

@@ -132,7 +132,7 @@ def equiv_residual(grid: Grid2, S_before: np.ndarray, S_mid: np.ndarray,
 def l_equiv_check(par: SpinParams, make_initial, sizes=(32, 64, 128),
                   lx: float = TWO_PI, ly: float = TWO_PI,
                   t_eval: float = 0.2, delta0: float = 0.1,
-                  scheme=SPECTRAL, max_steps: float = np.inf) -> EquivReport:
+                  scheme=SPECTRAL) -> EquivReport:
     """Grid-ladder equivalence check.
 
     make_initial(grid) -> S0.  On each grid the spin field is marched once,
@@ -146,20 +146,21 @@ def l_equiv_check(par: SpinParams, make_initial, sizes=(32, 64, 128),
     rung's initial masked fraction, degree Q and spectral tail (its initial
     state's).  Each rung marches in the 2/3 band, at the step its initial
     state allows there (spin.stable_dt with band), cut to a whole number of
-    steps per delta.  A rung whose march takes over max_steps steps is refused
-    (ParameterError), before any frame where the band's step bound does.
+    steps per delta.  A rung of over the CLI's MAX_STEPS steps is refused
+    (ParameterError), before any frame if it is so at the band's step bound.
     """
+    from .cli import MAX_STEPS
     n0 = sizes[0]
     ladder, initial = [], []
     grids = [Grid2(n, n, lx, ly) for n in sizes]
 
     def spacing(grid, dt):  # (delta, steps per delta, deltas) of a march at steps <= dt
         delta = delta0 * n0 / grid.nx
-        blocks = max(2, int(np.round(t_eval / delta)) + 1)
-        if not blocks * delta <= max_steps * dt:
-            raise ParameterError(f"n = {grid.nx}: t = {blocks * delta:.3g} at steps of {dt:.3e} "
-                                 f"takes more than {max_steps} steps")
-        return delta, max(1, int(np.ceil(delta / dt))), blocks
+        spd, blocks = max(1, int(np.ceil(delta / dt))), max(2, int(np.round(t_eval / delta)) + 1)
+        if spd * blocks > MAX_STEPS:
+            raise ParameterError(f"n = {grid.nx}: the march takes more than {MAX_STEPS} steps "
+                                 f"of {dt:.3e}")
+        return delta, spd, blocks
 
     for grid in grids:  # a bad parameter on any rung is refused before any frame is built
         make_initial(grid)

@@ -436,11 +436,15 @@ def max_dt(grid: Grid2, ax: float = 0.0, ay: float = 0.0, band: bool = False) ->
     exactly kx ky, so max_dt(grid, band=band) is the exact ceiling of a
     stable step of the kernel that runs on those wavenumbers; the central4
     wavenumbers are smaller.  ax and ay are first-order rates a field
-    drives (spin.stable_dt).
+    drives (spin.stable_dt).  A rate that is not positive and finite gives
+    no step (ParameterError).
     """
     kx, ky = (float(_wavenumbers(n, h)[_band_top(n) if band else (n - 1) // 2])
               for n, h in ((grid.nx, grid.hx), (grid.ny, grid.hy)))
-    return RK4_LIMIT / (kx * ky + ax * kx + ay * ky)
+    rate = kx * ky + ax * kx + ay * ky
+    if not 0.0 < rate < np.inf:  # the wavenumbers of a huge or tiny domain under- or overflow
+        raise ParameterError(f"no RK4 step on {grid}: its top rate is {rate!r}")
+    return RK4_LIMIT / rate
 
 
 def default_dt(grid: Grid2) -> float:

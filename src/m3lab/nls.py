@@ -122,14 +122,6 @@ def nls_rhs(grid: Grid2, q: np.ndarray, p: np.ndarray, v: np.ndarray, par: NlsPa
     return q_t, p_t
 
 
-def check_density(parts: np.ndarray) -> None:
-    """Refuses the planes (Re q, Im q) of a q whose density |q|^2 overflows
-    (ParameterError), with no warning: make_state would abort on it."""
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.max(parts[0] * parts[0] + parts[1] * parts[1])):
-            raise ParameterError("the density |q|^2 overflows")
-
-
 def make_state(grid: Grid2, q: np.ndarray, par: NlsParams, t: float = 0.0,
                scheme=SPECTRAL) -> NlsState:
     """Assemble an NlsState with v solved from beta |q|^2 (p = beta*conj(q)).

@@ -134,10 +134,9 @@ class SpinState:
     slopes: tuple = (0.0, 0.0)  # max |S_x|, max |S_y|, which stable_dt reads
 
 
-def check_unit(S: np.ndarray) -> None:
-    """Refuses an S whose |S| deviates from 1 by more than STATE_TOL
-    (ParameterError): checked before the constraint solve, which a far from
-    unit S overflows.
+def check_unit(S: np.ndarray) -> np.ndarray:
+    """S, unless |S| deviates from 1 by more than STATE_TOL (ParameterError):
+    checked before the constraint solve, which a far from unit S overflows.
     |S| is formed on blocks of rows, with no array the size of S and no
     warning where it overflows."""
     rows = max(1, BLOCK_POINTS // np.shape(S)[-1])
@@ -146,6 +145,7 @@ def check_unit(S: np.ndarray) -> None:
                   for j in range(0, np.shape(S)[-2], rows))
     if dev > STATE_TOL:
         raise ParameterError(f"|S| deviates from 1 by {dev:.3e}")
+    return S
 
 
 class _Workspace:

@@ -961,40 +961,53 @@ def test_far_from_unit_slice_is_one_error_line(tmp_path, capsys, command):
     assert "|S| deviates from 1 by inf" in err
 
 
+# lengths whose step bound puts t_end past MAX_STEPS steps (grid.ly = 1e-300,
+# whose y-derivatives overflow), or that give no step bound at all (1e300 on
+# both axes, where kx ky underflows to 0 and max_dt divided by zero)
+DOMAINS = [({"grid.ly": 1e-300}, f"takes over {MAX_STEPS} steps of"),
+           ({"grid.lx": 1e300, "grid.ly": 1e300}, "no RK4 step on Grid2(")]
+
+
+@pytest.mark.parametrize("lengths, message", DOMAINS, ids=["short", "long"])
 @pytest.mark.parametrize("command, cfg_text", [("simulate-spin", SPIN_CFG),
                                                ("simulate-nls", NLS_CFG)], ids=["spin", "nls"])
-def test_run_past_max_steps_at_the_step_bound_is_refused_before_its_field(tmp_path, capsys,
-                                                                          command, cfg_text):
-    """grid.ly = 1e-300 puts the step bound under 1e-300, so the run takes
-    more than MAX_STEPS steps at any dt: it is refused before its initial
-    state is made, whose y-derivatives overflow, so no numpy warning comes
-    before the error line."""
+def test_domain_past_the_step_bound_is_refused_before_its_field(tmp_path, capsys, command,
+                                                                cfg_text, lengths, message):
+    """A domain whose step bound gives no run within MAX_STEPS steps is
+    refused with one line before its initial state is made, so no numpy
+    warning and no traceback comes first, and the run directory is not
+    touched."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(_with(cfg_text, **{"grid.ly": 1e-300}))
+    cfg.write_text(_with(cfg_text, **lengths))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["--output-dir", str(tmp_path), command, str(cfg)]) == 2
-    assert f"takes over {MAX_STEPS} steps of" in _one_error_line(capsys)
+    assert message in _one_error_line(capsys)
     assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
 
 
-@pytest.mark.parametrize("key, value", [("params.c", 1e300), ("grid.ly", 1e-300)])
-def test_equiv_check_refuses_a_rung_past_max_steps(recorded_spin_run, tmp_path, capsys, key,
-                                                   value):
-    """A recorded value whose rung would march more than MAX_STEPS steps is
-    refused, with no numpy warning: params.c = 1e300 takes the rule's step
-    of the rung to ~1e-300, and grid.ly = 1e-300 the step bound of the band
-    (refused before any frame, whose derivatives overflow, is built)."""
+@pytest.mark.parametrize("changes, message", [
+    ({"params.c": 1e300}, f"takes more than {MAX_STEPS} steps"),
+    ({"grid.ly": 1e-300}, f"takes more than {MAX_STEPS} steps"),
+    ({"grid.lx": 1e300, "grid.ly": 1e300}, "no RK4 step on Grid2(nx=16, ny=16"),
+], ids=["c-huge", "ly-tiny", "lengths-huge"])
+def test_equiv_check_refuses_a_rung_past_max_steps(recorded_spin_run, tmp_path, capsys, changes,
+                                                   message):
+    """A recorded value whose rung would march more than MAX_STEPS steps,
+    or has no step bound, is refused with one line and no numpy warning:
+    params.c = 1e300 takes the rule's step of the rung to ~1e-300, and
+    grid.ly = 1e-300 the step bound of the band (refused before any frame,
+    whose derivatives overflow, is built); lengths of 1e300 give no bound."""
     run = tmp_path / "spinrun"
     shutil.copytree(recorded_spin_run, run)
     meta = json.loads((run / "meta.json").read_text())
-    meta["config"][key] = value
+    meta["config"].update(changes)
     (run / "meta.json").write_text(json.dumps(meta))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["--output-dir", str(tmp_path), "equiv-check", "spinrun",
                      "--ladder", "16,24"]) == 2
-    assert f"takes more than {MAX_STEPS} steps" in _one_error_line(capsys)
+    assert message in _one_error_line(capsys)
     assert not (run / "equiv_report.json").exists()
 
 

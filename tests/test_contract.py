@@ -267,9 +267,9 @@ def _damage(path, damage, need):
                          ids=[f"{r}-{d}" for r, d in PAYLOAD_CASES])
 def test_damaged_mfld1_payload_is_one_line_naming_the_file(runs, capsys, reader, damage):
     """The file a command reads, damaged: exit 2 with one line that names
-    the file, or 3 for an NLS density that overflows (a numerical abort),
-    and no RuntimeWarning.  A spin file's S off unit length is refused as
-    it is read, by every reader, equiv-check's initial file included."""
+    the file, and no RuntimeWarning.  A spin file's S off unit length and
+    an NLS file whose |q|^2 overflows are refused as they are read, by
+    every reader, equiv-check's initial file included."""
     path = _file_of(runs, reader)
     field, rest = SLICE_COMPS[_side(reader)]
     original = path.read_bytes()
@@ -278,10 +278,10 @@ def test_damaged_mfld1_payload_is_one_line_naming_the_file(runs, capsys, reader,
         code, err = _run(capsys, ["--output-dir", str(runs), *READERS[reader](runs)])
     finally:
         path.write_bytes(original)
-    assert code == 2 or code == 3 and damage == "huge" and _side(reader) == "nls", err
+    assert code == 2, err
     assert str(path) in err
-    if damage in ("huge", "scaled") and _side(reader) == "spin":
-        assert "|S| deviates from 1" in err
+    if damage in ("huge", "scaled"):
+        assert ("|S| deviates from 1" if _side(reader) == "spin" else "|q|^2 overflows") in err
 
 
 # ---------------------------------------------------------------------------
