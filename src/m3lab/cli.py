@@ -81,11 +81,9 @@ _SCHEMA = {
     "output_dir": (str, "run"),
 }
 _PREFIX_KEYS = ("spin.init.", "nls.init.")
-# bounds on the size of a simulate run, each over 100x the largest run of the
-# configs, tests and benchmark (300 steps, 31 slices, 256 x 256 points)
-MAX_STEPS = 100_000
+# bound on the slices of a simulate run, over 100x the largest run of the
+# configs, tests and benchmark (31 slices); fields bounds its steps and points
 MAX_SLICES = 10_000
-MAX_CELLS = 1 << 23
 MAX_SAMPLES = 1000  # lambda-check's bound on --samples, 100x its default (samples^2 rows)
 
 
@@ -266,10 +264,10 @@ def _run_length(cfg: RunConfig, grid, default=None):
     (it makes the initial state, and a spin run gives that state's step),
     or fields.default_dt(grid) where there is none or it gives None.  A dt
     beyond the step bound, a t_end that rounds to no step, or a run beyond
-    MAX_STEPS, MAX_SLICES or MAX_CELLS, is refused before the run writes
+    fields.MAX_STEPS or MAX_SLICES, is refused before the run writes
     anything, and every refusal that needs no step before default() is
-    called."""
-    from .fields import checked_dt, default_dt, max_dt
+    called (grid, a Grid2, is within fields.MAX_CELLS)."""
+    from .fields import MAX_STEPS, checked_dt, default_dt, max_dt
     dt, t_end, save_every = cfg["dt"], cfg["t_end"], cfg["save_every"]
     if dt < 0.0:
         raise ConfigError(f"dt must be non-negative, got {dt!r}")
@@ -277,11 +275,9 @@ def _run_length(cfg: RunConfig, grid, default=None):
         raise ConfigError(f"t_end must be positive, got {t_end!r}")
     if save_every < 1:
         raise ConfigError(f"save_every must be at least 1, got {save_every}")
-    if grid.nx * grid.ny > MAX_CELLS:
-        raise ConfigError(f"grid of {grid.nx} x {grid.ny} points exceeds {MAX_CELLS}")
     if not t_end <= MAX_STEPS * max_dt(grid):  # no step is longer than the bound
         raise ConfigError(f"t_end = {t_end!r} takes over {MAX_STEPS} steps of {max_dt(grid):.3e}")
-    dt = checked_dt(grid, dt or (default and default()) or default_dt(grid))
+    dt = checked_dt(dt or (default and default()) or default_dt(grid), max_dt(grid))
     if not t_end / dt <= MAX_STEPS:
         raise ConfigError(f"t_end / dt = {t_end / dt:.3e} steps exceeds {MAX_STEPS}")
     n_steps = int(round(t_end / dt))
@@ -503,9 +499,6 @@ def cmd_equiv_check(args) -> int:
         raise ConfigError(f"--ladder expects comma-separated grid sizes, got {args.ladder!r}") from exc
     if len(set(sizes)) < len(sizes):
         raise ConfigError(f"--ladder repeats a grid size: {args.ladder!r}")
-    n = max(sizes, key=abs)
-    if n * n > MAX_CELLS:  # refused before any rung is built, as a simulate run's grid
-        raise ConfigError(f"--ladder rung of {n} x {n} points exceeds {MAX_CELLS}")
     report = l_equiv_check(par, _make_initial(cfg, "spin"), sizes=sizes,
                            lx=cfg["grid.lx"], ly=cfg["grid.ly"], scheme=cfg["scheme"])
     payload = {"config_hash": cfg.sha, **report.as_dict()}

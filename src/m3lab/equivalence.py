@@ -28,8 +28,8 @@ import numpy as np
 
 from .convergence import fit_order
 from .errors import DegenerateFieldError, FieldError, ParameterError
-from .fields import (SPECTRAL, TWO_PI, Grid2, check_finite, ddx, ddy, dot3, integrate2, inv_dx,
-                     max_dt)
+from .fields import (MAX_STEPS, SPECTRAL, TWO_PI, Grid2, check_finite, ddx, ddy, dot3, integrate2,
+                     inv_dx, max_dt)
 from .frames import (FrameCoeffs, FrameField, _Workspace, charge_density, coeffs_from_frame,
                      frame_from_spin)
 from .nls import NlsParams, q_rate
@@ -146,13 +146,13 @@ def l_equiv_check(par: SpinParams, make_initial, sizes=(32, 64, 128),
     rung's initial masked fraction, degree Q and spectral tail (its initial
     state's).  Each rung marches in the 2/3 band, at the step its initial
     state allows there (spin.stable_dt with band), cut to a whole number of
-    steps per delta.  A rung of over the CLI's MAX_STEPS steps is refused
+    steps per delta.  A rung past MAX_CELLS points is refused as its grid
+    is made, before anything else; one of over MAX_STEPS steps is refused
     (ParameterError), before any frame if it is so at the band's step bound.
     """
-    from .cli import MAX_STEPS
+    grids = [Grid2(n, n, lx, ly) for n in sizes]
     n0 = sizes[0]
     ladder, initial = [], []
-    grids = [Grid2(n, n, lx, ly) for n in sizes]
 
     def spacing(grid, dt):  # (delta, steps per delta, deltas) of a march at steps <= dt
         delta = delta0 * n0 / grid.nx

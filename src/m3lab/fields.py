@@ -63,12 +63,12 @@ moves its coefficient dumps by 1.1e-2.  The spin kernel's constraint dots
 sum in component order, as they always have.
 
 The stepping core shared by the spin and NLS solvers also lives here: the
-step ceiling (max_dt, on the grid's or on the band's top wavenumbers,
-which checked_dt enforces and of which the NLS default_dt is a fraction),
-one classical RK4 step (rk4) and the march protocol (march).  rk4 steps
-one array, forming its stage state and weighted sum in place, in a triple
-of arrays a march's workspace holds as `work`; march yields a march's
-states, stepping the workspace it loaded.
+step ceiling (max_dt, on the grid's or on the band's top wavenumbers, of
+which the NLS default_dt is a fraction, and to which each stepper holds its
+dt by checked_dt), one classical RK4 step (rk4, which checks no dt) and
+the march protocol (march).  rk4 steps one array, forming its stage state
+and weighted sum in place, in a triple of arrays a march's workspace holds
+as `work`; march yields a march's states, stepping the workspace it loaded.
 
 Every public operator rejects a non-finite input (FieldError).  The private
 _deriv and _inv_dx check nothing: a kernel checks its input once, where it
@@ -93,13 +93,17 @@ DENSE_MAX_N = 128        # real spectral operators along axes this short: matrix
 EINSUM_ORDER = (0, 2, 1)  # dot3's order of summation over the three components
 MFLD1_BLOCK_BYTES = 1 << 16  # payload written through a buffer of about this size
 BLOCK_POINTS = 2048      # pointwise work on row blocks of about this many points stays in cache
+MAX_STEPS = 100_000      # steps of a run: over 100x the most of the configs, tests, benchmark (300)
+MAX_CELLS = 1 << 23      # points of a Grid2: over 100x the most of them (256 x 256)
 
 TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
 class Grid2:
-    """Uniform periodic rectangle: nx*ny points on [0,lx) x [0,ly)."""
+    """Uniform periodic rectangle: nx*ny points on [0,lx) x [0,ly).  A grid
+    of more than MAX_CELLS points is refused wherever it is made, before
+    anything is allocated on it."""
 
     nx: int
     ny: int
@@ -109,6 +113,8 @@ class Grid2:
     def __post_init__(self):
         if self.nx < 8 or self.ny < 8:
             raise ConfigError(f"grid needs nx, ny >= 8, got {self.nx} x {self.ny}")
+        if self.nx * self.ny > MAX_CELLS:
+            raise ConfigError(f"grid of {self.nx} x {self.ny} points exceeds {MAX_CELLS}")
         if not (0.0 < self.lx < np.inf and 0.0 < self.ly < np.inf):
             raise ConfigError(f"grid needs positive finite domain lengths, got {self.lx} x {self.ly}")
 
@@ -452,20 +458,18 @@ def default_dt(grid: Grid2) -> float:
     return STEP_SAFETY * max_dt(grid)
 
 
-def checked_dt(grid: Grid2, dt: float, bound: float = None) -> float:
+def checked_dt(dt: float, bound: float) -> float:
     """dt, unless outside (0, bound] (ParameterError), bound the ceiling of
-    the kernel that steps, max_dt(grid) unless given: past it the shared
-    dispersive term grows at every step."""
-    bound = bound or max_dt(grid)
+    the kernel that steps (max_dt): past it the shared dispersive term
+    grows at every step."""
     if not 0.0 < dt <= bound * (1.0 + 1e-9):
         raise ParameterError(f"dt = {dt:.3e} outside the stable range (0, {bound:.3e}]")
     return dt
 
 
-def rk4(grid: Grid2, rhs, y: np.ndarray, dt: float, work=None, bound: float = None) -> np.ndarray:
-    """One classical RK4 step of y' = rhs(y), y and rhs(y) arrays, dt checked
-    by checked_dt against bound, the ceiling of rhs's kernel (max_dt(grid)
-    unless given).
+def rk4(rhs, y: np.ndarray, dt: float, work=None) -> np.ndarray:
+    """One classical RK4 step of y' = rhs(y), y and rhs(y) arrays; dt is
+    not checked (checked_dt).
 
     The stages y + c k and the sum y + dt/6 (k1 + 2 k2 + 2 k3 + k4) are
     formed in place, in that operand order, in work: one (stage, sum,
@@ -473,7 +477,6 @@ def rk4(grid: Grid2, rhs, y: np.ndarray, dt: float, work=None, bound: float = No
     returned in the sum array.  y is never written, and rhs may return one
     buffer at every stage.
     """
-    checked_dt(grid, dt, bound)
     k = rhs(y)
     s, total, tmp = work or tuple(np.empty(k.shape, np.result_type(y, k)) for _ in range(3))
     total[...] = k

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError, NumericalError, ParameterError, UnstableStepError
-from .fields import (SPECTRAL, Grid2, _deriv, _inv_dx, check_finite, check_mode, ddx, ddy, inv_dx,
-                     march, meanx, rk4, spectral_tail)
+from .fields import (SPECTRAL, Grid2, _deriv, _inv_dx, check_finite, check_mode, checked_dt, ddx,
+                     ddy, inv_dx, march, max_dt, meanx, rk4, spectral_tail)
 
 _MODELS = ("M3q", "Zakharov", "Strachan")
 
@@ -174,16 +174,17 @@ def q_rate(grid: Grid2, q: np.ndarray, par: NlsParams, scheme=SPECTRAL) -> tuple
 def step_rk4_nls(grid: Grid2, ws: _Workspace, par: NlsParams, dt: float,
                  scheme=SPECTRAL) -> None:
     """One RK4 step of the q loaded in ws (p = beta*conj(q)), in place, v
-    re-solved at each stage.
+    re-solved at each stage; dt is checked against max_dt(grid).
 
     The stages run _q_rate unchecked, every array in ws: q was checked when
     loaded, and the step checks the new q before it writes it into ws.q.  A
     step that ends non-finite is a numerical abort (UnstableStepError).
     """
+    checked_dt(dt, max_dt(grid))
     # an overflow anywhere in the step ends as a non-finite result, which
     # aborts below; it needs no warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
-        q_new = rk4(grid, lambda y: _q_rate(grid, y, par, scheme, ws), ws.q, dt, ws.rk4)
+        q_new = rk4(lambda y: _q_rate(grid, y, par, scheme, ws), ws.q, dt, ws.rk4)
     try:
         check_finite(q_new, "q")
     except FieldError as exc:

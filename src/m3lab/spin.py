@@ -32,7 +32,7 @@ non-finite aborts before it writes the stack.  march_spin loads the
 initial S and steps that workspace (fields.march); only kept states are
 copied out of it, and each is yielded as it is made, so a caller that
 writes it out (simulate-spin) holds one at a time.  A march's default step
-is stable_dt of its initial state, below the ceiling of fields.checked_dt.
+is stable_dt of its initial state, below the ceiling each step checks.
 
 A march runs on the full grid, or with band in the 2/3 band (the kernel
 equiv-check's ladder runs): each stage's rate is projected into the band
@@ -63,6 +63,7 @@ from .fields import (
     band_limit,
     check_field,
     check_mode,
+    checked_dt,
     cross_planes,
     ddx,
     ddy,
@@ -306,10 +307,11 @@ def step_rk4_spin(grid: Grid2, ws: _Workspace, par: SpinParams, dt: float,
     with dt on a field of large tail is a rate the grid cannot keep tangent
     to an unresolved S, not an unstable step.
     """
+    checked_dt(dt, ws.ceiling)
     # an overflow in a stage ends as a non-finite correction, which aborts
     # below; it needs no warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
-        T = rk4(grid, lambda P: _rhs(grid, P, par, scheme, ws), ws.P, dt, ws.rk4, ws.ceiling)
+        T = rk4(lambda P: _rhs(grid, P, par, scheme, ws), ws.P, dt, ws.rk4)
         lengths = norm3(T, ws.length, ws.tmp)
         correction = float(np.max(np.abs(np.subtract(lengths, 1.0, out=ws.tmp), out=ws.tmp)))
     if not correction <= RENORM_LIMIT:

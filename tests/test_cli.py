@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import m3lab
-from m3lab.cli import (MAX_CELLS, MAX_SAMPLES, MAX_SLICES, MAX_STEPS, RunConfig, _run_length,
-                       build_parser, main, parse_config_text)
+from m3lab.cli import (MAX_SAMPLES, MAX_SLICES, RunConfig, _run_length, build_parser, main,
+                       parse_config_text)
 from m3lab.errors import ConfigError
-from m3lab.fields import DENSE_MAX_N, Grid2, default_dt, read_mfld1, spectral_tail, write_mfld1
+from m3lab.fields import (DENSE_MAX_N, MAX_CELLS, MAX_STEPS, Grid2, default_dt, read_mfld1,
+                          spectral_tail, write_mfld1)
 from m3lab.nls import NlsParams, init_plane_wave, march_nls
 from m3lab.nls import make_state as make_nls_state
 from m3lab.spin import SpinParams, init_modulated_helix, march_spin, stable_dt
@@ -641,19 +642,21 @@ def test_equiv_check_repeated_size_exits_2(spin_run, tmp_path, capsys):
 
 
 def test_equiv_check_oversized_rung_exits_2(spin_run, tmp_path, capsys, monkeypatch):
-    """A rung past MAX_CELLS (4096^2 = 2^24 points) is refused before any
-    rung is built, as a simulate run's grid is."""
+    """A rung past MAX_CELLS (4096^2 = 2^24 points) is refused as its grid
+    is made, before any rung's state is built or marched, as a simulate
+    run's grid is."""
     import m3lab.equivalence as equivalence
 
     def reached(*args, **kwargs):
-        raise AssertionError("l_equiv_check reached")
+        raise AssertionError("a rung was built")
 
-    monkeypatch.setattr(equivalence, "l_equiv_check", reached)
+    for name in ("make_state", "march_spin"):
+        monkeypatch.setattr(equivalence, name, reached)
     capsys.readouterr()
     assert main(["--output-dir", str(tmp_path), "equiv-check", "spinrun",
                  "--ladder", "32,4096"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --ladder") and err.count("\n") == 1
+    assert err == f"error: grid of 4096 x 4096 points exceeds {MAX_CELLS}\n"
     assert not (spin_run / "equiv_report.json").exists()
 
 
@@ -915,11 +918,15 @@ def test_far_from_unit_initial_S_is_one_error_line(tmp_path, capsys):
     ({"grid.nx": 4096, "grid.ny": 4096}, "points"),
 ], ids=["tiny-dt", "huge-t_end", "slices", "cells"])
 def test_run_length_refuses_a_run_beyond_its_size_bound(changes, what):
-    """_run_length refuses a run of more than MAX_STEPS steps, MAX_SLICES
-    saved slices or MAX_CELLS points; the run itself is never started."""
+    """_run_length refuses a run of more than MAX_STEPS steps or MAX_SLICES
+    saved slices, and cfg.grid() one of more than MAX_CELLS points, whose
+    grid is never made; the run itself is never started."""
     cfg = RunConfig.from_text(_with(SPIN_CFG, **{"grid.nx": 16, "grid.ny": 16, **changes}))
     with pytest.raises(ConfigError, match=what):
-        _run_length(cfg, cfg.grid())
+        if what == "points":
+            cfg.grid()
+        else:
+            _run_length(cfg, cfg.grid())
 
 
 def test_run_length_refuses_a_t_end_that_rounds_to_no_step():

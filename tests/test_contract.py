@@ -6,9 +6,9 @@ or 2**31, in an initial-condition file (as `simulate-spin`, `simulate-nls`
 and `equiv-check` read it) and in a run's slice (as `frame`, `charges` and
 `lax-check` read it); the same files with a damaged payload (a huge block,
 S off unit length, a NaN, another grid, a component too few or too many);
-and every value a run's meta.json records, set to each edge value, a
-wrong type, a non-finite number or missing, as `frame`, `charges`,
-`equiv-check` and `lax-check` read the run.
+and every value a run's meta.json records, set to each edge value (2**31
+too, for an integer config key), a wrong type, a non-finite number or
+missing, as `frame`, `charges`, `equiv-check` and `lax-check` read the run.
 
 Each case runs `cli.main` in process and must exit 0, 2 or 3; a run that
 fails prints exactly one stderr line and no numpy RuntimeWarning; a refused
@@ -32,9 +32,9 @@ import numpy as np
 import pytest
 
 from m3lab import nls, spin
-from m3lab.cli import _SCHEMA, MAX_STEPS, SLICE_COMPS, RunConfig, _run_length, main
+from m3lab.cli import _SCHEMA, SLICE_COMPS, RunConfig, _run_length, main
 from m3lab.errors import M3LabError
-from m3lab.fields import Grid2, read_mfld1, write_mfld1
+from m3lab.fields import MAX_STEPS, Grid2, read_mfld1, write_mfld1
 
 BASES = {
     "spin": ("simulate-spin", "grid.nx = 16\ngrid.ny = 16\nparams.c = 0.3\n"
@@ -303,10 +303,11 @@ META_READERS = {
 
 def _recorded(key) -> list:
     """The values of VALUES as a run records config key `key` (or, key
-    None, a top-level number): those its type parses, and one text, since
-    every text takes the same path."""
+    None, a top-level number): those its type parses, 2**31 for an integer
+    key (a grid.nx of 2**31 points a grid past MAX_CELLS), and one text,
+    since every text takes the same path."""
     kind = _SCHEMA.get(key, (float,))[0]
-    parsed = []
+    parsed = [2**31] if kind is int else []
     for value in VALUES:
         try:
             parsed.append(kind(value))

@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from m3lab import nls, spin
 from m3lab.errors import ConfigError, FieldError, M3LabError, ParameterError, UnstableStepError
 from m3lab.fields import (
     DENSE_MAX_N,
     EINSUM_ORDER,
+    MAX_CELLS,
     RK4_LIMIT,
     STEP_SAFETY,
     Grid2,
@@ -35,17 +37,23 @@ from m3lab.fields import (
 from m3lab.nls import NlsParams, nls_rhs, solve_v_nls
 from m3lab.spin import SpinParams, make_state, spin_rhs
 
-from conftest import band_limited, smooth_spin
+from conftest import band_limited, smooth_complex, smooth_spin
 
 TWO_PI = 2.0 * np.pi
 ABOVE = 2 * DENSE_MAX_N      # an axis length on the rfft branch
 
 
 def test_grid_validation():
+    """Fewer than 8 points on an axis, a length that is not positive and
+    finite, or more than MAX_CELLS points (4096 x 2048 is exactly that
+    many) are refused as the grid is made."""
     with pytest.raises(ConfigError):
         Grid2(4, 64)
     with pytest.raises(ConfigError):
         Grid2(64, 64, lx=-1.0)
+    assert 4096 * Grid2(4096, 2048).ny == MAX_CELLS
+    with pytest.raises(ConfigError, match=f"grid of 4096 x 2049 points exceeds {MAX_CELLS}"):
+        Grid2(4096, 2049)
     g = Grid2(32, 16, lx=1.0, ly=2.0)
     assert g.hx == pytest.approx(1.0 / 32)
     assert g.hy == pytest.approx(2.0 / 16)
@@ -495,10 +503,10 @@ def test_rk4_in_place_is_the_textbook_step(rng, dtype):
     for rate in (reused, lambda f: f):
         want = _textbook_rk4(lambda f: rate(f).copy(), y, dt)
         work = tuple(np.empty_like(y) for _ in range(3))
-        got = rk4(g, rate, y, dt, work)
+        got = rk4(rate, y, dt, work)
         assert got is work[1]
         assert np.array_equal(got, want)
-        assert np.array_equal(rk4(g, rate, y, dt), want)
+        assert np.array_equal(rk4(rate, y, dt), want)
         assert np.array_equal(y, y0)
 
 
@@ -667,10 +675,27 @@ def test_step_ceiling_is_rk4s_limit_over_the_top_wavenumbers(nx, ny, lx, ly):
         assert max_dt(g) / (g.hx * g.hy) == pytest.approx(0.29575, abs=1e-5)
     assert default_dt(g) == STEP_SAFETY * max_dt(g)
     for dt in (max_dt(g), default_dt(g), 0.2 * g.hx * g.hy):
-        assert checked_dt(g, dt) == dt
+        assert checked_dt(dt, max_dt(g)) == dt
     for dt in (1.0001 * max_dt(g), 0.0, -default_dt(g)):
         with pytest.raises(ParameterError, match="outside the stable range"):
-            checked_dt(g, dt)
+            checked_dt(dt, max_dt(g))
+
+
+def test_each_stepper_checks_its_own_ceiling(rng):
+    """rk4 checks no dt (test_step_ceiling_is_exact steps past the ceiling):
+    step_rk4_spin holds dt to its workspace's ceiling (the band's is
+    longer) and step_rk4_nls to max_dt(grid), each refusing a dt past it
+    (ParameterError) before it writes the state."""
+    g, par = Grid2(16, 16), SpinParams(c=0.3)
+    S, q = smooth_spin(g, rng), smooth_complex(g, rng)
+    dt = 1.01 * max_dt(g)
+    spin.step_rk4_spin(g, spin._Workspace(g, S, band=True), par, dt)
+    spin_ws, nls_ws = spin._Workspace(g, S), nls._Workspace(q)
+    with pytest.raises(ParameterError, match="outside the stable range"):
+        spin.step_rk4_spin(g, spin_ws, par, dt)
+    with pytest.raises(ParameterError, match="outside the stable range"):
+        nls.step_rk4_nls(g, nls_ws, NlsParams(), dt)
+    assert np.array_equal(spin_ws.P, S) and np.array_equal(nls_ws.q, q)
 
 
 def _top_mode(g):
@@ -683,8 +708,7 @@ def _top_mode(g):
 def test_step_ceiling_is_exact(side):
     """Both models rotate a small perturbation of a uniform field at the top
     mode at the rate kx ky, so RK4 grows it past the ceiling and damps it
-    below: at 1.01 max_dt it grows over 40 steps, at 0.99 max_dt it decays.
-    (The steps are written out: rk4 refuses a dt past the ceiling.)"""
+    below: at 1.01 max_dt it grows over 40 steps, at 0.99 max_dt it decays."""
     g = Grid2(32, 32)
     phase, eps = _top_mode(g), 1e-6
     if side == "spin":
@@ -710,7 +734,7 @@ def test_step_ceiling_is_exact(side):
     for factor, grows in ((1.01, True), (0.99, False)):
         y = y0
         for _ in range(40):
-            y = _textbook_rk4(rate, y, factor * max_dt(g))
+            y = rk4(rate, y, factor * max_dt(g))
         assert (size(y) > 2.0 * size(y0)) == grows
         assert (size(y) < 0.5 * size(y0)) == (not grows)
 

@@ -216,7 +216,7 @@ def general_pair_rhs(grid, q, p, par, scheme):
 def general_pair_step(grid, q, par, dt, scheme):
     """(q, p) stepped as one (2, ny, nx) stack: the step is elementwise, so
     each component has the bits of its own step."""
-    return rk4(grid, lambda pair: np.stack(general_pair_rhs(grid, *pair, par, scheme)),
+    return rk4(lambda pair: np.stack(general_pair_rhs(grid, *pair, par, scheme)),
                np.stack((q, par.beta * np.conj(q))), dt)
 
 
@@ -263,7 +263,7 @@ def test_step_reductions_bitwise(grid, rng, scheme, beta):
         return inv_dx(grid, ddy(grid, dens, scheme)).field * q
 
     def written_out(rate):
-        return rk4(grid, rate, q, dt)
+        return rk4(rate, q, dt)
 
     c = 0.4
     for m3q, reduced, rate in (

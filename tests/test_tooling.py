@@ -1,13 +1,14 @@
-"""Guards on the package's sources: a light CLI import, no unused imports,
-no dead private names, no default that no call overrides, no boolean
-option that only unit tests set, no identity probe in the frame layer, one
-vector layout, one MFLD1 reader and one CLI function that calls it and
-unit-checks S, two CLI functions that open a file to write (JSON and
-CSV), no private frames name used outside frames but the workspace and
-the densities, one writer of run directories, no parameter check called for
-its side effect alone, no step formed from the cell area, no command that
-calls the general NLS pair, a README layout that names every module and
-no run file a simulate command would not clean up."""
+"""Guards on the package's sources: a light CLI import that no other module
+makes, no unused imports, no dead private names, no default that no call
+overrides, no boolean option that only unit tests set, no identity probe
+in the frame layer, one vector layout, one MFLD1 reader and one CLI
+function that calls it and unit-checks S, two CLI functions that open a
+file to write (JSON and CSV), no private frames name used outside frames
+but the workspace and the densities, one writer of run directories, no
+parameter check called for its side effect alone, no step formed from the
+cell area, no command that calls the general NLS pair, a README layout
+that names every module and no run file a simulate command would not
+clean up."""
 
 import ast
 import fnmatch
@@ -31,6 +32,45 @@ def test_cli_import_does_not_load_numpy():
                           "import sys, m3lab.cli; print('numpy' in sys.modules)"],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def cli_imports(paths) -> list:
+    """Every import of the CLI in the modules, at any depth: `from .cli
+    import ...`, `from . import cli`, `import m3lab.cli` and their
+    absolute forms, as `module:line: statement`."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                package = "m3lab" if node.level else ""
+                module = ".".join(filter(None, (package, node.module)))
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name == "m3lab.cli" or name.startswith("m3lab.cli.") for name in names):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_no_library_module_imports_the_cli():
+    """The CLI is the front door and nothing behind it reads from it: the
+    bounds it checks live in fields, beside what they bound."""
+    assert cli_imports([p for p in MODULES if p.name != "cli.py"]) == []
+
+
+def test_cli_import_check_sees_a_leftover(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import m3lab.cli\nimport m3lab.client, m3lab.clip as clip\n"
+        "from . import cli as front, fields\nfrom m3lab import cli\nfrom .cli import main\n\n"
+        "def spacing(n):\n    from .cli import MAX_STEPS\n    return n < MAX_STEPS\n\n"
+        "def other():\n    from m3lab.cli import RunConfig\n    from .fields import MAX_STEPS\n"
+        "    from . import clip\n    return RunConfig, MAX_STEPS, clip\n")
+    assert cli_imports([tmp_path / "a.py"]) == [
+        "a.py:1: import m3lab.cli", "a.py:3: from . import cli as front, fields",
+        "a.py:4: from m3lab import cli", "a.py:5: from .cli import main",
+        "a.py:8: from .cli import MAX_STEPS", "a.py:12: from m3lab.cli import RunConfig"]
 
 
 def unused_imports(path: Path) -> list:
