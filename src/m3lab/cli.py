@@ -9,7 +9,8 @@ written (OSError), 3 numerical-instability abort.
 
 simulate-spin and simulate-nls write a run directory through one body,
 _simulate, which owns the write protocol; the other commands open a run
-through _open_run, which checks its meta.json and its parameters.  Every
+through _open_run, which checks its meta.json and its parameters, and
+frame lands its files through _staged_outputs, all or none.  Every
 MFLD1 file a command reads, an initial-condition file or a run's slice,
 goes through one reader, _read_checked, which checks its grid and its
 components (SLICE_COMPS) before its payload is read, and its field
@@ -21,6 +22,7 @@ light and pulls the numerical modules in lazily.
 """
 
 import argparse
+import contextlib
 import fnmatch
 import functools
 import hashlib
@@ -37,11 +39,12 @@ from .errors import ConfigError, M3LabError, NumericalError, ParameterError
 # initial-condition file holds first, then the rest
 SLICE_COMPS = {"spin": (("S1", "S2", "S3"), ("u", "v")),
                "nls": (("Re q", "Im q"), ("Re p", "Im p", "v"))}
-# every file the subcommands write into a run directory, as fnmatch patterns;
-# a simulate command removes their matches from its directory first
+# every file the subcommands write into a run directory, as fnmatch patterns,
+# staging names (_staged_outputs) included; a simulate command removes their
+# matches from its directory first
 RUN_FILES = ("spin_[0-9]*.mfld1", "nls_[0-9]*.mfld1", "frame_[0-9]*.mfld1",
              "coeffs_[0-9]*.mfld1", "meta.json", "invariants.csv", "norms.csv", "charges.csv",
-             "frame_report.json", "equiv_report.json", "lax_report.json", "lax_scan.csv")
+             "frame_report*.json", "equiv_report.json", "lax_report.json", "lax_scan.csv")
 # lambda-check's float options, whose value main attaches (`--k=-1e3`)
 NUMBER_OPTIONS = ("--k", "--a", "--c")
 
@@ -466,6 +469,31 @@ def _load_slice(run_dir: str, meta: dict, cfg: RunConfig, idx: int, out=None):
                          meta["kind"], out=out)
 
 
+@contextlib.contextmanager
+def _staged_outputs(run_dir: str):
+    """Yields stage(name), the path a command writes the file run_dir/name
+    to: its staging name, `.staging` before the extension, which RUN_FILES
+    matches, so a simulate clears one a killed command left.  When the
+    body ends, each staged file is renamed into place in the order staged;
+    when it fails, each is removed, so the directory is as it was."""
+    staged = []  # (staging path, path), in the order staged
+
+    def stage(name: str) -> str:
+        root, ext = os.path.splitext(name)
+        staged.append((os.path.join(run_dir, f"{root}.staging{ext}"), os.path.join(run_dir, name)))
+        return staged[-1][0]
+
+    try:
+        yield stage
+    except BaseException:
+        for path, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+    for path, final in staged:
+        os.replace(path, final)
+
+
 def cmd_frame(args) -> int:
     from .fields import write_mfld1
     from .frames import transport_window
@@ -475,16 +503,16 @@ def cmd_frame(args) -> int:
     report = {"config_hash": cfg.sha, "residuals": []}
     grid = cfg.grid()
 
-    def write_frame(idx, F):
-        write_mfld1(os.path.join(run_dir, f"frame_{idx:06d}.mfld1"), grid, F.E)
-
-    for idx, co, res in transport_window(grid, times,
-                                         functools.partial(_load_slice, run_dir, meta, cfg),
-                                         write_frame, cfg["scheme"]):
-        write_mfld1(os.path.join(run_dir, f"coeffs_{idx:06d}.mfld1"), grid,
-                    (*co.a[::-1], *co.b, *co.w))  # k, sigma, tau, m1 .. m3, w1 .. w3
-        report["residuals"].append({"t": times[idx], **res})
-    _write_json(os.path.join(run_dir, "frame_report.json"), report)
+    # every dump and the report are staged, and land only once the last slice is done
+    with _staged_outputs(run_dir) as stage:
+        for idx, co, res in transport_window(
+                grid, times, functools.partial(_load_slice, run_dir, meta, cfg),
+                lambda idx, F: write_mfld1(stage(f"frame_{idx:06d}.mfld1"), grid, F.E),
+                cfg["scheme"]):
+            write_mfld1(stage(f"coeffs_{idx:06d}.mfld1"), grid,
+                        (*co.a[::-1], *co.b, *co.w))  # k, sigma, tau, m1 .. m3, w1 .. w3
+            report["residuals"].append({"t": times[idx], **res})
+        _write_json(stage("frame_report.json"), report)
     print(f"wrote {len(times)} frame dumps and {max(0, len(times) - 2)} coefficient dumps to {run_dir}")
     return 0
 
@@ -534,7 +562,7 @@ def _parse_lambda(text: str, par) -> complex:
 
 def cmd_lax_check(args) -> int:
     import numpy as np
-    from .lax import flatness_at, flatness_pass_q, split_trace
+    from .lax import central_differences, flatness_at, flatness_pass_q, split_trace
     from .nls import _paired
     from .spin import DENOM_TOL
 
@@ -558,14 +586,23 @@ def cmd_lax_check(args) -> int:
         payload["results"] = [{"lam": [lam.real, lam.imag], "trace_V_split": tr}
                               for lam, tr in zip(lams, split_trace(grid, S, par, lams, scheme))]
     else:
-        triple = []
-        for idx in (mid - 1, mid, mid + 1):
-            data = _load_slice(run_dir, meta, cfg, idx)
+        def pair(data):  # (q, p) of a slice's Re q, Im q
             q = data[0] + 1j * data[1]
-            triple.append((q, _paired(q, par.beta), data[4]))
-        dt2 = times[mid + 1] - times[mid - 1]
+            return q, _paired(q, par.beta)
+
+        # the slices either side are read for q alone, into two planes, and let
+        # go once differenced; the middle one's v is kept as a plane of its own
+        before, after = (pair(_load_slice(run_dir, meta, cfg, idx,
+                                          out=np.empty((2, grid.ny, grid.nx))))
+                         for idx in (mid - 1, mid + 1))
         with np.errstate(over="ignore", invalid="ignore"):
-            flat = flatness_pass_q(grid, *triple, par, dt2, scheme)
+            qp_t = central_differences(before, after, times[mid + 1] - times[mid - 1])
+        del before, after
+        data = _load_slice(run_dir, meta, cfg, mid)
+        qpv = (*pair(data), data[4].copy())
+        del data
+        with np.errstate(over="ignore", invalid="ignore"):
+            flat = flatness_pass_q(grid, qpv, qp_t, par, scheme)
             for lam in lams:
                 rep = flatness_at(flat, lam)
                 if not math.isfinite(rep["residual"]):

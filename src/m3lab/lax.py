@@ -17,9 +17,10 @@ its lam-expansion lam^2 B2 + lam B1 + B0 summed in closed form.  At c = 0
 it is the Zakharov-limit connection.
 
 lam enters only through the scalars Lam and mu.  So a lam scan costs one
-derivative pass per slice triple, flatness_pass_q (q_y, p_y and the
-x-derivatives of v, Q, P, plus the central differences q_t, p_t), and
-pointwise work per lam, flatness_at: the entries of U and V, V_x =
+derivative pass per slice, flatness_pass_q (q_y, p_y and the
+x-derivatives of v, Q, P, with the central differences q_t, p_t of the
+slices either side, which central_differences forms), and pointwise work
+per lam, flatness_at: the entries of U and V, V_x =
 mu (-i mu v_x, Q_x, -P_x) by linearity, the sl(2) bracket and the
 max-norm, with the traces read off the diagonal entries.  That work runs
 on blocks of rows, so its temporaries stay in cache rather than being
@@ -130,26 +131,30 @@ def build_lax_q(grid: Grid2, q: np.ndarray, p: np.ndarray, v: np.ndarray,
 
 
 class FlatnessQ(NamedTuple):
-    """The lam-independent fields of the q-side flatness residual at one slice triple."""
+    """The lam-independent fields of the q-side flatness residual at one slice."""
     par: object
-    qp: tuple       # q, p at the middle slice
+    qp: tuple       # q, p at the slice
     vf: tuple       # v, Q, P there: V = mu (-i mu v, Q, -P)
     vf_x: tuple     # their x-derivatives: V_x = mu (-i mu v_x, Q_x, -P_x)
     qp_y: tuple     # q_y, p_y
-    qp_t: tuple     # central differences of q and p over the triple
+    qp_t: tuple     # central differences of q and p about the slice
 
 
-def flatness_pass_q(grid: Grid2, qpv_before, qpv_mid, qpv_after, par, dt2: float,
-                    scheme=SPECTRAL) -> FlatnessQ:
-    """Every derivative the flatness residual needs at any lam: five per triple.
+def central_differences(qp_before, qp_after, dt2: float) -> tuple:
+    """(q_t, p_t), the central differences over the 2*dt window of the
+    (q, p) pairs sampled at t - dt and t + dt: the entries of U_t."""
+    (q0, p0), (q1, p1) = qp_before, qp_after
+    return (q1 - q0) / dt2, (p1 - p0) / dt2
 
-    Each qpv_* is a (q, p, v) triple sampled at t - dt, t, t + dt; U_t is
-    the central difference over the 2*dt window.
+
+def flatness_pass_q(grid: Grid2, qpv, qp_t, par, scheme=SPECTRAL) -> FlatnessQ:
+    """Every derivative the flatness residual needs at any lam: five per slice.
+
+    qpv is the (q, p, v) of the slice at t, and qp_t the central
+    differences (q_t, p_t) about it (central_differences).
     """
-    qp, vf, qp_y = _q_fields(grid, *qpv_mid, par, scheme)
-    (q0, p0, _), (q1, p1, _) = qpv_before, qpv_after
-    return FlatnessQ(par, qp, vf, tuple(ddx(grid, f, scheme) for f in vf), qp_y,
-                     ((q1 - q0) / dt2, (p1 - p0) / dt2))
+    qp, vf, qp_y = _q_fields(grid, *qpv, par, scheme)
+    return FlatnessQ(par, qp, vf, tuple(ddx(grid, f, scheme) for f in vf), qp_y, qp_t)
 
 
 def _flatness_rows(F: FlatnessQ, lam: complex, rows: slice) -> tuple:
@@ -183,9 +188,10 @@ def flatness_at(F: FlatnessQ, lam: complex) -> dict:
 
 def zero_curvature_q(grid: Grid2, qpv_before, qpv_mid, qpv_after, par,
                      lam: complex, dt2: float, scheme=SPECTRAL) -> dict:
-    """flatness_at(lam) of the pass over (qpv_before, qpv_mid, qpv_after)."""
-    F = flatness_pass_q(grid, qpv_before, qpv_mid, qpv_after, par, dt2, scheme)
-    return flatness_at(F, lam)
+    """flatness_at(lam) of the pass over qpv_mid, with U_t the central
+    differences of qpv_before and qpv_after over dt2."""
+    qp_t = central_differences(qpv_before[:2], qpv_after[:2], dt2)
+    return flatness_at(flatness_pass_q(grid, qpv_mid, qp_t, par, scheme), lam)
 
 
 # ---------------------------------------------------------------------------

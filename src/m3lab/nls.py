@@ -141,13 +141,14 @@ def make_state(grid: Grid2, q: np.ndarray, par: NlsParams, t: float = 0.0,
 
 class _Workspace:
     """q loaded: a copy of q, checked finite, and every array an NLS step
-    writes; march_nls loads one for all its steps."""
+    writes; march_nls loads one for all its steps.  RK4's scratch is tmp,
+    which a rate leaves free."""
 
     def __init__(self, q: np.ndarray):
         self.q = check_finite(np.array(q, dtype=complex), "q")
         self.planes = tuple(np.empty(self.q.shape) for _ in range(3))
         self.vq, self.w, self.tmp, self.rate = (np.empty(self.q.shape, complex) for _ in range(4))
-        self.rk4 = tuple(np.empty(self.q.shape, complex) for _ in range(3))
+        self.rk4 = (np.empty(self.q.shape, complex), np.empty(self.q.shape, complex), self.tmp)
 
 
 def _q_rate(grid: Grid2, q: np.ndarray, par: NlsParams, scheme, ws) -> np.ndarray:

@@ -1,3 +1,5 @@
+import fnmatch
+import hashlib
 import importlib
 import json
 import os
@@ -8,12 +10,14 @@ import sys
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import m3lab
-from m3lab.cli import (MAX_SAMPLES, MAX_SLICES, RunConfig, _run_length, build_parser, main,
+from m3lab.cli import (MAX_SAMPLES, MAX_SLICES, RUN_FILES, RunConfig, _run_length,
+                       _staged_outputs, build_parser, main,
                        parse_config_text)
 from m3lab.errors import ConfigError
 from m3lab.fields import (DENSE_MAX_N, MAX_CELLS, MAX_STEPS, Grid2, default_dt, read_mfld1,
@@ -1200,20 +1204,24 @@ def test_frame_writes_the_library_path_bitwise(tmp_path, n):
             frame=frames[idx])}
 
 
-def _peak_planes(tmp_path, command) -> float:
-    """tracemalloc peak, in (ny, nx) planes, of `command` on a lump run on the
-    rfft path, once a first call has filled the operator caches."""
-    n = DENSE_MAX_N + 8
-    _lump_run(tmp_path, n)
-    argv = ["--output-dir", str(tmp_path), command, "lump"]
+def _traced_peak(argv) -> int:
+    """tracemalloc peak, in bytes, of main(argv), once a first call has
+    filled the operator caches."""
     assert main(argv) == 0
     tracemalloc.start()
     try:
         assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / (8 * n * n)
+
+
+def _peak_planes(tmp_path, command) -> float:
+    """tracemalloc peak, in (ny, nx) planes, of `command` on a lump run on the
+    rfft path."""
+    n = DENSE_MAX_N + 8
+    _lump_run(tmp_path, n)
+    return _traced_peak(["--output-dir", str(tmp_path), command, "lump"]) / (8 * n * n)
 
 
 def test_frame_holds_three_slices_of_e1_e2_a_and_b(tmp_path):
@@ -1233,6 +1241,23 @@ def test_charges_reads_each_slice_into_its_frame(tmp_path):
     a lump its peak, 31.4 (ny, nx) planes, stays below 36: reading each
     whole slice peaked at ~41."""
     assert _peak_planes(tmp_path, "charges") < 36
+
+
+def test_lax_check_holds_one_slice_and_two_differences(tmp_path):
+    """The q-side `lax-check` reads the slices either side of the middle one
+    for q alone and differences them before its pass, and keeps the middle
+    slice's v as a plane of its own.  On an n = 128 M3q run of three slices
+    its peak, 13.2 complex (ny, nx) planes, stays within 16: holding three
+    whole slices peaked at 24.2."""
+    n = 128
+    cfg = tmp_path / "nls.cfg"
+    cfg.write_text(_with(NLS_CFG, **{"grid.nx": n, "grid.ny": n, "model": "M3q",
+                                     "params.c": 0.3, "nls.init.k2": 2, "dt": "0.0002",
+                                     "t_end": "0.0004", "save_every": 1}))
+    assert main(["--output-dir", str(tmp_path), "simulate-nls", str(cfg)]) == 0
+    assert len(json.loads((tmp_path / "nlsrun" / "meta.json").read_text())["slices"]) == 3
+    argv = ["--output-dir", str(tmp_path), "lax-check", "nlsrun", "--lambda", "0.3,0.1"]
+    assert _traced_peak(argv) <= 16 * (16 * n * n)
 
 
 def _march(side, grid):
@@ -1467,6 +1492,55 @@ def recorded_spin_run(tmp_path_factory):
     (out / "spin.cfg").write_text(SPIN_CFG)
     assert main(["--output-dir", str(out), "simulate-spin", str(out / "spin.cfg")]) == 0
     return out / "spinrun"
+
+
+def _listing(run) -> dict:
+    """{name: sha256 of its bytes} of every file in the directory run."""
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in run.iterdir()}
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_frame_that_fails_at_a_slice_leaves_the_run_as_it_was(tmp_path, capsys, where):
+    """`frame` writes its dumps and report under staging names and renames
+    them into place only after its last slice: a NaN in v of the first, a
+    middle or the last slice of a fresh run gives exit 2 with one line
+    naming the slice, and leaves the directory byte for byte as it was."""
+    (tmp_path / "spin.cfg").write_text(_with(SPIN_CFG, save_every=1))
+    assert main(["--output-dir", str(tmp_path), "simulate-spin", str(tmp_path / "spin.cfg")]) == 0
+    run = tmp_path / "spinrun"
+    slices = json.loads((run / "meta.json").read_text())["slices"]
+    assert len(slices) >= 5
+    path = run / slices[{"first": 0, "middle": len(slices) // 2, "last": -1}[where]]
+    grid, data = read_mfld1(path)
+    data[4, 3, 5] = np.nan
+    write_mfld1(path, grid, data)
+    before = _listing(run)
+    capsys.readouterr()
+    assert main(["--output-dir", str(tmp_path), "frame", "spinrun"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert _listing(run) == before
+
+
+def test_simulate_clears_the_staging_names_a_killed_command_left(tmp_path):
+    """A staged file lands under its own name when the body ends, and its
+    staging name matches RUN_FILES: a simulate run clears the ones that a
+    command killed before its renames left."""
+    run = tmp_path / "spinrun"
+    run.mkdir()
+    names = ["coeffs_000001.mfld1", "frame_000000.mfld1", "frame_report.json"]
+    with _staged_outputs(str(run)) as stage:
+        for name in names:
+            Path(stage(name)).write_text(name)
+        staging = sorted(os.listdir(run))
+    assert sorted(os.listdir(run)) == names
+    assert all((run / name).read_text() == name for name in names)
+    assert all(any(fnmatch.fnmatchcase(name, p) for p in RUN_FILES) for name in staging)
+    for name in staging:  # as a command killed before its renames leaves them
+        (run / name).write_text(name)
+    (tmp_path / "spin.cfg").write_text(SPIN_CFG)
+    assert main(["--output-dir", str(tmp_path), "simulate-spin", str(tmp_path / "spin.cfg")]) == 0
+    assert not set(staging) & set(os.listdir(run))
 
 
 @pytest.mark.parametrize("key, value", [

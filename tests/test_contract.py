@@ -196,14 +196,14 @@ def _initial(reader) -> bool:
     return reader.startswith("init") or reader == "equiv-check"
 
 
-def _file_of(root, reader):
+def _file_of(root, reader, offset=0):
     """The MFLD1 file that reader's command reads: its side's initial file,
-    or the middle slice of its side's run."""
+    or the slice offset from the middle one of its side's run."""
     side = _side(reader)
     if _initial(reader):
         return root / f"init-{side}.mfld1"
     meta = json.loads((root / side / "meta.json").read_text())
-    return root / side / meta["slices"][len(meta["slices"]) // 2]
+    return root / side / meta["slices"][len(meta["slices"]) // 2 + offset]
 
 
 def _with_header(path, name, value):
@@ -241,7 +241,11 @@ def test_mfld1_header_edge_value_keeps_the_cli_contract(runs, capsys, reader, na
 # one NaN, the field on another grid, a component too few and, in a slice,
 # one too many (an initial file may hold more than its field's)
 DAMAGE = ("huge", "scaled", "nan", "grid", "too-few", "too-many")
-PAYLOAD_CASES = [(reader, damage) for reader in READERS for damage in DAMAGE
+# the slice damaged, from the middle one: the q side of lax-check also
+# reads the slices either side of it, for q alone
+OFFSETS = {"lax-check-nls": (0, -1, 1)}
+PAYLOAD_CASES = [(reader, damage, offset) for reader in READERS for damage in DAMAGE
+                 for offset in OFFSETS.get(reader, (0,))
                  if not (damage == "scaled" and _side(reader) == "nls")
                  and not (damage == "too-many" and _initial(reader))]
 
@@ -263,14 +267,16 @@ def _damage(path, damage, need):
     write_mfld1(path, grid, data)
 
 
-@pytest.mark.parametrize("reader, damage", PAYLOAD_CASES,
-                         ids=[f"{r}-{d}" for r, d in PAYLOAD_CASES])
-def test_damaged_mfld1_payload_is_one_line_naming_the_file(runs, capsys, reader, damage):
+@pytest.mark.parametrize("reader, damage, offset", PAYLOAD_CASES,
+                         ids=[f"{r}-{d}" + (f"-mid{o:+d}" if o else "")
+                              for r, d, o in PAYLOAD_CASES])
+def test_damaged_mfld1_payload_is_one_line_naming_the_file(runs, capsys, reader, damage, offset):
     """The file a command reads, damaged: exit 2 with one line that names
     the file, and no RuntimeWarning.  A spin file's S off unit length and
     an NLS file whose |q|^2 overflows are refused as they are read, by
-    every reader, equiv-check's initial file included."""
-    path = _file_of(runs, reader)
+    every reader, equiv-check's initial file and the slices the q side of
+    lax-check reads for q alone included."""
+    path = _file_of(runs, reader, offset)
     field, rest = SLICE_COMPS[_side(reader)]
     original = path.read_bytes()
     _damage(path, damage, len(field) if _initial(reader) else len(field + rest))

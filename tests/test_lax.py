@@ -11,6 +11,7 @@ from m3lab.lax import (
     SIGMA3,
     build_lax_q,
     build_lax_spin,
+    central_differences,
     flatness_at,
     flatness_pass_q,
     lambda_residual,
@@ -212,7 +213,8 @@ def test_flatness_scan_matches_single_lambda(rng, case, scheme):
     else:
         par, dt2 = NlsParams(c=0.37, d=-0.8, model="M3q"), 0.05
         triple = _general_pair_qpv(grid, rng)
-    F = flatness_pass_q(grid, *triple, par, dt2, scheme)
+    qp_t = central_differences(triple[0][:2], triple[2][:2], dt2)
+    F = flatness_pass_q(grid, triple[1], qp_t, par, scheme)
     scan = [flatness_at(F, lam) for lam in SCAN_LAMBDAS]
     for lam, entry in zip(SCAN_LAMBDAS, scan):
         alone = zero_curvature_q(grid, *triple, par, lam, dt2, scheme)
@@ -221,7 +223,7 @@ def test_flatness_scan_matches_single_lambda(rng, case, scheme):
         assert abs(entry["residual"] - ref) <= 1e-12 * ref
         assert entry["trace_U"] == entry["trace_V"] == 0.0
     # an entry does not depend on which other lambdas share the scan
-    other = flatness_pass_q(grid, *triple, par, dt2, scheme)
+    other = flatness_pass_q(grid, triple[1], qp_t, par, scheme)
     for lam, entry in zip(SCAN_LAMBDAS[::-1], [flatness_at(other, lam) for lam in SCAN_LAMBDAS[::-1]]):
         assert repr(entry) == repr(scan[SCAN_LAMBDAS.index(lam)])
 
